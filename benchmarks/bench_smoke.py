@@ -100,87 +100,6 @@ def fork_machinery_smoke() -> bool:
     return ok
 
 
-def delta_blob_identity_smoke() -> bool:
-    """The delta snapshot path against the monolithic blob path.
-
-    Same search under ``snapshot_mode="bytes"`` and ``"blob"``: the
-    state partition (fingerprints) must be identical, so every count,
-    every violating schedule and the anomaly union must match exactly.
-    ``benchmarks/bench_delta.py`` runs the same comparison at full scope
-    with the ≥ 5x traffic gate; this is the one-second version.
-    """
-    from repro.sim.executor import use_snapshot_mode
-
-    kwargs = dict(
-        max_depth=30, max_states=60_000, por=True,
-        first_violation_only=False,
-    )
-    runs = {}
-    for mode in ("bytes", "blob"):
-        with use_snapshot_mode(mode):
-            r = explore_write_read_race("fastclaim", **kwargs)
-        runs[mode] = dict(
-            states_visited=r.states_visited,
-            states_deduped=r.states_deduped,
-            schedules_completed=r.schedules_completed,
-            schedules=sorted(tuple(s) for s, _ in r.violations),
-            anomalies=sorted(
-                {str(a) for _, anomalies in r.violations for a in anomalies}
-            ),
-        )
-    ok = runs["bytes"] == runs["blob"]
-    print(
-        ("ok  " if ok else "FAIL")
-        + f" delta==blob identity: {runs['bytes']['states_visited']} states, "
-        f"{len(runs['bytes']['schedules'])} violating schedules"
-    )
-    if not ok:
-        print(f"     bytes: {runs['bytes']}\n     blob:  {runs['blob']}")
-    return ok
-
-
-def codec_identity_smoke() -> bool:
-    """The schema-codec snapshot path against the delta-bytes path.
-
-    Same search under ``snapshot_mode="codec"`` and ``"bytes"`` with
-    zero codec fallbacks: every protocol schema is complete and the
-    typed cells + Merkle fingerprints reproduce the partition exactly.
-    ``benchmarks/bench_codec.py`` runs the full-scope version with the
-    traffic/wall/O(delta) gates; this is the one-second version.
-    """
-    from repro.sim.executor import use_snapshot_mode
-
-    kwargs = dict(
-        max_depth=30, max_states=60_000, por=True,
-        first_violation_only=False,
-    )
-    runs = {}
-    fallbacks = 0
-    for mode in ("bytes", "codec"):
-        with use_snapshot_mode(mode):
-            r = explore_write_read_race("fastclaim", **kwargs)
-        if mode == "codec":
-            fallbacks = r.counters.codec_fallbacks
-        runs[mode] = dict(
-            states_visited=r.states_visited,
-            states_deduped=r.states_deduped,
-            schedules_completed=r.schedules_completed,
-            schedules=sorted(tuple(s) for s, _ in r.violations),
-            anomalies=sorted(
-                {str(a) for _, anomalies in r.violations for a in anomalies}
-            ),
-        )
-    ok = runs["bytes"] == runs["codec"] and fallbacks == 0
-    print(
-        ("ok  " if ok else "FAIL")
-        + f" codec==bytes identity: {runs['codec']['states_visited']} states, "
-        f"{fallbacks} fallbacks"
-    )
-    if not ok:
-        print(f"     bytes: {runs['bytes']}\n     codec: {runs['codec']}")
-    return ok
-
-
 def checker_smoke() -> bool:
     """The delta checkers against the per-leaf batch scan.
 
@@ -227,8 +146,6 @@ EXPECT_CHECKS = 5_395
 def main() -> int:
     failures = 0
     failures += not fork_machinery_smoke()
-    failures += not delta_blob_identity_smoke()
-    failures += not codec_identity_smoke()
     failures += not checker_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()

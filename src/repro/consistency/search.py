@@ -106,38 +106,62 @@ def find_legal_serialization(
             lst[obj_idx[obj]] = val
         return tuple(lst)
 
-    def dfs(mask: int, state: Tuple[Value, ...], pred_count: List[int]) -> bool:
-        nonlocal steps, budget_hit
-        if mask == (1 << n) - 1:
-            return True
-        key = (mask, state)
-        if key in failed:
-            return False
-        steps += 1
-        if steps > max_steps:
-            budget_hit = True
-            return False
-        for i in range(n):
-            if mask & (1 << i) or pred_count[i] > 0:
-                continue
-            rec = records[i]
-            if must_be_legal[i] and not legal_here(rec, state):
-                continue
-            for j in succs[i]:
-                pred_count[j] -= 1
-            order_out.append(i)
-            ok = dfs(mask | (1 << i), apply_writes(rec, state), pred_count)
-            if ok:
-                return True
-            order_out.pop()
-            for j in succs[i]:
-                pred_count[j] += 1
-            if budget_hit:
-                return False
-        failed.add(key)
-        return False
+    def retract() -> None:
+        """Take back the latest placement: the prefix it led to is dead."""
+        i = order_out.pop()
+        for j in succs[i]:
+            preds[j] += 1
 
-    found = dfs(0, init_state, preds)
+    # The DFS keeps its own stack — one frame per placed transaction would
+    # overflow the interpreter's recursion limit on histories past ~1k
+    # records.  ``frames`` holds the open prefixes, innermost last, each as
+    # [mask, state, next candidate index]; ``order_out[k]`` is the record
+    # placed to get from frame k to frame k + 1.
+    full = (1 << n) - 1
+    found = False
+    frames: List[List] = []
+    mask, state = 0, init_state
+    while True:
+        # enter the prefix (mask, state)
+        if mask == full:
+            found = True
+            break
+        if (mask, state) in failed:
+            retract()  # never the root: ``failed`` is empty on first entry
+        else:
+            steps += 1
+            if steps > max_steps:
+                budget_hit = True
+                break
+            frames.append([mask, state, 0])
+        # place the innermost open prefix's next viable candidate, closing
+        # (and memoizing as failed) every prefix that has none left
+        while frames:
+            frame = frames[-1]
+            fmask, fstate = frame[0], frame[1]
+            for i in range(frame[2], n):
+                if fmask & (1 << i) or preds[i] > 0:
+                    continue
+                rec = records[i]
+                if must_be_legal[i] and not legal_here(rec, fstate):
+                    continue
+                break
+            else:
+                failed.add((fmask, fstate))
+                frames.pop()
+                if frames:
+                    retract()
+                continue
+            frame[2] = i + 1
+            for j in succs[i]:
+                preds[j] -= 1
+            order_out.append(i)
+            mask = fmask | (1 << i)
+            state = apply_writes(rec, fstate)
+            break
+        else:
+            break  # the root prefix closed: no legal extension exists
+
     if found:
         return SearchResult(
             found=True, order=[records[i].txid for i in order_out], steps=steps

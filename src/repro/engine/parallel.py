@@ -654,9 +654,9 @@ def run_parallel(
             "workers": workers,
             "canonical_keys": use_shared,
             # explicit, not inherited: under a spawn start method the
-            # class-level mode would reset to the default, and a worker
-            # fingerprinting in a different mode than the parent's
-            # seeding walk would not collide with the parent-side claims
+            # class-level mode would reset to the default, and a
+            # deepcopy-oracle run would silently explore its subtrees on
+            # the bytes path
             "snapshot_mode": sim.snapshot_mode,
         }
     )
@@ -770,7 +770,7 @@ def sweep_order(signatures: Sequence[Tuple]) -> List[int]:
 def _snapshot_signature(snapshot) -> Tuple:
     """Identity tokens of a delta snapshot's components (for sweep_order)."""
     blobs = getattr(snapshot, "proc_blobs", None)
-    if blobs is None:  # blob/deepcopy snapshots share nothing component-wise
+    if blobs is None:  # deepcopy snapshots share nothing component-wise
         return (id(snapshot),)
     return tuple(id(b) for _, b in blobs) + (id(snapshot.net_state),)
 

@@ -38,20 +38,6 @@ with cross-module summaries (:mod:`repro.lint.summaries`).
     ``__setstate__`` without resetting ``self._version`` (a restored
     component with no counter silently disables its own dirty
     tracking).  Delegating to ``super()`` counts as handling it.
-
-``RL504``
-    A dirty-tracked class whose MRO declares a ``codec_schema`` assigns
-    a ``self.<attr>`` that no class in the MRO declares.  The schema
-    codec (``snapshot_mode="codec"``) builds its per-component ledger
-    from the declared fields at construction time; an undeclared state
-    field makes the ledger reject the component and every snapshot of
-    it silently pays the O(process) pickled-blob fallback — correct,
-    but exactly the cost the schema exists to avoid, and invisible
-    until someone reads the ``codec_fallbacks`` counter.  Fields a
-    custom ``__getstate__`` pops are exempt (they are not snapshot
-    state), as is ``_version``.  Classes with no ``codec_schema``
-    anywhere in their MRO are skipped: the blob fallback is the
-    *declared* representation there, not an accident.
 """
 
 from __future__ import annotations
@@ -222,123 +208,8 @@ class VersionCounterRule(Rule):
         return False
 
 
-class CodecSchemaRule(Rule):
-    code = "RL504"
-    name = "codec-schema-coverage"
-    summary = "state field assigned on a schema-coded class but absent from codec_schema"
-
-    #: never snapshot state: the dirty counter is identity-local
-    EXEMPT = frozenset({"_version"})
-
-    def check_project(self, ctx: LintContext) -> Iterator[Finding]:
-        db = get_summaries(ctx)
-        reported = set()
-        for ci in db.dirty_classes:
-            mro = db.index.mro(ci)
-            declared: set = set()
-            has_schema = False
-            for c in mro:
-                names = self._schema_names(c)
-                if names is not None:
-                    has_schema = True
-                    declared.update(names)
-            if not has_schema:
-                continue
-            exempt = set(self.EXEMPT)
-            for c in mro:
-                fn = c.methods.get("__getstate__")
-                if fn is not None:
-                    exempt.update(self._popped_keys(fn))
-            for c in mro:
-                for mname in sorted(c.methods):
-                    if mname == "__setstate__":
-                        continue
-                    for node, attr in self._self_stores(c.methods[mname]):
-                        if attr in declared or attr in exempt:
-                            continue
-                        key = (c.qualname, attr)
-                        if key in reported:
-                            continue
-                        reported.add(key)
-                        yield _finding(
-                            c,
-                            node,
-                            self.code,
-                            f"{c.name}.{mname} assigns self.{attr} but no "
-                            f"codec_schema in {ci.name}'s MRO declares it — "
-                            "the schema codec rejects the component and "
-                            "every snapshot pays the O(process) blob "
-                            "fallback",
-                        )
-
-    @staticmethod
-    def _schema_names(ci: ClassInfo):
-        """Names in ``ci``'s own class-body ``codec_schema = (...)``, or
-        ``None`` when the class declares no schema of its own."""
-        for stmt in ci.node.body:
-            if not isinstance(stmt, ast.Assign):
-                continue
-            if not any(
-                isinstance(t, ast.Name) and t.id == "codec_schema"
-                for t in stmt.targets
-            ):
-                continue
-            names = []
-            value = stmt.value
-            elts = value.elts if isinstance(value, (ast.Tuple, ast.List)) else []
-            for elt in elts:
-                if isinstance(elt, ast.Call):
-                    for arg in elt.args:
-                        if isinstance(arg, ast.Constant) and isinstance(
-                            arg.value, str
-                        ):
-                            names.append(arg.value)
-                            break
-            return tuple(names)
-        return None
-
-    @staticmethod
-    def _popped_keys(fn: ast.FunctionDef):
-        """String keys a ``__getstate__`` removes from its state dict."""
-        keys = set()
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "pop"
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                keys.add(node.args[0].value)
-            elif isinstance(node, ast.Delete):
-                for tgt in node.targets:
-                    if (
-                        isinstance(tgt, ast.Subscript)
-                        and isinstance(tgt.slice, ast.Constant)
-                        and isinstance(tgt.slice.value, str)
-                    ):
-                        keys.add(tgt.slice.value)
-        return keys
-
-    @staticmethod
-    def _self_stores(fn: ast.FunctionDef):
-        """(node, attr) for every ``self.<attr>`` store in ``fn`` —
-        plain/annotated/augmented assigns, tuple unpacking, for/with
-        targets all carry a Store context on the Attribute node."""
-        for node in ast.walk(fn):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-            ):
-                yield node, node.attr
-
-
 DIRTY_RULES = (
     MarkDirtyPathRule(),
     FingerprintPurityRule(),
     VersionCounterRule(),
-    CodecSchemaRule(),
 )

@@ -21,7 +21,6 @@ import bisect
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sim.codec import const, mapf, value
 from repro.sim.executor import Simulation
 from repro.sim.messages import Message, Payload, ProcessId
 from repro.sim.process import Process, StepContext
@@ -148,17 +147,6 @@ class ServerBase(Process):
     reads, commit-waits, pending replication) lives in protocol-specific
     structures; subclasses override :meth:`wants_step` accordingly.
     """
-
-    #: topology and placement are fixed at construction (const); the
-    #: version store is keyed per object (mapf: only chains that changed
-    #: re-encode); the outbox is a small list that churns as a whole
-    codec_schema = (
-        const("objects"),
-        const("peers"),
-        const("placement"),
-        mapf("store"),
-        value("outbox"),
-    )
 
     def __init__(
         self,

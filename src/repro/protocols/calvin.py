@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, Payload, ProcessId
 from repro.sim.process import Process, StepContext
 from repro.protocols.base import (
@@ -54,16 +53,6 @@ class CalvinSubmit(Payload):
 
 class CalvinSequencer(Process):
     """Orders all transactions; one batch message per server per step."""
-
-    #: topology is const; the backlog churns as a whole (drained each
-    #: dispatch), so it stays a plain value field
-    codec_schema = (
-        const("servers"),
-        const("placement"),
-        value("global_seq"),
-        mapf("slot_counters"),
-        value("backlog"),
-    )
 
     def __init__(self, pid: ProcessId, servers: Sequence[ProcessId], placement):
         super().__init__(pid)
@@ -119,8 +108,6 @@ class CalvinSequencer(Process):
 class CalvinServer(ServerBase):
     """Executes its slice of the global log strictly in slot order."""
 
-    codec_schema = (value("next_slot"), mapf("buffered"))
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.next_slot = 0
@@ -164,8 +151,6 @@ class CalvinServer(ServerBase):
 
 
 class CalvinClient(ClientBase):
-    codec_schema = (const("sequencer"),)
-
     def __init__(self, pid, servers, placement, sequencer: ProcessId):
         super().__init__(pid, servers, placement)
         self.sequencer = sequencer

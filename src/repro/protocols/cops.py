@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -38,8 +37,6 @@ from repro.txn.types import ObjectId, Transaction
 
 class CopsServer(ServerBase):
     """Versioned store; assigns ``(lamport, pid)`` timestamps to puts."""
-
-    codec_schema = (value("lamport"),)
 
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
@@ -76,8 +73,6 @@ class CopsServer(ServerBase):
 
 class CopsClient(ClientBase):
     """Nearest-dependency tracking plus the two-round get_trans."""
-
-    codec_schema = (mapf("deps"),)
 
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)

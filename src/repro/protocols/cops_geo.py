@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -69,14 +68,6 @@ class PendingReplica:
 
 
 class CopsGeoServer(ServerBase):
-    codec_schema = (
-        const("dc"),
-        value("lamport"),
-        mapf("pending"),
-        mapf("blocked_checks"),
-        value("blocked_reads"),
-    )
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.dc = pid_dc(pid)
@@ -277,8 +268,6 @@ class CopsGeoServer(ServerBase):
 
 class CopsGeoClient(ClientBase):
     """COPS-GT client pinned to its home datacenter."""
-
-    codec_schema = (const("home_dc"), mapf("deps"))
 
     def __init__(self, pid, servers, placement, n_dcs: int = 2, home_dc: Optional[int] = None):
         super().__init__(pid, servers, placement)

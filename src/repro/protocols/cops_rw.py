@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.sim.codec import mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -36,8 +35,6 @@ from repro.txn.types import ObjectId, Transaction
 
 
 class CopsRwServer(ServerBase):
-    codec_schema = (value("lamport"),)
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.lamport = 0
@@ -83,8 +80,6 @@ class CopsRwServer(ServerBase):
 
 
 class CopsRwClient(ClientBase):
-    codec_schema = (value("lamport"), mapf("causal_store"))
-
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)
         self.lamport = 0

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from repro.sim.codec import mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -59,8 +58,6 @@ class PendingWrite:
 
 
 class CopsSnowServer(ServerBase):
-    codec_schema = (value("lamport"), mapf("old_readers"), mapf("pending"))
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.lamport = 0
@@ -177,8 +174,6 @@ class CopsSnowServer(ServerBase):
 
 class CopsSnowClient(ClientBase):
     """Single-round ROTs; single-object writes with nearest deps."""
-
-    codec_schema = (mapf("deps"),)
 
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from repro.sim.codec import mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -46,8 +45,6 @@ from repro.txn.types import ObjectId, Transaction
 
 
 class EigerServer(ServerBase):
-    codec_schema = (value("lamport"), mapf("pending"))
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.lamport = 0
@@ -122,8 +119,6 @@ class EigerServer(ServerBase):
 
 
 class EigerClient(ClientBase):
-    codec_schema = (mapf("deps"), value("lamport"))
-
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)
         self.deps: Dict[ObjectId, Timestamp] = {}

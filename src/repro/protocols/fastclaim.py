@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Mapping, Sequence, Tuple
 
-from repro.sim.codec import value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -37,8 +36,6 @@ from repro.txn.types import ObjectId
 
 class FastClaimServer(ServerBase):
     """Applies writes immediately and answers reads immediately."""
-
-    codec_schema = (value("lamport"),)
 
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
@@ -67,8 +64,6 @@ class FastClaimServer(ServerBase):
 
 class FastClaimClient(ClientBase):
     """One round for reads; one independent write message per server."""
-
-    codec_schema = (value("lamport"),)
 
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)

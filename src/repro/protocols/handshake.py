@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -39,8 +38,6 @@ from repro.txn.types import ObjectId
 
 
 class HandshakeServer(ServerBase):
-    codec_schema = (const("sync_hops"), value("lamport"), mapf("pending"))
-
     def __init__(self, pid, objects, peers, placement, sync_hops: int = 2):
         super().__init__(pid, objects, peers, placement)
         self.sync_hops = sync_hops

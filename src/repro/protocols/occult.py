@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sim.codec import mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -56,15 +55,6 @@ from repro.txn.types import ObjectId, Transaction
 
 
 class OccultServer(ServerBase):
-    codec_schema = (
-        mapf("shardstamps"),
-        value("clock"),
-        mapf("prepared"),
-        value("repl_seq"),
-        mapf("repl_next"),
-        mapf("repl_buffer"),
-    )
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         #: per-master *stable* stamp: every write of that shard with a
@@ -279,8 +269,6 @@ class OccultClient(ClientBase):
 
     #: retries at the slave before escalating to the master
     max_slave_retries = 1
-
-    codec_schema = (mapf("causal_ts"), mapf("deps"))
 
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.sim.codec import mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -38,8 +37,6 @@ from repro.txn.types import ObjectId, Transaction
 
 
 class RampServer(ServerBase):
-    codec_schema = (value("lamport"), mapf("prepared"))
-
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.lamport = 0
@@ -105,8 +102,6 @@ class RampServer(ServerBase):
 
 
 class RampClient(ClientBase):
-    codec_schema = (value("lamport"),)
-
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)
         self.lamport = 0

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -56,8 +55,6 @@ class SnapshotServer(StabilizingServer):
     service by overriding :meth:`snapshot_view`, :meth:`can_serve` and
     :meth:`version_in_snapshot`.
     """
-
-    codec_schema = (value("deferred_reads"),)
 
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
@@ -180,8 +177,6 @@ class TwoPCMixin:
     down (``local_stable``), which is what makes handed-out snapshots safe.
     """
 
-    codec_schema = (mapf("prepared"), mapf("_dep_vecs"), mapf("_siblings"))
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         #: txid -> (items, prepare_ts)
@@ -258,8 +253,6 @@ class SnapshotClient(ClientBase):
 
     push_dependencies = False
     use_write_cache = False
-
-    codec_schema = (value("dep_ts"), value("last_snap"), mapf("write_cache"))
 
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)
@@ -366,8 +359,6 @@ class SnapshotClient(ClientBase):
 
 class VectorSnapshotClient(SnapshotClient):
     """Snapshot client variant with vector timestamps (Orbe, Cure)."""
-
-    codec_schema = (mapf("dep_vec"), mapf("last_snap_vec"))
 
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.sim.clock import TrueTimeOracle
-from repro.sim.codec import const, mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -71,22 +70,6 @@ class QueuedPrepare:
 
 
 class SpannerServer(ServerBase):
-    #: the TrueTime oracle holds only the fixed epsilon, so it is
-    #: shared by reference like the rest of the construction-time
-    #: configuration
-    codec_schema = (
-        const("oracle"),
-        mapf("locks"),
-        value("lock_queue"),
-        mapf("prepared_ts"),
-        mapf("prepared_items"),
-        mapf("coordinating"),
-        value("commit_waiting"),
-        value("deferred_reads"),
-        value("max_ts"),
-        value("_wall"),
-    )
-
     def __init__(self, pid, objects, peers, placement, epsilon: int = 4):
         super().__init__(pid, objects, peers, placement)
         self.oracle = TrueTimeOracle(epsilon)
@@ -351,8 +334,6 @@ class SpannerServer(ServerBase):
 
 
 class SpannerClient(ClientBase):
-    codec_schema = (const("oracle"),)
-
     def __init__(self, pid, servers, placement, epsilon: int = 4):
         super().__init__(pid, servers, placement)
         self.oracle = TrueTimeOracle(epsilon)

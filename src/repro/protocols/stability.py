@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.codec import mapf, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import ServerBase, ServerMsg
@@ -32,14 +31,6 @@ class StabilizingServer(ServerBase):
     changed since the last broadcast or when it has deferred work, so the
     network quiesces once nothing is blocked.
     """
-
-    codec_schema = (
-        value("clock"),
-        mapf("known_clocks"),
-        value("_dirty"),
-        value("_respond"),
-        value("_last_broadcast"),
-    )
 
     def __init__(
         self,

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.codec import const, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
@@ -84,8 +83,6 @@ class SwiftCloudClient(TwoPCClientMixin, SnapshotClient):
 
     push_dependencies = False
     use_write_cache = True
-
-    codec_schema = (value("epoch"), const("sync_every"), value("_rots"))
 
     def __init__(self, pid, servers, placement, sync_every: int = 0):
         super().__init__(pid, servers, placement)

@@ -25,13 +25,6 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.codec import (
-    CodecError,
-    ComponentLedger,
-    cells_digest,
-    collect_schema,
-    ledger_from_cells,
-)
 from repro.sim.messages import Message, Payload, ProcessId
 from repro.sim.network import Network
 from repro.sim.process import Process, StepContext
@@ -79,15 +72,9 @@ class SimCounters:
     idle_waits: int = 0
     shared_seen_hits: int = 0
     shared_seen_inserts: int = 0
-    #: schema-codec accounting (snapshot_mode="codec"): Merkle subtree
-    #: leaves (field cells / map keys / seq elements) freshly encoded
-    #: vs reused from their shadow, and components that fell back to
-    #: the pickled-blob path because their class declares no (or an
-    #: incomplete) codec schema.  cells_encoded is the "re-hashed
-    #: subtrees" measure the codec benchmark gates on: after one event
-    #: it stays O(delta in the touched component), not O(process).
-    cells_encoded: int = 0
-    cells_reused: int = 0
+    #: always 0: read by the e2e harness (benchmarks/e2e/run.py), to be
+    #: dropped together with its ``sim.codec_fallbacks`` metric by the
+    #: next ``benchmark`` PR.
     codec_fallbacks: int = 0
 
     def describe(self) -> str:
@@ -234,14 +221,18 @@ class Configuration:
     sub-blobs stay pickled bytes — process state is arbitrary mutable
     protocol data, so only a byte-level copy isolates branches.
 
-    Splitting the snapshot per component gives up the single pickle
-    memo of the old monolithic blob (kept as :class:`BlobConfiguration`,
-    ``snapshot_mode="blob"``): an object referenced from two processes
-    deserializes to two equal copies instead of one shared object.  That
-    is safe here because nothing in the system is sharing-sensitive —
-    messages are immutable, and fingerprints serialize by *value*
-    (identity-blind fast-mode pickle, :meth:`Simulation._dumps_canonical`),
-    so the state partition and every verdict are unchanged.
+    **Aliasing contract:** a snapshot must preserve object identity
+    *within* a process — protocols may alias one mutable object from two
+    fields (``CopsSnowServer`` holds one ``Version`` in ``store`` and in
+    ``pending[txid].version`` and flips it visible in place); sharing
+    *across* processes is never relied on.  One pickle memo per
+    sub-blob gives exactly that: an intra-process alias survives a
+    restore, while an object referenced from two processes
+    deserializes to two equal copies — harmless, because messages are
+    immutable and fingerprints serialize by *value* (identity-blind
+    fast-mode pickle, :meth:`Simulation._dumps_canonical`).  A capture
+    finer than one process (per field, per cell) would split
+    intra-process aliases and silently change verdicts.
     ``snapshot_mode="deepcopy"`` remains the bit-identical oracle.
 
     **Ownership rule (unchanged):** a Configuration may be restored any
@@ -331,53 +322,6 @@ class Configuration:
         return sum(len(b) for _, b in self.proc_blobs)
 
 
-class BlobConfiguration:
-    """The monolithic single-blob snapshot (the pre-delta fast path).
-
-    One pickle blob holding the full process map *and* the network,
-    serialized together in a single pass, so the pickle memo spans the
-    whole configuration and cross-component object sharing survives a
-    restore.  Kept as ``snapshot_mode="blob"`` so the delta rework stays
-    measurable in-process (``benchmarks/bench_delta.py`` asserts the
-    ≥ 5x serialization-traffic drop against exactly this path) and as a
-    second reference implementation beside the deep-copy oracle.
-    """
-
-    __slots__ = ("blob", "msg_counter", "event_count", "fp_dumps", "fp_dumps_canon")
-
-    def __init__(self, blob: bytes, msg_counter: int, event_count: int):
-        self.blob = blob
-        self.msg_counter = msg_counter
-        self.event_count = event_count
-        self.fp_dumps: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-        self.fp_dumps_canon: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-
-    def materialize(self) -> Tuple[Dict[ProcessId, Process], Network]:
-        """Deserialize a private (processes, network) pair."""
-        return pickle.loads(self.blob)
-
-    @property
-    def processes(self) -> Dict[ProcessId, Process]:
-        return self.materialize()[0]
-
-    @property
-    def network(self) -> Network:
-        return self.materialize()[1]
-
-    def fork(self) -> "BlobConfiguration":
-        forked = BlobConfiguration(
-            blob=self.blob,
-            msg_counter=self.msg_counter,
-            event_count=self.event_count,
-        )
-        forked.fp_dumps = self.fp_dumps
-        forked.fp_dumps_canon = self.fp_dumps_canon
-        return forked
-
-    def size_bytes(self) -> int:
-        return len(self.blob)
-
-
 @dataclass
 class DeepCopyConfiguration:
     """The pre-optimization snapshot: deep copies of the live objects.
@@ -415,92 +359,9 @@ class DeepCopyConfiguration:
         return self._size
 
 
-class CodecConfiguration:
-    """A schema-codec delta snapshot: per-field canonical cells.
-
-    Like :class:`Configuration` this is component-granular, but each
-    process entry is a tuple of immutable **cells** (one per declared
-    schema field, see :mod:`repro.sim.codec`) instead of one opaque
-    pickle blob.  That exposes the delta *inside* a component: a restore
-    whose target differs from the live state by one field decodes that
-    field only, and the fingerprint layer hashes the same cells
-    Merkle-style instead of re-serializing the state.  A component whose
-    class declares no usable schema ships as a pickled blob entry
-    (``cells`` slot ``None``) — the oracle-equivalence contract never
-    depends on schema coverage.
-
-    Entries are ``(pid, clsref, cells, blob)`` where exactly one of
-    ``cells``/``blob`` is set; ``clsref`` ("module:qualname") lets a
-    different process (parallel worker) rebuild the component ledger
-    and decode the cells.  The ownership rule matches
-    :class:`Configuration`: everything held is immutable bytes/tuples,
-    so restores never alias live state.
-    """
-
-    __slots__ = ("procs", "net_state", "msg_counter", "event_count")
-
-    def __init__(
-        self,
-        procs: Tuple[Tuple[ProcessId, Optional[str], Optional[Tuple[bytes, ...]], Optional[bytes]], ...],
-        net_state,
-        msg_counter: int,
-        event_count: int,
-    ):
-        self.procs = procs
-        self.net_state = net_state
-        self.msg_counter = msg_counter
-        self.event_count = event_count
-
-    def materialize(self) -> Tuple[Dict[ProcessId, Process], Network]:
-        """Materialize a private (processes, network) pair."""
-        return self.processes, self.network
-
-    @property
-    def processes(self) -> Dict[ProcessId, Process]:
-        """Decode private copies of the snapshotted processes only.
-
-        Each property access is a fresh, independent materialization of
-        just its half — touching both halves via the properties costs
-        one decode each, not two full ``materialize()`` passes.
-        """
-        procs: Dict[ProcessId, Process] = {}
-        for pid, clsref, cells, blob in self.procs:
-            if cells is None:
-                procs[pid] = pickle.loads(blob)
-            else:
-                ledger = ledger_from_cells(clsref, pid, cells)
-                procs[pid] = ledger.decode_component(cells)
-        return procs
-
-    @property
-    def network(self) -> Network:
-        """Rebuild a private copy of the snapshotted network only."""
-        return _net_build(self.net_state)
-
-    def fork(self) -> "CodecConfiguration":
-        return CodecConfiguration(
-            procs=self.procs,  # immutable: share, don't copy
-            net_state=self.net_state,
-            msg_counter=self.msg_counter,
-            event_count=self.event_count,
-        )
-
-    def size_bytes(self) -> int:
-        total = 0
-        for _pid, _clsref, cells, blob in self.procs:
-            if cells is None:
-                total += len(blob)
-            else:
-                total += sum(len(c) for c in cells)
-        return total
-
-
-#: the four snapshot implementations: "bytes" (component-granular delta
-#: snapshots, the default), "codec" (schema-codec cells, field-granular
-#: deltas + Merkle fingerprints), "blob" (the monolithic single-blob
-#: fast path kept as the perf baseline), "deepcopy" (the reference
-#: oracle).
-SNAPSHOT_MODES = ("bytes", "codec", "blob", "deepcopy")
+#: the two snapshot implementations: "bytes" (component-granular delta
+#: snapshots, the default) and "deepcopy" (the reference oracle).
+SNAPSHOT_MODES = ("bytes", "deepcopy")
 
 
 @contextmanager
@@ -604,7 +465,7 @@ class _CompRow:
     (object, version) pair and a restore re-primes all three in one go.
     """
 
-    __slots__ = ("obj", "version", "blob", "nbytes", "fp", "fp_canon")
+    __slots__ = ("obj", "version", "blob", "fp", "fp_canon")
 
     def __init__(self, obj: Any, version: int):
         self.obj = obj
@@ -613,9 +474,6 @@ class _CompRow:
         #: process row, the structural :func:`_net_capture` tuple for
         #: the network row
         self.blob: Optional[Any] = None
-        #: total capture bytes (codec mode), summed once per capture so
-        #: cache hits don't re-walk the cell tuple
-        self.nbytes: int = 0
         self.fp: Optional[bytes] = None        #: canonical dump of __getstate__
         self.fp_canon: Optional[bytes] = None  #: canonical dump of fp_state()
 
@@ -623,30 +481,12 @@ class _CompRow:
 #: cache key for the network's component row (process rows key on pid)
 _NET = "\x00network"
 
-#: whether a class's MRO declares a ``codec_schema`` — a pure function
-#: of the class, memoized so schema-less components skip ledger
-#: construction without paying the MRO walk on every capture
-_HAS_SCHEMA: Dict[type, bool] = {}
-
-
-def _class_has_schema(cls: type) -> bool:
-    has = _HAS_SCHEMA.get(cls)
-    if has is None:
-        has = _HAS_SCHEMA[cls] = collect_schema(cls) is not None
-    return has
-
-
-def _fp_hasher():
-    return hashlib.blake2b(digest_size=16)
-
-
-#: eviction caps for the identity-keyed fingerprint memos.  Entries pin
+#: eviction cap for the identity-keyed fragment memo.  Entries pin
 #: their key objects alive (that is what keeps the ``id`` keys valid),
 #: and messages are re-minted on every post-restore re-execution — so an
 #: unbounded memo grows with *total events executed*, not with live
-#: state.  On overflow the memo is simply cleared: both are pure caches,
+#: state.  On overflow the memo is simply cleared: it is a pure cache,
 #: so the only cost is re-encoding a few live entries on the next pass.
-_PAYLOAD_MEMO_CAP = 4096
 _NET_FRAG_CAP = 8192
 
 
@@ -674,21 +514,6 @@ class Simulation:
         # _CompRow.  Rows hold the component strongly, so object ids
         # cannot be recycled into false hits.
         self._comp_rows: Dict[str, _CompRow] = {}
-        # schema-codec component ledgers (snapshot_mode="codec"), keyed
-        # by pid.  A ledger persists across version bumps — that
-        # persistence is what makes re-encoding O(changed fields) — and
-        # is value-verified on every capture, so it survives restores
-        # and even wholesale component replacement.  Only successful
-        # builds are stored: the pickle-fallback decision is recomputed
-        # per capture so it stays a pure function of (class, state).
-        self._codec_ledgers: Dict[str, ComponentLedger] = {}
-        # canonical-fingerprint payload memo (codec mode): messages are
-        # immutable once sent (RL404), so each payload's canonical form
-        # is computed once per simulation instead of once per
-        # fingerprint.  Entries hold the message strongly (ids stay
-        # valid); keyed by id because payloads are arbitrary unhashable
-        # values.  Bounded by _PAYLOAD_MEMO_CAP (cleared on overflow).
-        self._payload_canon: Dict[int, Tuple[Message, Any]] = {}
         # sorted pid order + index map, rebuilt only if the process set
         # ever changes size (pids are fixed at construction; restores
         # replace values, never keys).  Used by every fingerprint.
@@ -702,14 +527,6 @@ class Simulation:
         # sub-tuple identity (the guard value keeps the tuple alive);
         # bounded by _NET_FRAG_CAP (cleared on overflow)
         self._net_frag: Dict[int, Tuple[Any, bytes]] = {}
-        # the monolithic-blob cache, used by snapshot_mode="blob" only.
-        # An entry is valid while the live container objects are
-        # identical (``is``) and the aggregate dirty key (per-process
-        # dirty counters plus the network's) is unchanged — then the
-        # blob is their exact current serialization.
-        self._config_cache: Optional[
-            Tuple[Dict, Network, Tuple[int, ...], int, bytes]
-        ] = None
 
     # -- configuration management -----------------------------------------
 
@@ -721,11 +538,6 @@ class Simulation:
             cached = (order, {pid: i for i, pid in enumerate(order)})
             self._pid_cache = cached
         return cached
-
-    def _proc_versions(self) -> Tuple[int, ...]:
-        return tuple(
-            getattr(p, "_version", 0) for p in self.processes.values()
-        )
 
     def _row(self, key: str, obj: Any) -> _CompRow:
         """The component's cache row, invalidated on identity/version drift."""
@@ -766,100 +578,6 @@ class Simulation:
             self.counters.cache_hits += 1
         return state
 
-    def _codec_capture(
-        self, pid: ProcessId, proc: Process, row: Optional[_CompRow] = None
-    ) -> Tuple[Optional[Tuple[bytes, ...]], Optional[bytes]]:
-        """The component's codec capture: ``(cells, None)`` or, for a
-        schema-less component, ``(None, pickle_blob)``.
-
-        Cached in the component's row (``row.blob`` holds the cell
-        tuple / the blob); on a cache miss the ledger re-encodes only
-        the cells whose fresh encoding differs from the cached bytes.
-        ``row``, when supplied, must be the component's current row
-        (saves the lookup on paths that already fetched it).
-        """
-        if row is None:
-            row = self._row(pid, proc)
-        cached = row.blob
-        if cached is not None:
-            self.counters.cache_hits += 1
-            self.counters.bytes_reused += row.nbytes
-            if type(cached) is tuple:
-                return cached, None
-            return None, cached
-        ledger = self._codec_ledgers.get(pid)
-        if ledger is None or ledger.cls is not type(proc):
-            # (re)build the ledger.  The cells-vs-blob decision must be
-            # a pure function of (class, state) — never of the
-            # simulation's history — or two branches/workers reaching
-            # the identical state would fingerprint it differently and
-            # break shared-seen-set dedup.  So a failed build is never
-            # cached: schema-less classes are recognized by the (pure,
-            # class-keyed) _class_has_schema memo, and a state-level
-            # mismatch falls back for this capture only and is retried
-            # on the next one.
-            ledger = None
-            if _class_has_schema(type(proc)):
-                try:
-                    ledger = ComponentLedger(proc)
-                except CodecError:
-                    ledger = None
-            if ledger is None:
-                self._codec_ledgers.pop(pid, None)
-            else:
-                self._codec_ledgers[pid] = ledger
-        self.counters.cache_misses += 1
-        self.counters.components_serialized += 1
-        if ledger is None:
-            self.counters.codec_fallbacks += 1
-            blob = pickle.dumps(proc, PICKLE_PROTOCOL)
-            self.counters.bytes_serialized += len(blob)
-            row.blob = blob
-            row.nbytes = len(blob)
-            return None, blob
-        try:
-            cells = ledger.capture(proc, self.counters)
-        except CodecError:
-            # state drifted outside the schema (e.g. a field rebound to
-            # an unsupported type): fall back for THIS capture only.
-            # The ledger is kept and the next capture retries the codec
-            # path, so the fallback — and with it the fingerprint —
-            # stays a function of the state, not of when the drift
-            # happened (a partially updated cell cache is harmless:
-            # capture re-encodes and byte-compares every field).
-            self.counters.codec_fallbacks += 1
-            blob = pickle.dumps(proc, PICKLE_PROTOCOL)
-            self.counters.bytes_serialized += len(blob)
-            row.blob = blob
-            row.nbytes = len(blob)
-            return None, blob
-        row.blob = cells
-        row.nbytes = sum(len(c) for c in cells)
-        return cells, None
-
-    def _config_blob(self) -> bytes:
-        """The monolithic combined blob (snapshot_mode="blob" only)."""
-        procs = self.processes
-        net = self.network
-        versions = self._proc_versions()
-        net_version = getattr(net, "_version", 0)
-        entry = self._config_cache
-        if (
-            entry is not None
-            and entry[0] is procs
-            and entry[1] is net
-            and entry[2] == versions
-            and entry[3] == net_version
-        ):
-            self.counters.cache_hits += 1
-            self.counters.bytes_reused += len(entry[4])
-            return entry[4]
-        blob = pickle.dumps((procs, net), PICKLE_PROTOCOL)
-        self._config_cache = (procs, net, versions, net_version, blob)
-        self.counters.cache_misses += 1
-        self.counters.bytes_serialized += len(blob)
-        return blob
-
     def snapshot(self):
         """Capture the current configuration.
 
@@ -868,54 +586,13 @@ class Simulation:
         capture of the network, each served from the per-component dirty
         cache: after one event, only the touched components are
         captured, every clean capture is shared by reference with the
-        previous snapshot.  ``"blob"`` serializes the whole
-        configuration as one combined blob (the pre-delta path);
-        ``"deepcopy"`` deep copies the live objects.
+        previous snapshot.  ``"deepcopy"`` deep copies the live objects.
         """
         self.counters.snapshots += 1
         if self.snapshot_mode == "deepcopy":
             return DeepCopyConfiguration(
                 processes=copy.deepcopy(self.processes),
                 network=copy.deepcopy(self.network),
-                msg_counter=self._msg_counter,
-                event_count=self.event_count,
-            )
-        if self.snapshot_mode == "blob":
-            return BlobConfiguration(
-                blob=self._config_blob(),
-                msg_counter=self._msg_counter,
-                event_count=self.event_count,
-            )
-        if self.snapshot_mode == "codec":
-            entries = []
-            ledgers = self._codec_ledgers
-            rows = self._comp_rows
-            counters = self.counters
-            for pid, proc in self.processes.items():
-                # inline row-hit fast path (the overwhelmingly common
-                # case: one event dirties one component)
-                row = rows.get(pid)
-                if (
-                    row is not None
-                    and row.obj is proc
-                    and row.version == proc._version
-                    and row.blob is not None
-                ):
-                    cached = row.blob
-                    counters.cache_hits += 1
-                    counters.bytes_reused += row.nbytes
-                    if type(cached) is tuple:
-                        entries.append((pid, ledgers[pid].clsref, cached, None))
-                    else:
-                        entries.append((pid, None, None, cached))
-                    continue
-                cells, blob = self._codec_capture(pid, proc, row=None)
-                ledger = ledgers.get(pid)
-                clsref = ledger.clsref if (ledger is not None and cells is not None) else None
-                entries.append((pid, clsref, cells, blob))
-            return CodecConfiguration(
-                procs=tuple(entries),
-                net_state=self._net_snapshot_state(),
                 msg_counter=self._msg_counter,
                 event_count=self.event_count,
             )
@@ -942,24 +619,26 @@ class Simulation:
         same bytes object) is already in the snapshotted state and is
         kept; only the components that differ are re-deserialized.
         Deep-copy snapshots must still fork once to stay private.
+        Anything that is not one of the two snapshot classes is refused
+        with :class:`TypeError` before any live state is touched.
 
         The trace and the command log are observational and are *not*
         rewound; use their ``mark``/cursor mechanisms to slice branches.
         """
-        self.counters.restores += 1
         if isinstance(config, Configuration):
             self._restore_delta(config)
-        elif isinstance(config, CodecConfiguration):
-            self._restore_codec(config)
-        elif isinstance(config, BlobConfiguration):
-            self._restore_blob(config)
-        else:
+        elif isinstance(config, DeepCopyConfiguration):
             forked = config.fork()
             self.processes = forked.processes
             self.network = forked.network
-            self._config_cache = None
             self._comp_rows = {}
             self._net_prev = None
+        else:
+            raise TypeError(
+                f"cannot restore a {type(config).__name__}: expected a "
+                "Configuration or DeepCopyConfiguration from snapshot()"
+            )
+        self.counters.restores += 1
         self._msg_counter = config.msg_counter
         self.event_count = config.event_count
 
@@ -1031,166 +710,6 @@ class Simulation:
             counters.restore_reuses += 1
         if changed or len(new_procs) != len(self.processes):
             self.processes = new_procs
-
-    def _restore_codec(self, config: "CodecConfiguration") -> None:
-        """Apply a codec snapshot as a *field-level* delta.
-
-        Three tiers per component, cheapest first:
-
-        1. The live component's cached capture *is* the snapshot's cell
-           tuple (identity): keep it untouched.
-        2. The live component's row is current (same object, same dirty
-           version) and its ledger matches: compare the snapshot's
-           cells against the live capture's cells and decode **only the
-           differing fields in place**.  Sound because equal canonical
-           bytes imply equal values (injectivity), snapshots hold only
-           immutable bytes (nothing aliases the mutated process), and
-           in the engine's one-snapshot-per-node DFS the live rows are
-           exactly the child state the search is backing out of.
-        3. Otherwise materialize the component fresh from its cells
-           (rebuilding the ledger if the component shipped from another
-           process), or from its pickle blob for fallback components.
-        """
-        counters = self.counters
-        rows = self._comp_rows
-        ledgers = self._codec_ledgers
-        new_procs: Dict[ProcessId, Process] = {}
-        changed = 0
-        for pid, clsref, cells, blob in config.procs:
-            live = self.processes.get(pid)
-            row = rows.get(pid)
-            row_current = (
-                row is not None
-                and live is not None
-                and row.obj is live
-                and row.version == getattr(live, "_version", 0)
-            )
-            if row_current and row.blob is (cells if cells is not None else blob):
-                counters.components_reused += 1
-                new_procs[pid] = live
-                continue
-            ledger = ledgers.get(pid)
-            if (
-                cells is not None
-                and row_current
-                and type(row.blob) is tuple
-                and ledger is not None
-                and ledger.cls is type(live)
-            ):
-                # field-level in-place delta against the live capture
-                live_cells = row.blob
-                schema = ledger.schema
-                decoded = 0
-                for i, cell in enumerate(cells):
-                    have = live_cells[i]
-                    if cell is have or cell == have:
-                        continue
-                    name = schema[i].name
-                    setattr(
-                        live,
-                        name,
-                        ledger.decode_field_delta(
-                            i, cell, getattr(live, name), counters
-                        ),
-                    )
-                    decoded += 1
-                if decoded:
-                    live.mark_dirty()
-                    counters.components_restored += 1
-                    changed += 1
-                else:
-                    counters.components_reused += 1
-                row = _CompRow(live, getattr(live, "_version", 0))
-                row.blob = cells
-                row.nbytes = sum(len(c) for c in cells)
-                rows[pid] = row
-                new_procs[pid] = live
-                continue
-            # full materialization
-            changed += 1
-            counters.components_restored += 1
-            if cells is None:
-                proc = pickle.loads(blob)
-                counters.bytes_restored += len(blob)
-            else:
-                if ledger is None or ledger.clsref != clsref:
-                    ledger = ledger_from_cells(clsref, pid, cells)
-                    ledgers[pid] = ledger
-                proc = ledger.decode_component(cells)
-                counters.bytes_restored += sum(
-                    len(cells[i])
-                    for i, f in enumerate(ledger.schema)
-                    if f.kind != "const"
-                )
-            row = _CompRow(proc, 0)
-            row.blob = cells if cells is not None else blob
-            row.nbytes = (
-                sum(len(c) for c in cells) if cells is not None else len(blob)
-            )
-            rows[pid] = row
-            new_procs[pid] = proc
-        net = self.network
-        row = rows.get(_NET)
-        if (
-            row is not None
-            and row.obj is net
-            and row.version == getattr(net, "_version", 0)
-            and row.blob is config.net_state
-        ):
-            counters.components_reused += 1
-        else:
-            net = _net_build(config.net_state)
-            row = _CompRow(net, 0)
-            row.blob = config.net_state
-            rows[_NET] = row
-            counters.components_restored += 1
-            self.network = net
-            changed += 1
-        # the snapshot's capture describes the network's exact state now,
-        # so it is the right (same-lineage) seed for the next capture's
-        # per-container reuse scan
-        self._net_prev = config.net_state
-        if changed == 0:
-            counters.restore_reuses += 1
-        if changed or len(new_procs) != len(self.processes):
-            self.processes = new_procs
-
-    def _restore_blob(self, config: "BlobConfiguration") -> None:
-        """Restore from a monolithic blob (snapshot_mode="blob")."""
-        entry = self._config_cache
-        if (
-            entry is not None
-            and entry[0] is self.processes
-            and entry[1] is self.network
-            and entry[2] == self._proc_versions()
-            and entry[3] == getattr(self.network, "_version", 0)
-            and entry[4] is config.blob
-        ):
-            # the live configuration's exact serialization *is* this
-            # blob: the state already equals the snapshot, keep it
-            self.counters.restore_reuses += 1
-            return
-        self.processes, self.network = pickle.loads(config.blob)
-        self._config_cache = (
-            self.processes,
-            self.network,
-            self._proc_versions(),
-            getattr(self.network, "_version", 0),
-            config.blob,
-        )
-        self.counters.bytes_restored += len(config.blob)
-        # re-prime the fingerprint rows from the snapshot's attached dumps
-        self._comp_rows = {}
-        self._net_prev = None
-        for attr, dumps in (
-            ("fp", config.fp_dumps),
-            ("fp_canon", config.fp_dumps_canon),
-        ):
-            if dumps is None:
-                continue
-            for pid, dump in dumps:
-                row = self._row(pid, self.processes[pid])
-                setattr(row, attr, dump)
 
     def _structural_payload_strict(self) -> bytes:
         """The network's message placement as canonical bytes (strict).
@@ -1274,28 +793,7 @@ class Simulation:
         _uv(pre2, len(ifrags))
         return bytes(pre1) + b"".join(tfrags) + bytes(pre2) + b"".join(ifrags)
 
-    def _canon_payload(self, m: Message):
-        """A message's canonized payload, memoized for the simulation.
-
-        Messages are immutable once sent (the model's "links do not
-        modify messages", lint rule RL404), so the canonical form never
-        changes; entries hold the message strongly so the id key stays
-        valid.  Used by the codec fingerprint path, where the canonical
-        trace would otherwise re-canonize every in-flight payload on
-        every fingerprint.
-        """
-        memo = self._payload_canon
-        entry = memo.get(id(m))
-        if entry is None or entry[0] is not m:
-            if len(memo) >= _PAYLOAD_MEMO_CAP:
-                memo.clear()
-            entry = (m, _canonize(m.payload, {}))
-            # repro-lint: disable=RL103 — identity-guarded memo; the
-            # entry pins m, hits check `entry[0] is m`, keys unordered
-            memo[id(m)] = entry
-        return entry[1]
-
-    def _structural_trace_canonical(self, memo: bool = False):
+    def _structural_trace_canonical(self):
         """Message placement *and contents* up to commutation (POR).
 
         Blind to global ``msg_id``s: in-transit messages are identified
@@ -1319,13 +817,12 @@ class Simulation:
         """
         net = self.network
         idx = self._pid_order()[1]
-        canon = self._canon_payload if memo else (lambda m: _canonize(m.payload))
         return (
             tuple(
                 sorted(
                     (
                         (idx[src], idx[dst]),
-                        tuple((m.link_seq, canon(m)) for m in q),
+                        tuple((m.link_seq, _canonize(m.payload)) for m in q),
                     )
                     for (src, dst), q in net.in_transit.items()
                     if q
@@ -1337,7 +834,7 @@ class Simulation:
                         idx[pid],
                         tuple(
                             sorted(
-                                (idx[m.src], m.link_seq, canon(m))
+                                (idx[m.src], m.link_seq, _canonize(m.payload))
                                 for m in msgs
                             )
                         ),
@@ -1388,7 +885,7 @@ class Simulation:
 
         Each process's state is serialized with :meth:`_dumps_canonical`
         — deliberately a *different* serialization than the snapshot's
-        combined blob, whose memo encodes object-sharing topology (a
+        sub-blobs, whose pickle memo encodes object-sharing topology (a
         strictly finer relation than the value equality the exploration
         engine has always pruned with).  ``canonical=True`` serializes
         :meth:`Process.fp_state` instead of the raw snapshot state, so
@@ -1419,79 +916,13 @@ class Simulation:
             out.append((pid, dump))
         return out
 
-    def _codec_fp_digests(
-        self, canonical: bool = False
-    ) -> List[Tuple[ProcessId, bytes]]:
-        """Per-process Merkle digests (snapshot_mode="codec").
-
-        The strict digest combines the component's field cells
-        (:func:`repro.sim.codec.cells_digest`); the canonical variant
-        swaps in the masked cells for fields declaring a ``canon``
-        transform and reuses the strict cells for everything else — so
-        a fingerprint after one event re-hashes only the cells the
-        event touched, and the hashing itself is C-speed over already
-        encoded buffers.  Digests live in the same dirty-keyed rows as
-        the cell captures; components without a schema hash their
-        canonical pickle, which keeps the partition identical to the
-        bytes mode's.
-        """
-        counters = self.counters
-        out: List[Tuple[ProcessId, bytes]] = []
-        rows = self._comp_rows
-        procs = self.processes
-        for pid in self._pid_order()[0]:
-            proc = procs[pid]
-            # inline _row(): the row is current for every untouched
-            # component, and fingerprints run twice per state
-            row = rows.get(pid)
-            if row is None or row.obj is not proc or row.version != proc._version:
-                row = _CompRow(proc, proc._version)
-                rows[pid] = row
-            digest = row.fp_canon if canonical else row.fp
-            if digest is not None:
-                counters.cache_hits += 1
-                out.append((pid, digest))
-                continue
-            cells, _blob = self._codec_capture(pid, proc, row)
-            if cells is None:
-                state = proc.fp_state() if canonical else proc.__getstate__()
-                digest = hashlib.blake2b(
-                    self._dumps_canonical(state), digest_size=16
-                ).digest()
-            else:
-                ledger = self._codec_ledgers[pid]
-                use = (
-                    ledger.canon_capture(proc, cells, counters)
-                    if canonical
-                    else cells
-                )
-                digest = cells_digest(use, _fp_hasher)
-            if canonical:
-                row.fp_canon = digest
-            else:
-                row.fp = digest
-            counters.cache_misses += 1
-            out.append((pid, digest))
-        return out
-
     def _describes_live(self, config) -> bool:
         """Whether ``config`` is verifiably a snapshot of the live state.
 
         True only when every component's cached serialization *is* the
-        snapshot's sub-blob (delta snapshots) or the combined blob cache
-        entry *is* the snapshot's blob (monolithic snapshots) — i.e. the
-        check is identity-based and never re-serializes anything.
+        snapshot's sub-blob — i.e. the check is identity-based and never
+        re-serializes anything.
         """
-        if isinstance(config, BlobConfiguration):
-            entry = self._config_cache
-            return (
-                entry is not None
-                and entry[0] is self.processes
-                and entry[1] is self.network
-                and entry[2] == self._proc_versions()
-                and entry[3] == getattr(self.network, "_version", 0)
-                and entry[4] is config.blob
-            )
         if len(config.proc_blobs) != len(self.processes):
             return False
         rows = self._comp_rows
@@ -1540,27 +971,20 @@ class Simulation:
         configuration (the one-snapshot-per-node pattern takes it anyway);
         the hash itself is always computed from the live per-process
         states — see :meth:`_proc_fp_dumps` for why the snapshot's
-        combined blob would hash a finer relation.  As a side effect the
+        sub-blobs would hash a finer relation.  As a side effect the
         per-process dumps are attached to ``config`` (when it is verified
         to still describe the live state), so restoring it later
         re-primes the fingerprint cache.
         """
         self.counters.fingerprints += 1
-        codec_mode = self.snapshot_mode == "codec"
-        if codec_mode:
-            # Merkle path: per-process digests straight from the cell
-            # captures; no dumps to attach — the persistent ledgers are
-            # the cache, and restores keep them primed by construction
-            dumps = self._codec_fp_digests(canonical)
-        else:
-            dumps = self._proc_fp_dumps(canonical)
-            attach_slot = "fp_dumps_canon" if canonical else "fp_dumps"
-            if (
-                isinstance(config, (Configuration, BlobConfiguration))
-                and getattr(config, attach_slot) is None
-                and self._describes_live(config)
-            ):
-                setattr(config, attach_slot, tuple(dumps))
+        dumps = self._proc_fp_dumps(canonical)
+        attach_slot = "fp_dumps_canon" if canonical else "fp_dumps"
+        if (
+            isinstance(config, Configuration)
+            and getattr(config, attach_slot) is None
+            and self._describes_live(config)
+        ):
+            setattr(config, attach_slot, tuple(dumps))
         # the structural payload is a pure function of the network state,
         # so it caches in the network's dirty-keyed row (fp/fp_canon are
         # unused on the _NET row otherwise)
@@ -1572,9 +996,7 @@ class Simulation:
                 # the canonical structure embeds message payloads
                 # (arbitrary values), so it needs the
                 # identity-independent serializer
-                payload = _fast_dumps(
-                    self._structural_trace_canonical(memo=codec_mode)
-                )
+                payload = _fast_dumps(self._structural_trace_canonical())
             else:
                 payload = self._structural_payload_strict()
             setattr(netrow, pattr, payload)

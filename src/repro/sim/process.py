@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.sim.codec import const
 from repro.sim.messages import Message, Payload, ProcessId
 
 
@@ -66,22 +65,7 @@ class Process:
     fingerprints (see :meth:`__getstate__`).  Code that mutates process
     state outside of :meth:`on_step` / ``on_invoke`` must call
     :meth:`mark_dirty` afterwards.
-
-    Subclasses additionally declare their state fields in a
-    ``codec_schema`` tuple (see :mod:`repro.sim.codec`): each class
-    lists only the fields its own ``__init__`` introduces; the full
-    schema is collected over the MRO.  The declaration drives the
-    schema-codec snapshot mode (``snapshot_mode="codec"``) and the
-    incremental Merkle fingerprints; a class without a complete schema
-    still works through the pickled-blob fallback, but pays O(process)
-    per event instead of O(delta).  Lint rule RL504 cross-checks the
-    declarations against the assignments.
     """
-
-    #: declared state fields for the schema codec; ``pid`` never
-    #: changes after construction, so it is a ``const`` field (encoded
-    #: once, shared by reference across every snapshot)
-    codec_schema = (const("pid"),)
 
     def __init__(self, pid: ProcessId):
         self.pid = pid

@@ -22,7 +22,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sim.codec import const, seq, value
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import Process, StepContext
 from repro.txn.types import ObjectId, Transaction, TxnRecord, Value
@@ -56,9 +55,7 @@ def _mask_active(active: Optional[ActiveTxn]) -> Optional[ActiveTxn]:
     """The canonical-fingerprint view of the in-flight transaction.
 
     Masks the ``invoked_at`` stamp (a global-event-counter value the
-    client never branches on).  Shared by :meth:`ClientBase.fp_state`
-    and the codec schema's canonical variant so the two views cannot
-    drift apart.
+    client never branches on); used by :meth:`ClientBase.fp_state`.
     """
     if active is None:
         return None
@@ -72,20 +69,6 @@ def _mask_record(record: TxnRecord) -> TxnRecord:
 
 class ClientBase(Process):
     """Sequential transactional client."""
-
-    #: servers/placement are construction-time configuration; the
-    #: completed list is append-only (seq: only the new tail re-encodes);
-    #: ``current`` and ``completed`` carry canonical masks mirroring
-    #: :meth:`fp_state`
-    codec_schema = (
-        const("servers"),
-        const("placement"),
-        value("pending"),
-        value("current", canon=_mask_active),
-        seq("completed", canon=_mask_record),
-        seq("failed"),
-        value("context"),
-    )
 
     def __init__(
         self,

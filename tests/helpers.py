@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.codec import const, seq, value
 from repro.sim.messages import Message, Payload
 from repro.sim.process import Process, StepContext
 from repro.txn.types import ObjectId, Transaction, TxnRecord, Value
@@ -23,8 +22,6 @@ class Note(Payload):
 class Echo(Process):
     """Replies to every message with Note(('echo', token))."""
 
-    codec_schema = (seq("seen"),)
-
     def __init__(self, pid):
         super().__init__(pid)
         self.seen: List = []
@@ -38,8 +35,6 @@ class Echo(Process):
 
 class Pinger(Process):
     """Sends Note(i) to a target once per step, n times."""
-
-    codec_schema = (const("target"), value("remaining"), seq("got"))
 
     def __init__(self, pid, target, n=1):
         super().__init__(pid)

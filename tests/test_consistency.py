@@ -5,6 +5,8 @@ exact Definition-1 search, the serializability checkers and the session
 checkers are validated against each other.
 """
 
+import sys
+
 import pytest
 
 from repro.consistency import (
@@ -32,11 +34,11 @@ from helpers import history_of, rec
 class TestSearchEngine:
     def test_empty_history(self):
         res = find_legal_serialization([], [])
-        assert res.found and res.order == []
+        assert res.found and res.order == [] and res.steps == 0
 
     def test_single_write(self):
         res = find_legal_serialization([rec("w", "c", writes={"X": 1})], [])
-        assert res.found
+        assert res.found and res.order == ["w"] and res.steps == 1
 
     def test_read_needs_write_first(self):
         records = [
@@ -44,8 +46,7 @@ class TestSearchEngine:
             rec("w", "c2", writes={"X": 1}),
         ]
         res = find_legal_serialization(records, [])
-        assert res.found
-        assert res.order.index("w") < res.order.index("r")
+        assert res.found and res.order == ["w", "r"] and res.steps == 2
 
     def test_respects_order_edges(self):
         records = [
@@ -53,12 +54,13 @@ class TestSearchEngine:
             rec("b", "c", writes={"X": 2}),
         ]
         res = find_legal_serialization(records, [("a", "b")])
-        assert res.found and res.order == ["a", "b"]
+        assert res.found and res.order == ["a", "b"] and res.steps == 2
 
     def test_impossible_read(self):
         records = [rec("r", "c", reads={"X": 99})]
         res = find_legal_serialization(records, [])
         assert not res.found and res.conclusive
+        assert res.order is None and res.steps == 1
 
     def test_legality_scoped_to_clients(self):
         # the stale read is fine if only c2's transactions must be legal
@@ -66,8 +68,10 @@ class TestSearchEngine:
             rec("w", "c2", writes={"X": 1}),
             rec("r", "c1", reads={"X": 99}),
         ]
-        assert not find_legal_serialization(records, []).found
-        assert find_legal_serialization(records, [], legality_clients={"c2"}).found
+        res = find_legal_serialization(records, [])
+        assert not res.found and res.steps == 2
+        res = find_legal_serialization(records, [], legality_clients={"c2"})
+        assert res.found and res.order == ["w", "r"] and res.steps == 2
 
     def test_read_of_bottom_before_write(self):
         records = [
@@ -75,14 +79,36 @@ class TestSearchEngine:
             rec("w", "c2", writes={"X": 1}),
         ]
         res = find_legal_serialization(records, [])
-        assert res.found
-        assert res.order.index("r") < res.order.index("w")
+        assert res.found and res.order == ["r", "w"] and res.steps == 2
 
     def test_budget_reports_inconclusive(self):
         records = [rec(f"w{i}", f"c{i}", writes={f"X{i}": i}) for i in range(12)]
         records.append(rec("r", "c", reads={"X0": 999}))
         res = find_legal_serialization(records, [], max_steps=5)
         assert not res.found and res.exhausted_budget
+        # the step that overflows the budget is counted, then the search stops
+        assert res.steps == 6 and res.order is None
+
+    def test_long_serial_history_needs_no_recursion(self):
+        # one stack frame per placed transaction used to overflow the
+        # interpreter's recursion limit past ~1k records
+        n = 1_500
+        assert n > sys.getrecursionlimit()
+        records = [
+            rec(
+                f"t{i}",
+                "c",
+                reads={"X": i - 1 if i else BOTTOM},
+                writes={"X": i},
+                invoked_at=2 * i,
+            )
+            for i in range(n)
+        ]
+        edges = [(f"t{i}", f"t{i + 1}") for i in range(n - 1)]
+        res = find_legal_serialization(records, edges)
+        assert res.found and res.steps == n
+        assert res.order == [r.txid for r in records]
+        assert check_strict_serializable(history_of(*records)).serializable
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ delta) must preserve the old deep-copy contract exactly: a snapshot is
 isolated from every future mutation of the live simulation, a restore
 never hands out mutable state aliased with the snapshot, and the
 exploration engine's fingerprints reproduce the same equivalence
-classes.  Every contract test here runs against all three snapshot
-modes — the delta path, the retained monolithic blob path, and the
-deep-copy oracle.
+classes.  Every contract test here runs against both snapshot modes —
+the delta path and the deep-copy oracle.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,10 @@ from hypothesis import strategies as st
 from repro.core.explore import explore_write_read_race
 from repro.sim.events import enabled_events
 from repro.core.setup import prepare_theorem_system
+from repro.protocols import get_protocol
+from repro.protocols.registry import protocol_names
 from repro.sim.executor import (
-    BlobConfiguration,
+    SNAPSHOT_MODES,
     Configuration,
     DeepCopyConfiguration,
     SimCounters,
@@ -27,10 +30,18 @@ from repro.sim.executor import (
     use_snapshot_mode,
 )
 from repro.sim.scheduler import RoundRobinScheduler
+from repro.txn.types import write_only_txn
 
 from helpers import Echo, Pinger
 
-MODES = ("bytes", "blob", "deepcopy")
+MODES = ("bytes", "deepcopy")
+
+
+def test_exactly_one_production_path_and_one_oracle():
+    assert SNAPSHOT_MODES == MODES
+    with pytest.raises(ValueError, match="unknown snapshot mode"):
+        with use_snapshot_mode("blob"):
+            pass
 
 
 def proc_states(sim):
@@ -95,11 +106,11 @@ class TestSnapshotIsolation:
             sim.restore(snap)  # the snapshot must still be pristine
             assert proc_states(sim) == frozen
 
-    @pytest.mark.parametrize("mode", ["bytes", "blob"])
+    @pytest.mark.parametrize("mode", ["bytes"])
     def test_materialized_views_are_private(self, mode):
-        # serialized modes only: a DeepCopyConfiguration hands out the
+        # serialized mode only: a DeepCopyConfiguration hands out the
         # held objects themselves (the old contract — restore forks,
-        # direct access aliases); the serialized snapshots materialize a
+        # direct access aliases); the serialized snapshot materializes a
         # private copy on every access
         with use_snapshot_mode(mode):
             tsys = prepare_theorem_system("wren")
@@ -125,16 +136,6 @@ class TestSnapshotIsolation:
         assert fork.proc_blobs is snap.proc_blobs
         assert fork.net_state is snap.net_state
         assert fork.size_bytes() == snap.size_bytes() > 0
-
-    def test_blob_mode_fork_shares_immutable_blob(self):
-        with use_snapshot_mode("blob"):
-            tsys = prepare_theorem_system("wren")
-            sim = tsys.sim
-            snap = sim.snapshot()
-            fork = snap.fork()
-            assert isinstance(snap, BlobConfiguration)
-            assert fork.blob is snap.blob  # O(1): no bytes are copied
-            assert fork.size_bytes() == snap.size_bytes() > 0
 
     def test_consecutive_snapshots_share_clean_components(self):
         # after one event, a new snapshot re-captures only the touched
@@ -183,28 +184,113 @@ class TestSnapshotIsolation:
             assert fork.processes is not snap.processes
             assert fork.size_bytes() > 0
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_restore_refuses_what_snapshot_did_not_produce(self, mode):
+        with use_snapshot_mode(mode):
+            sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
+            sim.step("p")
+            procs, net = sim.processes, sim.network
+            fp = sim.fingerprint()
+            before = sim.counters.as_dict()
+            for bogus in (object(), pickle.dumps((procs, net))):
+                with pytest.raises(TypeError, match=type(bogus).__name__):
+                    sim.restore(bogus)
+            # refused before anything was touched
+            assert sim.processes is procs and sim.network is net
+            assert sim.counters.as_dict() == before
+            assert sim.fingerprint() == fp
+
 
 # ---------------------------------------------------------------------------
 # Mode equivalence: the fast path must reproduce the reference exploration
 # ---------------------------------------------------------------------------
 
 
+def result_key(r):
+    return dict(
+        states_visited=r.states_visited,
+        states_deduped=r.states_deduped,
+        schedules_completed=r.schedules_completed,
+        truncated=r.truncated,
+        traces=sorted(tuple(s) for s, _ in r.violations),
+        anomalies=sorted({str(a) for _, found in r.violations for a in found}),
+    )
+
+
 class TestModeEquivalence:
-    @pytest.mark.parametrize("protocol", ["fastclaim", "cops"])
+    """Bit-identity of ``bytes`` against the ``deepcopy`` oracle, on every
+    registered protocol, with and (where the registry allows it) without
+    partial-order reduction."""
+
+    @pytest.mark.parametrize("protocol", protocol_names())
     def test_exploration_identical_across_modes(self, protocol):
-        results = {}
-        for mode in MODES:
-            with use_snapshot_mode(mode):
-                r = explore_write_read_race(
-                    protocol, max_depth=14, max_states=4_000
-                )
-            results[mode] = (
-                r.states_visited,
-                r.schedules_completed,
-                r.truncated,
-                sorted(tuple(s) for s, _ in r.violations),
+        # swiftcloud's stale default cannot initialize the theorem system
+        params = {"sync_every": 1} if protocol == "swiftcloud" else {}
+        for por in (False, True) if get_protocol(protocol).por_safe else (False,):
+            keys = {}
+            for mode in MODES:
+                with use_snapshot_mode(mode):
+                    r = explore_write_read_race(
+                        protocol,
+                        max_states=600,
+                        por=por,
+                        first_violation_only=False,
+                        **params,
+                    )
+                keys[mode] = result_key(r)
+            assert keys["bytes"] == keys["deepcopy"], f"{protocol} por={por}"
+
+
+# ---------------------------------------------------------------------------
+# Intra-process aliasing: a snapshot must keep one object one object
+# ---------------------------------------------------------------------------
+
+
+class TestIntraProcessAliasing:
+    """A server may hold one mutable ``Version`` from two fields — in its
+    ``store`` chain and in its ``pending`` write state — and flip it
+    visible in place through either.  A snapshot that captured the two
+    fields separately would hand back two copies: the readers check
+    would complete on ``pending``'s copy and the stored version would
+    stay invisible forever.
+    """
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("protocol", ["cops_snow", "handshake"])
+    def test_pending_write_still_reveals_the_stored_version(self, protocol, mode):
+        with use_snapshot_mode(mode):
+            tsys = prepare_theorem_system(protocol)
+            sim = tsys.sim
+            if get_protocol(protocol).supports_wtx:
+                sim.invoke(tsys.cw, tsys.tw())
+            else:  # single-object writes: the second depends on the first
+                for i, (obj, val) in enumerate(tsys.new_values.items()):
+                    sim.invoke(tsys.cw, write_only_txn({obj: val}, txid=f"Tw{i}"))
+            pids = (tsys.cw,) + tuple(tsys.servers)
+
+            def servers():
+                return [sim.processes[pid] for pid in tsys.servers]
+
+            def hidden():
+                return [
+                    v for srv in servers() for chain in srv.store.values()
+                    for v in chain if not v.visible
+                ]
+
+            sched = RoundRobinScheduler()
+            sched.run(
+                sim, pids=pids, until=lambda _: any(s.pending for s in servers())
             )
-        assert results["bytes"] == results["deepcopy"] == results["blob"]
+            assert hidden()
+            snap = sim.snapshot()
+            sched.run(sim, pids=pids)  # run on: the live branch reveals it
+            assert not hidden()
+            sim.restore(snap)
+            assert hidden() and any(s.pending for s in servers())
+            # deliver the rest of the exchange (snow_resp / handshake token)
+            RoundRobinScheduler().run(sim, pids=pids)
+            assert not any(s.pending for s in servers())
+            assert not hidden()
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +367,7 @@ class TestSimCounters:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_restore_reuse_consistency_across_modes(self, mode):
-        """``restore_reuses`` means zero byte traffic, in both byte modes.
+        """``restore_reuses`` means zero byte traffic in the bytes mode.
 
         The deepcopy oracle is deliberately naive — it always rebuilds,
         so it must never claim a reuse (a reuse it *wrongly* claimed
@@ -304,9 +390,9 @@ class TestSimCounters:
             if mode != "deepcopy":  # deepcopy moves objects, not bytes
                 assert c.bytes_restored > before["bytes_restored"]
 
-    @pytest.mark.parametrize("mode", ["bytes", "blob"])
+    @pytest.mark.parametrize("mode", ["bytes"])
     def test_snapshot_reuse_bytes_across_modes(self, mode):
-        """Back-to-back snapshots reuse serialization in both byte modes."""
+        """Back-to-back snapshots reuse serialization in the bytes mode."""
         with use_snapshot_mode(mode):
             sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
             sim.snapshot()
@@ -466,7 +552,7 @@ class TestNetCaptureBranchSoundness:
     second branch's snapshot and strict fingerprint.
     """
 
-    @pytest.mark.parametrize("mode", ("bytes", "codec"))
+    @pytest.mark.parametrize("mode", MODES)
     def test_sibling_branches_do_not_alias_captures(self, mode):
         with use_snapshot_mode(mode):
             sim = Simulation([Pinger("a", "b", n=3), Echo("b")])
@@ -497,7 +583,7 @@ class TestNetCaptureBranchSoundness:
             fresh.deliver("a", "b", 1)
             assert fresh.fingerprint() == fp_b
 
-    @pytest.mark.parametrize("mode", ("bytes", "codec"))
+    @pytest.mark.parametrize("mode", MODES)
     def test_income_buffers_do_not_alias_captures(self, mode):
         """Same aliasing shape on the income buffers: both branches end
         by delivering the same (shared) message, so the buffers agree on
@@ -525,25 +611,8 @@ class TestNetCaptureBranchSoundness:
 
 
 # ---------------------------------------------------------------------------
-# Identity-keyed fingerprint memos stay bounded (regression)
+# The identity-keyed fragment memo stays bounded (regression)
 # ---------------------------------------------------------------------------
-
-
-def test_payload_canon_memo_is_bounded(monkeypatch):
-    """The canonical-payload memo pins every message it ever sees, so it
-    must evict: messages are re-minted on every post-restore
-    re-execution and an unbounded memo grows with total events."""
-    from repro.sim import executor as executor_mod
-    from repro.sim.messages import Message
-
-    from helpers import Note
-
-    monkeypatch.setattr(executor_mod, "_PAYLOAD_MEMO_CAP", 8)
-    sim = Simulation([Echo("a"), Echo("b")])
-    for i in range(50):
-        m = Message(msg_id=i, src="a", dst="b", link_seq=i, payload=Note(i))
-        assert sim._canon_payload(m) == sim._canon_payload(m)
-    assert len(sim._payload_canon) <= 8
 
 
 def test_net_frag_memo_is_bounded(monkeypatch):

@@ -35,7 +35,6 @@ FIXTURE_CODES = [
     "RL501",
     "RL502",
     "RL503",
-    "RL504",
     "RL601",
     "RL602",
     "RL603",
