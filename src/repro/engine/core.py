@@ -521,9 +521,10 @@ class SerialSearch:
                 self._check_leaf()
             return  # stuck without finishing: not a legal maximal run
         # one snapshot per node: every child branch mutates the live sim
-        # and restores from this same (immutable) snapshot afterwards;
-        # fingerprinting right after attaches the per-process dumps so
-        # each child restore re-primes the fingerprint cache.
+        # and restores from this same (immutable) snapshot afterwards.
+        # The snapshot also pickles (and interns) the processes the
+        # entering event touched, which is how the fingerprint right
+        # after finds their digests in the sim's state table.
         snap = self.sim.snapshot()
         fp = self._fingerprint(snap)
         if self._covered(fp, sleep):
@@ -563,17 +564,25 @@ class SerialSearch:
                 # pool instead of exploring it here — a later sibling of
                 # work in progress, so local progress is never blocked.
                 # Not counted: the worker that expands it counts it.
+                # A child this search has already covered (a no-op step
+                # lands back on its parent) is deduped here exactly as
+                # local exploration would: shipped, it would meet an
+                # empty seen-set and be re-explored under a lower
+                # ordinal than the serial DFS ever gives it.
                 e.apply(self.sim)
-                self._trail.append(e)
-                ctx.publish(
-                    self.sim.snapshot(),
-                    depth + 1,
-                    child_sleep,
-                    self.trail_prefix
-                    + tuple(ev.label for ev in self._trail),
-                    ctx.prefix + tuple(self._path) + (i,),
-                )
-                self._trail.pop()
+                child_snap = self.sim.snapshot()
+                if self._covered(self._fingerprint(child_snap), child_sleep):
+                    r.states_deduped += 1
+                else:
+                    ctx.publish(
+                        child_snap,
+                        depth + 1,
+                        child_sleep,
+                        self.trail_prefix
+                        + tuple(ev.label for ev in self._trail)
+                        + (e.label,),
+                        ctx.prefix + tuple(self._path) + (i,),
+                    )
                 self.sim.restore(snap)
                 prior.append(e)
                 continue

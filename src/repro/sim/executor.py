@@ -48,8 +48,11 @@ class SimCounters:
     snapshots: int = 0          #: snapshot() calls
     restores: int = 0           #: restore() calls
     fingerprints: int = 0       #: fingerprint() calls
-    cache_hits: int = 0         #: component serializations reused
-    cache_misses: int = 0       #: component serializations recomputed
+    #: captures and per-state fingerprint digests served from a cache
+    #: (dirty rows, the state table) / computed afresh (pickled, walked)
+    cache_hits: int = 0
+    cache_misses: int = 0
+    states_interned: int = 0    #: distinct per-process states (table entries made)
     bytes_serialized: int = 0   #: bytes actually pickled for snapshots
     bytes_reused: int = 0       #: snapshot bytes served from the dirty cache
     bytes_restored: int = 0     #: bytes deserialized by restores
@@ -86,8 +89,9 @@ class SimCounters:
             f"{self.restores} restores "
             f"({self.components_restored} components loaded / "
             f"{self.components_reused} kept), "
-            f"{self.fingerprints} fingerprints; serialization cache "
-            f"{self.cache_hits} hits / {self.cache_misses} misses "
+            f"{self.fingerprints} fingerprints over "
+            f"{self.states_interned} distinct process states; serialization "
+            f"cache {self.cache_hits} hits / {self.cache_misses} misses "
             f"({pct:.0f}% of {total} snapshot bytes reused)"
         )
 
@@ -204,14 +208,18 @@ class Configuration:
 
     One immutable pickle sub-blob per :class:`Process` plus one
     structural capture of the :class:`Network`, each produced (and
-    cached) against the component's ``_version`` dirty counter.
-    Components that did not change between two snapshots share the
-    *same* object by reference, which is what makes
+    cached) against the component's ``_version`` dirty counter; process
+    sub-blobs are additionally *interned* through the simulation's
+    state table, so byte-equal states of one run hold one ``bytes``
+    object.  Components that did not change between two snapshots
+    therefore share the *same* object by reference, which is what makes
     :meth:`Simulation.restore` a **delta apply**: a live component whose
     cached capture *is* the snapshot's is provably in the snapshotted
     state already and is kept as-is; only the components that actually
     differ are re-materialized.  A DFS backtrack after a single ``Step``
-    therefore touches one process, not eleven.
+    therefore touches one process, not eleven.  A snapshot carries no
+    fingerprint data: a restored process finds its digests in the state
+    table through its sub-blob (see :meth:`Simulation._proc_fp_digests`).
 
     The network's capture (:func:`_net_capture`) costs no serialization
     in either direction: its mutable state is message *placement*, and
@@ -247,14 +255,7 @@ class Configuration:
     :meth:`fork` shares the (immutable) captures, so it stays O(1).
     """
 
-    __slots__ = (
-        "proc_blobs",
-        "net_state",
-        "msg_counter",
-        "event_count",
-        "fp_dumps",
-        "fp_dumps_canon",
-    )
+    __slots__ = ("proc_blobs", "net_state", "msg_counter", "event_count")
 
     def __init__(
         self,
@@ -270,14 +271,6 @@ class Configuration:
         self.net_state = net_state
         self.msg_counter = msg_counter
         self.event_count = event_count
-        #: per-process fingerprint dumps for exactly this snapshot's
-        #: state, attached by :meth:`Simulation.fingerprint` so a later
-        #: restore can re-prime the fingerprint cache (restored branches
-        #: then only re-serialize the processes an event actually
-        #: touched).  The second slot holds the trace-canonical variant
-        #: (masked ``fp_state``), attached by ``fingerprint(canonical=True)``.
-        self.fp_dumps: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
-        self.fp_dumps_canon: Optional[Tuple[Tuple[ProcessId, bytes], ...]] = None
 
     def materialize(self) -> Tuple[Dict[ProcessId, Process], Network]:
         """Materialize a private (processes, network) pair.
@@ -303,15 +296,12 @@ class Configuration:
         return _net_build(self.net_state)
 
     def fork(self) -> "Configuration":
-        forked = Configuration(
+        return Configuration(
             proc_blobs=self.proc_blobs,  # immutable: share, don't copy
             net_state=self.net_state,
             msg_counter=self.msg_counter,
             event_count=self.event_count,
         )
-        forked.fp_dumps = self.fp_dumps  # immutable too: share, don't copy
-        forked.fp_dumps_canon = self.fp_dumps_canon
-        return forked
 
     def size_bytes(self) -> int:
         """Serialized bytes held: the process sub-blobs.
@@ -407,11 +397,17 @@ def _canonize(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
     ``(_SetMark, is_frozen, sorted elements)`` with elements ordered by
     their own canonical bytes (a total order that never compares
     heterogeneous elements with ``<``); any other object becomes
-    ``(_ObjMark, module, qualname, canonized state)``.  The sentinel
-    *classes* are picklable by reference and cannot collide with
-    protocol-state values.  Dicts keep their insertion order — both
-    ``copy.deepcopy`` and ``pickle.loads`` preserve it, so it is already
-    deterministic.
+    ``(_ObjMark, module, qualname, canonized state)``, where the state
+    is ``__getstate__()`` — except for a ``deque``, whose
+    ``__getstate__()`` is ``None`` (its items live outside any
+    ``__dict__``) and which is canonized as its ``maxlen`` plus its
+    items in order.  Any other iterable whose ``__getstate__()`` is
+    ``None`` would hash as empty whatever it holds, so it is refused
+    with :class:`TypeError`; a stateless non-container sentinel stays
+    legal.  The sentinel *classes* are picklable by reference and cannot
+    collide with protocol-state values.  Dicts keep their insertion
+    order — both ``copy.deepcopy`` and ``pickle.loads`` preserve it, so
+    it is already deterministic.
 
     ``memo`` is a per-call memo for the set-element sort keys, keyed by
     the *original* element's id (each entry holds the element strongly,
@@ -444,38 +440,40 @@ def _canonize(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
             entries.append(ent)
         entries.sort(key=lambda e: e[1])
         return (_SetMark, t is frozenset, [e[2] for e in entries])
-    return (
-        _ObjMark,
-        t.__module__,
-        t.__qualname__,
-        _canonize(obj.__getstate__(), memo),
-    )
+    if t is deque:
+        state = (obj.maxlen, list(obj))
+    else:
+        state = obj.__getstate__()
+        if state is None and hasattr(t, "__iter__"):
+            raise TypeError(
+                f"cannot fingerprint {t.__module__}.{t.__qualname__}: an "
+                "iterable whose __getstate__() is None hides its contents"
+            )
+    return (_ObjMark, t.__module__, t.__qualname__, _canonize(state, memo))
 
 
 class _CompRow:
-    """One component's dirty-tracked serializations, all in one place.
+    """One component's dirty-tracked captures, all in one place.
 
     A row is valid while the live component *is* ``obj`` at dirty
     version ``version``; every mutation of the component goes through
     an event (which bumps the counter), so validity is two identity/int
-    comparisons.  The row carries every capture the snapshot and
-    fingerprint machinery ever needs for that component — the restorable
-    snapshot capture plus the two value-canonical fingerprint dumps —
-    filled lazily, so no state is ever serialized twice for the same
-    (object, version) pair and a restore re-primes all three in one go.
+    comparisons.  ``rec`` is the mutable record ``[capture, fp,
+    fp_canon]``, filled lazily.  For a process row it is the *state
+    table's* entry for the process's sub-blob — ``pickle.dumps(obj)``
+    interned, plus the 16-byte digests of the canonical dumps of
+    ``__getstate__()`` and ``fp_state()`` — shared by every row, past or
+    future, whose process pickles to the same bytes.  The network row
+    owns a private record: the structural :func:`_net_capture` tuple
+    and the strict / trace-canonical placement payloads.
     """
 
-    __slots__ = ("obj", "version", "blob", "fp", "fp_canon")
+    __slots__ = ("obj", "version", "rec")
 
-    def __init__(self, obj: Any, version: int):
+    def __init__(self, obj: Any, version: int, rec: Optional[list] = None):
         self.obj = obj
         self.version = version
-        #: the restorable snapshot capture: ``pickle.dumps(obj)`` for a
-        #: process row, the structural :func:`_net_capture` tuple for
-        #: the network row
-        self.blob: Optional[Any] = None
-        self.fp: Optional[bytes] = None        #: canonical dump of __getstate__
-        self.fp_canon: Optional[bytes] = None  #: canonical dump of fp_state()
+        self.rec = rec
 
 
 #: cache key for the network's component row (process rows key on pid)
@@ -488,6 +486,18 @@ _NET = "\x00network"
 #: state.  On overflow the memo is simply cleared: it is a pure cache,
 #: so the only cost is re-encoding a few live entries on the next pass.
 _NET_FRAG_CAP = 8192
+
+#: caps for the two content memos, cleared on overflow like the fragment
+#: memo: the state table (sub-blob → record; the distinct process
+#: states of one exploration number in the hundreds) and the
+#: canonical-payload memo (identity-keyed on in-flight messages, which
+#: post-restore re-execution re-mints, so it turns over quickly)
+_STATE_TABLE_CAP = 4096
+_MSG_MEMO_CAP = 1024
+
+
+def _digest(dump: bytes) -> bytes:
+    return hashlib.blake2b(dump, digest_size=16).digest()
 
 
 class Simulation:
@@ -509,11 +519,15 @@ class Simulation:
         self._msg_counter = 0
         self.event_count = 0
         self.counters = SimCounters()
-        # per-component dirty-tracked serialization rows (snapshot
-        # sub-blob + fingerprint dumps), keyed by pid / _NET; see
-        # _CompRow.  Rows hold the component strongly, so object ids
+        # per-component dirty-tracked capture rows, keyed by pid / _NET;
+        # see _CompRow.  Rows hold the component strongly, so object ids
         # cannot be recycled into false hits.
         self._comp_rows: Dict[str, _CompRow] = {}
+        # the state table: process sub-blob -> [interned sub-blob, fp
+        # digest, fp_canon digest].  Content-addressed, so a per-process
+        # state is walked by _canonize once per run, not once per visit;
+        # bounded by _STATE_TABLE_CAP (cleared on overflow)
+        self._states: Dict[bytes, list] = {}
         # sorted pid order + index map, rebuilt only if the process set
         # ever changes size (pids are fixed at construction; restores
         # replace values, never keys).  Used by every fingerprint.
@@ -527,6 +541,10 @@ class Simulation:
         # sub-tuple identity (the guard value keeps the tuple alive);
         # bounded by _NET_FRAG_CAP (cleared on overflow)
         self._net_frag: Dict[int, Tuple[Any, bytes]] = {}
+        # canonical payload bytes of in-flight messages, keyed by
+        # message identity (the guard value keeps the message alive);
+        # bounded by _MSG_MEMO_CAP (cleared on overflow)
+        self._msg_canon: Dict[int, Tuple[Message, bytes]] = {}
 
     # -- configuration management -----------------------------------------
 
@@ -548,18 +566,30 @@ class Simulation:
             self._comp_rows[key] = row
         return row
 
+    def _state_rec(self, blob: bytes) -> list:
+        """The state table's record for ``blob``, created on first sight."""
+        table = self._states
+        rec = table.get(blob)
+        if rec is None:
+            if len(table) >= _STATE_TABLE_CAP:
+                table.clear()  # live rows keep their records; a pure cache
+            rec = table[blob] = [blob, None, None]
+            self.counters.states_interned += 1
+        return rec
+
     def _comp_blob(self, row: _CompRow) -> bytes:
-        """The component's snapshot sub-blob, serialized at most once."""
-        blob = row.blob
-        if blob is None:
-            blob = row.blob = pickle.dumps(row.obj, PICKLE_PROTOCOL)
+        """The process's interned snapshot sub-blob, pickled at most once."""
+        rec = row.rec
+        if rec is None:
+            blob = pickle.dumps(row.obj, PICKLE_PROTOCOL)
+            rec = row.rec = self._state_rec(blob)
             self.counters.cache_misses += 1
             self.counters.components_serialized += 1
             self.counters.bytes_serialized += len(blob)
         else:
             self.counters.cache_hits += 1
-            self.counters.bytes_reused += len(blob)
-        return blob
+            self.counters.bytes_reused += len(rec[0])
+        return rec[0]
 
     def _net_snapshot_state(self):
         """The network's structural capture, built at most once per version.
@@ -568,15 +598,16 @@ class Simulation:
         the (immutable) messages by reference and serializes nothing.
         """
         row = self._row(_NET, self.network)
-        state = row.blob
-        if state is None:
-            state = row.blob = _net_capture(self.network, self._net_prev)
+        rec = row.rec
+        if rec is None:
+            state = _net_capture(self.network, self._net_prev)
             self._net_prev = state
+            rec = row.rec = [state, None, None]
             self.counters.cache_misses += 1
             self.counters.components_serialized += 1
         else:
             self.counters.cache_hits += 1
-        return state
+        return rec[0]
 
     def snapshot(self):
         """Capture the current configuration.
@@ -645,12 +676,6 @@ class Simulation:
     def _restore_delta(self, config: Configuration) -> None:
         """Apply only the components that differ from the snapshot."""
         counters = self.counters
-        fp_map = dict(config.fp_dumps) if config.fp_dumps is not None else None
-        fpc_map = (
-            dict(config.fp_dumps_canon)
-            if config.fp_dumps_canon is not None
-            else None
-        )
         rows = self._comp_rows
         new_procs: Dict[ProcessId, Process] = {}
         changed = 0
@@ -662,28 +687,23 @@ class Simulation:
                 and live is not None
                 and row.obj is live
                 and row.version == getattr(live, "_version", 0)
-                and row.blob is blob
+                and row.rec is not None
+                and row.rec[0] is blob
             ):
                 # the live process's exact serialization *is* this
-                # sub-blob: it already equals the snapshot, keep it
+                # sub-blob (interned: also after a step that left its
+                # state byte-equal): it already equals the snapshot
                 counters.components_reused += 1
                 proc = live
             else:
                 proc = pickle.loads(blob)
-                row = _CompRow(proc, 0)
-                row.blob = blob
-                rows[pid] = row
+                # the state table hands the row the digests this state
+                # was fingerprinted with, wherever that happened, so a
+                # branch off this restore only walks states never seen
+                rows[pid] = _CompRow(proc, 0, self._state_rec(blob))
                 counters.components_restored += 1
                 counters.bytes_restored += len(blob)
                 changed += 1
-            # re-prime the fingerprint dumps: the row's state is exactly
-            # what the snapshot's attached dumps were computed from, so
-            # a branch off this restore only re-serializes what it
-            # touches
-            if row.fp is None and fp_map is not None:
-                row.fp = fp_map.get(pid)
-            if row.fp_canon is None and fpc_map is not None:
-                row.fp_canon = fpc_map.get(pid)
             new_procs[pid] = proc
         net = self.network
         row = rows.get(_NET)
@@ -691,14 +711,13 @@ class Simulation:
             row is not None
             and row.obj is net
             and row.version == getattr(net, "_version", 0)
-            and row.blob is config.net_state
+            and row.rec is not None
+            and row.rec[0] is config.net_state
         ):
             counters.components_reused += 1
         else:
             net = _net_build(config.net_state)
-            row = _CompRow(net, 0)
-            row.blob = config.net_state
-            rows[_NET] = row
+            rows[_NET] = _CompRow(net, 0, [config.net_state, None, None])
             counters.components_restored += 1
             self.network = net
             changed += 1
@@ -711,11 +730,11 @@ class Simulation:
         if changed or len(new_procs) != len(self.processes):
             self.processes = new_procs
 
-    def _structural_payload_strict(self) -> bytes:
+    def _structural_payload_strict(self, state) -> bytes:
         """The network's message placement as canonical bytes (strict).
 
-        Built from the network's structural capture so the per-link and
-        per-buffer fragments can be memoized by tuple identity — the
+        Built from the network's structural capture ``state`` so the
+        per-link and per-buffer fragments can be memoized by tuple identity — the
         capture delta (:func:`_net_capture`) reuses the sub-tuple of
         every untouched container, so one event re-encodes one or two
         fragments.  Each fragment is a self-delimiting varint run
@@ -728,15 +747,7 @@ class Simulation:
         position-only encoding would collide states where the same
         ``msg_id`` sits on *different* links.
         """
-        net = self.network
         idx = self._pid_order()[1]
-        # the capture is cached on the net row by _net_snapshot_state;
-        # build it here (uncounted) if a fingerprint runs first
-        row = self._row(_NET, net)
-        state = row.blob
-        if state is None:
-            state = row.blob = _net_capture(net, self._net_prev)
-            self._net_prev = state
         frag = self._net_frag
         if len(frag) >= _NET_FRAG_CAP:
             frag.clear()
@@ -817,12 +828,27 @@ class Simulation:
         """
         net = self.network
         idx = self._pid_order()[1]
+        memo = self._msg_canon
+
+        def canon(m: Message) -> bytes:
+            # messages are immutable and shared by reference across
+            # restores, so each payload is walked once while in flight
+            e = memo.get(id(m))
+            if e is None or e[0] is not m:
+                if len(memo) >= _MSG_MEMO_CAP:
+                    memo.clear()
+                # repro-lint: disable=RL103 — identity-guarded memo; the
+                # entry pins m so the id stays valid, hits are checked
+                # with `is`, and keys are never ordered or iterated
+                e = memo[id(m)] = (m, _fast_dumps(_canonize(m.payload)))
+            return e[1]
+
         return (
             tuple(
                 sorted(
                     (
                         (idx[src], idx[dst]),
-                        tuple((m.link_seq, _canonize(m.payload)) for m in q),
+                        tuple((m.link_seq, canon(m)) for m in q),
                     )
                     for (src, dst), q in net.in_transit.items()
                     if q
@@ -834,7 +860,7 @@ class Simulation:
                         idx[pid],
                         tuple(
                             sorted(
-                                (idx[m.src], m.link_seq, _canonize(m.payload))
+                                (idx[m.src], m.link_seq, canon(m))
                                 for m in msgs
                             )
                         ),
@@ -880,70 +906,57 @@ class Simulation:
         """
         return _fast_dumps(_canonize(obj, {}))
 
-    def _proc_fp_dumps(self, canonical: bool = False) -> List[Tuple[ProcessId, bytes]]:
-        """Canonical per-process state dumps, for :meth:`fingerprint`.
+    def _proc_fp_digests(self, canonical: bool = False) -> List[bytes]:
+        """Per-process state digests in sorted-pid order, for :meth:`fingerprint`.
 
-        Each process's state is serialized with :meth:`_dumps_canonical`
-        — deliberately a *different* serialization than the snapshot's
-        sub-blobs, whose pickle memo encodes object-sharing topology (a
-        strictly finer relation than the value equality the exploration
-        engine has always pruned with).  ``canonical=True`` serializes
+        A process's digest is the 16-byte blake2b of
+        :meth:`_dumps_canonical` of its state — deliberately a
+        *different* serialization than the snapshot's sub-blobs, whose
+        pickle memo encodes object-sharing topology (a strictly finer
+        relation than the value equality the exploration engine has
+        always pruned with).  ``canonical=True`` digests
         :meth:`Process.fp_state` instead of the raw snapshot state, so
         data the process never branches on (a client's event-counter
         stamps) is masked out of the trace-canonical fingerprint.
 
-        Dumps live in the same per-component cache rows as the snapshot
-        sub-blobs (see :class:`_CompRow`), keyed on (object identity,
-        dirty counter): every process mutation goes through
-        ``step``/``invoke`` (which bump the counter), and :meth:`restore`
-        re-primes the rows from the snapshot's attached dumps — so a
-        fingerprint after restore-plus-one-event re-serializes at most
-        the one process the event touched (none at all for a delivery).
+        The sub-blob is only the **cache key**: digests live in the
+        state table's record for the process's interned sub-blob.  Equal
+        blobs unpickle to equal object graphs, hence to equal
+        ``__getstate__()``, equal ``fp_state()`` (required to be a pure
+        function of it) and equal canonical dumps, so a hit returns
+        exactly what the walk would compute; equal states that pickle
+        differently (set order, sharing topology) merely miss and are
+        walked again to the same digest.  A row reaches its record by
+        pickling (:meth:`_comp_blob` — the node's snapshot already did)
+        or by a restore, so :func:`_canonize` runs once per distinct
+        process state of a run.  The ``"deepcopy"`` oracle never
+        consults the table: it digests a fresh dump on every call.
         """
-        attr = "fp_canon" if canonical else "fp"
-        out: List[Tuple[ProcessId, bytes]] = []
-        for pid in self._pid_order()[0]:
-            proc = self.processes[pid]
+        def walk(proc: Process) -> bytes:
+            state = proc.fp_state() if canonical else proc.__getstate__()
+            return _digest(self._dumps_canonical(state))
+
+        order = self._pid_order()[0]
+        procs = self.processes
+        if self.snapshot_mode == "deepcopy":
+            return [walk(procs[pid]) for pid in order]
+        i = 2 if canonical else 1
+        counters = self.counters
+        out: List[bytes] = []
+        for pid in order:
+            proc = procs[pid]
             row = self._row(pid, proc)
-            dump = getattr(row, attr)
-            if dump is not None:
-                self.counters.cache_hits += 1
+            if row.rec is None:
+                self._comp_blob(row)
+            rec = row.rec
+            digest = rec[i]
+            if digest is None:
+                digest = rec[i] = walk(proc)
+                counters.cache_misses += 1
             else:
-                state = proc.fp_state() if canonical else proc.__getstate__()
-                dump = self._dumps_canonical(state)
-                setattr(row, attr, dump)
-                self.counters.cache_misses += 1
-            out.append((pid, dump))
+                counters.cache_hits += 1
+            out.append(digest)
         return out
-
-    def _describes_live(self, config) -> bool:
-        """Whether ``config`` is verifiably a snapshot of the live state.
-
-        True only when every component's cached serialization *is* the
-        snapshot's sub-blob — i.e. the check is identity-based and never
-        re-serializes anything.
-        """
-        if len(config.proc_blobs) != len(self.processes):
-            return False
-        rows = self._comp_rows
-        for pid, blob in config.proc_blobs:
-            live = self.processes.get(pid)
-            row = rows.get(pid)
-            if (
-                live is None
-                or row is None
-                or row.obj is not live
-                or row.version != getattr(live, "_version", 0)
-                or row.blob is not blob
-            ):
-                return False
-        row = rows.get(_NET)
-        return (
-            row is not None
-            and row.obj is self.network
-            and row.version == getattr(self.network, "_version", 0)
-            and row.blob is config.net_state
-        )
 
     def fingerprint(
         self,
@@ -964,33 +977,25 @@ class Simulation:
         numbering and to intra-batch income order, so configurations that
         differ only by a permutation of independent events collide.  The
         exploration engine uses it for partial-order reduction; the
-        default (strict) placement stays byte-compatible with the
-        pre-engine baselines.
+        default (strict) placement keeps the pre-engine explorer's
+        partition.
 
-        ``config``, when given, must be a snapshot of the *current*
-        configuration (the one-snapshot-per-node pattern takes it anyway);
-        the hash itself is always computed from the live per-process
-        states — see :meth:`_proc_fp_dumps` for why the snapshot's
-        sub-blobs would hash a finer relation.  As a side effect the
-        per-process dumps are attached to ``config`` (when it is verified
-        to still describe the live state), so restoring it later
-        re-primes the fingerprint cache.
+        The hash is ``blake2b(per-process digests in sorted-pid order ‖
+        network payload)``, always computed from the live state — see
+        :meth:`_proc_fp_digests` for why the snapshot's sub-blobs would
+        hash a finer relation and serve only as cache keys.  ``config``
+        is accepted for the one-snapshot-per-node call pattern and
+        ignored.
         """
         self.counters.fingerprints += 1
-        dumps = self._proc_fp_dumps(canonical)
-        attach_slot = "fp_dumps_canon" if canonical else "fp_dumps"
-        if (
-            isinstance(config, Configuration)
-            and getattr(config, attach_slot) is None
-            and self._describes_live(config)
-        ):
-            setattr(config, attach_slot, tuple(dumps))
         # the structural payload is a pure function of the network state,
-        # so it caches in the network's dirty-keyed row (fp/fp_canon are
-        # unused on the _NET row otherwise)
-        netrow = self._row(_NET, self.network)
-        pattr = "fp_canon" if canonical else "fp"
-        payload = getattr(netrow, pattr)
+        # so it caches in the network row's record
+        row = self._row(_NET, self.network)
+        if row.rec is None:
+            self._net_snapshot_state()
+        rec = row.rec
+        i = 2 if canonical else 1
+        payload = rec[i]
         if payload is None:
             if canonical:
                 # the canonical structure embeds message payloads
@@ -998,16 +1003,11 @@ class Simulation:
                 # identity-independent serializer
                 payload = _fast_dumps(self._structural_trace_canonical())
             else:
-                payload = self._structural_payload_strict()
-            setattr(netrow, pattr, payload)
-        h = hashlib.blake2b(digest_size=16)
-        for _pid, dump in dumps:
-            # length-framed: process order is fixed (sorted pids), the
-            # frame keeps dump boundaries unambiguous
-            h.update(len(dump).to_bytes(8, "little"))
-            h.update(dump)
-        h.update(payload)
-        return h.digest()
+                payload = self._structural_payload_strict(rec[0])
+            rec[i] = payload
+        # digests are fixed-width and process order is fixed (sorted
+        # pids), so the concatenation needs no framing
+        return _digest(b"".join(self._proc_fp_digests(canonical)) + payload)
 
     # -- events -------------------------------------------------------------
 

@@ -202,19 +202,37 @@ def test_workers_shared_quotient_deterministic(monkeypatch):
     to run (no wall-clock dependence), never exceed the serial count,
     and the anomaly union matches serial exactly.  The seeding walk
     keys canonically too, so duplicate roots never even materialize.
+
+    The guarantee is for *exhaustive* runs (``parallel.py`` excludes
+    depth- and budget-truncated ones), so the scope must end naturally:
+    the multi-object write racing a one-object read, which an unreduced
+    serial DFS still finishes in under a second.
     """
+    from repro.core.explore import explore
+    from repro.core.setup import prepare_theorem_system
     from repro.engine import parallel
+    from repro.txn.types import read_only_txn, write_only_txn
 
     monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-    kw = dict(max_depth=10, max_states=60_000, first_violation_only=False)
-    serial = explore_write_read_race("fastclaim", workers=1, **kw)
-    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
+
+    def run(workers):
+        tsys = prepare_theorem_system("fastclaim", n_probes=2)
+        script = [
+            (tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw")),
+            (tsys.probes[0], read_only_txn(("X0",), txid="Tr")),
+        ]
+        return explore(
+            tsys.system, script, max_depth=40, max_states=60_000,
+            first_violation_only=False, workers=workers,
+        )
+
+    serial, fanned, again = run(1), run(2), run(2)
     assert not fanned.auto_serial
+    assert serial.truncated == fanned.truncated == 0  # the scope is conclusive
     assert fanned.violation_found == serial.violation_found
     assert anomaly_union(fanned) == anomaly_union(serial)
     assert fanned.states_visited <= serial.states_visited
     assert fanned.shared_seen_hits > 0  # cross-worker dedup actually ran
-    again = explore_write_read_race("fastclaim", workers=2, **kw)
     assert (
         fanned.states_visited,
         fanned.states_deduped,
@@ -337,6 +355,32 @@ def test_workers_steal_under_load_equivalence(monkeypatch, workers):
     assert f_first.violations[0][0] == s_first.violations[0][0]
     assert [str(a) for a in f_first.violations[0][1]] == [
         str(a) for a in s_first.violations[0][1]
+    ]
+
+
+def test_forced_publication_keeps_the_serial_first_violation(monkeypatch):
+    """Publishing every later sibling must not change the reported trace.
+
+    A worker used to ship a later sibling without the seen-check local
+    exploration gives it; the task that picked it up started with an
+    empty seen-set, so a no-op ``step cr0`` whose child equals its
+    parent was re-explored under a lower ordinal than serial's and won
+    the merge with an 18-label stuttering trail (serial: 17).  Forcing a
+    publication at every opportunity makes that deterministic.
+    """
+    from repro.engine import parallel
+
+    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
+    monkeypatch.setattr(parallel, "PUBLISH_INTERVAL", 1)
+    monkeypatch.setattr(parallel.WorkerContext, "_hungry", lambda self: True)
+    kw = dict(max_depth=18, max_states=80_000, por=True)
+    serial = explore_write_read_race("fastclaim", **kw)
+    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
+    assert not fanned.auto_serial
+    assert fanned.counters.publishes > 0
+    assert fanned.violations[0][0] == serial.violations[0][0]
+    assert [str(a) for a in fanned.violations[0][1]] == [
+        str(a) for a in serial.violations[0][1]
     ]
 
 

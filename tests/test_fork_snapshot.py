@@ -144,14 +144,45 @@ class TestSnapshotIsolation:
         tsys = prepare_theorem_system("wren")
         sim = tsys.sim
         sim.invoke(tsys.cw, tsys.tw())
-        run_some(sim, tsys)
         snap1 = sim.snapshot()
-        sim.step(tsys.cw)  # touches cw (and the network, via its sends)
+        sim.step(tsys.cw)  # cw starts Tw (and the network carries its sends)
         snap2 = sim.snapshot()
         blobs1, blobs2 = dict(snap1.proc_blobs), dict(snap2.proc_blobs)
         assert blobs1.keys() == blobs2.keys()
         shared = [pid for pid in blobs1 if blobs1[pid] is blobs2[pid]]
         assert set(blobs1) - set(shared) == {tsys.cw}
+
+    def test_value_equal_states_intern_to_one_blob(self):
+        # a stuttering step bumps the dirty counter but leaves the
+        # process byte-equal: the re-pickled sub-blob interns to the
+        # *same* bytes object, so the restore keeps the live process
+        tsys = prepare_theorem_system("wren")
+        sim = tsys.sim
+        sim.invoke(tsys.cw, tsys.tw())
+        run_some(sim, tsys)
+        snap1 = sim.snapshot()
+        cw = sim.processes[tsys.cw]
+        version, pickled = cw._version, sim.counters.components_serialized
+        sim.step(tsys.cw)  # nothing in the inbox, nothing to do
+        snap2 = sim.snapshot()
+        assert cw._version > version
+        assert sim.counters.components_serialized == pickled + 1  # re-pickled
+        assert dict(snap2.proc_blobs)[tsys.cw] is dict(snap1.proc_blobs)[tsys.cw]
+        kept = sim.counters.components_reused
+        sim.restore(snap1)
+        assert sim.processes[tsys.cw] is cw
+        assert sim.counters.components_reused - kept == len(sim.processes) + 1
+
+    def test_pickled_snapshot_carries_no_fingerprint_data(self):
+        tsys = prepare_theorem_system("wren")
+        sim = tsys.sim
+        sim.invoke(tsys.cw, tsys.tw())
+        run_some(sim, tsys)
+        snap = sim.snapshot()
+        before = len(pickle.dumps(snap))
+        sim.fingerprint(snap)
+        sim.fingerprint(snap, canonical=True)
+        assert len(pickle.dumps(snap)) == before
 
     def test_delta_restore_touches_only_changed_components(self):
         # a backtrack after a single step re-materializes that process
@@ -632,3 +663,136 @@ def test_net_frag_memo_is_bounded(monkeypatch):
     containers = len(sim.network.in_transit) + len(sim.network.income)
     assert len(sim._net_frag) <= 4 + containers
     assert len(set(fps)) == len(fps)  # eviction never changed a hash
+
+
+@pytest.mark.parametrize("por", [False, True])
+def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
+    """The state table and the canonical-payload memo are pure caches:
+    with both caps at 4 they are cleared over and over, stay within the
+    cap plus the live entries, and the exploration does not move."""
+    from repro.sim import executor as executor_mod
+
+    kw = dict(max_depth=30, max_states=2_000, por=por, first_violation_only=False)
+    reference = result_key(explore_write_read_race("fastclaim", **kw))
+
+    peak = {"table": 0, "memo": 0, "live": 0, "in_flight": 0}
+    real = Simulation.fingerprint
+
+    def spy(self, config=None, canonical=False):
+        fp = real(self, config, canonical)
+        net = self.network
+        peak["table"] = max(peak["table"], len(self._states))
+        peak["memo"] = max(peak["memo"], len(self._msg_canon))
+        peak["live"] = len(self.processes)
+        peak["in_flight"] = max(
+            peak["in_flight"],
+            sum(map(len, net.in_transit.values()))
+            + sum(map(len, net.income.values())),
+        )
+        return fp
+
+    monkeypatch.setattr(executor_mod, "_STATE_TABLE_CAP", 4)
+    monkeypatch.setattr(executor_mod, "_MSG_MEMO_CAP", 4)
+    monkeypatch.setattr(Simulation, "fingerprint", spy)
+    assert result_key(explore_write_read_race("fastclaim", **kw)) == reference
+    assert 0 < peak["table"] <= 4 + peak["live"]
+    assert peak["memo"] <= 4 + peak["in_flight"]
+    assert (peak["memo"] > 0) == por  # only the canonical keying uses it
+
+
+# ---------------------------------------------------------------------------
+# The state table is a cache, never a value: warm and cold agree everywhere
+# ---------------------------------------------------------------------------
+
+
+def race_system(protocol):
+    """The write/read-race scenario of ``explore_write_read_race``."""
+    from repro.txn.types import read_only_txn
+
+    params = {"sync_every": 1} if protocol == "swiftcloud" else {}
+    tsys = prepare_theorem_system(protocol, n_probes=2, **params)
+    sim = tsys.sim
+    if get_protocol(protocol).supports_wtx:
+        sim.invoke(tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw"))
+    else:
+        for i, (obj, val) in enumerate(sorted(tsys.new_values.items())):
+            sim.invoke(tsys.cw, write_only_txn({obj: val}, txid=f"Tw{i}"))
+    sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+    return sim, (tsys.cw, tsys.probes[0]) + tuple(tsys.servers)
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+def test_warm_table_fingerprints_equal_cold_ones(protocol):
+    """At every node of a bounded DFS the live (warm-table) fingerprint
+    equals that of a fresh ``Simulation`` restored from the node's
+    snapshot, whose empty table forces every walk — for the strict
+    keying on all protocols and the canonical one where POR is allowed
+    (``cops_snow`` and ``handshake``, which alias one object from two
+    fields of a process, included)."""
+    keyings = (False, True) if get_protocol(protocol).por_safe else (False,)
+    sim, pids = race_system(protocol)
+    budget = [120]
+
+    def dfs(depth):
+        snap = sim.snapshot()
+        for canonical in keyings:
+            cold = Simulation([])
+            cold.restore(snap)
+            assert sim.fingerprint(snap, canonical=canonical) == cold.fingerprint(
+                canonical=canonical
+            ), (protocol, canonical, depth)
+        budget[0] -= 1
+        if depth >= 14:
+            return
+        for e in enabled_events(sim, pids):
+            if budget[0] <= 0:
+                return
+            e.apply(sim)
+            dfs(depth + 1)
+            sim.restore(snap)
+
+    dfs(0)
+    hits, interned = sim.counters.cache_hits, sim.counters.states_interned
+    assert interned < 120 * len(sim.processes)  # local states do repeat
+    assert hits > 0
+
+
+# ---------------------------------------------------------------------------
+# Fingerprints see every container in process state (regression: deque)
+# ---------------------------------------------------------------------------
+
+
+class TestCanonizeContainers:
+    def test_pending_invocations_reach_the_fingerprint(self):
+        """``ClientBase.pending`` is a ``deque``, whose ``__getstate__()``
+        is ``None``: two systems that differ only in the transaction
+        queued at a probe used to have identical fingerprints."""
+        from repro.txn.types import read_only_txn
+
+        fps = []
+        for objs in (("X0",), ("X0", "X1")):
+            tsys = prepare_theorem_system("cops")
+            tsys.sim.invoke(tsys.probes[0], read_only_txn(objs))
+            fps.append(
+                (tsys.sim.fingerprint(), tsys.sim.fingerprint(canonical=True))
+            )
+        assert fps[0][0] != fps[1][0]
+        assert fps[0][1] != fps[1][1]
+
+    def test_deque_order_and_bound_are_state(self):
+        from collections import deque
+
+        dump = Simulation._dumps_canonical
+        assert dump(deque([1, 2])) != dump(deque([2, 1]))
+        assert dump(deque([1, 2])) != dump(deque([1, 2], maxlen=2))
+        assert dump(deque([1, 2])) != dump([1, 2])
+        assert dump(deque([1, 2])) == dump(deque([1, 2]))
+
+    def test_opaque_iterables_are_refused_by_name(self):
+        from collections import OrderedDict
+
+        from repro.txn.types import BOTTOM
+
+        with pytest.raises(TypeError, match="collections.OrderedDict"):
+            Simulation._dumps_canonical({"k": OrderedDict(a=1)})
+        Simulation._dumps_canonical({"k": BOTTOM})  # stateless sentinel: legal
