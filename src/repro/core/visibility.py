@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Sequence, Set
 
+from repro.sim.events import deliverable_messages, steppable_pids
 from repro.sim.executor import Configuration, Simulation
 from repro.sim.messages import Message, ProcessId
 from repro.sim.scheduler import RoundRobinScheduler, SchedulerStalled
@@ -32,13 +33,11 @@ class FrozenScheduler(RoundRobinScheduler):
         super().__init__()
         self.frozen: Set[int] = set(frozen_msg_ids)
 
-    @staticmethod
-    def _filter_frozen(msgs, frozen):
-        return [m for m in msgs if m.msg_id not in frozen]
-
-    def _deliverable(self, sim, pids):
-        msgs = super()._deliverable(sim, pids)
-        return [m for m in msgs if m.msg_id not in self.frozen]
+    def tick(self, sim, pids=None):
+        thawed = [
+            m for m in deliverable_messages(sim, pids) if m.msg_id not in self.frozen
+        ]
+        return self._alternate(sim, thawed, steppable_pids(sim, pids))
 
 
 def probe_read(

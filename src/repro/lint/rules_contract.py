@@ -73,6 +73,7 @@ def load_registry_meta() -> Optional[Dict[str, Dict[str, object]]]:
             "nonblocking": info.paper_row.nonblocking,
             "wtx": info.paper_row.wtx,
             "supports_wtx": info.supports_wtx,
+            "supports_rw": info.supports_rw,
             "claims_fast_rot": info.claims_fast_rot,
         }
     return meta

@@ -49,6 +49,9 @@ class ProtocolInfo:
     #: branches compare — so they set this to False and the explorer
     #: refuses ``por=True``.
     por_safe: bool = True
+    #: whether clients accept read-write transactions; generated
+    #: workloads hand RW transactions only to protocols that set it
+    supports_rw: bool = False
     extras_factory: Optional[Callable[..., List[Process]]] = None
     server_param_names: Tuple[str, ...] = ()
     client_param_names: Tuple[str, ...] = ()
@@ -286,6 +289,7 @@ def _build_registry() -> None:
             server_factory=SpannerServer,
             client_factory=SpannerClient,
             supports_wtx=True,
+            supports_rw=True,
             claims_fast_rot=False,
             consistency="strict-serializable",
             paper_row=PaperRow("1", "1", "no", "yes", "Strict Serializability"),
@@ -304,6 +308,7 @@ def _build_registry() -> None:
             server_factory=CalvinServer,
             client_factory=CalvinClient,
             supports_wtx=True,
+            supports_rw=True,
             claims_fast_rot=False,
             consistency="strict-serializable",
             paper_row=PaperRow("2", "1", "no", "yes", "Strict Serializability"),
@@ -375,6 +380,7 @@ def _build_registry() -> None:
             server_factory=FastClaimServer,
             client_factory=FastClaimClient,
             supports_wtx=True,
+            supports_rw=True,
             claims_fast_rot=True,
             consistency="causal",  # the *claim*; Theorem 1 refutes it
             paper_row=PaperRow("1", "1", "yes", "yes", "(impossible)"),

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Tuple
 
+from repro.sim.events import deliverable_messages, steppable_pids
 from repro.sim.executor import Simulation
 from repro.sim.messages import Message, ProcessId
 from repro.sim.scheduler import Scheduler
@@ -35,8 +36,8 @@ class LIFOScheduler(Scheduler):
         self._phase = 0
 
     def tick(self, sim: Simulation, pids: Optional[Sequence[ProcessId]] = None) -> bool:
-        deliverable = self._deliverable(sim, pids)
-        steppable = self._steppable(sim, pids)
+        deliverable = deliverable_messages(sim, pids)
+        steppable = steppable_pids(sim, pids)
         if not deliverable and not steppable:
             return False
         do_deliver = deliverable and (self._phase % 2 == 0 or not steppable)
@@ -72,12 +73,12 @@ class StarveLinkScheduler(Scheduler):
         self._starving_since = 0
 
     def tick(self, sim: Simulation, pids: Optional[Sequence[ProcessId]] = None) -> bool:
-        deliverable = self._deliverable(sim, pids)
+        deliverable = deliverable_messages(sim, pids)
         preferred = [
             m for m in deliverable if not (m.src == self.src and m.dst == self.dst)
         ]
         starved = [m for m in deliverable if m not in preferred]
-        steppable = self._steppable(sim, pids)
+        steppable = steppable_pids(sim, pids)
         if not deliverable and not steppable:
             return False
         self._phase += 1
@@ -111,8 +112,8 @@ class BurstScheduler(Scheduler):
         self._count = 0
 
     def tick(self, sim: Simulation, pids: Optional[Sequence[ProcessId]] = None) -> bool:
-        deliverable = self._deliverable(sim, pids)
-        steppable = self._steppable(sim, pids)
+        deliverable = deliverable_messages(sim, pids)
+        steppable = steppable_pids(sim, pids)
         if not deliverable and not steppable:
             return False
         self._count += 1

@@ -4,8 +4,8 @@ An *adversary event* is one atomic choice the scheduler can make in a
 configuration: deliver one in-transit message, or let one process take a
 computation step.  Historically each consumer of the simulator re-derived
 these choices from the network buffers by hand (`core/explore.py` had a
-private ``_enabled_events``, the chaos adversaries used the scheduler's
-``_deliverable``/``_steppable`` helpers) and passed them around as ad-hoc
+private ``_enabled_events``, the schedulers and chaos adversaries had
+helpers of their own) and passed them around as ad-hoc
 ``("d", src, dst, seq)`` / ``("s", pid)`` tuples.  This module is the one
 sanctioned enumeration: it owns the typed :class:`Event` objects, the
 :func:`enabled_events` enumerator, and the :func:`independent` relation
@@ -62,9 +62,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.executor import Simulation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
-    """One atomic adversary choice.  Frozen, hashable, picklable."""
+    """One atomic adversary choice.  Frozen, slotted, hashable, picklable."""
 
     def apply(self, sim: "Simulation") -> None:
         raise NotImplementedError
@@ -74,7 +74,7 @@ class Event:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deliver(Event):
     """Deliver the in-transit message ``(src, dst, link_seq)``."""
 
@@ -90,7 +90,7 @@ class Deliver(Event):
         return f"deliver {self.src}->{self.dst}#{self.link_seq}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step(Event):
     """Let process ``pid`` take one computation step."""
 
@@ -125,8 +125,11 @@ def deliverable_messages(
     Messages to excluded processes are withheld (arbitrarily delayed),
     which is how solo executions are realized.
     """
-    allowed = set(sim.pids()) if pids is None else set(pids)
-    return [m for m in sim.network.pending() if m.dst in allowed]
+    msgs = sim.network.pending()
+    if pids is None:  # every process may act: nothing is withheld
+        return msgs
+    allowed = set(pids)
+    return [m for m in msgs if m.dst in allowed]
 
 
 def steppable_pids(
@@ -137,12 +140,12 @@ def steppable_pids(
     A step is useful when the process has undrained income or its
     ``wants_step`` hook reports deferred work.
     """
-    group = sim.pids() if pids is None else pids
+    processes = sim.processes
     income = sim.network.income
     return [
         pid
-        for pid in group
-        if income[pid] or sim.processes[pid].wants_step()
+        for pid in (processes if pids is None else pids)
+        if income[pid] or processes[pid].wants_step()
     ]
 
 

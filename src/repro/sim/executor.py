@@ -496,6 +496,12 @@ _STATE_TABLE_CAP = 4096
 _MSG_MEMO_CAP = 1024
 
 
+#: ``(sorted pids, pid → sorted index, pid → its neighbours)``
+_PidCache = Tuple[
+    Tuple[ProcessId, ...], Dict[ProcessId, int], Dict[ProcessId, frozenset]
+]
+
+
 def _digest(dump: bytes) -> bytes:
     return hashlib.blake2b(dump, digest_size=16).digest()
 
@@ -528,12 +534,11 @@ class Simulation:
         # state is walked by _canonize once per run, not once per visit;
         # bounded by _STATE_TABLE_CAP (cleared on overflow)
         self._states: Dict[bytes, list] = {}
-        # sorted pid order + index map, rebuilt only if the process set
-        # ever changes size (pids are fixed at construction; restores
-        # replace values, never keys).  Used by every fingerprint.
-        self._pid_cache: Optional[
-            Tuple[Tuple[ProcessId, ...], Dict[ProcessId, int]]
-        ] = None
+        # sorted pid order + index map (used by every fingerprint) and
+        # each pid's neighbour set (handed to every step's context),
+        # rebuilt only if the process set ever changes size (pids are
+        # fixed at construction; restores replace values, never keys)
+        self._pid_cache: Optional[_PidCache] = None
         # the most recent network capture (any branch) — seeds the
         # per-container tuple reuse inside :func:`_net_capture`
         self._net_prev = None
@@ -548,12 +553,17 @@ class Simulation:
 
     # -- configuration management -----------------------------------------
 
-    def _pid_order(self) -> Tuple[Tuple[ProcessId, ...], Dict[ProcessId, int]]:
-        """``(sorted pids, pid → sorted index)``, cached."""
+    def _pid_order(self) -> _PidCache:
+        """``(sorted pids, pid → sorted index, pid → neighbours)``, cached."""
         cached = self._pid_cache
         if cached is None or len(cached[0]) != len(self.processes):
             order = tuple(sorted(self.processes))
-            cached = (order, {pid: i for i, pid in enumerate(order)})
+            everyone = frozenset(order)
+            cached = (
+                order,
+                {pid: i for i, pid in enumerate(order)},
+                {pid: everyone - {pid} for pid in order},
+            )
             self._pid_cache = cached
         return cached
 
@@ -1015,9 +1025,8 @@ class Simulation:
         """Apply a computation step of ``pid``."""
         proc = self.processes[pid]
         inbox = self.network.drain_income(pid)
-        neighbors = [q for q in self.processes if q != pid]
         self.event_count += 1
-        ctx = StepContext(pid, neighbors, self.event_count)
+        ctx = StepContext(pid, self._pid_order()[2][pid], self.event_count)
         proc.on_step(ctx, inbox)
         proc.mark_dirty()
         # the network is NOT marked dirty here: its own mutators (post,
@@ -1027,7 +1036,7 @@ class Simulation:
         # neither received nor sent leaves the network's serialization
         # valid, and a delta restore after it touches one process only
         sent: List[Message] = []
-        for dst, payload in ctx.sends:
+        for dst, payload in ctx._sends.items():
             msg = Message(
                 msg_id=self._msg_counter,
                 src=pid,

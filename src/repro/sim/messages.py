@@ -53,7 +53,7 @@ class Payload:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Message:
     """A message in transit or delivered on a directed link."""
 

@@ -14,11 +14,14 @@ order, including out of FIFO order on a single link.
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.messages import Message, ProcessId
 
 Link = Tuple[ProcessId, ProcessId]
+
+_by_msg_id = attrgetter("msg_id")
 
 
 class Network:
@@ -71,15 +74,24 @@ class Network:
     # -- delivery --------------------------------------------------------
 
     def pending(self, src: Optional[ProcessId] = None, dst: Optional[ProcessId] = None) -> List[Message]:
-        """All in-transit messages, optionally filtered by endpoint."""
+        """All in-transit messages by ``msg_id``, optionally filtered by endpoint.
+
+        ``in_transit`` keeps an entry for every link ever used, most of
+        them empty at any moment: empty queues are skipped, and the
+        unfiltered call (one per enabled-set enumeration) does not look
+        at the link keys at all.
+        """
         out: List[Message] = []
-        for (s, d), q in self.in_transit.items():
-            if src is not None and s != src:
-                continue
-            if dst is not None and d != dst:
-                continue
-            out.extend(q)
-        out.sort(key=lambda m: m.msg_id)
+        if src is None and dst is None:
+            for q in self.in_transit.values():
+                if q:
+                    out.extend(q)
+        else:
+            for (s, d), q in self.in_transit.items():
+                if q and (src is None or s == src) and (dst is None or d == dst):
+                    out.extend(q)
+        if len(out) > 1:
+            out.sort(key=_by_msg_id)
         return out
 
     def find(self, src: ProcessId, dst: ProcessId, link_seq: int) -> Optional[Message]:

@@ -29,12 +29,12 @@ class ReplayError(RuntimeError):
     """A replayed command could not be applied to the current configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepCmd(Command):
     pid: ProcessId
 
@@ -42,7 +42,7 @@ class StepCmd(Command):
         return f"step({self.pid})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverCmd(Command):
     src: ProcessId
     dst: ProcessId
@@ -52,7 +52,7 @@ class DeliverCmd(Command):
         return f"deliver({self.src}->{self.dst}#{self.link_seq})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvokeCmd(Command):
     pid: ProcessId
     txn: Any

@@ -62,29 +62,6 @@ class Scheduler:
             return applied
         raise SchedulerStalled(f"event budget {max_events} exhausted")
 
-    # -- helpers shared by subclasses -------------------------------------
-    #
-    # Both delegate to the sanctioned enumeration in repro.sim.events so
-    # the schedulers, the chaos adversaries and the exploration engine
-    # all agree on what "enabled" means.
-
-    @staticmethod
-    def _deliverable(
-        sim: Simulation, pids: Optional[Sequence[ProcessId]]
-    ) -> List[Message]:
-        """In-transit messages whose destination may act.
-
-        Messages to excluded processes are withheld (arbitrarily delayed),
-        which is how solo executions are realized.
-        """
-        return deliverable_messages(sim, pids)
-
-    @staticmethod
-    def _steppable(
-        sim: Simulation, pids: Optional[Sequence[ProcessId]]
-    ) -> List[ProcessId]:
-        return steppable_pids(sim, pids)
-
 
 class RoundRobinScheduler(Scheduler):
     """Deterministic fair adversary.
@@ -100,8 +77,14 @@ class RoundRobinScheduler(Scheduler):
         self._phase = 0
 
     def tick(self, sim: Simulation, pids: Optional[Sequence[ProcessId]] = None) -> bool:
-        deliverable = self._deliverable(sim, pids)
-        steppable = self._steppable(sim, pids)
+        return self._alternate(
+            sim, deliverable_messages(sim, pids), steppable_pids(sim, pids)
+        )
+
+    def _alternate(
+        self, sim: Simulation, deliverable: List[Message], steppable: List[ProcessId]
+    ) -> bool:
+        """One round-robin choice among the given enabled events."""
         if not deliverable and not steppable:
             return False
         # alternate, falling back to whichever is available
@@ -124,18 +107,19 @@ class RandomScheduler(Scheduler):
         self.rng = random.Random(seed)
 
     def tick(self, sim: Simulation, pids: Optional[Sequence[ProcessId]] = None) -> bool:
-        deliverable = self._deliverable(sim, pids)
-        steppable = self._steppable(sim, pids)
-        choices: List = [("d", m) for m in deliverable] + [
-            ("s", p) for p in steppable
-        ]
-        if not choices:
+        deliverable = deliverable_messages(sim, pids)
+        steppable = steppable_pids(sim, pids)
+        n_deliver = len(deliverable)
+        n_enabled = n_deliver + len(steppable)
+        if not n_enabled:
             return False
-        kind, x = self.rng.choice(choices)
-        if kind == "d":
-            sim.deliver_msg(x)
+        # an index over deliveries-then-steps: the same draw as
+        # ``rng.choice`` over the concatenated list, without building it
+        i = self.rng.randrange(n_enabled)
+        if i < n_deliver:
+            sim.deliver_msg(deliverable[i])
         else:
-            sim.step(x)
+            sim.step(steppable[i - n_deliver])
         return True
 
 

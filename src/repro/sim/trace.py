@@ -22,12 +22,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 from repro.sim.messages import Message, ProcessId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepEvent(TraceEvent):
     """A computation step: ``pid`` consumed ``received`` and sent ``sent``."""
 
@@ -41,7 +41,7 @@ class StepEvent(TraceEvent):
         return f"[{self.index}] step {self.pid} rx:{rx} tx:{tx}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeliverEvent(TraceEvent):
     """A delivery event moved ``message`` into the destination's buffer."""
 
@@ -52,7 +52,7 @@ class DeliverEvent(TraceEvent):
         return f"[{self.index}] deliver m{m.msg_id} {m.src}->{m.dst}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvokeEvent(TraceEvent):
     """The application handed a transaction to a client process."""
 

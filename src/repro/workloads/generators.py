@@ -17,8 +17,9 @@ functionality trade-off the paper is about).
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import System
 from repro.sim.scheduler import RandomScheduler, Scheduler
@@ -147,40 +148,51 @@ def run_workload(
     interesting paths — second read rounds, blocking waits, readers
     checks, lock queues.
     """
-    from collections import deque
-
     info = system.info
-    supports_rw = info.name in ("spanner", "calvin", "fastclaim")
     gen = WorkloadGenerator(
         spec,
         system.config.objects,
         system.clients,
         supports_wtx=(info.supports_wtx if respect_capabilities else True),
-        supports_rw=supports_rw if respect_capabilities else True,
+        supports_rw=(info.supports_rw if respect_capabilities else True),
     )
-    queues: Dict[str, "deque[Transaction]"] = {c: deque() for c in system.clients}
+    queues: Dict[str, Deque[Transaction]] = {c: deque() for c in system.clients}
     for client, txn in gen.schedule():
         queues[client].append(txn)
 
     sched = scheduler if scheduler is not None else RandomScheduler(spec.seed)
-    events = 0
-    while True:
-        for cpid, queue in queues.items():
-            client = system.client(cpid)
-            if queue and client.current is None and not client.pending:
-                system.sim.invoke(cpid, queue.popleft())
-        drained = all(not q for q in queues.values()) and all(
-            system.client(c).current is None and not system.client(c).pending
+    sim = system.sim
+    processes = sim.processes
+    # the clients that still have transactions to be handed, in client
+    # order: the per-tick bookkeeping looks at these and at nobody else
+    backlog = [(cpid, queue) for cpid, queue in queues.items() if queue]
+
+    def drained() -> bool:
+        return not backlog and all(
+            processes[c].current is None and not processes[c].pending
             for c in system.clients
         )
-        progressed = sched.tick(system.sim)
-        if not progressed:
-            if drained:
+
+    events = 0
+    while True:
+        emptied = False
+        for cpid, queue in backlog:
+            client = processes[cpid]
+            if client.current is None and not client.pending:
+                sim.invoke(cpid, queue.popleft())
+                if not queue:
+                    emptied = True
+        if emptied:
+            backlog[:] = [entry for entry in backlog if entry[1]]
+        if events == max_events and not (drained() and sim.quiescent()):
+            raise WorkloadStalled(f"{info.name}: budget {max_events} exhausted")
+        # a tick that reports no progress ran nothing, so ``drained`` is
+        # only ever needed there
+        if not sched.tick(sim):
+            if drained():
                 break
             raise WorkloadStalled(
                 f"{info.name}: quiescent with unfinished transactions"
             )
         events += 1
-        if events > max_events:
-            raise WorkloadStalled(f"{info.name}: budget {max_events} exhausted")
     return system.history()

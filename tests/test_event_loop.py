@@ -1,0 +1,262 @@
+"""The event loop's contract: the schedule a seed yields, what "enabled"
+means, the slotted event records, and ``run_workload``'s bookkeeping."""
+
+import copy
+import dataclasses
+import hashlib
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.protocols import build_system, get_protocol
+from repro.protocols.registry import REGISTRY
+from repro.sim.events import Deliver, Step, enabled_events
+from repro.sim.executor import SNAPSHOT_MODES, Simulation, use_snapshot_mode
+from repro.sim.messages import Message
+from repro.sim.process import Process
+from repro.sim.replay import DeliverCmd, InvokeCmd, StepCmd
+from repro.sim.scheduler import RoundRobinScheduler, run_until_quiescent
+from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
+from repro.txn.types import read_only_txn
+from repro.workloads import WorkloadSpec, run_workload
+from repro.workloads.generators import WorkloadStalled
+
+from helpers import Note, Pinger
+
+# ---------------------------------------------------------------------------
+# the schedule is pinned
+# ---------------------------------------------------------------------------
+
+MIXES = {
+    "read_heavy": dict(read_ratio=0.95),
+    "write_heavy": dict(read_ratio=0.1, rw_ratio=0.1),
+}
+
+#: (trace length, events applied, blake2b-128 over the ``repr`` of every
+#: trace event), recorded from the commit before the event loop was made
+#: cheap (PR 14).  One protocol per client family: ``ClientBase`` direct,
+#: ``VectorSnapshotClient`` + 2PC, and the RW-capable lock-based client.
+GOLDEN = {
+    ("cops", "read_heavy", "random"): (655, 595, "5e32bff2d108f0ebd99278c7f477c2e8"),
+    ("cops", "write_heavy", "random"): (552, 492, "7ae5419bffc9d5e1c263ab4389729ae7"),
+    ("cure", "read_heavy", "random"): (1350, 1290, "35835ffe9f469562a797644bf608590f"),
+    ("cure", "write_heavy", "random"): (1165, 1105, "984c699b30192c45734b47967a6ddc84"),
+    ("spanner", "read_heavy", "random"): (793, 733, "3f130432987634db01ae852c4a98b06d"),
+    ("spanner", "write_heavy", "random"): (1356, 1296, "ae22c084220451589ea7655fa368ef54"),
+    ("cops", "write_heavy", "round_robin"): (416, 356, "b27180232651a00da249cc8c068366c7"),
+}
+
+
+@pytest.mark.parametrize("protocol,mix,scheduler", sorted(GOLDEN))
+def test_seeded_run_yields_the_recorded_trace(protocol, mix, scheduler):
+    system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
+    spec = WorkloadSpec(n_txns=60, read_size=(2, 3), seed=4100, **MIXES[mix])
+    sched = RoundRobinScheduler() if scheduler == "round_robin" else None
+    run_workload(system, spec, scheduler=sched)
+    digest = hashlib.blake2b(digest_size=16)
+    for event in system.sim.trace:
+        digest.update(repr(event).encode())
+        digest.update(b"\n")
+    got = (len(system.sim.trace), system.sim.event_count, digest.hexdigest())
+    assert got == GOLDEN[protocol, mix, scheduler]
+
+
+# ---------------------------------------------------------------------------
+# pending() and enabled_events against their definitions
+# ---------------------------------------------------------------------------
+
+PIDS = ("a", "b", "c", "d")
+
+
+class Flag(Process):
+    """Wants a step exactly when told to."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.wants = False
+
+    def wants_step(self):
+        return self.wants
+
+    def on_step(self, ctx, inbox):
+        return None
+
+
+_pid = st.sampled_from(PIDS)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), _pid, _pid),
+        st.tuples(st.just("deliver"), st.integers(0, 50)),
+        st.tuples(st.just("drain"), _pid),
+        st.tuples(st.just("want"), _pid, st.booleans()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_ops, solo=st.lists(_pid, unique=True))
+def test_enabled_set_matches_its_definition(ops, solo):
+    sim = Simulation([Flag(p) for p in PIDS])
+    net = sim.network
+    transit = []  # the model: every queued message, in send order
+    income = {p: [] for p in PIDS}
+    sent = 0
+    for op in ops:
+        if op[0] == "post" and op[1] != op[2]:
+            msg = Message(
+                sent, op[1], op[2], net.next_link_seq(op[1], op[2]), Note(sent)
+            )
+            sent += 1
+            net.post(msg)
+            transit.append(msg)
+        elif op[0] == "deliver" and transit:
+            msg = transit.pop(op[1] % len(transit))
+            net.deliver(msg.src, msg.dst, msg.link_seq)
+            income[msg.dst].append(msg)
+        elif op[0] == "drain":
+            assert sorted(net.drain_income(op[1]), key=id) == sorted(income[op[1]], key=id)
+            income[op[1]] = []
+        elif op[0] == "want":
+            sim.processes[op[1]].wants = op[2]
+
+        by_id = sorted(transit, key=lambda m: m.msg_id)
+        for src in (None,) + PIDS:
+            for dst in (None,) + PIDS:
+                assert net.pending(src=src, dst=dst) == [
+                    m for m in by_id
+                    if (src is None or m.src == src) and (dst is None or m.dst == dst)
+                ]
+        for pids in (None, tuple(solo)):
+            group = PIDS if pids is None else pids
+            assert enabled_events(sim, pids) == [
+                Deliver(m.src, m.dst, m.link_seq) for m in by_id if m.dst in group
+            ] + [
+                Step(p) for p in group if income[p] or sim.processes[p].wants
+            ]
+
+
+# ---------------------------------------------------------------------------
+# slotted records survive the pool
+# ---------------------------------------------------------------------------
+
+_MSG = Message(7, "a", "b", 2, Note("x"))
+_TXN = read_only_txn(("X0", "X1"), txid="T")
+RECORDS = [
+    _MSG,
+    StepEvent(index=3, pid="a", received=(_MSG,), sent=()),
+    DeliverEvent(index=4, message=_MSG),
+    InvokeEvent(index=5, pid="c0", txn=_TXN),
+    StepCmd("a"),
+    DeliverCmd("a", "b", 2),
+    InvokeCmd("c0", _TXN),
+    Deliver("a", "b", 2),
+    Step("a"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_slotted_record_round_trips_and_is_frozen(record):
+    assert not hasattr(record, "__dict__")
+    for clone in (pickle.loads(pickle.dumps(record, 5)), copy.deepcopy(record)):
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == repr(record)
+    field = dataclasses.fields(record)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(record, field, getattr(record, field))
+    # a name that is no field: no slot to hold it (3.11 reports it through
+    # the frozen __setattr__'s stale super() as a TypeError)
+    with pytest.raises((AttributeError, TypeError)):
+        record.extra = 1
+
+
+def test_message_payload_stays_outside_equality():
+    other = dataclasses.replace(_MSG, payload=Note("y"))
+    assert other == _MSG and hash(other) == hash(_MSG)
+    clone = pickle.loads(pickle.dumps(_MSG, 5))
+    assert clone.payload.token == "x"
+
+
+def test_sleep_set_of_events_survives_pickling():
+    sleep = frozenset({Deliver("a", "b", 0), Step("a"), Step("b")})
+    assert pickle.loads(pickle.dumps(sleep, 5)) == sleep
+
+
+class Keeper(Process):
+    """Holds every message it ever received in its state."""
+
+    def __init__(self, pid):
+        super().__init__(pid)
+        self.kept = []
+
+    def on_step(self, ctx, inbox):
+        self.kept.extend(inbox)
+
+
+@pytest.mark.parametrize("mode", SNAPSHOT_MODES)
+def test_message_held_by_a_process_survives_snapshot_restore(mode):
+    with use_snapshot_mode(mode):
+        sim = Simulation([Pinger("p", "k", n=3), Keeper("k")])
+        sim.step("p")
+        sim.deliver("p", "k")
+        sim.step("k")
+        kept = list(sim.processes["k"].kept)
+        assert [m.payload.token for m in kept] == [3]
+        snap = sim.snapshot()
+        fp = sim.fingerprint()
+        run_until_quiescent(sim)
+        assert len(sim.processes["k"].kept) == 3
+        sim.restore(snap)
+        restored = sim.processes["k"].kept
+        assert restored == kept
+        assert [m.payload.token for m in restored] == [3]
+        assert sim.fingerprint() == fp
+
+
+# ---------------------------------------------------------------------------
+# run_workload's bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def _system():
+    return build_system("cops", objects=("X0", "X1"), n_servers=2)
+
+
+def test_event_budget_is_exact():
+    spec = WorkloadSpec(n_txns=12, seed=5)
+    full = _system()
+    run_workload(full, spec)
+    needed = full.sim.event_count
+
+    exact = _system()
+    assert len(run_workload(exact, spec, max_events=needed)) == 12
+
+    for budget in (needed - 1, 5):
+        short = _system()
+        with pytest.raises(WorkloadStalled, match="budget"):
+            run_workload(short, spec, max_events=budget)
+        assert short.sim.event_count == budget
+
+
+def test_registered_rw_capable_protocol_receives_rw_transactions():
+    """RW support is the registry's ``supports_rw``, not a list of names."""
+    spec = WorkloadSpec(n_txns=40, read_ratio=0.2, rw_ratio=0.6, seed=9)
+
+    def rw_count(protocol):
+        system = build_system(protocol, objects=("X0", "X1", "X2"), n_servers=2)
+        history = run_workload(system, spec)
+        return sum(1 for r in history if r.txn.read_set and r.txn.writes)
+
+    assert rw_count("cops") == 0
+    REGISTRY["rw_probe"] = dataclasses.replace(get_protocol("spanner"), name="rw_probe")
+    try:
+        assert rw_count("rw_probe") == rw_count("spanner") > 0
+    finally:
+        del REGISTRY["rw_probe"]
+    # every workload generated before the flag existed is unchanged
+    assert {n for n, info in REGISTRY.items() if info.supports_rw} == {
+        "spanner", "calvin", "fastclaim",
+    }
