@@ -1,31 +1,26 @@
-"""The work-stealing frontier's acceptance gate: fast *and* identical.
+"""The parallel frontier's acceptance gate: identical, and how fast.
 
 Runs the full-scope FastClaim write/read race — the seed scenario whose
 schedule tree is heavily skewed (the subtrees under the multi-object
-write dwarf the read-first subtrees, so static root assignment would
-starve workers) — through the pool at several widths and asserts the
-tentpole's contract:
+write dwarf the read-first subtrees) — through the pool at several
+widths and asserts its contract:
 
-* **Identity.** Pool verdicts and anomaly unions equal serial's; the
-  first-violation arm reports the bit-identical serial trace; pool
+* **Identity.** Pool verdicts and anomaly unions equal serial's; pool
   state counts are bit-identical run to run (the shared canonical claim
   set makes the explored quotient schedule-independent, so there is no
   wall-clock dependence to hide behind); and pool visits never exceed
   the serial count.
-* **Shared beats local.** The same pool with the cross-worker claim set
-  disabled (worker-local dedup only) re-expands classes its siblings
-  already covered; the shared set must dedup at least as much — i.e.
-  visit at most as many states.
-* **The speedup gate.** workers=4 beats serial by >= 2.2x (wall-clock
-  <= 0.45x) and workers=8 by >= 3.5x.  The pool explores the canonical
-  quotient (~1.3k classes) while the strict serial baseline enumerates
-  ~46k configurations, so the gate is an algorithmic claim first and a
-  parallelism claim second — it holds even on a single-core runner,
-  and the JSON records ``cpu_count`` so the artifact stays honest
-  about which effect dominated.
+* **The speedup gate.** workers=4 beats the *strict* serial DFS by
+  >= 2.2x (wall-clock <= 0.45x) and workers=8 by >= 3.5x.  That ratio
+  is the canonical quotient's win (~1.3k classes against ~46k strict
+  configurations), not the pool's — it holds on a single-core runner.
+  The ``serial_por`` arm is the baseline that already has the quotient
+  (one process, sleep sets, ~1.4k states): ``speedup_vs_serial_por`` is
+  what the extra processes add, reported and not gated, with
+  ``cpu_count`` stamped so the artifact says which machine it was.
 
 The grid lands in ``benchmarks/results/BENCH_parallel.json`` (a CI
-artifact, so the speedup trajectory stays observable across PRs).
+artifact, so the trajectory stays observable across PRs).
 """
 
 import os
@@ -45,21 +40,6 @@ SPEEDUP_GATE = {4: 2.2, 8: 3.5}
 WALL_CLOCK_GATE = 0.45
 
 
-class _NoSharedSet:
-    """A claim set that never dedups: every claim 'wins', so workers
-    fall back to purely local dedup — the baseline the shared-vs-local
-    gate measures against."""
-
-    def claim(self, fp):
-        return True
-
-    def close(self):
-        pass
-
-    def unlink(self):
-        pass
-
-
 def _anomaly_union(result):
     return sorted(
         {str(a) for _, anomalies in result.violations for a in anomalies}
@@ -75,13 +55,14 @@ def _count_key(r):
     )
 
 
-def _run(workers, first_violation_only=False):
+def _run(workers, por=False):
     t0 = time.perf_counter()
     r = explore_write_read_race(
         PROTOCOL,
         max_depth=DEPTH,
         max_states=80_000,
-        first_violation_only=first_violation_only,
+        first_violation_only=False,
+        por=por,
         workers=workers,
     )
     return time.perf_counter() - t0, r
@@ -97,9 +78,6 @@ def _entry(seconds, r):
         "anomaly_union": _anomaly_union(r),
         "roots_shipped": r.roots_shipped,
         "shared_seen_hits": r.shared_seen_hits,
-        "steals": r.counters.steals,
-        "publishes": r.counters.publishes,
-        "idle_waits": r.counters.idle_waits,
     }
 
 
@@ -118,6 +96,9 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
     def run():
         serial_s, serial = _run(workers=1)
         report["arms"]["serial"] = _entry(serial_s, serial)
+        por_s, serial_por = _run(workers=1, por=True)
+        report["arms"]["serial_por"] = _entry(por_s, serial_por)
+        assert _anomaly_union(serial_por) == _anomaly_union(serial)
         pool = {}
         for w in (4, 8):
             secs, r = _run(workers=w)
@@ -125,6 +106,7 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
             assert not r.auto_serial
             arm = _entry(secs, r)
             arm["speedup_vs_serial"] = round(serial_s / secs, 2)
+            arm["speedup_vs_serial_por"] = round(por_s / secs, 2)
             report["arms"][f"workers{w}"] = arm
         # identity: verdicts, unions, and counts under the shared quotient
         for w, r in pool.items():
@@ -136,38 +118,9 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
         assert _count_key(again) == _count_key(pool[4])
         report["arms"]["workers4_repeat"] = _entry(again_s, again)
         report["count_deterministic"] = True
-        # shared-dedup >= local-dedup: disabling the cross-worker claim
-        # set leaves only worker-local dedup, which re-expands classes
-        # sibling workers already covered
-        monkeypatch.setattr(
-            parallel, "make_seen_set", lambda *a, **k: _NoSharedSet()
-        )
-        local_s, local_only = _run(workers=4)
-        monkeypatch.undo()
-        monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-        arm = _entry(local_s, local_only)
-        del arm["shared_seen_hits"]  # no shared set in this arm
-        report["arms"]["workers4_local_dedup"] = arm
-        assert local_only.violation_found == serial.violation_found
-        assert _anomaly_union(local_only) == _anomaly_union(serial)
-        assert pool[4].states_visited <= local_only.states_visited
-        report["shared_vs_local_visit_ratio"] = round(
-            local_only.states_visited / pool[4].states_visited, 2
-        )
-        # first-violation arm: bit-identical serial trace wins the merge
-        fvo_serial_s, fvo_serial = _run(workers=1, first_violation_only=True)
-        fvo_pool_s, fvo_pool = _run(workers=4, first_violation_only=True)
-        assert fvo_serial.violation_found and fvo_pool.violation_found
-        assert fvo_pool.violations[0][0] == fvo_serial.violations[0][0]
-        assert [str(a) for a in fvo_pool.violations[0][1]] == [
-            str(a) for a in fvo_serial.violations[0][1]
-        ]
-        report["arms"]["fvo_serial"] = _entry(fvo_serial_s, fvo_serial)
-        report["arms"]["fvo_workers4"] = _entry(fvo_pool_s, fvo_pool)
-        report["first_violation_bit_identical"] = True
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    # the speedup gates (see the module docstring: the shared canonical
+    # the speedup gates (see the module docstring: the canonical
     # quotient makes these hold even single-core)
     for w, gate in SPEEDUP_GATE.items():
         speedup = report["arms"][f"workers{w}"]["speedup_vs_serial"]
@@ -179,9 +132,9 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
         f"{PROTOCOL}@{DEPTH}: serial {report['arms']['serial']['seconds']}s "
         f"({report['arms']['serial']['states_visited']:,} states) — "
         f"w4 {w4['speedup_vs_serial']}x, "
-        f"w8 {report['arms']['workers8']['speedup_vs_serial']}x, "
-        f"shared/local visit ratio "
-        f"{report['shared_vs_local_visit_ratio']}x"
+        f"w8 {report['arms']['workers8']['speedup_vs_serial']}x; against "
+        f"serial+por ({report['arms']['serial_por']['states_visited']:,} "
+        f"states) w4 {w4['speedup_vs_serial_por']}x"
     )
     benchmark.extra_info["speedup"] = {
         w: report["arms"][f"workers{w}"]["speedup_vs_serial"] for w in (4, 8)

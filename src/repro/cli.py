@@ -199,10 +199,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         checker=args.checker,
         strategy=args.strategy,
         por=args.por,
-        workers=args.workers,
         incremental=False if args.batch_checker else None,
         checker_oracle=args.checker_oracle,
-        per_worker_budget=args.per_worker_budget,
         **_proto_params(args),
     )
     print(result.describe())
@@ -299,11 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--por", dest="por", action="store_true", default=False,
                    help="partial-order reduction (POR-safe protocols only)")
     e.add_argument("--no-por", dest="por", action="store_false")
-    e.add_argument("--workers", type=int, default=1,
-                   help="parallel frontier worker processes (work-stealing)")
-    e.add_argument("--per-worker-budget", action="store_true",
-                   help="give each worker the full --max-states budget "
-                        "(pre-stealing behaviour) instead of one global cap")
     e.add_argument("--checker", choices=("causal", "read-atomic", "sessions"),
                    default="causal")
     e.add_argument("--batch-checker", action="store_true",

@@ -40,7 +40,6 @@ def explore(
     rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
-    per_worker_budget: bool = False,
 ) -> ExplorationResult:
     """Exhaustively explore every schedule of ``script`` on ``system``.
 
@@ -58,9 +57,10 @@ def explore(
     ``strategy``, ``por`` and ``workers`` forward to the engine:
     sleep-set partial-order reduction keeps one representative per
     Mazurkiewicz trace (identical verdicts, far fewer states), and
-    ``workers > 1`` runs the work-stealing frontier with a shared
-    fingerprint claim set.  ``max_states`` is a global pool-wide budget;
-    ``per_worker_budget=True`` restores the pre-stealing per-worker cap.
+    ``workers > 1`` fans an exhaustive (``first_violation_only=False``)
+    DFS of a POR-safe protocol out over a shared fingerprint claim set,
+    with ``max_states`` as one pool-wide budget; any other ``workers >
+    1`` request is answered serially (``result.auto_serial``).
     DFS walks use the incremental delta checkers by default
     (``incremental=False`` forces the batch scan; ``checker_oracle=True``
     cross-checks every leaf against it).
@@ -80,7 +80,6 @@ def explore(
         rng_seed=rng_seed,
         incremental=incremental,
         checker_oracle=checker_oracle,
-        per_worker_budget=per_worker_budget,
     )
 
 
@@ -95,7 +94,6 @@ def explore_write_read_race(
     first_violation_only: bool = True,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
-    per_worker_budget: bool = False,
     **params,
 ) -> ExplorationResult:
     """The canonical scenario: the theorem's write racing a fast ROT.
@@ -148,5 +146,4 @@ def explore_write_read_race(
         workers=workers,
         incremental=incremental,
         checker_oracle=checker_oracle,
-        per_worker_budget=per_worker_budget,
     )

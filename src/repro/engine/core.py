@@ -26,10 +26,12 @@ one frontier/strategy core over a common :class:`SearchNode`:
   still reached; combined with the seen-set, a revisited configuration
   is only skipped when a previous visit had a subset sleep set (i.e.
   explored at least as much).  See ``docs/model.md``.
-* **Parallel frontier** (``workers=N``) — :mod:`repro.engine.parallel`
-  fans DFS-preorder subtree roots out to ``multiprocessing`` workers;
+* **Parallel frontier** (``workers=N``, exhaustive DFS of a POR-safe
+  protocol) — :mod:`repro.engine.parallel` fans DFS-preorder subtree
+  roots out to ``multiprocessing`` workers over one shared claim set;
   snapshots are self-contained bytes and fingerprints are
-  hash-seed-independent, so results merge deterministically.
+  hash-seed-independent, so results merge deterministically.  Every
+  other ``workers > 1`` request is answered serially (``auto_serial``).
 
 The engine applies events exclusively through
 :meth:`repro.sim.events.Event.apply`; ``repro.lint`` rule RL405 keeps
@@ -76,11 +78,9 @@ class SearchNode:
     #: sleep set: events whose exploration from this node is already
     #: covered by a sibling branch (empty unless POR is on)
     sleep: FrozenSet[Event] = _EMPTY
-    #: global DFS-preorder ordinal: the index path through each
-    #: ancestor's explorable-children list (parallel merge key — the
-    #: lexicographically smallest violating key is the serial DFS's
-    #: first violation)
-    key: Tuple[int, ...] = ()
+    #: parallel seeding: violations the walk had found when this root
+    #: was collected (they precede the root's subtree in DFS preorder)
+    violations_before: int = 0
 
 
 @dataclass
@@ -107,12 +107,12 @@ class ExplorationResult(SearchOutcome):
     strategy: str = "dfs"
     por: bool = False
     workers: int = 1
-    #: a ``workers > 1`` request answered serially because the fan-out
+    #: a ``workers > 1`` request answered serially: not an exhaustive
+    #: DFS of a POR-safe protocol (see :func:`run`), or the fan-out
     #: could not pay for itself (tiny scope or too few subtree roots —
     #: see :mod:`repro.engine.parallel`)
     auto_serial: bool = False
     #: parallel runs: subtree roots the seeding walk shipped to the pool
-    #: (the work-stealing deque's initial population)
     roots_shipped: int = 0
     #: parallel runs: states the whole pool deduped against the *shared*
     #: fingerprint claim set (cross-worker dedup; worker-local seen-set
@@ -161,9 +161,7 @@ class ExplorationResult(SearchOutcome):
         if self.workers > 1 and not self.auto_serial and self.counters is not None:
             c = self.counters
             lines.append(
-                f"  steal: {self.roots_shipped} roots shipped, "
-                f"{c.publishes} published, {c.steals} stolen, "
-                f"{c.idle_waits} idle waits; shared seen-set "
+                f"  pool: {self.roots_shipped} roots shipped; shared seen-set "
                 f"{c.shared_seen_hits} hits / {c.shared_seen_inserts} inserts"
             )
         return "\n".join(lines)
@@ -244,8 +242,9 @@ class SerialSearch:
         trail_prefix: Tuple[str, ...] = (),
         incremental: bool = False,
         oracle: bool = False,
-        ctx=None,
         canonical_keys: bool = False,
+        seen=None,
+        budget=None,
     ):
         self.sim = sim
         self.pids = tuple(pids)
@@ -270,22 +269,17 @@ class SerialSearch:
         #: print is counter-blind *and* a bisimulation for POR-safe
         #: protocols, so the claimed quotient is schedule-independent.
         self.canonical_keys = canonical_keys
-        #: worker context for the work-stealing pool (None when serial):
-        #: duck-typed provider of the global state budget, the shared
-        #: fingerprint claim set, subtree publication and first-violation
-        #: pruning — see ``repro.engine.parallel.WorkerContext``
-        self.ctx = ctx
+        #: pool workers only (None when serial): the cross-worker claim
+        #: set (``claim(fp) -> bool``) and the pool-wide state budget
+        #: (``take() -> bool``) — see :mod:`repro.engine.parallel`
+        self.seen = seen
+        self.budget = budget
         self.abort = False      # first violation found: stop everything
         self.exhausted = False  # state budget spent: stop everything
-        # DFS-preorder ordinal of the current node: the index path taken
-        # through each ancestor's explorable-children list.  Prefixed by
-        # ctx.prefix (the task's own ordinal) it is a *global* preorder
-        # key — violations sort by it so the parallel merge can pick the
-        # serial DFS's first violation regardless of worker timing.
-        self._path: List[int] = []
-        #: per-violation global ordinal keys, parallel to the slice of
-        #: ``result.violations`` this search appended (parallel mode)
-        self.violation_keys: List[Tuple[int, ...]] = []
+        # frontier collection (the pool's seeding walk): a node at this
+        # depth is recorded as a subtree root instead of expanded
+        self._cutoff: float = float("inf")
+        self._frontier: List[SearchNode] = []
         # fingerprint -> sleep sets it was visited with.  A revisit is
         # skippable iff some previous visit slept on a *subset* of what
         # we would sleep on now (it explored at least as much).  Without
@@ -388,18 +382,10 @@ class SerialSearch:
     def seen_states(self) -> int:
         return len(self._seen)
 
-    def universal_fingerprints(self):
-        """Fingerprints whose visits cover *every* later visit.
-
-        A visit with an empty sleep set explored every outgoing event,
-        so the sleep-subset rule (``prior ⊆ current``) covers any later
-        visit of the same fingerprint (``∅ ⊆ anything``).  These are
-        exactly the entries the parallel driver may publish into the
-        cross-worker claim set.  Without POR every visit qualifies.
-        """
-        if not self.por:
-            return list(self._seen)
-        return [fp for fp, priors in self._seen.items() if frozenset() in priors]
+    def seen_fingerprints(self) -> List[bytes]:
+        """Every fingerprint this search remembered (expanded or, for a
+        seeding walk, collected as a root)."""
+        return list(self._seen)
 
     # -- budget ------------------------------------------------------------
 
@@ -407,17 +393,14 @@ class SerialSearch:
         """Count one expanded state against the budget; False = stop.
 
         Serial searches keep the historical local semantics (count, then
-        exhaust when the count passes ``max_states``).  Under a worker
-        context with a *global* budget the state is counted only if the
-        shared counter grants it, so the pool's total ``states_visited``
-        can never exceed the requested cap no matter how many workers
-        run (the documented pre-stealing behaviour — N workers, N× the
-        cap — survives behind ``per_worker_budget=True``).
+        exhaust when the count passes ``max_states``).  A pool worker
+        counts a state only if the shared ``budget`` grants it, so the
+        pool's total ``states_visited`` can never exceed the requested
+        cap no matter how many workers run.
         """
         r = self.result
-        ctx = self.ctx
-        if ctx is not None and ctx.budget is not None:
-            if not ctx.budget.take():
+        if self.budget is not None:
+            if not self.budget.take():
                 self.exhausted = True
                 r.truncated += 1
                 return False
@@ -430,22 +413,16 @@ class SerialSearch:
             return False
         return True
 
-    def _shared_covered(self, fp: bytes, sleep: FrozenSet[Event]) -> bool:
-        """Consult (and claim in) the cross-worker fingerprint set.
-
-        Only visits with an *empty* sleep set participate — their
-        coverage is universal under the sleep-subset rule, so a hit is
-        sound for any later visitor; a non-empty-sleep visit neither
-        claims nor trusts the shared set and falls back to the local
-        sleep-aware seen dict (see docs/model.md).  A losing claim is a
-        cross-worker dedup; a winning claim makes this worker the one
-        expander of the fingerprint.
-        """
-        ctx = self.ctx
-        if ctx is None or ctx.seen is None or sleep:
+    def _claimed_elsewhere(self, fp: bytes) -> bool:
+        """Claim ``fp`` in the cross-worker set; True = another worker
+        already owns it (a cross-worker dedup).  A winning claim makes
+        this worker the one expander of the fingerprint.  Pool searches
+        run without sleep sets, so every visit's coverage is universal
+        and every visit claims (see docs/model.md)."""
+        if self.seen is None:
             return False
         c = self.sim.counters
-        if ctx.seen.claim(fp):
+        if self.seen.claim(fp):
             c.shared_seen_inserts += 1
             return False
         c.shared_seen_hits += 1
@@ -478,13 +455,7 @@ class SerialSearch:
         if anomalies:
             labels = list(self.trail_prefix) + [e.label for e in self._trail]
             r.violations.append((labels, anomalies))
-            if self.ctx is not None:
-                key = self.ctx.prefix + tuple(self._path)
-                self.violation_keys.append(key)
-                self.ctx.report_violation(key)
             if self.first_violation_only:
-                # within one task DFS preorder *is* key order, so the
-                # first violation found is the task's minimal one
                 self.abort = True
 
     def _child_sleep(
@@ -502,15 +473,22 @@ class SerialSearch:
         """Depth-first from the sim's current configuration."""
         self._dfs(depth, sleep, ())
 
+    def collect_frontier(self, cutoff: int) -> List[SearchNode]:
+        """DFS-preorder roots at ``cutoff`` depth, leaves checked en route.
+
+        The pool's seeding walk: :meth:`run_dfs` with a cutoff.  A node
+        *at* the cutoff is snapshotted and returned instead of expanded
+        (and not counted — the worker that expands it counts it).
+        """
+        self._cutoff = cutoff
+        self._frontier = []
+        self.run_dfs()
+        return self._frontier
+
     def _dfs(
         self, depth: int, sleep: FrozenSet[Event], fresh: Sequence
     ) -> None:
         r = self.result
-        ctx = self.ctx
-        if ctx is not None and ctx.pruned(self._path):
-            # a violation with a smaller global ordinal already exists:
-            # nothing below this node can beat it (keys only grow here)
-            return
         events = enabled_events(self.sim, self.pids)
         if not events:
             if not self._count_state():
@@ -530,13 +508,20 @@ class SerialSearch:
         if self._covered(fp, sleep):
             r.states_deduped += 1
             return
-        if self._shared_covered(fp, sleep):
-            # another worker owns this fingerprint; remember it locally
-            # so later intra-worker revisits dedup without the lock
-            r.states_deduped += 1
-            self._remember(fp, sleep)
-            return
+        # remembered even when another worker owns it or it becomes a
+        # subtree root, so a later revisit in this search dedups locally
         self._remember(fp, sleep)
+        if depth >= self._cutoff:
+            self._frontier.append(
+                SearchNode(
+                    snap, fp, tuple(self._trail), depth, sleep,
+                    violations_before=len(r.violations),
+                )
+            )
+            return
+        if self._claimed_elsewhere(fp):
+            r.states_deduped += 1
+            return
         if not self._count_state():
             return
         if depth >= self.max_depth:
@@ -553,42 +538,8 @@ class SerialSearch:
         prior: List[Event] = []
         for i, e in enumerate(explorable):
             child_sleep = self._child_sleep(sleep, prior, e)
-            if (
-                ctx is not None
-                and i > 0
-                and depth + 1 < self.max_depth
-                and ctx.want_publish(depth + 1)
-            ):
-                # the deque is hungry: ship this child subtree (snapshot
-                # + trail + depth + sleep + global ordinal) back to the
-                # pool instead of exploring it here — a later sibling of
-                # work in progress, so local progress is never blocked.
-                # Not counted: the worker that expands it counts it.
-                # A child this search has already covered (a no-op step
-                # lands back on its parent) is deduped here exactly as
-                # local exploration would: shipped, it would meet an
-                # empty seen-set and be re-explored under a lower
-                # ordinal than the serial DFS ever gives it.
-                e.apply(self.sim)
-                child_snap = self.sim.snapshot()
-                if self._covered(self._fingerprint(child_snap), child_sleep):
-                    r.states_deduped += 1
-                else:
-                    ctx.publish(
-                        child_snap,
-                        depth + 1,
-                        child_sleep,
-                        self.trail_prefix
-                        + tuple(ev.label for ev in self._trail)
-                        + (e.label,),
-                        ctx.prefix + tuple(self._path) + (i,),
-                    )
-                self.sim.restore(snap)
-                prior.append(e)
-                continue
             e.apply(self.sim)
             self._trail.append(e)
-            self._path.append(i)
             # collect in lockstep with apply; rollback in lockstep with
             # restore — backtracking reuses the parent's checker state
             # instead of recomputing it.  None on non-commit edges.
@@ -602,7 +553,6 @@ class SerialSearch:
             self._dfs(depth + 1, child_sleep, ck[1] if ck else ())
             if ck is not None:
                 self._delta_rollback(ck[0])
-            self._path.pop()
             self._trail.pop()
             self.sim.restore(snap)
             prior.append(e)
@@ -610,90 +560,6 @@ class SerialSearch:
                 return
             if self.exhausted:
                 r.truncated += len(explorable) - 1 - i  # cut siblings
-                return
-
-    # -- frontier seeding (parallel mode) ---------------------------------
-
-    def collect_frontier(
-        self, cutoff: int, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY
-    ) -> List[SearchNode]:
-        """DFS-preorder roots at ``cutoff`` depth, leaves checked en route.
-
-        Identical to :meth:`run_dfs` above the cutoff; a node *at* the
-        cutoff is snapshotted and returned instead of expanded (and not
-        counted — the worker that expands it counts it).
-        """
-        roots: List[SearchNode] = []
-        self._seed(cutoff, depth, sleep, roots, ())
-        return roots
-
-    def _seed(
-        self,
-        cutoff: int,
-        depth: int,
-        sleep: FrozenSet[Event],
-        roots: List[SearchNode],
-        fresh: Sequence,
-    ) -> None:
-        r = self.result
-        events = enabled_events(self.sim, self.pids)
-        if not events:
-            if not self._count_state():
-                return
-            if clients_done(self.sim, self.clients):
-                if fresh:
-                    self._delta_consume(fresh)
-                self._check_leaf()
-            return
-        snap = self.sim.snapshot()
-        fp = self._fingerprint(snap)
-        if self._covered(fp, sleep):
-            r.states_deduped += 1
-            return
-        if depth >= cutoff or depth >= self.max_depth:
-            # a subtree root: remembered (so a duplicate reached later in
-            # the seeding walk is pruned exactly as the serial DFS would)
-            # but not counted — its worker counts it on entry.
-            self._remember(fp, sleep)
-            roots.append(
-                SearchNode(
-                    snap, fp, tuple(self._trail), depth, sleep,
-                    key=tuple(self._path),
-                )
-            )
-            return
-        self._remember(fp, sleep)
-        if not self._count_state():
-            return
-        if fresh:
-            self._delta_consume(fresh)
-        explorable = (
-            [e for e in events if e not in sleep] if self.por else events
-        )
-        prior: List[Event] = []
-        for i, e in enumerate(explorable):
-            child_sleep = self._child_sleep(sleep, prior, e)
-            e.apply(self.sim)
-            self._trail.append(e)
-            self._path.append(i)
-            ck = (
-                self._delta_collect(e.pid)
-                if self.incremental
-                and e.__class__ is Step
-                and e.pid in self._client_set
-                else None
-            )
-            self._seed(cutoff, depth + 1, child_sleep, roots, ck[1] if ck else ())
-            if ck is not None:
-                self._delta_rollback(ck[0])
-            self._path.pop()
-            self._trail.pop()
-            self.sim.restore(snap)
-            prior.append(e)
-            if self.abort:
-                return
-            if self.exhausted:
-                r.truncated += len(explorable) - 1 - i
                 return
 
     # -- BFS ---------------------------------------------------------------
@@ -742,9 +608,7 @@ class SerialSearch:
                 e.apply(sim)
                 child_snap = sim.snapshot()
                 child_fp = self._fingerprint(child_snap)
-                if self._covered(child_fp, child_sleep) or self._shared_covered(
-                    child_fp, child_sleep
-                ):
+                if self._covered(child_fp, child_sleep):
                     r.states_deduped += 1
                 else:
                     self._remember(child_fp, child_sleep)
@@ -829,20 +693,23 @@ def run(
     rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
-    per_worker_budget: bool = False,
 ) -> ExplorationResult:
     """Explore every schedule of ``system``'s current configuration.
 
     The caller has already invoked the scenario's transactions; the
     engine enumerates adversary schedules from here.  ``strategy`` is
     one of ``"dfs"`` / ``"bfs"`` / ``"random"``; ``por=True`` switches on
-    sleep-set partial-order reduction; ``workers > 1`` runs the
-    work-stealing frontier (see :mod:`repro.engine.parallel`).
-    ``max_states`` is a *global* budget — the pool's total
-    ``states_visited`` never exceeds it regardless of ``workers``;
-    ``per_worker_budget=True`` restores the pre-stealing per-worker
-    budget (each worker gets the full cap — kept for benchmark
-    comparisons against the old pool).
+    sleep-set partial-order reduction.
+
+    ``workers > 1`` fans out (see :mod:`repro.engine.parallel`) only
+    for an exhaustive (``first_violation_only=False``) DFS of a protocol
+    whose canonical fingerprint is a bisimulation (``por`` or
+    ``info.por_safe``) — the one request shape where workers divide the
+    work over a shared claim set instead of repeating it.  Every other
+    ``workers > 1`` request runs the serial search below and is flagged
+    ``auto_serial``: bit-equal to ``workers=1`` by construction.  In the
+    pool ``max_states`` is a *global* budget — total ``states_visited``
+    never exceeds it regardless of ``workers``.
 
     ``incremental=None`` (the default) uses the delta checkers on DFS
     walks and the batch scan elsewhere; ``False`` forces the batch scan
@@ -872,23 +739,24 @@ def run(
     )
     sim = system.sim
     pids = tuple(system.clients) + tuple(system.service_pids)
-    if workers > 1:
+    if (
+        workers > 1
+        and strategy == "dfs"
+        and not first_violation_only
+        and (por or system.info.por_safe)
+    ):
         from repro.engine.parallel import run_parallel
 
         return run_parallel(
             system,
             checker=checker,
-            strategy=strategy,
             por=por,
             workers=workers,
             max_depth=max_depth,
             max_states=max_states,
-            first_violation_only=first_violation_only,
-            rng_seed=rng_seed,
             result=result,
             incremental=use_inc,
             oracle=checker_oracle,
-            per_worker_budget=per_worker_budget,
         )
     search = SerialSearch(
         sim,
@@ -905,6 +773,7 @@ def run(
         oracle=checker_oracle,
     )
     search.run(strategy)
+    result.auto_serial = workers > 1
     result.exhausted = search.exhausted
     result.steps = result.states_visited
     result.counters = replace(sim.counters)

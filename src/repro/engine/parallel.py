@@ -1,96 +1,78 @@
-"""The work-stealing parallel frontier with a shared canonical seen-set.
+"""The parallel frontier: subtree roots over a shared claim set.
 
-Parallelising the explorer is only possible because of two PR-1
-invariants: configuration snapshots are *self-contained* (a worker
-re-materializes a private simulation from the shipped snapshot alone —
-after PR 5 they are cheap per-component delta blobs, which is what makes
-shipping subtree roots mid-run affordable) and fingerprints are
-*hash-seed-independent* (every worker computes the same 16 bytes for the
-same configuration, so one cross-process seen-set is meaningful).
+Parallelising the explorer is only possible because of two invariants:
+configuration snapshots are *self-contained* (a worker re-materializes
+a private simulation from the shipped snapshot alone) and fingerprints
+are *hash-seed-independent* (every worker computes the same 16 bytes
+for the same configuration, so one cross-process seen-set is
+meaningful).
 
-The scheme replaces the old ship-once pool (fan the seeding frontier out
-exactly once, merge at the end) with three cooperating pieces:
+There is one pool mode, reached by :func:`repro.engine.core.run` only
+for an exhaustive DFS (``first_violation_only=False``) of a protocol
+whose canonical fingerprint is a bisimulation (``por`` or
+``por_safe``):
 
-* **A shared deque of subtree roots.**  The parent runs the ordinary
-  serial search truncated at a shallow cutoff, collects the DFS-preorder
-  frontier, and enqueues every root (delta snapshot + trail + depth +
-  sleep set + *ordinal*).  Long-lived workers pull roots until the deque
-  drains; a worker whose queue-side supply runs low is fed by…
-* **Publication (the "steal" half).**  A worker that sees the deque
-  hungrier than the pool (fewer queued roots than workers) publishes the
-  later siblings of its in-progress work back to the deque — snapshot,
-  trail, depth, sleep set, ordinal — instead of exploring them locally.
-  A heavy subtree is therefore *split across the pool while it runs*
-  rather than pinning one core, which is the whole point: the old pool's
-  wall-clock was the weight of the heaviest subtree.
-* **A shared canonical-fingerprint seen-set** (:mod:`repro.engine.seenset`):
-  an open-addressing claim table in ``multiprocessing.shared_memory``
-  (spilling to a disk-backed sqlite store for populations larger than
-  RAM), consulted by every worker before expansion.  A fingerprint is
-  claimed exactly once pool-wide, so a configuration reachable from two
-  shipped roots is expanded once — not once per root as the old pool
-  did; ``states_visited`` can no longer exceed the serial count.  POR
-  soundness: only visits with an **empty sleep set** claim or trust the
-  shared set (their coverage is universal under the sleep-subset rule
-  ``prior ⊆ current``); non-empty-sleep visits use the worker-local
-  sleep-aware seen dict, exactly the serial rule.
+1. **Serial probe.**  A serial search capped at
+   :data:`SERIAL_PROBE_STATES` settles tiny scopes outright
+   (``result.auto_serial``) — pool spin-up alone costs more than a few
+   thousand states.
+2. **Seeding walk.**  The parent runs the ordinary serial DFS truncated
+   at a shallow cutoff and collects the DFS-preorder frontier; a walk
+   that finds fewer than ``workers + 1`` roots falls back to one full
+   serial search (also ``auto_serial``).
+3. **A fixed task list.**  Every root (delta snapshot + trail + depth)
+   goes on one queue, followed by one sentinel per worker.  Workers
+   block on ``get()``, run :class:`~repro.engine.core.SerialSearch`
+   from each root they pull, and exit on a sentinel.  Nothing is ever
+   put back: the load balancer is…
+4. **The shared claim set** (:mod:`repro.engine.seenset`), an
+   open-addressing table in ``multiprocessing.shared_memory`` every
+   worker claims in before expanding.  A fingerprint is claimed exactly
+   once pool-wide, so whoever reaches a class first expands it and a
+   worker whose own root turns out small simply runs into territory
+   nobody has claimed yet.
+5. **Merge.**  Counts add; violations sort by ordinal (the root's
+   DFS-preorder index, then discovery order within the root).
 
-**Determinism.**  Every task and every violation carries a global
-DFS-preorder *ordinal* — the index path through each ancestor's
-explorable-children list, rooted at the seeding walk.  The merge is a
-sort: violations order by ordinal, and with ``first_violation_only`` the
-winner is the lowest ordinal regardless of which worker found it first
-in wall-clock — bit-identical to the serial DFS's first violation, since
-preorder *is* ordinal order.  Workers prune any subtree whose ordinal
-prefix exceeds the best known violation, so the speculative overshoot
-stays bounded.  Counts merge by summation: with the shared claim set
-each fingerprint is expanded exactly once pool-wide, so on exhaustive
-runs (no budget/depth truncation) the totals are schedule-independent —
-without POR they equal the serial run's exactly; with POR a
-fingerprint revisited under incomparable sleep sets may land in two
-workers' local dicts, so ``states_visited`` may (rarely) differ from
-serial by a handful of re-expansions, never anomalies or verdicts.
+**The closure, not the sleep-set reduction.**  Cross-worker dedup keys
+on the *canonical* fingerprint: the strict print excludes the
+event/message counters, so two strict-equal states can diverge in
+future fingerprint identity and a strict-keyed claim set would make the
+explored region depend on which worker claimed first.  And the pool
+explores the canonical **closure** — sleep sets off, every visit
+claims — because a non-empty-sleep visit's coverage is not universal,
+so it could neither claim nor trust the set.  The closure is sound
+(every reachable canonical class is expanded exactly once, so every
+quiescent class is still checked; sleep sets only ever prune redundant
+interleavings) and its counts are schedule-independent: bit-identical
+run to run and across ``workers``.  It generates more children than
+the serial sleep-set search does, which is why the probe and the
+too-few-roots fallback answer with the caller's own ``por`` setting.
 
 **Budget.**  ``max_states`` is a *global* budget: workers draw chunks
-from one shared counter, so ``workers=N`` can no longer visit N× the
-requested cap (the old per-worker behaviour survives behind
-``per_worker_budget=True`` for benchmark comparisons).  When the global
-budget binds, *which* states were visited is scheduling-dependent — the
-run is truncated either way (``exhausted``); bit-identity claims apply
-to exhaustive runs, same as the depth budget.
+from one shared counter, so ``workers=N`` never visits more than the
+requested cap.  When the budget binds, *which* states were visited is
+scheduling-dependent — the run is truncated either way (``exhausted``).
 
-Two guards keep the fan-out from costing more than it saves:
-
-* **Root dedup** — before shipping, roots are deduped by *canonical*
-  fingerprint (same sleep-subset rule as the seen-set); without POR the
-  canonical prints are recomputed in one restore sweep ordered by
-  snapshot sharing (:func:`sweep_order`) so the recompute cost is one
-  delta-restore chain, not ``O(roots × full restore)``.
-* **Auto-serial fallback** — a ``workers > 1`` request is answered
-  serially (``result.auto_serial``) when the fan-out cannot pay for pool
-  spin-up: a deterministic serial probe capped at
-  :data:`SERIAL_PROBE_STATES` (overridable via the
-  ``SERIAL_PROBE_STATES`` environment variable; CI sets ``0`` to force
-  the pool) settles trivially small scopes outright, and a seeding walk
-  that finds fewer than ``workers + 1`` roots falls back to one full
-  serial search.  Both produce the serial result *by construction*.
+**Failure.**  A worker that raises, or dies without posting its result,
+ends the run in :class:`PoolWorkerDied` within two polls of
+:data:`RESULT_POLL_S`; the remaining workers are terminated and the
+claim segment is unlinked either way.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import queue as queue_mod
+import traceback
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.core import ExplorationResult, SerialSearch, resolve_checker
-from repro.engine.seenset import make_seen_set
-from repro.sim.executor import SimCounters, Simulation
+from repro.engine.seenset import SharedSeenSet
+from repro.sim.executor import Simulation
 
-#: target number of subtree roots per worker for the *initial* seeding
-#: (stealing rebalances later, so this only needs to cover start-up)
+#: target number of subtree roots per worker
 ROOTS_PER_WORKER = 4
 
 #: never seed deeper than this: each extra level multiplies seeding work
@@ -98,40 +80,22 @@ MAX_CUTOFF = 10
 
 #: the auto-serial probe budget: a scope that a serial search finishes
 #: within this many states is cheaper to answer serially than to ship to
-#: a pool (process spin-up alone dwarfs the work).  Set to 0 to disable
-#: the probe (tests and the CI steal-path smoke arm use this to force
-#: the pool path); the SERIAL_PROBE_STATES environment variable
-#: overrides the default at import time.
-SERIAL_PROBE_STATES = int(os.environ.get("SERIAL_PROBE_STATES", "4096"))
+#: a pool (process spin-up alone dwarfs the work).  0 disables the probe
+#: (tests and benchmarks monkeypatch it to force the pool path).
+SERIAL_PROBE_STATES = 4096
 
-#: a worker publishes later siblings back to the deque only after this
-#: many locally-expanded states since its previous publication — the
-#: deque stays fed without shattering the endgame into per-node tasks
-PUBLISH_INTERVAL = 4
+#: how long the parent waits on the result queue before checking that
+#: every worker it still expects a result from is alive
+RESULT_POLL_S = 1.0
 
-#: how long an idle worker sleeps on an empty deque before re-checking
-#: (each timeout is one ``idle_waits`` tick in the merged counters)
-IDLE_TICK = 0.05
 
-#: byte budget for an encoded ordinal inside the shared best-violation
-#: cell (2 bytes per tree level — far above any reachable depth)
-_KEY_BYTES = 512
+class PoolWorkerDied(RuntimeError):
+    """A pool worker raised, or exited without posting its result."""
 
 
 def _mp_context():
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
-def _encode_key(key: Sequence[int]) -> bytes:
-    """Ordinal tuple -> bytes whose lexicographic order is preorder.
-
-    Fixed 2 bytes per level, big-endian: byte-wise comparison then
-    matches tuple comparison, and a shorter key that is a prefix of a
-    longer one sorts first — ancestors before descendants, exactly
-    DFS preorder.
-    """
-    return b"".join(i.to_bytes(2, "big") for i in key)
 
 
 class GlobalBudget:
@@ -177,277 +141,68 @@ class GlobalBudget:
         self._local = 0
 
 
-class BestViolation:
-    """The pool-wide lowest violation ordinal (first-violation pruning).
-
-    ``offer`` lowers it, ``beats`` answers "is everything under this
-    ordinal prefix already beaten?".  A raw flag makes the common case —
-    no violation anywhere yet — a lock-free single-byte read.
-    """
-
-    def __init__(self, ctx):
-        self._arr = ctx.Array("B", 2 + _KEY_BYTES)
-        self._flag = ctx.RawValue("b", 0)
-
-    def _read(self) -> Optional[bytes]:
-        n = (self._arr[0] << 8) | self._arr[1]
-        if n == 0:
-            return None
-        return bytes(self._arr[2 : 2 + n])
-
-    def offer(self, enc: bytes) -> None:
-        enc = enc[:_KEY_BYTES]
-        with self._arr.get_lock():
-            cur = self._read()
-            if cur is None or enc < cur:
-                self._arr[0] = len(enc) >> 8
-                self._arr[1] = len(enc) & 0xFF
-                self._arr[2 : 2 + len(enc)] = enc
-                self._flag.value = 1
-
-    def beats(self, enc: bytes) -> bool:
-        if not self._flag.value:  # no violation reported anywhere yet
-            return False
-        with self._arr.get_lock():
-            cur = self._read()
-        return cur is not None and cur <= enc
-
-    def __getstate__(self):
-        return (self._arr, self._flag)
-
-    def __setstate__(self, state):
-        self._arr, self._flag = state
-
-
-class WorkerContext:
-    """Per-worker bundle of the pool's shared machinery.
-
-    Duck-typed against :class:`repro.engine.core.SerialSearch`'s ``ctx``
-    hooks: the global state budget (``budget.take``), the cross-worker
-    claim set (``seen.claim``), sibling publication back to the deque
-    (``want_publish``/``publish``), first-violation ordinal pruning
-    (``pruned``/``report_violation``) and the current task's global
-    ordinal ``prefix``.
-    """
-
-    def __init__(
-        self,
-        worker_id: int,
-        workers: int,
-        task_q,
-        outstanding,
-        seen,
-        budget: Optional[GlobalBudget],
-        best: Optional[BestViolation],
-        counters: SimCounters,
-    ):
-        self.worker_id = worker_id
-        self.workers = workers
-        self.task_q = task_q
-        self.outstanding = outstanding
-        self.seen = seen
-        self.budget = budget
-        self.best = best
-        self.counters = counters
-        self.prefix: Tuple[int, ...] = ()
-        self._since_publish = 0
-
-    # -- budget/seen are consumed directly by SerialSearch -----------------
-
-    def _hungry(self) -> bool:
-        try:
-            return self.task_q.qsize() < self.workers
-        except NotImplementedError:  # pragma: no cover - macOS qsize
-            return False
-
-    def want_publish(self, depth: int) -> bool:
-        self._since_publish += 1
-        if self._since_publish < PUBLISH_INTERVAL:
-            return False
-        if not self._hungry():
-            return False
-        self._since_publish = 0
-        return True
-
-    def publish(
-        self,
-        snapshot,
-        depth: int,
-        sleep,
-        trail_labels: Tuple[str, ...],
-        key: Tuple[int, ...],
-    ) -> None:
-        payload = pickle.dumps(
-            {
-                "root": snapshot,
-                "depth": depth,
-                "sleep": sleep,
-                "trail_prefix": trail_labels,
-                "key": key,
-            }
-        )
-        with self.outstanding.get_lock():
-            self.outstanding.value += 1
-        self.task_q.put((_encode_key(key), self.worker_id, payload))
-        self.counters.publishes += 1
-
-    def pruned(self, path: Sequence[int]) -> bool:
-        if self.best is None:
-            return False
-        return self.best.beats(_encode_key(self.prefix) + _encode_key(path))
-
-    def report_violation(self, key: Tuple[int, ...]) -> None:
-        if self.best is not None:
-            self.best.offer(_encode_key(key))
-
-
-class _SeedingContext:
-    """The parent's seeding-walk context: record violation ordinals only.
-
-    The seeding walk is serial — no budget, no shared set, no stealing —
-    but its leaf violations must carry ordinals so they merge into the
-    same global preorder as the workers'.
-    """
-
-    prefix: Tuple[int, ...] = ()
-    seen = None
-    budget = None
-
-    def want_publish(self, depth: int) -> bool:
-        return False
-
-    def pruned(self, path) -> bool:
-        return False
-
-    def report_violation(self, key) -> None:
-        pass
-
-
-def _task_done(outstanding, task_q, workers: int) -> None:
-    """Retire one task; the retirer of the last task releases the pool."""
-    with outstanding.get_lock():
-        outstanding.value -= 1
-        if outstanding.value == 0:
-            for _ in range(workers):
-                task_q.put(None)
-
-
 def _worker_main(
     worker_id: int,
-    boot_payload: bytes,
+    boot: dict,
     task_q,
     result_q,
-    outstanding,
-    seen,
-    budget: Optional[GlobalBudget],
-    best: Optional[BestViolation],
+    seen: SharedSeenSet,
+    budget: GlobalBudget,
 ) -> None:
-    """One long-lived worker: pull, explore, publish, repeat."""
-    boot = pickle.loads(boot_payload)
+    """One worker: pull roots until a sentinel, post one result."""
     sim = Simulation([])
     sim.snapshot_mode = boot["snapshot_mode"]
     spec = resolve_checker(boot["checker"])
-    first_violation_only = boot["first_violation_only"]
-    ctx = WorkerContext(
-        worker_id,
-        boot["workers"],
-        task_q,
-        outstanding,
-        seen if boot["strategy"] != "random" else None,
-        budget if boot["strategy"] != "random" else None,
-        best if first_violation_only else None,
-        sim.counters,
-    )
-    if boot["strategy"] != "dfs":
-        # stealing needs the DFS stack discipline; bfs workers still use
-        # the shared set + global budget, random keeps per-task budgets
-        ctx.want_publish = lambda depth: False
+    total = ExplorationResult(protocol=boot["protocol"])
     agg = {
-        "states_visited": 0,
-        "states_deduped": 0,
-        "schedules_completed": 0,
-        "truncated": 0,
-        "checks": 0,
-        "checker_seconds": 0.0,
-        "violations": [],  # (ordinal key, seq-in-task, labels, anomalies)
+        "worker": worker_id,
+        "result": total,
+        "violations": {},  # root ordinal -> its subtree's violations
         "exhausted": False,
-        "tasks": 0,
         "error": None,
     }
     try:
         while True:
-            try:
-                task = task_q.get(timeout=IDLE_TICK)
-            except queue_mod.Empty:
-                sim.counters.idle_waits += 1
-                continue
+            task = task_q.get()
             if task is None:
                 break
-            key_enc, publisher, payload = task
-            try:
-                if best is not None and first_violation_only and best.beats(key_enc):
-                    continue  # a lower-ordinal violation already exists
-                args = pickle.loads(payload)
-                if publisher >= 0 and publisher != worker_id:
-                    sim.counters.steals += 1
-                agg["tasks"] += 1
-                sim.restore(args["root"])
-                result = ExplorationResult(
-                    protocol=boot["protocol"],
-                    strategy=boot["strategy"],
-                    por=boot["por"],
-                )
-                ctx.prefix = tuple(args["key"])
-                # the subtree root's checker state is rebuilt here from
-                # the shipped snapshot (SerialSearch primes the
-                # incremental checker from the sim's current
-                # configuration); the subtree is then pure deltas
-                search = SerialSearch(
-                    sim,
-                    boot["pids"],
-                    boot["clients"],
-                    result,
-                    spec,
-                    boot["max_depth"],
-                    boot["max_states"],
-                    first_violation_only,
-                    boot["por"],
-                    rng_seed=boot["rng_seed"] + (args["key"][0] if args["key"] else 0),
-                    trail_prefix=tuple(args["trail_prefix"]),
-                    incremental=boot["incremental"],
-                    oracle=boot["oracle"],
-                    ctx=ctx,
-                    canonical_keys=boot["canonical_keys"],
-                )
-                search.run(
-                    boot["strategy"], depth=args["depth"], sleep=args["sleep"]
-                )
-                agg["states_visited"] += result.states_visited
-                agg["states_deduped"] += result.states_deduped
-                agg["schedules_completed"] += result.schedules_completed
-                agg["truncated"] += result.truncated
-                agg["checks"] += result.checks
-                agg["checker_seconds"] += result.checker_seconds
-                agg["exhausted"] = agg["exhausted"] or search.exhausted
-                keys = list(search.violation_keys)
-                for seq, (labels, anomalies) in enumerate(result.violations):
-                    key = keys[seq] if seq < len(keys) else tuple(args["key"])
-                    agg["violations"].append(
-                        (_encode_key(key), seq, labels, anomalies)
-                    )
-            finally:
-                _task_done(outstanding, task_q, boot["workers"])
+            ordinal, snapshot, depth, trail_prefix = pickle.loads(task)
+            sim.restore(snapshot)
+            result = ExplorationResult(protocol=boot["protocol"])
+            # the subtree root's checker state is rebuilt here from the
+            # shipped snapshot (SerialSearch primes the incremental
+            # checker from the sim's current configuration); the
+            # subtree is then pure deltas
+            search = SerialSearch(
+                sim,
+                boot["pids"],
+                boot["clients"],
+                result,
+                spec,
+                boot["max_depth"],
+                boot["max_states"],
+                first_violation_only=False,
+                por=False,
+                trail_prefix=trail_prefix,
+                incremental=boot["incremental"],
+                oracle=boot["oracle"],
+                canonical_keys=True,
+                seen=seen,
+                budget=budget,
+            )
+            search.run("dfs", depth=depth)
+            _add_counts(total, result)
+            agg["exhausted"] = agg["exhausted"] or search.exhausted
+            if result.violations:
+                agg["violations"][ordinal] = result.violations
     except BaseException as exc:  # ship the failure; the parent raises
-        import traceback
-
         agg["error"] = f"{exc!r}\n{traceback.format_exc()}"
+        raise
     finally:
-        if budget is not None:
-            budget.release_local()
+        budget.release_local()
         agg["counters"] = replace(sim.counters)
-        # plain close: process exit then joins both queues' feeder
-        # threads, flushing any in-flight sentinel/published puts —
-        # cancelling the join here could strand peers without sentinels
+        # plain put: process exit joins the queue's feeder thread, so
+        # the result is in the pipe before the parent can see us dead
         result_q.put(pickle.dumps(agg))
 
 
@@ -455,67 +210,36 @@ def run_parallel(
     system,
     *,
     checker: str,
-    strategy: str,
     por: bool,
     workers: int,
     max_depth: int,
     max_states: int,
-    first_violation_only: bool,
-    rng_seed: int,
     result: ExplorationResult,
     incremental: bool = False,
     oracle: bool = False,
-    per_worker_budget: bool = False,
 ) -> ExplorationResult:
-    """Explore ``system`` with a work-stealing pool of ``workers``."""
+    """Exhaustive DFS of ``system`` with a pool of ``workers``.
+
+    The caller (:func:`repro.engine.core.run`) has established that the
+    canonical fingerprint is a bisimulation for this protocol; ``por``
+    is the caller's own setting and only steers the serial answers
+    (probe, too-few-roots fallback).
+    """
     sim = system.sim
     pids = tuple(system.clients) + tuple(system.service_pids)
     clients = tuple(system.clients)
     spec = resolve_checker(checker)
     root_snap = sim.snapshot()
     target = max(workers * ROOTS_PER_WORKER, workers + 1)
-    # Cross-worker dedup keys on the *canonical* fingerprint: the strict
-    # print deliberately excludes the event/message counters, so two
-    # strict-equal states can diverge in future fingerprint identity —
-    # a strict-keyed claim set would make the explored region (and every
-    # count) depend on which worker claimed first.  Canonical prints are
-    # counter-blind and a bisimulation for POR-safe protocols, so the
-    # claimed quotient — and all merged counts — are schedule-
-    # independent.  por_safe=False protocols (they branch on the global
-    # step counter, outside the bisimulation) get no shared set at all:
-    # workers fall back to strict worker-local dedup, which can
-    # re-expand a fingerprint once per subtree but can never change a
-    # verdict.  See docs/extending.md.
-    #
-    # The claim set serves *exhaustive* runs only, and when it is on the
-    # pool explores the canonical **closure** — sleep sets off, every
-    # visit claims — because neither composes with cross-worker
-    # claim-once: a non-empty-sleep visit's coverage is not universal
-    # (so it could neither claim nor trust the set), and the worker-
-    # local sleep dicts it would fall back to make counts depend on the
-    # stealing partition.  The closure is sound (every reachable
-    # canonical class is expanded exactly once, so every quiescent class
-    # is still checked — sleep sets only ever prune redundant
-    # interleavings) and bit-deterministic.  First-violation runs
-    # instead promise the serial DFS's exact winning trail, which the
-    # claim set cannot keep (which strict path first reaches a class is
-    # a wall-clock race), so they keep sleep sets and worker-local dedup
-    # and rely on the ordinal merge + best-key pruning; they abort early
-    # anyway.
-    canon = por or getattr(system.info, "por_safe", False)
-    use_shared = canon and not first_violation_only
-    work_por = por and not use_shared
 
-    def _serial(budget: int) -> SerialSearch:
-        """One fresh full serial search from the root (auto-serial paths)."""
+    def _search(serial: bool, budget: int) -> SerialSearch:
+        """A fresh search at the root: the caller's own serial one, or
+        the pool's (canonical keys, no sleep sets)."""
         sim.restore(root_snap)
         partial = ExplorationResult(
-            protocol=result.protocol,
-            strategy=strategy,
-            por=por,
-            workers=workers,
+            protocol=result.protocol, por=por, workers=workers
         )
-        s = SerialSearch(
+        return SerialSearch(
             sim,
             pids,
             clients,
@@ -523,312 +247,173 @@ def run_parallel(
             spec,
             max_depth,
             budget,
-            first_violation_only,
-            por,
-            rng_seed=rng_seed,
+            first_violation_only=False,
+            por=por and serial,
             incremental=incremental,
             oracle=oracle,
+            canonical_keys=not serial,
         )
-        s.run(strategy, depth=0)
-        return s
+
+    def _serial(budget: int) -> SerialSearch:
+        search = _search(True, budget)
+        search.run("dfs")
+        return search
+
+    def _answer_serially(search: SerialSearch) -> ExplorationResult:
+        _finalize(result, search, sim)
+        result.auto_serial = True
+        return result
 
     # a cheap deterministic probe: tiny scopes are answered serially
     # outright — pool spin-up alone costs more than exploring a few
     # thousand states on the delta-restore path.  The probe IS the
-    # serial run (same strategy, same seeds), so returning its result
-    # matches ``workers=1`` bit for bit.
+    # serial run, so returning its result matches ``workers=1`` bit for
+    # bit.
     if SERIAL_PROBE_STATES > 0:
         probe = _serial(min(max_states, SERIAL_PROBE_STATES))
-        if probe.abort or not probe.exhausted or SERIAL_PROBE_STATES >= max_states:
-            # settled: first violation found, scope finished within the
-            # probe budget, or the probe budget already was the caller's
-            _finalize(result, probe.result, probe, sim)
-            result.auto_serial = True
-            return result
+        if not probe.exhausted or SERIAL_PROBE_STATES >= max_states:
+            # settled: scope finished within the probe budget, or the
+            # probe budget already was the caller's
+            return _answer_serially(probe)
         # scope outlives the probe: discard its counts (the pool recounts
         # from scratch; only SimCounters byte totals keep accumulating)
 
     # grow the cutoff until the frontier is wide enough to balance the
     # pool; each pass restarts from the root (shallow passes are cheap)
-    roots = []
-    search: Optional[SerialSearch] = None
-    for cutoff in range(1, min(max_depth, MAX_CUTOFF) + 1):
-        sim.restore(root_snap)
-        partial = ExplorationResult(
-            protocol=result.protocol,
-            strategy=strategy,
-            por=por,
-            workers=workers,
-        )
-        search = SerialSearch(
-            sim,
-            pids,
-            clients,
-            partial,
-            spec,
-            max_depth,
-            max_states,
-            first_violation_only,
-            work_por,
-            rng_seed=rng_seed,
-            incremental=incremental,
-            oracle=oracle,
-            ctx=_SeedingContext(),
-            canonical_keys=use_shared,
-        )
-        roots = search.collect_frontier(cutoff)
-        if (
-            search.abort
-            or search.exhausted
-            or not roots
-            or len(roots) >= target
-        ):
+    for cutoff in range(1, max(1, min(max_depth, MAX_CUTOFF)) + 1):
+        seeding = _search(False, max_states)
+        roots = seeding.collect_frontier(cutoff)
+        if seeding.exhausted or not roots or len(roots) >= target:
             break
-    assert search is not None
-    partial = search.result
-    if search.abort or search.exhausted or not roots:
-        # the seeding walk already settled it (violation above the
-        # cutoff, budget spent, or the whole scope is shallower than the
-        # cutoff): the parent's serial prefix is the complete answer
-        _finalize(result, partial, search, sim)
+    if seeding.exhausted or not roots:
+        # the seeding walk already settled it (budget spent, or the
+        # whole scope is shallower than the cutoff): the parent's
+        # serial prefix is the complete answer
+        _finalize(result, seeding, sim)
         return result
-
     if len(roots) < workers + 1:
         # not enough subtrees to keep the pool busy: one serial run is
         # cheaper than spinning up workers that would mostly idle
-        fallback = _serial(max_states)
-        _finalize(result, fallback.result, fallback, sim)
-        result.auto_serial = True
-        return result
+        return _answer_serially(_serial(max_states))
 
-    roots = _dedup_roots(sim, roots, por or use_shared, partial)
-
+    partial = seeding.result
     ctx = _mp_context()
-    seen = None
-    if use_shared:
-        # the cross-worker claim set: the expansion population is
-        # bounded by the state budget; make_seen_set spills to the
-        # disk-backed store when the in-memory table would outgrow its
-        # budget
-        seen = make_seen_set(max_states, ctx=ctx)
-        # parent-side claims: every seeding-walk expansion whose
-        # coverage is universal (empty sleep set) — minus the roots
-        # themselves, whose subtrees are *not* explored yet and must be
-        # claimed by the worker that expands them
-        root_fps = {node.fingerprint for node in roots}
-        for fp in search.universal_fingerprints():
-            if fp not in root_fps:
-                seen.claim(fp)
-    budget = None
-    if not per_worker_budget:
-        budget = GlobalBudget(max_states - partial.states_visited, ctx)
-    best = BestViolation(ctx) if first_violation_only else None
+    budget = GlobalBudget(max_states - partial.states_visited, ctx)
     task_q = ctx.Queue()
     result_q = ctx.Queue()
-    outstanding = ctx.Value("l", len(roots))
-    for node in roots:
-        payload = pickle.dumps(
-            {
-                "root": node.snapshot,
-                "depth": node.depth,
-                "sleep": node.sleep,
-                "trail_prefix": tuple(e.label for e in node.trail),
-                "key": node.key,
-            }
-        )
-        task_q.put((_encode_key(node.key), -1, payload))
-    boot_payload = pickle.dumps(
-        {
-            "pids": pids,
-            "clients": clients,
-            "checker": checker,
-            "strategy": strategy,
-            "por": work_por,
-            "max_depth": max_depth,
-            "max_states": max_states,
-            "first_violation_only": first_violation_only,
-            "rng_seed": rng_seed,
-            "protocol": result.protocol,
-            "incremental": incremental,
-            "oracle": oracle,
-            "workers": workers,
-            "canonical_keys": use_shared,
-            # explicit, not inherited: under a spawn start method the
-            # class-level mode would reset to the default, and a
-            # deepcopy-oracle run would silently explore its subtrees on
-            # the bytes path
-            "snapshot_mode": sim.snapshot_mode,
-        }
-    )
-    procs = [
-        ctx.Process(
-            target=_worker_main,
-            args=(i, boot_payload, task_q, result_q, outstanding, seen, budget, best),
-            daemon=True,
-        )
-        for i in range(workers)
-    ]
-    for p in procs:
-        p.start()
-
-    keyed_violations: List[Tuple[bytes, int, list, list]] = [
-        (_encode_key(key), seq, labels, anomalies)
-        for seq, ((labels, anomalies), key) in enumerate(
-            zip(partial.violations, search.violation_keys)
-        )
-    ]
-    exhausted = search.exhausted
-    error = None
+    boot = {
+        "pids": pids,
+        "clients": clients,
+        "checker": checker,
+        "max_depth": max_depth,
+        "max_states": max_states,
+        "protocol": result.protocol,
+        "incremental": incremental,
+        "oracle": oracle,
+        # explicit, not inherited: under a spawn start method the
+        # class-level mode would reset to the default, and a
+        # deepcopy-oracle run would silently explore its subtrees on
+        # the bytes path
+        "snapshot_mode": sim.snapshot_mode,
+    }
+    # the expansion population is bounded by the state budget
+    seen = SharedSeenSet(max_states, ctx=ctx)
+    procs = []
+    found = {}  # root ordinal -> its subtree's violations
     try:
+        # parent-side claims: every seeding-walk expansion — minus the
+        # roots themselves, whose subtrees are *not* explored yet and
+        # must be claimed by the worker that expands them
+        root_fps = {node.fingerprint for node in roots}
+        for fp in seeding.seen_fingerprints():
+            if fp not in root_fps:
+                seen.claim(fp)
+        for worker_id in range(workers):
+            p = ctx.Process(
+                target=_worker_main,
+                args=(worker_id, boot, task_q, result_q, seen, budget),
+                daemon=True,
+            )
+            p.start()
+            procs.append(p)
+        # the whole task list up front, then one sentinel per worker:
+        # nothing is ever added, so a blocking get() cannot starve.
+        # Pickled here rather than by the queue's feeder thread, which
+        # would print a pickling error and drop the root.
+        for ordinal, node in enumerate(roots):
+            labels = tuple(e.label for e in node.trail)
+            task_q.put(pickle.dumps((ordinal, node.snapshot, node.depth, labels)))
         for _ in range(workers):
-            while True:
-                try:
-                    raw = result_q.get(timeout=5.0)
-                    break
-                except queue_mod.Empty:
-                    dead = [p for p in procs if not p.is_alive() and p.exitcode]
-                    if dead:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            f"parallel worker died with exit code "
-                            f"{dead[0].exitcode}"
-                        )
-            agg = pickle.loads(raw)
+            task_q.put(None)
+        pending = dict(enumerate(procs))
+        while pending:
+            agg = _next_result(result_q, pending.values())
             if agg["error"]:
-                error = agg["error"]
-                continue
-            partial.states_visited += agg["states_visited"]
-            partial.states_deduped += agg["states_deduped"]
-            partial.schedules_completed += agg["schedules_completed"]
-            partial.truncated += agg["truncated"]
-            partial.checks += agg["checks"]
-            partial.checker_seconds += agg["checker_seconds"]
-            keyed_violations.extend(agg["violations"])
-            exhausted = exhausted or agg["exhausted"]
+                raise PoolWorkerDied(f"parallel worker failed:\n{agg['error']}")
+            del pending[agg["worker"]]
+            _add_counts(partial, agg["result"])
+            found.update(agg["violations"])
+            seeding.exhausted = seeding.exhausted or agg["exhausted"]
             sim.counters.merge(agg["counters"])
+        for p in procs:  # every result is in: the exits are imminent
+            p.join(timeout=10.0)
     finally:
         for p in procs:
-            if error is None:
-                p.join(timeout=10.0)
             if p.is_alive():
                 p.terminate()
-                p.join()
+            p.join()
         task_q.cancel_join_thread()
         result_q.cancel_join_thread()
-        if seen is not None:
-            seen.unlink()
-    if error is not None:
-        raise RuntimeError(f"parallel worker failed:\n{error}")
+        seen.unlink()
 
-    # the deterministic merge: global DFS preorder *is* ordinal order,
-    # so sorting recovers the serial violation order — and the lowest
-    # ordinal is the serial DFS's first violation, regardless of which
-    # worker found what when
-    keyed_violations.sort(key=lambda kv: (kv[0], kv[1]))
-    merged = [(labels, anomalies) for _, _, labels, anomalies in keyed_violations]
-    partial.violations = merged[:1] if first_violation_only else merged
+    # the deterministic merge: DFS preorder is ordinal order.  A
+    # violation the seeding walk found precedes every root it collected
+    # afterwards; a root's own violations keep their discovery order.
+    seeded, merged, done = partial.violations, [], 0
+    for ordinal, node in enumerate(roots):
+        merged += seeded[done : node.violations_before]
+        done = node.violations_before
+        merged += found.get(ordinal, ())
+    partial.violations = merged + seeded[done:]
 
-    search.exhausted = exhausted
-    _finalize(result, partial, search, sim)
+    _finalize(result, seeding, sim)
     result.roots_shipped = len(roots)
     result.shared_seen_hits = sim.counters.shared_seen_hits
     return result
 
 
-def sweep_order(signatures: Sequence[Tuple]) -> List[int]:
-    """The restore order that maximizes consecutive snapshot sharing.
+def _next_result(result_q, pending) -> dict:
+    """The next worker result, or :class:`PoolWorkerDied`.
 
-    ``signatures[i]`` is root *i*'s component signature — one opaque
-    token per component (in practice the identity of each per-process
-    sub-blob plus the network capture).  A delta restore reloads exactly
-    the components whose token differs from the live one, so the cost of
-    fingerprinting all roots is the sum of *adjacent differences* along
-    the sweep.  Greedy nearest-neighbour: start at root 0 (the live sim
-    just produced it), repeatedly hop to the unvisited root sharing the
-    most component tokens with the current one; ties break to the lowest
-    index so the order is deterministic.  Pure function — unit-testable
-    without a simulation.
+    A worker's result is in the pipe before its process exits, so a
+    worker that was already dead *before* a poll that then comes back
+    empty never posted one.
     """
-    n = len(signatures)
-    if n <= 2:
-        return list(range(n))
-    remaining = set(range(1, n))
-    order = [0]
-    cur = signatures[0]
-    while remaining:
-        best_idx, best_shared = -1, -1
-        for idx in sorted(remaining):
-            sig = signatures[idx]
-            shared = sum(1 for a, b in zip(cur, sig) if a is b or a == b)
-            if shared > best_shared:
-                best_idx, best_shared = idx, shared
-        order.append(best_idx)
-        remaining.discard(best_idx)
-        cur = signatures[best_idx]
-    return order
+    while True:
+        dead = [p for p in pending if not p.is_alive()]
+        try:
+            return pickle.loads(result_q.get(timeout=RESULT_POLL_S))
+        except queue_mod.Empty:
+            if dead:
+                raise PoolWorkerDied(
+                    f"parallel worker {dead[0].name} exited with code "
+                    f"{dead[0].exitcode} without posting its result"
+                ) from None
 
 
-def _snapshot_signature(snapshot) -> Tuple:
-    """Identity tokens of a delta snapshot's components (for sweep_order)."""
-    blobs = getattr(snapshot, "proc_blobs", None)
-    if blobs is None:  # deepcopy snapshots share nothing component-wise
-        return (id(snapshot),)
-    return tuple(id(b) for _, b in blobs) + (id(snapshot.net_state),)
-
-
-def _dedup_roots(
-    sim: Simulation,
-    roots: List,
-    canonical: bool,
-    partial: ExplorationResult,
-) -> List:
-    """Drop frontier roots whose subtree another shipped root covers.
-
-    Keyed on the *canonical* fingerprint: when the seeding walk already
-    keyed canonically (POR, or ``canonical_keys`` parallel seeding)
-    ``node.fingerprint`` is reused; otherwise (strict-keyed seeding:
-    ``por_safe=False`` protocols) the canonical print is recomputed per
-    root.  The recompute batch
-    runs as a single restore sweep in :func:`sweep_order` — roots whose
-    delta snapshots share component sub-blobs restore consecutively, so
-    each hop reloads (and re-fingerprints) only the components that
-    actually differ, instead of paying a full restore per root in list
-    order.  The keep/drop decision then replays in the *original*
-    DFS-preorder: a later root is dropped iff an earlier kept root has
-    the same canonical print and slept on a subset of the later one's
-    sleep set (it explores at least as much); earlier wins so the
-    DFS-preorder first-violation guarantee is untouched.  Drops are
-    counted in ``states_deduped``, exactly as the serial canonical
-    quotient counts the revisit each corresponds to.
-    """
-    fps: Dict[int, bytes] = {}
-    if canonical:
-        for i, node in enumerate(roots):
-            fps[i] = node.fingerprint
-    else:
-        order = sweep_order([_snapshot_signature(n.snapshot) for n in roots])
-        for i in order:
-            node = roots[i]
-            sim.restore(node.snapshot)
-            fps[i] = sim.fingerprint(node.snapshot, canonical=True)
-    kept: List = []
-    seen: Dict[bytes, List] = {}
-    for i, node in enumerate(roots):
-        fp = fps[i]
-        prior = seen.get(fp)
-        if prior is not None and any(s <= node.sleep for s in prior):
-            partial.states_deduped += 1
-            continue
-        seen.setdefault(fp, []).append(node.sleep)
-        kept.append(node)
-    return kept
+def _add_counts(total: ExplorationResult, part: ExplorationResult) -> None:
+    total.states_visited += part.states_visited
+    total.states_deduped += part.states_deduped
+    total.schedules_completed += part.schedules_completed
+    total.truncated += part.truncated
+    total.checks += part.checks
+    total.checker_seconds += part.checker_seconds
 
 
 def _finalize(
-    result: ExplorationResult,
-    partial: ExplorationResult,
-    search: SerialSearch,
-    sim: Simulation,
+    result: ExplorationResult, search: SerialSearch, sim: Simulation
 ) -> None:
+    partial = search.result
     result.states_visited = partial.states_visited
     result.states_deduped = partial.states_deduped
     result.schedules_completed = partial.schedules_completed

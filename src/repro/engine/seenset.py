@@ -1,7 +1,7 @@
 """A cross-process seen-set of canonical fingerprints, claim-once.
 
-The work-stealing frontier (:mod:`repro.engine.parallel`) lets every
-worker consult one *global* dedup set before expanding a configuration,
+The parallel frontier (:mod:`repro.engine.parallel`) lets every worker
+consult one *global* dedup set before expanding a configuration,
 instead of each worker re-expanding fingerprints its siblings already
 covered.  The set stores the engine's 16-byte
 :meth:`~repro.sim.executor.Simulation.fingerprint` digests and supports
@@ -15,44 +15,34 @@ exactly one operation:
     protocol: there is no separate lookup, so the check and the insert
     cannot race apart.
 
-Two implementations behind the same interface:
+:class:`SharedSeenSet` is an open-addressing hash table in one
+:class:`multiprocessing.shared_memory.SharedMemory` segment.  Slots are
+write-once (16 zero bytes = empty; a slot once written never changes),
+probing is linear from ``fp[:8] mod slots``, and claims are serialized
+per table *region* by a small array of striped locks: a claimer holds
+only the lock of the region its probe is currently in, so two claims
+contend only when their probes overlap the same region.  Plain reads of
+shared memory without barriers are not safely ordered in Python, so
+there is deliberately **no** lock-free read fast path — the region lock
+is a single semaphore acquire (~1µs) against search steps that cost
+hundreds of µs.
 
-* :class:`SharedSeenSet` — an open-addressing hash table in one
-  :class:`multiprocessing.shared_memory.SharedMemory` segment.  Slots
-  are write-once (16 zero bytes = empty; a slot once written never
-  changes), probing is linear from ``fp[:8] mod slots``, and claims are
-  serialized per table *region* by a small array of striped locks: a
-  claimer holds only the lock of the region its probe is currently in,
-  so two claims contend only when their probes overlap the same region.
-  Plain reads of shared memory without barriers are not safely ordered
-  in Python, so there is deliberately **no** lock-free read fast path —
-  the region lock is a single semaphore acquire (~1µs) against search
-  steps that cost hundreds of µs.
-* :class:`DiskSeenSet` — an sqlite-backed table (stdlib ``sqlite3``,
-  ``INSERT OR IGNORE`` under sqlite's own cross-process locking) for
-  searches whose fingerprint population would not fit in RAM.  Much
-  slower per claim, unbounded capacity.
+The table is sized at twice the caller's population bound and never
+grows; a claim that finds it full raises :class:`SeenSetFull` rather
+than guess.  It is picklable: sending it to a worker process
+re-attaches to the same segment, so the parent constructs the set once
+and ships it in the worker's arguments.
 
-:func:`make_seen_set` picks between them from the expected population
-and a memory budget.  Both are picklable: sending one to a worker
-process re-attaches to the same underlying segment/file, so the parent
-constructs the set once and ships it inside the worker bootstrap.
-
-Soundness under POR: a fingerprint in this set means "some worker
-expanded this configuration **with an empty sleep set**" — the one kind
-of visit whose coverage is universal (the sleep-subset rule ``prior ⊆
-current`` holds for every later visit because ``∅ ⊆ anything``).
-Visits with non-empty sleep sets never claim here and fall back to the
-worker-local sleep-aware seen dict; see ``docs/model.md``.
+A fingerprint in this set means "some worker expanded this
+configuration" — pool searches run without sleep sets, so every visit
+explores every outgoing event and its coverage is universal; see
+``docs/model.md``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import sqlite3
-import tempfile
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: fingerprint width: blake2b(digest_size=16) everywhere in the repo
 FP_BYTES = 16
@@ -64,8 +54,9 @@ _ZERO_FP = b"\x00" * FP_BYTES
 #: number of striped region locks in a SharedSeenSet
 _N_LOCKS = 64
 
-#: default in-memory budget for the shared table before spilling to disk
-DEFAULT_MEM_LIMIT = 256 * 1024 * 1024
+
+class SeenSetFull(RuntimeError):
+    """A claim found no free slot: the population outgrew the table."""
 
 
 def _attach_shm(name: str):
@@ -97,7 +88,7 @@ class SharedSeenSet:
     time and re-acquire as their probe crosses regions, so claims of
     the same fingerprint are serialized at the slot that decides them.
 
-    ``hits``/``inserts``/``overflows`` are *local* tallies of this
+    ``hits``/``inserts`` are *local* tallies of this
     process's claims (each worker folds its own into its result); the
     table itself holds no counters, so no shared cacheline is bumped on
     every claim.
@@ -120,7 +111,6 @@ class SharedSeenSet:
         self._owner = True
         self.hits = 0
         self.inserts = 0
-        self.overflows = 0
 
     # -- pickling: workers re-attach to the same segment -------------------
 
@@ -135,7 +125,6 @@ class SharedSeenSet:
         self._owner = False
         self.hits = 0
         self.inserts = 0
-        self.overflows = 0
 
     # -- the claim protocol ------------------------------------------------
 
@@ -187,7 +176,13 @@ class SharedSeenSet:
                 lock.release()
 
     def claim(self, fp: bytes) -> bool:
-        """Insert-if-absent; True iff this call inserted ``fp``."""
+        """Insert-if-absent; True iff this call inserted ``fp``.
+
+        Raises :class:`SeenSetFull` when the table has no free slot —
+        answering "claimed" would expand without dedup and answering
+        "present" would prune an unexplored class, a plausible wrong
+        count either way.
+        """
         if len(fp) != FP_BYTES:
             raise ValueError(f"fingerprint must be {FP_BYTES} bytes")
         if fp == _ZERO_FP:
@@ -204,9 +199,10 @@ class SharedSeenSet:
             self.hits += 1
             return False
         if outcome == "full":
-            # table full: treat as freshly claimed (the caller expands —
-            # dedup is lost, soundness is not) and record the overflow
-            self.overflows += 1
+            raise SeenSetFull(
+                f"claim table full ({self.slots} slots): the fingerprint "
+                "population exceeded twice the capacity hint"
+            )
         self.inserts += 1
         return True
 
@@ -223,8 +219,8 @@ class SharedSeenSet:
                 return bool(self.shm.buf[0])
         return self._probe(fp, insert=False) == "present"
 
-    def stats(self) -> Tuple[int, int, int]:
-        return (self.hits, self.inserts, self.overflows)
+    def stats(self) -> Tuple[int, int]:
+        return (self.hits, self.inserts)
 
     def close(self) -> None:
         try:
@@ -240,109 +236,3 @@ class SharedSeenSet:
                 self.shm.unlink()
             except Exception:  # pragma: no cover - already gone
                 pass
-
-
-class DiskSeenSet:
-    """Sqlite-backed claim set for populations larger than RAM.
-
-    One ``INSERT OR IGNORE`` per claim under sqlite's own file locking
-    (correct across processes, WAL mode for claim/claim concurrency).
-    Connections are opened lazily *per process* — a connection must
-    never cross a fork.
-    """
-
-    def __init__(self, path: Optional[str] = None):
-        if path is None:
-            fd, path = tempfile.mkstemp(prefix="repro-seen-", suffix=".db")
-            os.close(fd)
-            self._owner = True
-        else:
-            self._owner = False
-        self.path = path
-        self.hits = 0
-        self.inserts = 0
-        self.overflows = 0
-        self._conn: Optional[sqlite3.Connection] = None
-        self._conn_pid: Optional[int] = None
-        # create the schema eagerly so attaching workers find it
-        conn = self._connect()
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS seen (fp BLOB PRIMARY KEY) WITHOUT ROWID"
-        )
-        conn.commit()
-
-    def __getstate__(self):
-        return self.path
-
-    def __setstate__(self, path):
-        self.path = path
-        self._owner = False
-        self.hits = 0
-        self.inserts = 0
-        self.overflows = 0
-        self._conn = None
-        self._conn_pid = None
-
-    def _connect(self) -> sqlite3.Connection:
-        pid = os.getpid()
-        if self._conn is None or self._conn_pid != pid:
-            self._conn = sqlite3.connect(self.path, timeout=60.0)
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            self._conn_pid = pid
-        return self._conn
-
-    def claim(self, fp: bytes) -> bool:
-        conn = self._connect()
-        cur = conn.execute(
-            "INSERT OR IGNORE INTO seen (fp) VALUES (?)", (fp,)
-        )
-        conn.commit()
-        if cur.rowcount == 1:
-            self.inserts += 1
-            return True
-        self.hits += 1
-        return False
-
-    def __contains__(self, fp: bytes) -> bool:
-        cur = self._connect().execute(
-            "SELECT 1 FROM seen WHERE fp = ?", (fp,)
-        )
-        return cur.fetchone() is not None
-
-    def stats(self) -> Tuple[int, int, int]:
-        return (self.hits, self.inserts, self.overflows)
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def unlink(self) -> None:
-        self.close()
-        if self._owner:
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.unlink(self.path + suffix)
-                except OSError:
-                    pass
-
-
-def make_seen_set(
-    capacity_hint: int,
-    *,
-    ctx=None,
-    mem_limit: int = DEFAULT_MEM_LIMIT,
-):
-    """The right claim set for an expected fingerprint population.
-
-    A population whose 2x-slack table fits in ``mem_limit`` gets the
-    shared-memory table; anything larger spills to the disk-backed
-    store (slower per claim, no capacity ceiling).
-    """
-    slots = 1024
-    while slots < 2 * max(capacity_hint, 1):
-        slots *= 2
-    if slots * FP_BYTES <= mem_limit:
-        return SharedSeenSet(capacity_hint, ctx=ctx)
-    return DiskSeenSet()

@@ -1,6 +1,6 @@
 """RL6xx — shared-memory concurrency discipline rules.
 
-The work-stealing pool (:mod:`repro.engine.parallel`) and its shared
+The exploration pool (:mod:`repro.engine.parallel`) and its shared
 claim table (:mod:`repro.engine.seenset`) are the one place in the
 tree where plain Python touches memory that other *processes* write
 concurrently.  The soundness argument there is narrow and explicit:

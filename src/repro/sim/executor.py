@@ -64,15 +64,14 @@ class SimCounters:
     components_serialized: int = 0
     components_restored: int = 0
     components_reused: int = 0
-    #: work-stealing frontier accounting (parallel runs; see
-    #: repro.engine.parallel): subtree roots a worker published back to
-    #: the shared deque instead of exploring, published roots consumed
-    #: by a *different* worker than their publisher, times a worker
-    #: found the deque empty and waited, and global seen-set traffic
-    #: (claims that lost to another worker / claims that won).
+    #: always 0: read by the e2e harness (benchmarks/e2e/run.py), to be
+    #: dropped with their ``pool.*`` metrics by the next ``benchmark``
+    #: PR (ROADMAP 5a).
     publishes: int = 0
     steals: int = 0
     idle_waits: int = 0
+    #: parallel runs (see repro.engine.parallel): shared claim-set
+    #: traffic — claims that lost to another worker / claims that won.
     shared_seen_hits: int = 0
     shared_seen_inserts: int = 0
     #: always 0: read by the e2e harness (benchmarks/e2e/run.py), to be

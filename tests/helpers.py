@@ -81,3 +81,15 @@ def history_of(*records: TxnRecord):
     from repro.txn.history import History
 
     return History(records=list(records))
+
+
+def result_key(r):
+    """Everything an exploration promises bit for bit: the four counts
+    and every violation's schedule and anomalies."""
+    return (
+        r.states_visited,
+        r.states_deduped,
+        r.schedules_completed,
+        r.truncated,
+        [(trace, [str(a) for a in anomalies]) for trace, anomalies in r.violations],
+    )

@@ -96,16 +96,11 @@ class TestCliExplore:
         assert "[dfs+por]" in out
         assert "violating schedule" in out
 
-    def test_explore_cops_clean_with_workers(self, capsys):
-        rc = main(
-            ["explore", "cops", "--por", "--workers", "2",
-             "--max-depth", "22"]
-        )
+    def test_explore_cops_clean(self, capsys):
+        rc = main(["explore", "cops", "--por", "--max-depth", "22"])
         out = capsys.readouterr().out
         assert rc == 0
-        # the POR-reduced scope is tiny, so the workers request is
-        # answered serially — and the describe line says so
-        assert "[dfs+por+workers=2(auto-serial)]" in out
+        assert "[dfs+por]" in out
         assert "no causal violation in scope" in out
 
     def test_explore_strategy_and_checker_knobs(self, capsys):

@@ -24,6 +24,8 @@ from repro.core.explore import explore_write_read_race
 from repro.engine import ExplorationResult
 from repro.protocols import REGISTRY
 
+from helpers import result_key
+
 #: every POR-safe protocol, with a depth that keeps the reduced search
 #: exhaustive-or-cheap, and the expected write/read-race verdict
 MATRIX = {
@@ -150,48 +152,53 @@ def test_workers_pool_path_forced(monkeypatch):
     """With the probe disabled the pool really runs — and still matches.
 
     Guards the pool machinery itself now that small scopes normally
-    auto-serial: verdict, anomaly union and the bit-identical first
-    violation must survive the fan-out.
+    auto-serial: verdict and anomaly union must survive the fan-out,
+    and the describe line reports the pool's own accounting.
     """
     from repro.engine import parallel
 
     monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-    kw = dict(max_depth=30, max_states=60_000, por=True)
+    kw = dict(
+        max_depth=30, max_states=60_000, por=True, first_violation_only=False
+    )
     serial = explore_write_read_race("fastclaim", workers=1, **kw)
     fanned = explore_write_read_race("fastclaim", workers=2, **kw)
-    assert not fanned.auto_serial
+    assert not fanned.auto_serial and fanned.roots_shipped > 0
     assert serial.violation_found and fanned.violation_found
-    assert fanned.violations[0] == serial.violations[0]
+    assert anomaly_union(fanned) == anomaly_union(serial)
+    assert f"pool: {fanned.roots_shipped} roots shipped" in fanned.describe()
 
 
-def test_workers_root_dedup_on_strict_keyed_seeding(monkeypatch):
-    """Strict-keyed frontier roots are deduped by canonical fingerprint.
+@pytest.mark.parametrize(
+    "protocol,kw",
+    [
+        ("fastclaim", dict(first_violation_only=True, por=True)),
+        ("fastclaim", dict(first_violation_only=True)),
+        ("fastclaim", dict(strategy="bfs", por=True)),
+        ("fastclaim", dict(strategy="random", max_states=2_000)),
+        ("spanner", dict()),  # por_safe=False: no sound shared claim set
+    ],
+    ids=["first-violation+por", "first-violation", "bfs", "random", "not-por-safe"],
+)
+def test_workers_requests_answered_serially(monkeypatch, protocol, kw):
+    """Only an exhaustive DFS of a POR-safe protocol fans out.
 
-    A first-violation run seeds with strict keys (no shared claim set),
-    so roots reached by different orders of commuting events look
-    distinct; the pre-ship dedup must recompute canonical prints (via
-    the batched restore sweep) and collapse them — fewer payloads, same
-    first violation as serial.
+    Every other ``workers=2`` request takes the serial path — flagged
+    ``auto_serial``, and equal to ``workers=1`` in every count and every
+    violation trace (which is how the first-violation contract is kept).
+    The probe is off, so the serial answer is the engine's routing and
+    not the tiny-scope shortcut.
     """
     from repro.engine import parallel
 
     monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-    shipped = {}
-    orig = parallel._dedup_roots
-
-    def spy(sim, roots, canonical, partial):
-        kept = orig(sim, roots, canonical, partial)
-        shipped["before"], shipped["after"] = len(roots), len(kept)
-        return kept
-
-    monkeypatch.setattr(parallel, "_dedup_roots", spy)
-    kw = dict(max_depth=18, max_states=60_000, first_violation_only=True)
-    serial = explore_write_read_race("fastclaim", workers=1, **kw)
-    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
-    assert not fanned.auto_serial
-    assert shipped["after"] < shipped["before"]  # dedup actually bites
-    assert serial.violation_found and fanned.violation_found
-    assert fanned.violations[0][0] == serial.violations[0][0]
+    kw = {"max_depth": 14, "max_states": 20_000, "first_violation_only": False, **kw}
+    serial = explore_write_read_race(protocol, workers=1, **kw)
+    fanned = explore_write_read_race(protocol, workers=2, **kw)
+    assert fanned.auto_serial and not serial.auto_serial
+    assert fanned.roots_shipped == 0
+    assert "(auto-serial)" in fanned.describe()
+    assert result_key(fanned) == result_key(serial)
 
 
 def test_workers_shared_quotient_deterministic(monkeypatch):
@@ -246,94 +253,36 @@ def test_workers_shared_quotient_deterministic(monkeypatch):
     )
 
 
-def test_dedup_roots_sleep_subset_rule():
-    """The dedup drop rule mirrors the seen-set's sleep-subset logic.
-
-    POR path is pure (uses ``node.fingerprint`` directly), so it unit
-    tests without a simulation: a later root falls only to an earlier
-    kept root with the same canonical print and a *subset* sleep set.
-    """
-    from types import SimpleNamespace
-
-    from repro.engine.parallel import _dedup_roots
-
-    def node(fp, sleep=()):
-        return SimpleNamespace(fingerprint=fp, sleep=frozenset(sleep))
-
-    partial = ExplorationResult(protocol="x", strategy="dfs", por=True)
-    roots = [
-        node(b"A", {1}),       # kept: first occurrence
-        node(b"A", {1, 2}),    # dropped: {1} <= {1, 2}
-        node(b"A", set()),     # kept: {} is not a superset of {1}
-        node(b"B"),            # kept: new print
-        node(b"A", {2, 3}),    # dropped: covered by the kept {} visit
-    ]
-    kept = _dedup_roots(None, roots, True, partial)
-    assert [n.fingerprint for n in kept] == [b"A", b"A", b"B"]
-    assert [set(n.sleep) for n in kept] == [{1}, set(), set()]
-    assert partial.states_deduped == 2
-
-
-def test_sweep_order_maximizes_component_sharing():
-    """Pure unit test for the batched-recompute restore sweep.
-
-    Greedy nearest-neighbour over component signatures: start at root 0,
-    hop to the root sharing the most component tokens, ties to the
-    lowest index.  Signature tokens compare by identity-or-equality.
-    """
-    from repro.engine.parallel import sweep_order
-
-    # 0 shares 2 tokens with 2, one with 1 and 3; from 2 the best left
-    # is 3 (shares "c"); 1 comes last.
-    sigs = [
-        ("a", "b", "x"),
-        ("q", "r", "x"),
-        ("a", "b", "c"),
-        ("q", "b", "c"),
-    ]
-    assert sweep_order(sigs) == [0, 2, 3, 1]
-    # ties break low: 1 and 2 both share everything with 0
-    assert sweep_order([("a",), ("a",), ("a",)]) == [0, 1, 2]
-    # degenerate sizes pass through
-    assert sweep_order([]) == []
-    assert sweep_order([("a",)]) == [0]
-    assert sweep_order([("a",), ("b",)]) == [0, 1]
-
-
 def test_global_budget_caps_pool(monkeypatch):
     """``max_states`` is one pool-wide budget, not per worker.
 
     The canonical quotient of the full-scope fastclaim scenario is ~1.3k
     states, so a 600-state cap must bind: the pool stops at <= 600
-    visits in total.  ``per_worker_budget=True`` restores the old
-    semantics — each worker gets the full cap — and visits more.
+    visits in total.
     """
     from repro.engine import parallel
 
     monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-    kw = dict(
-        max_depth=18, max_states=600, first_violation_only=False, workers=2
+    pooled = explore_write_read_race(
+        "fastclaim", max_depth=18, max_states=600,
+        first_violation_only=False, workers=2,
     )
-    pooled = explore_write_read_race("fastclaim", **kw)
     assert not pooled.auto_serial
     assert pooled.exhausted
     assert pooled.states_visited <= 600
-    legacy = explore_write_read_race(
-        "fastclaim", per_worker_budget=True, **kw
-    )
-    assert legacy.states_visited > pooled.states_visited
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_workers_steal_under_load_equivalence(monkeypatch, workers):
-    """Skewed load: stealing rebalances, the answer doesn't move.
+def test_workers_skewed_load_equivalence(monkeypatch, workers):
+    """Skewed load: the answer doesn't move with the pool width.
 
     The full-scope fastclaim race is heavily skewed — subtrees under the
-    multi-object write dwarf the read-first subtrees — so static root
-    assignment starves workers; the deque must actually migrate work.
-    Under that load, at every pool width: identical verdict and anomaly
-    union, pool-wide visits never above serial, and the first-violation
-    arm reports the bit-identical serial trace.
+    multi-object write dwarf the read-first subtrees — and nothing
+    rebalances the task list: the shared claim set does, whoever reaches
+    a class first expands it.  Under that load, at every pool width:
+    identical verdict and anomaly union, pool-wide visits never above
+    serial, and the first-violation arm reports the bit-identical serial
+    trace.
     """
     from repro.engine import parallel
 
@@ -349,7 +298,7 @@ def test_workers_steal_under_load_equivalence(monkeypatch, workers):
     assert fanned.violation_found == serial.violation_found
     assert anomaly_union(fanned) == anomaly_union(serial)
     assert fanned.states_visited <= serial.states_visited
-    # first-violation arm: the bit-identical serial trace wins the merge
+    # first-violation arm: the bit-identical serial trace
     s_first = explore_write_read_race("fastclaim", **kw)
     f_first = explore_write_read_race("fastclaim", workers=workers, **kw)
     assert f_first.violations[0][0] == s_first.violations[0][0]
@@ -358,30 +307,95 @@ def test_workers_steal_under_load_equivalence(monkeypatch, workers):
     ]
 
 
-def test_forced_publication_keeps_the_serial_first_violation(monkeypatch):
-    """Publishing every later sibling must not change the reported trace.
+#: the pool's exact counts on the full-scope fastclaim race (canonical
+#: closure, schedule-independent), and the roots each width ships
+POOL_COUNTS = (1_300, 3_550, 36, 0)
+POOL_ROOTS = {2: 10, 4: 18}
 
-    A worker used to ship a later sibling without the seen-check local
-    exploration gives it; the task that picked it up started with an
-    empty seen-set, so a no-op ``step cr0`` whose child equals its
-    parent was re-explored under a lower ordinal than serial's and won
-    the merge with an 18-label stuttering trail (serial: 17).  Forcing a
-    publication at every opportunity makes that deterministic.
+
+@pytest.mark.parametrize("workers", [2, 4, 8])
+def test_workers_pool_exact_counts(monkeypatch, workers):
+    """The pool's counts are pinned, at every width.
+
+    Every canonical class is expanded exactly once pool-wide, so the
+    totals do not depend on which worker got where first — any drift is
+    a change to the search itself (the seeding walk and the workers run
+    the same ``_dfs``).
     """
     from repro.engine import parallel
 
     monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
-    monkeypatch.setattr(parallel, "PUBLISH_INTERVAL", 1)
-    monkeypatch.setattr(parallel.WorkerContext, "_hungry", lambda self: True)
-    kw = dict(max_depth=18, max_states=80_000, por=True)
-    serial = explore_write_read_race("fastclaim", **kw)
-    fanned = explore_write_read_race("fastclaim", workers=2, **kw)
+    kw = dict(max_depth=18, max_states=80_000, first_violation_only=False)
+    fanned = explore_write_read_race("fastclaim", workers=workers, **kw)
     assert not fanned.auto_serial
-    assert fanned.counters.publishes > 0
-    assert fanned.violations[0][0] == serial.violations[0][0]
-    assert [str(a) for a in fanned.violations[0][1]] == [
-        str(a) for a in serial.violations[0][1]
-    ]
+    assert (
+        fanned.states_visited,
+        fanned.states_deduped,
+        fanned.schedules_completed,
+        fanned.truncated,
+    ) == POOL_COUNTS
+    if workers in POOL_ROOTS:
+        assert fanned.roots_shipped == POOL_ROOTS[workers]
+    serial = explore_write_read_race("fastclaim", por=True, **kw)
+    assert anomaly_union(fanned) == anomaly_union(serial)
+    c = fanned.counters
+    assert (c.publishes, c.steals, c.idle_waits) == (0, 0, 0)
+
+
+def _shm_entries():
+    import os
+
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.mark.parametrize("how", ["sigkill", "raise"])
+def test_worker_failure_is_loud_bounded_and_clean(monkeypatch, how):
+    """A dead worker ends the run in ``PoolWorkerDied`` — fast, no leak.
+
+    The first worker to start a subtree either SIGKILLs itself (no
+    result is ever posted: the parent must notice the corpse) or raises
+    (the worker ships its traceback).  Either way: the typed error, well
+    inside 10 s, the other workers gone, and no shared-memory segment
+    created during the run left behind.
+    """
+    import multiprocessing
+    import os
+    import signal
+    import time
+
+    from repro.engine import parallel
+    from repro.engine.core import SerialSearch
+
+    if parallel._mp_context().get_start_method() != "fork":
+        pytest.skip("the patched hook reaches workers by fork inheritance")
+    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
+    parent = os.getpid()
+    tripped = multiprocessing.get_context("fork").Value("b", 0)
+    real_run = SerialSearch.run
+
+    def run(self, strategy, **kw):
+        if os.getpid() != parent:
+            with tripped.get_lock():
+                first, tripped.value = not tripped.value, 1
+            if first:
+                if how == "sigkill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("injected worker failure")
+        return real_run(self, strategy, **kw)
+
+    monkeypatch.setattr(SerialSearch, "run", run)
+    before = _shm_entries()
+    t0 = time.monotonic()
+    with pytest.raises(parallel.PoolWorkerDied) as err:
+        explore_write_read_race(
+            "fastclaim", max_depth=18, max_states=80_000,
+            first_violation_only=False, workers=2,
+        )
+    assert time.monotonic() - t0 < 10.0
+    if how == "raise":
+        assert "injected worker failure" in str(err.value)
+    assert _shm_entries() <= before
+    assert not multiprocessing.active_children()
 
 
 def test_workers_merge_counters():

@@ -34,7 +34,7 @@ from repro.core.explore import explore_write_read_race
 from repro.txn.history import CausalOrder, History
 from repro.txn.types import BOTTOM
 
-from helpers import rec
+from helpers import rec, result_key
 
 CHECKERS = [
     (IncrementalCausalChecker, find_causal_anomalies),
@@ -207,16 +207,6 @@ class TestIncrementalMatchesBatch:
 # ---------------------------------------------------------------------------
 # engine equivalence: delta checkers vs batch scan end to end
 # ---------------------------------------------------------------------------
-
-
-def result_key(r):
-    return (
-        r.states_visited,
-        r.states_deduped,
-        r.schedules_completed,
-        r.truncated,
-        [(trace, [str(a) for a in anomalies]) for trace, anomalies in r.violations],
-    )
 
 
 @pytest.mark.parametrize(

@@ -5,9 +5,7 @@ Three layers of scrutiny:
 * **Unit** — the claim protocol on one table: first claim inserts,
   second hits; the all-zeroes fingerprint rides the header byte; the
   table survives pickling (workers re-attach to the same segment);
-  overflow degrades to "expand anyway" rather than losing soundness;
-  :func:`make_seen_set` spills to the sqlite store past the memory
-  budget.
+  a full table raises instead of guessing.
 * **Property** (hypothesis) — for arbitrary fingerprint populations
   raced by concurrent claimer threads, every fingerprint is claimed by
   *exactly one* claimer and no insert is ever lost: the number of
@@ -17,19 +15,13 @@ Three layers of scrutiny:
 """
 
 import multiprocessing
-import pickle
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.seenset import (
-    FP_BYTES,
-    DiskSeenSet,
-    SharedSeenSet,
-    make_seen_set,
-)
+from repro.engine.seenset import FP_BYTES, SeenSetFull, SharedSeenSet
 
 
 def _fp(i: int) -> bytes:
@@ -47,7 +39,7 @@ def test_claim_is_insert_if_absent():
         assert s.claim(_fp(1)) is True
         assert s.claim(_fp(1)) is False
         assert s.claim(_fp(2)) is True
-        assert s.stats() == (1, 2, 0)  # hits, inserts, overflows
+        assert s.stats() == (1, 2)  # hits, inserts
     finally:
         s.unlink()
 
@@ -71,7 +63,7 @@ def test_contains_does_not_claim():
         # the membership probe must leave no trace: a later claim wins
         assert s.claim(_fp(7)) is True
         assert _fp(7) in s
-        assert s.stats() == (0, 1, 0)
+        assert s.stats() == (0, 1)
     finally:
         s.unlink()
 
@@ -85,15 +77,19 @@ def test_rejects_wrong_width():
         s.unlink()
 
 
-def test_overflow_expands_rather_than_dedups():
+def test_full_table_raises():
     s = SharedSeenSet(1)  # minimum table: 1024 slots
     try:
         for i in range(1, s.slots + 1):
             assert s.claim(_fp(i)) is True
-        # table full: the claim still says "expand" (dedup lost, not
-        # soundness) and tallies the overflow
-        assert s.claim(_fp(s.slots + 1)) is True
-        assert s.stats()[2] == 1
+        # no free slot: neither "claimed" (expand without dedup) nor
+        # "present" (prune an unexplored class) would be true
+        with pytest.raises(SeenSetFull):
+            s.claim(_fp(s.slots + 1))
+        # what is in the table is still answered
+        assert s.claim(_fp(1)) is False
+        assert _fp(s.slots + 1) not in s
+        assert s.stats() == (1, s.slots)
     finally:
         s.unlink()
 
@@ -113,34 +109,11 @@ def test_setstate_reattaches_same_segment():
             assert attached.claim(_fp(4)) is True
             assert s.claim(_fp(4)) is False
             # local tallies stay local
-            assert attached.stats() == (1, 1, 0)
+            assert attached.stats() == (1, 1)
         finally:
             attached.close()
     finally:
         s.unlink()
-
-
-def test_disk_seen_set_roundtrip(tmp_path):
-    s = DiskSeenSet()
-    try:
-        assert s.claim(_fp(1)) is True
-        assert s.claim(_fp(1)) is False
-        attached = pickle.loads(pickle.dumps(s))
-        assert attached.claim(_fp(1)) is False
-        assert attached.claim(_fp(2)) is True
-        assert _fp(2) in s
-        attached.close()
-    finally:
-        s.unlink()
-
-
-def test_make_seen_set_spills_to_disk():
-    small = make_seen_set(100)
-    assert isinstance(small, SharedSeenSet)
-    small.unlink()
-    big = make_seen_set(10_000, mem_limit=1024)
-    assert isinstance(big, DiskSeenSet)
-    big.unlink()
 
 
 # ---------------------------------------------------------------------------
