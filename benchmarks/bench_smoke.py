@@ -71,7 +71,7 @@ BASELINES = {
 
 
 def fork_machinery_smoke() -> bool:
-    """The reduced bench_fork: snapshot/fork/restore semantics + caching."""
+    """Snapshot/fork/restore semantics and the dirty-row caching."""
     from repro.core.setup import prepare_theorem_system
     from repro.sim.scheduler import RoundRobinScheduler
 
@@ -82,7 +82,7 @@ def fork_machinery_smoke() -> bool:
     for _ in range(6):
         sched.tick(sim, pids=(tsys.cw,) + tuple(tsys.servers))
     snap = sim.snapshot()
-    fp = sim.fingerprint(snap)
+    fp = sim.fingerprint()
     fork = snap.fork()  # O(1) fork: shares the per-component captures
     ok = fork.proc_blobs is snap.proc_blobs and fork.net_state is snap.net_state
     snap2 = sim.snapshot()  # unchanged state: every sub-blob is cached

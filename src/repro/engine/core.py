@@ -347,7 +347,7 @@ class SerialSearch:
         self._checker.rollback(token[0])
         self._consumed = token[1]
 
-    def _fingerprint(self, snap: Configuration) -> bytes:
+    def _fingerprint(self) -> bytes:
         """The seen-set key for the current configuration.
 
         POR keys on the trace-canonical fingerprint so commuting
@@ -357,9 +357,7 @@ class SerialSearch:
         protocols), where canonical keying keeps the cross-worker
         claimed quotient deterministic.
         """
-        return self.sim.fingerprint(
-            snap, canonical=self.por or self.canonical_keys
-        )
+        return self.sim.fingerprint(canonical=self.por or self.canonical_keys)
 
     # -- seen-set ---------------------------------------------------------
 
@@ -504,7 +502,7 @@ class SerialSearch:
         # entering event touched, which is how the fingerprint right
         # after finds their digests in the sim's state table.
         snap = self.sim.snapshot()
-        fp = self._fingerprint(snap)
+        fp = self._fingerprint()
         if self._covered(fp, sleep):
             r.states_deduped += 1
             return
@@ -575,7 +573,7 @@ class SerialSearch:
         r = self.result
         sim = self.sim
         snap = sim.snapshot()
-        fp = self._fingerprint(snap)
+        fp = self._fingerprint()
         self._remember(fp, sleep)
         frontier = deque(
             [SearchNode(snap, fp, tuple(self._trail), depth, sleep)]
@@ -607,7 +605,7 @@ class SerialSearch:
                 child_sleep = self._child_sleep(node.sleep, prior, e)
                 e.apply(sim)
                 child_snap = sim.snapshot()
-                child_fp = self._fingerprint(child_snap)
+                child_fp = self._fingerprint()
                 if self._covered(child_fp, child_sleep):
                     r.states_deduped += 1
                 else:

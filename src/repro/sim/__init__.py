@@ -23,6 +23,7 @@ from repro.sim.messages import Message, Payload
 from repro.sim.process import Process, StepContext
 from repro.sim.network import Network
 from repro.sim.executor import (
+    PICKLE_PROTOCOL,
     SNAPSHOT_MODES,
     Simulation,
     Configuration,
@@ -53,6 +54,7 @@ __all__ = [
     "Process",
     "StepContext",
     "Network",
+    "PICKLE_PROTOCOL",
     "SNAPSHOT_MODES",
     "Simulation",
     "Configuration",

@@ -29,10 +29,13 @@ from repro.sim.executor import (
     Simulation,
     use_snapshot_mode,
 )
+from repro.sim.messages import Message
+from repro.sim.process import NullProcess
 from repro.sim.scheduler import RoundRobinScheduler
+from repro.sim.snapshot import dumps_canonical
 from repro.txn.types import write_only_txn
 
-from helpers import Echo, Pinger
+from helpers import Echo, Note, Pinger
 
 MODES = ("bytes", "deepcopy")
 
@@ -56,7 +59,7 @@ def proc_states(sim):
     the relation every verdict and fingerprint is defined over.
     """
     return {
-        pid: Simulation._dumps_canonical(p.__getstate__())
+        pid: dumps_canonical(p.__getstate__())
         for pid, p in sim.processes.items()
     }
 
@@ -84,7 +87,7 @@ class TestSnapshotIsolation:
             run_some(sim, tsys)
             snap = sim.snapshot()
             frozen = proc_states(sim)
-            fp = sim.fingerprint(snap)
+            fp = sim.fingerprint()
             # mutate the live sim well past the snapshot
             run_some(sim, tsys, events=12)
             assert proc_states(sim) != frozen  # the run did change state
@@ -180,8 +183,8 @@ class TestSnapshotIsolation:
         run_some(sim, tsys)
         snap = sim.snapshot()
         before = len(pickle.dumps(snap))
-        sim.fingerprint(snap)
-        sim.fingerprint(snap, canonical=True)
+        sim.fingerprint()
+        sim.fingerprint(canonical=True)
         assert len(pickle.dumps(snap)) == before
 
     def test_delta_restore_touches_only_changed_components(self):
@@ -193,7 +196,7 @@ class TestSnapshotIsolation:
         sim.invoke(tsys.cw, tsys.tw())
         run_some(sim, tsys)
         snap = sim.snapshot()
-        sim.fingerprint(snap)
+        sim.fingerprint()
         before = {pid: p for pid, p in sim.processes.items()}
         sim.step(tsys.cw)
         base = sim.counters.components_restored
@@ -333,7 +336,7 @@ class TestSimCounters:
     def test_counters_track_snapshot_restore_fingerprint(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         snap = sim.snapshot()
-        sim.fingerprint(snap)
+        sim.fingerprint()
         sim.step("p")
         sim.restore(snap)
         c = sim.counters
@@ -559,7 +562,7 @@ class TestFingerprintProperties:
         sim = fresh_sim()
         apply_choices(sim, choices)
         snap = sim.snapshot()
-        fp = sim.fingerprint(snap)
+        fp = sim.fingerprint()
         apply_choices(sim, [0, 1, 2])
         sim.restore(snap)
         assert sim.fingerprint() == fp
@@ -570,17 +573,26 @@ class TestFingerprintProperties:
 # ---------------------------------------------------------------------------
 
 
+def placement(net):
+    """``{link: [msg_id…]}`` and ``{pid: [msg_id…]}`` of a network."""
+    return (
+        {link: [m.msg_id for m in q] for link, q in net.in_transit.items()},
+        {pid: [m.msg_id for m in v] for pid, v in net.income.items()},
+    )
+
+
 class TestNetCaptureBranchSoundness:
-    """The per-container reuse inside ``_net_capture`` must compare
-    element-for-element by identity.
+    """A network capture is a function of the live containers alone.
 
     Restores share the pre-fork ``Message`` objects by reference and
     ``Network.deliver`` removes from arbitrary queue positions, so two
     sibling branches that deliver *different* non-last messages out of
     the same restored length-3 queue hold containers with equal length
-    and an identical last element but different contents.  The old
-    (length, last-element) guard aliased their captures, corrupting the
-    second branch's snapshot and strict fingerprint.
+    and an identical last element but different contents.  A capture
+    that reused the previous capture's sub-tuples behind a (length,
+    last-element) guard once aliased the two, corrupting the second
+    branch's snapshot and strict fingerprint; ``_net_capture`` now
+    builds every tuple afresh, so there is nothing left to alias.
     """
 
     @pytest.mark.parametrize("mode", MODES)
@@ -590,22 +602,29 @@ class TestNetCaptureBranchSoundness:
             for _ in range(3):
                 sim.step("a")  # queue a->b now holds link_seq 0, 1, 2
             base = sim.snapshot()
-            sim.fingerprint(base)
+            sim.fingerprint()
             # branch A: deliver the head of the queue
             sim.deliver("a", "b", 0)
             snap_a = sim.snapshot()
-            fp_a = sim.fingerprint(snap_a)
+            want_a = placement(sim.network)
+            fp_a = sim.fingerprint()
             # back out; branch B: deliver the *middle* message — same
             # length, same (shared) last element, different contents
             sim.restore(base)
             sim.deliver("a", "b", 1)
             snap_b = sim.snapshot()
-            fp_b = sim.fingerprint(snap_b)
+            want_b = placement(sim.network)
+            fp_b = sim.fingerprint()
             q_a = [m.link_seq for m in snap_a.network.in_transit[("a", "b")]]
             q_b = [m.link_seq for m in snap_b.network.in_transit[("a", "b")]]
             assert q_a == [1, 2]
             assert q_b == [0, 2]
             assert fp_a != fp_b
+            # sibling snapshots never share a queue they disagree on:
+            # each still says what the live network said when it was taken
+            assert placement(snap_a.network) == want_a
+            assert placement(snap_b.network) == want_b
+            assert want_a != want_b
             # the strict fingerprint must be a pure function of the
             # state: a fresh simulation driven to B's exact state agrees
             fresh = Simulation([Pinger("a", "b", n=3), Echo("b")])
@@ -624,45 +643,113 @@ class TestNetCaptureBranchSoundness:
             for _ in range(3):
                 sim.step("a")
             base = sim.snapshot()
-            sim.fingerprint(base)
+            sim.fingerprint()
             sim.deliver("a", "b", 0)
             sim.deliver("a", "b", 2)
             snap_a = sim.snapshot()
-            fp_a = sim.fingerprint(snap_a)
+            want_a = placement(sim.network)
+            fp_a = sim.fingerprint()
             sim.restore(base)
             sim.deliver("a", "b", 1)
             sim.deliver("a", "b", 2)
             snap_b = sim.snapshot()
-            fp_b = sim.fingerprint(snap_b)
+            want_b = placement(sim.network)
+            fp_b = sim.fingerprint()
             assert fp_a != fp_b
             got_a = [m.link_seq for m in snap_a.network.income["b"]]
             got_b = [m.link_seq for m in snap_b.network.income["b"]]
             assert got_a == [0, 2]
             assert got_b == [1, 2]
+            assert placement(snap_a.network) == want_a
+            assert placement(snap_b.network) == want_b
 
 
 # ---------------------------------------------------------------------------
-# The identity-keyed fragment memo stays bounded (regression)
+# The strict placement encoding: equal bytes iff equal placement
 # ---------------------------------------------------------------------------
 
+NET_PIDS = ("a", "b", "c")
 
-def test_net_frag_memo_is_bounded(monkeypatch):
-    """The strict-payload fragment memo is cleared on overflow instead
-    of pinning every capture sub-tuple for the simulation's life."""
-    from repro.sim import executor as executor_mod
 
-    monkeypatch.setattr(executor_mod, "_NET_FRAG_CAP", 4)
-    sim = Simulation([Pinger("a", "b", n=10), Echo("b")])
-    fps = []
-    for _ in range(10):
-        sim.step("a")
-        fps.append(sim.fingerprint())
-    # one insert per container per pass after a possible clear: the memo
-    # hovers at the cap plus the live container count, independent of
-    # the number of events executed
-    containers = len(sim.network.in_transit) + len(sim.network.income)
-    assert len(sim._net_frag) <= 4 + containers
-    assert len(set(fps)) == len(fps)  # eviction never changed a hash
+def drive_network(ops):
+    """A simulation of idle processes whose network ran ``ops``:
+    ``("post", src, dst, msg_id)``, ``("deliver", k)`` (the k-th pending
+    message, so deliveries leave queues out of order) or ``("drain", pid)``."""
+    sim = Simulation([NullProcess(pid) for pid in NET_PIDS])
+    net = sim.network
+    for op in ops:
+        if op[0] == "post":
+            _, src, dst, msg_id = op
+            net.post(Message(msg_id, src, dst, net.next_link_seq(src, dst), Note(msg_id)))
+        elif op[0] == "deliver":
+            pending = net.pending()
+            if pending:
+                m = pending[op[1] % len(pending)]
+                net.deliver(m.src, m.dst, m.link_seq)
+        else:
+            net.drain_income(op[1])
+    return sim
+
+
+def assert_strict_fingerprint_is_placement(ops_a, ops_b):
+    a, b = drive_network(ops_a), drive_network(ops_b)
+    same = placement(a.network) == placement(b.network)
+    for mode in MODES:
+        with use_snapshot_mode(mode):
+            assert (a.fingerprint() == b.fingerprint()) == same, mode
+    return same
+
+
+net_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), st.sampled_from(NET_PIDS),
+                  st.sampled_from(NET_PIDS), st.integers(0, 3)).filter(
+                      lambda op: op[1] != op[2]),
+        st.tuples(st.just("deliver"), st.integers(0, 5)),
+        st.tuples(st.just("drain"), st.sampled_from(NET_PIDS)),
+    ),
+    max_size=8,
+)
+
+
+class TestStrictPlacementEncoding:
+    @settings(max_examples=150, deadline=None)
+    @given(net_ops, net_ops)
+    def test_equal_fingerprint_iff_equal_placement(self, ops_a, ops_b):
+        assert_strict_fingerprint_is_placement(ops_a, ops_b)
+
+    @pytest.mark.parametrize(
+        "ops_a, ops_b, same",
+        [
+            # the same msg_id on different links: the link indices are
+            # load-bearing, a position-only encoding would collide these
+            ([("post", "a", "b", 0)], [("post", "a", "c", 0)], False),
+            ([("post", "a", "b", 0)], [("post", "b", "a", 0)], False),
+            # a used-then-emptied link is not a never-used one (today's
+            # partition; the committed exact counts depend on it)
+            ([("post", "a", "b", 0), ("deliver", 0), ("drain", "b")], [], False),
+            # in transit vs delivered, and arrival order inside a buffer
+            ([("post", "a", "b", 0)], [("post", "a", "b", 0), ("deliver", 0)], False),
+            (
+                [("post", "a", "c", 0), ("post", "b", "c", 1), ("deliver", 0), ("deliver", 0)],
+                [("post", "a", "c", 0), ("post", "b", "c", 1), ("deliver", 1), ("deliver", 0)],
+                False,
+            ),
+            # insertion order of the in_transit keys does not matter
+            (
+                [("post", "a", "b", 0), ("post", "a", "c", 1)],
+                [("post", "a", "c", 1), ("post", "a", "b", 0)],
+                True,
+            ),
+        ],
+    )
+    def test_pinned_partition(self, ops_a, ops_b, same):
+        assert assert_strict_fingerprint_is_placement(ops_a, ops_b) == same
+
+
+# ---------------------------------------------------------------------------
+# The content memos stay bounded
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("por", [False, True])
@@ -670,7 +757,7 @@ def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
     """The state table and the canonical-payload memo are pure caches:
     with both caps at 4 they are cleared over and over, stay within the
     cap plus the live entries, and the exploration does not move."""
-    from repro.sim import executor as executor_mod
+    from repro.sim import snapshot as snapshot_mod
 
     kw = dict(max_depth=30, max_states=2_000, por=por, first_violation_only=False)
     reference = result_key(explore_write_read_race("fastclaim", **kw))
@@ -678,11 +765,12 @@ def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
     peak = {"table": 0, "memo": 0, "live": 0, "in_flight": 0}
     real = Simulation.fingerprint
 
-    def spy(self, config=None, canonical=False):
-        fp = real(self, config, canonical)
+    def spy(self, *, canonical=False):
+        fp = real(self, canonical=canonical)
         net = self.network
-        peak["table"] = max(peak["table"], len(self._states))
-        peak["memo"] = max(peak["memo"], len(self._msg_canon))
+        caches = self._snapshotters["bytes"]
+        peak["table"] = max(peak["table"], len(caches._states))
+        peak["memo"] = max(peak["memo"], len(caches._msg_canon))
         peak["live"] = len(self.processes)
         peak["in_flight"] = max(
             peak["in_flight"],
@@ -691,8 +779,8 @@ def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
         )
         return fp
 
-    monkeypatch.setattr(executor_mod, "_STATE_TABLE_CAP", 4)
-    monkeypatch.setattr(executor_mod, "_MSG_MEMO_CAP", 4)
+    monkeypatch.setattr(snapshot_mod, "_STATE_TABLE_CAP", 4)
+    monkeypatch.setattr(snapshot_mod, "_MSG_MEMO_CAP", 4)
     monkeypatch.setattr(Simulation, "fingerprint", spy)
     assert result_key(explore_write_read_race("fastclaim", **kw)) == reference
     assert 0 < peak["table"] <= 4 + peak["live"]
@@ -738,7 +826,7 @@ def test_warm_table_fingerprints_equal_cold_ones(protocol):
         for canonical in keyings:
             cold = Simulation([])
             cold.restore(snap)
-            assert sim.fingerprint(snap, canonical=canonical) == cold.fingerprint(
+            assert sim.fingerprint(canonical=canonical) == cold.fingerprint(
                 canonical=canonical
             ), (protocol, canonical, depth)
         budget[0] -= 1
@@ -782,11 +870,36 @@ class TestCanonizeContainers:
     def test_deque_order_and_bound_are_state(self):
         from collections import deque
 
-        dump = Simulation._dumps_canonical
+        dump = dumps_canonical
         assert dump(deque([1, 2])) != dump(deque([2, 1]))
         assert dump(deque([1, 2])) != dump(deque([1, 2], maxlen=2))
         assert dump(deque([1, 2])) != dump([1, 2])
         assert dump(deque([1, 2])) == dump(deque([1, 2]))
+
+    def test_shared_set_elements_canonize_to_the_parent_commits_bytes(self):
+        """One vector-clock entry held by several sets of one state: the
+        case the per-call set-element memo of ``_canonize`` used to hit.
+        The digest was recorded from the commit before the memo went;
+        the only bytes that moved since are the module path the two
+        sentinel classes are pickled under (same length, so it maps back)."""
+        import hashlib
+        from collections import deque
+
+        from repro.sim.clock import HLCTimestamp
+
+        entry = ("s0", HLCTimestamp(3, 1))
+        other = ("s1", HLCTimestamp(7, 0))
+        state = {
+            "seen": {entry, other},
+            "acked": frozenset({entry}),
+            "deps": [{entry, ("s2", HLCTimestamp(1, 0))}, {other, entry}],
+            "queue": deque([frozenset({entry, other})]),
+        }
+        dump = dumps_canonical(state)
+        assert b"repro.sim.snapshot" in dump
+        dump = dump.replace(b"repro.sim.snapshot", b"repro.sim.executor")
+        digest = hashlib.blake2b(dump, digest_size=16).hexdigest()
+        assert digest == "6d8e87e17cc7100b05516de29a606b44"
 
     def test_opaque_iterables_are_refused_by_name(self):
         from collections import OrderedDict
@@ -794,5 +907,69 @@ class TestCanonizeContainers:
         from repro.txn.types import BOTTOM
 
         with pytest.raises(TypeError, match="collections.OrderedDict"):
-            Simulation._dumps_canonical({"k": OrderedDict(a=1)})
-        Simulation._dumps_canonical({"k": BOTTOM})  # stateless sentinel: legal
+            dumps_canonical({"k": OrderedDict(a=1)})
+        dumps_canonical({"k": BOTTOM})  # stateless sentinel: legal
+
+
+# ---------------------------------------------------------------------------
+# The oracle consults no cache: a mutation that skipped its dirty bump
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("component", ["process", "network"])
+def test_unbumped_mutation_is_stale_in_bytes_and_seen_by_the_oracle(
+    component, canonical
+):
+    """Every mutation must bump its component's dirty counter; the
+    ``bytes`` path trusts the counter (so a mutation behind its back is
+    served yesterday's digest — the documented contract), the
+    ``deepcopy`` oracle digests the live processes *and* the live
+    network afresh, which is how ``TestModeEquivalence`` would notice."""
+    seen = {}
+    for mode in MODES:
+        with use_snapshot_mode(mode):
+            sim = Simulation([Pinger("a", "b", n=2), Echo("b")])
+            sim.step("a")
+            before = sim.fingerprint(canonical=canonical)
+            if component == "network":
+                net = sim.network
+                m = net.in_transit[("a", "b")].popleft()  # a delivery,
+                net.income["b"].append(m)  # with no _version bump
+            else:
+                sim.processes["b"].seen.append("smuggled")  # no mark_dirty()
+            seen[mode] = sim.fingerprint(canonical=canonical) != before
+    assert seen == {"bytes": False, "deepcopy": True}
+
+
+# ---------------------------------------------------------------------------
+# What the e2e harness and the pool rely on
+# ---------------------------------------------------------------------------
+
+
+def test_harness_contract_names_and_entry_points():
+    import types
+
+    import repro.sim
+    from repro.sim import executor
+
+    # benchmarks/e2e/spans.py patches owner.__dict__[attr]: an entry
+    # point inherited from a mixin would break the traced pass
+    for name in ("snapshot", "restore", "fingerprint", "step", "deliver", "invoke"):
+        assert isinstance(Simulation.__dict__[name], types.FunctionType), name
+    for name in (
+        "SimCounters", "Simulation", "Configuration", "DeepCopyConfiguration",
+        "SNAPSHOT_MODES", "use_snapshot_mode", "PICKLE_PROTOCOL",
+    ):
+        assert getattr(executor, name) is getattr(repro.sim, name), name
+    sim = fresh_sim()
+    assert tuple(sim._snapshotters) == SNAPSHOT_MODES
+    snap = sim.snapshot()
+    with pytest.raises(TypeError):
+        sim.fingerprint(snap)  # the retired positional `config` argument
+    # each entry point books itself exactly once per call
+    sim.fingerprint()
+    sim.fingerprint(canonical=True)
+    sim.restore(snap)
+    c = sim.counters
+    assert (c.snapshots, c.fingerprints, c.restores) == (1, 2, 1)
