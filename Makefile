@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: install test test-fast lint lint-changed bench bench-smoke examples all
+.PHONY: install test test-fast lint lint-changed bench bench-smoke ledger examples all
 
 install:
 	pip install -e . || python setup.py develop  # offline fallback
@@ -26,8 +26,17 @@ lint:
 lint-changed:
 	$(PY) -m repro.lint --changed --budget lint_budget.json
 
+# the three gated pytest-benchmark scripts (each writes one BENCH_*.json)
 bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	$(PY) -m pytest benchmarks/bench_explore.py benchmarks/bench_parallel.py \
+		benchmarks/bench_checker.py --benchmark-only
+
+# regenerate benchmarks/results/PAPER_LEDGER.json (every paper table,
+# theorem run and figure); exits 1 naming the keys that drifted from the
+# committed ledger.  The committed file is the PYTHONHASHSEED=0 one;
+# tests/test_paper_ledger.py rebuilds it under a random seed.
+ledger:
+	PYTHONHASHSEED=0 $(PY) benchmarks/paper_ledger.py
 
 # fast perf-regression gate: exact exploration counts vs the committed
 # baseline (PYTHONHASHSEED pinned so any failure reproduces bit-for-bit)
@@ -42,4 +51,4 @@ examples:
 	$(PY) examples/protocol_comparison.py
 	$(PY) examples/impossibility_demo.py
 
-all: test lint bench
+all: test lint ledger bench

@@ -19,16 +19,15 @@ scenario:
   ``tests/test_incremental.py`` checks leaf-by-leaf via the oracle).
 
 Results land in ``benchmarks/results/BENCH_checker.json`` (a CI
-artifact, like BENCH_explore) and a human-readable table.
+artifact, like BENCH_explore).
 """
 
 import json
 import time
 
-from conftest import RESULTS_DIR, once, save_result
+from conftest import RESULTS_DIR, anomaly_union, once, save_json
 
 import repro.engine.core as engine_core
-from repro.analysis.tables import format_table
 from repro.consistency import IncrementalCausalChecker, find_causal_anomalies
 from repro.core.explore import explore
 from repro.core.setup import prepare_theorem_system
@@ -44,15 +43,6 @@ SCENARIOS = [
 ]
 
 PER_NODE_GATE = 5.0
-
-_rows = []
-
-
-def save_json(name: str, payload) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[saved to benchmarks/results/{name}.json]")
 
 
 def _script(tsys, n):
@@ -109,9 +99,7 @@ def _identity(r):
         schedules_completed=r.schedules_completed,
         truncated=r.truncated,
         violating_schedules=len(r.violations),
-        anomaly_union=sorted(
-            {str(a) for _, anomalies in r.violations for a in anomalies}
-        ),
+        anomaly_union=anomaly_union(r),
     )
 
 
@@ -151,30 +139,7 @@ def test_checker_matrix(benchmark):
         assert (
             entry["checker_s_incremental"] <= entry["checker_s_batch"]
         ), entry
-        _rows.append(
-            [
-                entry["scenario"],
-                entry["leaves"],
-                entry["leaf_us_incremental"],
-                entry["leaf_us_batch"],
-                f'{entry["per_node_speedup"]}x',
-                entry["checker_s_incremental"],
-                entry["checker_s_batch"],
-                entry["wall_s_incremental"],
-                entry["wall_s_batch"],
-            ]
-        )
     save_json("BENCH_checker", report)
-    save_result(
-        "checker_incremental",
-        format_table(
-            ["scenario", "leaves", "leaf µs (inc)", "leaf µs (batch)",
-             "per-node", "chk s (inc)", "chk s (batch)", "wall s (inc)",
-             "wall s (batch)"],
-            _rows,
-            title="Incremental delta checkers vs per-leaf batch scan",
-        ),
-    )
     benchmark.extra_info["per_node_speedup"] = [
         (e["scenario"], e["per_node_speedup"]) for e in report["scenarios"]
     ]

@@ -8,16 +8,14 @@ the acceptance gate for the partial-order reduction (same verdict, same
 anomaly set, ≥ 2x fewer expanded states than the unreduced DFS) and the
 perf trajectory the CI artifact tracks across PRs.
 
-The closing table repeats the paper's point from the other side: the
+The closing test repeats the paper's point from the other side: the
 brute-force checker needs tens of thousands of configurations (hundreds
 after reduction) to find what the proof engine assembles as one splice.
 """
 
-import json
 import time
 
-from conftest import RESULTS_DIR, once, save_result
-from repro.analysis.tables import format_table
+from conftest import anomaly_union, once, save_json
 from repro.core import check_impossibility
 from repro.core.explore import explore_write_read_race
 
@@ -34,22 +32,6 @@ CONFIGS = [
     ("bfs+por", "bfs", True, 1),
     ("dfs+por+w2", "dfs", True, 2),
 ]
-
-_rows = []
-
-
-def _anomaly_union(result):
-    return sorted(
-        {str(a) for _, anomalies in result.violations for a in anomalies}
-    )
-
-
-def save_json(name: str, payload) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"[saved to benchmarks/results/{name}.json]")
-
 
 def test_engine_matrix(benchmark):
     """The whole grid, with the POR acceptance gate asserted."""
@@ -77,7 +59,7 @@ def test_engine_matrix(benchmark):
                     "states_deduped": r.states_deduped,
                     "schedules_completed": r.schedules_completed,
                     "violating_schedules": len(r.violations),
-                    "anomaly_union": _anomaly_union(r),
+                    "anomaly_union": anomaly_union(r),
                     "seconds": round(dt, 2),
                     "counters": r.counters.as_dict(),
                 }
@@ -95,17 +77,6 @@ def test_engine_matrix(benchmark):
             plain["states_visited"] / reduced["states_visited"], 1
         )
         assert entry["por_reduction"] >= 2.0, entry
-        _rows.extend(
-            [
-                entry["protocol"],
-                label,
-                arm["states_visited"],
-                arm["schedules_completed"],
-                arm["violating_schedules"],
-                arm["seconds"],
-            ]
-            for label, arm in cfg.items()
-        )
     save_json("BENCH_explore", report)
     benchmark.extra_info["por_reduction"] = [
         (e["protocol"], e["por_reduction"]) for e in report["scenarios"]
@@ -116,16 +87,3 @@ def test_proof_engine_refutes_fastclaim(benchmark):
     verdict = once(benchmark, check_impossibility, "fastclaim", max_k=3,
                    skip_fast_check=True)
     assert verdict.outcome == "CAUSAL_VIOLATION"
-    _rows.append(["fastclaim", "proof engine", 1, 1, 1, "-"])
-
-
-def test_explore_table(benchmark):
-    once(benchmark, lambda: None)
-    save_result(
-        "explore_vs_engine",
-        format_table(
-            ["protocol", "config", "states", "schedules", "violating", "s"],
-            _rows,
-            title="Exploration matrix vs the paper's constructions",
-        ),
-    )

@@ -26,7 +26,7 @@ artifact, so the trajectory stays observable across PRs).
 import os
 import time
 
-from bench_explore import save_json
+from conftest import anomaly_union, save_json
 from repro.core.explore import explore_write_read_race
 from repro.engine import parallel
 
@@ -38,12 +38,6 @@ SPEEDUP_GATE = {4: 2.2, 8: 3.5}
 
 #: workers=4 wall-clock must undercut serial by this factor
 WALL_CLOCK_GATE = 0.45
-
-
-def _anomaly_union(result):
-    return sorted(
-        {str(a) for _, anomalies in result.violations for a in anomalies}
-    )
 
 
 def _count_key(r):
@@ -75,7 +69,7 @@ def _entry(seconds, r):
         "states_deduped": r.states_deduped,
         "schedules_completed": r.schedules_completed,
         "violation_found": r.violation_found,
-        "anomaly_union": _anomaly_union(r),
+        "anomaly_union": anomaly_union(r),
         "roots_shipped": r.roots_shipped,
         "shared_seen_hits": r.shared_seen_hits,
     }
@@ -98,7 +92,7 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
         report["arms"]["serial"] = _entry(serial_s, serial)
         por_s, serial_por = _run(workers=1, por=True)
         report["arms"]["serial_por"] = _entry(por_s, serial_por)
-        assert _anomaly_union(serial_por) == _anomaly_union(serial)
+        assert anomaly_union(serial_por) == anomaly_union(serial)
         pool = {}
         for w in (4, 8):
             secs, r = _run(workers=w)
@@ -111,7 +105,7 @@ def test_parallel_frontier_gate(benchmark, monkeypatch):
         # identity: verdicts, unions, and counts under the shared quotient
         for w, r in pool.items():
             assert r.violation_found == serial.violation_found, w
-            assert _anomaly_union(r) == _anomaly_union(serial), w
+            assert anomaly_union(r) == anomaly_union(serial), w
             assert r.states_visited <= serial.states_visited, w
         # determinism: a second workers=4 run is count-bit-identical
         again_s, again = _run(workers=4)

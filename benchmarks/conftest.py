@@ -1,29 +1,30 @@
-"""Shared benchmark utilities.
+"""Helpers shared by the gated pytest-benchmark scripts.
 
-Every benchmark regenerates one artifact of the paper (a table, a
-figure, a theorem run, or a quantified trade-off) and both *prints* it
-(run with ``-s`` to watch) and writes it under ``benchmarks/results/``
-so the EXPERIMENTS.md record can be refreshed from disk.
+``bench_explore``, ``bench_parallel`` and ``bench_checker`` each assert
+an acceptance gate and write one ``benchmarks/results/BENCH_*.json``,
+stamped with the same ``env`` block as the paper ledger.
 """
 
-import os
-import sys
+import json
 from pathlib import Path
 
-import pytest
+from paper_ledger import env_stamp
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def save_result(name: str, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print(f"\n{text}\n[saved to benchmarks/results/{name}.txt]")
+def save_json(name: str, payload) -> None:
+    path = RESULTS_DIR / f"{name}.json"
+    stamped = dict(payload, env=env_stamp())
+    path.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
+    print(f"[saved to benchmarks/results/{name}.json]")
 
 
-@pytest.fixture
-def results():
-    return save_result
+def anomaly_union(result):
+    """Every distinct anomaly over all violating schedules, sorted."""
+    return sorted(
+        {str(a) for _, anomalies in result.violations for a in anomalies}
+    )
 
 
 def once(benchmark, fn, *args, **kwargs):

@@ -11,11 +11,7 @@ vs COPS-RW's "prohibitively big amount of data").
 from repro.analysis import characterize, render_table1
 from repro.analysis.tables import format_table
 from repro.protocols import build_system, protocol_names
-from repro.workloads import WorkloadSpec, run_workload
-
-SPEC = WorkloadSpec(
-    n_txns=120, read_ratio=0.7, read_size=(2, 3), write_size=(1, 2), seed=11
-)
+from repro.workloads import TABLE1_SPEC, run_workload
 
 
 def main() -> None:
@@ -23,7 +19,7 @@ def main() -> None:
     meta_rows = []
     for name in sorted(protocol_names()):
         system = build_system(name, objects=("X0", "X1", "X2", "X3"), n_servers=2)
-        hist = run_workload(system, SPEC)
+        hist = run_workload(system, TABLE1_SPEC)
         ch = characterize(system, hist)
         chars.append(ch)
         meta_rows.append(

@@ -127,16 +127,6 @@ class TxnStats:
         return self.read_only and self.one_round and self.one_value and self.nonblocking
 
 
-def _step_of_message(trace: Trace) -> Dict[int, StepEvent]:
-    """msg_id → the step event that sent it."""
-    out: Dict[int, StepEvent] = {}
-    for ev in trace:
-        if isinstance(ev, StepEvent):
-            for m in ev.sent:
-                out[m.msg_id] = ev
-    return out
-
-
 def analyze_transactions(
     trace: Trace,
     history: History,
@@ -158,7 +148,6 @@ def analyze_transactions(
     }
     clients = {rec.txid: rec.client for rec in history.records}
 
-    sender_step = _step_of_message(trace)
     # depth of each message in its transaction's causal message chain
     depth: Dict[int, int] = {}
 
@@ -184,8 +173,6 @@ def analyze_transactions(
                     parent = max(parent, depth[r.msg_id])
                     triggered_same_step = True
             depth[m.msg_id] = parent + 1
-            if ev.pid == st.client and m.dst != st.client:
-                pass
             # server → client replies: blocking & one-value accounting
             if ev.pid in server_set and m.dst == clients.get(txid):
                 st.hops = max(st.hops, depth[m.msg_id])
@@ -248,9 +235,14 @@ class Characterization:
     consistency_level: str
     consistency_ok: bool
     consistency_conclusive: bool
+    avg_rounds: float
+    blocked_share: float
+    avg_messages: float
     avg_rot_latency: float
     avg_value_bytes: float
     avg_metadata_bytes: float
+    #: steps + deliveries of the whole run per committed transaction
+    events_per_txn: float
 
     @property
     def fast_rots(self) -> bool:
@@ -305,7 +297,11 @@ def characterize(
         consistency_level=system.info.consistency,
         consistency_ok=ok,
         consistency_conclusive=conclusive,
+        avg_rounds=sum(s.rounds for s in rots) / n,
+        blocked_share=sum(s.blocked for s in rots) / n,
+        avg_messages=sum(s.n_messages for s in rots) / n,
         avg_rot_latency=sum(s.latency_events for s in rots) / n,
         avg_value_bytes=sum(s.value_bytes for s in rots) / n,
         avg_metadata_bytes=sum(s.metadata_bytes for s in rots) / n,
+        events_per_txn=len(system.sim.trace) / max(1, len(history.records)),
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 
@@ -88,13 +89,10 @@ def _proto_params(args: argparse.Namespace) -> dict:
 def cmd_table1(args: argparse.Namespace) -> int:
     from repro.analysis import characterize, render_table1
     from repro.protocols import build_system, protocol_names
-    from repro.workloads import WorkloadSpec, run_workload
+    from repro.workloads import TABLE1_SPEC, run_workload
 
-    spec = WorkloadSpec(
-        n_txns=args.txns,
-        read_ratio=args.read_ratio,
-        read_size=(2, 3),
-        seed=args.seed,
+    spec = replace(
+        TABLE1_SPEC, n_txns=args.txns, read_ratio=args.read_ratio, seed=args.seed
     )
     chars = []
     for name in sorted(protocol_names()):
@@ -227,6 +225,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.workloads import TABLE1_SPEC
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -251,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(fn=cmd_theorem)
 
     tb = sub.add_parser("table1", help="regenerate Table 1")
-    tb.add_argument("--txns", type=int, default=120)
-    tb.add_argument("--read-ratio", type=float, default=0.7)
-    tb.add_argument("--seed", type=int, default=11)
+    tb.add_argument("--txns", type=int, default=TABLE1_SPEC.n_txns)
+    tb.add_argument("--read-ratio", type=float, default=TABLE1_SPEC.read_ratio)
+    tb.add_argument("--seed", type=int, default=TABLE1_SPEC.seed)
     tb.add_argument("--servers", type=int, default=2)
     tb.add_argument("--objects", type=int, default=4)
     tb.add_argument("--all-rows", action="store_true",

@@ -25,30 +25,18 @@ from typing import List, Optional, Sequence, Tuple
 from repro.sim.events import deliverable_messages, steppable_pids
 from repro.sim.executor import Simulation
 from repro.sim.messages import Message, ProcessId
-from repro.sim.scheduler import Scheduler
+from repro.sim.scheduler import RoundRobinScheduler, Scheduler
 
 
-class LIFOScheduler(Scheduler):
+class LIFOScheduler(RoundRobinScheduler):
     """Delivers newest-first; steps round-robin between deliveries."""
 
-    def __init__(self) -> None:
-        self._rr = 0
-        self._phase = 0
-
     def tick(self, sim: Simulation, pids: Optional[Sequence[ProcessId]] = None) -> bool:
-        deliverable = deliverable_messages(sim, pids)
-        steppable = steppable_pids(sim, pids)
-        if not deliverable and not steppable:
-            return False
-        do_deliver = deliverable and (self._phase % 2 == 0 or not steppable)
-        self._phase += 1
-        if do_deliver:
-            sim.deliver_msg(deliverable[-1])  # newest message first
-            return True
-        order = sorted(steppable)
-        sim.step(order[self._rr % len(order)])
-        self._rr += 1
-        return True
+        # the round-robin alternation with the newest message as the
+        # only delivery candidate
+        return self._alternate(
+            sim, deliverable_messages(sim, pids)[-1:], steppable_pids(sim, pids)
+        )
 
 
 class StarveLinkScheduler(Scheduler):

@@ -15,6 +15,7 @@ from repro.workloads.generators import (
     READ_HEAVY,
     WRITE_HEAVY,
     BALANCED,
+    TABLE1_SPEC,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "READ_HEAVY",
     "WRITE_HEAVY",
     "BALANCED",
+    "TABLE1_SPEC",
 ]

@@ -51,6 +51,11 @@ READ_HEAVY = WorkloadSpec(read_ratio=0.95)
 BALANCED = WorkloadSpec(read_ratio=0.5)
 WRITE_HEAVY = WorkloadSpec(read_ratio=0.1)
 
+#: the Table-1 reference mix, run on 4 objects / 2 servers: the paper
+#: ledger's ``table1`` section, ``python -m repro table1`` and
+#: ``examples/protocol_comparison.py`` all measure this one workload
+TABLE1_SPEC = WorkloadSpec(n_txns=120, read_ratio=0.7, read_size=(2, 3), seed=11)
+
 
 class WorkloadGenerator:
     """Expands a spec into concrete transactions."""
