@@ -28,7 +28,6 @@ import time
 
 from conftest import anomaly_union, save_json
 from repro.core.explore import explore_write_read_race
-from repro.engine import parallel
 
 #: the skewed full-scope scenario (depth past quiescence, no truncation)
 PROTOCOL, DEPTH = "fastclaim", 18
@@ -75,9 +74,7 @@ def _entry(seconds, r):
     }
 
 
-def test_parallel_frontier_gate(benchmark, monkeypatch):
-    # benchmark the pool itself, not the auto-serial probe in front of it
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
+def test_parallel_frontier_gate(benchmark):
     report = {
         "protocol": PROTOCOL,
         "max_depth": DEPTH,

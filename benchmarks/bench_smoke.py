@@ -40,8 +40,8 @@ BASELINES = {
         dict(states_visited=128, states_deduped=50,
              schedules_completed=4, violations=1, truncated=0),
     ),
-    # the POR-reduced scope is tiny, so the workers=2 request auto-serials
-    # (serial probe) and must reproduce the workers=1 counts exactly
+    # a first-violation workers=2 request is routed to the serial search
+    # (auto_serial) and must reproduce the workers=1 counts exactly
     "fastclaim dfs+por+w2": (
         "fastclaim",
         dict(max_depth=30, max_states=60_000, por=True, workers=2),

@@ -108,9 +108,9 @@ class ExplorationResult(SearchOutcome):
     por: bool = False
     workers: int = 1
     #: a ``workers > 1`` request answered serially: not an exhaustive
-    #: DFS of a POR-safe protocol (see :func:`run`), or the fan-out
-    #: could not pay for itself (tiny scope or too few subtree roots —
-    #: see :mod:`repro.engine.parallel`)
+    #: DFS of a POR-safe protocol (see :func:`run`), or the seeding
+    #: walk found too few subtree roots to keep a pool busy (see
+    #: :mod:`repro.engine.parallel`)
     auto_serial: bool = False
     #: parallel runs: subtree roots the seeding walk shipped to the pool
     roots_shipped: int = 0
@@ -496,12 +496,10 @@ class SerialSearch:
                     self._delta_consume(fresh)
                 self._check_leaf()
             return  # stuck without finishing: not a legal maximal run
-        # one snapshot per node: every child branch mutates the live sim
-        # and restores from this same (immutable) snapshot afterwards.
-        # The snapshot also pickles (and interns) the processes the
-        # entering event touched, which is how the fingerprint right
-        # after finds their digests in the sim's state table.
-        snap = self.sim.snapshot()
+        # digest before capture: the fingerprint pickles (and interns)
+        # the process the entering event touched — the cache key of its
+        # digest — and a node the seen-set, the claim set or a budget
+        # drops below is never captured at all
         fp = self._fingerprint()
         if self._covered(fp, sleep):
             r.states_deduped += 1
@@ -512,7 +510,7 @@ class SerialSearch:
         if depth >= self._cutoff:
             self._frontier.append(
                 SearchNode(
-                    snap, fp, tuple(self._trail), depth, sleep,
+                    self.sim.snapshot(), fp, tuple(self._trail), depth, sleep,
                     violations_before=len(r.violations),
                 )
             )
@@ -533,6 +531,9 @@ class SerialSearch:
         explorable = (
             [e for e in events if e not in sleep] if self.por else events
         )
+        # one snapshot per expanded node: every child branch mutates the
+        # live sim and restores from this same (immutable) snapshot
+        snap = self.sim.snapshot()
         prior: List[Event] = []
         for i, e in enumerate(explorable):
             child_sleep = self._child_sleep(sleep, prior, e)
@@ -566,7 +567,8 @@ class SerialSearch:
         """Breadth-first from the sim's current configuration.
 
         Finds shortest counterexamples first.  Children are deduped at
-        generation time so the frontier never holds duplicate snapshots.
+        generation time, before they are captured, so the frontier never
+        holds duplicate snapshots and a duplicate is never snapshotted.
         """
         from collections import deque
 
@@ -604,7 +606,6 @@ class SerialSearch:
             for e in explorable:
                 child_sleep = self._child_sleep(node.sleep, prior, e)
                 e.apply(sim)
-                child_snap = sim.snapshot()
                 child_fp = self._fingerprint()
                 if self._covered(child_fp, child_sleep):
                     r.states_deduped += 1
@@ -612,7 +613,7 @@ class SerialSearch:
                     self._remember(child_fp, child_sleep)
                     frontier.append(
                         SearchNode(
-                            child_snap,
+                            sim.snapshot(),
                             child_fp,
                             node.trail + (e,),
                             node.depth + 1,

@@ -12,26 +12,24 @@ for an exhaustive DFS (``first_violation_only=False``) of a protocol
 whose canonical fingerprint is a bisimulation (``por`` or
 ``por_safe``):
 
-1. **Serial probe.**  A serial search capped at
-   :data:`SERIAL_PROBE_STATES` settles tiny scopes outright
-   (``result.auto_serial``) — pool spin-up alone costs more than a few
-   thousand states.
-2. **Seeding walk.**  The parent runs the ordinary serial DFS truncated
-   at a shallow cutoff and collects the DFS-preorder frontier; a walk
-   that finds fewer than ``workers + 1`` roots falls back to one full
-   serial search (also ``auto_serial``).
-3. **A fixed task list.**  Every root (delta snapshot + trail + depth)
+1. **Seeding walk.**  The parent runs the ordinary serial DFS truncated
+   at a shallow cutoff and collects the DFS-preorder frontier.  That
+   walk is also what keeps tiny scopes off the pool: one it finishes is
+   the whole answer, and one that yields fewer than ``workers + 1``
+   roots falls back to one full serial search
+   (``result.auto_serial``).
+2. **A fixed task list.**  Every root (delta snapshot + trail + depth)
    goes on one queue, followed by one sentinel per worker.  Workers
    block on ``get()``, run :class:`~repro.engine.core.SerialSearch`
    from each root they pull, and exit on a sentinel.  Nothing is ever
    put back: the load balancer is…
-4. **The shared claim set** (:mod:`repro.engine.seenset`), an
+3. **The shared claim set** (:mod:`repro.engine.seenset`), an
    open-addressing table in ``multiprocessing.shared_memory`` every
    worker claims in before expanding.  A fingerprint is claimed exactly
    once pool-wide, so whoever reaches a class first expands it and a
    worker whose own root turns out small simply runs into territory
    nobody has claimed yet.
-5. **Merge.**  Counts add; violations sort by ordinal (the root's
+4. **Merge.**  Counts add; violations sort by ordinal (the root's
    DFS-preorder index, then discovery order within the root).
 
 **The closure, not the sleep-set reduction.**  Cross-worker dedup keys
@@ -46,8 +44,8 @@ so it could neither claim nor trust the set.  The closure is sound
 quiescent class is still checked; sleep sets only ever prune redundant
 interleavings) and its counts are schedule-independent: bit-identical
 run to run and across ``workers``.  It generates more children than
-the serial sleep-set search does, which is why the probe and the
-too-few-roots fallback answer with the caller's own ``por`` setting.
+the serial sleep-set search does, which is why the too-few-roots
+fallback answers with the caller's own ``por`` setting.
 
 **Budget.**  ``max_states`` is a *global* budget: workers draw chunks
 from one shared counter, so ``workers=N`` never visits more than the
@@ -77,12 +75,6 @@ ROOTS_PER_WORKER = 4
 
 #: never seed deeper than this: each extra level multiplies seeding work
 MAX_CUTOFF = 10
-
-#: the auto-serial probe budget: a scope that a serial search finishes
-#: within this many states is cheaper to answer serially than to ship to
-#: a pool (process spin-up alone dwarfs the work).  0 disables the probe
-#: (tests and benchmarks monkeypatch it to force the pool path).
-SERIAL_PROBE_STATES = 4096
 
 #: how long the parent waits on the result queue before checking that
 #: every worker it still expects a result from is alive
@@ -222,8 +214,8 @@ def run_parallel(
 
     The caller (:func:`repro.engine.core.run`) has established that the
     canonical fingerprint is a bisimulation for this protocol; ``por``
-    is the caller's own setting and only steers the serial answers
-    (probe, too-few-roots fallback).
+    is the caller's own setting and only steers the serial answer of
+    the too-few-roots fallback.
     """
     sim = system.sim
     pids = tuple(system.clients) + tuple(system.service_pids)
@@ -232,7 +224,7 @@ def run_parallel(
     root_snap = sim.snapshot()
     target = max(workers * ROOTS_PER_WORKER, workers + 1)
 
-    def _search(serial: bool, budget: int) -> SerialSearch:
+    def _search(serial: bool) -> SerialSearch:
         """A fresh search at the root: the caller's own serial one, or
         the pool's (canonical keys, no sleep sets)."""
         sim.restore(root_snap)
@@ -246,7 +238,7 @@ def run_parallel(
             partial,
             spec,
             max_depth,
-            budget,
+            max_states,
             first_violation_only=False,
             por=por and serial,
             incremental=incremental,
@@ -254,34 +246,10 @@ def run_parallel(
             canonical_keys=not serial,
         )
 
-    def _serial(budget: int) -> SerialSearch:
-        search = _search(True, budget)
-        search.run("dfs")
-        return search
-
-    def _answer_serially(search: SerialSearch) -> ExplorationResult:
-        _finalize(result, search, sim)
-        result.auto_serial = True
-        return result
-
-    # a cheap deterministic probe: tiny scopes are answered serially
-    # outright — pool spin-up alone costs more than exploring a few
-    # thousand states on the delta-restore path.  The probe IS the
-    # serial run, so returning its result matches ``workers=1`` bit for
-    # bit.
-    if SERIAL_PROBE_STATES > 0:
-        probe = _serial(min(max_states, SERIAL_PROBE_STATES))
-        if not probe.exhausted or SERIAL_PROBE_STATES >= max_states:
-            # settled: scope finished within the probe budget, or the
-            # probe budget already was the caller's
-            return _answer_serially(probe)
-        # scope outlives the probe: discard its counts (the pool recounts
-        # from scratch; only SimCounters byte totals keep accumulating)
-
     # grow the cutoff until the frontier is wide enough to balance the
     # pool; each pass restarts from the root (shallow passes are cheap)
     for cutoff in range(1, max(1, min(max_depth, MAX_CUTOFF)) + 1):
-        seeding = _search(False, max_states)
+        seeding = _search(False)
         roots = seeding.collect_frontier(cutoff)
         if seeding.exhausted or not roots or len(roots) >= target:
             break
@@ -294,7 +262,11 @@ def run_parallel(
     if len(roots) < workers + 1:
         # not enough subtrees to keep the pool busy: one serial run is
         # cheaper than spinning up workers that would mostly idle
-        return _answer_serially(_serial(max_states))
+        serial = _search(True)
+        serial.run("dfs")
+        _finalize(result, serial, sim)
+        result.auto_serial = True
+        return result
 
     partial = seeding.result
     ctx = _mp_context()

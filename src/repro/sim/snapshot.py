@@ -80,8 +80,8 @@ def _net_build(state) -> Network:
     return net
 
 
-def _placement_strict(state, idx: Dict[ProcessId, int]) -> bytes:
-    """A capture's message placement as canonical bytes (strict keying).
+def _placement_strict(net: Network, idx: Dict[ProcessId, int]) -> bytes:
+    """The live network's message placement as canonical bytes (strict keying).
 
     One ``(src, dst, msg_id…)`` tuple per link present in ``in_transit``
     — a link that emptied is not a link never used — and one ``(pid,
@@ -92,9 +92,11 @@ def _placement_strict(state, idx: Dict[ProcessId, int]) -> bytes:
     position-only encoding would collide states where the same
     ``msg_id`` sits on *different* links.  ``link_counts`` stays out.
     """
-    _, transit, _, income = state
-    links = [(idx[s], idx[d], *[m.msg_id for m in q]) for (s, d), q in transit]
-    buffers = [(idx[pid], *[m.msg_id for m in v]) for pid, v in income]
+    links = [
+        (idx[s], idx[d], *[m.msg_id for m in q])
+        for (s, d), q in net.in_transit.items()
+    ]
+    buffers = [(idx[pid], *[m.msg_id for m in v]) for pid, v in net.income.items()]
     return pickle.dumps((sorted(links), sorted(buffers)), PICKLE_PROTOCOL)
 
 
@@ -409,7 +411,8 @@ class _CompRow:
     of ``fp_state()`` — shared by every row, past or future, whose
     process pickles to the same bytes.  The network row owns a private
     record: the structural :func:`_net_capture` tuple and the strict /
-    trace-canonical placement payloads.
+    trace-canonical placement payloads, each filled when first asked
+    for (:meth:`Snapshotter._net_rec`).
     """
 
     __slots__ = ("obj", "version", "rec")
@@ -505,16 +508,16 @@ class Snapshotter:
             self.counters.bytes_reused += len(rec[0])
         return rec[0]
 
-    def _capture_net(self, row: _CompRow) -> list:
-        """Fill the network row's record (at most once per version).
-
-        Contributes zero to the byte ledger: :func:`_net_capture` holds
-        the (immutable) messages by reference and serializes nothing.
-        """
-        rec = row.rec = [_net_capture(row.obj), None, None]
-        self.counters.cache_misses += 1
-        self.counters.components_serialized += 1
-        return rec
+    def _net_rec(self, network: Network) -> list:
+        """The network row's record, each slot filled on demand: the
+        capture by :meth:`capture`, a placement payload by
+        :meth:`digest` — which reads the live network, so a
+        configuration that is fingerprinted and dropped builds no
+        structural tuple."""
+        row = self._row(_NET, network)
+        if row.rec is None:
+            row.rec = [None, None, None]
+        return row.rec
 
     def _memo_canon_payload(self, m: Message) -> bytes:
         # messages are immutable and shared by reference across
@@ -532,16 +535,20 @@ class Snapshotter:
 
     def capture(self, processes, network, msg_counter, event_count) -> Configuration:
         """One sub-blob per process plus the network capture, each from its row."""
-        net_row = self._row(_NET, network)
-        if net_row.rec is None:
-            self._capture_net(net_row)
+        net_rec = self._net_rec(network)
+        if net_rec[0] is None:
+            # zero bytes on the ledger: the capture holds the (immutable)
+            # messages by reference and serializes nothing
+            net_rec[0] = _net_capture(network)
+            self.counters.cache_misses += 1
+            self.counters.components_serialized += 1
         else:
             self.counters.cache_hits += 1
         blobs = [
             (pid, self._comp_blob(self._row(pid, proc)))
             for pid, proc in processes.items()
         ]
-        return Configuration(tuple(blobs), net_row.rec[0], msg_counter, event_count)
+        return Configuration(tuple(blobs), net_rec[0], msg_counter, event_count)
 
     def apply_delta(self, config: Configuration, processes, network):
         """The live state moved to ``config``, touching only what differs."""
@@ -605,24 +612,22 @@ class Snapshotter:
         dumps, so a hit returns exactly what the walk would compute;
         equal states that pickle differently (set order, sharing
         topology) merely miss and are walked again to the same digest.
-        A row reaches its record by pickling (:meth:`_comp_blob` — the
-        node's snapshot already did) or by a restore, so
-        :func:`_canonize` runs once per distinct process state of a
-        run.  The placement payload is a pure function of the network
-        state, so it caches in the network row's record.
+        A row reaches its record by pickling (:meth:`_comp_blob`, here
+        on demand: the engine digests a node before it captures it) or
+        by a restore, so :func:`_canonize` runs once per distinct
+        process state of a run.  The placement payload is a pure
+        function of the network state, so it caches in the network
+        row's record.
         """
         order, idx = self._pid_order(processes)
         i = 2 if canonical else 1
-        net_row = self._row(_NET, network)
-        net_rec = net_row.rec
-        if net_rec is None:
-            net_rec = self._capture_net(net_row)
+        net_rec = self._net_rec(network)
         payload = net_rec[i]
         if payload is None:
             if canonical:
                 payload = _placement_canonical(network, idx, self._memo_canon_payload)
             else:
-                payload = _placement_strict(net_rec[0], idx)
+                payload = _placement_strict(network, idx)
             net_rec[i] = payload
         counters = self.counters
         out: List[bytes] = []
@@ -670,7 +675,7 @@ class DeepCopySnapshotter:
         if canonical:
             payload = _placement_canonical(network, idx, _canon_payload)
         else:
-            payload = _placement_strict(_net_capture(network), idx)
+            payload = _placement_strict(network, idx)
         return _digest(
             b"".join(_state_digest(processes[pid], canonical) for pid in order)
             + payload

@@ -122,11 +122,11 @@ def test_workers_bit_identical_first_violation():
 
 
 def test_workers_auto_serial_on_tiny_scope():
-    """A tiny scope answers a ``workers=2`` request serially.
+    """A first-violation ``workers=2`` request is answered serially.
 
-    The POR-reduced fastclaim scope is ~128 states — far below the
-    serial probe budget — so the parallel wrapper must skip the pool and
-    return the serial result verbatim: same counts, same first
+    ``first_violation_only`` (the default) is not a request shape the
+    pool takes, so :func:`repro.engine.core.run` routes it to the serial
+    search and returns that result verbatim: same counts, same first
     violation, flagged ``auto_serial``.
     """
     kw = dict(max_depth=30, max_states=60_000, por=True)
@@ -148,16 +148,13 @@ def test_workers_auto_serial_on_tiny_scope():
     assert fanned.violations == serial.violations
 
 
-def test_workers_pool_path_forced(monkeypatch):
-    """With the probe disabled the pool really runs — and still matches.
+def test_workers_pool_path_forced():
+    """An exhaustive request really runs the pool — and still matches.
 
-    Guards the pool machinery itself now that small scopes normally
-    auto-serial: verdict and anomaly union must survive the fan-out,
-    and the describe line reports the pool's own accounting.
+    Guards the pool machinery itself on a small scope: verdict and
+    anomaly union must survive the fan-out, and the describe line
+    reports the pool's own accounting.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(
         max_depth=30, max_states=60_000, por=True, first_violation_only=False
     )
@@ -180,18 +177,13 @@ def test_workers_pool_path_forced(monkeypatch):
     ],
     ids=["first-violation+por", "first-violation", "bfs", "random", "not-por-safe"],
 )
-def test_workers_requests_answered_serially(monkeypatch, protocol, kw):
+def test_workers_requests_answered_serially(protocol, kw):
     """Only an exhaustive DFS of a POR-safe protocol fans out.
 
     Every other ``workers=2`` request takes the serial path — flagged
     ``auto_serial``, and equal to ``workers=1`` in every count and every
     violation trace (which is how the first-violation contract is kept).
-    The probe is off, so the serial answer is the engine's routing and
-    not the tiny-scope shortcut.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = {"max_depth": 14, "max_states": 20_000, "first_violation_only": False, **kw}
     serial = explore_write_read_race(protocol, workers=1, **kw)
     fanned = explore_write_read_race(protocol, workers=2, **kw)
@@ -201,7 +193,7 @@ def test_workers_requests_answered_serially(monkeypatch, protocol, kw):
     assert result_key(fanned) == result_key(serial)
 
 
-def test_workers_shared_quotient_deterministic(monkeypatch):
+def test_workers_shared_quotient_deterministic():
     """Exhaustive pool runs explore the shared canonical quotient.
 
     With the cross-worker claim set every canonical class is expanded
@@ -217,10 +209,7 @@ def test_workers_shared_quotient_deterministic(monkeypatch):
     """
     from repro.core.explore import explore
     from repro.core.setup import prepare_theorem_system
-    from repro.engine import parallel
     from repro.txn.types import read_only_txn, write_only_txn
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
 
     def run(workers):
         tsys = prepare_theorem_system("fastclaim", n_probes=2)
@@ -253,16 +242,13 @@ def test_workers_shared_quotient_deterministic(monkeypatch):
     )
 
 
-def test_global_budget_caps_pool(monkeypatch):
+def test_global_budget_caps_pool():
     """``max_states`` is one pool-wide budget, not per worker.
 
     The canonical quotient of the full-scope fastclaim scenario is ~1.3k
     states, so a 600-state cap must bind: the pool stops at <= 600
     visits in total.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     pooled = explore_write_read_race(
         "fastclaim", max_depth=18, max_states=600,
         first_violation_only=False, workers=2,
@@ -273,7 +259,7 @@ def test_global_budget_caps_pool(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_workers_skewed_load_equivalence(monkeypatch, workers):
+def test_workers_skewed_load_equivalence(workers):
     """Skewed load: the answer doesn't move with the pool width.
 
     The full-scope fastclaim race is heavily skewed — subtrees under the
@@ -284,9 +270,6 @@ def test_workers_skewed_load_equivalence(monkeypatch, workers):
     serial, and the first-violation arm reports the bit-identical serial
     trace.
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(max_depth=18, max_states=80_000, por=True)
     serial = explore_write_read_race(
         "fastclaim", first_violation_only=False, **kw
@@ -314,7 +297,7 @@ POOL_ROOTS = {2: 10, 4: 18}
 
 
 @pytest.mark.parametrize("workers", [2, 4, 8])
-def test_workers_pool_exact_counts(monkeypatch, workers):
+def test_workers_pool_exact_counts(workers):
     """The pool's counts are pinned, at every width.
 
     Every canonical class is expanded exactly once pool-wide, so the
@@ -322,9 +305,6 @@ def test_workers_pool_exact_counts(monkeypatch, workers):
     a change to the search itself (the seeding walk and the workers run
     the same ``_dfs``).
     """
-    from repro.engine import parallel
-
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     kw = dict(max_depth=18, max_states=80_000, first_violation_only=False)
     fanned = explore_write_read_race("fastclaim", workers=workers, **kw)
     assert not fanned.auto_serial
@@ -340,6 +320,88 @@ def test_workers_pool_exact_counts(monkeypatch, workers):
     assert anomaly_union(fanned) == anomaly_union(serial)
     c = fanned.counters
     assert (c.publishes, c.steals, c.idle_waits) == (0, 0, 0)
+
+
+def race_explored(protocol, n=2, **kw):
+    """Exhaustively explore the theorem's writes racing one ROT over
+    ``n`` objects; the result plus the snapshot / restore / fingerprint
+    calls the exploration itself made (the scenario's setup excluded)."""
+    from repro.core.explore import explore
+    from repro.core.setup import prepare_theorem_system
+    from repro.txn.types import read_only_txn, write_only_txn
+
+    objects = tuple(f"X{i}" for i in range(n))
+    tsys = prepare_theorem_system(protocol, objects=objects, n_servers=n, n_probes=2)
+    if REGISTRY[protocol].supports_wtx:
+        script = [(tsys.cw, tsys.tw())]
+    else:
+        script = [
+            (tsys.cw, write_only_txn({o: tsys.new_values[o]}, txid=f"Tw{i}"))
+            for i, o in enumerate(objects)
+        ]
+    script.append((tsys.probes[0], read_only_txn(objects, txid="Tr")))
+    before = tsys.sim.counters.as_dict()
+    r = explore(tsys.system, script, first_violation_only=False, **kw)
+    after = r.counters.as_dict()
+    return r, {k: after[k] - before[k] for k in ("snapshots", "restores", "fingerprints")}
+
+
+def test_pool_explores_nothing_twice():
+    """Every fingerprint the pool computes is a state it keeps or dedups.
+
+    COPS on 3 objects is 5 328 closure states — a scope the pool takes
+    because of its size.  Pool-wide, the only configurations digested
+    more than once are the shallow ones: each subtree root again by the
+    worker that pulls it, and the nodes above the cutoff once per
+    seeding pass.  (Quiescent leaves are counted but never digested,
+    so the difference may be negative.)  A serial search run first and
+    thrown away would show up here as thousands of surplus fingerprints.
+    """
+    kw = dict(por=True, max_depth=60, max_states=60_000)
+    two, cost = race_explored("cops", 3, workers=2, **kw)
+    four, _ = race_explored("cops", 3, workers=4, **kw)
+    assert not two.auto_serial and two.roots_shipped > 0
+    assert result_key(two)[:4] == result_key(four)[:4] == (5_328, 14_437, 88, 0)
+    assert anomaly_union(two) == anomaly_union(four) == frozenset()
+    surplus = cost["fingerprints"] - (two.states_visited + two.states_deduped)
+    assert surplus <= 4 * two.roots_shipped, (surplus, two.roots_shipped)
+
+
+@pytest.mark.parametrize("mode", ["bytes", "deepcopy"])
+@pytest.mark.parametrize(
+    "protocol,kw,fingerprints",
+    [
+        ("fastclaim", dict(max_depth=18, max_states=600), 1_149),
+        ("cops", dict(max_depth=30, max_states=60_000, por=True), 674),
+    ],
+    ids=["strict", "por"],
+)
+def test_capture_follows_the_seen_set(mode, protocol, kw, fingerprints):
+    """A configuration is captured only once the search has kept it.
+
+    Every generated child is digested (the pinned counts are the ones
+    the capture-first engine made on the same scopes), but only a node
+    that survives the seen-set, the state budget and the depth bound is
+    snapshotted — at most one capture per visited state.
+    """
+    from repro.sim.executor import use_snapshot_mode
+
+    with use_snapshot_mode(mode):
+        r, cost = race_explored(protocol, **kw)
+    assert r.states_deduped > 0
+    assert cost["fingerprints"] == fingerprints
+    assert 0 < cost["snapshots"] <= r.states_visited
+
+
+def test_bfs_captures_exactly_the_frontier():
+    """BFS dedups a child before capturing it: an untruncated run holds
+    one snapshot per frontier entry, and every entry is visited."""
+    r, cost = race_explored(
+        "cops", strategy="bfs", por=True, max_depth=30, max_states=60_000
+    )
+    assert r.conclusive and r.states_deduped > 0
+    assert cost["snapshots"] == r.states_visited
+    assert cost["fingerprints"] == r.states_visited + r.states_deduped
 
 
 def _shm_entries():
@@ -368,7 +430,6 @@ def test_worker_failure_is_loud_bounded_and_clean(monkeypatch, how):
 
     if parallel._mp_context().get_start_method() != "fork":
         pytest.skip("the patched hook reaches workers by fork inheritance")
-    monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
     parent = os.getpid()
     tripped = multiprocessing.get_context("fork").Value("b", 0)
     real_run = SerialSearch.run

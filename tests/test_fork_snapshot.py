@@ -448,11 +448,8 @@ class TestSimCounters:
         a.merge(b)
         assert a.as_dict() == expect
 
-    def test_workers_counters_include_worker_traffic(self, monkeypatch):
+    def test_workers_counters_include_worker_traffic(self):
         """A pooled run's merged ledger carries the workers' restores."""
-        from repro.engine import parallel
-
-        monkeypatch.setattr(parallel, "SERIAL_PROBE_STATES", 0)
         serial = explore_write_read_race(
             "fastclaim", max_depth=12, max_states=4_000, por=True,
             first_violation_only=False,
@@ -462,10 +459,13 @@ class TestSimCounters:
             first_violation_only=False, workers=2,
         )
         assert not fanned.auto_serial
-        # the merged ledger covers seeding + every worker subtree: at
-        # least as many restores/snapshots as the serial run's whole walk
+        # the merged ledger covers seeding + every worker subtree.  One
+        # restore per generated child, and the pool's closure (no sleep
+        # sets) generates at least the children the serial walk does.
+        # Snapshots are not comparable: one per *expanded* node, and the
+        # closure expands each class once where sleep sets re-expand some
         assert fanned.counters.restores >= serial.counters.restores
-        assert fanned.counters.snapshots >= serial.counters.snapshots
+        assert fanned.counters.snapshots >= fanned.roots_shipped > 0
 
     def test_describe_and_as_dict(self):
         c = SimCounters(snapshots=3, restores=2, fingerprints=1,
