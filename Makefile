@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: install test test-fast lint lint-changed bench bench-smoke ledger examples all
+.PHONY: install test test-fast lint bench bench-smoke ledger examples all
 
 install:
 	pip install -e . || python setup.py develop  # offline fallback
@@ -16,15 +16,9 @@ test:
 test-fast:
 	$(PY) -m pytest tests/ -m "not slow"
 
-# static protocol-contract and determinism linter (docs/lint.md);
-# the budget file pins how many justified suppressions each rule
-# family may carry
+# static determinism and simulator-contract linter (docs/lint.md)
 lint:
-	$(PY) -m repro.lint src benchmarks tests/helpers.py --budget lint_budget.json
-
-# same scope, but only files changed vs git HEAD (fast pre-push check)
-lint-changed:
-	$(PY) -m repro.lint --changed --budget lint_budget.json
+	$(PY) -m repro.lint src benchmarks tests/helpers.py
 
 # the three gated pytest-benchmark scripts (each writes one BENCH_*.json)
 bench:

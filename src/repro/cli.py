@@ -197,7 +197,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         checker=args.checker,
         strategy=args.strategy,
         por=args.por,
-        incremental=False if args.batch_checker else None,
         checker_oracle=args.checker_oracle,
         **_proto_params(args),
     )
@@ -299,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--no-por", dest="por", action="store_false")
     e.add_argument("--checker", choices=("causal", "read-atomic", "sessions"),
                    default="causal")
-    e.add_argument("--batch-checker", action="store_true",
-                   help="force the whole-history batch scan at every leaf "
-                        "instead of the incremental delta checkers")
     e.add_argument("--checker-oracle", action="store_true",
                    help="cross-check every incremental verdict against the "
                         "batch scan (slow; debugging aid)")

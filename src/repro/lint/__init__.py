@@ -1,44 +1,33 @@
-"""repro.lint — static protocol-contract and determinism linter.
+"""repro.lint — static determinism and simulator-contract linter.
 
 The dynamic layer of this repository checks *executions*: the one-value
-monitor counts values on live payloads, the Table-1 benchmark measures
-rounds and blocking, the replay harness checks determinism by running
-twice.  This package is the static layer: it reads the *source* of the
-protocol implementations and flags code that could not honestly pass
-those dynamic checks — wall-clock reads, hash-ordered iteration leaking
-into message order, ``ValueEntry`` objects smuggled outside declared
-``value_fields``, registry rows the code contradicts, and state the
-simulator's snapshots cannot see.
+monitor counts values on live payloads, the paper ledger measures rounds
+and blocking beside every Table-1 claim, the seeded traces are pinned by
+digest.  This package is the static layer, cut down to what no execution
+in the test suite would catch: wall-clock reads and hash-ordered
+iteration leaking into message order, messages or schedule moves minted
+outside the sim core, a mutation that can return without bumping its
+component's version counter, and lock discipline around the shared claim
+table.  It parses the source (stdlib ``ast``) and executes nothing.
 
 Programmatic use::
 
-    from repro.lint import run_lint, load_registry_meta
-    findings, ctx = run_lint(["src/"], registry=load_registry_meta())
+    from repro.lint import run_lint
+    findings, ctx = run_lint(["src/"])
 
 Command line::
 
     python -m repro.lint src/            # or: make lint
 """
 
-from repro.lint.engine import (
-    Finding,
-    LintContext,
-    Rule,
-    check_budget,
-    run_lint,
-    suppression_counts,
-)
+from repro.lint.engine import Finding, LintContext, Rule, run_lint
 from repro.lint.rules import ALL_RULES, rule_catalog
-from repro.lint.rules_contract import load_registry_meta
 
 __all__ = [
     "ALL_RULES",
     "Finding",
     "LintContext",
     "Rule",
-    "check_budget",
-    "load_registry_meta",
     "rule_catalog",
     "run_lint",
-    "suppression_counts",
 ]

@@ -9,85 +9,28 @@ Exit codes::
 Examples::
 
     python -m repro.lint src/
-    python -m repro.lint src/repro/protocols --format json
-    python -m repro.lint src/ --select RL1 --ignore RL110
-    python -m repro.lint --changed                 # git-diff-aware
-    python -m repro.lint src/ --budget lint_budget.json
+    python -m repro.lint src benchmarks tests/helpers.py   # make lint
     python -m repro.lint --list-rules
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import subprocess
 import sys
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint.engine import check_budget, run_lint, suppression_counts
-from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import ALL_RULES, rule_catalog
-from repro.lint.rules_contract import load_registry_meta
-
-#: what ``--changed`` scopes to when no paths are given: everything the
-#: repository lints in CI (`make lint`)
-DEFAULT_TARGETS = ("src", "benchmarks", "tests/helpers.py")
+from repro.lint.engine import run_lint
+from repro.lint.reporters import render_text
+from repro.lint.rules import rule_catalog
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description=(
-            "Static protocol-contract and determinism linter for the "
-            "repro tree."
-        ),
+        description="Static determinism and simulator-contract linter for the repro tree.",
     )
     parser.add_argument(
         "paths", nargs="*", help="files or directories to lint (e.g. src/)"
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help="only report codes matching this prefix (repeatable): RL1, RL302, ...",
-    )
-    parser.add_argument(
-        "--ignore",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help="drop codes matching this prefix (repeatable)",
-    )
-    parser.add_argument(
-        "--no-registry",
-        action="store_true",
-        help="skip the RL3xx registry cross-checks (no import of the registry)",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only Python files changed vs git HEAD (plus untracked), "
-            "intersected with the given paths (default: src benchmarks "
-            "tests/helpers.py)"
-        ),
-    )
-    parser.add_argument(
-        "--budget",
-        metavar="FILE",
-        default=None,
-        help=(
-            "enforce the committed per-family suppression budget (a JSON "
-            "mapping of code prefixes to ceilings); overruns report RL002"
-        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -95,48 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     return parser
-
-
-def _git_changed_files() -> Optional[List[str]]:
-    """Python files changed vs HEAD plus untracked ones, or None when
-    git is unavailable / this is not a checkout."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "HEAD"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        others = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    names = {
-        line.strip()
-        for line in (diff.stdout + others.stdout).splitlines()
-        if line.strip().endswith(".py")
-    }
-    return sorted(names)
-
-
-def _scoped(changed: Sequence[str], scope: Sequence[str]) -> List[str]:
-    """The changed files that still exist and fall under a scope path."""
-    roots = [Path(s).resolve() for s in scope]
-    out: List[str] = []
-    for name in changed:
-        p = Path(name)
-        if not p.exists():
-            continue
-        rp = p.resolve()
-        for root in roots:
-            if rp == root or root in rp.parents:
-                out.append(name)
-                break
-    return out
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -149,63 +50,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{code:<{width}}  {name:<24}  {summary}")
         return 0
 
-    paths = list(args.paths)
-    if args.changed:
-        changed = _git_changed_files()
-        if changed is None:
-            print(
-                "repro.lint: error: --changed needs a git checkout",
-                file=sys.stderr,
-            )
-            return 2
-        paths = _scoped(changed, paths or list(DEFAULT_TARGETS))
-        if not paths:
-            print("repro.lint: no changed Python files to lint")
-            return 0
-    elif not paths:
+    if not args.paths:
         parser.print_usage(sys.stderr)
         print("repro.lint: error: no paths given", file=sys.stderr)
         return 2
 
-    budget = None
-    if args.budget is not None:
-        try:
-            budget = json.loads(Path(args.budget).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"repro.lint: error: cannot read budget: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(budget, dict):
-            print(
-                "repro.lint: error: budget must be a JSON object of "
-                "code-prefix -> ceiling",
-                file=sys.stderr,
-            )
-            return 2
-
-    registry = None if args.no_registry else load_registry_meta()
-    findings, ctx = run_lint(
-        paths,
-        rules=ALL_RULES,
-        registry=registry,
-        select=args.select,
-        ignore=args.ignore,
-    )
+    findings, ctx = run_lint(args.paths)
     files_scanned = len(ctx.files)
     if files_scanned == 0 and not findings:
         print("repro.lint: error: no Python files found", file=sys.stderr)
         return 2
 
-    suppressions = suppression_counts(ctx.files)
-    if budget is not None:
-        findings = sorted(
-            list(findings) + check_budget(suppressions, budget, args.budget),
-            key=lambda f: f.sort_key(),
-        )
-
-    if args.format == "json":
-        print(render_json(findings, files_scanned, suppressions=suppressions))
-    else:
-        print(render_text(findings, files_scanned))
+    print(render_text(findings, files_scanned))
     return 1 if findings else 0
 
 

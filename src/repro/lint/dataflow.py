@@ -69,24 +69,25 @@ def solve(cfg: CFG, analysis: Analysis[V]) -> Dict[int, Tuple[V, V]]:
     else:
         boundary_nodes = [cfg.exit, cfg.raise_exit]
 
+    def incoming_of(node: CFGNode) -> V:
+        """The join of the values flowing into ``node``."""
+        sources = node.preds if forward else node.succs
+        if node in boundary_nodes:
+            incoming = analysis.boundary()
+        elif sources:
+            incoming, sources = values[sources[0].idx], sources[1:]
+        else:
+            return analysis.initial()
+        for s in sources:
+            incoming = analysis.join(incoming, values[s.idx])
+        return incoming
+
     work = deque(cfg.nodes)
     in_work: Set[int] = {n.idx for n in cfg.nodes}
     while work:
         node = work.popleft()
         in_work.discard(node.idx)
-        sources = node.preds if forward else node.succs
-        if node in boundary_nodes:
-            incoming = analysis.boundary()
-            for s in sources:
-                incoming = analysis.join(incoming, values[s.idx])
-        elif sources:
-            it = iter(sources)
-            incoming = values[next(it).idx]
-            for s in it:
-                incoming = analysis.join(incoming, values[s.idx])
-        else:
-            incoming = analysis.initial()
-        new = analysis.transfer(node, incoming)
+        new = analysis.transfer(node, incoming_of(node))
         if new != values[node.idx]:
             values[node.idx] = new
             for dep in node.succs if forward else node.preds:
@@ -96,18 +97,7 @@ def solve(cfg: CFG, analysis: Analysis[V]) -> Dict[int, Tuple[V, V]]:
 
     out: Dict[int, Tuple[V, V]] = {}
     for n in cfg.nodes:
-        sources = n.preds if forward else n.succs
-        if n in boundary_nodes:
-            incoming = analysis.boundary()
-            for s in sources:
-                incoming = analysis.join(incoming, values[s.idx])
-        elif sources:
-            it = iter(sources)
-            incoming = values[next(it).idx]
-            for s in it:
-                incoming = analysis.join(incoming, values[s.idx])
-        else:
-            incoming = analysis.initial()
+        incoming = incoming_of(n)
         if forward:
             out[n.idx] = (incoming, values[n.idx])
         else:

@@ -1,21 +1,22 @@
 """The lint engine: findings, suppressions, the project index, the driver.
 
-``repro.lint`` is a *protocol-contract and determinism* linter: it
-checks the code of the protocol implementations against the invariants
-the rest of the repository assumes — PYTHONHASHSEED-independent
-execution, honest value accounting through ``Payload.value_fields``,
-registry rows (:mod:`repro.protocols.registry`) that match the code, and
-simulator purity.  The property monitors judge *executions*; this module
-judges the *source*, so a dishonest implementation is caught before a
-single execution runs.
+``repro.lint`` is a *determinism and simulator-contract* linter: it
+checks the source against the invariants the exploration stack assumes
+and no execution of the test suite would trip — PYTHONHASHSEED-
+independent execution, messages and schedule moves minted only by the
+sim core, a version bump on every mutating path of a dirty-tracked
+component, and lock discipline around the shared claim table.  Nothing
+under analysis is imported or executed.  (What the paper's Table 1
+claims per protocol is *measured*, by the ledger and the tier-1 tests
+``docs/lint.md`` names.)
 
 Architecture
 ------------
 
 * :class:`Finding` — one diagnostic, addressed by ``(path, line, col)``
-  with a stable rule code (``RL1xx`` determinism, ``RL2xx`` value flow,
-  ``RL3xx`` registry contract, ``RL4xx`` simulator purity).
-* :class:`FileCtx` — a parsed file: source lines, AST (with parent
+  with a stable rule code (``RL1xx`` determinism, ``RL4xx`` simulator
+  purity, ``RL5xx`` snapshot honesty, ``RL6xx`` concurrency discipline).
+* :class:`FileCtx` — a parsed file: source text, AST (with parent
   links), and the suppressions declared in comments.
 * :class:`ProjectIndex` — a cross-file class index (name → bases →
   methods → annotations) so rules can reason about inheritance without
@@ -35,19 +36,23 @@ directly above::
 Multiple codes separate with commas.  A suppression **must** carry a
 justification after the codes (introduced by ``—``, ``--`` or ``:``);
 a bare suppression still silences its target but is itself reported as
-``RL001`` so that unexplained exemptions cannot accumulate.
+``RL001`` so that unexplained exemptions cannot accumulate.  Only real
+comments count (``tokenize`` COMMENT tokens): the example above, or a
+``disable=`` inside any string literal, suppresses nothing.
 """
 
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-#: codes that may never be suppressed (the suppression meta-rules)
-UNSUPPRESSABLE = ("RL001", "RL002")
+#: codes that may never be suppressed (the suppression meta-rule)
+UNSUPPRESSABLE = ("RL001",)
 
 #: per-directory rule policies: a finding whose path contains the
 #: directory segment is dropped when its code matches one of the
@@ -81,15 +86,6 @@ class Finding:
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "code": self.code,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
 
 @dataclass
 class Suppression:
@@ -105,23 +101,47 @@ class Suppression:
         return bool(self.reason)
 
 
-def _parse_suppressions(lines: Sequence[str]) -> List[Suppression]:
+_LAYOUT_TOKENS = frozenset(
+    {
+        tokenize.NL,
+        tokenize.NEWLINE,
+        tokenize.INDENT,
+        tokenize.DEDENT,
+        tokenize.ENDMARKER,
+    }
+)
+
+
+def _parse_suppressions(text: str) -> List[Suppression]:
+    """The suppressions in ``text`` (which must tokenize: callers parse first).
+
+    Read off COMMENT tokens, so the same characters inside a string
+    literal or a docstring are inert.
+    """
+    if "repro-lint:" not in text:  # tokenize is slow; most files have none
+        return []
+    comments: List[tokenize.TokenInfo] = []
+    code_lines: Set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            comments.append(tok)
+        elif tok.type not in _LAYOUT_TOKENS:
+            code_lines.update(range(tok.start[0], tok.end[0] + 1))
     out: List[Suppression] = []
-    for i, text in enumerate(lines, start=1):
-        m = SUPPRESS_RE.search(text)
+    for tok in comments:
+        m = SUPPRESS_RE.search(tok.string)
         if m is None:
             continue
         codes = tuple(c.strip().upper() for c in m.group(1).split(","))
         reason = m.group(2).strip().lstrip("—-–: ").strip()
-        target = i
-        if text.lstrip().startswith("#"):
+        line = tok.start[0]
+        target = line
+        if line not in code_lines:
             # standalone comment: applies to the next code-bearing line
-            for j in range(i + 1, len(lines) + 1):
-                nxt = lines[j - 1].strip()
-                if nxt and not nxt.startswith("#"):
-                    target = j
-                    break
-        out.append(Suppression(line=i, target_line=target, codes=codes, reason=reason))
+            target = min((n for n in code_lines if n > line), default=line)
+        out.append(
+            Suppression(line=line, target_line=target, codes=codes, reason=reason)
+        )
     return out
 
 
@@ -132,14 +152,15 @@ class FileCtx:
         self.path = path
         self.rel = rel
         self.text = text
-        self.lines = text.splitlines()
         self.tree: Optional[ast.Module] = None
         self.parse_error: Optional[SyntaxError] = None
         try:
             self.tree = ast.parse(text, filename=rel)
         except SyntaxError as exc:
             self.parse_error = exc
-        self.suppressions = _parse_suppressions(self.lines)
+        self.suppressions = (
+            _parse_suppressions(text) if self.tree is not None else []
+        )
         self._suppressed: Dict[int, Set[str]] = {}
         for sup in self.suppressions:
             self._suppressed.setdefault(sup.target_line, set()).update(sup.codes)
@@ -194,10 +215,6 @@ class ClassInfo:
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
     #: class-level and ``self.x`` annotations: attr name -> annotation head
     attr_heads: Dict[str, str] = field(default_factory=dict)
-    #: class-body ``value_fields = (...)`` declaration, if any
-    value_fields: Optional[Tuple[str, ...]] = None
-    #: annotated dataclass-style fields: name -> annotation source text
-    ann_fields: Dict[str, str] = field(default_factory=dict)
 
     @property
     def qualname(self) -> str:
@@ -221,6 +238,15 @@ def annotation_head(node: Optional[ast.AST]) -> str:
     return ""
 
 
+def call_name(func: ast.expr) -> str:
+    """The bare name a call targets: ``f(...)`` → ``f``, ``a.b.f(...)`` → ``f``."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
+
+
 def _base_name(expr: ast.expr) -> str:
     if isinstance(expr, ast.Name):
         return expr.id
@@ -239,18 +265,6 @@ def _collect_class(ci: ClassInfo) -> None:
             ci.methods[stmt.name] = stmt  # type: ignore[assignment]
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             ci.attr_heads[stmt.target.id] = annotation_head(stmt.annotation)
-            ci.ann_fields[stmt.target.id] = ast.unparse(stmt.annotation)
-        elif isinstance(stmt, ast.Assign):
-            for tgt in stmt.targets:
-                if isinstance(tgt, ast.Name) and tgt.id == "value_fields":
-                    names: List[str] = []
-                    if isinstance(stmt.value, (ast.Tuple, ast.List)):
-                        for elt in stmt.value.elts:
-                            if isinstance(elt, ast.Constant) and isinstance(
-                                elt.value, str
-                            ):
-                                names.append(elt.value)
-                    ci.value_fields = tuple(names)
     # ``self.x: T = ...`` annotations anywhere in the class's methods
     for meth in ci.methods.values():
         for sub in ast.walk(meth):
@@ -270,7 +284,6 @@ class ProjectIndex:
 
     def __init__(self) -> None:
         self.by_name: Dict[str, List[ClassInfo]] = {}
-        self.by_qualname: Dict[str, ClassInfo] = {}
 
     @classmethod
     def build(cls, files: Sequence[FileCtx]) -> "ProjectIndex":
@@ -278,7 +291,7 @@ class ProjectIndex:
         for fctx in files:
             if fctx.tree is None:
                 continue
-            module = _module_name(fctx.rel)
+            module = module_name(fctx.rel)
             for node in ast.walk(fctx.tree):
                 if isinstance(node, ast.ClassDef):
                     ci = ClassInfo(
@@ -286,7 +299,6 @@ class ProjectIndex:
                     )
                     _collect_class(ci)
                     index.by_name.setdefault(node.name, []).append(ci)
-                    index.by_qualname[ci.qualname] = ci
         return index
 
     def resolve(self, name: str, prefer_module: str = "") -> Optional[ClassInfo]:
@@ -341,18 +353,6 @@ class ProjectIndex:
                 return head
         return ""
 
-    def effective_value_fields(self, ci: ClassInfo) -> Tuple[str, ...]:
-        for c in self.mro(ci):
-            if c.value_fields is not None:
-                return c.value_fields
-        return ()
-
-    def effective_ann_fields(self, ci: ClassInfo) -> Dict[str, str]:
-        out: Dict[str, str] = {}
-        for c in reversed(self.mro(ci)):
-            out.update(c.ann_fields)
-        return out
-
     def payload_classes(self) -> List[ClassInfo]:
         out = []
         for name in sorted(self.by_name):
@@ -362,7 +362,8 @@ class ProjectIndex:
         return out
 
 
-def _module_name(rel: str) -> str:
+def module_name(rel: str) -> str:
+    """Dotted module of a linted path (``src/repro/sim/x.py`` → ``repro.sim.x``)."""
     parts = Path(rel).with_suffix("").parts
     if "src" in parts:
         parts = parts[parts.index("src") + 1 :]
@@ -400,15 +401,6 @@ class LintContext:
 
     files: List[FileCtx]
     index: ProjectIndex
-    #: protocol name -> registry facts (None when the registry could not
-    #: be loaded; RL3xx rules then skip)
-    registry: Optional[Mapping[str, Mapping[str, object]]] = None
-
-    def file_for_module(self, module: str) -> Optional[FileCtx]:
-        for fctx in self.files:
-            if _module_name(fctx.rel) == module:
-                return fctx
-        return None
 
 
 def iter_python_files(paths: Sequence[str]) -> List[Path]:
@@ -430,84 +422,12 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
     return unique
 
 
-def suppression_counts(files: Iterable[FileCtx]) -> Dict[str, int]:
-    """Per-code tallies of every suppression comment in ``files``.
-
-    Every ``# repro-lint: disable=`` comment counts, justified or not:
-    the budget machinery bounds the *amount* of suppression, the RL001
-    meta-rule bounds its *quality*.
-    """
-    out: Dict[str, int] = {}
-    for fctx in files:
-        for sup in fctx.suppressions:
-            for code in sup.codes:
-                if CODE_RE.match(code):
-                    out[code] = out.get(code, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def check_budget(
-    counts: Mapping[str, int],
-    budget: Mapping[str, object],
-    budget_path: str,
-) -> List[Finding]:
-    """RL002 findings where suppression tallies exceed the committed budget.
-
-    ``budget`` maps code prefixes ("RL1", "RL404") to ceilings.  A code
-    matched by no budget key has an implicit ceiling of zero, so new
-    suppression families cannot appear without an in-diff budget entry.
-    """
-    findings: List[Finding] = []
-    for prefix in sorted(budget):
-        total = sum(n for code, n in counts.items() if code.startswith(prefix))
-        ceiling = int(budget[prefix])  # type: ignore[call-overload]
-        if total > ceiling:
-            findings.append(
-                Finding(
-                    "RL002",
-                    budget_path,
-                    1,
-                    1,
-                    f"suppression budget exceeded for {prefix}: {total} "
-                    f"suppression(s) committed, budget allows {ceiling} — "
-                    "remove suppressions or raise the budget in the same "
-                    "diff with justification",
-                )
-            )
-    for code in sorted(counts):
-        if not any(code.startswith(p) for p in budget):
-            findings.append(
-                Finding(
-                    "RL002",
-                    budget_path,
-                    1,
-                    1,
-                    f"{counts[code]} suppression(s) for {code} have no "
-                    "budget entry — add one to the committed budget file",
-                )
-            )
-    return findings
-
-
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    registry: Optional[Mapping[str, Mapping[str, object]]] = None,
-    select: Optional[Sequence[str]] = None,
-    ignore: Optional[Sequence[str]] = None,
-    dir_policies: Optional[Mapping[str, Sequence[str]]] = None,
 ) -> Tuple[List[Finding], LintContext]:
-    """Lint ``paths`` and return (findings, context).
-
-    ``registry``: pass the mapping from
-    :func:`repro.lint.rules_contract.load_registry_meta`, or ``None`` to
-    skip the RL3xx cross-checks.  ``select``/``ignore`` filter by code
-    prefix ("RL1", "RL110", ...).  ``dir_policies`` maps directory
-    segments to ignored code prefixes (default:
-    :data:`DEFAULT_DIR_POLICIES`); pass ``{}`` to disable.
-    """
-    if dir_policies is None:
-        dir_policies = DEFAULT_DIR_POLICIES
+    """Lint ``paths`` with ``rules`` (default: every rule) and return
+    (findings, context); :data:`DEFAULT_DIR_POLICIES` applies."""
     if rules is None:
         from repro.lint.rules import ALL_RULES
 
@@ -536,7 +456,7 @@ def run_lint(
             continue
         files.append(fctx)
 
-    ctx = LintContext(files=files, index=ProjectIndex.build(files), registry=registry)
+    ctx = LintContext(files=files, index=ProjectIndex.build(files))
 
     for fctx in files:
         # the suppression meta-rule: justifications are not optional
@@ -574,18 +494,12 @@ def run_lint(
         fctx = by_rel.get(finding.path)
         if fctx is not None and fctx.is_suppressed(finding.code, finding.line):
             continue
-        if select and not any(finding.code.startswith(s) for s in select):
+        parts = Path(finding.path).parts
+        if any(
+            segment in parts and finding.code.startswith(prefixes)
+            for segment, prefixes in DEFAULT_DIR_POLICIES.items()
+        ):
             continue
-        if ignore and any(finding.code.startswith(s) for s in ignore):
-            continue
-        if dir_policies:
-            parts = Path(finding.path).parts
-            if any(
-                segment in parts
-                and any(finding.code.startswith(p) for p in prefixes)
-                for segment, prefixes in dir_policies.items()
-            ):
-                continue
         kept.append(finding)
     kept.sort(key=Finding.sort_key)
     return kept, ctx

@@ -1,9 +1,8 @@
-"""Finding reporters: human-readable text and machine-readable JSON."""
+"""The finding reporter: ``path:line:col: CODE message`` text."""
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.lint.engine import Finding
 
@@ -25,28 +24,3 @@ def render_text(findings: Sequence[Finding], files_scanned: int) -> str:
     else:
         out.append(f"repro.lint: {files_scanned} file(s) clean")
     return "\n".join(out)
-
-
-def render_json(
-    findings: Sequence[Finding],
-    files_scanned: int,
-    suppressions: Optional[Mapping[str, int]] = None,
-) -> str:
-    """A stable JSON document (schema version 1).
-
-    ``suppressions`` (per-code tallies of ``# repro-lint: disable``
-    comments in the scanned files) is an additive section: CI archives
-    it with the report so budget drift is visible in artifacts.
-    """
-    counts: Dict[str, int] = {}
-    for f in findings:
-        counts[f.code] = counts.get(f.code, 0) + 1
-    doc = {
-        "version": 1,
-        "tool": "repro.lint",
-        "files_scanned": files_scanned,
-        "counts": {code: counts[code] for code in sorted(counts)},
-        "suppressions": dict(suppressions or {}),
-        "findings": [f.as_dict() for f in findings],
-    }
-    return json.dumps(doc, indent=2, sort_keys=False)

@@ -5,19 +5,20 @@ them together so the engine, CLI and docs all see the same list.  The
 rule families:
 
 ==========  ============================================
-``RL0xx``   the linter itself (parse errors, suppressions, budgets)
+``RL0xx``   the linter itself (parse errors, suppressions)
 ``RL1xx``   determinism (:mod:`repro.lint.rules_determinism`)
-``RL2xx``   value flow (:mod:`repro.lint.rules_valueflow`)
-``RL3xx``   registry contract (:mod:`repro.lint.rules_contract`)
 ``RL4xx``   simulator purity (:mod:`repro.lint.rules_purity`)
 ``RL5xx``   snapshot honesty (:mod:`repro.lint.rules_dirty`)
 ``RL6xx``   concurrency discipline (:mod:`repro.lint.rules_locks`)
 ==========  ============================================
 
-The RL5xx/RL6xx families are flow-sensitive: they run on the CFG +
+RL501 and RL601 are flow-sensitive: they run on the CFG +
 worklist-dataflow core (:mod:`repro.lint.cfg`,
-:mod:`repro.lint.dataflow`) with cross-module class summaries
-(:mod:`repro.lint.summaries`).
+:mod:`repro.lint.dataflow`), RL501 with cross-module class summaries
+(:mod:`repro.lint.summaries`).  The numbering has gaps: a rule stays
+only if it has ever fired on real code in this repository's history or
+is the only guard of what it checks (``docs/lint.md`` has the yield
+table and names the tier-1 test that owns each retired rule's subject).
 """
 
 from __future__ import annotations
@@ -25,27 +26,19 @@ from __future__ import annotations
 from typing import Tuple
 
 from repro.lint.engine import Rule
-from repro.lint.rules_contract import CONTRACT_RULES
 from repro.lint.rules_determinism import DETERMINISM_RULES
 from repro.lint.rules_dirty import DIRTY_RULES
 from repro.lint.rules_locks import LOCK_RULES
 from repro.lint.rules_purity import PURITY_RULES
-from repro.lint.rules_valueflow import VALUEFLOW_RULES
 
 ALL_RULES: Tuple[Rule, ...] = (
-    DETERMINISM_RULES
-    + VALUEFLOW_RULES
-    + CONTRACT_RULES
-    + PURITY_RULES
-    + DIRTY_RULES
-    + LOCK_RULES
+    DETERMINISM_RULES + PURITY_RULES + DIRTY_RULES + LOCK_RULES
 )
 
 #: codes emitted by the engine itself, not by a Rule subclass
 ENGINE_CODES = {
     "RL000": "file cannot be read or parsed",
     "RL001": "suppression without justification / malformed code",
-    "RL002": "suppression count exceeds the committed per-family budget",
 }
 
 

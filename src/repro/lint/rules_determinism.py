@@ -5,19 +5,14 @@ The simulator's exploration and replay stack (``repro.core.explore``,
 the same command log must produce the same trace, the same message ids
 and the same value-canonical fingerprints regardless of
 ``PYTHONHASHSEED``, wall-clock time or interpreter address layout.
-These rules enforce the three classic ways Python code breaks that:
+These rules guard the ways Python code breaks that (a draw from the
+process-global RNG is caught dynamically instead: the seeded traces
+pinned by digest in ``tests/test_event_loop.py`` fail on it):
 
 ``RL101``
     Wall-clock reads (``time.time``, ``datetime.now``, ...).  Simulated
     time is logical (:mod:`repro.sim.clock`); a wall-clock read makes a
     run irreproducible by construction.
-
-``RL102``
-    The process-global RNG (``random.random()``, ``random.shuffle``,
-    ``numpy.random.<fn>``).  Randomized components must own a seeded
-    ``random.Random(seed)`` / ``default_rng(seed)`` instance, as
-    :class:`repro.sim.scheduler.RandomScheduler` does — the global RNG
-    is shared mutable state whose draw order depends on unrelated code.
 
 ``RL103``
     ``id()`` in a hash- or order-sensitive position (dict key, set
@@ -48,6 +43,7 @@ from repro.lint.engine import (
     LintContext,
     Rule,
     annotation_head,
+    call_name,
 )
 
 WALL_CLOCK_TIME_FNS = frozenset(
@@ -65,10 +61,6 @@ WALL_CLOCK_TIME_FNS = frozenset(
     }
 )
 WALL_CLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-
-#: ``random.<fn>()`` calls that are fine: constructing an owned,
-#: seedable generator object.
-RANDOM_OK = frozenset({"Random", "SystemRandom", "getstate", "setstate"})
 
 SET_HEADS = frozenset({"Set", "set", "FrozenSet", "frozenset", "AbstractSet", "MutableSet"})
 
@@ -92,14 +84,6 @@ ORDER_INSENSITIVE_CALLS = frozenset(
 ORDERED_MUTATORS = frozenset({"append", "extend", "insert", "appendleft", "push"})
 
 SEND_METHODS = frozenset({"send", "queue_send"})
-
-
-def _call_name(func: ast.expr) -> str:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return ""
 
 
 class WallClockRule(Rule):
@@ -157,42 +141,6 @@ class WallClockRule(Rule):
                     )
 
 
-class GlobalRandomRule(Rule):
-    code = "RL102"
-    name = "global-random"
-    summary = "unseeded process-global RNG"
-
-    def check_file(self, fctx: FileCtx, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(fctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            if isinstance(base, ast.Name) and base.id == "random":
-                if func.attr not in RANDOM_OK:
-                    yield fctx.finding(
-                        self.code,
-                        node,
-                        f"random.{func.attr}() uses the process-global RNG; "
-                        "own a seeded random.Random(seed) instance instead",
-                    )
-            elif (
-                isinstance(base, ast.Attribute)
-                and base.attr == "random"
-                and isinstance(base.value, ast.Name)
-                and base.value.id in ("np", "numpy")
-                and func.attr != "default_rng"
-            ):
-                yield fctx.finding(
-                    self.code,
-                    node,
-                    f"numpy.random.{func.attr}() uses the global RNG; use "
-                    "numpy.random.default_rng(seed)",
-                )
-
-
 class IdHashRule(Rule):
     code = "RL103"
     name = "id-in-hash-position"
@@ -202,7 +150,7 @@ class IdHashRule(Rule):
         for node in ast.walk(fctx.tree):
             if isinstance(node, ast.Call):
                 # sorted(..., key=id) / min(..., key=id) / max(..., key=id)
-                if _call_name(node.func) in ("sorted", "min", "max", "list.sort", "sort"):
+                if call_name(node.func) in ("sorted", "min", "max", "sort"):
                     for kw in node.keywords:
                         if (
                             kw.arg == "key"
@@ -357,7 +305,7 @@ class _FunctionTaint:
         ):
             return self.is_hash_ordered(expr.left) or self.is_hash_ordered(expr.right)
         if isinstance(expr, ast.Call):
-            name = _call_name(expr.func)
+            name = call_name(expr.func)
             if name in ("set", "frozenset"):
                 return True
             if name == "sorted":
@@ -402,7 +350,7 @@ def _body_has_ordered_sink(body: List[ast.stmt], ctx: LintContext) -> Optional[s
     for stmt in body:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Call):
-                name = _call_name(node.func)
+                name = call_name(node.func)
                 if name in SEND_METHODS:
                     return f"{name}() (message emission order)"
                 if name in ORDERED_MUTATORS:
@@ -441,7 +389,7 @@ class HashOrderIterationRule(Rule):
         for node in ast.walk(func):
             # materializations: tuple(s) / list(s) of a hash-ordered s
             if isinstance(node, ast.Call):
-                name = _call_name(node.func)
+                name = call_name(node.func)
                 if (
                     name in ("tuple", "list")
                     and len(node.args) == 1
@@ -484,12 +432,12 @@ class HashOrderIterationRule(Rule):
                 if (
                     isinstance(parent, ast.Call)
                     and node in parent.args
-                    and _call_name(parent.func) in ORDER_INSENSITIVE_CALLS
+                    and call_name(parent.func) in ORDER_INSENSITIVE_CALLS
                 ):
                     continue
                 if isinstance(node, ast.GeneratorExp) and isinstance(
                     parent, ast.Call
-                ) and _call_name(parent.func) in ("join",):
+                ) and call_name(parent.func) in ("join",):
                     yield fctx.finding(
                         self.code,
                         node,
@@ -512,7 +460,6 @@ class HashOrderIterationRule(Rule):
 
 DETERMINISM_RULES = (
     WallClockRule(),
-    GlobalRandomRule(),
     IdHashRule(),
     HashOrderIterationRule(),
 )

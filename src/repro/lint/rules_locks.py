@@ -48,7 +48,7 @@ import ast
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.cfg import STMT, WITH_ENTER, WITH_EXIT, CFGNode, build_cfg, own_exprs
-from repro.lint.engine import ClassInfo, FileCtx, Finding, LintContext, Rule
+from repro.lint.engine import ClassInfo, FileCtx, Finding, LintContext, Rule, call_name
 
 #: RL601 applies to classes owning both of these attributes
 _SHARED_SHAPE = ("shm", "locks")
@@ -92,7 +92,7 @@ def _is_buffer_expr(expr: ast.expr, aliases: Set[str]) -> bool:
 def _buffer_aliases(fn: ast.FunctionDef) -> Set[str]:
     out: Set[str] = set()
     for node in ast.walk(fn):
-        if isinstance(node, ast.Assign) and _is_buffer_expr(node.value, out | set()):
+        if isinstance(node, ast.Assign) and _is_buffer_expr(node.value, out):
             for tgt in node.targets:
                 if isinstance(tgt, ast.Name):
                     out.add(tgt.id)
@@ -309,14 +309,7 @@ class PicklableWorkerRule(Rule):
         for node in ast.walk(fctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            fname = (
-                node.func.attr
-                if isinstance(node.func, ast.Attribute)
-                else node.func.id
-                if isinstance(node.func, ast.Name)
-                else ""
-            )
-            if fname not in _SPAWNERS:
+            if call_name(node.func) not in _SPAWNERS:
                 continue
             target = next(
                 (kw.value for kw in node.keywords if kw.arg == "target"), None

@@ -4,15 +4,10 @@ The executor's configuration machinery (snapshot / restore /
 fingerprint, :mod:`repro.sim.executor`) is sound only if *all* mutable
 state lives in process attributes and the network, and all communication
 flows through the :class:`~repro.sim.process.StepContext` the executor
-hands to each step.  State smuggled through module globals would survive
-``restore()``; messages injected around the StepContext would bypass the
-one-message-per-neighbour rule, the trace and the replay log.
-
-``RL401``
-    A :class:`~repro.sim.process.Process` method mutates a module-level
-    container or declares ``global``/writes module state.  Such state is
-    invisible to snapshots: a restored branch would observe leftovers
-    from a future the exploration engine believes it rewound.
+hands to each step.  Messages injected around the StepContext would
+bypass the one-message-per-neighbour rule, the trace and the replay log.
+(State smuggled through module globals is caught dynamically: the paper
+ledger's exact counts drift on it.)
 
 ``RL402``
     Protocol or analysis code constructs a raw
@@ -21,12 +16,6 @@ one-message-per-neighbour rule, the trace and the replay log.
     directly.  Messages are minted only by the executor's ``step`` —
     that is what makes ``msg_id``/``link_seq`` addressing and replay
     coherent.
-
-``RL403``
-    A ``.send(...)`` whose receiver is not the step's ``StepContext``
-    (nor ``queue_send``, the outbox-aware wrapper).  All sends go
-    through the capability object so the at-most-one-message-per-
-    neighbour rule is enforced in one place.
 
 ``RL404``
     A Process method mutates a received payload (a parameter annotated
@@ -49,7 +38,7 @@ one-message-per-neighbour rule, the trace and the replay log.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set
 
 from repro.lint.engine import (
     ClassInfo,
@@ -58,7 +47,9 @@ from repro.lint.engine import (
     LintContext,
     Rule,
     annotation_head,
+    module_name,
 )
+from repro.lint.summaries import MUTATOR_METHODS
 
 #: modules whose job *is* minting messages / touching buffers
 SIM_CORE_MODULES = (
@@ -86,30 +77,7 @@ SCHEDULE_AUTHORITIES = (
 #: the Simulation methods that advance the schedule by one move
 SCHEDULE_MOVES = frozenset({"step", "deliver", "deliver_msg"})
 
-MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popleft",
-        "remove",
-        "discard",
-        "clear",
-        "appendleft",
-    }
-)
-
 NETWORK_INTERNALS = frozenset({"in_transit", "income", "post", "drain_income", "link_counts"})
-
-
-def _module_of(fctx: FileCtx) -> str:
-    from repro.lint.engine import _module_name
-
-    return _module_name(fctx.rel)
 
 
 def _process_classes(fctx: FileCtx, ctx: LintContext) -> List[ClassInfo]:
@@ -121,97 +89,13 @@ def _process_classes(fctx: FileCtx, ctx: LintContext) -> List[ClassInfo]:
     return out
 
 
-def _module_level_mutables(tree: ast.Module) -> Set[str]:
-    """Names bound at module scope to mutable containers."""
-    out: Set[str] = set()
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            value = stmt.value
-            mutable = isinstance(value, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id in ("list", "dict", "set", "deque", "defaultdict")
-            )
-            if mutable:
-                for tgt in stmt.targets:
-                    if isinstance(tgt, ast.Name):
-                        out.add(tgt.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            if annotation_head(stmt.annotation) in (
-                "List",
-                "Dict",
-                "Set",
-                "dict",
-                "list",
-                "set",
-                "DefaultDict",
-                "Deque",
-            ):
-                out.add(stmt.target.id)
-    return out
-
-
-class ModuleGlobalMutationRule(Rule):
-    code = "RL401"
-    name = "module-global-mutation"
-    summary = "Process method mutates module-global state"
-
-    def check_file(self, fctx: FileCtx, ctx: LintContext) -> Iterator[Finding]:
-        mutables = _module_level_mutables(fctx.tree)
-        for ci in _process_classes(fctx, ctx):
-            for mname in sorted(ci.methods):
-                meth = ci.methods[mname]
-                for node in ast.walk(meth):
-                    if isinstance(node, ast.Global):
-                        yield fctx.finding(
-                            self.code,
-                            node,
-                            f"{ci.name}.{mname} declares global — module "
-                            "state is outside snapshots and breaks "
-                            "RC(C, α) restore",
-                        )
-                    elif (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in MUTATOR_METHODS
-                        and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id in mutables
-                    ):
-                        yield fctx.finding(
-                            self.code,
-                            node,
-                            f"{ci.name}.{mname} mutates module-level "
-                            f"{node.func.value.id!r} — process state must "
-                            "live in attributes the snapshot can capture",
-                        )
-                    elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                        targets = (
-                            node.targets
-                            if isinstance(node, ast.Assign)
-                            else [node.target]
-                        )
-                        for tgt in targets:
-                            if (
-                                isinstance(tgt, ast.Subscript)
-                                and isinstance(tgt.value, ast.Name)
-                                and tgt.value.id in mutables
-                            ):
-                                yield fctx.finding(
-                                    self.code,
-                                    node,
-                                    f"{ci.name}.{mname} writes into module-"
-                                    f"level {tgt.value.id!r} — invisible to "
-                                    "snapshots",
-                                )
-
-
 class RawMessageRule(Rule):
     code = "RL402"
     name = "raw-message"
     summary = "Message minted / network buffers touched outside the sim core"
 
     def check_file(self, fctx: FileCtx, ctx: LintContext) -> Iterator[Finding]:
-        module = _module_of(fctx)
+        module = module_name(fctx.rel)
         if module in SIM_CORE_MODULES:
             return
         for node in ast.walk(fctx.tree):
@@ -240,42 +124,6 @@ class RawMessageRule(Rule):
                     "core — deliveries and sends must go through the "
                     "executor",
                 )
-
-
-class SendOutsideContextRule(Rule):
-    code = "RL403"
-    name = "send-outside-context"
-    summary = "send() not routed through the StepContext"
-
-    def check_file(self, fctx: FileCtx, ctx: LintContext) -> Iterator[Finding]:
-        module = _module_of(fctx)
-        if module in SIM_CORE_MODULES:
-            return
-        for ci in _process_classes(fctx, ctx):
-            for mname in sorted(ci.methods):
-                meth = ci.methods[mname]
-                ok_receivers = {"ctx"} | {
-                    a.arg
-                    for a in meth.args.args
-                    if annotation_head(a.annotation) == "StepContext"
-                }
-                for node in ast.walk(meth):
-                    if not (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "send"
-                    ):
-                        continue
-                    recv = node.func.value
-                    if isinstance(recv, ast.Name) and recv.id in ok_receivers:
-                        continue
-                    yield fctx.finding(
-                        self.code,
-                        node,
-                        f"{ci.name}.{mname} calls .send() on something other "
-                        "than the StepContext — the at-most-one-message-per-"
-                        "neighbour rule is enforced only there",
-                    )
 
 
 class PayloadMutationRule(Rule):
@@ -373,7 +221,7 @@ class RawScheduleRule(Rule):
         return False
 
     def check_file(self, fctx: FileCtx, ctx: LintContext) -> Iterator[Finding]:
-        module = _module_of(fctx)
+        module = module_name(fctx.rel)
         if module in SIM_CORE_MODULES or module in SCHEDULE_AUTHORITIES:
             return
         for node in ast.walk(fctx.tree):
@@ -394,9 +242,7 @@ class RawScheduleRule(Rule):
 
 
 PURITY_RULES = (
-    ModuleGlobalMutationRule(),
     RawMessageRule(),
-    SendOutsideContextRule(),
     PayloadMutationRule(),
     RawScheduleRule(),
 )

@@ -1,6 +1,6 @@
-"""Cross-module class summaries for the flow-sensitive rule families.
+"""Cross-module class summaries for the flow-sensitive RL501.
 
-The RL5xx rules reason about the *dirty-tracking contract*: every
+RL501 reasons about the *dirty-tracking contract*: every
 mutation of a :class:`~repro.sim.process.Process`'s or
 :class:`~repro.sim.network.Network`'s state must be visible to the
 snapshot cache, either because the executor bumps the version counter
@@ -47,8 +47,8 @@ from repro.lint.engine import ClassInfo, ProjectIndex, annotation_head
 #: the dirty-tracked roots (simple names, so fixtures can stand them in)
 DIRTY_ROOTS = ("Process", "Network")
 
-#: methods RL501 never checks: lifecycle/serialization hooks with their
-#: own rules (RL502/RL503), and the marker itself
+#: methods RL501 never checks: lifecycle/serialization hooks (the object
+#: is private, or only observed, there) and the marker itself
 EXCLUDED_METHODS = frozenset(
     {"__init__", "__getstate__", "__setstate__", "__reduce__", "mark_dirty", "fp_state"}
 )
@@ -261,9 +261,6 @@ class DirtySummaries:
             return None
         def_ci, _node = found
         return self.methods.get((def_ci.qualname, name))
-
-    def is_covered(self, ci: ClassInfo, name: str) -> bool:
-        return (ci.qualname, name) in self.covered
 
     # -- node classification ------------------------------------------------
 

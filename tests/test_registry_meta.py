@@ -1,10 +1,10 @@
 """Registry metadata validation.
 
 The registry rows are the paper's Table 1 transcribed into code; the
-Table-1 benchmark, the impossibility engine and the RL3xx lint rules
-all consume them.  A malformed row would silently disable those
-cross-checks, so the rows themselves are tested: shape, internal
-consistency, and the derived fast-ROT flag.
+paper ledger (claimed vs measured) and the impossibility engine consume
+them.  A malformed row would silently disable those cross-checks, so
+the rows themselves are tested: shape, internal consistency, and the
+derived fast-ROT flag.
 """
 
 import re
@@ -75,7 +75,7 @@ def test_factories_are_importable_protocol_classes(name):
     assert issubclass(info.server_factory, ServerBase)
     assert isinstance(info.client_factory, type)
     assert issubclass(info.client_factory, ClientBase)
-    # the linter resolves registered classes via __module__/__name__;
+    # pickled snapshots name a process's class by __module__/__name__;
     # both must round-trip through a plain import
     for factory in (info.server_factory, info.client_factory):
         mod = __import__(factory.__module__, fromlist=[factory.__name__])
