@@ -19,16 +19,11 @@ prints it so the reproduction artifacts are regenerable on demand.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
-
 from repro.core.constructions import finish_with_new, run_sigma_old
 from repro.core.induction import InductionConfig, run_induction
-from repro.core.setup import TheoremSystem, prepare_theorem_system
-from repro.core.splicing import RecordedFragment, splice_new
-from repro.core.visibility import probe_read
+from repro.core.setup import prepare_theorem_system
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.analysis.spacetime import lane_diagram as _lane_diagram
-from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 
 
 def figure1(protocol: str = "cops_snow", **params) -> str:

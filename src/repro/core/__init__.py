@@ -7,8 +7,9 @@ m servers / partial replication) drive, per protocol:
 
 1. :mod:`~repro.core.properties` — measured fast-ROT verification;
 2. :mod:`~repro.core.setup` — the Figure 1 initialization to ``C_0``;
-3. :mod:`~repro.core.induction` / :mod:`~repro.core.general` — the
-   Lemma 3 / Lemma 6 induction, using
+3. :mod:`~repro.core.induction` — the Lemma 3 / Lemma 6 induction
+   (one loop, :func:`~repro.core.induction.induct`, with the theorem's
+   roles), using
    :mod:`~repro.core.visibility` (Definition 2 probes),
    :mod:`~repro.core.constructions` (Constructions 1–2) and
    :mod:`~repro.core.splicing` (β_new/ρ_new) to assemble the γ/δ
@@ -21,11 +22,7 @@ from repro.core.constructions import (
     finish_with_new,
     run_sigma_old,
 )
-from repro.core.general import (
-    GeneralMsDetector,
-    check_impossibility_general,
-    run_general_induction,
-)
+from repro.core.general import check_impossibility_general, run_general_induction
 from repro.core.induction import (
     InductionConfig,
     MsDetector,
@@ -54,7 +51,6 @@ __all__ = [
     "SigmaOldResult",
     "finish_with_new",
     "run_sigma_old",
-    "GeneralMsDetector",
     "check_impossibility_general",
     "run_general_induction",
     "InductionConfig",

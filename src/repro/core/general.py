@@ -8,221 +8,29 @@ picks one server ``p`` that answers with written values while every
 other server answers old; partial replication (no server stores all
 objects) guarantees the resulting read is mixed.
 
-The engine below mirrors :mod:`repro.core.induction` with the general
-detector and role choice.  The two-server engine is kept separate on
-purpose: it follows the main-body proof line by line, while this one
-follows the appendix.
+The rounds are :func:`repro.core.induction.induct`'s, with every server
+a sender and a receiver of ``ms_k`` and the objects' primaries, in
+object order, as the splice candidates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence
 
-from repro.core.constructions import ConstructionError
-from repro.core.induction import InductionConfig, try_splice_candidates
-from repro.core.setup import SetupError, TheoremSystem, prepare_theorem_system
-from repro.core.splicing import RecordedFragment, SpliceError
-from repro.core.visibility import probe_read
-from repro.core.witness import (
-    CAUSAL_VIOLATION,
-    INCONCLUSIVE,
-    NO_MULTI_WRITE,
-    STALLED,
-    UNBOUNDED_VISIBILITY,
-    TheoremVerdict,
-)
-from repro.sim.scheduler import RoundRobinScheduler
-from repro.sim.trace import StepEvent
-from repro.txn.client import UnsupportedTransaction
-
-
-@dataclass
-class GeneralMsDetector:
-    """Watches for *any* server's necessary message (Lemma 4/6)."""
-
-    cw: str
-    servers: Tuple[str, ...]
-    consumed_from: Set[str] = field(default_factory=set)
-    found: Optional[str] = None
-    sender: Optional[str] = None
-
-    def observe(self, event) -> Optional[str]:
-        if self.found is not None or not isinstance(event, StepEvent):
-            return self.found
-        server_set = set(self.servers)
-        if event.pid == self.cw:
-            for m in event.received:
-                if m.src in server_set:
-                    self.consumed_from.add(m.src)
-            for m in event.sent:
-                if m.dst in server_set:
-                    others = self.consumed_from - {m.dst}
-                    if others:
-                        q = sorted(others)[0]
-                        self.found = f"implicit: {q} -> {self.cw} -> {m.dst}"
-                        self.sender = q
-                        break
-        elif event.pid in server_set:
-            for m in event.sent:
-                if m.dst in server_set and m.dst != event.pid:
-                    self.found = f"explicit: {event.pid} -> {m.dst}"
-                    self.sender = event.pid
-                    break
-        return self.found
-
-
-def _pick_new_servers(
-    tsys: TheoremSystem, visible_objs: Optional[Sequence[str]] = None
-) -> List[str]:
-    """Candidate ``p`` choices for the splice, best first.
-
-    Prefer primaries of objects already observed as new (the claim-2
-    case); in the claim-1 case any object-storing server works — the
-    witness is self-validating, so candidates are simply tried in order.
-    """
-    ordered: List[str] = []
-    if visible_objs:
-        for obj in visible_objs:
-            p = tsys.primary(obj)
-            if p not in ordered:
-                ordered.append(p)
-    for obj in tsys.objects:
-        p = tsys.primary(obj)
-        if p not in ordered:
-            ordered.append(p)
-    return ordered
+from repro.core.induction import InductionConfig, MsDetector, induct
+from repro.core.setup import TheoremSystem
+from repro.core.theorem import prepare_or_verdict
+from repro.core.witness import TheoremVerdict
 
 
 def run_general_induction(
     tsys: TheoremSystem, config: Optional[InductionConfig] = None
 ) -> TheoremVerdict:
     """The Lemma 6 induction for m servers / partial replication."""
-    cfg = config or InductionConfig()
-    sim = tsys.sim
-    if tsys.c0 is None:
-        raise ValueError("theorem system not prepared (no C0)")
-    servers = tsys.servers
-    protocol = tsys.system.info.name
-    prev = tsys.c0
-    invoked = False
-    forced: List[str] = []
-
-    for k in range(1, cfg.max_k + 1):
-        sim.restore(prev)
-        fragment = RecordedFragment([], [])
-        log_mark, trace_mark = sim.log_mark(), sim.trace.mark()
-        if not invoked:
-            sim.invoke(tsys.cw, tsys.tw())
-            invoked = True
-        detector = GeneralMsDetector(cw=tsys.cw, servers=servers)
-        for ev in sim.trace.events[trace_mark:]:
-            detector.observe(ev)
-
-        sched = RoundRobinScheduler()
-        solo = (tsys.cw,) + tuple(servers)
-        events_run = 0
-        ms_desc: Optional[str] = None
-        visible_all = False
-        quiescent = False
-
-        def capture() -> None:
-            nonlocal log_mark, trace_mark
-            fragment.extend(sim.log[log_mark:], sim.trace.events[trace_mark:])
-            log_mark, trace_mark = sim.log_mark(), sim.trace.mark()
-
-        def probe_now() -> Optional[Dict]:
-            nonlocal log_mark, trace_mark
-            capture()
-            reads = probe_read(
-                sim, tsys.probes[0], tsys.objects, tsys.service_pids, restore=True
-            )
-            log_mark, trace_mark = sim.log_mark(), sim.trace.mark()
-            return reads
-
-        last_reads: Optional[Dict] = None
-        while events_run < cfg.solo_budget:
-            progressed = sched.tick(sim, pids=solo)
-            if progressed:
-                events_run += 1
-                ms_desc = detector.observe(sim.trace.events[-1])
-                if ms_desc is not None:
-                    break
-            if not progressed or events_run % cfg.probe_every == 0:
-                last_reads = probe_now()
-                if last_reads is not None and all(
-                    last_reads.get(o) == v for o, v in tsys.new_values.items()
-                ):
-                    visible_all = True
-                    break
-                if not progressed:
-                    quiescent = True
-                    break
-
-        capture()
-
-        if ms_desc is None and visible_all:
-            return _try_splices(tsys, prev, fragment, k, "gamma", forced, None)
-        if ms_desc is None and quiescent:
-            return TheoremVerdict(
-                protocol=protocol,
-                outcome=STALLED,
-                k_reached=k,
-                detail="T_w stalled with invisible values (general model)",
-                forced_messages=forced,
-            )
-        if ms_desc is None:
-            return TheoremVerdict(
-                protocol=protocol,
-                outcome=INCONCLUSIVE,
-                k_reached=k,
-                detail=f"solo budget exhausted in round {k} (general model)",
-                forced_messages=forced,
-            )
-
-        forced.append(f"k={k}: {ms_desc}")
-        c_k = sim.snapshot()
-        reads = probe_read(
-            sim, tsys.probes[0], tsys.objects, tsys.service_pids,
-            restore=True, snap=c_k,
-        )
-        visible_objs = [
-            o for o, v in tsys.new_values.items() if reads is not None and reads.get(o) == v
-        ]
-        if visible_objs:
-            return _try_splices(tsys, prev, fragment, k, "delta", forced, visible_objs)
-        prev = c_k
-
-    return TheoremVerdict(
-        protocol=protocol,
-        outcome=UNBOUNDED_VISIBILITY,
-        k_reached=cfg.max_k,
-        detail=(
-            f"every round up to k={cfg.max_k} forced another necessary "
-            "message (general model)"
-        ),
-        forced_messages=forced,
-    )
-
-
-def _try_splices(
-    tsys: TheoremSystem,
-    prev,
-    fragment: RecordedFragment,
-    k: int,
-    construction: str,
-    forced: List[str],
-    visible_objs: Optional[Sequence[str]],
-) -> TheoremVerdict:
-    """Try each candidate ``p`` until a splice yields a mixed read."""
-    return try_splice_candidates(
-        tsys,
-        prev,
-        fragment,
-        _pick_new_servers(tsys, visible_objs),
-        k,
-        construction,
-        forced,
+    servers = set(tsys.servers)
+    primaries = [tsys.primary(obj) for obj in tsys.objects]
+    return induct(
+        tsys, lambda k: (MsDetector(tsys.cw, servers, servers), primaries), config
     )
 
 
@@ -240,25 +48,13 @@ def check_impossibility_general(
             "Theorem 2 requires partial replication: no server may store "
             "all objects (replication < n_servers)"
         )
-    try:
-        tsys = prepare_theorem_system(
-            protocol,
-            objects=objects,
-            n_servers=n_servers,
-            replication=replication,
-            **params,
-        )
-    except SetupError as exc:
-        return TheoremVerdict(
-            protocol=protocol, outcome=STALLED, detail=f"setup failed: {exc}"
-        )
-    cw_client = tsys.system.client(tsys.cw)
-    try:
-        cw_client.validate(tsys.tw())
-    except UnsupportedTransaction as exc:
-        return TheoremVerdict(
-            protocol=protocol,
-            outcome=NO_MULTI_WRITE,
-            detail=str(exc),
-        )
+    tsys = prepare_or_verdict(
+        protocol,
+        objects=objects,
+        n_servers=n_servers,
+        replication=replication,
+        **params,
+    )
+    if isinstance(tsys, TheoremVerdict):
+        return tsys
     return run_general_induction(tsys, InductionConfig(max_k=max_k))

@@ -1,12 +1,20 @@
-"""The Lemma 3 induction: constructing the troublesome execution.
+"""The Lemma 3 induction (and Lemma 6's): constructing the troublesome
+execution.
 
 Round ``k`` runs the write-only transaction ``T_w`` solo from
 ``C_{k-1}`` under a fair adversary, watching for the *necessary message*
-``ms_k``:
+``ms_k`` from a *sender* server towards a *receiver* server:
 
-* **explicit** — a message from ``p_{k%2}`` to ``p_{(k-1)%2}``, or
-* **implicit** — a message from ``p_{k%2}`` to ``c_w`` such that, after
-  consuming it, ``c_w`` sends a message to ``p_{(k-1)%2}``.
+* **explicit** — a message from a sender to a receiver, or
+* **implicit** — a message from a sender to ``c_w`` such that, after
+  consuming it, ``c_w`` sends a message to a receiver.
+
+Theorem 1 (two servers, :func:`run_induction`) watches
+``p_{k%2} → p_{(k-1)%2}``; Theorem 2's appendix (m servers, partial
+replication, :func:`repro.core.general.run_general_induction`) watches
+every server on both sides.  That — the ``roles`` of round ``k`` and the
+servers tried as the splice's new server — is the only difference, so
+both run the one loop in :func:`induct`.
 
 Claim 1 of the lemma says one of these must occur before the written
 values become visible; claim 2 says that at the cut ``C_k`` (right after
@@ -26,14 +34,14 @@ both *operationally*:
 
 Every splice is self-validating: the witness is only accepted if the
 spliced execution — a legal protocol execution assembled purely from
-recorded commands — actually produced the mixed read, and the causal
+recorded trace events — actually produced the mixed read, and the causal
 checker confirms the anomaly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Collection, List, Optional, Sequence, Set, Tuple
 
 from repro.consistency.causal import find_causal_anomalies
 from repro.core.constructions import (
@@ -52,8 +60,7 @@ from repro.core.witness import (
     MixedReadWitness,
     TheoremVerdict,
 )
-from repro.sim.executor import Configuration
-from repro.sim.replay import ReplayError
+from repro.sim.executor import Configuration, ReplayError
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.trace import StepEvent
 from repro.txn.history import History, build_history
@@ -62,29 +69,36 @@ from repro.txn.types import TxnRecord
 
 @dataclass
 class MsDetector:
-    """Watches one round's trace for the necessary message ``ms_k``."""
+    """Watches one round's trace for the necessary message ``ms_k``.
+
+    Explicit: a step of a sender sends to a receiver other than itself.
+    Implicit: ``c_w`` consumed a message from a sender and later sends to
+    a receiver other than that sender.
+    """
 
     cw: str
-    old_server: str  # p_{k%2}
-    new_server: str  # p_{(k-1)%2}
-    consumed_from_old: bool = False
+    senders: Collection[str]
+    receivers: Collection[str]
+    consumed_from: Set[str] = field(default_factory=set)
     found: Optional[str] = None  # description, once detected
 
     def observe(self, event) -> Optional[str]:
         if self.found is not None or not isinstance(event, StepEvent):
             return self.found
         if event.pid == self.cw:
-            if any(m.src == self.old_server for m in event.received):
-                self.consumed_from_old = True
-            if self.consumed_from_old and any(
-                m.dst == self.new_server for m in event.sent
-            ):
-                self.found = (
-                    f"implicit: {self.old_server} -> {self.cw} -> {self.new_server}"
-                )
-        elif event.pid == self.old_server:
-            if any(m.dst == self.new_server for m in event.sent):
-                self.found = f"explicit: {self.old_server} -> {self.new_server}"
+            self.consumed_from.update(
+                m.src for m in event.received if m.src in self.senders
+            )
+            for m in event.sent:
+                others = self.consumed_from - {m.dst}
+                if m.dst in self.receivers and others:
+                    self.found = f"implicit: {min(others)} -> {self.cw} -> {m.dst}"
+                    break
+        elif event.pid in self.senders:
+            for m in event.sent:
+                if m.dst in self.receivers and m.dst != event.pid:
+                    self.found = f"explicit: {event.pid} -> {m.dst}"
+                    break
         return self.found
 
 
@@ -165,61 +179,40 @@ class InductionConfig:
     probe_every: int = 25
 
 
-def run_induction(
-    tsys: TheoremSystem, config: Optional[InductionConfig] = None
+#: ``roles(k) -> (detector, candidates)``: round ``k``'s necessary-message
+#: detector and the servers tried, in order, as the splice's new server
+Roles = Callable[[int], Tuple[MsDetector, Sequence[str]]]
+
+
+def induct(
+    tsys: TheoremSystem, roles: Roles, config: Optional[InductionConfig] = None
 ) -> TheoremVerdict:
-    """Run the Lemma 3 induction against ``tsys`` (two-server form)."""
+    """Run the induction rounds against ``tsys`` (see module docstring).
+
+    γ tries the round's candidates; δ first tries the primaries of the
+    objects already visible at ``C_k``, then the candidates.
+    """
     cfg = config or InductionConfig()
     sim = tsys.sim
     if tsys.c0 is None:
         raise ValueError("theorem system not prepared (no C0)")
-    servers = tsys.servers
-    if len(servers) != 2:
-        raise ValueError(
-            "run_induction is the two-server Theorem 1 engine; use "
-            "repro.core.general for the m-server / partial-replication case"
-        )
     protocol = tsys.system.info.name
+    solo = (tsys.cw,) + tuple(tsys.servers)
     prev = tsys.c0
-    invoked = False
     forced: List[str] = []
 
     for k in range(1, cfg.max_k + 1):
-        p_old = servers[k % 2]
-        p_new = servers[(k - 1) % 2]
+        detector, candidates = roles(k)
         sim.restore(prev)
-        fragment = RecordedFragment([], [])
-        log_mark, trace_mark = sim.log_mark(), sim.trace.mark()
-        if not invoked:
+        mark = sim.trace.mark()
+        if k == 1:
             sim.invoke(tsys.cw, tsys.tw())
-            invoked = True
-        detector = MsDetector(cw=tsys.cw, old_server=p_old, new_server=p_new)
-        # replay detection over anything already recorded (the invoke)
-        for ev in sim.trace.events[trace_mark:]:
-            detector.observe(ev)
-
+        fragment = RecordedFragment([])
         sched = RoundRobinScheduler()
-        solo = (tsys.cw,) + tuple(servers)
         events_run = 0
         ms_desc: Optional[str] = None
-        visible_both = False
+        visible_all = False
         quiescent = False
-
-        def capture() -> Tuple[int, int]:
-            nonlocal log_mark, trace_mark
-            fragment.extend(sim.log[log_mark:], sim.trace.events[trace_mark:])
-            log_mark, trace_mark = sim.log_mark(), sim.trace.mark()
-            return log_mark, trace_mark
-
-        def probe_now() -> Optional[Dict]:
-            nonlocal log_mark, trace_mark
-            capture()
-            reads = probe_read(
-                sim, tsys.probes[0], tsys.objects, tsys.service_pids, restore=True
-            )
-            # drop the probe's log/trace pollution from future captures
-            log_mark, trace_mark = sim.log_mark(), sim.trace.mark()
-            return reads
 
         while events_run < cfg.solo_budget:
             progressed = sched.tick(sim, pids=solo)
@@ -229,23 +222,28 @@ def run_induction(
                 if ms_desc is not None:
                     break
             if not progressed or events_run % cfg.probe_every == 0:
-                reads = probe_now()
+                fragment.events.extend(sim.trace.events[mark:])
+                reads = probe_read(
+                    sim, tsys.probes[0], tsys.objects, tsys.service_pids, restore=True
+                )
+                # the probe's events are not part of the fragment
+                mark = sim.trace.mark()
                 if reads is not None and all(
                     reads.get(o) == v for o, v in tsys.new_values.items()
                 ):
-                    visible_both = True
+                    visible_all = True
                     break
                 if not progressed:
                     quiescent = True
                     break
 
-        capture()
+        fragment.events.extend(sim.trace.events[mark:])
 
-        if ms_desc is None and visible_both:
+        if ms_desc is None and visible_all:
             # claim 1's premise is violated: the values became visible with
             # no necessary message — build γ and exhibit the mixed read.
             return try_splice_candidates(
-                tsys, prev, fragment, [p_new, p_old], k, "gamma", forced
+                tsys, prev, fragment, candidates, k, "gamma", forced
             )
         if ms_desc is None and quiescent:
             return TheoremVerdict(
@@ -284,10 +282,9 @@ def run_induction(
             # claim 2's premise is violated: a value is visible at C_k —
             # build δ from ρ = α'_k and exhibit the mixed read.  The best
             # "new" role is the server actually holding a visible value.
-            candidates = [tsys.primary(o) for o in visible_objs]
-            candidates += [p for p in (p_new, p_old) if p not in candidates]
+            primaries = [tsys.primary(o) for o in visible_objs]
             return try_splice_candidates(
-                tsys, prev, fragment, candidates, k, "delta", forced
+                tsys, prev, fragment, primaries + list(candidates), k, "delta", forced
             )
         prev = c_k
 
@@ -304,6 +301,28 @@ def run_induction(
     )
 
 
+def run_induction(
+    tsys: TheoremSystem, config: Optional[InductionConfig] = None
+) -> TheoremVerdict:
+    """Run the Lemma 3 induction against ``tsys`` (two-server form).
+
+    Round ``k`` watches ``p_{k%2} → p_{(k-1)%2}`` and tries
+    ``p_{(k-1)%2}`` as the new server first.
+    """
+    servers = tsys.servers
+    if len(servers) != 2:
+        raise ValueError(
+            "run_induction is the two-server Theorem 1 engine; use "
+            "repro.core.general for the m-server / partial-replication case"
+        )
+
+    def roles(k: int) -> Tuple[MsDetector, Sequence[str]]:
+        p_old, p_new = servers[k % 2], servers[(k - 1) % 2]
+        return MsDetector(tsys.cw, {p_old}, {p_new}), [p_new, p_old]
+
+    return induct(tsys, roles, config)
+
+
 def try_splice_candidates(
     tsys: TheoremSystem,
     start: Configuration,
@@ -313,21 +332,16 @@ def try_splice_candidates(
     construction: str,
     forced: List[str],
 ) -> TheoremVerdict:
-    """Try each candidate ``p`` role until a splice yields a mixed read."""
-    last: Optional[TheoremVerdict] = None
-    seen = set()
-    for p_new in candidates:
-        if p_new in seen:
-            continue
-        seen.add(p_new)
+    """Try each distinct candidate ``p`` role until a splice yields a mixed read."""
+    verdict: Optional[TheoremVerdict] = None
+    for p_new in dict.fromkeys(candidates):
         verdict = _conclude_with_splice(
             tsys, start, fragment, p_new, k, construction, forced
         )
         if verdict.outcome == CAUSAL_VIOLATION:
-            return verdict
-        last = verdict
-    assert last is not None
-    return last
+            break
+    assert verdict is not None
+    return verdict
 
 
 def _conclude_with_splice(

@@ -1,7 +1,7 @@
 """The β → β_new (and ρ → ρ_new) subsequence machinery.
 
-Given a recorded solo fragment β (commands and trace events in lockstep,
-as produced by one induction round), the splice computes the paper's
+Given a recorded solo fragment β (the trace events of one induction
+round), the splice computes the paper's
 
 * ``β'_p`` — the shortest prefix of β containing every message ``c_w``
   sends to the *new* server ``p`` (the one that will answer with the
@@ -24,11 +24,10 @@ diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.sim.messages import ProcessId
-from repro.sim.replay import Command, DeliverCmd, InvokeCmd, StepCmd
-from repro.sim.trace import StepEvent, TraceEvent
+from repro.sim.trace import DeliverEvent, StepEvent, TraceEvent
 
 
 class SpliceError(RuntimeError):
@@ -37,9 +36,8 @@ class SpliceError(RuntimeError):
 
 @dataclass
 class RecordedFragment:
-    """A command list with its aligned trace events (one event per command)."""
+    """The trace events of one recorded fragment, replayable in order."""
 
-    commands: List[Command]
     events: List[TraceEvent]
     # incremental send index: (src, dst) -> index just past src's last
     # send to dst, maintained lazily so that trying several splice roles
@@ -49,21 +47,8 @@ class RecordedFragment:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if len(self.commands) != len(self.events):
-            raise ValueError(
-                f"misaligned fragment: {len(self.commands)} commands vs "
-                f"{len(self.events)} events"
-            )
-
     def __len__(self) -> int:
-        return len(self.commands)
-
-    def extend(self, commands: Sequence[Command], events: Sequence[TraceEvent]) -> None:
-        self.commands.extend(commands)
-        self.events.extend(events)
-        if len(self.commands) != len(self.events):
-            raise ValueError("misaligned fragment extension")
+        return len(self.events)
 
     def last_send_boundary(self, src: ProcessId, dst: ProcessId) -> int:
         """Index just past the last step where ``src`` sent to ``dst``.
@@ -80,21 +65,13 @@ class RecordedFragment:
 
 
 def _keep_filter(
-    commands: Sequence[Command], keep: Set[ProcessId]
-) -> List[Command]:
+    events: Sequence[TraceEvent], keep: Set[ProcessId]
+) -> List[TraceEvent]:
     """Steps/invokes of kept processes; deliveries addressed to them."""
-    out: List[Command] = []
-    for c in commands:
-        if isinstance(c, StepCmd):
-            if c.pid in keep:
-                out.append(c)
-        elif isinstance(c, InvokeCmd):
-            if c.pid in keep:
-                out.append(c)
-        elif isinstance(c, DeliverCmd):
-            if c.dst in keep:
-                out.append(c)
-    return out
+    return [
+        e for e in events
+        if (e.message.dst if isinstance(e, DeliverEvent) else e.pid) in keep
+    ]
 
 
 def splice_new(
@@ -102,14 +79,12 @@ def splice_new(
     cw: ProcessId,
     new_server: ProcessId,
     servers: Sequence[ProcessId],
-) -> List[Command]:
+) -> List[TraceEvent]:
     """Compute ``β_new`` for the given roles (see module docstring)."""
     if new_server not in servers:
         raise ValueError(f"{new_server} is not a server")
     # β'_p: shortest prefix containing all cw → new_server sends
     split = fragment.last_send_boundary(cw, new_server)
-    prefix = fragment.commands[:split]
-    suffix = fragment.commands[split:]
-    beta_p = _keep_filter(prefix, {cw, new_server})
-    beta_s = _keep_filter(suffix, {new_server})
+    beta_p = _keep_filter(fragment.events[:split], {cw, new_server})
+    beta_s = _keep_filter(fragment.events[split:], {new_server})
     return beta_p + beta_s

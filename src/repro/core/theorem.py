@@ -20,13 +20,12 @@ Every outcome demonstrates the theorem's trade-off on that protocol.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Union
 
 from repro.core.induction import InductionConfig, run_induction
 from repro.core.properties import FastRotReport, measure_fast_rot
-from repro.core.setup import SetupError, prepare_theorem_system
+from repro.core.setup import SetupError, TheoremSystem, prepare_theorem_system
 from repro.core.witness import (
-    INCONCLUSIVE,
     NO_MULTI_WRITE,
     NOT_FAST,
     STALLED,
@@ -34,6 +33,39 @@ from repro.core.witness import (
 )
 from repro.txn.client import UnsupportedTransaction
 from repro.workloads.generators import WorkloadSpec
+
+
+def prepare_or_verdict(
+    protocol: str, fast_report: Optional[FastRotReport] = None, **setup: Any
+) -> Union[TheoremSystem, TheoremVerdict]:
+    """Figure 1's ``C_0`` and property W, the preamble of both drivers.
+
+    Returns the prepared system, or the verdict that ends the check:
+    ``STALLED`` when setup fails, ``NO_MULTI_WRITE`` when ``c_w`` refuses
+    ``T_w``.  ``fast_report`` is attached to either verdict.
+    """
+    try:
+        tsys = prepare_theorem_system(protocol, **setup)
+    except SetupError as exc:
+        return TheoremVerdict(
+            protocol=protocol,
+            outcome=STALLED,
+            detail=f"setup failed: {exc}",
+            fast_report=fast_report,
+        )
+    try:
+        tsys.system.client(tsys.cw).validate(tsys.tw())
+    except UnsupportedTransaction as exc:
+        return TheoremVerdict(
+            protocol=protocol,
+            outcome=NO_MULTI_WRITE,
+            detail=(
+                f"the protocol refuses multi-object write transactions: {exc} "
+                "— it keeps fast ROTs by giving up W"
+            ),
+            fast_report=fast_report,
+        )
+    return tsys
 
 
 def check_impossibility(
@@ -51,30 +83,11 @@ def check_impossibility(
         fast_report = measure_fast_rot(protocol, spec=fast_spec, **params)
 
     # property W: does the protocol accept T_w at all?
-    try:
-        tsys = prepare_theorem_system(
-            protocol, objects=objects, n_servers=n_servers, **params
-        )
-    except SetupError as exc:
-        return TheoremVerdict(
-            protocol=protocol,
-            outcome=STALLED,
-            detail=f"setup failed: {exc}",
-            fast_report=fast_report,
-        )
-    cw_client = tsys.system.client(tsys.cw)
-    try:
-        cw_client.validate(tsys.tw())
-    except UnsupportedTransaction as exc:
-        return TheoremVerdict(
-            protocol=protocol,
-            outcome=NO_MULTI_WRITE,
-            detail=(
-                f"the protocol refuses multi-object write transactions: {exc} "
-                "— it keeps fast ROTs by giving up W"
-            ),
-            fast_report=fast_report,
-        )
+    tsys = prepare_or_verdict(
+        protocol, fast_report, objects=objects, n_servers=n_servers, **params
+    )
+    if isinstance(tsys, TheoremVerdict):
+        return tsys
 
     # properties N/O/V: measured fastness
     if fast_report is not None and not fast_report.fast:

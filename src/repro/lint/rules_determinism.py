@@ -1,8 +1,8 @@
 """RL1xx — determinism rules.
 
 The simulator's exploration and replay stack (``repro.core.explore``,
-``repro.sim.replay``) assumes a *bit-for-bit deterministic* simulation:
-the same command log must produce the same trace, the same message ids
+``Simulation.replay``) assumes a *bit-for-bit deterministic* simulation:
+the same event list must produce the same trace, the same message ids
 and the same value-canonical fingerprints regardless of
 ``PYTHONHASHSEED``, wall-clock time or interpreter address layout.
 These rules guard the ways Python code breaks that (a draw from the

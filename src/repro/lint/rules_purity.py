@@ -57,7 +57,6 @@ SIM_CORE_MODULES = (
     "repro.sim.network",
     "repro.sim.messages",
     "repro.sim.trace",
-    "repro.sim.replay",
     "repro.sim.adversaries",
     "repro.sim.scheduler",
     "repro.sim.events",

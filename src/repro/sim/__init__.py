@@ -11,12 +11,15 @@ This package implements the system model of Section 2 of the paper:
   source and places it in the income buffer of the destination;
 * links do not lose, modify, inject or duplicate messages;
 * the order of events is controlled by an adversary (a
-  :class:`~repro.sim.scheduler.Scheduler` or an explicit command script).
+  :class:`~repro.sim.scheduler.Scheduler` or an explicit script of
+  :mod:`~repro.sim.events` moves).
 
 The simulator is deterministic: an execution is a pure function of the
-initial configuration and the sequence of :mod:`~repro.sim.replay`
-commands applied to it, which is what makes the paper's
-indistinguishability splices executable (see :mod:`repro.core.splicing`).
+initial configuration and the sequence of events applied to it.  The
+:class:`~repro.sim.trace.Trace` records that sequence and
+:meth:`Simulation.replay` re-applies it, filtered or not, which is what
+makes the paper's indistinguishability splices executable (see
+:mod:`repro.core.splicing`).
 """
 
 from repro.sim.messages import Message, Payload
@@ -28,10 +31,10 @@ from repro.sim.executor import (
     Simulation,
     Configuration,
     DeepCopyConfiguration,
+    ReplayError,
     SimCounters,
     use_snapshot_mode,
 )
-from repro.sim.replay import Command, StepCmd, DeliverCmd, InvokeCmd, ReplayError
 from repro.sim.scheduler import (
     Scheduler,
     RoundRobinScheduler,
@@ -61,10 +64,6 @@ __all__ = [
     "DeepCopyConfiguration",
     "SimCounters",
     "use_snapshot_mode",
-    "Command",
-    "StepCmd",
-    "DeliverCmd",
-    "InvokeCmd",
     "ReplayError",
     "Scheduler",
     "RoundRobinScheduler",

@@ -7,10 +7,12 @@ buffers, counters — *is* the configuration in the sense of the paper; the
 ``RC(C, α)`` exploration: snapshot a configuration ``C``, run any legal
 fragment ``α``, observe, restore, run a different fragment.
 
-Every applied event is appended both to the observational
-:class:`~repro.sim.trace.Trace` and to a replayable command log, so that
-any fragment can be re-executed (possibly filtered) from a snapshot — the
-mechanism behind the paper's indistinguishability splices.
+Every applied event is appended to the :class:`~repro.sim.trace.Trace`,
+and every recorded event can apply itself again, so any fragment can be
+re-executed (possibly filtered) from a snapshot with
+:meth:`Simulation.replay` — the mechanism behind the paper's
+indistinguishability splices.  A delivery of a message that does not
+exist raises :class:`ReplayError`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.sim.messages import Message, ProcessId
 from repro.sim.network import Network
 from repro.sim.process import Process, StepContext
-from repro.sim.replay import Command, DeliverCmd, InvokeCmd, ReplayError, StepCmd
 from repro.sim.snapshot import (  # noqa: F401  (re-exported: the harness contract)
     PICKLE_PROTOCOL,
     SNAPSHOT_MODES,
@@ -32,6 +33,10 @@ from repro.sim.snapshot import (  # noqa: F401  (re-exported: the harness contra
     Snapshotter,
 )
 from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent, Trace
+
+
+class ReplayError(RuntimeError):
+    """A delivery addressed a message that is not in transit."""
 
 
 @dataclass
@@ -133,7 +138,6 @@ class Simulation:
             self.processes[p.pid] = p
         self.network = Network(self.processes.keys())
         self.trace = Trace()
-        self.log: List[Command] = []
         self._msg_counter = 0
         self.event_count = 0
         self.counters = SimCounters()
@@ -181,8 +185,8 @@ class Simulation:
         classes is refused with :class:`TypeError` before any live state
         is touched.
 
-        The trace and the command log are observational and are *not*
-        rewound; use their ``mark``/cursor mechanisms to slice branches.
+        The trace is observational and is *not* rewound; use
+        :meth:`Trace.mark` to slice branches.
         """
         if not isinstance(config, (Configuration, DeepCopyConfiguration)):
             raise TypeError(
@@ -256,7 +260,6 @@ class Simulation:
             index=len(self.trace), pid=pid, received=tuple(inbox), sent=tuple(sent)
         )
         self.trace.append(event)
-        self.log.append(StepCmd(pid))
         return event
 
     def deliver(
@@ -274,7 +277,6 @@ class Simulation:
             raise ReplayError(str(exc)) from exc
         self.event_count += 1
         self.trace.append(DeliverEvent(index=len(self.trace), message=msg))
-        self.log.append(DeliverCmd(src, dst, link_seq))
         return msg
 
     def deliver_msg(self, msg: Message) -> Message:
@@ -289,36 +291,28 @@ class Simulation:
         on_invoke(txn)
         proc.mark_dirty()
         self.trace.append(InvokeEvent(index=len(self.trace), pid=pid, txn=txn))
-        self.log.append(InvokeCmd(pid, txn))
 
     # -- replay ---------------------------------------------------------------
 
-    def apply(self, cmd: Command) -> None:
-        if isinstance(cmd, StepCmd):
-            self.step(cmd.pid)
-        elif isinstance(cmd, DeliverCmd):
-            self.deliver(cmd.src, cmd.dst, cmd.link_seq)
-        elif isinstance(cmd, InvokeCmd):
-            self.invoke(cmd.pid, cmd.txn)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown command {cmd!r}")
+    def replay(self, events: Iterable[Any], strict: bool = True) -> List[Any]:
+        """Apply a (possibly filtered) event list, ``e.apply(self)`` each.
 
-    def replay(self, commands: Iterable[Command], strict: bool = True) -> List[Command]:
-        """Apply a recorded (possibly filtered) command list.
-
-        With ``strict`` (the default) a delivery of a message that does not
-        exist raises :class:`ReplayError`.  With ``strict=False`` such
-        deliveries are skipped and the list of skipped commands returned —
-        used by diagnostics, never by the proof engine.
+        ``events`` are recorded trace events (what the splices filter) or
+        the engine's :class:`~repro.sim.events.Step` /
+        :class:`~repro.sim.events.Deliver` (what hand-written scripts
+        use).  With ``strict`` (the default) a delivery of a message that
+        does not exist raises :class:`ReplayError`.  With ``strict=False``
+        such deliveries are skipped and the list of skipped events
+        returned — used by diagnostics, never by the proof engine.
         """
-        skipped: List[Command] = []
-        for cmd in commands:
+        skipped: List[Any] = []
+        for event in events:
             try:
-                self.apply(cmd)
+                event.apply(self)
             except ReplayError:
                 if strict:
                     raise
-                skipped.append(cmd)
+                skipped.append(event)
         return skipped
 
     # -- queries ---------------------------------------------------------------
@@ -334,9 +328,3 @@ class Simulation:
             self.processes[p] for p in pids
         )
         return not any(p.wants_step() for p in group)
-
-    def log_mark(self) -> int:
-        return len(self.log)
-
-    def log_since(self, mark: int) -> List[Command]:
-        return self.log[mark:]

@@ -14,7 +14,7 @@ message carries two identifiers:
     has a single sender, filtering the steps of some *other* process out of
     an execution never perturbs the ``link_seq`` numbering of the remaining
     sends, which makes ``(src, dst, link_seq)`` a structurally stable
-    address for replay (see :mod:`repro.sim.replay`).
+    address for replay (see :meth:`repro.sim.executor.Simulation.replay`).
 """
 
 from __future__ import annotations

@@ -2,29 +2,43 @@
 
 The trace records every event of an execution — computation steps (with
 the messages received and sent), delivery events, and transaction
-invocations — in order.  The metrics in :mod:`repro.analysis.metrics` and
-the property monitors in :mod:`repro.core.properties` are pure functions
-of the trace, and the figure renderers in :mod:`repro.analysis.figures`
-pretty-print slices of it.
+invocations — in order.  The metrics in :mod:`repro.analysis.metrics`
+(and through them the fast-ROT measurement in
+:mod:`repro.core.properties`), the induction's necessary-message detector
+and the space-time renderer in :mod:`repro.analysis.spacetime` read its
+``events`` list directly.
+
+The trace is also the replay log: every recorded event can
+:meth:`~TraceEvent.apply` itself again, so a recorded fragment — filtered
+by the proof engine's splices (:mod:`repro.core.splicing`) or not — is
+re-executed from a snapshot with :meth:`Simulation.replay`.  A replayed
+delivery addresses its message structurally by ``(src, dst, link_seq)``,
+never by the global ``msg_id``, which a filtered replay renumbers.
 
 Traces are *observational*: they are not part of the configuration, so
 snapshotting and restoring a :class:`~repro.sim.executor.Simulation` does
 not rewind the trace (the events really happened, on some branch).  Use
-:meth:`Trace.mark` / :meth:`Trace.since` to slice out the events of one
-branch.
+:meth:`Trace.mark` and slice ``trace.events[mark:]`` to cut out the events
+of one branch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, List, Tuple
 
 from repro.sim.messages import Message, ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.sim.executor import Simulation
 
 
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     index: int
+
+    def apply(self, sim: "Simulation") -> None:
+        raise NotImplementedError
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,6 +48,9 @@ class StepEvent(TraceEvent):
     pid: ProcessId
     received: Tuple[Message, ...]
     sent: Tuple[Message, ...]
+
+    def apply(self, sim: "Simulation") -> None:
+        sim.step(self.pid)
 
     def __repr__(self) -> str:
         rx = ",".join(f"m{m.msg_id}" for m in self.received) or "-"
@@ -47,6 +64,9 @@ class DeliverEvent(TraceEvent):
 
     message: Message
 
+    def apply(self, sim: "Simulation") -> None:
+        sim.deliver(self.message.src, self.message.dst, self.message.link_seq)
+
     def __repr__(self) -> str:
         m = self.message
         return f"[{self.index}] deliver m{m.msg_id} {m.src}->{m.dst}"
@@ -58,6 +78,9 @@ class InvokeEvent(TraceEvent):
 
     pid: ProcessId
     txn: Any
+
+    def apply(self, sim: "Simulation") -> None:
+        sim.invoke(self.pid, self.txn)
 
     def __repr__(self) -> str:
         return f"[{self.index}] invoke {self.pid} {self.txn}"
@@ -79,41 +102,5 @@ class Trace:
         return iter(self.events)
 
     def mark(self) -> int:
-        """Return a cursor for :meth:`since`."""
+        """A cursor: ``events[mark:]`` are the events applied since."""
         return len(self.events)
-
-    def since(self, mark: int) -> List[TraceEvent]:
-        return self.events[mark:]
-
-    # -- queries used by monitors and the proof engine --------------------
-
-    def steps_of(self, pid: ProcessId, start: int = 0) -> List[StepEvent]:
-        return [
-            e for e in self.events[start:] if isinstance(e, StepEvent) and e.pid == pid
-        ]
-
-    def messages_sent(
-        self,
-        src: Optional[ProcessId] = None,
-        dst: Optional[ProcessId] = None,
-        start: int = 0,
-    ) -> List[Message]:
-        out: List[Message] = []
-        for e in self.events[start:]:
-            if isinstance(e, StepEvent) and (src is None or e.pid == src):
-                for m in e.sent:
-                    if dst is None or m.dst == dst:
-                        out.append(m)
-        return out
-
-    def receive_step(self, msg: Message, start: int = 0) -> Optional[StepEvent]:
-        """The step event in which ``msg`` was consumed, if any."""
-        for e in self.events[start:]:
-            if isinstance(e, StepEvent) and any(
-                m.msg_id == msg.msg_id for m in e.received
-            ):
-                return e
-        return None
-
-    def render(self, start: int = 0, end: Optional[int] = None) -> str:
-        return "\n".join(repr(e) for e in self.events[start:end])

@@ -26,9 +26,9 @@ from repro.core import (
 )
 from repro.core.constructions import ConstructionError
 from repro.core.splicing import RecordedFragment
-from repro.sim.replay import DeliverCmd, InvokeCmd, StepCmd
+from repro.sim.messages import Message
 from repro.sim.scheduler import RoundRobinScheduler
-from repro.sim.trace import StepEvent
+from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 from repro.txn.types import BOTTOM, read_only_txn, write_only_txn
 
 
@@ -148,52 +148,76 @@ class TestConstructions:
 # ---------------------------------------------------------------------------
 
 
-class TestSplicing:
-    def test_fragment_alignment_enforced(self):
-        with pytest.raises(ValueError):
-            RecordedFragment([StepCmd("a")], [])
+def _label(event):
+    """An event as its engine move (``step s0``, ``deliver cw->s1#0``)."""
+    if isinstance(event, DeliverEvent):
+        m = event.message
+        return f"deliver {m.src}->{m.dst}#{m.link_seq}"
+    return f"{'step' if isinstance(event, StepEvent) else 'invoke'} {event.pid}"
 
+
+#: β_new / ρ_new of the round that concludes, per candidate new server,
+#: recorded when replay still went through a separate command log:
+#: protocol -> (params, max_k, construction, k, {new server: moves})
+GOLDEN_SPLICES = {
+    "fastclaim": ({}, 4, "gamma", 1, {
+        "s0": ["invoke cw", "step cw", "deliver cw->s0#1", "step s0"],
+        "s1": ["invoke cw", "step cw", "deliver cw->s1#1", "step s1"],
+    }),
+    "handshake": ({"sync_hops": 2}, 6, "delta", 4, {
+        "s0": ["deliver s1->s0#1", "step s0"],
+        "s1": [],
+    }),
+}
+
+
+class TestSplicing:
     def test_filters(self):
         # synthetic fragment: cw sends to s1 (kept), s0 steps removed
-        ev = lambda pid, sent=(): StepEvent(index=0, pid=pid, received=(), sent=sent)
-        from repro.sim.messages import Message
-
+        step = lambda pid, sent=(): StepEvent(index=0, pid=pid, received=(), sent=sent)
+        m_to_s0 = Message(0, "cw", "s0", 0, None)
         m_to_s1 = Message(1, "cw", "s1", 0, None)
-        frag = RecordedFragment(
-            [
-                InvokeCmd("cw", "txn"),
-                StepCmd("cw"),
-                DeliverCmd("cw", "s0", 0),
-                StepCmd("s0"),
-                DeliverCmd("cw", "s1", 0),
-                StepCmd("s1"),
-            ],
-            [
-                ev("cw"),
-                ev("cw", (m_to_s1,)),
-                ev("s0"),
-                ev("s0"),
-                ev("s1"),
-                ev("s1"),
-            ],
-        )
-        out = splice_new(frag, "cw", "s1", ("s0", "s1"))
-        # prefix = first two commands (through cw's send to s1)
-        assert out == [
-            InvokeCmd("cw", "txn"),
-            StepCmd("cw"),
-            DeliverCmd("cw", "s1", 0),
-            StepCmd("s1"),
+        events = [
+            InvokeEvent(index=0, pid="cw", txn="txn"),
+            step("cw", (m_to_s0, m_to_s1)),
+            DeliverEvent(index=0, message=m_to_s0),
+            step("s0"),
+            DeliverEvent(index=0, message=m_to_s1),
+            step("s1"),
         ]
+        out = splice_new(RecordedFragment(events), "cw", "s1", ("s0", "s1"))
+        # prefix = first two events (through cw's send to s1)
+        assert out == [events[0], events[1], events[4], events[5]]
 
     def test_no_cw_sends_means_suffix_only(self):
-        ev = lambda pid: StepEvent(index=0, pid=pid, received=(), sent=())
-        frag = RecordedFragment(
-            [StepCmd("s0"), StepCmd("s1"), DeliverCmd("s0", "s1", 3)],
-            [ev("s0"), ev("s1"), ev("s1")],
-        )
+        step = lambda pid: StepEvent(index=0, pid=pid, received=(), sent=())
+        deliver = DeliverEvent(index=0, message=Message(9, "s0", "s1", 3, None))
+        frag = RecordedFragment([step("s0"), step("s1"), deliver])
         out = splice_new(frag, "cw", "s1", ("s0", "s1"))
-        assert out == [StepCmd("s1"), DeliverCmd("s0", "s1", 3)]
+        assert out == [step("s1"), deliver]
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN_SPLICES))
+    def test_splice_matches_golden_moves(self, protocol, monkeypatch):
+        import repro.core.induction as induction
+
+        params, max_k, construction, k, golden = GOLDEN_SPLICES[protocol]
+        seen = []
+
+        def spy(fragment, cw, new_server, servers):
+            seen.append((fragment, cw, servers))
+            return splice_new(fragment, cw, new_server, servers)
+
+        monkeypatch.setattr(induction, "splice_new", spy)
+        tsys = prepare_theorem_system(protocol, **params)
+        verdict = run_induction(tsys, InductionConfig(max_k=max_k))
+        assert verdict.outcome == CAUSAL_VIOLATION
+        assert (verdict.witness.construction, verdict.k_reached) == (construction, k)
+        fragment, cw, servers = seen[0]
+        got = {
+            s: [_label(e) for e in splice_new(fragment, cw, s, servers)]
+            for s in servers
+        }
+        assert got == golden
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +398,12 @@ class TestIndistinguishability:
         sim = tsys.sim
         c0 = tsys.c0
         # record β: Tw solo to quiescence
-        mark_l, mark_t = sim.log_mark(), sim.trace.mark()
+        mark = sim.trace.mark()
         sim.invoke(tsys.cw, tsys.tw())
         RoundRobinScheduler().run(
             sim, pids=(tsys.cw, "s0", "s1"), max_events=10_000
         )
-        fragment = RecordedFragment(
-            sim.log[mark_l:], sim.trace.events[mark_t:]
-        )
+        fragment = RecordedFragment(sim.trace.events[mark:])
         after_full = self._state(sim, "s1")
         # replay β_new (s0's steps removed) from C0
         sim.restore(c0)

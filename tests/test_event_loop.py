@@ -16,7 +16,6 @@ from repro.sim.events import Deliver, Step, enabled_events
 from repro.sim.executor import SNAPSHOT_MODES, Simulation, use_snapshot_mode
 from repro.sim.messages import Message
 from repro.sim.process import Process
-from repro.sim.replay import DeliverCmd, InvokeCmd, StepCmd
 from repro.sim.scheduler import RoundRobinScheduler, run_until_quiescent
 from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 from repro.txn.types import read_only_txn
@@ -149,9 +148,6 @@ RECORDS = [
     StepEvent(index=3, pid="a", received=(_MSG,), sent=()),
     DeliverEvent(index=4, message=_MSG),
     InvokeEvent(index=5, pid="c0", txn=_TXN),
-    StepCmd("a"),
-    DeliverCmd("a", "b", 2),
-    InvokeCmd("c0", _TXN),
     Deliver("a", "b", 2),
     Step("a"),
 ]

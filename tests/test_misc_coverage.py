@@ -9,8 +9,7 @@ from repro.consistency import ConsistencyReport, check_history
 from repro.consistency.search import find_legal_serialization
 from repro.core import prepare_theorem_system, probe_read
 from repro.core.setup import SetupError
-from repro.sim.executor import Simulation
-from repro.sim.replay import ReplayError
+from repro.sim.executor import ReplayError, Simulation
 from repro.txn.types import BOTTOM, read_only_txn, write_only_txn
 
 from helpers import Echo, Pinger, history_of, rec
@@ -114,9 +113,3 @@ class TestExecutorCorners:
         sim = Simulation([Pinger("p", "e", n=1), Echo("e")])
         with pytest.raises(ReplayError, match="p->e"):
             sim.deliver("p", "e", link_seq=5)
-
-    def test_log_mark_and_since(self):
-        sim = Simulation([Pinger("p", "e", n=1), Echo("e")])
-        mark = sim.log_mark()
-        sim.step("p")
-        assert len(sim.log_since(mark)) == 1

@@ -85,10 +85,10 @@ class TestSimulatorProperties:
         sim = fresh_net()
         apply_schedule(sim, prefix)
         snap = sim.snapshot()
-        mark = sim.log_mark()
+        mark = sim.trace.mark()
         apply_schedule(sim, suffix)
         end_state = state_of(sim)
-        recorded = sim.log_since(mark)
+        recorded = sim.trace.events[mark:]
         sim.restore(snap)
         sim.replay(recorded)
         assert state_of(sim) == end_state

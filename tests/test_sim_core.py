@@ -5,11 +5,11 @@ import copy
 
 import pytest
 
-from repro.sim.executor import Simulation
+from repro.sim.events import Deliver, Step
+from repro.sim.executor import ReplayError, Simulation
 from repro.sim.messages import Message, Payload
 from repro.sim.network import Network
 from repro.sim.process import NullProcess, Process, StepContext
-from repro.sim.replay import DeliverCmd, InvokeCmd, ReplayError, StepCmd
 from repro.sim.trace import DeliverEvent, StepEvent
 
 from helpers import Echo, Note, Pinger
@@ -190,13 +190,6 @@ class TestSimulationEvents:
         sim.deliver("p", "e")
         assert sim.event_count == c0 + 2
 
-    def test_trace_and_log_in_lockstep(self):
-        sim = self.make()
-        sim.step("p")
-        sim.deliver("p", "e")
-        sim.step("e")
-        assert len(sim.trace) == len(sim.log) == 3
-
 
 # ---------------------------------------------------------------------------
 # Simulation: snapshot / restore / replay
@@ -252,11 +245,11 @@ class TestSnapshotRestore:
 class TestReplay:
     def script(self):
         return [
-            StepCmd("p"),
-            DeliverCmd("p", "e", 0),
-            StepCmd("e"),
-            DeliverCmd("e", "p", 0),
-            StepCmd("p"),
+            Step("p"),
+            Deliver("p", "e", 0),
+            Step("e"),
+            Deliver("e", "p", 0),
+            Step("p"),
         ]
 
     def test_replay_reproduces_execution(self):
@@ -277,8 +270,9 @@ class TestReplay:
     def test_recorded_log_replays_identically(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         snap = sim.snapshot()
+        mark = sim.trace.mark()
         sim.replay(self.script())
-        recorded = list(sim.log)
+        recorded = sim.trace.events[mark:]
         state_a = (sim.processes["p"].got, sim.processes["e"].seen)
         sim.restore(snap)
         sim.replay(recorded)
@@ -287,12 +281,12 @@ class TestReplay:
     def test_strict_replay_raises_on_missing_message(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         with pytest.raises(ReplayError):
-            sim.replay([DeliverCmd("p", "e", 0)])
+            sim.replay([Deliver("p", "e", 0)])
 
     def test_lenient_replay_skips(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
-        skipped = sim.replay([DeliverCmd("p", "e", 0), StepCmd("p")], strict=False)
-        assert skipped == [DeliverCmd("p", "e", 0)]
+        skipped = sim.replay([Deliver("p", "e", 0), Step("p")], strict=False)
+        assert skipped == [Deliver("p", "e", 0)]
         assert sim.processes["p"].remaining == 1
 
     def test_filtered_replay_structural_addressing(self):
@@ -300,7 +294,7 @@ class TestReplay:
         sim = Simulation([Pinger("a", "e", n=1), Pinger("b", "e", n=1), Echo("e")])
         sim.step("a")
         sim.step("b")
-        snap_cmds = [c for c in sim.log if not (isinstance(c, StepCmd) and c.pid == "a")]
+        kept = [e for e in sim.trace if not (isinstance(e, StepEvent) and e.pid == "a")]
         sim2 = Simulation([Pinger("a", "e", n=1), Pinger("b", "e", n=1), Echo("e")])
-        sim2.replay(snap_cmds + [DeliverCmd("b", "e", 0), StepCmd("e")])
+        sim2.replay(kept + [Deliver("b", "e", 0), Step("e")])
         assert sim2.processes["e"].seen == [1]

@@ -1,4 +1,4 @@
-"""Scheduler fairness/restriction and trace query tests."""
+"""Scheduler fairness/restriction and the trace cursor."""
 
 import pytest
 
@@ -10,9 +10,8 @@ from repro.sim.scheduler import (
     SchedulerStalled,
     run_until_quiescent,
 )
-from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 
-from helpers import Echo, Note, Pinger
+from helpers import Echo, Pinger
 
 
 class TestRoundRobin:
@@ -84,35 +83,8 @@ class TestRandomScheduler:
 
 
 class TestTraceQueries:
-    def make_traced(self):
-        sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
-        run_until_quiescent(sim)
-        return sim
-
-    def test_steps_of(self):
-        sim = self.make_traced()
-        assert all(e.pid == "e" for e in sim.trace.steps_of("e"))
-        assert len(sim.trace.steps_of("p")) >= 2
-
-    def test_messages_sent_filters(self):
-        sim = self.make_traced()
-        sent = sim.trace.messages_sent(src="p", dst="e")
-        assert [m.payload.token for m in sent] == [2, 1]
-        assert sim.trace.messages_sent(src="e", dst="p")
-
-    def test_receive_step(self):
-        sim = self.make_traced()
-        msg = sim.trace.messages_sent(src="p")[0]
-        ev = sim.trace.receive_step(msg)
-        assert ev is not None and ev.pid == "e"
-
     def test_mark_and_since(self):
         sim = Simulation([Pinger("p", "e", n=1), Echo("e")])
         mark = sim.trace.mark()
         sim.step("p")
-        assert len(sim.trace.since(mark)) == 1
-
-    def test_render_nonempty(self):
-        sim = self.make_traced()
-        text = sim.trace.render()
-        assert "step p" in text and "deliver" in text
+        assert len(sim.trace.events[mark:]) == 1
