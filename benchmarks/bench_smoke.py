@@ -100,6 +100,42 @@ def fork_machinery_smoke() -> bool:
     return ok
 
 
+def undo_smoke() -> bool:
+    """The serial bytes DFS backtracks by undo, never by capture.
+
+    Every child the DFS generates is one applied event (one trace
+    record) and is left again by one ``restore`` of its parent's mark,
+    so ``restores`` must equal the children and ``snapshots`` stay 0.
+    A fallback to capture plus delta restore shows as snapshots > 0.
+    Covers a budget-truncated run and a first-violation abort.
+    """
+    from repro.core.setup import prepare_theorem_system
+    from repro.engine import run
+    from repro.txn.types import read_only_txn
+
+    ok = True
+    for label, kwargs in (
+        ("budget", dict(max_depth=30, max_states=300, first_violation_only=False)),
+        ("first violation", dict(max_depth=30, max_states=60_000, por=True)),
+    ):
+        tsys = prepare_theorem_system("fastclaim", n_probes=2)
+        sim = tsys.sim
+        sim.invoke(tsys.cw, tsys.tw())
+        sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+        before, events = sim.counters.as_dict(), len(sim.trace)
+        run(tsys.system, **kwargs)
+        children = len(sim.trace) - events
+        snapshots = sim.counters.snapshots - before["snapshots"]
+        restores = sim.counters.restores - before["restores"]
+        good = snapshots == 0 and restores == children > 0
+        ok &= good
+        print(
+            f"{'ok  ' if good else 'FAIL'} undo, fastclaim {label}: {children} "
+            f"children, {restores} restores, {snapshots} snapshots (want 0)"
+        )
+    return ok
+
+
 def checker_smoke() -> bool:
     """The delta checkers against the per-leaf batch scan.
 
@@ -146,6 +182,7 @@ EXPECT_CHECKS = 5_395
 def main() -> int:
     failures = 0
     failures += not fork_machinery_smoke()
+    failures += not undo_smoke()
     failures += not checker_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()

@@ -468,8 +468,12 @@ class SerialSearch:
     # -- DFS (the reference strategy) -------------------------------------
 
     def run_dfs(self, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
-        """Depth-first from the sim's current configuration."""
-        self._dfs(depth, sleep, ())
+        """Depth-first from the sim's current configuration, backtracking
+        through an undo journal that ends with the call, even on a raise."""
+        try:
+            self._dfs(depth, sleep, ())
+        finally:
+            self.sim.drop_journal()
 
     def collect_frontier(self, cutoff: int) -> List[SearchNode]:
         """DFS-preorder roots at ``cutoff`` depth, leaves checked en route.
@@ -496,10 +500,10 @@ class SerialSearch:
                     self._delta_consume(fresh)
                 self._check_leaf()
             return  # stuck without finishing: not a legal maximal run
-        # digest before capture: the fingerprint pickles (and interns)
-        # the process the entering event touched — the cache key of its
-        # digest — and a node the seen-set, the claim set or a budget
-        # drops below is never captured at all
+        # digest first: the fingerprint pickles (and interns) the process
+        # the entering event touched — the cache key of its digest and
+        # the blob its undo reloads — and a node the seen-set, the claim
+        # set or a budget drops below is never marked at all
         fp = self._fingerprint()
         if self._covered(fp, sleep):
             r.states_deduped += 1
@@ -531,9 +535,9 @@ class SerialSearch:
         explorable = (
             [e for e in events if e not in sleep] if self.por else events
         )
-        # one snapshot per expanded node: every child branch mutates the
-        # live sim and restores from this same (immutable) snapshot
-        snap = self.sim.snapshot()
+        # one mark per expanded node: every child branch applies one
+        # event and undoes it back to this mark
+        mark = self.sim.mark()
         prior: List[Event] = []
         for i, e in enumerate(explorable):
             child_sleep = self._child_sleep(sleep, prior, e)
@@ -553,7 +557,7 @@ class SerialSearch:
             if ck is not None:
                 self._delta_rollback(ck[0])
             self._trail.pop()
-            self.sim.restore(snap)
+            self.sim.restore(mark)
             prior.append(e)
             if self.abort:
                 return

@@ -39,6 +39,10 @@ class ReplayError(RuntimeError):
     """A delivery addressed a message that is not in transit."""
 
 
+class StaleMarkError(RuntimeError):
+    """A mark restored after its journal was dropped or undone below it."""
+
+
 @dataclass
 class SimCounters:
     """Cost accounting for the ``RC(C, α)`` machinery.
@@ -48,8 +52,8 @@ class SimCounters:
     stays observable across PRs.
     """
 
-    snapshots: int = 0          #: snapshot() calls
-    restores: int = 0           #: restore() calls
+    snapshots: int = 0          #: snapshot() calls (a mark() is none)
+    restores: int = 0           #: restore() calls, of a snapshot or a mark
     fingerprints: int = 0       #: fingerprint() calls
     #: captures and per-state fingerprint digests served from a cache
     #: (dirty rows, the state table) / computed afresh (pickled, walked)
@@ -174,31 +178,59 @@ class Simulation:
             self.processes, self.network, self._msg_counter, self.event_count
         )
 
+    def mark(self):
+        """A point :meth:`restore` undoes the live state back to: in
+        ``"bytes"`` mode a position in the undo journal (and the entry
+        below it), after which every event journals its exact inverse;
+        in the journal-free ``"deepcopy"`` oracle, a :meth:`snapshot`."""
+        if self.snapshot_mode != "bytes":
+            return self.snapshot()
+        journal = self.network._journal
+        if journal is None:
+            journal = self.network._journal = []
+        below = journal[-1:]
+        return (journal, len(journal), below, self._msg_counter, self.event_count)
+
+    def drop_journal(self) -> None:
+        """Stop journaling: every outstanding mark goes stale."""
+        self.network._journal = None
+
     def restore(self, config) -> None:
-        """Return to a previously captured configuration.
+        """Return to a previously captured configuration or a mark.
 
         A configuration may be restored any number of times; restoring
         never aliases live state (the :class:`Configuration` ownership
         rule).  Bytes snapshots restore as a delta apply
         (:meth:`Snapshotter.apply_delta`), deep-copy snapshots fork once
-        to stay private.  Anything that is not one of the two snapshot
-        classes is refused with :class:`TypeError` before any live state
-        is touched.
+        to stay private; either drops the journal.  A :meth:`mark` is
+        undone in place, or refused with :class:`StaleMarkError` once its
+        journal is gone.  Anything else is refused with :class:`TypeError`
+        before any live state is touched.
 
         The trace is observational and is *not* rewound; use
         :meth:`Trace.mark` to slice branches.
         """
-        if not isinstance(config, (Configuration, DeepCopyConfiguration)):
-            raise TypeError(
-                f"cannot restore a {type(config).__name__}: expected a "
-                "Configuration or DeepCopyConfiguration from snapshot()"
+        if type(config) is tuple:  # a mark: pop the journal back to it
+            journal, position, below, msg_counter, event_count = config
+            live = journal is self.network._journal
+            if not live or journal[position - 1 : position] != below:
+                raise StaleMarkError("this mark's journal is gone or undone below it")
+            while len(journal) > position:
+                journal.pop()()
+        else:
+            if not isinstance(config, (Configuration, DeepCopyConfiguration)):
+                raise TypeError(
+                    f"cannot restore a {type(config).__name__}: expected a "
+                    "Configuration or DeepCopyConfiguration from snapshot()"
+                )
+            self.drop_journal()
+            self.processes, self.network = self._snapshotters[config.mode].apply_delta(
+                config, self.processes, self.network
             )
-        self.processes, self.network = self._snapshotters[config.mode].apply_delta(
-            config, self.processes, self.network
-        )
+            msg_counter, event_count = config.msg_counter, config.event_count
         self.counters.restores += 1
-        self._msg_counter = config.msg_counter
-        self.event_count = config.event_count
+        self._msg_counter = msg_counter
+        self.event_count = event_count
 
     def fingerprint(self, *, canonical: bool = False) -> bytes:
         """A content hash of the current configuration, for revisit pruning.
@@ -233,6 +265,9 @@ class Simulation:
     def step(self, pid: ProcessId) -> StepEvent:
         """Apply a computation step of ``pid``."""
         proc = self.processes[pid]
+        journal = self.network._journal
+        if journal is not None:
+            journal.append(self._snapshotters["bytes"].inverse(self.processes, pid))
         inbox = self.network.drain_income(pid)
         self.event_count += 1
         ctx = StepContext(pid, self._neighbours_of(pid), self.event_count)
@@ -288,6 +323,9 @@ class Simulation:
         on_invoke = getattr(proc, "on_invoke", None)
         if on_invoke is None:
             raise TypeError(f"{pid} does not accept invocations")
+        journal = self.network._journal
+        if journal is not None:
+            journal.append(self._snapshotters["bytes"].inverse(self.processes, pid))
         on_invoke(txn)
         proc.mark_dirty()
         self.trace.append(InvokeEvent(index=len(self.trace), pid=pid, txn=txn))

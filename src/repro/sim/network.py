@@ -14,6 +14,7 @@ order, including out of FIFO order on a single link.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from operator import attrgetter
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -26,6 +27,9 @@ _by_msg_id = attrgetter("msg_id")
 
 class Network:
     """In-transit message storage plus per-process income buffers."""
+
+    #: the undo journal of a live Simulation.mark: mutators add inverses
+    _journal: Optional[list] = None
 
     def __init__(self, pids: Iterable[ProcessId]):
         self.pids: Tuple[ProcessId, ...] = tuple(pids)
@@ -48,6 +52,7 @@ class Network:
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_version", None)
+        state.pop("_journal", None)
         return state
 
     def __setstate__(self, state):
@@ -67,8 +72,17 @@ class Network:
             raise ValueError(
                 f"link_seq mismatch on {link}: got {msg.link_seq}, expected {expected}"
             )
+        if self._journal is not None:
+            self._journal.append(partial(self._unpost, link))
         self.link_counts[link] = expected + 1
         self.in_transit.setdefault(link, deque()).append(msg)
+        self._version += 1
+
+    def _unpost(self, link: Link) -> None:
+        self.in_transit[link].pop()
+        self.link_counts[link] -= 1
+        if not self.link_counts[link]:  # this post made the link: unmake it
+            del self.in_transit[link], self.link_counts[link]
         self._version += 1
 
     # -- delivery --------------------------------------------------------
@@ -113,11 +127,17 @@ class Network:
         if q:
             for i, m in enumerate(q):
                 if m.link_seq == link_seq:
+                    if self._journal is not None:
+                        self._journal.append(partial(self._undeliver, q, dst, i))
                     del q[i]
                     self.income[dst].append(m)
                     self._version += 1
                     return m
         raise KeyError(f"no in-transit message {src}->{dst}#{link_seq}")
+
+    def _undeliver(self, q: Deque[Message], dst: ProcessId, i: int) -> None:
+        q.insert(i, self.income[dst].pop())
+        self._version += 1
 
     def drain_income(self, pid: ProcessId) -> List[Message]:
         """Remove and return every delivered message awaiting ``pid``.
@@ -133,12 +153,19 @@ class Network:
         """
         msgs = self.income[pid]
         if msgs:
+            if self._journal is not None:
+                # arrival order: the strict placement keys on it
+                self._journal.append(partial(self._undrain, pid, msgs[:]))
             # canonicalize while the list is still tracked state, then
             # detach and bump: every mutation precedes the version bump
             msgs.sort(key=lambda m: (m.src, m.link_seq))
             self.income[pid] = []
             self._version += 1
         return msgs
+
+    def _undrain(self, pid: ProcessId, arrived: List[Message]) -> None:
+        self.income[pid] = arrived
+        self._version += 1
 
     # -- inspection ------------------------------------------------------
 

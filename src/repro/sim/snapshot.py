@@ -19,6 +19,7 @@ import io
 import pickle
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple
 
@@ -281,11 +282,9 @@ class Configuration:
     :meth:`Snapshotter.apply_delta` a **delta apply**: a live component
     whose cached capture *is* the snapshot's is provably in the
     snapshotted state already and is kept as-is; only the components
-    that actually differ are re-materialized.  A DFS backtrack after a
-    single ``Step`` therefore touches one process, not eleven.  A
-    snapshot carries no fingerprint data: a restored process finds its
-    digests in the state table through its sub-blob (see
-    :meth:`Snapshotter.digest`).
+    that actually differ are re-materialized.  A snapshot carries no
+    fingerprint data: a restored process finds its digests in the state
+    table through its sub-blob (see :meth:`Snapshotter.digest`).
 
     The network's capture costs no serialization in either direction
     (see :func:`_net_capture`).  The process sub-blobs stay pickled
@@ -447,9 +446,8 @@ class Snapshotter:
         self.counters = counters
         # per-component dirty-tracked capture rows, keyed by pid / _NET;
         # see _CompRow.  Rows hold the component strongly, so object ids
-        # cannot be recycled into false hits.  Kept: delta snapshot and
-        # delta restore *are* these rows (a DFS backtrack reloads ~1.1
-        # of 12 components), and the RL5xx lint contract is built on them
+        # cannot be recycled into false hits.  Kept: digests, captures,
+        # delta restores and undo reloads key on them, as does RL5xx
         self._rows: Dict[str, _CompRow] = {}
         # the state table: process sub-blob -> [interned sub-blob, fp
         # digest, fp_canon digest].  Content-addressed, so a per-process
@@ -550,37 +548,47 @@ class Snapshotter:
         ]
         return Configuration(tuple(blobs), net_rec[0], msg_counter, event_count)
 
+    def inverse(self, processes, pid: ProcessId) -> Callable[[], bool]:
+        """The undo of an event on ``processes[pid]``: a :meth:`load` of
+        its blob as of now, which the node's fingerprint already pickled."""
+        row = self._row(pid, processes[pid])
+        blob = self._comp_blob(row) if row.rec is None else row.rec[0]
+        return partial(self.load, processes, pid, blob)
+
+    def load(self, processes, pid: ProcessId, blob: bytes) -> bool:
+        """Put the state ``blob`` at ``processes[pid]``: keep the live
+        process if its row says it already is, else load it (True)."""
+        live = processes.get(pid)
+        row = self._rows.get(pid)
+        if (
+            row is not None
+            and row.obj is live
+            and row.version == getattr(live, "_version", 0)
+            and row.rec is not None
+            and row.rec[0] is blob
+        ):
+            # the live process's exact serialization *is* this sub-blob
+            # (interned: also after a step that left its state
+            # byte-equal): it already equals the snapshot
+            self.counters.components_reused += 1
+            return False
+        proc = processes[pid] = pickle.loads(blob)
+        # the state table hands the row the digests this state was
+        # fingerprinted with, wherever that happened, so a branch off
+        # this restore only walks states never seen
+        self._rows[pid] = _CompRow(proc, 0, self._state_rec(blob))
+        self.counters.components_restored += 1
+        self.counters.bytes_restored += len(blob)
+        return True
+
     def apply_delta(self, config: Configuration, processes, network):
-        """The live state moved to ``config``, touching only what differs."""
+        """The live state jumped to ``config``, touching only what differs."""
         counters = self.counters
         rows = self._rows
-        new_procs: Dict[ProcessId, Process] = {}
+        new_procs = {pid: processes.get(pid) for pid, _ in config.proc_blobs}
         changed = 0
         for pid, blob in config.proc_blobs:
-            live = processes.get(pid)
-            row = rows.get(pid)
-            if (
-                row is not None
-                and row.obj is live
-                and row.version == getattr(live, "_version", 0)
-                and row.rec is not None
-                and row.rec[0] is blob
-            ):
-                # the live process's exact serialization *is* this
-                # sub-blob (interned: also after a step that left its
-                # state byte-equal): it already equals the snapshot
-                counters.components_reused += 1
-                proc = live
-            else:
-                proc = pickle.loads(blob)
-                # the state table hands the row the digests this state
-                # was fingerprinted with, wherever that happened, so a
-                # branch off this restore only walks states never seen
-                rows[pid] = _CompRow(proc, 0, self._state_rec(blob))
-                counters.components_restored += 1
-                counters.bytes_restored += len(blob)
-                changed += 1
-            new_procs[pid] = proc
+            changed += self.load(new_procs, pid, blob)
         row = rows.get(_NET)
         if (
             row is not None

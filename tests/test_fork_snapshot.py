@@ -973,3 +973,154 @@ def test_harness_contract_names_and_entry_points():
     sim.restore(snap)
     c = sim.counters
     assert (c.snapshots, c.fingerprints, c.restores) == (1, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# The undo journal: restoring a mark is the exact inverse of what followed
+# ---------------------------------------------------------------------------
+
+#: registered protocols, plus "fan-in": two pingers and an echo, whose
+#: income buffer fills from two links in any order before it steps
+UNDO_PROTOCOLS = ("fan-in", "fastclaim", "cops", "cops_snow", "wren", "ramp")
+
+
+def undo_system(protocol):
+    if protocol == "fan-in":
+        procs = [Pinger("a", "c", n=3), Pinger("b", "c", n=3), Echo("c")]
+        return Simulation(procs), ("a", "b", "c")
+    return race_system(protocol)
+
+
+def live_view(sim):
+    """Everything a restore must give back, down to container order."""
+    from repro.sim.snapshot import _placement_strict
+
+    net = sim.network
+    idx = {pid: i for i, pid in enumerate(sorted(sim.processes))}
+    return dict(
+        fp=sim.fingerprint(),
+        fp_canon=sim.fingerprint(canonical=True),
+        placement=_placement_strict(net, idx),
+        # the keys too: a link that emptied is not a link never used
+        in_transit=[(link, [m.msg_id for m in q]) for link, q in net.in_transit.items()],
+        income={pid: [m.msg_id for m in v] for pid, v in net.income.items()},
+        link_counts=list(net.link_counts.items()),
+        counters=(sim._msg_counter, sim.event_count),
+        procs=proc_states(sim),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    protocol=st.sampled_from(UNDO_PROTOCOLS),
+    ops=st.lists(st.integers(min_value=0, max_value=9), max_size=30),
+)
+def test_restoring_a_mark_undoes_exactly_what_followed(protocol, ops):
+    """Nested marks over drawn enabled events (0: mark, 1: restore the
+    innermost mark, else: apply an event).  Each restore gives back the
+    configuration its mark was taken at — income arrival order and
+    emptied links included — and the same one a snapshot taken there
+    restores into a fresh simulation."""
+    sim, pids = undo_system(protocol)
+    marks = []
+
+    def undo_innermost():
+        mark, want, snap = marks.pop()
+        restores = sim.counters.restores
+        sim.restore(mark)
+        assert sim.counters.restores == restores + 1  # one restore, as ever
+        assert live_view(sim) == want
+        cold = Simulation([])
+        cold.restore(snap)
+        assert live_view(cold) == want
+
+    for op in ops:
+        if op == 0:
+            want = live_view(sim)
+            marks.append((sim.mark(), want, sim.snapshot()))
+        elif op == 1 and marks:
+            undo_innermost()
+        else:
+            events = enabled_events(sim, pids)
+            if events:
+                events[op % len(events)].apply(sim)
+    while marks:
+        undo_innermost()
+
+
+def test_an_invocation_is_undone_with_its_steps():
+    from repro.txn.types import read_only_txn
+
+    tsys = prepare_theorem_system("cops", n_probes=2)
+    sim, probe = tsys.sim, tsys.probes[1]
+    want = live_view(sim)
+    mark = sim.mark()
+    sim.invoke(probe, read_only_txn(tsys.objects, txid="Tr"))
+    sim.step(probe)
+    assert live_view(sim) != want
+    sim.restore(mark)
+    assert live_view(sim) == want
+
+
+class TestJournalLifetime:
+    """Marks live inside one search; everything else fails loudly."""
+
+    def test_a_stale_mark_is_refused_before_anything_moves(self):
+        from repro.sim.executor import StaleMarkError
+
+        sim = fresh_sim()
+        snap = sim.snapshot()
+        mark = sim.mark()
+        sim.step("p")
+        sim.restore(snap)  # a jump: the journal goes
+        assert sim.network._journal is None
+        outer = sim.mark()
+        sim.step("p")
+        inner = sim.mark()
+        sim.step("p")
+        sim.restore(outer)  # popped below the inner mark
+        sim.step("p")
+        sim.step("p")  # and regrown past its position
+        fp, before = sim.fingerprint(), sim.counters.as_dict()
+        for stale in (mark, inner):
+            with pytest.raises(StaleMarkError):
+                sim.restore(stale)
+        assert sim.fingerprint() == fp
+        assert sim.counters.restores == before["restores"]
+
+    def test_a_search_that_raises_leaves_no_journal(self, monkeypatch):
+        from repro.core.explore import explore
+        from repro.engine.core import SerialSearch
+        from repro.txn.types import read_only_txn
+
+        tsys = prepare_theorem_system("fastclaim", n_probes=2)
+        sim = tsys.sim
+
+        def leaf_fails(self):
+            assert sim.network._journal is not None  # the DFS was journaling
+            raise RuntimeError("injected leaf failure")
+
+        monkeypatch.setattr(SerialSearch, "_check_leaf", leaf_fails)
+        script = [
+            (tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw")),
+            (tsys.probes[0], read_only_txn(tsys.objects, txid="Tr")),
+        ]
+        with pytest.raises(RuntimeError, match="injected leaf failure"):
+            explore(tsys.system, script, max_depth=30)
+        assert sim.network._journal is None
+
+    def test_forward_runs_and_the_induction_never_journal(self, monkeypatch):
+        from repro.core.induction import InductionConfig, run_induction
+        from repro.protocols import build_system
+        from repro.workloads import WorkloadSpec, run_workload
+
+        def refuse(self):
+            raise AssertionError("journaled outside a search")
+
+        monkeypatch.setattr(Simulation, "mark", refuse)
+        system = build_system("cops", objects=("X0", "X1"), n_servers=2)
+        run_workload(system, WorkloadSpec(n_txns=20, read_ratio=0.5, seed=3))
+        tsys = prepare_theorem_system("fastclaim")
+        run_induction(tsys, InductionConfig(max_k=4))
+        for sim in (system.sim, tsys.sim):
+            assert sim.network._journal is None
