@@ -224,6 +224,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.engine.core import STRATEGIES
     from repro.workloads import TABLE1_SPEC
 
     parser = argparse.ArgumentParser(
@@ -292,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustively explore the write/read-race schedule space",
     )
     e.add_argument("protocol")
-    e.add_argument("--strategy", choices=("dfs", "bfs", "random"), default="dfs")
+    e.add_argument("--strategy", choices=STRATEGIES, default="dfs")
     e.add_argument("--por", dest="por", action="store_true", default=False,
                    help="partial-order reduction (POR-safe protocols only)")
     e.add_argument("--no-por", dest="por", action="store_false")
@@ -300,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="causal")
     e.add_argument("--checker-oracle", action="store_true",
                    help="cross-check every incremental verdict against the "
-                        "batch scan (slow; debugging aid)")
+                        "batch scan (slow; debugging aid); needs --strategy "
+                        "dfs and --checker causal, the one pair with an "
+                        "incremental verdict")
     e.add_argument("--max-depth", type=int, default=40)
     e.add_argument("--max-states", type=int, default=50_000)
     e.add_argument("--sync-hops", type=int, default=None)

@@ -6,9 +6,8 @@
 * :func:`check_read_atomic` / :func:`find_fractured_reads` — RAMP's level;
 * :func:`check_sessions` — the four session guarantees;
 * :func:`check_history` — one-call verdict at a claimed level;
-* :class:`IncrementalCausalChecker` / :class:`IncrementalReadAtomicChecker`
-  / :class:`IncrementalSessionChecker` — delta-driven, checkpointable
-  versions of the scans above for the exploration hot path.
+* :class:`IncrementalCausalChecker` — the delta-driven, checkpointable
+  version of :func:`find_causal_anomalies` for the exploration hot path.
 """
 
 from repro.consistency.atomicity import (
@@ -19,8 +18,6 @@ from repro.consistency.atomicity import (
 from repro.consistency.incremental import (
     IncrementalCausalChecker,
     IncrementalChecker,
-    IncrementalReadAtomicChecker,
-    IncrementalSessionChecker,
 )
 from repro.consistency.causal import (
     CausalAnomaly,
@@ -59,6 +56,4 @@ __all__ = [
     "check_sessions",
     "IncrementalChecker",
     "IncrementalCausalChecker",
-    "IncrementalReadAtomicChecker",
-    "IncrementalSessionChecker",
 ]

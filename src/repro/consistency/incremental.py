@@ -1,13 +1,12 @@
-"""Incremental consistency checkers: delta-driven, checkpointable.
+"""The incremental causal checker: delta-driven, checkpointable.
 
-The batch checkers (:func:`~repro.consistency.causal.find_causal_anomalies`,
-:func:`~repro.consistency.atomicity.find_fractured_reads`,
-:func:`~repro.consistency.sessions.check_sessions`) recompute everything
-— history sort, writer index, transitive closure, full anomaly scan —
-from scratch on every call.  Along a DFS of the schedule space each
-checked node's history extends its parent's by at most one committed
-transaction, so almost all of that work is repeated.  The classes here
-make the cost of a verdict proportional to the *delta*:
+The batch scan :func:`~repro.consistency.causal.find_causal_anomalies`
+recomputes everything — history sort, writer index, transitive closure,
+full anomaly scan — from scratch on every call.  Along a DFS of the
+schedule space each checked node's history extends its parent's by at
+most one committed transaction, so almost all of that work is repeated.
+:class:`IncrementalCausalChecker` makes the cost of a verdict
+proportional to the *delta*:
 
 * :meth:`IncrementalChecker.advance` consumes newly-committed records:
   new reads are checked against the existing writer index, existing
@@ -18,12 +17,12 @@ make the cost of a verdict proportional to the *delta*:
   lockstep with the engine's fork/restore: backtracking reuses the
   parent's checker state instead of recomputing it.  All state mutation
   goes through an undo trail, so a rollback costs O(delta) too.
-* :meth:`IncrementalChecker.anomalies` returns the verdict for the
-  records consumed so far — **bit-identical** to running the matching
-  batch checker on those records sorted by ``(invoked_at, txid)`` (the
-  order :func:`~repro.txn.history.build_history` produces).  Identity
-  includes anomaly *order*: found anomalies are kept as a set and
-  sorted into the batch checker's emission order at verdict time.
+* :meth:`IncrementalCausalChecker.anomalies` returns the verdict for the
+  records consumed so far — **bit-identical** to running the batch scan
+  on those records sorted by ``(invoked_at, txid)`` (the order
+  :func:`~repro.txn.history.build_history` produces).  Identity includes
+  anomaly *order*: found anomalies are kept as a set and sorted into the
+  batch scan's emission order at verdict time.
 
 Correctness relies on one contract: records of the **same client must
 arrive in program order** (true of any simulation — a client runs one
@@ -31,9 +30,11 @@ transaction at a time); records of different clients may interleave
 arbitrarily, including a reader arriving before the writer it read from
 (the read stays *pending* and is resolved when the writer commits).
 
-The batch checkers remain the reference oracle: the engine can run both
-and assert equality (``checker_oracle``), and the hypothesis suite does
-so on random histories under arbitrary append/checkpoint/rollback
+The other checker levels (read atomicity, the session guarantees) have
+no delta form: the engine runs their batch scans at every leaf.  The
+batch scan remains the reference oracle: the engine can run both and
+assert equality (``checker_oracle``), and the hypothesis suite does so
+on random histories under arbitrary append/checkpoint/rollback
 sequences.  See ``docs/model.md``, "Checker cost and incrementality".
 """
 
@@ -41,9 +42,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.consistency.atomicity import FracturedRead
 from repro.consistency.causal import CausalAnomaly
-from repro.consistency.sessions import SessionViolation
 from repro.txn.history import CausalOrder
 from repro.txn.types import BOTTOM, ObjectId, TxnRecord, Value
 
@@ -318,303 +317,3 @@ class IncrementalCausalChecker(IncrementalChecker):
             return ((reader.invoked_at, reader.txid), slot, wkey)
 
         return sorted(out, key=key)
-
-
-class IncrementalReadAtomicChecker(IncrementalChecker):
-    """Delta version of :func:`~repro.consistency.atomicity.find_fractured_reads`.
-
-    A fracture — ``T`` observes ``W``'s write to one object but a
-    *definitely older* version of another object ``W`` also wrote — is
-    evaluated when the reads-from fact ``T ← W`` is established, when
-    the stale sibling's writer commits (it may commit after the fact),
-    and when a closure pair ``(stale writer, W)`` arrives.  The
-    real-time half of *definitely older* is fixed at commit time, so
-    only the causal half needs the delta machinery.
-    """
-
-    name = "read-atomic"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.found: Dict[FracturedRead, None] = {}
-        #: (obj, value) -> fracture triples waiting on that writer:
-        #: (reader, sibling txn W, obj_seen, obj_missed, stale value)
-        self.parked: Dict[
-            Tuple[ObjectId, Value],
-            List[Tuple[TxnRecord, TxnRecord, ObjectId, ObjectId, Value]],
-        ] = {}
-
-    def _emit(
-        self,
-        reader: TxnRecord,
-        sibling: TxnRecord,
-        obj_seen: ObjectId,
-        obj_missed: ObjectId,
-        stale: Value,
-    ) -> None:
-        fracture = FracturedRead(
-            reader=reader.txid,
-            sibling_txn=sibling.txid,
-            obj_seen=obj_seen,
-            obj_missed=obj_missed,
-            stale_value=stale,
-        )
-        if fracture not in self.found:
-            self._dset(self.found, fracture, None)
-
-    def _definitely_older(self, gw: Optional[TxnRecord], w: TxnRecord) -> bool:
-        if gw is None:  # ⊥ precedes every write
-            return True
-        if self.order.lt(gw.txid, w.txid):
-            return True
-        return gw.completed_at < w.invoked_at
-
-    def _on_record(self, rec, resolutions, delta) -> None:
-        for a, b in delta:
-            self._check_pair(a, b)
-        for reader, obj, val, writer in resolutions:
-            self._establish(reader, obj, writer)
-        for obj, val in rec.txn.writes:
-            for triple in self.parked.get((obj, val), ()):
-                reader, w, obj_seen, obj_missed, stale = triple
-                if self._definitely_older(rec, w):
-                    self._emit(reader, w, obj_seen, obj_missed, stale)
-
-    def _establish(
-        self, reader: TxnRecord, obj_seen: ObjectId, w: TxnRecord
-    ) -> None:
-        """``reader`` now provably reads-from ``w`` on ``obj_seen``."""
-        for obj_missed in w.txn.write_set:
-            if obj_missed == obj_seen or obj_missed not in reader.reads:
-                continue
-            got = reader.reads[obj_missed]
-            if got == w.txn.write_map[obj_missed]:
-                continue
-            if got is BOTTOM:
-                self._emit(reader, w, obj_seen, obj_missed, got)
-                continue
-            gw = self.writer_index.get((obj_missed, got))
-            if gw is None:
-                self._lappend(
-                    self.parked.setdefault((obj_missed, got), []),
-                    (reader, w, obj_seen, obj_missed, got),
-                )
-            elif self._definitely_older(gw, w):
-                self._emit(reader, w, obj_seen, obj_missed, got)
-
-    def _check_pair(self, a: str, b: str) -> None:
-        """``a <c b`` arrived: a's versions are now older than b's."""
-        ra, rb = self.by_txid[a], self.by_txid[b]
-        b_writes = rb.txn.write_map
-        if not ra.txn.writes or not b_writes:
-            return
-        for obj_missed, stale in ra.txn.writes:
-            if obj_missed not in b_writes or b_writes[obj_missed] == stale:
-                continue
-            stale_readers = self.readers_of.get((obj_missed, stale))
-            if not stale_readers:
-                continue
-            for obj_seen, val in rb.txn.writes:
-                if obj_seen == obj_missed:
-                    continue
-                for reader in self.readers_of.get((obj_seen, val), ()):
-                    if reader.reads.get(obj_missed) == stale:
-                        self._emit(reader, rb, obj_seen, obj_missed, stale)
-
-    def anomalies(self) -> List[FracturedRead]:
-        self._raise_if_corrupt()
-        if not self.found and not self.parked:
-            return []
-        out = list(self.found)
-        for key, triples in self.parked.items():
-            if key in self.writer_index:
-                continue  # resolved: evaluated on the writer's arrival
-            for reader, w, obj_seen, obj_missed, stale in triples:
-                # the batch checker treats a never-written version as ⊥
-                out.append(
-                    FracturedRead(
-                        reader=reader.txid,
-                        sibling_txn=w.txid,
-                        obj_seen=obj_seen,
-                        obj_missed=obj_missed,
-                        stale_value=stale,
-                    )
-                )
-
-        def key(fr: FracturedRead):
-            reader = self.by_txid[fr.reader]
-            sibling = self.by_txid[fr.sibling_txn]
-            return (
-                (reader.invoked_at, reader.txid),
-                list(reader.reads).index(fr.obj_seen),
-                sibling.txn.write_set.index(fr.obj_missed),
-            )
-
-        return sorted(set(out), key=key)
-
-
-class IncrementalSessionChecker(IncrementalChecker):
-    """Delta version of :func:`~repro.consistency.sessions.check_sessions`.
-
-    A session-guarantee *candidate* is a pair of same-client
-    observations (a read after a read/write of the same object, a write
-    after an observation, consecutive writes); whether it is a violation
-    depends on the causal order and the writer index, both of which can
-    keep evolving as other clients' transactions commit.  There are only
-    O(observations) candidates, so this checker records them on arrival
-    (with the previously-seen version captured *by reference* — a value
-    whose writer has not committed yet resolves lazily) and evaluates
-    them against the final order at verdict time: consuming a record is
-    O(|record|), a verdict is O(candidates) bit tests.
-
-    Requires the arrival contract from the module docstring: a client's
-    records must arrive in program order (and, for verdict-order parity
-    with the batch checker, program order must agree with the
-    ``(invoked_at, txid)`` sort — true of simulation histories, where
-    each client's invocation stamps strictly increase).
-    """
-
-    name = "sessions"
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: (client, obj) -> (value, writer ref, how) — the freshest
-        #: version the client has observed; refs are None (⊥),
-        #: ("tx", txid) (own write) or ("val", obj, val) (lazy lookup)
-        self.seen: Dict[Tuple[str, ObjectId], Tuple[Value, Optional[tuple], str]] = {}
-        #: append-only candidates, each (kind, sort_key, *payload)
-        self.cands: List[tuple] = []
-        self.client_pos: Dict[str, int] = {}
-        #: (client, obj) -> the client's previous write of obj (txid)
-        self.last_write: Dict[Tuple[str, ObjectId], str] = {}
-        #: (client, obj) -> rank of obj among the client's written objects
-        self.obj_order: Dict[Tuple[str, ObjectId], int] = {}
-        self.pair_count: Dict[Tuple[str, ObjectId], int] = {}
-        self.nobj: Dict[str, int] = {}
-
-    def _wid(self, ref: Optional[tuple]) -> Optional[str]:
-        if ref is None:
-            return None
-        if ref[0] == "tx":
-            return ref[1]
-        w = self.writer_index.get((ref[1], ref[2]))
-        return w.txid if w is not None else None
-
-    def _on_record(self, rec, resolutions, delta) -> None:
-        client = rec.client
-        pos = self.client_pos.get(client, 0)
-        self._dset(self.client_pos, client, pos + 1)
-        for slot, (obj, val) in enumerate(rec.reads.items()):
-            ref = None if val is BOTTOM else ("val", obj, val)
-            key = (client, obj)
-            prev = self.seen.get(key)
-            if prev is not None and prev[0] != val:
-                prev_val, prev_ref, how = prev
-                self._lappend(
-                    self.cands,
-                    (
-                        "stale",
-                        (client, 0, pos, 0, slot),
-                        rec.txid,
-                        obj,
-                        val,
-                        prev_val,
-                        ref,
-                        prev_ref,
-                        how,
-                    ),
-                )
-            self._dset(self.seen, key, (val, ref, "read"))
-        for slot, (obj, val) in enumerate(rec.txn.writes):
-            key = (client, obj)
-            prev = self.seen.get(key)
-            if prev is not None:
-                self._lappend(
-                    self.cands,
-                    ("wfr", (client, 0, pos, 1, slot), rec.txid, obj, prev[1]),
-                )
-            self._dset(self.seen, key, (val, ("tx", rec.txid), "write"))
-            last = self.last_write.get(key)
-            if last is None:
-                n = self.nobj.get(client, 0)
-                self._dset(self.obj_order, key, n)
-                self._dset(self.nobj, client, n + 1)
-            else:
-                pidx = self.pair_count.get(key, 0)
-                self._dset(self.pair_count, key, pidx + 1)
-                self._lappend(
-                    self.cands,
-                    (
-                        "mw",
-                        (client, 1, self.obj_order[key], pidx, 0),
-                        rec.txid,
-                        last,
-                        obj,
-                    ),
-                )
-            self._dset(self.last_write, key, rec.txid)
-
-    def _eval(self, cand: tuple) -> Optional[SessionViolation]:
-        kind = cand[0]
-        client = cand[1][0]
-        lt = self.order.lt
-        if kind == "stale":
-            _, _, txid, obj, val, prev_val, ref, prev_ref, how = cand
-            wid, prev_wid = self._wid(ref), self._wid(prev_ref)
-            stale = (wid is None and prev_wid is not None) or (
-                wid is not None and prev_wid is not None and lt(wid, prev_wid)
-            )
-            if not stale:
-                return None
-            guarantee = "read-your-writes" if how == "write" else "monotonic-reads"
-            return SessionViolation(
-                guarantee=guarantee,
-                client=client,
-                txid=txid,
-                obj=obj,
-                detail=(
-                    f"{client} observed {obj}={prev_val!r} "
-                    f"({how}) then read older {obj}={val!r} "
-                    f"in {txid}"
-                ),
-            )
-        if kind == "wfr":
-            _, _, txid, obj, prev_ref = cand
-            prev_wid = self._wid(prev_ref)
-            if prev_wid is None or not lt(txid, prev_wid):
-                return None
-            return SessionViolation(
-                guarantee="writes-follow-reads",
-                client=client,
-                txid=txid,
-                obj=obj,
-                detail=(
-                    f"{client}'s write {txid} of {obj} is "
-                    f"causally before previously observed "
-                    f"writer {prev_wid}"
-                ),
-            )
-        _, _, later, earlier, obj = cand
-        if not lt(later, earlier):
-            return None
-        return SessionViolation(
-            guarantee="monotonic-writes",
-            client=client,
-            txid=later,
-            obj=obj,
-            detail=(
-                f"{client}'s later write {later} ordered "
-                f"causally before earlier write {earlier}"
-            ),
-        )
-
-    def anomalies(self) -> List[SessionViolation]:
-        self._raise_if_corrupt()
-        if not self.cands:
-            return []
-        out: List[SessionViolation] = []
-        for cand in sorted(self.cands, key=lambda c: c[1]):
-            v = self._eval(cand)
-            if v is not None:
-                out.append(v)
-        return out

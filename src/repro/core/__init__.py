@@ -32,7 +32,7 @@ from repro.core.induction import (
 from repro.core.properties import DEFAULT_FAST_SPEC, FastRotReport, measure_fast_rot
 from repro.core.setup import SetupError, TheoremSystem, prepare_theorem_system
 from repro.core.splicing import RecordedFragment, SpliceError, splice_new
-from repro.core.theorem import check_all, check_impossibility
+from repro.core.theorem import check_impossibility
 from repro.core.visibility import FrozenScheduler, probe_read, values_visible
 from repro.core.witness import (
     CAUSAL_VIOLATION,
@@ -66,7 +66,6 @@ __all__ = [
     "RecordedFragment",
     "SpliceError",
     "splice_new",
-    "check_all",
     "check_impossibility",
     "FrozenScheduler",
     "probe_read",

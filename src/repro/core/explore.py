@@ -9,7 +9,7 @@ COPS-SNOW has no violating schedule and *finds* FastClaim's violating
 schedules without being told where to look.
 
 The search itself lives in :mod:`repro.engine` — a common frontier core
-with DFS/BFS/random strategies, sleep-set partial-order reduction and a
+with DFS/BFS strategies, sleep-set partial-order reduction and a
 parallel frontier; this module is the scenario-level wrapper: it invokes
 the script, picks the adversary's process set, and forwards the knobs.
 :class:`ExplorationResult` is re-exported from the engine so existing
@@ -37,7 +37,6 @@ def explore(
     strategy: str = "dfs",
     por: bool = False,
     workers: int = 1,
-    rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
 ) -> ExplorationResult:
@@ -61,9 +60,11 @@ def explore(
     DFS of a POR-safe protocol out over a shared fingerprint claim set,
     with ``max_states`` as one pool-wide budget; any other ``workers >
     1`` request is answered serially (``result.auto_serial``).
-    DFS walks use the incremental delta checkers by default
-    (``incremental=False`` forces the batch scan; ``checker_oracle=True``
-    cross-checks every leaf against it).
+    DFS walks check ``"causal"`` with the incremental delta checker by
+    default (``incremental=False`` forces the batch scan;
+    ``checker_oracle=True`` cross-checks every leaf against it, and is
+    refused where there is no incremental verdict); the other levels
+    always run their batch scan.
     """
     sim = system.sim
     for client, txn in script:
@@ -77,7 +78,6 @@ def explore(
         max_depth=max_depth,
         max_states=max_states,
         first_violation_only=first_violation_only,
-        rng_seed=rng_seed,
         incremental=incremental,
         checker_oracle=checker_oracle,
     )

@@ -106,12 +106,3 @@ def check_impossibility(
     verdict.fast_report = fast_report
     return verdict
 
-
-def check_all(max_k: int = 8, **params: Any):
-    """Run the theorem check against every registered protocol."""
-    from repro.protocols.registry import protocol_names
-
-    return {
-        name: check_impossibility(name, max_k=max_k, **params)
-        for name in protocol_names()
-    }

@@ -3,7 +3,7 @@
 Public surface:
 
 * :func:`repro.engine.core.run` — explore a prepared system with a
-  strategy (``dfs``/``bfs``/``random``), optional sleep-set partial-order
+  strategy (``dfs``/``bfs``), optional sleep-set partial-order
   reduction, and optional parallel frontier workers;
 * :class:`repro.engine.core.ExplorationResult` — the result record,
   extending the repo-wide :class:`repro.engine.outcome.SearchOutcome`

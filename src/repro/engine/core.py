@@ -8,10 +8,9 @@ layout had three divergent drivers — a recursive DFS in
 one frontier/strategy core over a common :class:`SearchNode`:
 
 * **Strategies** — ``"dfs"`` (the reference order, identical to the old
-  recursive explorer), ``"bfs"`` (shortest-counterexample order) and
-  ``"random"`` (seeded random walks, no dedup) all share the seen-set,
-  the state/depth budgets and the truncation accounting implemented
-  here, once.
+  recursive explorer) and ``"bfs"`` (shortest-counterexample order)
+  share the seen-set, the state/depth budgets and the truncation
+  accounting implemented here, once.
 * **Partial-order reduction** (``por=True``) — driven by the
   :func:`repro.sim.events.independent` relation, in two coupled parts.
   The seen-set keys on the *trace-canonical* fingerprint
@@ -40,7 +39,6 @@ every other layer honest about that.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -50,7 +48,7 @@ from repro.sim.events import Event, Step, enabled_events, independent
 from repro.sim.executor import Configuration, SimCounters, Simulation
 from repro.sim.messages import ProcessId
 
-STRATEGIES = ("dfs", "bfs", "random")
+STRATEGIES = ("dfs", "bfs")
 
 _EMPTY: FrozenSet[Event] = frozenset()
 
@@ -175,9 +173,9 @@ class CheckerSpec:
     ``incremental`` constructs a fresh
     :class:`~repro.consistency.incremental.IncrementalChecker` whose
     verdicts are bit-identical to ``batch`` on the same records.  The
-    DFS strategies consume committed-record deltas through the
-    incremental checker by default; ``incremental=None`` means the
-    checker has no delta form and always runs batch.
+    DFS consumes committed-record deltas through the incremental
+    checker by default; ``incremental=None`` means the checker has no
+    delta form and always runs batch (every level but ``"causal"``).
     """
 
     name: str
@@ -194,16 +192,12 @@ def resolve_checker(checker: str) -> CheckerSpec:
         return CheckerSpec("causal", find_causal_anomalies, IncrementalCausalChecker)
     if checker == "read-atomic":
         from repro.consistency.atomicity import find_fractured_reads
-        from repro.consistency.incremental import IncrementalReadAtomicChecker
 
-        return CheckerSpec(
-            "read-atomic", find_fractured_reads, IncrementalReadAtomicChecker
-        )
+        return CheckerSpec("read-atomic", find_fractured_reads)
     if checker == "sessions":
-        from repro.consistency.incremental import IncrementalSessionChecker
         from repro.consistency.sessions import check_sessions
 
-        return CheckerSpec("sessions", check_sessions, IncrementalSessionChecker)
+        return CheckerSpec("sessions", check_sessions)
     raise ValueError(f"unknown checker {checker!r}")
 
 
@@ -238,7 +232,6 @@ class SerialSearch:
         max_states: int,
         first_violation_only: bool,
         por: bool,
-        rng_seed: int = 0,
         trail_prefix: Tuple[str, ...] = (),
         incremental: bool = False,
         oracle: bool = False,
@@ -257,7 +250,6 @@ class SerialSearch:
         self.max_states = max_states
         self.first_violation_only = first_violation_only
         self.por = por
-        self.rng_seed = rng_seed
         #: labels prepended to violation schedules (parallel subtree roots)
         self.trail_prefix = trail_prefix
         #: key the seen-set canonically even without POR (parallel mode,
@@ -376,9 +368,6 @@ class SerialSearch:
         prior = self._seen.setdefault(fp, [])
         prior[:] = [s for s in prior if not (sleep <= s)]
         prior.append(sleep)
-
-    def seen_states(self) -> int:
-        return len(self._seen)
 
     def seen_fingerprints(self) -> List[bytes]:
         """Every fingerprint this search remembered (expanded or, for a
@@ -627,56 +616,17 @@ class SerialSearch:
                 sim.restore(node.snapshot)
                 prior.append(e)
 
-    # -- random walks -------------------------------------------------------
-
-    def run_random(self, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
-        """Seeded random walks to quiescence, until the state budget.
-
-        No dedup (the budget bounds work, not coverage) and no POR — a
-        walk keeps one interleaving per attempt anyway.  Deterministic
-        given ``rng_seed``.
-        """
-        r = self.result
-        sim = self.sim
-        rng = random.Random(self.rng_seed)
-        root = sim.snapshot()
-        base_trail = list(self._trail)
-        while not self.abort and r.states_visited < self.max_states:
-            sim.restore(root)
-            self._trail = list(base_trail)
-            d = depth
-            while True:
-                events = enabled_events(sim, self.pids)
-                if not events:
-                    if clients_done(sim, self.clients):
-                        self._check_leaf()
-                    break
-                if d >= self.max_depth:
-                    r.truncated += 1
-                    break
-                e = rng.choice(events)
-                e.apply(sim)
-                self._trail.append(e)
-                r.states_visited += 1
-                d += 1
-                if r.states_visited >= self.max_states:
-                    self.exhausted = True
-                    r.truncated += 1
-                    break
-
     def run(self, strategy: str, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
         if strategy != "dfs":
-            # BFS and random walks jump between non-ancestor
-            # configurations, which the trail-based checker rollback
-            # cannot follow — they keep the batch scan
+            # BFS jumps between non-ancestor configurations, which the
+            # trail-based checker rollback cannot follow — it keeps the
+            # batch scan
             self.incremental = False
         self.result.incremental = self.incremental
         if strategy == "dfs":
             self.run_dfs(depth, sleep)
         elif strategy == "bfs":
             self.run_bfs(depth, sleep)
-        elif strategy == "random":
-            self.run_random(depth, sleep)
         else:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
@@ -693,7 +643,6 @@ def run(
     max_depth: int = 40,
     max_states: int = 50_000,
     first_violation_only: bool = True,
-    rng_seed: int = 0,
     incremental: Optional[bool] = None,
     checker_oracle: bool = False,
 ) -> ExplorationResult:
@@ -701,8 +650,8 @@ def run(
 
     The caller has already invoked the scenario's transactions; the
     engine enumerates adversary schedules from here.  ``strategy`` is
-    one of ``"dfs"`` / ``"bfs"`` / ``"random"``; ``por=True`` switches on
-    sleep-set partial-order reduction.
+    ``"dfs"`` or ``"bfs"``; ``por=True`` switches on sleep-set
+    partial-order reduction.
 
     ``workers > 1`` fans out (see :mod:`repro.engine.parallel`) only
     for an exhaustive (``first_violation_only=False``) DFS of a protocol
@@ -714,12 +663,14 @@ def run(
     pool ``max_states`` is a *global* budget — total ``states_visited``
     never exceeds it regardless of ``workers``.
 
-    ``incremental=None`` (the default) uses the delta checkers on DFS
+    ``incremental=None`` (the default) uses the delta checker on DFS
     walks and the batch scan elsewhere; ``False`` forces the batch scan
-    everywhere, ``True`` requests the delta checkers (still a no-op for
-    BFS/random, whose configuration jumps the checker rollback cannot
-    follow).  ``checker_oracle=True`` additionally runs the batch scan
-    at every leaf and raises if the verdicts are not bit-identical.
+    everywhere, ``True`` requests the delta checker (still a no-op for
+    BFS, whose configuration jumps the checker rollback cannot follow,
+    and for checkers without a delta form).  ``checker_oracle=True``
+    additionally runs the batch scan at every leaf and raises if the
+    verdicts are not bit-identical; a run with no incremental verdict
+    to cross-check refuses it with :class:`ValueError`.
     """
     if strategy not in STRATEGIES:
         raise ValueError(
@@ -728,12 +679,21 @@ def run(
     spec = resolve_checker(checker)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    por = por and strategy != "random"
     use_inc = (
         (incremental if incremental is not None else True)
         and strategy == "dfs"
         and spec.incremental is not None
     )
+    if checker_oracle and not use_inc:
+        if strategy != "dfs":
+            why = f"strategy={strategy!r} runs the batch scan"
+        elif spec.incremental is None:
+            why = f"checker {checker!r} has no incremental form"
+        else:
+            why = "incremental=False runs the batch scan"
+        raise ValueError(
+            f"checker_oracle needs an incremental verdict to cross-check: {why}"
+        )
     result = ExplorationResult(
         protocol=system.info.name,
         strategy=strategy,
@@ -771,7 +731,6 @@ def run(
         max_states,
         first_violation_only,
         por,
-        rng_seed=rng_seed,
         incremental=use_inc,
         oracle=checker_oracle,
     )

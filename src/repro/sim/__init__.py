@@ -43,9 +43,6 @@ from repro.sim.scheduler import (
 )
 from repro.sim.trace import Trace, StepEvent, DeliverEvent, InvokeEvent
 from repro.sim.clock import (
-    LamportClock,
-    VectorClock,
-    HybridLogicalClock,
     HLCTimestamp,
     TrueTimeOracle,
     TTInterval,
@@ -73,9 +70,6 @@ __all__ = [
     "StepEvent",
     "DeliverEvent",
     "InvokeEvent",
-    "LamportClock",
-    "VectorClock",
-    "HybridLogicalClock",
     "HLCTimestamp",
     "TrueTimeOracle",
     "TTInterval",

@@ -1,72 +1,19 @@
-"""Logical and simulated-physical clocks.
+"""Simulated-physical clocks.
 
-The protocol zoo needs the full range of timestamping devices used by the
-systems in Table 1:
-
-* :class:`LamportClock` — scalar logical clock (Orbe, Contrarian, ...);
-* :class:`VectorClock` — per-server vectors (Cure's GST vectors);
-* :class:`HybridLogicalClock` — HLC as used by Wren;
 * :class:`TrueTimeOracle` — Spanner's bounded-uncertainty clock,
   simulated over the executor's event counter (the substitution for the
-  GPS/atomic-clock infrastructure; documented in DESIGN.md).
+  GPS/atomic-clock infrastructure; documented in DESIGN.md);
+* :class:`HLCTimestamp` — an ordered hybrid-logical-clock timestamp
+  value, ``(physical, logical, node)``.
+
+The other protocols of Table 1 keep their logical timestamps (Lamport
+scalars, dependency vectors, stable-time cutoffs) as plain integers and
+dicts in their own state; none needs a clock object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
-
-
-class LamportClock:
-    """Classic scalar logical clock."""
-
-    def __init__(self, start: int = 0):
-        self.time = start
-
-    def tick(self) -> int:
-        self.time += 1
-        return self.time
-
-    def observe(self, other: int) -> int:
-        """Merge a timestamp received on a message, then tick."""
-        self.time = max(self.time, other) + 1
-        return self.time
-
-    def peek(self) -> int:
-        return self.time
-
-
-class VectorClock:
-    """Vector clock over a fixed set of node ids."""
-
-    def __init__(self, nodes: Tuple[str, ...], owner: str):
-        if owner not in nodes:
-            raise ValueError(f"owner {owner!r} not in nodes")
-        self.owner = owner
-        self.clock: Dict[str, int] = {n: 0 for n in nodes}
-
-    def tick(self) -> Dict[str, int]:
-        self.clock[self.owner] += 1
-        return dict(self.clock)
-
-    def observe(self, other: Dict[str, int]) -> Dict[str, int]:
-        for n, t in other.items():
-            if n in self.clock and t > self.clock[n]:
-                self.clock[n] = t
-        self.clock[self.owner] += 1
-        return dict(self.clock)
-
-    def peek(self) -> Dict[str, int]:
-        return dict(self.clock)
-
-    @staticmethod
-    def leq(a: Dict[str, int], b: Dict[str, int]) -> bool:
-        """Pointwise ≤ (the happens-before partial order)."""
-        return all(a.get(k, 0) <= b.get(k, 0) for k in set(a) | set(b))
-
-    @staticmethod
-    def concurrent(a: Dict[str, int], b: Dict[str, int]) -> bool:
-        return not VectorClock.leq(a, b) and not VectorClock.leq(b, a)
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -76,44 +23,6 @@ class HLCTimestamp:
     physical: int
     logical: int
     node: str = ""
-
-
-class HybridLogicalClock:
-    """HLC (Kulkarni et al.): physical component + logical tiebreaker.
-
-    The "physical" component is fed by the caller (the simulator's event
-    counter as seen at each step), so HLC order refines causal order while
-    staying close to (simulated) real time.
-    """
-
-    def __init__(self, node: str):
-        self.node = node
-        self.physical = 0
-        self.logical = 0
-
-    def now(self, wall: int) -> HLCTimestamp:
-        if wall > self.physical:
-            self.physical = wall
-            self.logical = 0
-        else:
-            self.logical += 1
-        return HLCTimestamp(self.physical, self.logical, self.node)
-
-    def observe(self, ts: HLCTimestamp, wall: int) -> HLCTimestamp:
-        new_phys = max(self.physical, ts.physical, wall)
-        if new_phys == self.physical == ts.physical:
-            self.logical = max(self.logical, ts.logical) + 1
-        elif new_phys == self.physical:
-            self.logical += 1
-        elif new_phys == ts.physical:
-            self.logical = ts.logical + 1
-        else:
-            self.logical = 0
-        self.physical = new_phys
-        return HLCTimestamp(self.physical, self.logical, self.node)
-
-    def peek(self) -> HLCTimestamp:
-        return HLCTimestamp(self.physical, self.logical, self.node)
 
 
 @dataclass(frozen=True)
@@ -153,7 +62,3 @@ class TrueTimeOracle:
     def after(self, pid: str, t: int, wall: int) -> bool:
         """TT.after(t): guaranteed that true time has passed ``t``."""
         return self.now(pid, wall).earliest > t
-
-    def before(self, pid: str, t: int, wall: int) -> bool:
-        """TT.before(t): guaranteed that true time has not reached ``t``."""
-        return self.now(pid, wall).latest < t

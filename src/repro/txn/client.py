@@ -96,10 +96,6 @@ class ClientBase(Process):
     def primary(self, obj: ObjectId) -> ProcessId:
         return self.replicas(obj)[0]
 
-    def servers_for(self, objects: Sequence[ObjectId]) -> Tuple[ProcessId, ...]:
-        """One server per object (the primary), deduplicated, sorted."""
-        return tuple(sorted({self.primary(o) for o in objects}))
-
     def partition_objects(
         self, objects: Sequence[ObjectId]
     ) -> Dict[ProcessId, Tuple[ObjectId, ...]]:
@@ -201,11 +197,3 @@ class ClientBase(Process):
             self.context.add((obj, val))
         self.current = None
         return record
-
-    # -- introspection ------------------------------------------------------------
-
-    def results(self) -> List[TxnRecord]:
-        return list(self.completed)
-
-    def last_result(self) -> Optional[TxnRecord]:
-        return self.completed[-1] if self.completed else None

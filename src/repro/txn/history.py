@@ -211,7 +211,6 @@ class _Derived:
         "per_client",
         "last_of_client",
         "rf_by_reader",
-        "readers_index",
         "pending_reads",
         "order",
         "order_error",
@@ -227,8 +226,6 @@ class _Derived:
         self.last_of_client: Dict[str, TxnRecord] = {}
         #: reader txid -> {obj: writer txid} in the reader's reads order
         self.rf_by_reader: Dict[str, Dict[ObjectId, str]] = {}
-        #: (obj, value) -> readers of that exact version, in record order
-        self.readers_index: Dict[Tuple[ObjectId, Value], List[TxnRecord]] = {}
         #: non-⊥ reads whose writer has not been seen (yet)
         self.pending_reads: Dict[Tuple[ObjectId, Value], List[TxnRecord]] = {}
         self.order: Optional[CausalOrder] = None
@@ -268,7 +265,6 @@ class _Derived:
                 if w.txid != rec.txid:
                     rf[obj] = w.txid
                     edges.append((w.txid, rec.txid))
-                self.readers_index.setdefault(key, []).append(rec)
             else:
                 self.pending_reads.setdefault(key, []).append(rec)
         for obj, val in rec.txn.writes:
@@ -281,7 +277,6 @@ class _Derived:
                 if reader.txid != rec.txid:
                     self.rf_by_reader[reader.txid][obj] = rec.txid
                     edges.append((rec.txid, reader.txid))
-                self.readers_index.setdefault(key, []).append(reader)
         if self.order is not None and self.order_error is None:
             try:
                 self.order.add_node(rec.txid)
@@ -332,10 +327,6 @@ class History:
         for r in self.records:
             objs |= set(r.txn.objects)
         return tuple(sorted(objs))
-
-    def append(self, record: TxnRecord) -> None:
-        """Append one completed record (the incremental-friendly path)."""
-        self.records.append(record)
 
     # -- the derived-index cache -------------------------------------------
 
@@ -397,10 +388,6 @@ class History:
     def writers_by_object(self) -> Dict[ObjectId, List[TxnRecord]]:
         """Map object → its writers in record order.  Cached; read-only."""
         return self._derived().writers_by_object
-
-    def readers_index(self) -> Dict[Tuple[ObjectId, Value], List[TxnRecord]]:
-        """Map (object, value) → records that read exactly that version."""
-        return self._derived().readers_index
 
     def program_order(self) -> List[Tuple[str, str]]:
         """Immediate program-order edges ``(earlier_txid, later_txid)``."""

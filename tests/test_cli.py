@@ -66,6 +66,21 @@ class TestCliFigures:
         assert "CAUSAL_VIOLATION" in capsys.readouterr().out
 
 
+class TestCliTable1:
+    def test_table1_header_and_every_implemented_row(self, capsys):
+        from repro.protocols import REGISTRY
+
+        assert main(["table1", "--txns", "20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("Table 1")
+        header = [c.strip() for c in lines[1].split("|")]
+        assert header[:3] == ["System", "paper R", "meas R"]
+        assert header[-2:] == ["Consistency", "verified"]
+        rows = [line.split("|")[0].strip() for line in lines[3:]]
+        assert len(rows) == 17
+        assert sorted(rows) == sorted(info.title for info in REGISTRY.values())
+
+
 class TestCliWorkload:
     def test_workload_characterization(self, capsys):
         rc = main(["workload", "cops_snow", "--txns", "30"])

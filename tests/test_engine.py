@@ -172,10 +172,9 @@ def test_workers_pool_path_forced():
         ("fastclaim", dict(first_violation_only=True, por=True)),
         ("fastclaim", dict(first_violation_only=True)),
         ("fastclaim", dict(strategy="bfs", por=True)),
-        ("fastclaim", dict(strategy="random", max_states=2_000)),
         ("spanner", dict()),  # por_safe=False: no sound shared claim set
     ],
-    ids=["first-violation+por", "first-violation", "bfs", "random", "not-por-safe"],
+    ids=["first-violation+por", "first-violation", "bfs", "not-por-safe"],
 )
 def test_workers_requests_answered_serially(protocol, kw):
     """Only an exhaustive DFS of a POR-safe protocol fans out.

@@ -1,7 +1,7 @@
-"""The incremental checkers against their batch oracles.
+"""The incremental causal checker against its batch oracle.
 
 Three layers of evidence that :mod:`repro.consistency.incremental` is a
-faithful replacement for re-running the batch checkers at every
+faithful replacement for re-running the batch scan at every
 exploration leaf:
 
 * **CausalOrder units** — the append path (``add_node``/``add_edge``)
@@ -9,38 +9,27 @@ exploration leaf:
   deltas, and rolls back through checkpoints bit-exactly.
 * **Property equivalence** (hypothesis) — for random histories driven
   through arbitrary advance/checkpoint/rollback/re-advance sequences,
-  every intermediate verdict of every incremental checker is
-  *bit-identical* (same anomalies, same order) to the matching batch
-  checker on the records consumed so far; corrupt histories raise the
-  same way.
-* **Engine equivalence** — ``explore`` with the delta checkers returns
+  every intermediate verdict of the incremental checker is
+  *bit-identical* (same anomalies, same order) to the batch scan on the
+  records consumed so far; corrupt histories raise the same way.
+* **Engine equivalence** — ``explore`` with the delta checker returns
   the same result as with the batch scan, including the first-violation
   schedule trace, across POR and parallel workers; the engine's
-  ``checker_oracle`` cross-check stays silent.
+  ``checker_oracle`` cross-check stays silent, and is refused where
+  there is no incremental verdict to cross-check.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.consistency import (
-    IncrementalCausalChecker,
-    IncrementalReadAtomicChecker,
-    IncrementalSessionChecker,
-    find_causal_anomalies,
-    find_fractured_reads,
-)
-from repro.consistency.sessions import check_sessions
+from repro.consistency import IncrementalCausalChecker, find_causal_anomalies
 from repro.core.explore import explore_write_read_race
 from repro.txn.history import CausalOrder, History
 from repro.txn.types import BOTTOM
 
 from helpers import rec, result_key
 
-CHECKERS = [
-    (IncrementalCausalChecker, find_causal_anomalies),
-    (IncrementalReadAtomicChecker, find_fractured_reads),
-    (IncrementalSessionChecker, check_sessions),
-]
+CHECKERS = [(IncrementalCausalChecker, find_causal_anomalies)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +159,7 @@ def incremental_verdict(checker):
 
 
 @pytest.mark.parametrize(
-    "factory,batch", CHECKERS, ids=["causal", "read-atomic", "sessions"]
+    "factory,batch", CHECKERS, ids=["causal"]
 )
 class TestIncrementalMatchesBatch:
     @given(arrival_plans())
@@ -234,7 +223,7 @@ def test_explore_identical_with_and_without_delta_checkers(
     assert inc.checks == bat.checks
 
 
-@pytest.mark.parametrize("checker", ["causal", "read-atomic", "sessions"])
+@pytest.mark.parametrize("checker", ["causal"])
 def test_engine_oracle_stays_silent(checker):
     """checker_oracle re-runs the batch scan at every leaf and raises on
     any divergence — a silent pass is leaf-by-leaf bit-identity."""
@@ -247,6 +236,25 @@ def test_engine_oracle_stays_silent(checker):
         checker_oracle=True,
     )
     assert r.checks > 0 and r.incremental
+
+
+@pytest.mark.parametrize(
+    "kw,reason",
+    [
+        (dict(checker="read-atomic"), "checker 'read-atomic' has no incremental"),
+        (dict(checker="sessions"), "checker 'sessions' has no incremental"),
+        (dict(strategy="bfs"), "strategy='bfs' runs the batch scan"),
+        (dict(incremental=False), "incremental=False runs the batch scan"),
+    ],
+    ids=["read-atomic", "sessions", "bfs", "batch"],
+)
+def test_checker_oracle_refused_without_incremental_verdict(kw, reason):
+    """With nothing incremental to compare, the oracle is refused rather
+    than returning an unchecked result as if it had checked."""
+    with pytest.raises(ValueError, match=reason):
+        explore_write_read_race(
+            "fastclaim", max_depth=30, checker_oracle=True, **kw
+        )
 
 
 def test_non_dfs_strategies_fall_back_to_batch():

@@ -1,128 +1,14 @@
-"""Clock tests: Lamport, vector, HLC, TrueTime — including property-based
-laws with hypothesis."""
+"""Clock tests: the HLC timestamp order and TrueTime — including a
+property-based law with hypothesis."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.clock import (
-    HLCTimestamp,
-    HybridLogicalClock,
-    LamportClock,
-    TrueTimeOracle,
-    TTInterval,
-    VectorClock,
-)
-
-
-class TestLamport:
-    def test_tick_increments(self):
-        c = LamportClock()
-        assert c.tick() == 1
-        assert c.tick() == 2
-
-    def test_observe_jumps_past(self):
-        c = LamportClock()
-        assert c.observe(10) == 11
-
-    def test_observe_of_stale_still_ticks(self):
-        c = LamportClock(5)
-        assert c.observe(2) == 6
-
-    @given(st.lists(st.integers(min_value=0, max_value=1000), max_size=50))
-    def test_monotonicity(self, observations):
-        c = LamportClock()
-        prev = c.peek()
-        for obs in observations:
-            now = c.observe(obs)
-            assert now > prev
-            prev = now
-
-
-class TestVectorClock:
-    def test_owner_validation(self):
-        with pytest.raises(ValueError):
-            VectorClock(("a", "b"), owner="z")
-
-    def test_tick_advances_own_component(self):
-        vc = VectorClock(("a", "b"), "a")
-        assert vc.tick()["a"] == 1
-        assert vc.peek()["b"] == 0
-
-    def test_observe_merges(self):
-        vc = VectorClock(("a", "b"), "a")
-        vc.observe({"b": 7})
-        assert vc.peek() == {"a": 1, "b": 7}
-
-    def test_leq_reflexive_and_antisymmetric_cases(self):
-        assert VectorClock.leq({"a": 1}, {"a": 1})
-        assert VectorClock.leq({"a": 1}, {"a": 2})
-        assert not VectorClock.leq({"a": 2}, {"a": 1})
-
-    def test_concurrent(self):
-        assert VectorClock.concurrent({"a": 1, "b": 0}, {"a": 0, "b": 1})
-        assert not VectorClock.concurrent({"a": 1}, {"a": 2})
-
-    @given(
-        st.dictionaries(st.sampled_from("abc"), st.integers(0, 5)),
-        st.dictionaries(st.sampled_from("abc"), st.integers(0, 5)),
-    )
-    def test_leq_total_on_comparable(self, x, y):
-        # exactly one of: x<=y, y<=x (not both unless equal), or concurrent
-        both = VectorClock.leq(x, y) and VectorClock.leq(y, x)
-        norm = lambda d: {k: v for k, v in d.items() if v != 0}
-        if both:
-            assert norm(x) == norm(y)
-        else:
-            assert (
-                VectorClock.leq(x, y)
-                or VectorClock.leq(y, x)
-                or VectorClock.concurrent(x, y)
-            )
-
-    def test_observe_causality(self):
-        a = VectorClock(("a", "b"), "a")
-        b = VectorClock(("a", "b"), "b")
-        ta = a.tick()
-        tb = b.observe(ta)
-        assert VectorClock.leq(ta, tb)
-        assert not VectorClock.leq(tb, ta)
+from repro.sim.clock import HLCTimestamp, TrueTimeOracle, TTInterval
 
 
 class TestHLC:
-    def test_now_tracks_wall(self):
-        h = HybridLogicalClock("n")
-        t1 = h.now(5)
-        assert t1.physical == 5 and t1.logical == 0
-
-    def test_same_wall_bumps_logical(self):
-        h = HybridLogicalClock("n")
-        t1 = h.now(5)
-        t2 = h.now(5)
-        assert t2 > t1
-        assert t2.physical == 5 and t2.logical == 1
-
-    def test_observe_dominates_remote(self):
-        h = HybridLogicalClock("n")
-        remote = HLCTimestamp(10, 3, "m")
-        t = h.observe(remote, wall=4)
-        assert t > remote
-
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 50), st.integers(0, 5)), min_size=1, max_size=40
-        )
-    )
-    def test_strictly_monotone_under_merges(self, events):
-        h = HybridLogicalClock("n")
-        prev = h.peek()
-        wall = 0
-        for w, lg in events:
-            wall = max(wall, w)
-            t = h.observe(HLCTimestamp(w, lg, "r"), wall)
-            assert t > prev
-            prev = t
-
     def test_ordering_includes_node(self):
         assert HLCTimestamp(1, 0, "a") < HLCTimestamp(1, 0, "b")
 
