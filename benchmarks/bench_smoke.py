@@ -136,6 +136,46 @@ def undo_smoke() -> bool:
     return ok
 
 
+def fold_smoke() -> bool:
+    """Every incremental fingerprint against the from-scratch oracle.
+
+    The bytes fingerprint re-encodes only the placement slots the
+    network recorded as written; the deepcopy oracle encodes the whole
+    live state on every call.  Over the fastclaim budget DFS (strict
+    keying) and the POR exhaustive DFS (canonical keying), each
+    fingerprint must byte-equal the oracle's digest of the same state.
+    """
+    from repro.sim.executor import Simulation
+    from repro.sim.snapshot import DeepCopySnapshotter
+
+    oracle, real = DeepCopySnapshotter(), Simulation.fingerprint
+    checked = [0]
+
+    def cross_checked(self, *, canonical=False):
+        fp = real(self, canonical=canonical)
+        if fp != oracle.digest(self.processes, self.network, canonical):
+            raise AssertionError(f"fingerprint #{checked[0]} differs from the oracle's")
+        checked[0] += 1
+        return fp
+
+    Simulation.fingerprint = cross_checked
+    try:
+        for label, kwargs in (
+            ("budget", dict(max_depth=30, max_states=300, first_violation_only=False)),
+            ("por exhaustive", BASELINES["fastclaim dfs+por exhaustive"][1]),
+        ):
+            before = checked[0]
+            explore_write_read_race("fastclaim", **kwargs)
+            print(f"ok   fold, fastclaim {label}: {checked[0] - before} "
+                  "fingerprints byte-equal the oracle's")
+    except AssertionError as exc:
+        print(f"FAIL fold, fastclaim {label}: {exc}")
+        return False
+    finally:
+        Simulation.fingerprint = real
+    return True
+
+
 def checker_smoke() -> bool:
     """The delta checkers against the per-leaf batch scan.
 
@@ -183,6 +223,7 @@ def main() -> int:
     failures = 0
     failures += not fork_machinery_smoke()
     failures += not undo_smoke()
+    failures += not fold_smoke()
     failures += not checker_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()

@@ -73,7 +73,7 @@ class SimCounters:
     components_reused: int = 0
     #: always 0: read by the e2e harness (benchmarks/e2e/run.py), to be
     #: dropped with their ``pool.*`` metrics by the next ``benchmark``
-    #: PR (ROADMAP 5a).
+    #: PR (ROADMAP 8(a)).
     publishes: int = 0
     steals: int = 0
     idle_waits: int = 0
@@ -243,7 +243,7 @@ class Simulation:
         data and the simulation is deterministic.
 
         ``canonical=True`` hashes the *trace-canonical* placement instead
-        (:func:`repro.sim.snapshot._placement_canonical`): blind to
+        (:func:`repro.sim.snapshot.placement_slots`): blind to
         global ``msg_id`` numbering and to intra-batch income order, so
         configurations that differ only by a permutation of independent
         events collide.  The exploration engine uses it for
@@ -251,7 +251,7 @@ class Simulation:
         the pre-engine explorer's partition.
 
         The hash is ``blake2b(per-process digests in sorted-pid order ‖
-        network payload)``, always computed from the live state — the
+        placement slots)``, always a function of the live state — the
         snapshot's sub-blobs would hash a finer relation and serve only
         as cache keys (:meth:`Snapshotter.digest`).
         """

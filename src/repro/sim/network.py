@@ -30,6 +30,10 @@ class Network:
 
     #: the undo journal of a live Simulation.mark: mutators add inverses
     _journal: Optional[list] = None
+    #: the placement keys written since the last digest read them — a
+    #: link ``(src, dst)`` or a pid's income buffer; None until a digest
+    #: starts recording (see Snapshotter.digest)
+    _touched: Optional[set] = None
 
     def __init__(self, pids: Iterable[ProcessId]):
         self.pids: Tuple[ProcessId, ...] = tuple(pids)
@@ -47,12 +51,20 @@ class Network:
 
     def mark_dirty(self) -> None:
         """Invalidate any cached serialization of this network."""
+        self._wrote(None)  # None: every placement key
+
+    def _wrote(self, *keys) -> None:
+        """Every mutator's one mark: record the placement keys it wrote
+        (while a digest is recording), then bump the dirty counter."""
+        if self._touched is not None:
+            self._touched.update(keys)
         self._version += 1
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_version", None)
         state.pop("_journal", None)
+        state.pop("_touched", None)
         return state
 
     def __setstate__(self, state):
@@ -76,14 +88,14 @@ class Network:
             self._journal.append(partial(self._unpost, link))
         self.link_counts[link] = expected + 1
         self.in_transit.setdefault(link, deque()).append(msg)
-        self._version += 1
+        self._wrote(link)
 
     def _unpost(self, link: Link) -> None:
         self.in_transit[link].pop()
         self.link_counts[link] -= 1
         if not self.link_counts[link]:  # this post made the link: unmake it
             del self.in_transit[link], self.link_counts[link]
-        self._version += 1
+        self._wrote(link)
 
     # -- delivery --------------------------------------------------------
 
@@ -123,21 +135,22 @@ class Network:
         The adversary addresses the message structurally by
         ``(src, dst, link_seq)``; delivery need not be FIFO.
         """
-        q = self.in_transit.get((src, dst))
+        link = (src, dst)
+        q = self.in_transit.get(link)
         if q:
             for i, m in enumerate(q):
                 if m.link_seq == link_seq:
                     if self._journal is not None:
-                        self._journal.append(partial(self._undeliver, q, dst, i))
+                        self._journal.append(partial(self._undeliver, link, i))
                     del q[i]
                     self.income[dst].append(m)
-                    self._version += 1
+                    self._wrote(link, dst)
                     return m
         raise KeyError(f"no in-transit message {src}->{dst}#{link_seq}")
 
-    def _undeliver(self, q: Deque[Message], dst: ProcessId, i: int) -> None:
-        q.insert(i, self.income[dst].pop())
-        self._version += 1
+    def _undeliver(self, link: Link, i: int) -> None:
+        self.in_transit[link].insert(i, self.income[link[1]].pop())
+        self._wrote(link, link[1])
 
     def drain_income(self, pid: ProcessId) -> List[Message]:
         """Remove and return every delivered message awaiting ``pid``.
@@ -160,12 +173,12 @@ class Network:
             # detach and bump: every mutation precedes the version bump
             msgs.sort(key=lambda m: (m.src, m.link_seq))
             self.income[pid] = []
-            self._version += 1
+            self._wrote(pid)
         return msgs
 
     def _undrain(self, pid: ProcessId, arrived: List[Message]) -> None:
         self.income[pid] = arrived
-        self._version += 1
+        self._wrote(pid)
 
     # -- inspection ------------------------------------------------------
 

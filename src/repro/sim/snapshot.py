@@ -6,9 +6,10 @@ network; a snapshotter turns them into a configuration
 (:meth:`~Snapshotter.apply_delta`) and hashes the live state for revisit
 pruning (:meth:`~Snapshotter.digest`).  :class:`Snapshotter` is the
 production path and holds every cache of the snapshot stack — the dirty
-rows, the state table, the in-flight payload memo; ``docs/model.md``
-tabulates the measurement that keeps each.  :class:`DeepCopySnapshotter`
-is the oracle the tests compare it against, and caches nothing.
+rows, the state table, the placement slot vector, the in-flight payload
+memo; ``docs/model.md`` tabulates the measurement that keeps each.
+:class:`DeepCopySnapshotter` is the oracle the tests compare it against,
+and caches nothing.
 """
 
 from __future__ import annotations
@@ -17,11 +18,14 @@ import copy
 import hashlib
 import io
 import pickle
+import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
+)
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.network import Network
@@ -79,74 +83,6 @@ def _net_build(state) -> Network:
     net.income = {pid: list(v) for pid, v in income}
     net._version = 0
     return net
-
-
-def _placement_strict(net: Network, idx: Dict[ProcessId, int]) -> bytes:
-    """The live network's message placement as canonical bytes (strict keying).
-
-    One ``(src, dst, msg_id…)`` tuple per link present in ``in_transit``
-    — a link that emptied is not a link never used — and one ``(pid,
-    msg_id…)`` per income buffer in arrival order, each list sorted,
-    pickled in one call (ints, tuples and lists pickle
-    deterministically).  Two configurations get the same payload **iff**
-    their placements are equal.  The link indices are load-bearing: a
-    position-only encoding would collide states where the same
-    ``msg_id`` sits on *different* links.  ``link_counts`` stays out.
-    """
-    links = [
-        (idx[s], idx[d], *[m.msg_id for m in q])
-        for (s, d), q in net.in_transit.items()
-    ]
-    buffers = [(idx[pid], *[m.msg_id for m in v]) for pid, v in net.income.items()]
-    return pickle.dumps((sorted(links), sorted(buffers)), PICKLE_PROTOCOL)
-
-
-def _placement_canonical(
-    net: Network, idx: Dict[ProcessId, int], canon: Callable[[Message], bytes]
-) -> bytes:
-    """Message placement *and contents* up to commutation (POR).
-
-    Blind to global ``msg_id``s: in-transit messages are identified
-    by their per-link ``link_seq`` (queue order on one link is always
-    send order, so the tuple is canonical), and income batches are
-    the *sorted set* of ``(src, link_seq)`` entries — sound because
-    :meth:`Network.drain_income` presents every batch in that
-    canonical order, making a step's behaviour a function of the
-    batch set.  Two configurations reached by commuting independent
-    events (different-process steps mint different ``msg_id``s;
-    same-process deliveries permute a batch) therefore collide here,
-    which is what lets the engine keep one representative per
-    Mazurkiewicz trace.  Empty queues and buffers are dropped: a
-    link that emptied is the same as one never used.
-
-    Unlike the strict placement this one must carry each message's
-    **payload** (``canon(m)``, its value-canonical bytes): without the
-    globally-sequenced ``msg_id`` (whose numbering encodes the whole
-    minting order), ``(src, link_seq)`` alone no longer determines what
-    the message says — two branches can produce the same skeleton with
-    different replies in flight.
-    """
-    return _fast_dumps(
-        (
-            tuple(
-                sorted(
-                    ((idx[src], idx[dst]), tuple((m.link_seq, canon(m)) for m in q))
-                    for (src, dst), q in net.in_transit.items()
-                    if q
-                )
-            ),
-            tuple(
-                sorted(
-                    (
-                        idx[pid],
-                        tuple(sorted((idx[m.src], m.link_seq, canon(m)) for m in msgs)),
-                    )
-                    for pid, msgs in net.income.items()
-                    if msgs
-                )
-            ),
-        )
-    )
 
 
 class _SetMark:
@@ -267,6 +203,67 @@ def _state_digest(proc: Process, canonical: bool) -> bytes:
 
 def _canon_payload(m: Message) -> bytes:
     return dumps_canonical(m.payload)
+
+
+_COUNT = struct.Struct(">I").pack
+_ENTRY = struct.Struct(">III").pack
+_NO_MSGS = _COUNT(0)
+_EMPTY = pickle.dumps([], PICKLE_PROTOCOL)
+_NO_LINK = pickle.dumps(None, PICKLE_PROTOCOL)
+
+
+def _slot_keys(order: Tuple[ProcessId, ...]) -> list:
+    """The placement keys in slot order: every ordered pair of distinct
+    pids (a link), then every pid (its income buffer)."""
+    return [(s, d) for s in order for d in order if s != d] + list(order)
+
+
+def placement_slots(
+    net: Network,
+    idx: Dict[ProcessId, int],
+    canonical: bool,
+    keys: Optional[Iterable] = None,
+    canon: Callable[[Message], bytes] = _canon_payload,
+) -> List[bytes]:
+    """The live network's message placement, one self-delimiting slot
+    per placement key (all of :func:`_slot_keys`, or just ``keys``).
+
+    **Strict** keying: the pickled ``msg_id`` list of a link's queue or
+    an income buffer in arrival order, and ``None`` for a link absent
+    from ``in_transit`` — a link that emptied is not a link never used.
+    ``link_counts`` stays out.  Two configurations get the same slots
+    **iff** their placements are equal.
+
+    **Canonical** keying (POR), blind to global ``msg_id``s: a count,
+    then one entry ``(src idx, link_seq, len, canonical payload)`` per
+    message — in queue order on a link (always send order), sorted in an
+    income buffer, because :meth:`Network.drain_income` presents every
+    batch in canonical order, making a step's behaviour a function of
+    the batch set.  Configurations reached by commuting independent
+    events therefore collide, and an emptied link equals one never
+    used.  The entry carries the payload (``canon(m)``): without the
+    ``msg_id`` numbering, ``(src, link_seq)`` no longer determines what
+    a message says.
+    """
+    if keys is None:
+        keys = _slot_keys(tuple(sorted(idx, key=idx.__getitem__)))
+    transit, income = net.in_transit, net.income
+    out: List[bytes] = []
+    for key in keys:
+        msgs = transit.get(key) if type(key) is tuple else income[key]
+        if not msgs:  # most slots: a constant
+            out.append(_NO_MSGS if canonical else _NO_LINK if msgs is None else _EMPTY)
+        elif not canonical:
+            out.append(pickle.dumps([m.msg_id for m in msgs], PICKLE_PROTOCOL))
+        else:
+            entries = []
+            for m in msgs:
+                payload = canon(m)
+                entries.append(_ENTRY(idx[m.src], m.link_seq, len(payload)) + payload)
+            if type(key) is not tuple:
+                entries.sort()
+            out.append(_COUNT(len(entries)) + b"".join(entries))
+    return out
 
 
 class Configuration:
@@ -408,15 +405,15 @@ class _CompRow:
     table's* entry for the process's sub-blob — ``pickle.dumps(obj)``
     interned, plus the :func:`_state_digest` of ``__getstate__()`` and
     of ``fp_state()`` — shared by every row, past or future, whose
-    process pickles to the same bytes.  The network row owns a private
-    record: the structural :func:`_net_capture` tuple and the strict /
-    trace-canonical placement payloads, each filled when first asked
-    for (:meth:`Snapshotter._net_rec`).
+    process pickles to the same bytes.  The network row's ``rec`` is
+    its structural :func:`_net_capture` tuple itself, filled when first
+    captured (a digest reads the live network, so a configuration that
+    is fingerprinted and dropped builds no structural tuple).
     """
 
     __slots__ = ("obj", "version", "rec")
 
-    def __init__(self, obj: Any, version: int, rec: Optional[list] = None):
+    def __init__(self, obj: Any, version: int, rec: Any = None):
         self.obj = obj
         self.version = version
         self.rec = rec
@@ -460,16 +457,31 @@ class Snapshotter:
         # bounded by _MSG_MEMO_CAP (cleared on overflow).  Kept: without
         # it por_3s pass_s is +17 % and pool_w2 +32 % (PR 17, 3/3 pairs)
         self._msg_canon: Dict[int, Tuple[Message, bytes]] = {}
-        # (sorted pids, pid -> sorted index), rebuilt only if the
-        # process set ever changes size (pids are fixed at construction;
-        # restores replace values, never keys)
-        self._pids: Tuple[Tuple[ProcessId, ...], Dict[ProcessId, int]] = ((), {})
+        # (sorted pids, pid -> sorted index, placement key -> its slot's
+        # place in the digest's parts), rebuilt with the digest's vectors
+        # only if the process set ever changes size (pids are fixed at
+        # construction; restores replace values, never keys)
+        self._pids: tuple = ((), {}, {})
+        # the digest's vectors: the process row last digested at each
+        # sorted position, and the hashed parts — those rows' digests,
+        # then one placement slot per key for the (network, keying) in
+        # _placed, re-encoded where the network recorded a write
+        # (Network._touched).  Kept: dfs_strict pass_s -11 % (19/20 pairs)
+        self._prows: List[_CompRow] = []
+        self._placed: tuple = ()
+        self._parts: List[bytes] = []
 
     def _pid_order(self, processes: Dict[ProcessId, Process]):
         cached = self._pids
         if len(cached[0]) != len(processes):
             order = tuple(sorted(processes))
-            cached = self._pids = (order, {pid: i for i, pid in enumerate(order)})
+            cached = self._pids = (
+                order,
+                {pid: i for i, pid in enumerate(order)},
+                {key: n for n, key in enumerate(_slot_keys(order), len(order))},
+            )
+            self._prows = [_CompRow(None, -1)] * len(order)
+            self._placed = ()
         return cached
 
     def _row(self, key: str, obj: Any) -> _CompRow:
@@ -506,17 +518,6 @@ class Snapshotter:
             self.counters.bytes_reused += len(rec[0])
         return rec[0]
 
-    def _net_rec(self, network: Network) -> list:
-        """The network row's record, each slot filled on demand: the
-        capture by :meth:`capture`, a placement payload by
-        :meth:`digest` — which reads the live network, so a
-        configuration that is fingerprinted and dropped builds no
-        structural tuple."""
-        row = self._row(_NET, network)
-        if row.rec is None:
-            row.rec = [None, None, None]
-        return row.rec
-
     def _memo_canon_payload(self, m: Message) -> bytes:
         # messages are immutable and shared by reference across
         # restores, so each payload is walked once while in flight
@@ -533,11 +534,11 @@ class Snapshotter:
 
     def capture(self, processes, network, msg_counter, event_count) -> Configuration:
         """One sub-blob per process plus the network capture, each from its row."""
-        net_rec = self._net_rec(network)
-        if net_rec[0] is None:
+        net_row = self._row(_NET, network)
+        if net_row.rec is None:
             # zero bytes on the ledger: the capture holds the (immutable)
             # messages by reference and serializes nothing
-            net_rec[0] = _net_capture(network)
+            net_row.rec = _net_capture(network)
             self.counters.cache_misses += 1
             self.counters.components_serialized += 1
         else:
@@ -546,7 +547,7 @@ class Snapshotter:
             (pid, self._comp_blob(self._row(pid, proc)))
             for pid, proc in processes.items()
         ]
-        return Configuration(tuple(blobs), net_rec[0], msg_counter, event_count)
+        return Configuration(tuple(blobs), net_row.rec, msg_counter, event_count)
 
     def inverse(self, processes, pid: ProcessId) -> Callable[[], bool]:
         """The undo of an event on ``processes[pid]``: a :meth:`load` of
@@ -594,13 +595,12 @@ class Snapshotter:
             row is not None
             and row.obj is network
             and row.version == getattr(network, "_version", 0)
-            and row.rec is not None
-            and row.rec[0] is config.net_state
+            and row.rec is config.net_state
         ):
             counters.components_reused += 1
         else:
             network = _net_build(config.net_state)
-            rows[_NET] = _CompRow(network, 0, [config.net_state, None, None])
+            rows[_NET] = _CompRow(network, 0, config.net_state)
             counters.components_restored += 1
             changed += 1
         if changed == 0:
@@ -610,7 +610,7 @@ class Snapshotter:
         return processes, network
 
     def digest(self, processes, network, canonical: bool) -> bytes:
-        """``blake2b(per-process digests in sorted-pid order ‖ placement)``.
+        """``blake2b(per-process digests in sorted-pid order ‖ placement slots)``.
 
         The sub-blob is only the **cache key** of a process digest:
         digests live in the state table's record for the process's
@@ -623,27 +623,40 @@ class Snapshotter:
         A row reaches its record by pickling (:meth:`_comp_blob`, here
         on demand: the engine digests a node before it captures it) or
         by a restore, so :func:`_canonize` runs once per distinct
-        process state of a run.  The placement payload is a pure
-        function of the network state, so it caches in the network
-        row's record.
+        process state of a run.  A process whose identity and
+        ``_version`` did not move since the last digest keeps its row.
+
+        The placement slots are :func:`placement_slots`, kept for the
+        live network and keying: only the slots whose keys the network
+        recorded as written since the last digest are re-encoded, and
+        all of them when the network, the keying or the pid order
+        changed — so the bytes hashed equal the oracle's.
         """
-        order, idx = self._pid_order(processes)
+        order, idx, slot_at = self._pid_order(processes)
         i = 2 if canonical else 1
-        net_rec = self._net_rec(network)
-        payload = net_rec[i]
-        if payload is None:
-            if canonical:
-                payload = _placement_canonical(network, idx, self._memo_canon_payload)
-            else:
-                payload = _placement_strict(network, idx)
-            net_rec[i] = payload
+        touched = network._touched
+        parts = self._parts
+        if touched is None or None in touched or self._placed != (network, i):
+            self._placed = (network, i)
+            parts = self._parts = [b""] * len(order) + placement_slots(
+                network, idx, canonical, slot_at, self._memo_canon_payload
+            )
+            network._touched = set()
+        elif touched:
+            for key, slot in zip(touched, placement_slots(
+                network, idx, canonical, touched, self._memo_canon_payload
+            )):
+                parts[slot_at[key]] = slot
+            touched.clear()
         counters = self.counters
-        out: List[bytes] = []
-        for pid in order:
+        prows = self._prows
+        for n, pid in enumerate(order):
             proc = processes[pid]
-            row = self._row(pid, proc)
-            if row.rec is None:
-                self._comp_blob(row)
+            row = prows[n]
+            if row.obj is not proc or row.version != getattr(proc, "_version", 0):
+                row = prows[n] = self._row(pid, proc)
+                if row.rec is None:
+                    self._comp_blob(row)
             rec = row.rec
             digest = rec[i]
             if digest is None:
@@ -651,10 +664,10 @@ class Snapshotter:
                 counters.cache_misses += 1
             else:
                 counters.cache_hits += 1
-            out.append(digest)
-        # digests are fixed-width and process order is fixed (sorted
-        # pids), so the concatenation needs no framing
-        return _digest(b"".join(out) + payload)
+            parts[n] = digest
+        # digests are fixed-width, process order is fixed (sorted pids)
+        # and every slot is self-delimiting: the join needs no framing
+        return _digest(b"".join(parts))
 
 
 class DeepCopySnapshotter:
@@ -680,11 +693,5 @@ class DeepCopySnapshotter:
     def digest(self, processes, network, canonical: bool) -> bytes:
         order = sorted(processes)
         idx = {pid: i for i, pid in enumerate(order)}
-        if canonical:
-            payload = _placement_canonical(network, idx, _canon_payload)
-        else:
-            payload = _placement_strict(network, idx)
-        return _digest(
-            b"".join(_state_digest(processes[pid], canonical) for pid in order)
-            + payload
-        )
+        digests = [_state_digest(processes[pid], canonical) for pid in order]
+        return _digest(b"".join(digests + placement_slots(network, idx, canonical)))

@@ -32,7 +32,7 @@ from repro.sim.executor import (
 from repro.sim.messages import Message
 from repro.sim.process import NullProcess
 from repro.sim.scheduler import RoundRobinScheduler
-from repro.sim.snapshot import dumps_canonical
+from repro.sim.snapshot import DeepCopySnapshotter, dumps_canonical
 from repro.txn.types import write_only_txn
 
 from helpers import Echo, Note, Pinger
@@ -925,7 +925,8 @@ def test_unbumped_mutation_is_stale_in_bytes_and_seen_by_the_oracle(
     ``bytes`` path trusts the counter (so a mutation behind its back is
     served yesterday's digest — the documented contract), the
     ``deepcopy`` oracle digests the live processes *and* the live
-    network afresh, which is how ``TestModeEquivalence`` would notice."""
+    network afresh, which is how ``TestModeEquivalence`` would notice.
+    A late ``mark_dirty()`` publishes the mutation to the ``bytes`` path."""
     seen = {}
     for mode in MODES:
         with use_snapshot_mode(mode):
@@ -933,12 +934,16 @@ def test_unbumped_mutation_is_stale_in_bytes_and_seen_by_the_oracle(
             sim.step("a")
             before = sim.fingerprint(canonical=canonical)
             if component == "network":
-                net = sim.network
-                m = net.in_transit[("a", "b")].popleft()  # a delivery,
-                net.income["b"].append(m)  # with no _version bump
+                dirty = sim.network
+                m = dirty.in_transit[("a", "b")].popleft()  # a delivery,
+                dirty.income["b"].append(m)  # with no _version bump
             else:
-                sim.processes["b"].seen.append("smuggled")  # no mark_dirty()
+                dirty = sim.processes["b"]
+                dirty.seen.append("smuggled")  # no mark_dirty()
             seen[mode] = sim.fingerprint(canonical=canonical) != before
+            dirty.mark_dirty()
+            want = DeepCopySnapshotter().digest(sim.processes, sim.network, canonical)
+            assert sim.fingerprint(canonical=canonical) == want, mode
     assert seen == {"bytes": False, "deepcopy": True}
 
 
@@ -993,14 +998,14 @@ def undo_system(protocol):
 
 def live_view(sim):
     """Everything a restore must give back, down to container order."""
-    from repro.sim.snapshot import _placement_strict
+    from repro.sim.snapshot import placement_slots
 
     net = sim.network
     idx = {pid: i for i, pid in enumerate(sorted(sim.processes))}
     return dict(
         fp=sim.fingerprint(),
         fp_canon=sim.fingerprint(canonical=True),
-        placement=_placement_strict(net, idx),
+        placement=placement_slots(net, idx, False),
         # the keys too: a link that emptied is not a link never used
         in_transit=[(link, [m.msg_id for m in q]) for link, q in net.in_transit.items()],
         income={pid: [m.msg_id for m in v] for pid, v in net.income.items()},
@@ -1046,6 +1051,55 @@ def test_restoring_a_mark_undoes_exactly_what_followed(protocol, ops):
                 events[op % len(events)].apply(sim)
     while marks:
         undo_innermost()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    protocol=st.sampled_from(UNDO_PROTOCOLS),
+    moves=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(0, 9)), min_size=10, max_size=25
+    ),
+)
+def test_the_incremental_fingerprint_is_the_oracles(protocol, moves):
+    """Nested marks, undos, drawn events and one jump to a snapshot (0:
+    mark, 1: undo the innermost mark, 2: snapshot, then jump to it, 3:
+    a DFS child — mark, event, undo —, else the drawn enabled event).
+    After every move, and after a DFS child's event, both keyings
+    byte-equal the from-scratch oracle's digest of the same live state.
+    The keying order alternates, so one keying is digested twice in a
+    row each time — its slot vector folds in what was written — while
+    the other is rebuilt."""
+    sim, pids = undo_system(protocol)
+    oracle = DeepCopySnapshotter()
+    marks, snap, jumped, checks = [], None, False, 0
+
+    def check():
+        nonlocal checks
+        checks += 1
+        for canonical in (checks % 2 == 0, checks % 2 == 1):
+            want = oracle.digest(sim.processes, sim.network, canonical)
+            assert sim.fingerprint(canonical=canonical) == want, (checks, canonical)
+
+    for op, pick in moves:
+        events = enabled_events(sim, pids)
+        if op == 0:
+            marks.append(sim.mark())
+        elif op == 1 and marks:
+            sim.restore(marks.pop())
+        elif op == 2 and not jumped:
+            if snap is None:
+                snap = sim.snapshot()
+            else:
+                sim.restore(snap)  # drops the journal: every mark goes
+                marks, jumped = [], True
+        elif op == 3 and events:
+            mark = sim.mark()
+            events[pick % len(events)].apply(sim)
+            check()
+            sim.restore(mark)
+        elif events:
+            events[pick % len(events)].apply(sim)
+        check()
 
 
 def test_an_invocation_is_undone_with_its_steps():
