@@ -176,6 +176,49 @@ def fold_smoke() -> bool:
     return True
 
 
+def stutter_smoke() -> bool:
+    """A waiting client's no-op step is decided from the seen-set.
+
+    The fastclaim budget DFS (strict keying) and POR exhaustive DFS
+    (canonical keying) run with the skip and with ``ClientBase.stutters``
+    answering False, which takes every stutter.  Every exact count must
+    be equal, some step must have been decided untaken, and each one
+    must be one fingerprint and one restore fewer.
+    """
+    from repro.txn.client import ClientBase
+
+    def key(r):
+        return (r.states_visited, r.states_deduped, r.schedules_completed,
+                r.truncated, r.checks,
+                [(t, [str(a) for a in anomalies]) for t, anomalies in r.violations])
+
+    real, ok = ClientBase.stutters, True
+    for label, kwargs in (
+        ("budget", dict(max_depth=30, max_states=300, first_violation_only=False)),
+        ("por exhaustive", BASELINES["fastclaim dfs+por exhaustive"][1]),
+    ):
+        skipped = explore_write_read_race("fastclaim", **kwargs)
+        ClientBase.stutters = lambda self: False
+        try:
+            taken = explore_write_read_race("fastclaim", **kwargs)
+        finally:
+            ClientBase.stutters = real
+        s, t = skipped.counters, taken.counters
+        good = (
+            key(skipped) == key(taken)
+            and s.stutters > 0 == t.stutters
+            and s.fingerprints + s.stutters == t.fingerprints
+            and s.restores + s.stutters == t.restores
+        )
+        ok &= good
+        print(
+            f"{'ok  ' if good else 'FAIL'} stutter, fastclaim {label}: "
+            f"{s.stutters} steps decided untaken; {s.fingerprints} fingerprints "
+            f"/ {s.restores} restores against {t.fingerprints} / {t.restores}"
+        )
+    return ok
+
+
 def checker_smoke() -> bool:
     """The delta checkers against the per-leaf batch scan.
 
@@ -224,6 +267,7 @@ def main() -> int:
     failures += not fork_machinery_smoke()
     failures += not undo_smoke()
     failures += not fold_smoke()
+    failures += not stutter_smoke()
     failures += not checker_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()

@@ -31,6 +31,10 @@ one frontier/strategy core over a common :class:`SearchNode`:
   snapshots are self-contained bytes and fingerprints are
   hash-seed-independent, so results merge deterministically.  Every
   other ``workers > 1`` request is answered serially (``auto_serial``).
+* **Stuttering steps** — a ``Step`` that
+  :func:`repro.sim.events.step_stutters` names lands on its node's own
+  configuration, so the DFS decides it from the node's fingerprint and
+  the seen-set instead of applying it (see ``docs/model.md``).
 
 The engine applies events exclusively through
 :meth:`repro.sim.events.Event.apply`; ``repro.lint`` rule RL405 keeps
@@ -44,7 +48,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.engine.outcome import SearchOutcome
-from repro.sim.events import Event, Step, enabled_events, independent
+from repro.sim.events import (
+    Event, Step, any_enabled, enabled_events, independent, step_stutters,
+)
 from repro.sim.executor import Configuration, SimCounters, Simulation
 from repro.sim.messages import ProcessId
 
@@ -480,8 +486,7 @@ class SerialSearch:
         self, depth: int, sleep: FrozenSet[Event], fresh: Sequence
     ) -> None:
         r = self.result
-        events = enabled_events(self.sim, self.pids)
-        if not events:
+        if not any_enabled(self.sim, self.pids):
             if not self._count_state():
                 return
             if clients_done(self.sim, self.clients):
@@ -521,6 +526,7 @@ class SerialSearch:
             # records committed on the entering edge; the whole subtree
             # shares the result
             self._delta_consume(fresh)
+        events = enabled_events(self.sim, self.pids)
         explorable = (
             [e for e in events if e not in sleep] if self.por else events
         )
@@ -530,6 +536,17 @@ class SerialSearch:
         prior: List[Event] = []
         for i, e in enumerate(explorable):
             child_sleep = self._child_sleep(sleep, prior, e)
+            if (
+                e.__class__ is Step
+                and step_stutters(self.sim, e.pid)
+                and self._covered(fp, child_sleep)
+            ):
+                # a stutter's configuration is this node's, so entering
+                # it would make this very test and dedup: skip the work
+                r.states_deduped += 1
+                self.sim.counters.stutters += 1
+                prior.append(e)
+                continue
             e.apply(self.sim)
             self._trail.append(e)
             # collect in lockstep with apply; rollback in lockstep with

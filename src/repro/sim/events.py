@@ -149,6 +149,28 @@ def steppable_pids(
     ]
 
 
+def step_stutters(sim: "Simulation", pid: ProcessId) -> bool:
+    """Whether ``Step(pid)`` would leave the configuration as it is: the
+    income buffer is empty and the process reports
+    :meth:`~repro.sim.process.Process.stutters`."""
+    return not sim.network.income[pid] and sim.processes[pid].stutters()
+
+
+def any_enabled(
+    sim: "Simulation", pids: Optional[Sequence[ProcessId]] = None
+) -> bool:
+    """``bool(enabled_events(sim, pids))``, without building the list."""
+    processes = sim.processes
+    income = sim.network.income
+    for pid in processes if pids is None else pids:
+        if income[pid] or processes[pid].wants_step():
+            return True
+    for (_, dst), q in sim.network.in_transit.items():
+        if q and (pids is None or dst in pids):
+            return True
+    return False
+
+
 def enabled_events(
     sim: "Simulation", pids: Optional[Sequence[ProcessId]] = None
 ) -> List[Event]:

@@ -55,6 +55,9 @@ class SimCounters:
     snapshots: int = 0          #: snapshot() calls (a mark() is none)
     restores: int = 0           #: restore() calls, of a snapshot or a mark
     fingerprints: int = 0       #: fingerprint() calls
+    #: DFS children that were stuttering steps, deduped without being
+    #: taken (each is also one ``states_deduped``)
+    stutters: int = 0
     #: captures and per-state fingerprint digests served from a cache
     #: (dirty rows, the state table) / computed afresh (pickled, walked)
     cache_hits: int = 0

@@ -116,8 +116,15 @@ class Process:
         quiescent only when no messages are in transit or pending delivery
         and no process wants a step.  Processes with deferred work (a
         blocked read, an unfinished commit-wait, replication queues) must
-        return ``True``.
+        return ``True``.  A wanted step can still change nothing (a
+        client waiting for replies): :meth:`stutters` says when.
         """
+        return False
+
+    def stutters(self) -> bool:
+        """Whether a step with an empty inbox changes nothing and sends
+        nothing.  The DFS decides such a step from its seen-set instead
+        of taking it (``docs/model.md``); ``False`` is always sound."""
         return False
 
 

@@ -119,6 +119,15 @@ class ClientBase(Process):
     def wants_step(self) -> bool:
         return bool(self.pending) or self.current is not None
 
+    def stutters(self) -> bool:
+        """While a transaction is in flight, a step with an empty inbox
+        only calls the no-op :meth:`on_idle` — unless a subclass
+        overrides ``on_step`` or ``on_idle``, and must answer this itself."""
+        cls = type(self)
+        return self.current is not None and (
+            cls.on_step is ClientBase.on_step and cls.on_idle is ClientBase.on_idle
+        )
+
     def fp_state(self):
         """Mask the global-event-counter stamps for canonical fingerprints.
 

@@ -324,7 +324,8 @@ def test_workers_pool_exact_counts(workers):
 def race_explored(protocol, n=2, **kw):
     """Exhaustively explore the theorem's writes racing one ROT over
     ``n`` objects; the result plus the snapshot / restore / fingerprint
-    calls the exploration itself made (the scenario's setup excluded)."""
+    calls and the stutters skipped that the exploration itself made
+    (the scenario's setup excluded)."""
     from repro.core.explore import explore
     from repro.core.setup import prepare_theorem_system
     from repro.txn.types import read_only_txn, write_only_txn
@@ -342,7 +343,8 @@ def race_explored(protocol, n=2, **kw):
     before = tsys.sim.counters.as_dict()
     r = explore(tsys.system, script, first_violation_only=False, **kw)
     after = r.counters.as_dict()
-    return r, {k: after[k] - before[k] for k in ("snapshots", "restores", "fingerprints")}
+    keys = ("snapshots", "restores", "fingerprints", "stutters")
+    return r, {k: after[k] - before[k] for k in keys}
 
 
 def test_pool_explores_nothing_twice():
@@ -353,8 +355,10 @@ def test_pool_explores_nothing_twice():
     more than once are the shallow ones: each subtree root again by the
     worker that pulls it, and the nodes above the cutoff once per
     seeding pass.  (Quiescent leaves are counted but never digested,
-    so the difference may be negative.)  A serial search run first and
-    thrown away would show up here as thousands of surplus fingerprints.
+    so the difference may be negative.)  A stutter child is deduped
+    without being digested, so it counts as the fingerprint it stands
+    for.  A serial search run first and thrown away would show up here
+    as thousands of surplus fingerprints.
     """
     kw = dict(por=True, max_depth=60, max_states=60_000)
     two, cost = race_explored("cops", 3, workers=2, **kw)
@@ -362,7 +366,8 @@ def test_pool_explores_nothing_twice():
     assert not two.auto_serial and two.roots_shipped > 0
     assert result_key(two)[:4] == result_key(four)[:4] == (5_328, 14_437, 88, 0)
     assert anomaly_union(two) == anomaly_union(four) == frozenset()
-    surplus = cost["fingerprints"] - (two.states_visited + two.states_deduped)
+    printed = cost["fingerprints"] + cost["stutters"]
+    surplus = printed - (two.states_visited + two.states_deduped)
     assert surplus <= 4 * two.roots_shipped, (surplus, two.roots_shipped)
 
 
@@ -378,8 +383,9 @@ def test_pool_explores_nothing_twice():
 def test_capture_follows_the_seen_set(mode, protocol, kw, fingerprints):
     """A configuration is captured only once the search has kept it.
 
-    Every generated child is digested (the pinned counts are the ones
-    the capture-first engine made on the same scopes).  The bytes DFS
+    Every generated child is digested, or is a stutter decided from
+    its parent's print (the pinned sums are the fingerprint counts the
+    capture-first engine made on the same scopes).  The bytes DFS
     backtracks by undoing the child's one event and captures nothing;
     the deepcopy oracle's mark is a snapshot, taken only for a node
     that survives the seen-set, the state budget and the depth bound —
@@ -390,11 +396,118 @@ def test_capture_follows_the_seen_set(mode, protocol, kw, fingerprints):
     with use_snapshot_mode(mode):
         r, cost = race_explored(protocol, **kw)
     assert r.states_deduped > 0
-    assert cost["fingerprints"] == fingerprints
+    assert cost["fingerprints"] + cost["stutters"] == fingerprints
     if mode == "bytes":
         assert cost["snapshots"] == 0
     else:
         assert 0 < cost["snapshots"] <= r.states_visited
+
+
+def explored_twice(monkeypatch, *args, **kw):
+    """``race_explored`` with the stutter skip, then without it:
+    ``ClientBase.stutters`` patched to answer False, so every stutter
+    child is taken and deduped when entered."""
+    from repro.txn.client import ClientBase
+
+    skipped = race_explored(*args, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(ClientBase, "stutters", lambda self: False)
+        taken = race_explored(*args, **kw)
+    return skipped, taken
+
+
+def assert_skip_moves_no_count(skipped, taken):
+    """Everything the search promises is equal; each skipped stutter
+    is one fingerprint and one restore fewer."""
+    (r, cost), (t, t_cost) = skipped, taken
+    assert result_key(r) == result_key(t)
+    assert (r.checks, r.roots_shipped) == (t.checks, t.roots_shipped)
+    assert t_cost["stutters"] == 0 < cost["stutters"]
+    assert cost["fingerprints"] + cost["stutters"] == t_cost["fingerprints"]
+    assert cost["restores"] + cost["stutters"] == t_cost["restores"]
+
+
+@pytest.mark.parametrize("scope", ["budget", "exhaustive"])
+@pytest.mark.parametrize("por", [False, True], ids=["strict", "por"])
+@pytest.mark.parametrize("protocol", ["fastclaim", "cops"])
+def test_the_stutter_skip_moves_no_count(monkeypatch, protocol, por, scope):
+    """A state budget cuts both arms at the same node; without one the
+    strict arm is bounded by depth alone (at 30 it is 46 222 states)."""
+    exhaustive = scope == "exhaustive"
+    kw = dict(por=por, max_depth=12 if exhaustive and not por else 30)
+    kw["max_states"] = 200_000 if exhaustive else 300 if por else 1_000
+    skipped, taken = explored_twice(monkeypatch, protocol, **kw)
+    assert skipped[0].exhausted == (not exhaustive)
+    assert_skip_moves_no_count(skipped, taken)
+
+
+def test_the_stutter_skip_moves_no_pool_count(monkeypatch):
+    kw = dict(por=True, max_depth=60, max_states=60_000, workers=2)
+    skipped, taken = explored_twice(monkeypatch, "cops", 3, **kw)
+    assert not skipped[0].auto_serial
+    assert_skip_moves_no_count(skipped, taken)
+
+
+def explore_from_a_waiting_reader(sleep_on_reply, max_depth):
+    """A POR DFS entered where the reader waits for a reply that is in
+    transit, optionally sleeping on that reply's delivery; the result,
+    the stutter steps it took and the ones it skipped."""
+    from repro.core.setup import prepare_theorem_system
+    from repro.engine.core import SerialSearch, resolve_checker
+    from repro.sim.events import Deliver, Step, enabled_events
+    from repro.sim.trace import StepEvent
+    from repro.txn.types import read_only_txn
+
+    tsys = prepare_theorem_system("fastclaim", n_probes=2)
+    sim, reader, system = tsys.sim, tsys.probes[0], tsys.system
+    pids = tuple(system.clients) + tuple(system.service_pids)
+    sim.invoke(tsys.cw, tsys.tw())
+    sim.invoke(reader, read_only_txn(tsys.objects, txid="Tr"))
+
+    def deliver_to(dst):
+        (event,) = [
+            e for e in enabled_events(sim, pids)
+            if isinstance(e, Deliver) and e.dst == dst
+        ]
+        return event
+
+    Step(reader).apply(sim)  # the read requests go out
+    server = tsys.servers[0]
+    deliver_to(server).apply(sim)
+    Step(server).apply(sim)  # its reply is in transit to the reader
+    reply = deliver_to(reader)
+    assert sim.processes[reader].current is not None  # the reader waits
+    result, start = ExplorationResult(protocol="fastclaim", por=True), len(sim.trace)
+    search = SerialSearch(
+        sim, pids, system.clients, result, resolve_checker("causal"),
+        max_depth, max_states=60_000, first_violation_only=False, por=True,
+    )
+    search.run_dfs(sleep=frozenset({reply}) if sleep_on_reply else frozenset())
+    taken = sum(  # a fastclaim client's step that moves nothing stutters
+        isinstance(e, StepEvent) and e.pid in system.clients
+        and not (e.received or e.sent)
+        for e in sim.trace.events[start:]
+    )
+    return result, taken, sim.counters.stutters
+
+
+def test_an_uncovered_stutter_is_taken(monkeypatch):
+    """Under POR a stutter is skipped only when its parent's print
+    covers the child's sleep set.  At a node that sleeps on the reply a
+    waiting reader needs, the reader's stutter child no longer sleeps on
+    it (the two are dependent): it is not covered, so it is taken, as
+    without the skip.  One level deep that is the root's own child; in
+    the whole subtree such stutters recur, and no count moves."""
+    from repro.txn.client import ClientBase
+
+    assert explore_from_a_waiting_reader(True, max_depth=1)[1:] == (1, 0)
+    assert explore_from_a_waiting_reader(False, max_depth=1)[1:] == (0, 1)
+    r, taken, skipped = explore_from_a_waiting_reader(True, max_depth=30)
+    with monkeypatch.context() as m:
+        m.setattr(ClientBase, "stutters", lambda self: False)
+        r_off, taken_off, skipped_off = explore_from_a_waiting_reader(True, 30)
+    assert result_key(r) == result_key(r_off) and r.checks == r_off.checks
+    assert skipped_off == 0 < skipped and taken_off == taken + skipped
 
 
 def test_bfs_captures_exactly_the_frontier():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.explore import explore_write_read_race
-from repro.sim.events import enabled_events
+from repro.sim.events import Step, any_enabled, enabled_events, step_stutters
 from repro.core.setup import prepare_theorem_system
 from repro.protocols import get_protocol
 from repro.protocols.registry import protocol_names
@@ -1100,6 +1100,75 @@ def test_the_incremental_fingerprint_is_the_oracles(protocol, moves):
         elif events:
             events[pick % len(events)].apply(sim)
         check()
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+@settings(max_examples=6, deadline=None)
+@given(picks=st.lists(st.integers(0, 9), min_size=5, max_size=30))
+def test_a_stutter_changes_nothing(protocol, picks):
+    """At every configuration of a drawn walk, each step the sim names a
+    stutter (``step_stutters``) receives nothing, sends nothing and
+    leaves both fingerprints as they were — the premise of the DFS's
+    deciding such a step from its seen-set.  The walk also holds
+    ``any_enabled`` to the enabled set it abbreviates, over every
+    process and over a solo subset."""
+    sim, pids = race_system(protocol)
+    for pick in picks:
+        events = enabled_events(sim, pids)
+        assert any_enabled(sim, pids) == bool(events)
+        assert any_enabled(sim) == bool(enabled_events(sim))
+        assert any_enabled(sim, pids[1:]) == bool(enabled_events(sim, pids[1:]))
+        for pid in pids:
+            if not step_stutters(sim, pid):
+                continue
+            assert Step(pid) in events
+            before = (sim.fingerprint(), sim.fingerprint(canonical=True))
+            mark = sim.mark()
+            Step(pid).apply(sim)
+            step = sim.trace.events[-1]
+            assert (step.pid, step.received, step.sent) == (pid, (), ())
+            assert (sim.fingerprint(), sim.fingerprint(canonical=True)) == before
+            sim.restore(mark)
+        if not events:
+            break
+        events[pick % len(events)].apply(sim)
+
+
+def test_only_clients_that_keep_the_no_op_idle_stutter():
+    """A process class may answer ``stutters()`` with True only if its
+    step with an empty inbox is ``ClientBase``'s no-op: it inherits
+    ``on_step`` and ``on_idle`` unchanged.  Checked on every registered
+    protocol's processes, given a transaction in flight, and on a client
+    that overrides ``on_idle``."""
+    import copy
+
+    from repro.protocols.fastclaim import FastClaimClient
+    from repro.txn.client import ActiveTxn, ClientBase
+    from repro.txn.types import read_only_txn
+
+    def busy(proc):
+        proc = copy.copy(proc)
+        if isinstance(proc, ClientBase):
+            proc.current = ActiveTxn(read_only_txn(("X0",), txid="T"), 0)
+        return proc.stutters()
+
+    answers = {}
+    for protocol in protocol_names():
+        sim, _ = race_system(protocol)
+        for proc in sim.processes.values():
+            answers[type(proc)] = busy(proc)
+    for cls, stutters in answers.items():
+        if stutters:
+            assert cls.on_step is ClientBase.on_step, cls
+            assert cls.on_idle is ClientBase.on_idle, cls
+    assert sum(answers.values()) >= 10  # the skip is live for the zoo
+
+    class Polling(FastClaimClient):
+        def on_idle(self, ctx, active):
+            active.round += 1
+
+    polling = Polling("c9", ("s0", "s1"), {"X0": ("s0",)})
+    assert not busy(polling) and busy(FastClaimClient("c9", ("s0", "s1"), {"X0": ("s0",)}))
 
 
 def test_an_invocation_is_undone_with_its_steps():
