@@ -176,6 +176,13 @@ def fold_smoke() -> bool:
     return True
 
 
+def exact_key(r):
+    """Every count, trail and anomaly an exploration promises exactly."""
+    return (r.states_visited, r.states_deduped, r.schedules_completed,
+            r.truncated, r.checks,
+            [(t, [str(a) for a in anomalies]) for t, anomalies in r.violations])
+
+
 def stutter_smoke() -> bool:
     """A waiting client's no-op step is decided from the seen-set.
 
@@ -186,11 +193,6 @@ def stutter_smoke() -> bool:
     must be one fingerprint and one restore fewer.
     """
     from repro.txn.client import ClientBase
-
-    def key(r):
-        return (r.states_visited, r.states_deduped, r.schedules_completed,
-                r.truncated, r.checks,
-                [(t, [str(a) for a in anomalies]) for t, anomalies in r.violations])
 
     real, ok = ClientBase.stutters, True
     for label, kwargs in (
@@ -205,7 +207,7 @@ def stutter_smoke() -> bool:
             ClientBase.stutters = real
         s, t = skipped.counters, taken.counters
         good = (
-            key(skipped) == key(taken)
+            exact_key(skipped) == exact_key(taken)
             and s.stutters > 0 == t.stutters
             and s.fingerprints + s.stutters == t.fingerprints
             and s.restores + s.stutters == t.restores
@@ -215,6 +217,63 @@ def stutter_smoke() -> bool:
             f"{'ok  ' if good else 'FAIL'} stutter, fastclaim {label}: "
             f"{s.stutters} steps decided untaken; {s.fingerprints} fingerprints "
             f"/ {s.restores} restores against {t.fingerprints} / {t.restores}"
+        )
+    return ok
+
+
+def reuse_smoke() -> bool:
+    """A step taken before is replayed from the transition table.
+
+    The fastclaim budget DFS (strict keying) and POR exhaustive DFS
+    (canonical keying) run with the table and with one that never
+    records, so every step runs ``on_step``.  Every exact count, the
+    fingerprints and the restores must be equal, some step must have
+    been replayed, and every live interned object must still pickle to
+    its record's blob (none was mutated in place).
+    """
+    import pickle
+
+    from repro.core.setup import prepare_theorem_system
+    from repro.engine import run
+    from repro.txn.types import read_only_txn
+
+    class Forgetful(dict):
+        def __setitem__(self, key, value):
+            pass
+
+    def explore_once(kwargs, table):
+        tsys = prepare_theorem_system("fastclaim", n_probes=2)
+        sim = tsys.sim
+        caches = sim._snapshotters["bytes"]
+        if not table:
+            caches._transitions = Forgetful()
+        sim.invoke(tsys.cw, tsys.tw())
+        sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+        r = run(tsys.system, **kwargs)
+        interned = [(rec[3](), rec[0]) for rec in caches._states.values()
+                    if rec[3] is not None]
+        drift = sum(o is not None and pickle.dumps(o, 5) != b for o, b in interned)
+        return r, drift
+
+    ok = True
+    for label, kwargs in (
+        ("budget", dict(max_depth=30, max_states=300, first_violation_only=False)),
+        ("por exhaustive", BASELINES["fastclaim dfs+por exhaustive"][1]),
+    ):
+        (on, drift_on), (off, drift_off) = explore_once(kwargs, True), explore_once(kwargs, False)
+        a, b = on.counters, off.counters
+        good = (
+            exact_key(on) == exact_key(off)
+            and (a.fingerprints, a.restores) == (b.fingerprints, b.restores)
+            and a.steps_reused > 0 == b.steps_reused
+            and drift_on == drift_off == 0
+        )
+        ok &= good
+        print(
+            f"{'ok  ' if good else 'FAIL'} reuse, fastclaim {label}: "
+            f"{a.steps_reused} steps replayed; {a.fingerprints} fingerprints "
+            f"/ {a.restores} restores against {b.fingerprints} / {b.restores}; "
+            f"{drift_on + drift_off} interned objects changed (want 0)"
         )
     return ok
 
@@ -268,6 +327,7 @@ def main() -> int:
     failures += not undo_smoke()
     failures += not fold_smoke()
     failures += not stutter_smoke()
+    failures += not reuse_smoke()
     failures += not checker_smoke()
     for label, (proto, kwargs, expect) in BASELINES.items():
         t0 = time.perf_counter()

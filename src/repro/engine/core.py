@@ -494,10 +494,10 @@ class SerialSearch:
                     self._delta_consume(fresh)
                 self._check_leaf()
             return  # stuck without finishing: not a legal maximal run
-        # digest first: the fingerprint pickles (and interns) the process
-        # the entering event touched — the cache key of its digest and
-        # the blob its undo reloads — and a node the seen-set, the claim
-        # set or a budget drops below is never marked at all
+        # digest first: the fingerprint finds (or pickles and interns)
+        # the record of the process the entering event touched — the
+        # cache key of its digest and of its next step — and a node the
+        # seen-set, the claim set or a budget drops below is never marked
         fp = self._fingerprint()
         if self._covered(fp, sleep):
             r.states_deduped += 1

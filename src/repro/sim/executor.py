@@ -49,7 +49,10 @@ class SimCounters:
 
     Surfaced by :meth:`repro.core.explore.ExplorationResult.describe` and
     the end-to-end benchmark so the perf trajectory of the snapshot path
-    stays observable across PRs.
+    stays observable across PRs.  A journaled step's undo is a reference
+    swap, so ``components_restored`` / ``bytes_restored`` count only
+    configuration restores; ``steps_reused`` counts the steps the
+    transition table replayed instead of running ``on_step``.
     """
 
     snapshots: int = 0          #: snapshot() calls (a mark() is none)
@@ -58,6 +61,9 @@ class SimCounters:
     #: DFS children that were stuttering steps, deduped without being
     #: taken (each is also one ``states_deduped``)
     stutters: int = 0
+    #: journaled steps replayed from the transition table: no
+    #: ``on_step`` ran, the post-state's interned object was placed
+    steps_reused: int = 0
     #: captures and per-state fingerprint digests served from a cache
     #: (dirty rows, the state table) / computed afresh (pickled, walked)
     cache_hits: int = 0
@@ -98,6 +104,7 @@ class SimCounters:
             f"{self.restores} restores "
             f"({self.components_restored} components loaded / "
             f"{self.components_reused} kept), "
+            f"{self.steps_reused} steps replayed, "
             f"{self.fingerprints} fingerprints over "
             f"{self.states_interned} distinct process states; serialization "
             f"cache {self.cache_hits} hits / {self.cache_misses} misses "
@@ -266,16 +273,24 @@ class Simulation:
     # -- events -------------------------------------------------------------
 
     def step(self, pid: ProcessId) -> StepEvent:
-        """Apply a computation step of ``pid``."""
+        """Apply a computation step of ``pid``: in place, or under a
+        :meth:`mark` as a swap (:meth:`Snapshotter.apply`)."""
         proc = self.processes[pid]
         journal = self.network._journal
-        if journal is not None:
-            journal.append(self._snapshotters["bytes"].inverse(self.processes, pid))
         inbox = self.network.drain_income(pid)
         self.event_count += 1
         ctx = StepContext(pid, self._neighbours_of(pid), self.event_count)
-        proc.on_step(ctx, inbox)
-        proc.mark_dirty()
+        if journal is not None:
+            sends = self._snapshotters["bytes"].apply(
+                self.processes, pid, journal,
+                lambda p: p.on_step(ctx, inbox) or ctx._sends.items(),
+                inbox, self.event_count,
+            )
+        else:
+            self._snapshotters["bytes"].detach(pid, proc)
+            proc.on_step(ctx, inbox)
+            proc.mark_dirty()
+            sends = ctx._sends.items()
         # the network is NOT marked dirty here: its own mutators (post,
         # deliver, drain_income) bump its version, and messages are
         # immutable once sent (the model's "links do not modify
@@ -283,7 +298,7 @@ class Simulation:
         # neither received nor sent leaves the network's serialization
         # valid, and a delta restore after it touches one process only
         sent: List[Message] = []
-        for dst, payload in ctx._sends.items():
+        for dst, payload in sends:
             msg = Message(
                 msg_id=self._msg_counter,
                 src=pid,
@@ -328,9 +343,13 @@ class Simulation:
             raise TypeError(f"{pid} does not accept invocations")
         journal = self.network._journal
         if journal is not None:
-            journal.append(self._snapshotters["bytes"].inverse(self.processes, pid))
-        on_invoke(txn)
-        proc.mark_dirty()
+            self._snapshotters["bytes"].apply(
+                self.processes, pid, journal, lambda p: p.on_invoke(txn) or ()
+            )
+        else:
+            self._snapshotters["bytes"].detach(pid, proc)
+            on_invoke(txn)
+            proc.mark_dirty()
         self.trace.append(InvokeEvent(index=len(self.trace), pid=pid, txn=txn))
 
     # -- replay ---------------------------------------------------------------

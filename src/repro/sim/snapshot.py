@@ -6,8 +6,9 @@ network; a snapshotter turns them into a configuration
 (:meth:`~Snapshotter.apply_delta`) and hashes the live state for revisit
 pruning (:meth:`~Snapshotter.digest`).  :class:`Snapshotter` is the
 production path and holds every cache of the snapshot stack — the dirty
-rows, the state table, the placement slot vector, the in-flight payload
-memo; ``docs/model.md`` tabulates the measurement that keeps each.
+rows, the state table with its interned objects, the transition table,
+the placement slot vector, the payload memo; ``docs/model.md`` tabulates
+the measurement that keeps each.
 :class:`DeepCopySnapshotter` is the oracle the tests compare it against,
 and caches nothing.
 """
@@ -19,10 +20,11 @@ import hashlib
 import io
 import pickle
 import struct
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import (
     TYPE_CHECKING, Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 )
@@ -401,11 +403,12 @@ class _CompRow:
     version ``version``; every mutation of the component goes through
     an event (which bumps the counter), so validity is two identity/int
     comparisons.  ``rec`` is the mutable record ``[capture, fp,
-    fp_canon]``, filled lazily.  For a process row it is the *state
-    table's* entry for the process's sub-blob — ``pickle.dumps(obj)``
-    interned, plus the :func:`_state_digest` of ``__getstate__()`` and
-    of ``fp_state()`` — shared by every row, past or future, whose
-    process pickles to the same bytes.  The network row's ``rec`` is
+    fp_canon, interned]``, filled lazily.  For a process row it is the
+    *state table's* entry for the process's sub-blob — ``pickle.dumps(obj)``
+    interned, the :func:`_state_digest` of ``__getstate__()`` and of
+    ``fp_state()``, and a weak reference to the object journaled events
+    place for it — shared by every row whose process pickles to the
+    same bytes.  The network row's ``rec`` is
     its structural :func:`_net_capture` tuple itself, filled when first
     captured (a digest reads the live network, so a configuration that
     is fingerprinted and dropped builds no structural tuple).
@@ -422,14 +425,15 @@ class _CompRow:
 #: cache key for the network's component row (process rows key on pid)
 _NET = "\x00network"
 
-#: caps for the two content memos, cleared on overflow (pure caches, so
-#: the only cost is re-deriving a few live entries): the state table
+#: caps for the content memos, cleared on overflow (pure caches, so the
+#: only cost is re-deriving a few live entries): the state table
 #: (sub-blob → record; the distinct process states of one exploration
-#: number in the hundreds) and the canonical-payload memo
-#: (identity-keyed on in-flight messages, which pin their keys alive and
-#: which post-restore re-execution re-mints, so it turns over quickly)
+#: number in the hundreds), the transition table, and the payload memos
 _STATE_TABLE_CAP = 4096
-_MSG_MEMO_CAP = 1024
+_PAYLOAD_MEMO_CAP = 1024
+#: the interned objects placed last, held strongly (records hold theirs
+#: weakly, and a dead one is reloaded from its blob)
+_RING = 256
 
 
 class Snapshotter:
@@ -444,19 +448,25 @@ class Snapshotter:
         # per-component dirty-tracked capture rows, keyed by pid / _NET;
         # see _CompRow.  Rows hold the component strongly, so object ids
         # cannot be recycled into false hits.  Kept: digests, captures,
-        # delta restores and undo reloads key on them, as does RL5xx
+        # delta restores and undo swaps key on them, as does RL5xx
         self._rows: Dict[str, _CompRow] = {}
         # the state table: process sub-blob -> [interned sub-blob, fp
-        # digest, fp_canon digest].  Content-addressed, so a per-process
-        # state is walked by _canonize once per run, not once per visit;
-        # bounded by _STATE_TABLE_CAP (cleared on overflow).  Kept: PR 14
-        # measured -36...-46 % pass_s on the three exploration workloads
+        # digest, fp_canon digest, weakref to the interned object or
+        # None].  Content-addressed, so a per-process state is walked by
+        # _canonize once per run, not once per visit; bounded by
+        # _STATE_TABLE_CAP (cleared on overflow).  Kept: PR 14 measured
+        # -36...-46 % pass_s on the three exploration workloads
         self._states: Dict[bytes, list] = {}
-        # canonical payload bytes of in-flight messages, keyed by
-        # message identity (the guard value keeps the message alive);
-        # bounded by _MSG_MEMO_CAP (cleared on overflow).  Kept: without
-        # it por_3s pass_s is +17 % and pool_w2 +32 % (PR 17, 3/3 pairs)
-        self._msg_canon: Dict[int, Tuple[Message, bytes]] = {}
+        self._ring: deque = deque(maxlen=_RING)
+        # (pre-state record id, step index, inbox) -> (pre-state record,
+        # inbox payloads, post-state record, sends); see apply()
+        self._transitions: Dict[tuple, tuple] = {}
+        # canonical payload bytes, keyed by payload identity (the entry
+        # pins the payload).  Kept: without it por_3s pass_s is +17 %
+        # and pool_w2 +32 % (PR 17, 3/3 pairs, then keyed by message)
+        self._canon: Dict[int, Tuple[Any, bytes]] = {}
+        # sent payloads by their pickle: equal sends are one object
+        self._payloads: Dict[bytes, Any] = {}
         # (sorted pids, pid -> sorted index, placement key -> its slot's
         # place in the digest's parts), rebuilt with the digest's vectors
         # only if the process set ever changes size (pids are fixed at
@@ -489,6 +499,7 @@ class Snapshotter:
         version = getattr(obj, "_version", 0)
         row = self._rows.get(key)
         if row is None or row.obj is not obj or row.version != version:
+            self.detach(key, obj)  # changed in place since its row was made
             row = _CompRow(obj, version)
             self._rows[key] = row
         return row
@@ -500,7 +511,7 @@ class Snapshotter:
         if rec is None:
             if len(table) >= _STATE_TABLE_CAP:
                 table.clear()  # live rows keep their records; a pure cache
-            rec = table[blob] = [blob, None, None]
+            rec = table[blob] = [blob, None, None, None]
             self.counters.states_interned += 1
         return rec
 
@@ -519,18 +530,87 @@ class Snapshotter:
         return rec[0]
 
     def _memo_canon_payload(self, m: Message) -> bytes:
-        # messages are immutable and shared by reference across
-        # restores, so each payload is walked once while in flight
-        memo = self._msg_canon
-        e = memo.get(id(m))
-        if e is None or e[0] is not m:
-            if len(memo) >= _MSG_MEMO_CAP:
+        # payloads are immutable and shared by reference across restores
+        # and reused steps, so each is walked once while in flight
+        p = m.payload
+        memo = self._canon
+        e = memo.get(id(p))
+        if e is None or e[0] is not p:
+            if len(memo) >= _PAYLOAD_MEMO_CAP:
                 memo.clear()
             # repro-lint: disable=RL103 — identity-guarded memo; the
-            # entry pins m so the id stays valid, hits are checked
+            # entry pins p so the id stays valid, hits are checked
             # with `is`, and keys are never ordered or iterated
-            e = memo[id(m)] = (m, _canon_payload(m))
+            e = memo[id(p)] = (p, dumps_canonical(p))
         return e[1]
+
+    def _intern_payload(self, payload: Any) -> Any:
+        # equal pickles (set order and sharing included) are one payload
+        # to every receiver, so one object stands for all of them
+        if len(self._payloads) >= _PAYLOAD_MEMO_CAP:
+            self._payloads.clear()
+        return self._payloads.setdefault(pickle.dumps(payload, PICKLE_PROTOCOL), payload)
+
+    def _intern(self, obj: Process) -> list:
+        """The record of a fresh ``obj``'s state, which adopts ``obj`` as
+        its interned object unless it has a live one."""
+        rec = self._state_rec(self._comp_blob(_CompRow(obj, -1)))
+        if rec[3] is None or rec[3]() is None:
+            rec[3] = weakref.ref(obj)
+        return rec
+
+    def _place(self, processes, pid: ProcessId, obj: Process, rec: list) -> None:
+        """Put ``obj``, whose state is ``rec``'s, at ``processes[pid]``."""
+        self._row(pid, processes[pid])  # detaches an object changed in place
+        processes[pid] = obj
+        self._rows[pid] = _CompRow(obj, getattr(obj, "_version", 0), rec)
+
+    def apply(self, processes, pid: ProcessId, journal: list, run: Callable,
+              inbox: Tuple[Message, ...] = (), index: Optional[int] = None):
+        """A journaled event: ``processes[pid]`` is swapped for its
+        post-state's interned object, never mutated, and the journal
+        swaps it back.  A step (``index`` given) is a function of the
+        pre-state, ``inbox`` and step index, so one seen before is looked
+        up in the transition table; otherwise ``run`` (``on_step`` /
+        ``on_invoke``) runs on a private copy and its post-state and
+        ``(dst, payload)`` sends, returned, are interned."""
+        row = self._row(pid, processes[pid])
+        if row.rec is None:
+            self._comp_blob(row)
+        pre = row.rec
+        payloads = [m.payload for m in inbox]
+        # repro-lint: disable=RL103 — identity-guarded key; the entry
+        # pins the record and the payloads, hits are checked with `is`,
+        # and keys are never ordered or iterated
+        key = (id(pre), index, *[(m.msg_id, m.src, m.link_seq, id(m.payload)) for m in inbox])
+        hit = self._transitions.get(key)
+        if hit is not None and hit[0] is pre and all(map(is_, hit[1], payloads)):
+            post, sends = hit[2], hit[3]
+            self.counters.steps_reused += 1
+        else:
+            obj = pickle.loads(pre[0])
+            sends = tuple([(dst, self._intern_payload(p)) for dst, p in run(obj)])
+            post = self._intern(obj)
+            if index is not None:
+                if len(self._transitions) >= _STATE_TABLE_CAP:
+                    self._transitions.clear()
+                self._transitions[key] = (pre, payloads, post, sends)
+        journal.append(partial(self._place, processes, pid, processes[pid], pre))
+        obj = None if post[3] is None else post[3]()
+        if obj is None:
+            obj = pickle.loads(post[0])
+            post[3] = weakref.ref(obj)
+        self._ring.append(obj)
+        self._place(processes, pid, obj, post)
+        return sends
+
+    def detach(self, key: str, obj: Any) -> None:
+        """``obj`` changes in place: it stops being its record's interned
+        object (a network row's capture tuple has none)."""
+        row = self._rows.get(key)
+        if row is not None and row.obj is obj and type(row.rec) is list:
+            if row.rec[3] is not None and row.rec[3]() is obj:
+                row.rec[3] = None
 
     def capture(self, processes, network, msg_counter, event_count) -> Configuration:
         """One sub-blob per process plus the network capture, each from its row."""
@@ -548,13 +628,6 @@ class Snapshotter:
             for pid, proc in processes.items()
         ]
         return Configuration(tuple(blobs), net_row.rec, msg_counter, event_count)
-
-    def inverse(self, processes, pid: ProcessId) -> Callable[[], bool]:
-        """The undo of an event on ``processes[pid]``: a :meth:`load` of
-        its blob as of now, which the node's fingerprint already pickled."""
-        row = self._row(pid, processes[pid])
-        blob = self._comp_blob(row) if row.rec is None else row.rec[0]
-        return partial(self.load, processes, pid, blob)
 
     def load(self, processes, pid: ProcessId, blob: bytes) -> bool:
         """Put the state ``blob`` at ``processes[pid]``: keep the live

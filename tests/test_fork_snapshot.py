@@ -35,7 +35,7 @@ from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.snapshot import DeepCopySnapshotter, dumps_canonical
 from repro.txn.types import write_only_txn
 
-from helpers import Echo, Note, Pinger
+from helpers import Echo, Note, Pinger, race_system
 
 MODES = ("bytes", "deepcopy")
 
@@ -754,15 +754,16 @@ class TestStrictPlacementEncoding:
 
 @pytest.mark.parametrize("por", [False, True])
 def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
-    """The state table and the canonical-payload memo are pure caches:
-    with both caps at 4 they are cleared over and over, stay within the
-    cap plus the live entries, and the exploration does not move."""
+    """The state table, the transition table beside it and the payload
+    memos are pure caches: with both caps at 4 they are cleared over and
+    over, stay within the cap plus the live entries, and the exploration
+    does not move."""
     from repro.sim import snapshot as snapshot_mod
 
     kw = dict(max_depth=30, max_states=2_000, por=por, first_violation_only=False)
     reference = result_key(explore_write_read_race("fastclaim", **kw))
 
-    peak = {"table": 0, "memo": 0, "live": 0, "in_flight": 0}
+    peak = {"table": 0, "memo": 0, "live": 0, "in_flight": 0, "steps": 0, "sent": 0}
     real = Simulation.fingerprint
 
     def spy(self, *, canonical=False):
@@ -770,7 +771,9 @@ def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
         net = self.network
         caches = self._snapshotters["bytes"]
         peak["table"] = max(peak["table"], len(caches._states))
-        peak["memo"] = max(peak["memo"], len(caches._msg_canon))
+        peak["memo"] = max(peak["memo"], len(caches._canon))
+        peak["steps"] = max(peak["steps"], len(caches._transitions))
+        peak["sent"] = max(peak["sent"], len(caches._payloads))
         peak["live"] = len(self.processes)
         peak["in_flight"] = max(
             peak["in_flight"],
@@ -780,33 +783,18 @@ def test_state_table_and_message_memo_are_bounded(monkeypatch, por):
         return fp
 
     monkeypatch.setattr(snapshot_mod, "_STATE_TABLE_CAP", 4)
-    monkeypatch.setattr(snapshot_mod, "_MSG_MEMO_CAP", 4)
+    monkeypatch.setattr(snapshot_mod, "_PAYLOAD_MEMO_CAP", 4)
     monkeypatch.setattr(Simulation, "fingerprint", spy)
     assert result_key(explore_write_read_race("fastclaim", **kw)) == reference
     assert 0 < peak["table"] <= 4 + peak["live"]
     assert peak["memo"] <= 4 + peak["in_flight"]
     assert (peak["memo"] > 0) == por  # only the canonical keying uses it
+    assert 0 < peak["steps"] <= 4 and 0 < peak["sent"] <= 4
 
 
 # ---------------------------------------------------------------------------
 # The state table is a cache, never a value: warm and cold agree everywhere
 # ---------------------------------------------------------------------------
-
-
-def race_system(protocol):
-    """The write/read-race scenario of ``explore_write_read_race``."""
-    from repro.txn.types import read_only_txn
-
-    params = {"sync_every": 1} if protocol == "swiftcloud" else {}
-    tsys = prepare_theorem_system(protocol, n_probes=2, **params)
-    sim = tsys.sim
-    if get_protocol(protocol).supports_wtx:
-        sim.invoke(tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw"))
-    else:
-        for i, (obj, val) in enumerate(sorted(tsys.new_values.items())):
-            sim.invoke(tsys.cw, write_only_txn({obj: val}, txid=f"Tw{i}"))
-    sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
-    return sim, (tsys.cw, tsys.probes[0]) + tuple(tsys.servers)
 
 
 @pytest.mark.parametrize("protocol", protocol_names())
