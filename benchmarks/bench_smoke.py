@@ -183,6 +183,31 @@ def exact_key(r):
             [(t, [str(a) for a in anomalies]) for t, anomalies in r.violations])
 
 
+class Forgetful(dict):
+    """A transition table that never records: every step runs ``on_step``."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def interned_drift(sim) -> int:
+    """Interned objects the transition table would hand out (alive, at
+    the ``_version`` they were interned at) whose state is no longer
+    their record's: each is a shared state changed in place.  States
+    are compared by value digest: a fresh load of a blob may share its
+    strings differently from the object first pickled into it."""
+    import pickle
+
+    from repro.sim.snapshot import _state_digest
+
+    drift = 0
+    for rec in sim._snapshotters["bytes"]._states.values():
+        obj = rec[3] and rec[3][0]()
+        if obj is not None and obj._version == rec[3][1]:
+            drift += _state_digest(obj, False) != _state_digest(pickle.loads(rec[0]), False)
+    return drift
+
+
 def stutter_smoke() -> bool:
     """A waiting client's no-op step is decided from the seen-set.
 
@@ -228,32 +253,21 @@ def reuse_smoke() -> bool:
     (canonical keying) run with the table and with one that never
     records, so every step runs ``on_step``.  Every exact count, the
     fingerprints and the restores must be equal, some step must have
-    been replayed, and every live interned object must still pickle to
-    its record's blob (none was mutated in place).
+    been replayed, and every interned object the table would hand out
+    must still hold its record's state (none was changed in place).
     """
-    import pickle
-
     from repro.core.setup import prepare_theorem_system
     from repro.engine import run
     from repro.txn.types import read_only_txn
 
-    class Forgetful(dict):
-        def __setitem__(self, key, value):
-            pass
-
     def explore_once(kwargs, table):
         tsys = prepare_theorem_system("fastclaim", n_probes=2)
         sim = tsys.sim
-        caches = sim._snapshotters["bytes"]
         if not table:
-            caches._transitions = Forgetful()
+            sim._snapshotters["bytes"]._transitions = Forgetful()
         sim.invoke(tsys.cw, tsys.tw())
         sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
-        r = run(tsys.system, **kwargs)
-        interned = [(rec[3](), rec[0]) for rec in caches._states.values()
-                    if rec[3] is not None]
-        drift = sum(o is not None and pickle.dumps(o, 5) != b for o, b in interned)
-        return r, drift
+        return run(tsys.system, **kwargs), interned_drift(sim)
 
     ok = True
     for label, kwargs in (

@@ -25,8 +25,8 @@ ledger's exact counts drift on it.)
     the trace, so in-place mutation corrupts history.
 
 ``RL405``
-    A raw ``sim.step(...)`` / ``sim.deliver(...)`` /
-    ``sim.deliver_msg(...)`` outside the exploration engine and the sim
+    A raw ``sim.step(...)`` / ``sim.reuse_step(...)`` / ``sim.deliver(...)``
+    / ``sim.deliver_msg(...)`` outside the exploration engine and the sim
     core.  Schedule choices belong to :mod:`repro.engine` (via
     ``enabled_events`` and ``Event.apply``) so the seen-set, the
     partial-order reduction and the counters all observe the same moves;
@@ -74,7 +74,7 @@ SCHEDULE_AUTHORITIES = (
 )
 
 #: the Simulation methods that advance the schedule by one move
-SCHEDULE_MOVES = frozenset({"step", "deliver", "deliver_msg"})
+SCHEDULE_MOVES = frozenset({"step", "reuse_step", "deliver", "deliver_msg"})
 
 NETWORK_INTERNALS = frozenset({"in_transit", "income", "post", "drain_income", "link_counts"})
 

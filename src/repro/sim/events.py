@@ -97,7 +97,7 @@ class Step(Event):
     pid: ProcessId
 
     def apply(self, sim: "Simulation") -> None:
-        sim.step(self.pid)
+        sim.reuse_step(self.pid) or sim.step(self.pid)  # seen before, or run
 
     @property
     def label(self) -> str:

@@ -49,10 +49,9 @@ class SimCounters:
 
     Surfaced by :meth:`repro.core.explore.ExplorationResult.describe` and
     the end-to-end benchmark so the perf trajectory of the snapshot path
-    stays observable across PRs.  A journaled step's undo is a reference
-    swap, so ``components_restored`` / ``bytes_restored`` count only
-    configuration restores; ``steps_reused`` counts the steps the
-    transition table replayed instead of running ``on_step``.
+    stays observable across PRs.  A journaled event's undo is a swap, so
+    ``components_restored`` / ``bytes_restored`` count only restores of a
+    :class:`Configuration`.
     """
 
     snapshots: int = 0          #: snapshot() calls (a mark() is none)
@@ -61,8 +60,7 @@ class SimCounters:
     #: DFS children that were stuttering steps, deduped without being
     #: taken (each is also one ``states_deduped``)
     stutters: int = 0
-    #: journaled steps replayed from the transition table: no
-    #: ``on_step`` ran, the post-state's interned object was placed
+    #: journaled steps replayed from the transition table, no ``on_step`` run
     steps_reused: int = 0
     #: captures and per-state fingerprint digests served from a cache
     #: (dirty rows, the state table) / computed afresh (pickled, walked)
@@ -273,8 +271,8 @@ class Simulation:
     # -- events -------------------------------------------------------------
 
     def step(self, pid: ProcessId) -> StepEvent:
-        """Apply a computation step of ``pid``: in place, or under a
-        :meth:`mark` as a swap (:meth:`Snapshotter.apply`)."""
+        """Apply a computation step of ``pid``: ``on_step`` runs in place,
+        or under a :meth:`mark` on a copy (:meth:`Snapshotter.apply`)."""
         proc = self.processes[pid]
         journal = self.network._journal
         inbox = self.network.drain_income(pid)
@@ -287,10 +285,24 @@ class Simulation:
                 inbox, self.event_count,
             )
         else:
-            self._snapshotters["bytes"].detach(pid, proc)
             proc.on_step(ctx, inbox)
             proc.mark_dirty()
             sends = ctx._sends.items()
+        return self._post_step(pid, inbox, sends)
+
+    def reuse_step(self, pid: ProcessId) -> Optional[StepEvent]:
+        """Under a :meth:`mark`, a step of ``pid`` seen before, replayed
+        without running ``on_step`` (:meth:`Snapshotter.reuse`), or None."""
+        journal = self.network._journal
+        sends = None if journal is None else self._snapshotters["bytes"].reuse(
+            self.processes, pid, journal, self.network.income[pid], self.event_count + 1
+        )
+        if sends is None:
+            return None
+        self.event_count += 1
+        return self._post_step(pid, self.network.drain_income(pid), sends)
+
+    def _post_step(self, pid: ProcessId, inbox: List[Message], sends: Iterable) -> StepEvent:
         # the network is NOT marked dirty here: its own mutators (post,
         # deliver, drain_income) bump its version, and messages are
         # immutable once sent (the model's "links do not modify
@@ -347,7 +359,6 @@ class Simulation:
                 self.processes, pid, journal, lambda p: p.on_invoke(txn) or ()
             )
         else:
-            self._snapshotters["bytes"].detach(pid, proc)
             on_invoke(txn)
             proc.mark_dirty()
         self.trace.append(InvokeEvent(index=len(self.trace), pid=pid, txn=txn))

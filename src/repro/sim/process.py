@@ -72,12 +72,9 @@ class Process:
         self._version = 0
 
     def mark_dirty(self) -> None:
-        """Invalidate any cached serialization of this process.
-
-        During exploration a journaled step swaps in an interned object
-        shared by every visit to its state; one changed in place and
-        marked dirty is detached from that state, never handed out again.
-        """
+        """Invalidate any cached serialization of this process; an
+        interned object (shared by every visit to its state during
+        exploration) marked dirty is never handed out again."""
         self._version = getattr(self, "_version", 0) + 1
 
     def __getstate__(self):

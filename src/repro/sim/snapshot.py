@@ -24,7 +24,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING, Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple
 )
@@ -407,8 +407,8 @@ class _CompRow:
     *state table's* entry for the process's sub-blob — ``pickle.dumps(obj)``
     interned, the :func:`_state_digest` of ``__getstate__()`` and of
     ``fp_state()``, and a weak reference to the object journaled events
-    place for it — shared by every row whose process pickles to the
-    same bytes.  The network row's ``rec`` is
+    place for it, with that object's ``_version`` — shared by every row
+    whose process pickles to the same bytes.  The network row's ``rec`` is
     its structural :func:`_net_capture` tuple itself, filled when first
     captured (a digest reads the live network, so a configuration that
     is fingerprinted and dropped builds no structural tuple).
@@ -436,6 +436,13 @@ _PAYLOAD_MEMO_CAP = 1024
 _RING = 256
 
 
+def _step_key(pre: list, inbox: Iterable[Message], index: int) -> tuple:
+    # repro-lint: disable=RL103 — identity-guarded key; the transition
+    # table's entry pins the record and the payloads, and messages sort
+    # by (src, link_seq), unique in one batch, so no id is ever compared
+    return (id(pre), index, *sorted([(m.src, m.link_seq, m.msg_id, id(m.payload)) for m in inbox]))
+
+
 class Snapshotter:
     """The ``"bytes"`` path: dirty-tracked delta captures, cached digests.
 
@@ -451,15 +458,15 @@ class Snapshotter:
         # delta restores and undo swaps key on them, as does RL5xx
         self._rows: Dict[str, _CompRow] = {}
         # the state table: process sub-blob -> [interned sub-blob, fp
-        # digest, fp_canon digest, weakref to the interned object or
-        # None].  Content-addressed, so a per-process state is walked by
-        # _canonize once per run, not once per visit; bounded by
-        # _STATE_TABLE_CAP (cleared on overflow).  Kept: PR 14 measured
-        # -36...-46 % pass_s on the three exploration workloads
+        # digest, fp_canon digest, (weakref to the interned object, its
+        # _version) or None].  Content-addressed, so a per-process state
+        # is walked by _canonize once per run, not once per visit;
+        # bounded by _STATE_TABLE_CAP (cleared on overflow).  Kept: PR 14
+        # measured -36...-46 % pass_s on the three exploration workloads
         self._states: Dict[bytes, list] = {}
         self._ring: deque = deque(maxlen=_RING)
         # (pre-state record id, step index, inbox) -> (pre-state record,
-        # inbox payloads, post-state record, sends); see apply()
+        # inbox payloads, post-state record, sends); see reuse()
         self._transitions: Dict[tuple, tuple] = {}
         # canonical payload bytes, keyed by payload identity (the entry
         # pins the payload).  Kept: without it por_3s pass_s is +17 %
@@ -499,7 +506,6 @@ class Snapshotter:
         version = getattr(obj, "_version", 0)
         row = self._rows.get(key)
         if row is None or row.obj is not obj or row.version != version:
-            self.detach(key, obj)  # changed in place since its row was made
             row = _CompRow(obj, version)
             self._rows[key] = row
         return row
@@ -545,72 +551,69 @@ class Snapshotter:
         return e[1]
 
     def _intern_payload(self, payload: Any) -> Any:
-        # equal pickles (set order and sharing included) are one payload
-        # to every receiver, so one object stands for all of them
+        # equal pickles are one payload to every receiver
         if len(self._payloads) >= _PAYLOAD_MEMO_CAP:
             self._payloads.clear()
         return self._payloads.setdefault(pickle.dumps(payload, PICKLE_PROTOCOL), payload)
 
-    def _intern(self, obj: Process) -> list:
-        """The record of a fresh ``obj``'s state, which adopts ``obj`` as
-        its interned object unless it has a live one."""
-        rec = self._state_rec(self._comp_blob(_CompRow(obj, -1)))
-        if rec[3] is None or rec[3]() is None:
-            rec[3] = weakref.ref(obj)
-        return rec
-
-    def _place(self, processes, pid: ProcessId, obj: Process, rec: list) -> None:
-        """Put ``obj``, whose state is ``rec``'s, at ``processes[pid]``."""
-        self._row(pid, processes[pid])  # detaches an object changed in place
+    def _place(self, processes, pid: ProcessId, rec: list, *keep: Any) -> None:
+        """Put ``rec``'s interned object at ``processes[pid]``, or, if it
+        died or was changed in place since it was interned (its
+        ``_version`` moved), a fresh load of the blob, interned instead.
+        ``keep`` holds an undo's object alive until the undo runs."""
+        obj, version = (rec[3][0](), rec[3][1]) if rec[3] else (None, -1)
+        if obj is None or getattr(obj, "_version", 0) != version:
+            obj = pickle.loads(rec[0])
+            version = obj._version
+            rec[3] = (weakref.ref(obj), version)
+        self._ring.append(obj)
         processes[pid] = obj
-        self._rows[pid] = _CompRow(obj, getattr(obj, "_version", 0), rec)
+        self._rows[pid] = _CompRow(obj, version, rec)
 
-    def apply(self, processes, pid: ProcessId, journal: list, run: Callable,
-              inbox: Tuple[Message, ...] = (), index: Optional[int] = None):
-        """A journaled event: ``processes[pid]`` is swapped for its
-        post-state's interned object, never mutated, and the journal
-        swaps it back.  A step (``index`` given) is a function of the
-        pre-state, ``inbox`` and step index, so one seen before is looked
-        up in the transition table; otherwise ``run`` (``on_step`` /
-        ``on_invoke``) runs on a private copy and its post-state and
-        ``(dst, payload)`` sends, returned, are interned."""
+    def _swap(self, processes, pid: ProcessId, journal: list, pre: list, post: list) -> None:
+        old = processes[pid]  # pre's object: its row was valid just now
+        pre[3] = (weakref.ref(old), getattr(old, "_version", 0))
+        journal.append(partial(self._place, processes, pid, pre, old))
+        self._place(processes, pid, post)
+
+    def _pre(self, processes, pid: ProcessId) -> list:
         row = self._row(pid, processes[pid])
         if row.rec is None:
             self._comp_blob(row)
-        pre = row.rec
-        payloads = [m.payload for m in inbox]
-        # repro-lint: disable=RL103 — identity-guarded key; the entry
-        # pins the record and the payloads, hits are checked with `is`,
-        # and keys are never ordered or iterated
-        key = (id(pre), index, *[(m.msg_id, m.src, m.link_seq, id(m.payload)) for m in inbox])
-        hit = self._transitions.get(key)
-        if hit is not None and hit[0] is pre and all(map(is_, hit[1], payloads)):
-            post, sends = hit[2], hit[3]
-            self.counters.steps_reused += 1
-        else:
-            obj = pickle.loads(pre[0])
-            sends = tuple([(dst, self._intern_payload(p)) for dst, p in run(obj)])
-            post = self._intern(obj)
-            if index is not None:
-                if len(self._transitions) >= _STATE_TABLE_CAP:
-                    self._transitions.clear()
-                self._transitions[key] = (pre, payloads, post, sends)
-        journal.append(partial(self._place, processes, pid, processes[pid], pre))
-        obj = None if post[3] is None else post[3]()
-        if obj is None:
-            obj = pickle.loads(post[0])
-            post[3] = weakref.ref(obj)
-        self._ring.append(obj)
-        self._place(processes, pid, obj, post)
-        return sends
+        return row.rec
 
-    def detach(self, key: str, obj: Any) -> None:
-        """``obj`` changes in place: it stops being its record's interned
-        object (a network row's capture tuple has none)."""
-        row = self._rows.get(key)
-        if row is not None and row.obj is obj and type(row.rec) is list:
-            if row.rec[3] is not None and row.rec[3]() is obj:
-                row.rec[3] = None
+    def reuse(self, processes, pid: ProcessId, journal: list,
+              inbox: List[Message], index: int) -> Optional[tuple]:
+        """The ``(dst, payload)`` sends of a journaled step seen before
+        (same pre-state record, ``inbox`` and step index), its post-state
+        swapped in from the transition table; ``None`` for one not seen."""
+        pre = self._pre(processes, pid)
+        hit = self._transitions.get(_step_key(pre, inbox, index))
+        if hit is None or hit[0] is not pre:
+            return None
+        self.counters.steps_reused += 1
+        self._swap(processes, pid, journal, pre, hit[2])
+        return hit[3]
+
+    def apply(self, processes, pid: ProcessId, journal: list, run: Callable,
+              inbox: List[Message] = (), index: Optional[int] = None) -> tuple:
+        """A journaled event: ``run`` (``on_step`` / ``on_invoke``) runs on
+        a copy of ``processes[pid]``, interned as its post-state's object
+        and swapped in, and returns the ``(dst, payload)`` sends, interned
+        by pickle.  A step (``index`` given) is recorded for :meth:`reuse`."""
+        pre = self._pre(processes, pid)
+        obj = pickle.loads(pre[0])
+        sends = tuple([(dst, self._intern_payload(p)) for dst, p in run(obj)])
+        post = self._state_rec(self._comp_blob(_CompRow(obj, -1)))
+        post[3] = (weakref.ref(obj), obj._version)
+        if index is not None:
+            if len(self._transitions) >= _STATE_TABLE_CAP:
+                self._transitions.clear()
+            self._transitions[_step_key(pre, inbox, index)] = (
+                pre, [m.payload for m in inbox], post, sends
+            )
+        self._swap(processes, pid, journal, pre, post)
+        return sends
 
     def capture(self, processes, network, msg_counter, event_count) -> Configuration:
         """One sub-blob per process plus the network capture, each from its row."""

@@ -1,15 +1,16 @@
 """The transition table: a step taken before is replayed, not re-run.
 
-Under a journal, ``Simulation.step`` swaps the stepped process for the
-interned object of its post-state and replays a transition it has seen
-(same pre-state record, inbox and step index) from
-``Snapshotter._transitions`` instead of running ``on_step``.  These
-tests hold a replayed step to a freshly executed one, event by event
-and over whole explorations, and check that no interned object is
-ever mutated in place.
+Under a journal, ``Step.apply`` first asks ``Simulation.reuse_step``,
+which replays a transition seen before (same pre-state record, inbox
+and step index) from ``Snapshotter._transitions``, swapping in the
+interned object of its post-state; only a step not seen runs
+``on_step``, on a copy.  These tests hold a replayed step to a freshly
+executed one, event by event and over whole explorations, and check
+that no interned object changed in place is ever handed out.
 """
 
-import pickle
+import importlib.util
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,17 +22,17 @@ from repro.protocols.registry import protocol_names
 from repro.sim.events import Step, enabled_events
 from repro.sim.executor import Simulation
 from repro.sim.scheduler import RoundRobinScheduler
-from repro.sim.snapshot import Snapshotter, dumps_canonical
+from repro.sim.snapshot import DeepCopySnapshotter, Snapshotter, dumps_canonical
 from repro.txn.types import read_only_txn, write_only_txn
 
 from helpers import race_system, result_key
 
 
-class Forgetful(dict):
-    """A transition table that never records: every step runs ``on_step``."""
-
-    def __setitem__(self, key, value):
-        pass
+_SMOKE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_smoke.py"
+_spec = importlib.util.spec_from_file_location("bench_smoke", _SMOKE)
+bench_smoke = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_smoke)
+Forgetful, interned_drift = bench_smoke.Forgetful, bench_smoke.interned_drift
 
 
 @pytest.fixture
@@ -48,16 +49,6 @@ def no_table(monkeypatch):
         monkeypatch.setattr(Snapshotter, "__init__", init)
 
     return off
-
-
-def interned_drift(sim: Simulation):
-    """Records whose live interned object no longer pickles to their blob."""
-    drift = []
-    for rec in sim._snapshotters["bytes"]._states.values():
-        obj = None if rec[3] is None else rec[3]()
-        if obj is not None and pickle.dumps(obj, 5) != rec[0]:
-            drift.append(obj.pid)
-    return drift
 
 
 def step_view(sim: Simulation):
@@ -84,8 +75,8 @@ def test_a_replayed_step_is_the_executed_one(protocol, moves):
     twice — with the table as the walk left it, and with an empty one
     — and both give the same fingerprints under both keyings, the same
     event count and the same received and sent messages.  After every
-    move each live interned object still pickles to its record's blob,
-    so none was mutated in place."""
+    move each interned object the table would hand out still holds its
+    record's state."""
     sim, pids = race_system(protocol)
     caches = sim._snapshotters["bytes"]
     marks = [sim.mark()]
@@ -116,8 +107,8 @@ def test_a_replayed_step_is_the_executed_one(protocol, moves):
 def test_a_forward_step_leaves_interned_objects_alone():
     """Journaled steps leave interned objects live in the simulation;
     once the journal is dropped, forward steps change those processes
-    in place, and each first detaches its object from its record, so
-    no later lookup can hand the changed object out."""
+    in place, and each ``mark_dirty`` moves the object off the version
+    its record pinned, so no later lookup can hand it out."""
     sim, pids = race_system("cops")
     sim.mark()
     for _ in range(8):
@@ -128,6 +119,43 @@ def test_a_forward_step_leaves_interned_objects_alone():
     for _ in range(30):
         sched.tick(sim, pids=pids)
         assert not interned_drift(sim)
+
+
+def oracle_view(sim: Simulation):
+    """The live configuration's prints, bytes path and oracle, both keyings."""
+    return [
+        (sim.fingerprint(canonical=c),
+         DeepCopySnapshotter().digest(sim.processes, sim.network, c))
+        for c in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("held", ["pre-state", "post-state"])
+def test_a_held_process_changed_in_place_is_not_put_back(held):
+    """A caller holds a process object the journal swapped out — the
+    pre-state its undo puts back, or the post-state's interned object a
+    replay of the same step places — and changes it in place (marking
+    it dirty).  The undo and the replay load the recorded state afresh
+    instead, so the prints stay the oracle's."""
+    sim, pids = race_system("cops")
+    step = next(e for e in enabled_events(sim, pids) if e.__class__ is Step)
+    mark = sim.mark()
+    held_obj = sim.processes[step.pid]
+    step.apply(sim)
+    if held == "post-state":
+        held_obj = sim.processes[step.pid]
+        sim.restore(mark)
+    held_obj.noise = "changed in place"
+    held_obj.mark_dirty()
+    if held == "pre-state":
+        sim.restore(mark)  # the undo would put held_obj back
+    else:
+        step.apply(sim)  # a replay would place held_obj
+        assert sim.counters.steps_reused == 1
+    assert sim.processes[step.pid] is not held_obj
+    for fp, want in oracle_view(sim):
+        assert fp == want
+    assert not interned_drift(sim)
 
 
 def cops3():
