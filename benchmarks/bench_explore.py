@@ -1,4 +1,4 @@
-"""The exploration-engine matrix: strategy × POR × workers.
+"""The exploration-engine matrix: POR × workers.
 
 Runs the two seed write/read-race scenarios (FastClaim, which violates;
 COPS, which verifies) through the engine's knobs at full scope — depth
@@ -25,12 +25,11 @@ SCENARIOS = [
     ("cops", 22, False),
 ]
 
-#: (label, strategy, por, workers) — the CI smoke matrix mirrors this
+#: (label, por, workers) — the CI smoke matrix mirrors this
 CONFIGS = [
-    ("dfs", "dfs", False, 1),
-    ("dfs+por", "dfs", True, 1),
-    ("bfs+por", "bfs", True, 1),
-    ("dfs+por+w2", "dfs", True, 2),
+    ("dfs", False, 1),
+    ("dfs+por", True, 1),
+    ("dfs+por+w2", True, 2),
 ]
 
 def test_engine_matrix(benchmark):
@@ -40,14 +39,13 @@ def test_engine_matrix(benchmark):
     def run():
         for proto, depth, expect_violation in SCENARIOS:
             entry = {"protocol": proto, "max_depth": depth, "configs": {}}
-            for label, strategy, por, workers in CONFIGS:
+            for label, por, workers in CONFIGS:
                 t0 = time.perf_counter()
                 r = explore_write_read_race(
                     proto,
                     max_depth=depth,
                     max_states=80_000,
                     first_violation_only=False,
-                    strategy=strategy,
                     por=por,
                     workers=workers,
                 )

@@ -1,8 +1,8 @@
 """A one-minute perf-regression smoke for the state-space engines.
 
 Runs canonical model-checker workloads across the engine's knobs
-(strategy, partial-order reduction, parallel workers) on the fast
-(bytes) snapshot path and checks the exploration *counts* against the
+(partial-order reduction, parallel workers) on the fast (bytes)
+snapshot path and checks the exploration *counts* against the
 committed baseline: the state partition is a pure function of protocol
 state values (strict fingerprints) or of their trace-canonical quotient
 (POR fingerprints), so ``states_visited`` / ``states_deduped`` /

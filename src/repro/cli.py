@@ -195,7 +195,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         max_depth=args.max_depth,
         max_states=args.max_states,
         checker=args.checker,
-        strategy=args.strategy,
         por=args.por,
         checker_oracle=args.checker_oracle,
         **_proto_params(args),
@@ -224,7 +223,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.engine.core import STRATEGIES
     from repro.workloads import TABLE1_SPEC
 
     parser = argparse.ArgumentParser(
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustively explore the write/read-race schedule space",
     )
     e.add_argument("protocol")
-    e.add_argument("--strategy", choices=STRATEGIES, default="dfs")
     e.add_argument("--por", dest="por", action="store_true", default=False,
                    help="partial-order reduction (POR-safe protocols only)")
     e.add_argument("--no-por", dest="por", action="store_false")
@@ -301,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="causal")
     e.add_argument("--checker-oracle", action="store_true",
                    help="cross-check every incremental verdict against the "
-                        "batch scan (slow; debugging aid); needs --strategy "
-                        "dfs and --checker causal, the one pair with an "
+                        "batch scan (slow; debugging aid); needs "
+                        "--checker causal, the one checker with an "
                         "incremental verdict")
     e.add_argument("--max-depth", type=int, default=40)
     e.add_argument("--max-states", type=int, default=50_000)

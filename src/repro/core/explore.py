@@ -8,9 +8,9 @@ multi-object write and one fast ROT it *proves* (within the scope) that
 COPS-SNOW has no violating schedule and *finds* FastClaim's violating
 schedules without being told where to look.
 
-The search itself lives in :mod:`repro.engine` — a common frontier core
-with DFS/BFS strategies, sleep-set partial-order reduction and a
-parallel frontier; this module is the scenario-level wrapper: it invokes
+The search itself lives in :mod:`repro.engine` — one depth-first
+search with sleep-set partial-order reduction and a parallel
+frontier; this module is the scenario-level wrapper: it invokes
 the script, picks the adversary's process set, and forwards the knobs.
 :class:`ExplorationResult` is re-exported from the engine so existing
 callers keep importing it from here.
@@ -18,7 +18,7 @@ callers keep importing it from here.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.engine import ExplorationResult, run as engine_run
 from repro.protocols.base import System
@@ -34,10 +34,9 @@ def explore(
     max_states: int = 50_000,
     first_violation_only: bool = True,
     checker: str = "causal",
-    strategy: str = "dfs",
     por: bool = False,
     workers: int = 1,
-    incremental: Optional[bool] = None,
+    incremental: bool = True,
     checker_oracle: bool = False,
 ) -> ExplorationResult:
     """Exhaustively explore every schedule of ``script`` on ``system``.
@@ -53,14 +52,14 @@ def explore(
     a "fast" protocol breaks read atomicity or a session guarantee,
     strictly weaker levels than causal consistency.
 
-    ``strategy``, ``por`` and ``workers`` forward to the engine:
+    ``por`` and ``workers`` forward to the engine:
     sleep-set partial-order reduction keeps one representative per
     Mazurkiewicz trace (identical verdicts, far fewer states), and
     ``workers > 1`` fans an exhaustive (``first_violation_only=False``)
     DFS of a POR-safe protocol out over a shared fingerprint claim set,
     with ``max_states`` as one pool-wide budget; any other ``workers >
     1`` request is answered serially (``result.auto_serial``).
-    DFS walks check ``"causal"`` with the incremental delta checker by
+    The search checks ``"causal"`` with the incremental delta checker by
     default (``incremental=False`` forces the batch scan;
     ``checker_oracle=True`` cross-checks every leaf against it, and is
     refused where there is no incremental verdict); the other levels
@@ -72,7 +71,6 @@ def explore(
     return engine_run(
         system,
         checker=checker,
-        strategy=strategy,
         por=por,
         workers=workers,
         max_depth=max_depth,
@@ -88,11 +86,10 @@ def explore_write_read_race(
     max_depth: int = 40,
     max_states: int = 50_000,
     checker: str = "causal",
-    strategy: str = "dfs",
     por: bool = False,
     workers: int = 1,
     first_violation_only: bool = True,
-    incremental: Optional[bool] = None,
+    incremental: bool = True,
     checker_oracle: bool = False,
     **params,
 ) -> ExplorationResult:
@@ -141,7 +138,6 @@ def explore_write_read_race(
         max_states=max_states,
         first_violation_only=first_violation_only,
         checker=checker,
-        strategy=strategy,
         por=por,
         workers=workers,
         incremental=incremental,

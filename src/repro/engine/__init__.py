@@ -2,9 +2,9 @@
 
 Public surface:
 
-* :func:`repro.engine.core.run` — explore a prepared system with a
-  strategy (``dfs``/``bfs``), optional sleep-set partial-order
-  reduction, and optional parallel frontier workers;
+* :func:`repro.engine.core.run` — explore a prepared system depth
+  first, with optional sleep-set partial-order reduction and optional
+  parallel frontier workers;
 * :class:`repro.engine.core.ExplorationResult` — the result record,
   extending the repo-wide :class:`repro.engine.outcome.SearchOutcome`
   budget vocabulary;
@@ -14,7 +14,6 @@ Public surface:
 """
 
 from repro.engine.core import (
-    STRATEGIES,
     CheckerSpec,
     ExplorationResult,
     SearchNode,
@@ -25,7 +24,6 @@ from repro.engine.core import (
 from repro.engine.outcome import SearchOutcome
 
 __all__ = [
-    "STRATEGIES",
     "CheckerSpec",
     "ExplorationResult",
     "SearchNode",

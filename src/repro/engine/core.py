@@ -1,16 +1,9 @@
-"""The unified exploration engine: strategies, budgets, reduction.
+"""The unified exploration engine: one depth-first search, budgets, reduction.
 
-This package owns schedule-space exploration end to end.  The previous
-layout had three divergent drivers — a recursive DFS in
-``core/explore.py``, the chaos adversaries' hand-rolled enumeration in
-``sim/adversaries.py``, and a memoized DFS in ``consistency/search.py``
-— each with its own budget accounting.  The engine replaces them with
-one frontier/strategy core over a common :class:`SearchNode`:
+This package owns schedule-space exploration end to end: one DFS over
+the live simulation, with the seen-set, the state/depth budgets and the
+truncation accounting implemented here, once.
 
-* **Strategies** — ``"dfs"`` (the reference order, identical to the old
-  recursive explorer) and ``"bfs"`` (shortest-counterexample order)
-  share the seen-set, the state/depth budgets and the truncation
-  accounting implemented here, once.
 * **Partial-order reduction** (``por=True``) — driven by the
   :func:`repro.sim.events.independent` relation, in two coupled parts.
   The seen-set keys on the *trace-canonical* fingerprint
@@ -45,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.engine.outcome import SearchOutcome
 from repro.sim.events import (
@@ -53,8 +46,6 @@ from repro.sim.events import (
 )
 from repro.sim.executor import Configuration, SimCounters, Simulation
 from repro.sim.messages import ProcessId
-
-STRATEGIES = ("dfs", "bfs")
 
 _EMPTY: FrozenSet[Event] = frozenset()
 
@@ -95,9 +86,7 @@ class ExplorationResult(SearchOutcome):
     ``steps`` mirrors ``states_visited`` and ``exhausted`` reports a
     spent state budget.  ``states_visited`` counts configurations
     actually *expanded*; revisits pruned by the seen-set are counted
-    separately in ``states_deduped`` (the old explorer counted a node
-    before the seen check, inflating ``states_visited`` by the number of
-    revisits).
+    separately in ``states_deduped``.
     """
 
     protocol: str = ""
@@ -108,7 +97,6 @@ class ExplorationResult(SearchOutcome):
     violations: List[Tuple[List[str], List]] = field(default_factory=list)
     #: snapshot/restore cost accounting for the run (see SimCounters)
     counters: Optional[SimCounters] = None
-    strategy: str = "dfs"
     por: bool = False
     workers: int = 1
     #: a ``workers > 1`` request answered serially: not an exhaustive
@@ -139,7 +127,7 @@ class ExplorationResult(SearchOutcome):
         return not self.exhausted and self.truncated == 0
 
     def describe(self) -> str:
-        knobs = self.strategy + ("+por" if self.por else "")
+        knobs = "dfs" + ("+por" if self.por else "")
         if self.workers > 1:
             knobs += f"+workers={self.workers}"
             if self.auto_serial:
@@ -219,7 +207,7 @@ def clients_done(sim: Simulation, clients: Sequence[ProcessId]) -> bool:
 
 
 class SerialSearch:
-    """One search over one live simulation, any serial strategy.
+    """One depth-first search over one live simulation.
 
     Owns the seen-set, budgets and truncation accounting.  The caller
     provides the simulation positioned at the root configuration; the
@@ -284,12 +272,11 @@ class SerialSearch:
         # POR every sleep set is empty and this degenerates to a set.
         self._seen: dict = {}
         self._trail: List[Event] = []
-        # Incremental checking (DFS-shaped walks only: the checker's
-        # checkpoint/rollback runs in lockstep with apply/restore, which
-        # needs the stack discipline).  The checker is primed here from
-        # the sim's *current* configuration — for a parallel subtree
-        # root that one advance rebuilds the whole prefix state, after
-        # which the subtree is pure delta work.
+        # Incremental checking: the checker's checkpoint/rollback runs in
+        # lockstep with the DFS's apply/restore.  The checker is primed
+        # here from the sim's *current* configuration — for a parallel
+        # subtree root that one advance rebuilds the whole prefix state,
+        # after which the subtree is pure delta work.
         self.incremental = bool(incremental and checker.incremental is not None)
         self.oracle = oracle
         self._checker = None
@@ -350,10 +337,9 @@ class SerialSearch:
 
         POR keys on the trace-canonical fingerprint so commuting
         interleavings merge; without POR the strict (msg_id-covering)
-        fingerprint keeps parity with the pre-engine explorer —
-        except under ``canonical_keys`` (parallel workers on POR-safe
-        protocols), where canonical keying keeps the cross-worker
-        claimed quotient deterministic.
+        fingerprint is used — except under ``canonical_keys`` (parallel
+        workers on POR-safe protocols), where canonical keying keeps the
+        cross-worker claimed quotient deterministic.
         """
         return self.sim.fingerprint(canonical=self.por or self.canonical_keys)
 
@@ -460,11 +446,12 @@ class SerialSearch:
             x for x in sleep.union(prior) if independent(x, event)
         )
 
-    # -- DFS (the reference strategy) -------------------------------------
+    # -- DFS -------------------------------------------------------------
 
-    def run_dfs(self, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
+    def run(self, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
         """Depth-first from the sim's current configuration, backtracking
         through an undo journal that ends with the call, even on a raise."""
+        self.result.incremental = self.incremental
         try:
             self._dfs(depth, sleep, ())
         finally:
@@ -473,13 +460,13 @@ class SerialSearch:
     def collect_frontier(self, cutoff: int) -> List[SearchNode]:
         """DFS-preorder roots at ``cutoff`` depth, leaves checked en route.
 
-        The pool's seeding walk: :meth:`run_dfs` with a cutoff.  A node
+        The pool's seeding walk: :meth:`run` with a cutoff.  A node
         *at* the cutoff is snapshotted and returned instead of expanded
         (and not counted — the worker that expands it counts it).
         """
         self._cutoff = cutoff
         self._frontier = []
-        self.run_dfs()
+        self.run()
         return self._frontier
 
     def _dfs(
@@ -571,108 +558,28 @@ class SerialSearch:
                 r.truncated += len(explorable) - 1 - i  # cut siblings
                 return
 
-    # -- BFS ---------------------------------------------------------------
-
-    def run_bfs(self, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
-        """Breadth-first from the sim's current configuration.
-
-        Finds shortest counterexamples first.  Children are deduped at
-        generation time, before they are captured, so the frontier never
-        holds duplicate snapshots and a duplicate is never snapshotted.
-        """
-        from collections import deque
-
-        r = self.result
-        sim = self.sim
-        snap = sim.snapshot()
-        fp = self._fingerprint()
-        self._remember(fp, sleep)
-        frontier = deque(
-            [SearchNode(snap, fp, tuple(self._trail), depth, sleep)]
-        )
-        while frontier:
-            node = frontier.popleft()
-            sim.restore(node.snapshot)
-            events = enabled_events(sim, self.pids)
-            if not self._count_state():
-                r.truncated += len(frontier)
-                return
-            if not events:
-                if clients_done(sim, self.clients):
-                    self._trail = list(node.trail)
-                    self._check_leaf()
-                    if self.abort:
-                        return
-                continue
-            if node.depth >= self.max_depth:
-                r.truncated += 1
-                continue
-            explorable = (
-                [e for e in events if e not in node.sleep]
-                if self.por
-                else events
-            )
-            prior: List[Event] = []
-            for e in explorable:
-                child_sleep = self._child_sleep(node.sleep, prior, e)
-                e.apply(sim)
-                child_fp = self._fingerprint()
-                if self._covered(child_fp, child_sleep):
-                    r.states_deduped += 1
-                else:
-                    self._remember(child_fp, child_sleep)
-                    frontier.append(
-                        SearchNode(
-                            sim.snapshot(),
-                            child_fp,
-                            node.trail + (e,),
-                            node.depth + 1,
-                            child_sleep,
-                        )
-                    )
-                sim.restore(node.snapshot)
-                prior.append(e)
-
-    def run(self, strategy: str, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
-        if strategy != "dfs":
-            # BFS jumps between non-ancestor configurations, which the
-            # trail-based checker rollback cannot follow — it keeps the
-            # batch scan
-            self.incremental = False
-        self.result.incremental = self.incremental
-        if strategy == "dfs":
-            self.run_dfs(depth, sleep)
-        elif strategy == "bfs":
-            self.run_bfs(depth, sleep)
-        else:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-
 
 def run(
     system,
     *,
     checker: str = "causal",
-    strategy: str = "dfs",
     por: bool = False,
     workers: int = 1,
     max_depth: int = 40,
     max_states: int = 50_000,
     first_violation_only: bool = True,
-    incremental: Optional[bool] = None,
+    incremental: bool = True,
     checker_oracle: bool = False,
 ) -> ExplorationResult:
     """Explore every schedule of ``system``'s current configuration.
 
     The caller has already invoked the scenario's transactions; the
-    engine enumerates adversary schedules from here.  ``strategy`` is
-    ``"dfs"`` or ``"bfs"``; ``por=True`` switches on sleep-set
-    partial-order reduction.
+    engine enumerates adversary schedules from here, depth first.
+    ``por=True`` switches on sleep-set partial-order reduction.
 
     ``workers > 1`` fans out (see :mod:`repro.engine.parallel`) only
-    for an exhaustive (``first_violation_only=False``) DFS of a protocol
-    whose canonical fingerprint is a bisimulation (``por`` or
+    for an exhaustive (``first_violation_only=False``) search of a
+    protocol whose canonical fingerprint is a bisimulation (``por`` or
     ``info.por_safe``) — the one request shape where workers divide the
     work over a shared claim set instead of repeating it.  Every other
     ``workers > 1`` request runs the serial search below and is flagged
@@ -680,31 +587,19 @@ def run(
     pool ``max_states`` is a *global* budget — total ``states_visited``
     never exceeds it regardless of ``workers``.
 
-    ``incremental=None`` (the default) uses the delta checker on DFS
-    walks and the batch scan elsewhere; ``False`` forces the batch scan
-    everywhere, ``True`` requests the delta checker (still a no-op for
-    BFS, whose configuration jumps the checker rollback cannot follow,
-    and for checkers without a delta form).  ``checker_oracle=True``
-    additionally runs the batch scan at every leaf and raises if the
-    verdicts are not bit-identical; a run with no incremental verdict
-    to cross-check refuses it with :class:`ValueError`.
+    ``incremental=True`` (the default) uses the delta checker where the
+    checker has one; ``False`` forces the batch scan.
+    ``checker_oracle=True`` additionally runs the batch scan at every
+    leaf and raises if the verdicts are not bit-identical; a run with no
+    incremental verdict to cross-check refuses it with
+    :class:`ValueError`.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
     spec = resolve_checker(checker)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    use_inc = (
-        (incremental if incremental is not None else True)
-        and strategy == "dfs"
-        and spec.incremental is not None
-    )
+    use_inc = incremental and spec.incremental is not None
     if checker_oracle and not use_inc:
-        if strategy != "dfs":
-            why = f"strategy={strategy!r} runs the batch scan"
-        elif spec.incremental is None:
+        if spec.incremental is None:
             why = f"checker {checker!r} has no incremental form"
         else:
             why = "incremental=False runs the batch scan"
@@ -713,7 +608,6 @@ def run(
         )
     result = ExplorationResult(
         protocol=system.info.name,
-        strategy=strategy,
         por=por,
         workers=workers,
     )
@@ -721,7 +615,6 @@ def run(
     pids = tuple(system.clients) + tuple(system.service_pids)
     if (
         workers > 1
-        and strategy == "dfs"
         and not first_violation_only
         and (por or system.info.por_safe)
     ):
@@ -751,7 +644,7 @@ def run(
         incremental=use_inc,
         oracle=checker_oracle,
     )
-    search.run(strategy)
+    search.run()
     result.auto_serial = workers > 1
     result.exhausted = search.exhausted
     result.steps = result.states_visited

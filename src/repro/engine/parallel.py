@@ -182,7 +182,7 @@ def _worker_main(
                 seen=seen,
                 budget=budget,
             )
-            search.run("dfs", depth=depth)
+            search.run(depth=depth)
             _add_counts(total, result)
             agg["exhausted"] = agg["exhausted"] or search.exhausted
             if result.violations:
@@ -263,7 +263,7 @@ def run_parallel(
         # not enough subtrees to keep the pool busy: one serial run is
         # cheaper than spinning up workers that would mostly idle
         serial = _search(True)
-        serial.run("dfs")
+        serial.run()
         _finalize(result, serial, sim)
         result.auto_serial = True
         return result

@@ -118,14 +118,14 @@ class TestCliExplore:
         assert "[dfs+por]" in out
         assert "no causal violation in scope" in out
 
-    def test_explore_strategy_and_checker_knobs(self, capsys):
+    def test_explore_checker_knob(self, capsys):
         rc = main(
-            ["explore", "cops", "--strategy", "bfs", "--por",
+            ["explore", "cops", "--por",
              "--checker", "read-atomic", "--max-depth", "12",
              "--max-states", "3000"]
         )
         assert rc == 0
-        assert "[bfs+por]" in capsys.readouterr().out
+        assert "[dfs+por]" in capsys.readouterr().out
 
     def test_explore_rejects_non_por_safe(self):
         with pytest.raises(ValueError, match="not declared POR-safe"):

@@ -3,9 +3,9 @@
 Three layers of evidence that :mod:`repro.engine` is a faithful — and
 strictly cheaper — replacement for brute-force schedule enumeration:
 
-* **Strategy equivalence** (per protocol): DFS, BFS and the parallel
-  frontier explore the same reduced schedule space, so verdicts and the
-  union of violating-history anomalies are identical.
+* **Serial/workers equivalence** (per protocol): the serial DFS and the
+  parallel frontier explore the same reduced schedule space, so verdicts
+  and the union of violating-history anomalies are identical.
 * **POR equivalence + reduction** (full scope, slow): on the two seed
   scenarios the sleep-set/canonical-quotient search returns the same
   verdict and the same anomaly set as the unreduced DFS while expanding
@@ -54,8 +54,8 @@ def test_matrix_covers_every_por_safe_protocol():
 
 
 @pytest.mark.parametrize("protocol", sorted(MATRIX))
-def test_strategies_and_workers_agree(protocol):
-    """DFS / BFS / workers=2 (all POR): same verdict, same anomaly set."""
+def test_serial_and_workers_agree(protocol):
+    """DFS / workers=2 (both POR): same verdict, same anomaly set."""
     depth, expect_violation = MATRIX[protocol]
     arms = {
         key: explore_write_read_race(
@@ -68,18 +68,13 @@ def test_strategies_and_workers_agree(protocol):
         )
         for key, kw in [
             ("dfs", {}),
-            ("bfs", dict(strategy="bfs")),
             ("workers2", dict(workers=2)),
         ]
     }
     for key, r in arms.items():
         assert r.violation_found == expect_violation, (protocol, key)
         assert not r.exhausted, (protocol, key)
-    assert (
-        anomaly_union(arms["dfs"])
-        == anomaly_union(arms["bfs"])
-        == anomaly_union(arms["workers2"])
-    )
+    assert anomaly_union(arms["dfs"]) == anomaly_union(arms["workers2"])
 
 
 #: the two seed scenarios of the POR acceptance gate, at full scope
@@ -171,10 +166,9 @@ def test_workers_pool_path_forced():
     [
         ("fastclaim", dict(first_violation_only=True, por=True)),
         ("fastclaim", dict(first_violation_only=True)),
-        ("fastclaim", dict(strategy="bfs", por=True)),
         ("spanner", dict()),  # por_safe=False: no sound shared claim set
     ],
-    ids=["first-violation+por", "first-violation", "bfs", "not-por-safe"],
+    ids=["first-violation+por", "first-violation", "not-por-safe"],
 )
 def test_workers_requests_answered_serially(protocol, kw):
     """Only an exhaustive DFS of a POR-safe protocol fans out.
@@ -482,7 +476,7 @@ def explore_from_a_waiting_reader(sleep_on_reply, max_depth):
         sim, pids, system.clients, result, resolve_checker("causal"),
         max_depth, max_states=60_000, first_violation_only=False, por=True,
     )
-    search.run_dfs(sleep=frozenset({reply}) if sleep_on_reply else frozenset())
+    search.run(sleep=frozenset({reply}) if sleep_on_reply else frozenset())
     taken = sum(  # a fastclaim client's step that moves nothing stutters
         isinstance(e, StepEvent) and e.pid in system.clients
         and not (e.received or e.sent)
@@ -508,17 +502,6 @@ def test_an_uncovered_stutter_is_taken(monkeypatch):
         r_off, taken_off, skipped_off = explore_from_a_waiting_reader(True, 30)
     assert result_key(r) == result_key(r_off) and r.checks == r_off.checks
     assert skipped_off == 0 < skipped and taken_off == taken + skipped
-
-
-def test_bfs_captures_exactly_the_frontier():
-    """BFS dedups a child before capturing it: an untruncated run holds
-    one snapshot per frontier entry, and every entry is visited."""
-    r, cost = race_explored(
-        "cops", strategy="bfs", por=True, max_depth=30, max_states=60_000
-    )
-    assert r.conclusive and r.states_deduped > 0
-    assert cost["snapshots"] == r.states_visited
-    assert cost["fingerprints"] == r.states_visited + r.states_deduped
 
 
 def _shm_entries():
@@ -551,7 +534,7 @@ def test_worker_failure_is_loud_bounded_and_clean(monkeypatch, how):
     tripped = multiprocessing.get_context("fork").Value("b", 0)
     real_run = SerialSearch.run
 
-    def run(self, strategy, **kw):
+    def run(self, **kw):
         if os.getpid() != parent:
             with tripped.get_lock():
                 first, tripped.value = not tripped.value, 1
@@ -559,7 +542,7 @@ def test_worker_failure_is_loud_bounded_and_clean(monkeypatch, how):
                 if how == "sigkill":
                     os.kill(os.getpid(), signal.SIGKILL)
                 raise RuntimeError("injected worker failure")
-        return real_run(self, strategy, **kw)
+        return real_run(self, **kw)
 
     monkeypatch.setattr(SerialSearch, "run", run)
     before = _shm_entries()

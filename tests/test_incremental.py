@@ -243,10 +243,9 @@ def test_engine_oracle_stays_silent(checker):
     [
         (dict(checker="read-atomic"), "checker 'read-atomic' has no incremental"),
         (dict(checker="sessions"), "checker 'sessions' has no incremental"),
-        (dict(strategy="bfs"), "strategy='bfs' runs the batch scan"),
         (dict(incremental=False), "incremental=False runs the batch scan"),
     ],
-    ids=["read-atomic", "sessions", "bfs", "batch"],
+    ids=["read-atomic", "sessions", "batch"],
 )
 def test_checker_oracle_refused_without_incremental_verdict(kw, reason):
     """With nothing incremental to compare, the oracle is refused rather
@@ -255,10 +254,3 @@ def test_checker_oracle_refused_without_incremental_verdict(kw, reason):
         explore_write_read_race(
             "fastclaim", max_depth=30, checker_oracle=True, **kw
         )
-
-
-def test_non_dfs_strategies_fall_back_to_batch():
-    r = explore_write_read_race(
-        "fastclaim", strategy="bfs", por=True, max_depth=26
-    )
-    assert not r.incremental and r.checks > 0
