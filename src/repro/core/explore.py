@@ -52,14 +52,14 @@ def explore(
     a "fast" protocol breaks read atomicity or a session guarantee,
     strictly weaker levels than causal consistency.
 
-    ``por`` and ``workers`` forward to the engine:
-    sleep-set partial-order reduction keeps one representative per
-    Mazurkiewicz trace (identical verdicts, far fewer states), and
-    ``workers > 1`` fans an exhaustive (``first_violation_only=False``)
-    DFS of a POR-safe protocol out over a shared fingerprint claim set,
-    with ``max_states`` as one pool-wide budget; any other ``workers >
-    1`` request is answered serially (``result.auto_serial``).
-    The search checks ``"causal"`` with the incremental delta checker by
+    ``por`` and ``workers`` forward to the engine: sleep-set
+    partial-order reduction keeps one representative per Mazurkiewicz
+    trace (identical verdicts, far fewer states), and ``workers > 1``
+    fans an exhaustive (``first_violation_only=False``) DFS of a
+    POR-safe protocol out over a shared fingerprint claim set, with
+    ``max_states`` as one pool-wide budget; any other ``workers > 1``
+    request is answered serially (``result.auto_serial``).  The search
+    checks ``"causal"`` with the incremental delta checker by
     default (``incremental=False`` forces the batch scan;
     ``checker_oracle=True`` cross-checks every leaf against it, and is
     refused where there is no incremental verdict); the other levels
