@@ -71,7 +71,8 @@ BASELINES = {
 
 
 def fork_machinery_smoke() -> bool:
-    """Snapshot/fork/restore semantics and the dirty-row caching."""
+    """Snapshot/fork/restore semantics, the state table's interning and,
+    under a journal, the process rows."""
     from repro.core.setup import prepare_theorem_system
     from repro.sim.scheduler import RoundRobinScheduler
 
@@ -85,13 +86,21 @@ def fork_machinery_smoke() -> bool:
     fp = sim.fingerprint()
     fork = snap.fork()  # O(1) fork: shares the per-component captures
     ok = fork.proc_blobs is snap.proc_blobs and fork.net_state is snap.net_state
-    snap2 = sim.snapshot()  # unchanged state: every sub-blob is cached
+    interned = sim.counters.states_interned
+    # unchanged state: every process is pickled again (outside a journal
+    # nothing is cached about a process) and interns to the same bytes
+    snap2 = sim.snapshot()
     ok &= all(
         b2 is b1
         for (_, b1), (_, b2) in zip(snap.proc_blobs, snap2.proc_blobs)
     )
     ok &= snap2.net_state is snap.net_state
+    ok &= sim.counters.states_interned == interned
+    sim.mark()  # under a journal the rows serve a repeated capture
+    sim.snapshot()
+    sim.snapshot()
     ok &= sim.counters.bytes_reused > 0
+    sim.drop_journal()
     for _ in range(6):
         sched.tick(sim, pids=(tsys.cw,) + tuple(tsys.servers))
     sim.restore(snap)
@@ -191,8 +200,8 @@ class Forgetful(dict):
 
 
 def interned_drift(sim) -> int:
-    """Interned objects the transition table would hand out (alive, at
-    the ``_version`` they were interned at) whose state is no longer
+    """Interned objects (every live one a state-table record pins, which
+    an undo or the transition table may place) whose state is no longer
     their record's: each is a shared state changed in place.  States
     are compared by value digest: a fresh load of a blob may share its
     strings differently from the object first pickled into it."""
@@ -202,8 +211,8 @@ def interned_drift(sim) -> int:
 
     drift = 0
     for rec in sim._snapshotters["bytes"]._states.values():
-        obj = rec[3] and rec[3][0]()
-        if obj is not None and obj._version == rec[3][1]:
+        obj = rec[3] and rec[3]()
+        if obj is not None:
             drift += _state_digest(obj, False) != _state_digest(pickle.loads(rec[0]), False)
     return drift
 

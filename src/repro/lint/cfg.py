@@ -1,10 +1,8 @@
 """A statement-level control-flow graph over stdlib ``ast``.
 
-The flow-sensitive rule families (RL5xx dirty-tracking honesty, RL6xx
-lock discipline) need to reason about *paths* — "does every path from
-this mutation reach ``mark_dirty()`` before the method returns?",
-"is this buffer access dominated by a lock acquire?".  This module
-builds the graph those questions are asked on; the solvers live in
+The flow-sensitive lock-discipline rule (RL601) needs to reason about
+*paths* — "is this buffer access dominated by a lock acquire?".  This
+module builds the graph that question is asked on; the solver lives in
 :mod:`repro.lint.dataflow`.
 
 Design, deliberately modest:
@@ -30,16 +28,13 @@ Design, deliberately modest:
 * **Coarse exception edges.**  Every statement inside a ``try`` body
   may raise: each body node gets an edge to every handler entry.  That
   over-approximates (a plain assignment rarely raises) in exactly the
-  safe direction for the rules built on top — more paths can only make
-  a must-analysis (lock held) more conservative and an exists-path
-  analysis (mark missed) no worse than the interpreter allows.
-  Uncaught exceptions escaping through a ``finally`` are *not*
-  modelled; neither rule family draws conclusions from implicit
-  exception exits.
+  safe direction for the rule built on top — more paths can only make
+  a must-analysis (lock held) more conservative.  Uncaught exceptions
+  escaping through a ``finally`` are *not* modelled; the rule draws no
+  conclusions from implicit exception exits.
 
 Nested ``def``/``class``/``lambda`` bodies are opaque single nodes —
-the analyses are intraprocedural; cross-method effects come from
-:mod:`repro.lint.summaries`.
+the analysis is intraprocedural.
 """
 
 from __future__ import annotations

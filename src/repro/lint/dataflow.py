@@ -1,24 +1,18 @@
 """A worklist dataflow framework over :mod:`repro.lint.cfg` graphs.
 
-:func:`solve` is the generic fixed-point engine: give it a CFG and an
-:class:`Analysis` (direction, boundary value, join, transfer) and it
-iterates to convergence.  The two analyses the flow-sensitive rule
-families actually run are provided here so rules stay declarative:
+:func:`solve` is the generic fixed-point engine: give it a CFG and a
+forward :class:`Analysis` (boundary value, join, transfer) and it
+iterates to convergence.  The one analysis the flow-sensitive rules
+run is provided here so rules stay declarative:
 
-* :class:`ExitExposure` — backward *may* analysis: from which nodes can
-  the normal ``exit`` be reached **without** passing through a blocker
-  node?  RL501 instantiates blockers = mark nodes; a mutation node with
-  an exposed successor has a path to return that misses ``mark_dirty``.
-  Explicit ``raise`` exits are deliberately not exposure sources: an
-  aborting path hands no stale snapshot to anyone.
 * :class:`LockHeld` — forward *must* analysis over a small gen/kill
   vocabulary: how many lock handles are certainly held at each point?
   RL601 instantiates gens = lock acquires / lock ``with`` entries and
   kills = releases / ``with`` exits, then flags shared-buffer accesses
   whose in-state holds nothing.
 
-Both lattices are tiny (bool / small int), so convergence is a handful
-of passes even on the largest methods in the tree.
+The lattice is tiny (a small int), so convergence is a handful of
+passes even on the largest methods in the tree.
 """
 
 from __future__ import annotations
@@ -30,17 +24,12 @@ from repro.lint.cfg import CFG, CFGNode
 
 V = TypeVar("V")
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 
 class Analysis(Generic[V]):
-    """One dataflow problem: direction, lattice and transfer."""
-
-    direction: str = FORWARD
+    """One forward dataflow problem: lattice and transfer."""
 
     def boundary(self) -> V:
-        """Value at the boundary node (entry forward, exits backward)."""
+        """Value at the entry node."""
         raise NotImplementedError
 
     def initial(self) -> V:
@@ -57,22 +46,14 @@ class Analysis(Generic[V]):
 def solve(cfg: CFG, analysis: Analysis[V]) -> Dict[int, Tuple[V, V]]:
     """Run ``analysis`` to fixed point; ``node.idx -> (in, out)``.
 
-    Forward: *in* joins predecessors' *out*; *out* = transfer(node, in).
-    Backward the roles flip (in = transfer over joined successor ins),
-    but the returned pair keeps the same orientation — ``(toward
-    entry, toward exit)`` — so callers index it uniformly.
+    *in* joins the predecessors' *out*; *out* = transfer(node, in).
     """
-    forward = analysis.direction == FORWARD
     values: Dict[int, V] = {n.idx: analysis.initial() for n in cfg.nodes}
-    if forward:
-        boundary_nodes = [cfg.entry]
-    else:
-        boundary_nodes = [cfg.exit, cfg.raise_exit]
 
     def incoming_of(node: CFGNode) -> V:
         """The join of the values flowing into ``node``."""
-        sources = node.preds if forward else node.succs
-        if node in boundary_nodes:
+        sources = node.preds
+        if node is cfg.entry:
             incoming = analysis.boundary()
         elif sources:
             incoming, sources = values[sources[0].idx], sources[1:]
@@ -90,88 +71,12 @@ def solve(cfg: CFG, analysis: Analysis[V]) -> Dict[int, Tuple[V, V]]:
         new = analysis.transfer(node, incoming_of(node))
         if new != values[node.idx]:
             values[node.idx] = new
-            for dep in node.succs if forward else node.preds:
+            for dep in node.succs:
                 if dep.idx not in in_work:
                     in_work.add(dep.idx)
                     work.append(dep)
 
-    out: Dict[int, Tuple[V, V]] = {}
-    for n in cfg.nodes:
-        incoming = incoming_of(n)
-        if forward:
-            out[n.idx] = (incoming, values[n.idx])
-        else:
-            out[n.idx] = (values[n.idx], incoming)
-    return out
-
-
-# --------------------------------------------------------------------------
-# exit exposure (RL501)
-# --------------------------------------------------------------------------
-
-
-class ExitExposure(Analysis[bool]):
-    """Backward may-analysis: "can this node reach ``exit`` without
-    crossing a blocker?"  A blocker node's value is forced False — the
-    path is considered covered the moment it hits a mark."""
-
-    direction = BACKWARD
-
-    def __init__(self, blockers: Set[int]):
-        self.blockers = blockers
-
-    def boundary(self) -> bool:
-        return True
-
-    def initial(self) -> bool:
-        return False
-
-    def join(self, a: bool, b: bool) -> bool:
-        return a or b
-
-    def transfer(self, node: CFGNode, value: bool) -> bool:
-        if node.idx in self.blockers:
-            return False
-        return value
-
-
-def exposed_nodes(cfg: CFG, blockers: Set[int]) -> Set[int]:
-    """Node indices from which ``exit`` is reachable blocker-free.
-
-    The ``raise_exit`` boundary is excluded: only normal returns expose
-    stale state to the snapshot cache.  A node that *is* a blocker is
-    never exposed; a mutation node is "dirty" when any of its
-    *successors* is exposed (the mutation happens, then a return path
-    exists that never marks).
-    """
-    exposure = _RaiseBlindExposure(blockers)
-    sol = solve(cfg, exposure)
-    return {idx for idx, (toward_entry, _toward_exit) in sol.items() if toward_entry}
-
-
-class _RaiseBlindExposure(ExitExposure):
-    """ExitExposure with the raise_exit boundary pinned False."""
-
-    def transfer(self, node: CFGNode, value: bool) -> bool:
-        if node.kind == "raise_exit":
-            return False
-        return super().transfer(node, value)
-
-
-def dirty_mutations(
-    cfg: CFG,
-    mutation_idxs: Iterable[int],
-    mark_idxs: Set[int],
-) -> Set[int]:
-    """The mutation nodes with an unmarked path to the normal exit.
-
-    A mutation node's own exposure value already encodes "there is a
-    path *from here on* that returns without crossing a mark" — the
-    backward transfer at the node joins over its successors, so a
-    mutation immediately followed by a mark on every path is clean.
-    """
-    exposed = exposed_nodes(cfg, mark_idxs)
-    return {m for m in mutation_idxs if m in exposed}
+    return {n.idx: (incoming_of(n), values[n.idx]) for n in cfg.nodes}
 
 
 # --------------------------------------------------------------------------
@@ -189,8 +94,6 @@ class LockHeld(Analysis[Optional[int]]):
     otherwise; the count is floored at zero so an unmatched release
     cannot manufacture negative credit.
     """
-
-    direction = FORWARD
 
     def __init__(self, classify: Callable[[CFGNode], int]):
         self.classify = classify

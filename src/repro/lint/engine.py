@@ -4,8 +4,7 @@
 checks the source against the invariants the exploration stack assumes
 and no execution of the test suite would trip — PYTHONHASHSEED-
 independent execution, messages and schedule moves minted only by the
-sim core, a version bump on every mutating path of a dirty-tracked
-component, and lock discipline around the shared claim table.  Nothing
+sim core, and lock discipline around the shared claim table.  Nothing
 under analysis is imported or executed.  (What the paper's Table 1
 claims per protocol is *measured*, by the ledger and the tier-1 tests
 ``docs/lint.md`` names.)
@@ -15,7 +14,7 @@ Architecture
 
 * :class:`Finding` — one diagnostic, addressed by ``(path, line, col)``
   with a stable rule code (``RL1xx`` determinism, ``RL4xx`` simulator
-  purity, ``RL5xx`` snapshot honesty, ``RL6xx`` concurrency discipline).
+  purity, ``RL6xx`` concurrency discipline).
 * :class:`FileCtx` — a parsed file: source text, AST (with parent
   links), and the suppressions declared in comments.
 * :class:`ProjectIndex` — a cross-file class index (name → bases →
@@ -380,8 +379,8 @@ def module_name(rel: str) -> str:
 class Rule:
     """Base class: one rule, one primary code.
 
-    ``check_file`` runs once per file; ``check_project`` once per lint
-    invocation (for cross-file rules).  Either may be a no-op.
+    ``check_file`` runs once per file, with the whole project's class
+    index at hand for cross-file reasoning.
     """
 
     code = "RL000"
@@ -389,9 +388,6 @@ class Rule:
     summary = ""
 
     def check_file(self, fctx: FileCtx, ctx: "LintContext") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, ctx: "LintContext") -> Iterator[Finding]:
         return iter(())
 
 
@@ -485,8 +481,6 @@ def run_lint(
                     )
         for rule in rules:
             findings.extend(rule.check_file(fctx, ctx))
-    for rule in rules:
-        findings.extend(rule.check_project(ctx))
 
     by_rel = {f.rel: f for f in files}
     kept: List[Finding] = []

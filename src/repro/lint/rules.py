@@ -8,17 +8,15 @@ rule families:
 ``RL0xx``   the linter itself (parse errors, suppressions)
 ``RL1xx``   determinism (:mod:`repro.lint.rules_determinism`)
 ``RL4xx``   simulator purity (:mod:`repro.lint.rules_purity`)
-``RL5xx``   snapshot honesty (:mod:`repro.lint.rules_dirty`)
 ``RL6xx``   concurrency discipline (:mod:`repro.lint.rules_locks`)
 ==========  ============================================
 
-RL501 and RL601 are flow-sensitive: they run on the CFG +
-worklist-dataflow core (:mod:`repro.lint.cfg`,
-:mod:`repro.lint.dataflow`), RL501 with cross-module class summaries
-(:mod:`repro.lint.summaries`).  The numbering has gaps: a rule stays
-only if it has ever fired on real code in this repository's history or
-is the only guard of what it checks (``docs/lint.md`` has the yield
-table and names the tier-1 test that owns each retired rule's subject).
+RL601 is flow-sensitive: it runs on the CFG + worklist-dataflow core
+(:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`).  The numbering has
+gaps: a rule stays only if it has ever fired on real code in this
+repository's history or is the only guard of what it checks
+(``docs/lint.md`` has the yield table and names the tier-1 test that
+owns each retired rule's subject).
 """
 
 from __future__ import annotations
@@ -27,13 +25,10 @@ from typing import Tuple
 
 from repro.lint.engine import Rule
 from repro.lint.rules_determinism import DETERMINISM_RULES
-from repro.lint.rules_dirty import DIRTY_RULES
 from repro.lint.rules_locks import LOCK_RULES
 from repro.lint.rules_purity import PURITY_RULES
 
-ALL_RULES: Tuple[Rule, ...] = (
-    DETERMINISM_RULES + PURITY_RULES + DIRTY_RULES + LOCK_RULES
-)
+ALL_RULES: Tuple[Rule, ...] = DETERMINISM_RULES + PURITY_RULES + LOCK_RULES
 
 #: codes emitted by the engine itself, not by a Rule subclass
 ENGINE_CODES = {

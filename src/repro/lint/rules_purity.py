@@ -49,7 +49,26 @@ from repro.lint.engine import (
     annotation_head,
     module_name,
 )
-from repro.lint.summaries import MUTATOR_METHODS
+
+#: container methods that mutate their receiver in place
+MUTATOR_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "add",
+        "update",
+        "setdefault",
+        "pop",
+        "popleft",
+        "remove",
+        "discard",
+        "clear",
+        "appendleft",
+        "sort",
+        "reverse",
+    }
+)
 
 #: modules whose job *is* minting messages / touching buffers
 SIM_CORE_MODULES = (

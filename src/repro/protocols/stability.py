@@ -49,14 +49,6 @@ class StabilizingServer(ServerBase):
 
     # -- clocks ---------------------------------------------------------------
 
-    def tick(self) -> int:
-        # public mutator with no in-tree caller inside a step: anyone
-        # driving the clock from outside the executor (a test, a
-        # scenario helper) must still invalidate the snapshot cache
-        self.clock += 1
-        self.mark_dirty()
-        return self.clock
-
     def observe_clock(self, t: int) -> int:
         self.clock = max(self.clock, t) + 1
         return self.clock

@@ -200,8 +200,12 @@ class Simulation:
         return (journal, len(journal), below, self._msg_counter, self.event_count)
 
     def drop_journal(self) -> None:
-        """Stop journaling: every outstanding mark goes stale."""
+        """Stop journaling: every outstanding mark goes stale, and the live
+        processes leave the interned objects they were swapped for
+        (:meth:`Snapshotter.detach`), so a forward write changes only
+        what it is given."""
         self.network._journal = None
+        self._snapshotters["bytes"].detach(self.processes)
 
     def restore(self, config) -> None:
         """Return to a previously captured configuration or a mark.
@@ -245,7 +249,7 @@ class Simulation:
 
         Covers every process's state plus the structural placement of
         in-transit and income messages; deliberately *excludes* the event
-        and message counters (and the dirty counters), so configurations
+        and message counters, so configurations
         reached by different interleavings of the same events collide.
         Pickle is stable here because all process state is plain Python
         data and the simulation is deterministic.
@@ -272,8 +276,8 @@ class Simulation:
 
     def step(self, pid: ProcessId) -> StepEvent:
         """Apply a computation step of ``pid``: ``on_step`` runs in place,
-        or under a :meth:`mark` on a copy (:meth:`Snapshotter.apply`)."""
-        proc = self.processes[pid]
+        or under a :meth:`mark` on a copy (:meth:`Snapshotter.apply`).
+        Outside a mark no process has a cache row to go stale."""
         journal = self.network._journal
         inbox = self.network.drain_income(pid)
         self.event_count += 1
@@ -285,8 +289,7 @@ class Simulation:
                 inbox, self.event_count,
             )
         else:
-            proc.on_step(ctx, inbox)
-            proc.mark_dirty()
+            self.processes[pid].on_step(ctx, inbox)
             sends = ctx._sends.items()
         return self._post_step(pid, inbox, sends)
 
@@ -303,12 +306,12 @@ class Simulation:
         return self._post_step(pid, self.network.drain_income(pid), sends)
 
     def _post_step(self, pid: ProcessId, inbox: List[Message], sends: Iterable) -> StepEvent:
-        # the network is NOT marked dirty here: its own mutators (post,
-        # deliver, drain_income) bump its version, and messages are
-        # immutable once sent (the model's "links do not modify
-        # messages", enforced by the RL4xx lint rules) — so a step that
-        # neither received nor sent leaves the network's serialization
-        # valid, and a delta restore after it touches one process only
+        # the network's own mutators (post, deliver, drain_income) bump
+        # its version, and messages are immutable once sent (the model's
+        # "links do not modify messages", enforced by the RL4xx lint
+        # rules) — so a step that neither received nor sent leaves the
+        # network's capture valid, and a delta restore after it touches
+        # one process only
         sent: List[Message] = []
         for dst, payload in sends:
             msg = Message(
@@ -360,7 +363,6 @@ class Simulation:
             )
         else:
             on_invoke(txn)
-            proc.mark_dirty()
         self.trace.append(InvokeEvent(index=len(self.trace), pid=pid, txn=txn))
 
     # -- replay ---------------------------------------------------------------

@@ -45,17 +45,14 @@ class Network:
         self.income: Dict[ProcessId, List[Message]] = {p: [] for p in self.pids}
         # per-link send counters, for structural link_seq addressing
         self.link_counts: Dict[Link, int] = {}
-        # dirty counter for the snapshot-serialization cache; bumped by
-        # every mutator, excluded from snapshots (see __getstate__)
+        # the version the snapshotter's cached capture is checked
+        # against; only _wrote bumps it, and every mutator calls _wrote.
+        # Excluded from snapshots (see __getstate__)
         self._version = 0
-
-    def mark_dirty(self) -> None:
-        """Invalidate any cached serialization of this network."""
-        self._wrote(None)  # None: every placement key
 
     def _wrote(self, *keys) -> None:
         """Every mutator's one mark: record the placement keys it wrote
-        (while a digest is recording), then bump the dirty counter."""
+        (while a digest is recording), then bump the version."""
         if self._touched is not None:
             self._touched.update(keys)
         self._version += 1

@@ -55,36 +55,18 @@ class Process:
 
     Subclasses implement :meth:`on_step`.  All state must be held in plain
     Python attributes so that :meth:`repro.sim.executor.Simulation.snapshot`
-    (a serialization) captures the full configuration.
-
-    Each process carries a *dirty counter* (``_version``): the executor
-    bumps it after every event applied to the process, and the snapshot
-    machinery reuses a cached serialization as long as the counter is
-    unchanged.  The counter is bookkeeping about the live object, not part
-    of the configuration, so it is excluded from snapshots and
-    fingerprints (see :meth:`__getstate__`).  Code that mutates process
-    state outside of :meth:`on_step` / ``on_invoke`` must call
-    :meth:`mark_dirty` afterwards.
+    (a serialization) captures the full configuration.  State changes in
+    :meth:`on_step` and ``on_invoke``; the snapshot machinery caches
+    nothing about a process it cannot see change (``docs/model.md``).
     """
 
     def __init__(self, pid: ProcessId):
         self.pid = pid
-        self._version = 0
-
-    def mark_dirty(self) -> None:
-        """Invalidate any cached serialization of this process; an
-        interned object (shared by every visit to its state during
-        exploration) marked dirty is never handed out again."""
-        self._version = getattr(self, "_version", 0) + 1
 
     def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_version", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._version = 0
+        # a copy: object.__getstate__() returns the live __dict__ itself,
+        # and fp_state() overrides write their masks into what this returns
+        return dict(self.__dict__)
 
     def fp_state(self):
         """State as seen by *trace-canonical* fingerprints.

@@ -5,8 +5,8 @@ network; a snapshotter turns them into a configuration
 (:meth:`~Snapshotter.capture`), applies one back
 (:meth:`~Snapshotter.apply_delta`) and hashes the live state for revisit
 pruning (:meth:`~Snapshotter.digest`).  :class:`Snapshotter` is the
-production path and holds every cache of the snapshot stack — the dirty
-rows, the state table with its interned objects, the transition table,
+production path and holds every cache of the snapshot stack — the
+process rows, the state table with its interned objects, the transition table,
 the placement slot vector, the payload memo; ``docs/model.md`` tabulates
 the measurement that keeps each.
 :class:`DeepCopySnapshotter` is the oracle the tests compare it against,
@@ -272,14 +272,14 @@ class Configuration:
     """A component-granular delta snapshot of a configuration.
 
     One immutable pickle sub-blob per :class:`Process` plus one
-    structural capture of the :class:`Network`, each produced (and
-    cached) against the component's ``_version`` dirty counter; process
-    sub-blobs are additionally *interned* through the snapshotter's
-    state table, so byte-equal states of one run hold one ``bytes``
-    object.  Components that did not change between two snapshots
-    therefore share the *same* object by reference, which is what makes
-    :meth:`Snapshotter.apply_delta` a **delta apply**: a live component
-    whose cached capture *is* the snapshot's is provably in the
+    structural capture of the :class:`Network`.  Process sub-blobs are
+    *interned* through the snapshotter's state table, so byte-equal
+    states of one run hold one ``bytes`` object, and the network's
+    capture is cached until one of its mutators runs.  Components that
+    did not change between two snapshots therefore share the *same*
+    object by reference.  :meth:`Snapshotter.apply_delta` is a **delta
+    apply**: a live process that pickles to the snapshot's sub-blob, or
+    a live network whose cached capture *is* the snapshot's, is in the
     snapshotted state already and is kept as-is; only the components
     that actually differ are re-materialized.  A snapshot carries no
     fingerprint data: a restored process finds its digests in the state
@@ -309,8 +309,8 @@ class Configuration:
     the snapshot.  Sub-blobs are immutable bytes and the network capture
     is immutable tuples over immutable messages; a restored component is
     either a fresh materialization or a live component whose capture
-    already equals the snapshot's — mutating it afterwards bumps its
-    dirty counter, so later snapshots and restores see the divergence.
+    already equals the snapshot's, and later snapshots and restores
+    read it afresh.
 
     :meth:`fork` shares the (immutable) captures, so it stays O(1).
     """
@@ -397,33 +397,28 @@ class DeepCopyConfiguration:
 
 
 class _CompRow:
-    """One component's dirty-tracked captures, all in one place.
-
-    A row is valid while the live component *is* ``obj`` at dirty
-    version ``version``; every mutation of the component goes through
-    an event (which bumps the counter), so validity is two identity/int
-    comparisons.  ``rec`` is the mutable record ``[capture, fp,
-    fp_canon, interned]``, filled lazily.  For a process row it is the
-    *state table's* entry for the process's sub-blob — ``pickle.dumps(obj)``
-    interned, the :func:`_state_digest` of ``__getstate__()`` and of
+    """One process's row: the live object ``obj`` and ``rec``, the state
+    table's record for its sub-blob — the interned ``pickle.dumps(obj)``,
+    the :func:`_state_digest` of ``__getstate__()`` and of
     ``fp_state()``, and a weak reference to the object journaled events
-    place for it, with that object's ``_version`` — shared by every row
-    whose process pickles to the same bytes.  The network row's ``rec`` is
-    its structural :func:`_net_capture` tuple itself, filled when first
-    captured (a digest reads the live network, so a configuration that
-    is fingerprinted and dropped builds no structural tuple).
+    place for that state — shared by every row whose process pickles to
+    the same bytes.
+
+    Rows exist only while a journal is live.  There a process changes
+    only by being swapped for another object (:meth:`Snapshotter.apply`),
+    so a row is valid while the live process *is* ``obj``.  Dropping the
+    journal drops every row (:meth:`Snapshotter.detach`): outside a
+    journal a process changes in place, and nothing is cached for it.
     """
 
-    __slots__ = ("obj", "version", "rec")
+    __slots__ = ("obj", "rec")
 
-    def __init__(self, obj: Any, version: int, rec: Any = None):
+    def __init__(self, obj: Any, rec: Optional[list]):
         self.obj = obj
-        self.version = version
         self.rec = rec
 
 
-#: cache key for the network's component row (process rows key on pid)
-_NET = "\x00network"
+_NO_ROW = _CompRow(None, None)
 
 #: caps for the content memos, cleared on overflow (pure caches, so the
 #: only cost is re-deriving a few live entries): the state table
@@ -444,25 +439,31 @@ def _step_key(pre: list, inbox: Iterable[Message], index: int) -> tuple:
 
 
 class Snapshotter:
-    """The ``"bytes"`` path: dirty-tracked delta captures, cached digests.
+    """The ``"bytes"`` path: delta captures and content-addressed digests.
 
-    Books its cache traffic into ``counters`` (the simulation's
+    Under a journal it trusts its process rows; elsewhere it reads the
+    live objects (see :class:`_CompRow`).  Books its cache traffic into
+    ``counters`` (the simulation's
     :class:`~repro.sim.executor.SimCounters`).
     """
 
     def __init__(self, counters: "SimCounters"):
         self.counters = counters
-        # per-component dirty-tracked capture rows, keyed by pid / _NET;
-        # see _CompRow.  Rows hold the component strongly, so object ids
-        # cannot be recycled into false hits.  Kept: digests, captures,
-        # delta restores and undo swaps key on them, as does RL5xx
-        self._rows: Dict[str, _CompRow] = {}
+        # per-process rows, keyed by pid, while a journal is live; see
+        # _CompRow.  Rows hold the process strongly, so object ids
+        # cannot be recycled into false hits.  Kept: digests, captures
+        # and undo swaps key on them
+        self._rows: Dict[ProcessId, _CompRow] = {}
+        # the network's row: (network, its _version, its structural
+        # capture).  Only the network's own mutators change it, and each
+        # bumps the version
+        self._net: tuple = (None, -1, None)
         # the state table: process sub-blob -> [interned sub-blob, fp
-        # digest, fp_canon digest, (weakref to the interned object, its
-        # _version) or None].  Content-addressed, so a per-process state
-        # is walked by _canonize once per run, not once per visit;
-        # bounded by _STATE_TABLE_CAP (cleared on overflow).  Kept: PR 14
-        # measured -36...-46 % pass_s on the three exploration workloads
+        # digest, fp_canon digest, weakref to the interned object or
+        # None].  Content-addressed, so a per-process state is walked by
+        # _canonize once per run, not once per visit; bounded by
+        # _STATE_TABLE_CAP (cleared on overflow).  Kept: PR 14 measured
+        # -36...-46 % pass_s on the three exploration workloads
         self._states: Dict[bytes, list] = {}
         self._ring: deque = deque(maxlen=_RING)
         # (pre-state record id, step index, inbox) -> (pre-state record,
@@ -497,18 +498,9 @@ class Snapshotter:
                 {pid: i for i, pid in enumerate(order)},
                 {key: n for n, key in enumerate(_slot_keys(order), len(order))},
             )
-            self._prows = [_CompRow(None, -1)] * len(order)
+            self._prows = [_NO_ROW] * len(order)
             self._placed = ()
         return cached
-
-    def _row(self, key: str, obj: Any) -> _CompRow:
-        """The component's cache row, invalidated on identity/version drift."""
-        version = getattr(obj, "_version", 0)
-        row = self._rows.get(key)
-        if row is None or row.obj is not obj or row.version != version:
-            row = _CompRow(obj, version)
-            self._rows[key] = row
-        return row
 
     def _state_rec(self, blob: bytes) -> list:
         """The state table's record for ``blob``, created on first sight."""
@@ -521,19 +513,31 @@ class Snapshotter:
             self.counters.states_interned += 1
         return rec
 
-    def _comp_blob(self, row: _CompRow) -> bytes:
-        """The process's interned snapshot sub-blob, pickled at most once."""
-        rec = row.rec
-        if rec is None:
-            blob = pickle.dumps(row.obj, PICKLE_PROTOCOL)
-            rec = row.rec = self._state_rec(blob)
-            self.counters.cache_misses += 1
-            self.counters.components_serialized += 1
-            self.counters.bytes_serialized += len(blob)
-        else:
-            self.counters.cache_hits += 1
-            self.counters.bytes_reused += len(rec[0])
-        return rec[0]
+    def _live_rec(self, proc: Process) -> list:
+        """The state table's record for ``proc``, pickled afresh."""
+        blob = pickle.dumps(proc, PICKLE_PROTOCOL)
+        self.counters.cache_misses += 1
+        self.counters.components_serialized += 1
+        self.counters.bytes_serialized += len(blob)
+        return self._state_rec(blob)
+
+    def _row(self, pid: ProcessId, proc: Process) -> _CompRow:
+        """Under a journal, the live process's row, made on first sight."""
+        row = self._rows.get(pid)
+        if row is None or row.obj is not proc:
+            row = self._rows[pid] = _CompRow(proc, self._live_rec(proc))
+        return row
+
+    def detach(self, processes) -> None:
+        """The journal is gone: drop every process row, and unpin each
+        live process from its record, so that a forward write changes an
+        object no later journaled event will place."""
+        for pid, row in self._rows.items():
+            pin = row.rec[3]
+            if pin is not None and pin() is processes.get(pid):
+                row.rec[3] = None
+        self._rows.clear()
+        self._prows = [_NO_ROW] * len(self._prows)
 
     def _memo_canon_payload(self, m: Message) -> bytes:
         # payloads are immutable and shared by reference across restores
@@ -558,36 +562,28 @@ class Snapshotter:
 
     def _place(self, processes, pid: ProcessId, rec: list, *keep: Any) -> None:
         """Put ``rec``'s interned object at ``processes[pid]``, or, if it
-        died or was changed in place since it was interned (its
-        ``_version`` moved), a fresh load of the blob, interned instead.
-        ``keep`` holds an undo's object alive until the undo runs."""
-        obj, version = (rec[3][0](), rec[3][1]) if rec[3] else (None, -1)
-        if obj is None or getattr(obj, "_version", 0) != version:
+        died, a fresh load of the blob, interned instead.  ``keep`` holds
+        an undo's object alive until the undo runs."""
+        obj = rec[3] and rec[3]()
+        if obj is None:
             obj = pickle.loads(rec[0])
-            version = obj._version
-            rec[3] = (weakref.ref(obj), version)
+            rec[3] = weakref.ref(obj)
         self._ring.append(obj)
         processes[pid] = obj
-        self._rows[pid] = _CompRow(obj, version, rec)
+        self._rows[pid] = _CompRow(obj, rec)
 
     def _swap(self, processes, pid: ProcessId, journal: list, pre: list, post: list) -> None:
         old = processes[pid]  # pre's object: its row was valid just now
-        pre[3] = (weakref.ref(old), getattr(old, "_version", 0))
+        pre[3] = weakref.ref(old)
         journal.append(partial(self._place, processes, pid, pre, old))
         self._place(processes, pid, post)
-
-    def _pre(self, processes, pid: ProcessId) -> list:
-        row = self._row(pid, processes[pid])
-        if row.rec is None:
-            self._comp_blob(row)
-        return row.rec
 
     def reuse(self, processes, pid: ProcessId, journal: list,
               inbox: List[Message], index: int) -> Optional[tuple]:
         """The ``(dst, payload)`` sends of a journaled step seen before
         (same pre-state record, ``inbox`` and step index), its post-state
         swapped in from the transition table; ``None`` for one not seen."""
-        pre = self._pre(processes, pid)
+        pre = self._row(pid, processes[pid]).rec
         hit = self._transitions.get(_step_key(pre, inbox, index))
         if hit is None or hit[0] is not pre:
             return None
@@ -601,11 +597,11 @@ class Snapshotter:
         a copy of ``processes[pid]``, interned as its post-state's object
         and swapped in, and returns the ``(dst, payload)`` sends, interned
         by pickle.  A step (``index`` given) is recorded for :meth:`reuse`."""
-        pre = self._pre(processes, pid)
+        pre = self._row(pid, processes[pid]).rec
         obj = pickle.loads(pre[0])
         sends = tuple([(dst, self._intern_payload(p)) for dst, p in run(obj)])
-        post = self._state_rec(self._comp_blob(_CompRow(obj, -1)))
-        post[3] = (weakref.ref(obj), obj._version)
+        post = self._live_rec(obj)
+        post[3] = weakref.ref(obj)
         if index is not None:
             if len(self._transitions) >= _STATE_TABLE_CAP:
                 self._transitions.clear()
@@ -616,67 +612,53 @@ class Snapshotter:
         return sends
 
     def capture(self, processes, network, msg_counter, event_count) -> Configuration:
-        """One sub-blob per process plus the network capture, each from its row."""
-        net_row = self._row(_NET, network)
-        if net_row.rec is None:
+        """One interned sub-blob per process plus the network capture:
+        from their rows under a journal, else from the live objects."""
+        counters = self.counters
+        net, version, state = self._net
+        if net is network and version == network._version:
+            counters.cache_hits += 1
+        else:
             # zero bytes on the ledger: the capture holds the (immutable)
             # messages by reference and serializes nothing
-            net_row.rec = _net_capture(network)
-            self.counters.cache_misses += 1
-            self.counters.components_serialized += 1
-        else:
-            self.counters.cache_hits += 1
-        blobs = [
-            (pid, self._comp_blob(self._row(pid, proc)))
-            for pid, proc in processes.items()
-        ]
-        return Configuration(tuple(blobs), net_row.rec, msg_counter, event_count)
-
-    def load(self, processes, pid: ProcessId, blob: bytes) -> bool:
-        """Put the state ``blob`` at ``processes[pid]``: keep the live
-        process if its row says it already is, else load it (True)."""
-        live = processes.get(pid)
-        row = self._rows.get(pid)
-        if (
-            row is not None
-            and row.obj is live
-            and row.version == getattr(live, "_version", 0)
-            and row.rec is not None
-            and row.rec[0] is blob
-        ):
-            # the live process's exact serialization *is* this sub-blob
-            # (interned: also after a step that left its state
-            # byte-equal): it already equals the snapshot
-            self.counters.components_reused += 1
-            return False
-        proc = processes[pid] = pickle.loads(blob)
-        # the state table hands the row the digests this state was
-        # fingerprinted with, wherever that happened, so a branch off
-        # this restore only walks states never seen
-        self._rows[pid] = _CompRow(proc, 0, self._state_rec(blob))
-        self.counters.components_restored += 1
-        self.counters.bytes_restored += len(blob)
-        return True
+            state = _net_capture(network)
+            self._net = (network, network._version, state)
+            counters.cache_misses += 1
+            counters.components_serialized += 1
+        journaled = network._journal is not None
+        blobs = []
+        for pid, proc in processes.items():
+            row = self._rows.get(pid)
+            if journaled and row is not None and row.obj is proc:
+                counters.cache_hits += 1
+                counters.bytes_reused += len(row.rec[0])
+                blobs.append((pid, row.rec[0]))
+            else:
+                rec = self._row(pid, proc).rec if journaled else self._live_rec(proc)
+                blobs.append((pid, rec[0]))
+        return Configuration(tuple(blobs), state, msg_counter, event_count)
 
     def apply_delta(self, config: Configuration, processes, network):
-        """The live state jumped to ``config``, touching only what differs."""
+        """The live state jumped to ``config``, touching only what differs:
+        a live process whose pickle is its sub-blob is kept."""
         counters = self.counters
-        rows = self._rows
         new_procs = {pid: processes.get(pid) for pid, _ in config.proc_blobs}
         changed = 0
         for pid, blob in config.proc_blobs:
-            changed += self.load(new_procs, pid, blob)
-        row = rows.get(_NET)
-        if (
-            row is not None
-            and row.obj is network
-            and row.version == getattr(network, "_version", 0)
-            and row.rec is config.net_state
-        ):
+            live = new_procs[pid]
+            if live is not None and pickle.dumps(live, PICKLE_PROTOCOL) == blob:
+                counters.components_reused += 1
+                continue
+            new_procs[pid] = pickle.loads(blob)
+            counters.components_restored += 1
+            counters.bytes_restored += len(blob)
+            changed += 1
+        net, version, state = self._net
+        if net is network and version == network._version and state is config.net_state:
             counters.components_reused += 1
         else:
             network = _net_build(config.net_state)
-            rows[_NET] = _CompRow(network, 0, config.net_state)
+            self._net = (network, network._version, config.net_state)
             counters.components_restored += 1
             changed += 1
         if changed == 0:
@@ -696,11 +678,10 @@ class Snapshotter:
         dumps, so a hit returns exactly what the walk would compute;
         equal states that pickle differently (set order, sharing
         topology) merely miss and are walked again to the same digest.
-        A row reaches its record by pickling (:meth:`_comp_blob`, here
-        on demand: the engine digests a node before it captures it) or
-        by a restore, so :func:`_canonize` runs once per distinct
-        process state of a run.  A process whose identity and
-        ``_version`` did not move since the last digest keeps its row.
+        Under a journal a process reaches its record through its row
+        (the engine digests a node before it captures it), elsewhere by
+        pickling the live object, so :func:`_canonize` runs once per
+        distinct process state of a run.
 
         The placement slots are :func:`placement_slots`, kept for the
         live network and keying: only the slots whose keys the network
@@ -712,7 +693,7 @@ class Snapshotter:
         i = 2 if canonical else 1
         touched = network._touched
         parts = self._parts
-        if touched is None or None in touched or self._placed != (network, i):
+        if touched is None or self._placed != (network, i):
             self._placed = (network, i)
             parts = self._parts = [b""] * len(order) + placement_slots(
                 network, idx, canonical, slot_at, self._memo_canon_payload
@@ -725,15 +706,17 @@ class Snapshotter:
                 parts[slot_at[key]] = slot
             touched.clear()
         counters = self.counters
+        journaled = network._journal is not None
         prows = self._prows
         for n, pid in enumerate(order):
             proc = processes[pid]
-            row = prows[n]
-            if row.obj is not proc or row.version != getattr(proc, "_version", 0):
-                row = prows[n] = self._row(pid, proc)
-                if row.rec is None:
-                    self._comp_blob(row)
-            rec = row.rec
+            if not journaled:
+                rec = self._live_rec(proc)
+            else:
+                row = prows[n]
+                if row.obj is not proc:
+                    row = prows[n] = self._row(pid, proc)
+                rec = row.rec
             digest = rec[i]
             if digest is None:
                 digest = rec[i] = _state_digest(proc, canonical)
@@ -751,8 +734,8 @@ class DeepCopySnapshotter:
 
     Deep copies at capture and again at restore, and digests the live
     processes *and* the live network afresh on every call — no row, no
-    table, no memo — so a mutation that forgot its dirty bump is seen
-    here and missed by :class:`Snapshotter`, and the mode-equivalence
+    table, no memo — so a cache of :class:`Snapshotter` that served a
+    stale entry gives a different digest here, and the mode-equivalence
     tests catch it.
     """
 

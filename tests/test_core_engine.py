@@ -367,12 +367,12 @@ class TestIndistinguishability:
 
     @staticmethod
     def _state(sim, pid):
-        import pickle
+        from repro.sim.snapshot import dumps_canonical
 
-        # __getstate__ excludes the snapshot machinery's dirty counter,
-        # which counts steps taken and so differs between runs that reach
-        # the same protocol state by different fragments
-        return pickle.dumps(sim.processes[pid].__getstate__())
+        # by value: a raw pickle also encodes which equal strings are one
+        # object, and that differs between a process restored from a
+        # snapshot and one that ran on (docs/model.md, "fingerprint")
+        return dumps_canonical(sim.processes[pid].__getstate__())
 
     def test_sigma_old_invisible_to_cw_and_new_server(self):
         tsys = prepare_theorem_system("fastclaim")

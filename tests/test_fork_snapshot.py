@@ -48,7 +48,7 @@ def test_exactly_one_production_path_and_one_oracle():
 
 
 def proc_states(sim):
-    """Canonical per-process protocol state (dirty counters excluded).
+    """Canonical per-process protocol state.
 
     Serialized with the identity-blind canonical dump, not a raw
     ``pickle.dumps``: a raw pickle's memo encodes object-*sharing*
@@ -156,20 +156,20 @@ class TestSnapshotIsolation:
         assert set(blobs1) - set(shared) == {tsys.cw}
 
     def test_value_equal_states_intern_to_one_blob(self):
-        # a stuttering step bumps the dirty counter but leaves the
-        # process byte-equal: the re-pickled sub-blob interns to the
-        # *same* bytes object, so the restore keeps the live process
+        # a stuttering step leaves the process byte-equal: the re-pickled
+        # sub-blob interns to the *same* bytes object, so the restore
+        # keeps the live process
         tsys = prepare_theorem_system("wren")
         sim = tsys.sim
         sim.invoke(tsys.cw, tsys.tw())
         run_some(sim, tsys)
         snap1 = sim.snapshot()
         cw = sim.processes[tsys.cw]
-        version, pickled = cw._version, sim.counters.components_serialized
+        pickled = sim.counters.components_serialized
         sim.step(tsys.cw)  # nothing in the inbox, nothing to do
         snap2 = sim.snapshot()
-        assert cw._version > version
-        assert sim.counters.components_serialized == pickled + 1  # re-pickled
+        # outside a journal every process is pickled afresh
+        assert sim.counters.components_serialized == pickled + len(sim.processes)
         assert dict(snap2.proc_blobs)[tsys.cw] is dict(snap1.proc_blobs)[tsys.cw]
         kept = sim.counters.components_reused
         sim.restore(snap1)
@@ -198,12 +198,14 @@ class TestSnapshotIsolation:
         snap = sim.snapshot()
         sim.fingerprint()
         before = {pid: p for pid, p in sim.processes.items()}
-        sim.step(tsys.cw)
+        server = tsys.servers[0]
+        assert sim.network.income[server]  # its step changes its state
+        sim.step(server)
         base = sim.counters.components_restored
         sim.restore(snap)
-        assert sim.counters.components_restored - base <= 2  # cw + network
+        assert sim.counters.components_restored - base <= 2  # server + network
         for pid, p in sim.processes.items():
-            if pid == tsys.cw:
+            if pid == server:
                 assert p is not before[pid]
             else:
                 assert p is before[pid]
@@ -347,9 +349,10 @@ class TestSimCounters:
 
     def test_unchanged_state_reuses_serialization(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
+        sim.mark()  # under a journal a process changes only by a swap
         sim.snapshot()
         before = sim.counters.bytes_serialized
-        sim.snapshot()  # no event in between: the cached blob is reused
+        sim.snapshot()  # no event in between: the row's blob is reused
         assert sim.counters.bytes_serialized == before
         assert sim.counters.cache_hits >= 1
         assert sim.counters.bytes_reused > 0
@@ -426,9 +429,11 @@ class TestSimCounters:
 
     @pytest.mark.parametrize("mode", ["bytes"])
     def test_snapshot_reuse_bytes_across_modes(self, mode):
-        """Back-to-back snapshots reuse serialization in the bytes mode."""
+        """Back-to-back snapshots under a journal reuse serialization in
+        the bytes mode."""
         with use_snapshot_mode(mode):
             sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
+            sim.mark()
             sim.snapshot()
             before = sim.counters.as_dict()
             sim.snapshot()
@@ -512,9 +517,9 @@ class TestStateBudget:
 
 # ---------------------------------------------------------------------------
 # Fingerprint properties (hypothesis): equal prefixes agree, any extra
-# event disagrees — this is the property that guards the dirty-tracked
-# fingerprint cache (a missing mark_dirty would serve a stale fingerprint
-# and break the second half)
+# event disagrees — this is the property that guards the fingerprint's
+# caches (a stale state-table record or placement slot would break the
+# second half)
 # ---------------------------------------------------------------------------
 
 
@@ -900,7 +905,7 @@ class TestCanonizeContainers:
 
 
 # ---------------------------------------------------------------------------
-# The oracle consults no cache: a mutation that skipped its dirty bump
+# A write around every event: what each mode sees
 # ---------------------------------------------------------------------------
 
 
@@ -909,12 +914,14 @@ class TestCanonizeContainers:
 def test_unbumped_mutation_is_stale_in_bytes_and_seen_by_the_oracle(
     component, canonical
 ):
-    """Every mutation must bump its component's dirty counter; the
-    ``bytes`` path trusts the counter (so a mutation behind its back is
-    served yesterday's digest — the documented contract), the
-    ``deepcopy`` oracle digests the live processes *and* the live
+    """A write that goes around every event.  On a process both modes
+    see it: outside a journal the ``bytes`` path caches nothing about a
+    process and digests the live object.  On the network it is stale in
+    ``bytes``, which keeps the placement slots until one of the
+    network's own mutators records the keys it wrote
+    (``Network._wrote``); the ``deepcopy`` oracle digests the live
     network afresh, which is how ``TestModeEquivalence`` would notice.
-    A late ``mark_dirty()`` publishes the mutation to the ``bytes`` path."""
+    Once the keys are recorded the ``bytes`` path sees the write."""
     seen = {}
     for mode in MODES:
         with use_snapshot_mode(mode):
@@ -922,17 +929,17 @@ def test_unbumped_mutation_is_stale_in_bytes_and_seen_by_the_oracle(
             sim.step("a")
             before = sim.fingerprint(canonical=canonical)
             if component == "network":
-                dirty = sim.network
-                m = dirty.in_transit[("a", "b")].popleft()  # a delivery,
-                dirty.income["b"].append(m)  # with no _version bump
+                net = sim.network
+                m = net.in_transit[("a", "b")].popleft()  # a delivery,
+                net.income["b"].append(m)  # with no _wrote()
             else:
-                dirty = sim.processes["b"]
-                dirty.seen.append("smuggled")  # no mark_dirty()
+                sim.processes["b"].seen.append("smuggled")  # outside any event
             seen[mode] = sim.fingerprint(canonical=canonical) != before
-            dirty.mark_dirty()
+            if component == "network":
+                net._wrote(("a", "b"), "b")
             want = DeepCopySnapshotter().digest(sim.processes, sim.network, canonical)
             assert sim.fingerprint(canonical=canonical) == want, mode
-    assert seen == {"bytes": False, "deepcopy": True}
+    assert seen == {"bytes": component == "process", "deepcopy": True}
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ FIXTURE_CODES = [
     "RL402",
     "RL404",
     "RL405",
-    "RL501",
     "RL601",
     "RL602",
     "RL603",

@@ -1,28 +1,19 @@
-"""Tests for the flow-sensitive lint core and the rules built on it.
+"""Tests for the flow-sensitive lint core and the rule built on it.
 
 * CFG construction: branch joins, loop back edges, break/continue,
   finally duplication, with-exit on early return, dead code;
-* dataflow: ``ExitExposure`` and ``LockHeld`` on hand-built methods;
-* RL501 against hand-written mutator bodies, plus a hypothesis
-  property test that generates synthetic mutators (branches, loops,
-  early returns) and checks the verdict against ground truth from
-  bounded loop unrolling;
-* mutation-style self-tests: deleting a real ``self._version`` bump
-  from a copy of ``sim/network.py``, or a ``lock.acquire()`` from
-  ``engine/seenset.py``, must be flagged;
-* regression tests for the true positives the RL5xx/RL6xx families
-  found in this tree (``drain_income`` ordering + version bump,
-  ``StabilizingServer.tick``, ``SharedSeenSet.__contains__``).
+* dataflow: ``LockHeld`` on hand-built methods;
+* a mutation-style self-test: deleting a ``lock.acquire()`` from a copy
+  of ``engine/seenset.py`` must be flagged;
+* regression tests for what the flow-sensitive rules found in this
+  tree (``drain_income`` ordering + version bump,
+  ``SharedSeenSet.__contains__``).
 """
 
 import ast
 import hashlib
-import tempfile
 import textwrap
 from pathlib import Path
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.engine.seenset import SharedSeenSet
 from repro.lint import run_lint
@@ -33,8 +24,7 @@ from repro.lint.cfg import (
     build_cfg,
     iter_reachable,
 )
-from repro.lint.dataflow import exposed_nodes, unlocked_at
-from repro.protocols.stability import StabilizingServer
+from repro.lint.dataflow import unlocked_at
 from repro.sim.messages import Message
 from repro.sim.network import Network
 
@@ -79,15 +69,6 @@ def reaches(a, b) -> bool:
 def stmts_of_type(fn, typ):
     found = [n for n in ast.walk(fn) if isinstance(n, typ)]
     return sorted(found, key=lambda n: (n.lineno, n.col_offset))
-
-
-def lint_source(source: str):
-    """Lint a standalone source string, returning findings."""
-    with tempfile.TemporaryDirectory() as td:
-        p = Path(td) / "gen.py"
-        p.write_text(source)
-        findings, _ = run_lint([str(p)])
-    return findings
 
 
 # ---------------------------------------------------------------------------
@@ -231,37 +212,6 @@ def test_code_after_return_is_dead():
 # ---------------------------------------------------------------------------
 
 
-def test_exit_exposure_conditional_blocker_leaks():
-    fn = fn_of(
-        """
-        def f(self, x):
-            self.items.append(x)
-            if x:
-                self.mark()
-            return x
-        """
-    )
-    cfg = build_cfg(fn)
-    mut = node_of(cfg, fn.body[0])
-    blocker = node_of(cfg, stmts_of_type(fn, ast.If)[0].body[0])
-    assert mut.idx in exposed_nodes(cfg, {blocker.idx})
-
-
-def test_exit_exposure_unconditional_blocker_covers():
-    fn = fn_of(
-        """
-        def f(self, x):
-            self.items.append(x)
-            self.mark()
-            return x
-        """
-    )
-    cfg = build_cfg(fn)
-    mut = node_of(cfg, fn.body[0])
-    blocker = node_of(cfg, fn.body[1])
-    assert mut.idx not in exposed_nodes(cfg, {blocker.idx})
-
-
 def _with_lock_delta(node):
     if node.kind == WITH_ENTER:
         return 1
@@ -309,173 +259,8 @@ def test_lock_held_is_must_not_may():
 
 
 # ---------------------------------------------------------------------------
-# RL501 on synthetic mutators: hand-written cases
-# ---------------------------------------------------------------------------
-
-_TEMPLATE = """\
-class Process:
-    def mark_dirty(self):
-        self._version = getattr(self, "_version", 0) + 1
-
-
-class Thing(Process):
-    def bump(self):
-{body}
-"""
-
-
-def _rl501_fires(body: str) -> bool:
-    source = _TEMPLATE.format(
-        body=textwrap.indent(textwrap.dedent(body), " " * 8)
-    )
-    findings = lint_source(source)
-    assert all(f.code == "RL501" for f in findings)
-    return bool(findings)
-
-
-@pytest.mark.parametrize(
-    "body,expected",
-    [
-        ("self.count += 1", True),
-        ("self.count += 1\nself.mark_dirty()", False),
-        ("self.mark_dirty()\nself.count += 1", True),
-        ("if self.flag:\n    self.count += 1\nself.mark_dirty()", False),
-        ("if self.flag:\n    self.count += 1\n    self.mark_dirty()", False),
-        ("self.count += 1\nif self.flag:\n    self.mark_dirty()", True),
-        ("while self.flag:\n    self.count += 1\n    self.mark_dirty()", False),
-        ("while self.flag:\n    self.mark_dirty()\n    self.count += 1", True),
-        ("try:\n    self.count += 1\nfinally:\n    self.mark_dirty()", False),
-        (
-            "if self.flag:\n    return None\n"
-            "self.count += 1\nself.mark_dirty()",
-            False,
-        ),
-        (
-            "self.count += 1\nif self.flag:\n    return None\n"
-            "self.mark_dirty()",
-            True,
-        ),
-        ("return None", False),
-        ("self.mark_dirty()", False),
-    ],
-)
-def test_rl501_hand_written(body, expected):
-    assert _rl501_fires(body) is expected
-
-
-# ---------------------------------------------------------------------------
-# RL501 property test: generated mutators vs. bounded path enumeration
-# ---------------------------------------------------------------------------
-
-
-@st.composite
-def stmt_blocks(draw, depth=0):
-    """A random mutator body over {mutate, mark, return, if, while}."""
-    kinds = ["mut", "mark", "ret"]
-    if depth < 2:
-        kinds += ["if", "while"]
-    block = []
-    for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(kinds))
-        if kind == "if":
-            orelse = draw(
-                st.one_of(st.just(None), stmt_blocks(depth=depth + 1))
-            )
-            block.append(("if", draw(stmt_blocks(depth=depth + 1)), orelse))
-        elif kind == "while":
-            block.append(("while", draw(stmt_blocks(depth=depth + 1))))
-        else:
-            block.append((kind,))
-    return block
-
-
-def _render(block, indent=0):
-    pad = "    " * indent
-    out = []
-    for s in block:
-        if s[0] == "mut":
-            out.append(pad + "self.count += 1")
-        elif s[0] == "mark":
-            out.append(pad + "self.mark_dirty()")
-        elif s[0] == "ret":
-            out.append(pad + "return None")
-        elif s[0] == "if":
-            out.append(pad + "if self.flag:")
-            out.extend(_render(s[1], indent + 1))
-            if s[2] is not None:
-                out.append(pad + "else:")
-                out.extend(_render(s[2], indent + 1))
-        elif s[0] == "while":
-            out.append(pad + "while self.flag:")
-            out.extend(_render(s[1], indent + 1))
-    return out
-
-
-def _run_block(block, states, returns):
-    """Propagate the set of possible dirty flags through a block.
-
-    Branch conditions are opaque, so both arms are always feasible;
-    loops are unrolled twice, which reaches the fixed point of the
-    two-valued dirty state.  Dirty flags live at ``return`` statements
-    are accumulated into ``returns``.
-    """
-    for s in block:
-        if not states:
-            return states
-        if s[0] == "mut":
-            states = {True}
-        elif s[0] == "mark":
-            states = {False}
-        elif s[0] == "ret":
-            returns |= states
-            return set()
-        elif s[0] == "if":
-            then = _run_block(s[1], set(states), returns)
-            other = (
-                _run_block(s[2], set(states), returns)
-                if s[2] is not None
-                else set(states)
-            )
-            states = then | other
-        elif s[0] == "while":
-            out, cur = set(states), set(states)
-            for _ in range(2):
-                cur = _run_block(s[1], cur, returns)
-                out |= cur
-            states = out
-    return states
-
-
-def _dirty_exit_possible(block) -> bool:
-    returns = set()
-    fallthrough = _run_block(block, {False}, returns)
-    return True in (returns | fallthrough)
-
-
-@settings(max_examples=50, deadline=None)
-@given(stmt_blocks())
-def test_rl501_matches_path_enumeration(block):
-    body = "\n".join(_render(block)) or "pass"
-    assert _rl501_fires(body) is _dirty_exit_possible(block)
-
-
-# ---------------------------------------------------------------------------
 # mutation-style self-tests on real source
 # ---------------------------------------------------------------------------
-
-
-def test_deleting_version_bump_from_network_is_flagged(tmp_path):
-    """RL501 catches exactly the drain_income class of bug it was
-    built for: a mutator in sim/network.py whose version bump is gone."""
-    src = (SRC / "repro" / "sim" / "network.py").read_text()
-    assert "self._version += 1" in src
-    (tmp_path / "network.py").write_text(
-        src.replace("self._version += 1", "pass")
-    )
-    findings, _ = run_lint([str(tmp_path / "network.py")])
-    assert findings, "mutators without a version bump must be flagged"
-    assert {f.code for f in findings} == {"RL501"}
-    assert any("drain_income" in f.message for f in findings)
 
 
 def test_deleting_lock_acquire_from_seenset_is_flagged(tmp_path):
@@ -530,13 +315,6 @@ def test_drain_income_is_canonical_and_bumps_version():
     assert net._version == before + 1  # the mutation was published
     assert net.drain_income("c") == []
     assert net._version == before + 1  # empty drain mutates nothing
-
-
-def test_stabilizing_server_tick_marks_dirty():
-    s = StabilizingServer("s1", ["x"], ("s1",), {"x": ("s1",)})
-    before = s._version
-    assert s.tick() == s.clock
-    assert s._version == before + 1
 
 
 def test_seenset_contains_is_read_only():

@@ -106,9 +106,8 @@ def test_a_replayed_step_is_the_executed_one(protocol, moves):
 
 def test_a_forward_step_leaves_interned_objects_alone():
     """Journaled steps leave interned objects live in the simulation;
-    once the journal is dropped, forward steps change those processes
-    in place, and each ``mark_dirty`` moves the object off the version
-    its record pinned, so no later lookup can hand it out."""
+    dropping the journal detaches them, so the forward steps that follow
+    change private objects in place and no record's object drifts."""
     sim, pids = race_system("cops")
     sim.mark()
     for _ in range(8):
@@ -130,32 +129,66 @@ def oracle_view(sim: Simulation):
     ]
 
 
-@pytest.mark.parametrize("held", ["pre-state", "post-state"])
-def test_a_held_process_changed_in_place_is_not_put_back(held):
-    """A caller holds a process object the journal swapped out — the
-    pre-state its undo puts back, or the post-state's interned object a
-    replay of the same step places — and changes it in place (marking
-    it dirty).  The undo and the replay load the recorded state afresh
-    instead, so the prints stay the oracle's."""
-    sim, pids = race_system("cops")
-    step = next(e for e in enabled_events(sim, pids) if e.__class__ is Step)
-    mark = sim.mark()
-    held_obj = sim.processes[step.pid]
-    step.apply(sim)
-    if held == "post-state":
-        held_obj = sim.processes[step.pid]
-        sim.restore(mark)
-    held_obj.noise = "changed in place"
-    held_obj.mark_dirty()
-    if held == "pre-state":
-        sim.restore(mark)  # the undo would put held_obj back
-    else:
-        step.apply(sim)  # a replay would place held_obj
-        assert sim.counters.steps_reused == 1
-    assert sim.processes[step.pid] is not held_obj
+def assert_no_stale_cache(sim: Simulation):
     for fp, want in oracle_view(sim):
         assert fp == want
     assert not interned_drift(sim)
+
+
+def journaled_segment(sim, pids, moves):
+    """Mark, apply events (0: undo the innermost mark, 1: mark, else the
+    drawn enabled event), restore a drawn mark or none, drop the journal."""
+    marks = [sim.mark()]
+    for move in moves:
+        events = enabled_events(sim, pids)
+        if move == 0 and len(marks) > 1:
+            sim.restore(marks.pop())
+        elif move == 1:
+            marks.append(sim.mark())
+        elif events:
+            events[move % len(events)].apply(sim)
+        assert_no_stale_cache(sim)
+    if moves[0] % 2:
+        sim.restore(marks[moves[0] % len(marks)])
+    sim.drop_journal()
+    assert_no_stale_cache(sim)
+
+
+def forward_segment(sim, pids, moves):
+    """Events with no journal (0: invoke a read at the probe, 1: write an
+    attribute of a drawn process outside any event, else the drawn
+    enabled event: a step or a delivery)."""
+    for n, move in enumerate(moves):
+        events = enabled_events(sim, pids)
+        if move == 0:
+            sim.invoke(pids[1], read_only_txn(("X0", "X1"), txid=f"Tf{n}"))
+        elif move == 1:
+            sim.processes[pids[n % len(pids)]].noise = n
+        elif events:
+            events[move % len(events)].apply(sim)
+        assert_no_stale_cache(sim)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    protocol=st.sampled_from(protocol_names()),
+    journaled_first=st.booleans(),
+    segments=st.lists(
+        st.lists(st.integers(0, 9), min_size=1, max_size=10), min_size=2, max_size=5
+    ),
+)
+def test_the_journal_hands_off_to_forward_runs(protocol, journaled_first, segments):
+    """Journaled and forward segments alternate on one simulation.  A
+    forward segment writes processes in place, also outside any event,
+    and starts from whatever the journal left live, interned objects
+    included.  At every point both keyings of the fingerprint are the
+    oracle's, and no interned object has changed in place."""
+    sim, pids = race_system(protocol)
+    for n, moves in enumerate(segments):
+        if (n % 2 == 0) == journaled_first:
+            journaled_segment(sim, pids, moves)
+        else:
+            forward_segment(sim, pids, moves)
 
 
 def cops3():
