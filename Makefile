@@ -5,7 +5,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: install test test-fast lint bench bench-smoke ledger examples all
+.PHONY: install test test-fast lint mutants bench bench-smoke ledger examples all
 
 install:
 	pip install -e . || python setup.py develop  # offline fallback
@@ -19,6 +19,11 @@ test-fast:
 # static determinism and simulator-contract linter (docs/lint.md)
 lint:
 	$(PY) -m repro.lint src benchmarks tests/helpers.py
+
+# apply each one-hunk mutant under tests/mutations/ to a fresh copy of the
+# committed tree; exits 1 unless the test each one names fails there
+mutants:
+	$(PY) tests/mutations/run.py
 
 # the three gated pytest-benchmark scripts (each writes one BENCH_*.json)
 bench:
