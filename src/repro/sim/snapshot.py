@@ -5,10 +5,10 @@ network; a snapshotter turns them into a configuration
 (:meth:`~Snapshotter.capture`), applies one back
 (:meth:`~Snapshotter.apply_delta`) and hashes the live state for revisit
 pruning (:meth:`~Snapshotter.digest`).  :class:`Snapshotter` is the
-production path and holds every cache of the snapshot stack — the
-process rows, the state table with its interned objects, the transition table,
-the placement slot vector, the payload memo; ``docs/model.md`` tabulates
-the measurement that keeps each.
+production path and holds every cache of the snapshot stack — the rows,
+the state table with its interned objects, the transition table, the
+placement slot vector, the payload memo; ``docs/model.md`` tabulates the
+measurement that keeps each.
 :class:`DeepCopySnapshotter` is the oracle the tests compare it against,
 and caches nothing.
 """

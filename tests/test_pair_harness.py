@@ -35,7 +35,7 @@ scenarios = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=scenarios)
 def test_snapshot_modes_agree(scenario):
     """Every exact count, trail and anomaly is the same in both modes."""
