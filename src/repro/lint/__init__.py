@@ -6,7 +6,9 @@ and blocking beside every Table-1 claim, the seeded traces are pinned by
 digest.  This package is the static layer, cut down to what no execution
 in the test suite would catch: wall-clock reads and hash-ordered
 iteration leaking into message order, messages or schedule moves minted
-outside the sim core, and lock discipline around the shared claim table.  It parses the source (stdlib ``ast``) and executes nothing.
+outside the sim core, and the claim table's shared buffer touched
+outside a ``with`` block on its lock.  It parses the source (stdlib
+``ast``) and executes nothing.
 
 Programmatic use::
 

@@ -11,10 +11,10 @@ rule families:
 ``RL6xx``   concurrency discipline (:mod:`repro.lint.rules_locks`)
 ==========  ============================================
 
-RL601 is flow-sensitive: it runs on the CFG + worklist-dataflow core
-(:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`).  The numbering has
-gaps: a rule stays only if it has ever fired on real code in this
-repository's history or is the only guard of what it checks
+Every rule is a syntactic or flow-insensitive check over one file's
+``ast`` plus the cross-file class index.  The numbering has gaps: a
+rule stays only if it has ever fired on real code in this repository's
+history or is the only guard of what it checks
 (``docs/lint.md`` has the yield table and names the tier-1 test that
 owns each retired rule's subject).
 """

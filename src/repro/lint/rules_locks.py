@@ -4,22 +4,21 @@ The exploration pool (:mod:`repro.engine.parallel`) and its shared
 claim table (:mod:`repro.engine.seenset`) are the one place in the
 tree where plain Python touches memory that other *processes* write
 concurrently.  The soundness argument there is narrow and explicit:
-every access to the shared buffer happens under the owning stripe
-lock, locks are released on every path, and everything shipped into a
-worker bootstrap survives pickling.  These rules keep those three
-claims machine-checked as the concurrency surface grows (ROADMAP items
-2 and 4 both add to it).
+every access to the shared buffer happens inside a ``with`` block on
+the table's lock (so the lock is released on every path), and
+everything shipped into a worker bootstrap survives pickling.  These
+rules keep those claims machine-checked as the concurrency surface
+grows.
 
 ``RL601``
-    A shared-memory buffer access (``self.shm.buf[...]`` or through a
-    local alias) not dominated by a stripe-lock acquire.  Scoped
-    structurally: only classes that own both a ``shm`` and a ``locks``
-    attribute are checked, and ``__init__``/``__setstate__`` are
-    exempt (the object is private until published).  The check is the
-    forward must-analysis of :mod:`repro.lint.dataflow`: lock
-    ``with``-entries and ``.acquire()`` calls gen, ``with``-exits and
-    ``.release()`` calls kill, and the access is flagged when the
-    held-count can be zero on entry.
+    A shared-memory buffer access (a subscript of ``self.shm.buf`` or
+    of a local alias of it) outside the body of a ``with`` block whose
+    item names a lock.  The check is lexical: it applies to classes
+    that assign ``self.shm``, ``__init__``/``__getstate__``/
+    ``__setstate__`` are exempt (the object is private until
+    published), and the ``with`` must enclose the access within the
+    same function — a nested ``def`` or ``lambda`` leaves the block,
+    since its body runs whenever it is called.
 
 ``RL602``
     A manual ``.acquire()`` that is not release-safe: neither inside a
@@ -30,8 +29,9 @@ claims machine-checked as the concurrency surface grows (ROADMAP items
     unconditionally — an exception in the window between the inner
     release and the next acquire makes the ``finally`` release a lock
     the frame no longer holds, corrupting the semaphore count for
-    every other process.  Prefer ``with lock:``; a hand-over-hand
-    pattern must guard its ``finally`` release with a held-flag.
+    every other process.  Prefer ``with lock:``; code that swaps locks
+    inside one ``try`` must guard its ``finally`` release with a
+    held-flag.
 
 ``RL603``
     A spawned-worker entry point that will not survive the pickle into
@@ -45,13 +45,9 @@ claims machine-checked as the concurrency surface grows (ROADMAP items
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cfg import STMT, WITH_ENTER, WITH_EXIT, CFGNode, build_cfg, own_exprs
-from repro.lint.engine import ClassInfo, FileCtx, Finding, LintContext, Rule, call_name
-
-#: RL601 applies to classes owning both of these attributes
-_SHARED_SHAPE = ("shm", "locks")
+from repro.lint.engine import FileCtx, Finding, LintContext, Rule, call_name
 
 #: methods where the object is not yet shared with other processes
 _PREPUBLICATION = frozenset({"__init__", "__setstate__", "__getstate__"})
@@ -59,20 +55,31 @@ _PREPUBLICATION = frozenset({"__init__", "__setstate__", "__getstate__"})
 #: spawn constructors worth checking for picklability
 _SPAWNERS = frozenset({"Process", "Thread", "Pool"})
 
+#: scope boundaries: a block inside one does not run under an
+#: enclosing ``with``
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
-def _assigned_attrs(ci: ClassInfo) -> Set[str]:
-    out: Set[str] = set(ci.attr_heads)
-    for meth in ci.methods.values():
-        for node in ast.walk(meth):
-            if isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if (
-                        isinstance(tgt, ast.Attribute)
-                        and isinstance(tgt.value, ast.Name)
-                        and tgt.value.id == "self"
-                    ):
-                        out.add(tgt.attr)
-    return out
+
+def _is_self_shm(expr: ast.expr) -> bool:
+    return (
+        isinstance(expr, ast.Attribute)
+        and expr.attr == "shm"
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    )
+
+
+def _assigns_shm(cls: ast.ClassDef) -> bool:
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(_is_self_shm(t) for t in targets):
+            return True
+    return False
 
 
 def _is_buffer_expr(expr: ast.expr, aliases: Set[str]) -> bool:
@@ -82,14 +89,11 @@ def _is_buffer_expr(expr: ast.expr, aliases: Set[str]) -> bool:
     return (
         isinstance(expr, ast.Attribute)
         and expr.attr == "buf"
-        and isinstance(expr.value, ast.Attribute)
-        and expr.value.attr == "shm"
-        and isinstance(expr.value.value, ast.Name)
-        and expr.value.value.id == "self"
+        and _is_self_shm(expr.value)
     )
 
 
-def _buffer_aliases(fn: ast.FunctionDef) -> Set[str]:
+def _buffer_aliases(fn: ast.AST) -> Set[str]:
     out: Set[str] = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and _is_buffer_expr(node.value, out):
@@ -106,70 +110,51 @@ def _lockish(expr: ast.expr) -> bool:
         return False
 
 
-def _lock_delta(node: CFGNode) -> int:
-    """Gen/kill for the LockHeld analysis at one CFG node."""
-    if node.kind == WITH_ENTER:
-        return sum(
-            1 for item in node.stmt.items if _lockish(item.context_expr)
-        )
-    if node.kind == WITH_EXIT:
-        return -sum(
-            1 for item in node.stmt.items if _lockish(item.context_expr)
-        )
-    if node.kind != STMT:
-        return 0
-    delta = 0
-    for expr in own_exprs(node):
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                if sub.func.attr == "acquire":
-                    delta += 1
-                elif sub.func.attr == "release":
-                    delta -= 1
-    return delta
+def _under_lock(fctx: FileCtx, node: ast.AST) -> bool:
+    """Whether ``node`` sits in the body of a ``with`` on a lock, within
+    the innermost function that contains it."""
+    cur = node
+    for anc in fctx.ancestors(node):
+        if isinstance(anc, _FUNCTIONS):
+            return False
+        if (
+            isinstance(anc, (ast.With, ast.AsyncWith))
+            and any(cur is s for s in anc.body)
+            and any(_lockish(item.context_expr) for item in anc.items)
+        ):
+            return True
+        cur = anc
+    return False
 
 
 class LockedBufferRule(Rule):
     code = "RL601"
     name = "unlocked-shared-buffer"
-    summary = "shared-memory buffer access not dominated by the stripe lock"
+    summary = "shared-memory buffer access outside a with-block on a lock"
 
     def check_file(self, fctx: FileCtx, ctx: LintContext) -> Iterator[Finding]:
-        from repro.lint.dataflow import unlocked_at
-
-        for name in sorted(ctx.index.by_name):
-            for ci in ctx.index.by_name[name]:
-                if ci.rel != fctx.rel:
+        for cls in ast.walk(fctx.tree):
+            if not isinstance(cls, ast.ClassDef) or not _assigns_shm(cls):
+                continue
+            for fn in cls.body:
+                if (
+                    not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name in _PREPUBLICATION
+                ):
                     continue
-                attrs = _assigned_attrs(ci)
-                if not all(a in attrs for a in _SHARED_SHAPE):
-                    continue
-                for mname in sorted(ci.methods):
-                    if mname in _PREPUBLICATION:
-                        continue
-                    fn = ci.methods[mname]
-                    if isinstance(fn, ast.AsyncFunctionDef):
-                        continue
-                    aliases = _buffer_aliases(fn)
-                    cfg = build_cfg(fn)
-                    accesses: Dict[int, ast.AST] = {}
-                    for node in cfg.nodes:
-                        for expr in own_exprs(node):
-                            for sub in ast.walk(expr):
-                                if isinstance(sub, ast.Subscript) and _is_buffer_expr(
-                                    sub.value, aliases
-                                ):
-                                    accesses.setdefault(node.idx, sub)
-                    if not accesses:
-                        continue
-                    for idx in sorted(unlocked_at(cfg, _lock_delta, accesses)):
+                aliases = _buffer_aliases(fn)
+                for sub in ast.walk(fn):
+                    if (
+                        isinstance(sub, ast.Subscript)
+                        and _is_buffer_expr(sub.value, aliases)
+                        and not _under_lock(fctx, sub)
+                    ):
                         yield fctx.finding(
                             self.code,
-                            accesses[idx],
-                            f"{ci.name}.{mname} touches the shared buffer "
-                            "without certainly holding a stripe lock — "
-                            "cross-process reads/writes of shm.buf are "
-                            "unordered without it",
+                            sub,
+                            f"{cls.name}.{fn.name} touches the shared buffer "
+                            "outside a with-block on a lock — cross-process "
+                            "reads/writes of shm.buf are unordered without it",
                         )
 
 
@@ -279,7 +264,7 @@ class ReleaseSafeAcquireRule(Rule):
             call,
             f"{recv}.acquire() is not release-safe — no try/finally (or "
             "with-block) guarantees the release on exception paths; a "
-            "leaked stripe lock deadlocks every sibling claimer",
+            "leaked lock deadlocks every sibling claimer",
         )
 
     def _check_release(self, fctx: FileCtx, call: ast.Call) -> Iterator[Finding]:

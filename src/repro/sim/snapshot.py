@@ -573,9 +573,12 @@ class Snapshotter:
         self._rows[pid] = _CompRow(obj, rec)
 
     def _swap(self, processes, pid: ProcessId, journal: list, pre: list, post: list) -> None:
-        old = processes[pid]  # pre's object: its row was valid just now
-        pre[3] = weakref.ref(old)
-        journal.append(partial(self._place, processes, pid, pre, old))
+        # the undo puts back pre's interned object, kept alive until it
+        # runs; any other live object (one a caller may hold and write)
+        # is left behind, and the undo loads pre's blob afresh
+        old = processes[pid]
+        keep = (old,) if pre[3] and pre[3]() is old else ()
+        journal.append(partial(self._place, processes, pid, pre, *keep))
         self._place(processes, pid, post)
 
     def reuse(self, processes, pid: ProcessId, journal: list,

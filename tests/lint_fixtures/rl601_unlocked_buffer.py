@@ -1,8 +1,7 @@
-"""RL601: shared-memory buffer access not dominated by the stripe lock.
+"""RL601: shared-memory buffer access outside a with-block on a lock.
 
-The rule scopes itself structurally to classes owning both ``shm`` and
-``locks`` attributes, so this stand-in table triggers it without
-importing multiprocessing.
+The rule scopes itself to classes that assign ``self.shm``, so this
+stand-in table triggers it without importing multiprocessing.
 """
 
 

@@ -7,7 +7,9 @@ committed tree (``HEAD``), and the named test runs there::
 
     python tests/mutations/run.py        # or: make mutants
 
-Exit status 0 when every mutant applies cleanly and its test fails.
+Exit status 0 when every mutant applies cleanly and its test fails
+within ``TIME_LIMIT`` seconds; a test still running then is stopped and
+the mutant counts as missed (``SLOW``).
 """
 
 import os
@@ -21,6 +23,9 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 REPO = HERE.parent.parent
 
+#: seconds the named test may take to catch its mutant
+TIME_LIMIT = 60
+
 
 def run_mutant(patch: Path) -> bool:
     test = re.search(r"^Caught by: (\S+)$", patch.read_text(), re.M).group(1)
@@ -31,12 +36,20 @@ def run_mutant(patch: Path) -> bool:
         subprocess.run(["tar", "-x", "-C", copy], input=tree, check=True)
         applied = subprocess.run(["git", "apply", str(patch)], cwd=copy).returncode == 0
         t0 = time.perf_counter()
-        rc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test],
-            cwd=copy, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
-        ).returncode if applied else None
+        rc = slow = None
+        if applied:
+            try:
+                rc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test],
+                    cwd=copy, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True,
+                    timeout=TIME_LIMIT,
+                ).returncode
+            except subprocess.TimeoutExpired:
+                slow = True
     caught = rc == 1  # pytest's "tests failed"; other codes are errors
-    verdict = "caught " if caught else "ESCAPED" if applied else "STALE  "
+    verdict = (
+        "caught " if caught else "SLOW   " if slow else "ESCAPED" if applied else "STALE  "
+    )
     print(f"{verdict} {patch.name} by {test} (rc={rc}, {time.perf_counter() - t0:.1f}s)")
     return caught
 

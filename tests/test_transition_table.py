@@ -120,6 +120,24 @@ def test_a_forward_step_leaves_interned_objects_alone():
         assert not interned_drift(sim)
 
 
+def test_an_undo_never_puts_back_an_object_the_caller_holds():
+    """A caller keeps ``sim.processes[pid]`` across a journaled step and
+    writes to it.  The undo places a fresh load of the pre-state, not
+    the held object, so the write stays out of the simulation and out of
+    every interned object."""
+    sim, pids = race_system("cops")
+    mark = sim.mark()
+    step = next(e for e in enabled_events(sim, pids) if e.__class__ is Step)
+    held = sim.processes[step.pid]
+    step.apply(sim)
+    held.noise = "written after the step"
+    sim.restore(mark)
+    back = sim.processes[step.pid]
+    assert back is not held
+    assert not hasattr(back, "noise")
+    assert not interned_drift(sim)
+
+
 def oracle_view(sim: Simulation):
     """The live configuration's prints, bytes path and oracle, both keyings."""
     return [
