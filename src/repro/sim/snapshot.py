@@ -573,9 +573,10 @@ class Snapshotter:
         self._rows[pid] = _CompRow(obj, rec)
 
     def _swap(self, processes, pid: ProcessId, journal: list, pre: list, post: list) -> None:
-        # the undo puts back pre's interned object, kept alive until it
-        # runs; any other live object (one a caller may hold and write)
-        # is left behind, and the undo loads pre's blob afresh
+        # the undo puts back pre's interned object (kept alive until it
+        # runs if it is the live one), loading pre's blob afresh if none
+        # is alive; any other live object, which a caller may hold and
+        # write, is never put back
         old = processes[pid]
         keep = (old,) if pre[3] and pre[3]() is old else ()
         journal.append(partial(self._place, processes, pid, pre, *keep))

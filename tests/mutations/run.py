@@ -36,7 +36,7 @@ def run_mutant(patch: Path) -> bool:
         subprocess.run(["tar", "-x", "-C", copy], input=tree, check=True)
         applied = subprocess.run(["git", "apply", str(patch)], cwd=copy).returncode == 0
         t0 = time.perf_counter()
-        rc = slow = None
+        rc = None  # stays None if the patch is stale or the test too slow
         if applied:
             try:
                 rc = subprocess.run(
@@ -45,10 +45,11 @@ def run_mutant(patch: Path) -> bool:
                     timeout=TIME_LIMIT,
                 ).returncode
             except subprocess.TimeoutExpired:
-                slow = True
+                pass
     caught = rc == 1  # pytest's "tests failed"; other codes are errors
     verdict = (
-        "caught " if caught else "SLOW   " if slow else "ESCAPED" if applied else "STALE  "
+        "caught " if caught else "STALE  " if not applied
+        else "SLOW   " if rc is None else "ESCAPED"
     )
     print(f"{verdict} {patch.name} by {test} (rc={rc}, {time.perf_counter() - t0:.1f}s)")
     return caught

@@ -26,15 +26,21 @@ SRC = REPO / "src"
 # ---------------------------------------------------------------------------
 
 
+TABLE = """\
+class Table:
+    def __init__(self, shm, lock):
+        self.shm = shm
+        self.lock = lock
+"""
+
+
 def rl601_lines(tmp_path, body: str):
-    """The source lines RL601 flags in a table class with ``body`` as
-    its one method (line 1 is the method's ``def``)."""
-    src = "class Table:\n    def __init__(self, shm, lock):\n" \
-        "        self.shm = shm\n        self.lock = lock\n\n"
+    """The lines of ``body``, a method appended to ``TABLE``, that RL601
+    flags, numbered from ``body``'s first line."""
     path = tmp_path / "table.py"
-    path.write_text(src + textwrap.indent(textwrap.dedent(body), "    "))
+    path.write_text(TABLE + textwrap.indent(textwrap.dedent(body), "    "))
     findings, _ = run_lint([str(path)])
-    offset = src.count("\n")
+    offset = TABLE.count("\n")
     return sorted(f.line - offset for f in findings if f.code == "RL601")
 
 
