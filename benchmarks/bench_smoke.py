@@ -94,7 +94,8 @@ def fork_machinery_smoke() -> bool:
         b2 is b1
         for (_, b1), (_, b2) in zip(snap.proc_blobs, snap2.proc_blobs)
     )
-    ok &= snap2.net_state is snap.net_state
+    # the network is captured afresh by every snapshot, to an equal capture
+    ok &= snap2.net_state == snap.net_state
     ok &= sim.counters.states_interned == interned
     sim.mark()  # under a journal the rows serve a repeated capture
     sim.snapshot()
@@ -115,7 +116,7 @@ def undo_smoke() -> bool:
     Every child the DFS generates is one applied event (one trace
     record) and is left again by one ``restore`` of its parent's mark,
     so ``restores`` must equal the children and ``snapshots`` stay 0.
-    A fallback to capture plus delta restore shows as snapshots > 0.
+    A fallback to capture plus restore shows as snapshots > 0.
     Covers a budget-truncated run and a first-violation abort.
     """
     from repro.core.setup import prepare_theorem_system

@@ -222,6 +222,13 @@ def _owning_txid(payload: Any, stats: Mapping[str, TxnStats]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
+def one_roundtrip(max_rounds: int, max_hops: int) -> bool:
+    """Definition 4's one-roundtrip, read literally as request/reply: one
+    client send phase AND direct server replies (hop depth 2) —
+    indirection through a sequencer is not a one-roundtrip read."""
+    return max_rounds <= 1 and max_hops <= 2
+
+
 @dataclass
 class Characterization:
     protocol: str
@@ -247,7 +254,7 @@ class Characterization:
     @property
     def fast_rots(self) -> bool:
         return (
-            self.max_rounds <= 1
+            one_roundtrip(self.max_rounds, self.max_hops)
             and self.max_values_per_object <= 1
             and not self.any_unrequested_values
             and not self.any_blocked

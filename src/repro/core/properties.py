@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import TxnStats, analyze_transactions
+from repro.analysis.metrics import analyze_transactions, one_roundtrip
 from repro.protocols.base import build_system
 from repro.workloads.generators import WorkloadSpec, run_workload
 
@@ -89,10 +89,7 @@ def measure_fast_rot(
     return FastRotReport(
         protocol=protocol,
         n_rots=len(rots),
-        # Definition 4 is literal request/reply: one client send phase AND
-        # direct server replies (hop depth 2) — indirection through a
-        # sequencer is not a one-roundtrip read.
-        one_round=max_rounds <= 1 and max_hops <= 2,
+        one_round=one_roundtrip(max_rounds, max_hops),
         one_value=max_vpo <= 1 and not any_unrequested,
         nonblocking=n_blocked == 0,
         max_rounds=max_rounds,

@@ -63,24 +63,21 @@ class SimCounters:
     #: journaled steps replayed from the transition table, no ``on_step`` run
     steps_reused: int = 0
     #: captures and per-state fingerprint digests served from a cache
-    #: (dirty rows, the state table) / computed afresh (pickled, walked)
+    #: (journal rows, the state table) / computed afresh (pickled, walked)
     cache_hits: int = 0
     cache_misses: int = 0
     states_interned: int = 0    #: distinct per-process states (table entries made)
     bytes_serialized: int = 0   #: bytes actually pickled for snapshots
-    bytes_reused: int = 0       #: snapshot bytes served from the dirty cache
+    bytes_reused: int = 0       #: snapshot bytes served from a journal row
     bytes_restored: int = 0     #: bytes deserialized by restores
-    restore_reuses: int = 0     #: restores that kept every live component
-    #: per-component accounting (delta snapshots): sub-blobs pickled by
-    #: snapshot(), sub-blobs deserialized by restore(), and live
-    #: components a delta restore() kept untouched because their bytes
-    #: already matched the snapshot.
+    #: per-component accounting: components captured by snapshot() and
+    #: loaded by restore() (each process, and the network)
     components_serialized: int = 0
     components_restored: int = 0
-    components_reused: int = 0
     #: always 0: read by the e2e harness (benchmarks/e2e/run.py), to be
-    #: dropped with their ``pool.*`` metrics by the next ``benchmark``
-    #: PR (ROADMAP 8(a)).
+    #: dropped with their ``pool.*`` / ``sim.restore_reuse_ratio``
+    #: metrics by the next ``benchmark`` PR (ROADMAP 8(a)).
+    components_reused: int = 0
     publishes: int = 0
     steals: int = 0
     idle_waits: int = 0
@@ -100,8 +97,7 @@ class SimCounters:
             f"{self.snapshots} snapshots "
             f"({self.components_serialized} components pickled), "
             f"{self.restores} restores "
-            f"({self.components_restored} components loaded / "
-            f"{self.components_reused} kept), "
+            f"({self.components_restored} components loaded), "
             f"{self.steps_reused} steps replayed, "
             f"{self.fingerprints} fingerprints over "
             f"{self.states_interned} distinct process states; serialization "
@@ -139,7 +135,7 @@ class Simulation:
 
     #: one of :data:`SNAPSHOT_MODES`; class attribute, overridable per
     #: instance and read at every call.  "bytes" is the
-    #: component-granular delta path, "deepcopy" the oracle.
+    #: component-granular path, "deepcopy" the oracle.
     snapshot_mode = "bytes"
 
     def __init__(self, processes: Sequence[Process]):
@@ -153,7 +149,7 @@ class Simulation:
         self._msg_counter = 0
         self.event_count = 0
         self.counters = SimCounters()
-        # capture / apply_delta / digest, one implementation per mode
+        # capture / load / digest, one implementation per mode
         # (see repro.sim.snapshot); every snapshot cache lives in there
         self._snapshotters = {
             "bytes": Snapshotter(self.counters),
@@ -176,8 +172,8 @@ class Simulation:
     def snapshot(self):
         """Capture the current configuration.
 
-        A :class:`Configuration` (per-process sub-blobs plus a
-        structural network capture, each served from its dirty row) in
+        A :class:`Configuration` (interned per-process sub-blobs plus a
+        structural network capture) in
         the default ``"bytes"`` mode, a :class:`DeepCopyConfiguration`
         in ``"deepcopy"``.
         """
@@ -212,9 +208,11 @@ class Simulation:
 
         A configuration may be restored any number of times; restoring
         never aliases live state (the :class:`Configuration` ownership
-        rule).  Bytes snapshots restore as a delta apply
-        (:meth:`Snapshotter.apply_delta`), deep-copy snapshots fork once
-        to stay private; either drops the journal.  A :meth:`mark` is
+        rule).  A bytes snapshot is loaded afresh
+        (:meth:`Snapshotter.load`): every process unpickled from its
+        sub-blob and the network rebuilt, so no live object is handed
+        back; a deep-copy snapshot forks once to stay private.  Either
+        drops the journal.  A :meth:`mark` is
         undone in place, or refused with :class:`StaleMarkError` once its
         journal is gone.  Anything else is refused with :class:`TypeError`
         before any live state is touched.
@@ -236,9 +234,7 @@ class Simulation:
                     "Configuration or DeepCopyConfiguration from snapshot()"
                 )
             self.drop_journal()
-            self.processes, self.network = self._snapshotters[config.mode].apply_delta(
-                config, self.processes, self.network
-            )
+            self.processes, self.network = self._snapshotters[config.mode].load(config)
             msg_counter, event_count = config.msg_counter, config.event_count
         self.counters.restores += 1
         self._msg_counter = msg_counter
@@ -306,12 +302,6 @@ class Simulation:
         return self._post_step(pid, self.network.drain_income(pid), sends)
 
     def _post_step(self, pid: ProcessId, inbox: List[Message], sends: Iterable) -> StepEvent:
-        # the network's own mutators (post, deliver, drain_income) bump
-        # its version, and messages are immutable once sent (the model's
-        # "links do not modify messages", enforced by the RL4xx lint
-        # rules) — so a step that neither received nor sent leaves the
-        # network's capture valid, and a delta restore after it touches
-        # one process only
         sent: List[Message] = []
         for dst, payload in sends:
             msg = Message(

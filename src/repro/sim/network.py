@@ -45,28 +45,18 @@ class Network:
         self.income: Dict[ProcessId, List[Message]] = {p: [] for p in self.pids}
         # per-link send counters, for structural link_seq addressing
         self.link_counts: Dict[Link, int] = {}
-        # the version the snapshotter's cached capture is checked
-        # against; only _wrote bumps it, and every mutator calls _wrote.
-        # Excluded from snapshots (see __getstate__)
-        self._version = 0
 
     def _wrote(self, *keys) -> None:
         """Every mutator's one mark: record the placement keys it wrote
-        (while a digest is recording), then bump the version."""
+        (while a digest is recording)."""
         if self._touched is not None:
             self._touched.update(keys)
-        self._version += 1
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_version", None)
         state.pop("_journal", None)
         state.pop("_touched", None)
         return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._version = 0
 
     # -- sending ---------------------------------------------------------
 
@@ -166,8 +156,7 @@ class Network:
             if self._journal is not None:
                 # arrival order: the strict placement keys on it
                 self._journal.append(partial(self._undrain, pid, msgs[:]))
-            # canonicalize while the list is still tracked state, then
-            # detach and bump: every mutation precedes the version bump
+            # canonicalize, then detach and record the write
             msgs.sort(key=lambda m: (m.src, m.link_seq))
             self.income[pid] = []
             self._wrote(pid)

@@ -1,9 +1,9 @@
-"""Configurations as values: capture, delta restore, digest.
+"""Configurations as values: capture, load, digest.
 
 A :class:`~repro.sim.executor.Simulation` owns the live processes and
 network; a snapshotter turns them into a configuration
-(:meth:`~Snapshotter.capture`), applies one back
-(:meth:`~Snapshotter.apply_delta`) and hashes the live state for revisit
+(:meth:`~Snapshotter.capture`), materializes one afresh
+(:meth:`~Snapshotter.load`) and hashes the live state for revisit
 pruning (:meth:`~Snapshotter.digest`).  :class:`Snapshotter` is the
 production path and holds every cache of the snapshot stack — the rows,
 the state table with its interned objects, the transition table, the
@@ -40,7 +40,7 @@ if TYPE_CHECKING:
 #: the fastest framing available).
 PICKLE_PROTOCOL = 5
 
-#: the two snapshot implementations: "bytes" (component-granular delta
+#: the two snapshot implementations: "bytes" (component-granular
 #: snapshots, the default) and "deepcopy" (the reference oracle).
 SNAPSHOT_MODES = ("bytes", "deepcopy")
 
@@ -83,7 +83,6 @@ def _net_build(state) -> Network:
     net.in_transit = {link: deque(q) for link, q in transit}
     net.link_counts = dict(counts)
     net.income = {pid: list(v) for pid, v in income}
-    net._version = 0
     return net
 
 
@@ -269,19 +268,17 @@ def placement_slots(
 
 
 class Configuration:
-    """A component-granular delta snapshot of a configuration.
+    """A component-granular snapshot of a configuration.
 
     One immutable pickle sub-blob per :class:`Process` plus one
     structural capture of the :class:`Network`.  Process sub-blobs are
     *interned* through the snapshotter's state table, so byte-equal
-    states of one run hold one ``bytes`` object, and the network's
-    capture is cached until one of its mutators runs.  Components that
-    did not change between two snapshots therefore share the *same*
-    object by reference.  :meth:`Snapshotter.apply_delta` is a **delta
-    apply**: a live process that pickles to the snapshot's sub-blob, or
-    a live network whose cached capture *is* the snapshot's, is in the
-    snapshotted state already and is kept as-is; only the components
-    that actually differ are re-materialized.  A snapshot carries no
+    states of one run hold one ``bytes`` object: a process that did not
+    change between two snapshots shares its sub-blob by reference.  The
+    network is captured afresh by every snapshot.
+    :meth:`Snapshotter.load` is a **plain load**: every process is
+    unpickled from its sub-blob and the network rebuilt from its
+    capture, whatever the live state holds.  A snapshot carries no
     fingerprint data: a restored process finds its digests in the state
     table through its sub-blob (see :meth:`Snapshotter.digest`).
 
@@ -307,10 +304,9 @@ class Configuration:
     **Ownership rule:** a Configuration may be restored any number of
     times, and restoring must never hand out mutable state aliased with
     the snapshot.  Sub-blobs are immutable bytes and the network capture
-    is immutable tuples over immutable messages; a restored component is
-    either a fresh materialization or a live component whose capture
-    already equals the snapshot's, and later snapshots and restores
-    read it afresh.
+    is immutable tuples over immutable messages, and every restored
+    component is a fresh materialization: a restore never hands back a
+    live object.
 
     :meth:`fork` shares the (immutable) captures, so it stays O(1).
     """
@@ -439,7 +435,7 @@ def _step_key(pre: list, inbox: Iterable[Message], index: int) -> tuple:
 
 
 class Snapshotter:
-    """The ``"bytes"`` path: delta captures and content-addressed digests.
+    """The ``"bytes"`` path: interned captures and content-addressed digests.
 
     Under a journal it trusts its process rows; elsewhere it reads the
     live objects (see :class:`_CompRow`).  Books its cache traffic into
@@ -454,10 +450,6 @@ class Snapshotter:
         # cannot be recycled into false hits.  Kept: digests, captures
         # and undo swaps key on them
         self._rows: Dict[ProcessId, _CompRow] = {}
-        # the network's row: (network, its _version, its structural
-        # capture).  Only the network's own mutators change it, and each
-        # bumps the version
-        self._net: tuple = (None, -1, None)
         # the state table: process sub-blob -> [interned sub-blob, fp
         # digest, fp_canon digest, weakref to the interned object or
         # None].  Content-addressed, so a per-process state is walked by
@@ -619,16 +611,11 @@ class Snapshotter:
         """One interned sub-blob per process plus the network capture:
         from their rows under a journal, else from the live objects."""
         counters = self.counters
-        net, version, state = self._net
-        if net is network and version == network._version:
-            counters.cache_hits += 1
-        else:
-            # zero bytes on the ledger: the capture holds the (immutable)
-            # messages by reference and serializes nothing
-            state = _net_capture(network)
-            self._net = (network, network._version, state)
-            counters.cache_misses += 1
-            counters.components_serialized += 1
+        # zero bytes on the ledger: the capture holds the (immutable)
+        # messages by reference and serializes nothing
+        state = _net_capture(network)
+        counters.cache_misses += 1
+        counters.components_serialized += 1
         journaled = network._journal is not None
         blobs = []
         for pid, proc in processes.items():
@@ -642,34 +629,16 @@ class Snapshotter:
                 blobs.append((pid, rec[0]))
         return Configuration(tuple(blobs), state, msg_counter, event_count)
 
-    def apply_delta(self, config: Configuration, processes, network):
-        """The live state jumped to ``config``, touching only what differs:
-        a live process whose pickle is its sub-blob is kept."""
+    def load(self, config: Configuration):
+        """Fresh live state for ``config``: every process unpickled from
+        its sub-blob, the network rebuilt from its capture."""
         counters = self.counters
-        new_procs = {pid: processes.get(pid) for pid, _ in config.proc_blobs}
-        changed = 0
+        processes = {}
         for pid, blob in config.proc_blobs:
-            live = new_procs[pid]
-            if live is not None and pickle.dumps(live, PICKLE_PROTOCOL) == blob:
-                counters.components_reused += 1
-                continue
-            new_procs[pid] = pickle.loads(blob)
-            counters.components_restored += 1
+            processes[pid] = pickle.loads(blob)
             counters.bytes_restored += len(blob)
-            changed += 1
-        net, version, state = self._net
-        if net is network and version == network._version and state is config.net_state:
-            counters.components_reused += 1
-        else:
-            network = _net_build(config.net_state)
-            self._net = (network, network._version, config.net_state)
-            counters.components_restored += 1
-            changed += 1
-        if changed == 0:
-            counters.restore_reuses += 1
-        if changed or len(new_procs) != len(processes):
-            processes = new_procs
-        return processes, network
+        counters.components_restored += len(processes) + 1
+        return processes, _net_build(config.net_state)
 
     def digest(self, processes, network, canonical: bool) -> bytes:
         """``blake2b(per-process digests in sorted-pid order ‖ placement slots)``.
@@ -749,7 +718,7 @@ class DeepCopySnapshotter:
             processes, network, msg_counter, event_count
         ).fork()
 
-    def apply_delta(self, config: DeepCopyConfiguration, processes, network):
+    def load(self, config: DeepCopyConfiguration):
         forked = config.fork()  # the held objects must stay private
         return forked.processes, forked.network
 

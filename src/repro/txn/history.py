@@ -13,14 +13,10 @@ This is exactly the information the consistency definitions consume:
   globally unique written values, the paper's simplifying assumption).
 
 Derived indices (writer index, per-client projections, reads-from,
-causal order, …) are **dirty-tracked caches** keyed on an append token:
-repeated checker calls on the same history reuse them, and a history
-that only *grew* since the last call extends them incrementally instead
-of rebuilding (the checkers run once per explored schedule, so this is
-a hot path — see ``docs/model.md``, "Checker cost and incrementality").
-Records are frozen; the supported mutations of ``records`` are append /
-extend (incremental) and wholesale replacement or reordering (detected,
-full rebuild).
+causal order, …) are caches keyed on a token of the record identities:
+repeated checker calls on the same history reuse them, and any change
+to ``records`` (append, replacement, reordering) is detected and
+rebuilds them from scratch.  Records are frozen.
 """
 
 from __future__ import annotations
@@ -194,13 +190,10 @@ class CausalOrder:
 
 
 class _Derived:
-    """The cached derived indices of one history prefix.
+    """The cached derived indices of one list of records.
 
-    ``token`` is the append token — the tuple of record identities the
-    cache covers.  A history whose current token *extends* the cached
-    one is consumed incrementally (each new record is indexed in
-    ``O(|record|)`` plus the causal-closure delta); any other change
-    triggers a full rebuild.
+    ``token`` is the tuple of record identities the cache covers; a
+    history whose token differs rebuilds the cache.
     """
 
     __slots__ = (
@@ -209,11 +202,9 @@ class _Derived:
         "writer_index",
         "writers_by_object",
         "per_client",
-        "last_of_client",
         "rf_by_reader",
         "pending_reads",
         "order",
-        "order_error",
         "realtime",
     )
 
@@ -223,38 +214,26 @@ class _Derived:
         self.writer_index: Dict[Tuple[ObjectId, Value], TxnRecord] = {}
         self.writers_by_object: Dict[ObjectId, List[TxnRecord]] = {}
         self.per_client: Dict[str, List[TxnRecord]] = {}
-        self.last_of_client: Dict[str, TxnRecord] = {}
         #: reader txid -> {obj: writer txid} in the reader's reads order
         self.rf_by_reader: Dict[str, Dict[ObjectId, str]] = {}
         #: non-⊥ reads whose writer has not been seen (yet)
         self.pending_reads: Dict[Tuple[ObjectId, Value], List[TxnRecord]] = {}
         self.order: Optional[CausalOrder] = None
-        self.order_error: Optional[ValueError] = None
         self.realtime: Optional[List[Tuple[str, str]]] = None
 
     # -- consuming records ---------------------------------------------------
 
     def consume(self, rec: TxnRecord) -> None:
-        """Index one appended record and extend the causal closure."""
+        """Index one record."""
         self.by_txid[rec.txid] = rec
         client_recs = self.per_client.setdefault(rec.client, [])
         # program order = stable sort by invoked_at (ties keep record
         # order), so appending is the in-order case
-        in_order = not client_recs or client_recs[-1].invoked_at <= rec.invoked_at
-        prev = self.last_of_client.get(rec.client)
-        if in_order:
+        if not client_recs or client_recs[-1].invoked_at <= rec.invoked_at:
             client_recs.append(rec)
-            self.last_of_client[rec.client] = rec
         else:
             keys = [r.invoked_at for r in client_recs]
             client_recs.insert(bisect_right(keys, rec.invoked_at), rec)
-            # mid-projection insert: existing program-order edges change,
-            # which the closed order cannot express — rebuild on demand
-            self.order = None
-            self.last_of_client[rec.client] = client_recs[-1]
-        edges: List[Tuple[str, str]] = []
-        if in_order and prev is not None:
-            edges.append((prev.txid, rec.txid))
         rf = self.rf_by_reader.setdefault(rec.txid, {})
         for obj, val in rec.reads.items():
             if val is BOTTOM:
@@ -264,7 +243,6 @@ class _Derived:
             if w is not None:
                 if w.txid != rec.txid:
                     rf[obj] = w.txid
-                    edges.append((w.txid, rec.txid))
             else:
                 self.pending_reads.setdefault(key, []).append(rec)
         for obj, val in rec.txn.writes:
@@ -276,13 +254,6 @@ class _Derived:
             for reader in self.pending_reads.pop(key, ()):  # noqa: B909
                 if reader.txid != rec.txid:
                     self.rf_by_reader[reader.txid][obj] = rec.txid
-                    edges.append((rec.txid, reader.txid))
-        if self.order is not None and self.order_error is None:
-            try:
-                self.order.add_node(rec.txid)
-                self.order.extend(edges)
-            except ValueError as exc:
-                self.order_error = exc
 
     def reads_from(self) -> List[Tuple[str, str]]:
         """Reads-from edges in the batch order (reader by reader)."""
@@ -331,31 +302,16 @@ class History:
     # -- the derived-index cache -------------------------------------------
 
     def _derived(self) -> _Derived:
-        """Validate or (re)build the cached derived indices.
-
-        The append token is the tuple of record identities; an unchanged
-        token reuses the cache as-is, a strict extension consumes only
-        the new records, anything else rebuilds from scratch.
-        """
+        """Validate or (re)build the cached derived indices: an unchanged
+        token of record identities reuses the cache as-is, any other
+        rebuilds it from scratch."""
         token = tuple(map(id, self.records))
         cache: Optional[_Derived] = self.__dict__.get("_cache")
-        if cache is not None and cache.token == token:
-            return cache
-        if (
-            cache is not None
-            and len(token) > len(cache.token)
-            and token[: len(cache.token)] == cache.token
-        ):
-            for rec in self.records[len(cache.token):]:
+        if cache is None or cache.token != token:
+            cache = self.__dict__["_cache"] = _Derived()
+            for rec in self.records:
                 cache.consume(rec)
             cache.token = token
-            cache.realtime = None
-            return cache
-        cache = _Derived()
-        for rec in self.records:
-            cache.consume(rec)
-        cache.token = token
-        self.__dict__["_cache"] = cache
         return cache
 
     def per_client(self, client: str) -> List[TxnRecord]:
@@ -403,12 +359,10 @@ class History:
     def causal_order(self) -> "CausalOrder":
         """The causal relation: transitive closure of program order ∪ reads-from.
 
-        Cached and extended in place as the history grows; a cycle keeps
-        raising :class:`ValueError` on every call, like the batch build.
+        Cached with the other derived indices; a cycle raises
+        :class:`ValueError` from the batch build on every call.
         """
         cache = self._derived()
-        if cache.order_error is not None:
-            raise cache.order_error
         if cache.order is None:
             cache.order = CausalOrder.from_edges(
                 [r.txid for r in self.records],

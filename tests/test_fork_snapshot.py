@@ -1,13 +1,13 @@
 """The fast-fork snapshot machinery: isolation, cost accounting, budgets.
 
 The component-granular snapshot rework (``Configuration`` as one pickle
-sub-blob per process plus a structural network capture, restored as a
-delta) must preserve the old deep-copy contract exactly: a snapshot is
+sub-blob per process plus a structural network capture, restored by
+loading both afresh) must preserve the old deep-copy contract exactly: a snapshot is
 isolated from every future mutation of the live simulation, a restore
 never hands out mutable state aliased with the snapshot, and the
 exploration engine's fingerprints reproduce the same equivalence
 classes.  Every contract test here runs against both snapshot modes —
-the delta path and the deep-copy oracle.
+the bytes path and the deep-copy oracle.
 """
 
 import pickle
@@ -157,24 +157,19 @@ class TestSnapshotIsolation:
 
     def test_value_equal_states_intern_to_one_blob(self):
         # a stuttering step leaves the process byte-equal: the re-pickled
-        # sub-blob interns to the *same* bytes object, so the restore
-        # keeps the live process
+        # sub-blob interns to the *same* bytes object
         tsys = prepare_theorem_system("wren")
         sim = tsys.sim
         sim.invoke(tsys.cw, tsys.tw())
         run_some(sim, tsys)
         snap1 = sim.snapshot()
-        cw = sim.processes[tsys.cw]
         pickled = sim.counters.components_serialized
         sim.step(tsys.cw)  # nothing in the inbox, nothing to do
         snap2 = sim.snapshot()
-        # outside a journal every process is pickled afresh
-        assert sim.counters.components_serialized == pickled + len(sim.processes)
+        # outside a journal every process is pickled afresh, and the
+        # network captured afresh
+        assert sim.counters.components_serialized == pickled + len(sim.processes) + 1
         assert dict(snap2.proc_blobs)[tsys.cw] is dict(snap1.proc_blobs)[tsys.cw]
-        kept = sim.counters.components_reused
-        sim.restore(snap1)
-        assert sim.processes[tsys.cw] is cw
-        assert sim.counters.components_reused - kept == len(sim.processes) + 1
 
     def test_pickled_snapshot_carries_no_fingerprint_data(self):
         tsys = prepare_theorem_system("wren")
@@ -186,29 +181,6 @@ class TestSnapshotIsolation:
         sim.fingerprint()
         sim.fingerprint(canonical=True)
         assert len(pickle.dumps(snap)) == before
-
-    def test_delta_restore_touches_only_changed_components(self):
-        # a backtrack after a single step re-materializes that process
-        # (plus the network when the step moved messages), keeping every
-        # other process object live
-        tsys = prepare_theorem_system("wren")
-        sim = tsys.sim
-        sim.invoke(tsys.cw, tsys.tw())
-        run_some(sim, tsys)
-        snap = sim.snapshot()
-        sim.fingerprint()
-        before = {pid: p for pid, p in sim.processes.items()}
-        server = tsys.servers[0]
-        assert sim.network.income[server]  # its step changes its state
-        sim.step(server)
-        base = sim.counters.components_restored
-        sim.restore(snap)
-        assert sim.counters.components_restored - base <= 2  # server + network
-        for pid, p in sim.processes.items():
-            if pid == server:
-                assert p is not before[pid]
-            else:
-                assert p is before[pid]
 
     def test_deepcopy_fork_is_independent(self):
         with use_snapshot_mode("deepcopy"):
@@ -357,13 +329,18 @@ class TestSimCounters:
         assert sim.counters.cache_hits >= 1
         assert sim.counters.bytes_reused > 0
 
-    def test_restore_to_current_state_keeps_live_objects(self):
+    def test_restore_to_current_state_loads_fresh_objects(self):
+        # under a journal the live processes are the state table's
+        # interned objects; a restore of a snapshot of that very state
+        # loads every process and the network afresh all the same
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
+        sim.mark()
+        sim.step("p")
         snap = sim.snapshot()
-        procs = sim.processes
-        sim.restore(snap)  # nothing happened: live state already matches
-        assert sim.counters.restore_reuses == 1
-        assert sim.processes is procs
+        live = [*sim.processes.values(), sim.network]
+        sim.restore(snap)
+        assert all(a is not b for a in live for b in [*sim.processes.values(), sim.network])
+        assert sim.counters.bytes_restored == snap.size_bytes()
 
     def test_restore_after_event_materializes_fresh_objects(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
@@ -379,10 +356,9 @@ class TestSimCounters:
 
         A fresh snapshot pays exactly its own size in ``bytes_serialized``
         (the network component is a zero-byte structural capture, so
-        ``size_bytes`` and the pickled process bytes coincide); a delta
-        restore pays ``bytes_restored`` only for the process sub-blobs it
-        actually reloads, and every component it touches lands in exactly
-        one of ``components_restored`` / ``components_reused``.
+        ``size_bytes`` and the pickled process bytes coincide); a restore
+        loads every component and pays exactly that size again in
+        ``bytes_restored``.
         """
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         n_components = len(sim.processes) + 1  # + the network
@@ -394,38 +370,29 @@ class TestSimCounters:
         before = c.as_dict()
         sim.restore(snap)
         assert c.restores == before["restores"] + 1
-        loaded = c.components_restored - before["components_restored"]
-        kept = c.components_reused - before["components_reused"]
-        assert loaded + kept == n_components
-        # the step dirtied exactly "p" and the network; "e" stays live
-        assert (loaded, kept) == (2, n_components - 2)
-        delta = c.bytes_restored - before["bytes_restored"]
-        assert delta == len(dict(snap.proc_blobs)["p"])
+        assert c.components_restored - before["components_restored"] == n_components
+        assert c.bytes_restored - before["bytes_restored"] == snap.size_bytes()
 
     @pytest.mark.parametrize("mode", MODES)
     def test_restore_reuse_consistency_across_modes(self, mode):
-        """``restore_reuses`` means zero byte traffic in the bytes mode.
+        """No mode reuses a live component: both agree on zero reuse.
 
-        The deepcopy oracle is deliberately naive — it always rebuilds,
-        so it must never claim a reuse (a reuse it *wrongly* claimed
-        would mask exactly the cache bugs the oracle exists to catch).
+        Restoring a snapshot of the current state hands back fresh
+        processes and a fresh network in either mode, and
+        ``components_reused`` stays 0; the bytes mode pays the
+        snapshot's size in ``bytes_restored`` (deepcopy moves objects,
+        not bytes).
         """
         with use_snapshot_mode(mode):
             sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
             snap = sim.snapshot()
-            before = sim.counters.as_dict()
+            procs, net = dict(sim.processes), sim.network
             sim.restore(snap)  # live state already matches the snapshot
+            assert all(sim.processes[pid] is not p for pid, p in procs.items())
+            assert sim.network is not net
             c = sim.counters
-            expected_reuses = 0 if mode == "deepcopy" else 1
-            assert c.restore_reuses == before["restore_reuses"] + expected_reuses
-            assert c.bytes_restored == before["bytes_restored"]
-            sim.step("p")
-            sim.restore(snap)  # now a real restore: traffic resumes
-            assert (
-                c.restore_reuses == before["restore_reuses"] + expected_reuses
-            )
-            if mode != "deepcopy":  # deepcopy moves objects, not bytes
-                assert c.bytes_restored > before["bytes_restored"]
+            assert c.components_reused == 0
+            assert c.bytes_restored == (snap.size_bytes() if mode == "bytes" else 0)
 
     @pytest.mark.parametrize("mode", ["bytes"])
     def test_snapshot_reuse_bytes_across_modes(self, mode):

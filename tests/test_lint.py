@@ -52,13 +52,7 @@ def test_fixture_triggers_its_code(code):
 
 @pytest.mark.parametrize("code", FIXTURE_CODES)
 def test_cli_exits_nonzero_on_fixture(code):
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", str(fixture_for(code))],
-        capture_output=True,
-        text=True,
-        cwd=REPO,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-    )
+    proc = _run_cli(str(fixture_for(code)))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert code in proc.stdout
 
@@ -175,7 +169,8 @@ def _run_cli(*argv):
         capture_output=True,
         text=True,
         cwd=REPO,
-        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+        # a bare environment, but one that writes no bytecode into src/
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
     )
 
 

@@ -153,7 +153,7 @@ def _msg(i, src, dst, seq):
     return Message(msg_id=i, src=src, dst=dst, link_seq=seq, payload=None)
 
 
-def test_drain_income_is_canonical_and_bumps_version():
+def test_drain_income_is_canonical_and_records_its_write():
     net = Network(["a", "b", "c"])
     m1 = _msg(1, "a", "c", 0)
     m2 = _msg(2, "b", "c", 0)
@@ -164,11 +164,12 @@ def test_drain_income_is_canonical_and_bumps_version():
     net.deliver("b", "c", 0)
     net.deliver("a", "c", 1)
     net.deliver("a", "c", 0)
-    before = net._version
+    net._touched = set()  # what a digest's recording starts with
     out = net.drain_income("c")
     assert out == [m1, m3, m2]  # (src, link_seq) order
     assert net.income["c"] == []
-    assert net._version == before + 1  # the mutation was published
+    assert net._touched == {"c"}  # the write was recorded
+    net._touched.clear()
     assert net.drain_income("c") == []
-    assert net._version == before + 1  # empty drain mutates nothing
+    assert net._touched == set()  # empty drain writes nothing
 

@@ -87,7 +87,7 @@ def test_measured_row_matches_paper_class(protocol):
     # fast measurement (fixed 2 rounds, blocking, or multi-value) must
     # not.  Best-effort rows ("<=2") may measure 1 round on a lucky
     # workload — COPS does here; the targeted tests force its round 2.
-    measured_fast = ch.fast_rots and ch.max_hops <= 2
+    measured_fast = ch.fast_rots
     if protocol == "cops_snow":
         assert measured_fast, ch.row()
     if paper.rounds == "2" or paper.nonblocking == "no" or paper.values == "many":

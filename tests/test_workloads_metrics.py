@@ -17,6 +17,7 @@ from repro.analysis import (
     figure1,
     figure3,
 )
+from repro.analysis.metrics import Characterization
 from repro.protocols import build_system
 from repro.protocols.base import ReadReply, ReadRequest, ValueEntry
 from repro.workloads import (
@@ -200,6 +201,20 @@ class TestCharacterize:
         ch = characterize(system, hist)
         assert ch.max_rounds == 2 and not ch.any_blocked and ch.supports_wtx
         assert not ch.fast_rots
+
+    def test_three_hop_reads_are_not_fast(self):
+        # one client round whose replies come through a sequencer (3
+        # hops) is not Definition 4's one-roundtrip read, in Table 1 as
+        # in FastRotReport
+        ch = Characterization(
+            protocol="relayed", n_rots=5, max_rounds=1, max_hops=3,
+            max_values_per_object=1, any_unrequested_values=False,
+            any_blocked=False, supports_wtx=True, consistency_level="causal",
+            consistency_ok=True, consistency_conclusive=True, avg_rounds=1.0,
+            blocked_share=0.0, avg_messages=3.0, avg_rot_latency=3.0,
+            avg_value_bytes=1.0, avg_metadata_bytes=1.0, events_per_txn=4.0,
+        )
+        assert not ch.fast_rots and ch.row()["fast"] == "no"
 
     def test_latency_positive(self):
         system = build_system("contrarian", objects=("X0", "X1"), n_servers=2)
