@@ -2,12 +2,12 @@
 
 The component-granular snapshot rework (``Configuration`` as one pickle
 sub-blob per process plus a structural network capture, restored by
-loading both afresh) must preserve the old deep-copy contract exactly: a snapshot is
-isolated from every future mutation of the live simulation, a restore
-never hands out mutable state aliased with the snapshot, and the
-exploration engine's fingerprints reproduce the same equivalence
-classes.  Every contract test here runs against both snapshot modes —
-the bytes path and the deep-copy oracle.
+loading both afresh) must preserve the old deep-copy contract exactly:
+a snapshot is isolated from every future mutation of the live
+simulation, a restore never hands out mutable state aliased with the
+snapshot, and the exploration engine's fingerprints reproduce the same
+equivalence classes.  Every contract test here runs against both
+snapshot modes — the bytes path and the deep-copy oracle.
 """
 
 import pickle
