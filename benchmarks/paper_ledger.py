@@ -408,8 +408,9 @@ def drift(committed, measured, key="ledger"):
 def main():
     ledger = build_ledger()
     committed = json.loads(LEDGER_PATH.read_text()) if LEDGER_PATH.exists() else {}
-    LEDGER_PATH.write_text(json.dumps(ledger, indent=1, ensure_ascii=False) + "\n")
     drifted = list(drift(committed, ledger))
+    if drifted:  # a drift-free run keeps the committed file, env stamp and all
+        LEDGER_PATH.write_text(json.dumps(ledger, indent=1, ensure_ascii=False) + "\n")
     for line in drifted:
         print(f"DRIFT {line}")
     print(f"paper-ledger: {len(drifted)} drifted key(s) in {len(SECTIONS)} sections")

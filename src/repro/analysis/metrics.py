@@ -112,7 +112,11 @@ class TxnStats:
 
     @property
     def one_round(self) -> bool:
-        return self.rounds == 1
+        """Definition 4's one-roundtrip for this transaction, the same
+        predicate the system-level checks apply (:func:`one_roundtrip`).
+        A 0-round ROT — its client sent no message for it — passes, as
+        it does in their ``max_rounds <= 1``."""
+        return one_roundtrip(self.rounds, self.hops)
 
     @property
     def one_value(self) -> bool:

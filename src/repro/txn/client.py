@@ -7,12 +7,6 @@ never communicate with other clients).  Protocol subclasses implement
 message per involved server) and :meth:`ClientBase.handle_message`
 (absorb server replies, possibly launch further rounds, and eventually
 call :meth:`ClientBase.finish`).
-
-The base class also maintains the *oracle context* — the set of
-(object, value) pairs this client has observed — which is recorded on
-every :class:`~repro.txn.types.TxnRecord` for the witness-based
-consistency checkers.  The context is harness bookkeeping: protocols must
-not read it (they keep their own metadata).
 """
 
 from __future__ import annotations
@@ -83,7 +77,6 @@ class ClientBase(Process):
         self.current: Optional[ActiveTxn] = None
         self.completed: List[TxnRecord] = []
         self.failed: List[Tuple[Transaction, str]] = []
-        self.context: Set[Tuple[ObjectId, Value]] = set()
 
     # -- placement helpers ----------------------------------------------------
 
@@ -196,13 +189,8 @@ class ClientBase(Process):
             reads=observed,
             invoked_at=active.invoked_at,
             completed_at=ctx.step_index,
-            context=frozenset(self.context),
             meta=dict(meta or {}),
         )
         self.completed.append(record)
-        for obj, val in observed.items():
-            self.context.add((obj, val))
-        for obj, val in active.txn.writes:
-            self.context.add((obj, val))
         self.current = None
         return record

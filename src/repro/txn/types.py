@@ -114,9 +114,8 @@ class TxnRecord:
 
     ``reads`` maps each object of the read-set to the value returned;
     ``invoked_at`` / ``completed_at`` are event-counter stamps used for
-    real-time precedence; ``context`` is the client's causal past at
-    invocation (oracle information recorded by the harness, never visible
-    to the protocol), used by the witness-based checkers.
+    real-time precedence.  A transaction's causal past is not stored: the
+    checkers derive it from the history (program order ∪ reads-from).
     """
 
     txn: Transaction
@@ -124,7 +123,6 @@ class TxnRecord:
     reads: Mapping[ObjectId, Value]
     invoked_at: int
     completed_at: int
-    context: FrozenSet[Tuple[ObjectId, Value]] = frozenset()
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     @property

@@ -24,12 +24,16 @@ from repro.core import (
     splice_new,
     values_visible,
 )
+from repro.analysis.metrics import analyze_transactions
 from repro.core.constructions import ConstructionError
+from repro.core.properties import DEFAULT_FAST_SPEC
 from repro.core.splicing import RecordedFragment
+from repro.protocols.base import build_system
 from repro.sim.messages import Message
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 from repro.txn.types import BOTTOM, read_only_txn, write_only_txn
+from repro.workloads.generators import run_workload
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +317,21 @@ class TestMeasureFastRot:
     def test_calvin_hops(self):
         r = measure_fast_rot("calvin")
         assert r.max_hops >= 3 and not r.one_round
+
+    @pytest.mark.parametrize("protocol", ["calvin", "cops_snow", "wren", "eiger"])
+    def test_per_rot_fast_agrees(self, protocol):
+        # TxnStats applies the report's predicates to one ROT: on the same
+        # probe run the report holds iff every ROT does
+        report = measure_fast_rot(protocol)
+        system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
+        history = run_workload(system, DEFAULT_FAST_SPEC)
+        stats = analyze_transactions(system.sim.trace, history, servers=system.servers)
+        rots = [s for s in stats.values() if s.read_only]
+        assert report.one_round == all(s.one_round for s in rots)
+        assert report.fast == all(s.fast for s in rots)
+        if protocol == "calvin":
+            # every calvin ROT goes through the sequencer (3 hops)
+            assert not any(s.fast for s in rots)
 
     def test_describe(self):
         assert "fast" in measure_fast_rot("cops_snow").describe()

@@ -8,6 +8,7 @@
 * protocol runs under random adversaries stay consistent.
 """
 
+import dataclasses
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from repro.consistency import check_causal_exact, find_causal_anomalies
 from repro.consistency.search import find_legal_serialization
 from repro.sim.executor import Simulation
 from repro.sim.scheduler import RandomScheduler
-from repro.txn.history import History
+from repro.txn.history import CausalOrder, History
 from repro.txn.types import BOTTOM, Transaction, TxnRecord
 
 from helpers import Echo, Pinger, rec
@@ -163,6 +164,70 @@ class TestSearchVsBruteForce:
         got = find_legal_serialization(records, []).found
         want = brute_force_serializable(records)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# real-time precedence: the covering edges stand for the whole relation
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def intervals(draw, n_min=1, n_max=12):
+    """``(invoked_at, completed_at)`` stamps, ties included: a client
+    that finishes and begins in one step gives ``completed_at ==
+    invoked_at``, which is no precedence."""
+    n = draw(st.integers(n_min, n_max))
+    out = []
+    for _ in range(n):
+        start = draw(st.integers(0, 20))
+        out.append((start, start + draw(st.integers(0, 6))))
+    return out
+
+
+def precedence(records):
+    return {
+        (a.txid, b.txid)
+        for a in records
+        for b in records
+        if a.completed_at < b.invoked_at
+    }
+
+
+def timed(records, stamps):
+    return [
+        dataclasses.replace(r, invoked_at=i, completed_at=c)
+        for r, (i, c) in zip(records, stamps)
+    ]
+
+
+class TestRealtimeCoveringEdges:
+    @given(intervals())
+    @settings(max_examples=200, deadline=None)
+    def test_closure_is_the_precedence_relation(self, stamps):
+        records = timed(
+            [rec(f"t{i}", "c", writes={"X": i}) for i in range(len(stamps))], stamps
+        )
+        edges = History(records=records).realtime_edges()
+        full = precedence(records)
+        assert len(set(edges)) == len(edges) and set(edges) <= full
+        closure = CausalOrder.from_edges([r.txid for r in records], edges)
+        assert set(closure.edges()) == full
+        # covering: no edge is implied by two others
+        mids = [r.txid for r in records]
+        for a, b in edges:
+            assert not any((a, x) in full and (x, b) in full for x in mids)
+
+    @given(tiny_histories(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_search_is_identical_on_covering_edges(self, records, data):
+        records = timed(records, data.draw(intervals(len(records), len(records))))
+        covering = find_legal_serialization(
+            records, History(records=records).realtime_edges()
+        )
+        full = find_legal_serialization(records, sorted(precedence(records)))
+        assert (covering.found, covering.order, covering.steps, covering.exhausted) == (
+            full.found, full.order, full.steps, full.exhausted
+        )
 
 
 # ---------------------------------------------------------------------------

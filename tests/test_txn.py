@@ -215,16 +215,6 @@ class TestClientRuntime:
         with pytest.raises(KeyError):
             sim.invoke("c", write_only_txn({"Z": 1}))
 
-    def test_context_accumulates(self):
-        sim, client = self.make()
-        sim.invoke("c", write_only_txn({"X": 1}, txid="t1"))
-        sim.step("c")
-        sim.invoke("c", read_only_txn(["Y"], txid="t2"))
-        sim.step("c")
-        rec2 = client.completed[-1]
-        assert ("X", 1) in rec2.context  # prior write visible in context
-        assert ("Y", "Y-val") not in rec2.context  # own reads added after
-
     def test_finish_requires_all_reads(self):
         class Broken(MiniClient):
             def begin(self, ctx, active):

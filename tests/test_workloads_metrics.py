@@ -1,5 +1,8 @@
 """Workload generators, metrics, tables and figures."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from repro.analysis import (
     figure3,
 )
 from repro.analysis.metrics import Characterization
+from repro.consistency import check_history
 from repro.protocols import build_system
 from repro.protocols.base import ReadReply, ReadRequest, ValueEntry
 from repro.workloads import (
@@ -149,6 +153,30 @@ class TestRunWorkload:
             return [(r.txid, tuple(sorted(r.reads.items()))) for r in hist.records]
 
         assert run() == run()
+
+    def test_retention_is_linear(self):
+        # a forward run plus its check keeps O(1) bytes per committed txn:
+        # no record copies its client's past, and the strict check keeps
+        # only the covering real-time edges
+        def retained_per_txn(n):
+            system = build_system("spanner", objects=("X0", "X1", "X2", "X3"), n_servers=2)
+            spec = WorkloadSpec(n_txns=n, read_ratio=0.5, read_size=(2, 3), seed=5)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                history = run_workload(system, spec)
+                report = check_history(history, system.info.consistency)
+                gc.collect()
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert report.ok and len(history) == n
+            return kept / n
+
+        retained_per_txn(50)  # warm-up: lazy imports and module caches
+        small, large = retained_per_txn(100), retained_per_txn(400)
+        assert large <= 1.25 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
