@@ -112,10 +112,8 @@ class TxnStats:
 
     @property
     def one_round(self) -> bool:
-        """Definition 4's one-roundtrip for this transaction, the same
-        predicate the system-level checks apply (:func:`one_roundtrip`).
-        A 0-round ROT — its client sent no message for it — passes, as
-        it does in their ``max_rounds <= 1``."""
+        """Definition 4's one-roundtrip (:func:`one_roundtrip`); a 0-round
+        ROT, for which the client sent nothing, passes as it does there."""
         return one_roundtrip(self.rounds, self.hops)
 
     @property

@@ -22,9 +22,9 @@ rebuilds them from scratch.  Records are frozen.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.txn.types import BOTTOM, ObjectId, Transaction, TxnRecord, Value
 
@@ -374,16 +374,13 @@ class History:
         """The covering edges of real-time precedence (``T1`` completes
         before ``T2`` is invoked).
 
-        Precedence is an interval order, hence transitive: ``a → x → b``
-        implies ``a → b``.  An edge ``a → b`` is implied by two others
-        iff some ``x`` with ``x.completed_at < b.invoked_at`` has
-        ``a.completed_at < x.invoked_at``, so ``a → b`` is kept iff
-        ``a.completed_at`` is at least the largest ``invoked_at`` among
-        the records completed before ``b``.  One sweep in invocation
-        order keeps that frontier, dropping a record for good once the
-        maximum passes its completion: O(n log n + edges), where the
-        full relation is Θ(n²).  The transitive closure is the full
-        relation, which is all the serialization search needs.
+        Precedence is an interval order, so ``a → b`` is implied by two
+        other edges iff some ``x`` that completed before ``b`` was invoked
+        after ``a`` completed.  One sweep in invocation order keeps
+        ``a → b`` iff ``a.completed_at`` reaches the latest ``invoked_at``
+        of the records completed before ``b``: O(n log n + edges).  The
+        transitive closure is the whole relation, which is all the
+        serialization search needs.
         """
         cache = self._derived()
         if cache.realtime is not None:
@@ -391,20 +388,16 @@ class History:
         by_invoked = sorted(self.records, key=lambda r: r.invoked_at)
         by_completed = sorted(self.records, key=lambda r: r.completed_at)
         edges: List[Tuple[str, str]] = []
-        frontier: Deque[TxnRecord] = deque()  # ascending completed_at
-        latest = float("-inf")  # max invoked_at of the records done so far
-        i = 0
+        lo = i = 0  # by_completed[lo:i]: the covering predecessors of b
         n = len(by_completed)
+        latest = float("-inf")  # max invoked_at of by_completed[:i]
         for b in by_invoked:
             while i < n and by_completed[i].completed_at < b.invoked_at:
-                frontier.append(by_completed[i])
                 latest = max(latest, by_completed[i].invoked_at)
                 i += 1
-            while frontier and frontier[0].completed_at < latest:
-                frontier.popleft()
-            # a record cannot complete before its own invocation, so b
-            # itself is never in the frontier
-            edges.extend((a.txid, b.txid) for a in frontier)
+            while lo < i and by_completed[lo].completed_at < latest:
+                lo += 1
+            edges.extend((a.txid, b.txid) for a in by_completed[lo:i])
         cache.realtime = edges
         return edges
 
