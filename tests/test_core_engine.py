@@ -3,6 +3,7 @@ constructions, splicing, the induction, and the theorem drivers."""
 
 import pytest
 
+from repro.analysis.metrics import analyze_transactions
 from repro.core import (
     CAUSAL_VIOLATION,
     NO_MULTI_WRITE,
@@ -24,7 +25,6 @@ from repro.core import (
     splice_new,
     values_visible,
 )
-from repro.analysis.metrics import analyze_transactions
 from repro.core.constructions import ConstructionError
 from repro.core.properties import DEFAULT_FAST_SPEC
 from repro.core.splicing import RecordedFragment
