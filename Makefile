@@ -25,10 +25,10 @@ lint:
 mutants:
 	$(PY) tests/mutations/run.py
 
-# the three gated pytest-benchmark scripts (each writes one BENCH_*.json)
+# the two gated pytest-benchmark scripts (each writes one BENCH_*.json)
 bench:
 	$(PY) -m pytest benchmarks/bench_explore.py benchmarks/bench_parallel.py \
-		benchmarks/bench_checker.py --benchmark-only
+		--benchmark-only
 
 # regenerate benchmarks/results/PAPER_LEDGER.json (every paper table,
 # theorem run and figure); exits 1 naming the keys that drifted from the

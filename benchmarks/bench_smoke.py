@@ -303,46 +303,38 @@ def reuse_smoke() -> bool:
 
 
 def checker_smoke() -> bool:
-    """The delta checkers against the per-leaf batch scan.
+    """The leaf checker on an exhaustive fastclaim DFS.
 
-    Both arms must produce identical exact counts (including ``checks``)
-    and identical anomaly strings; the per-leaf checker cost is printed
-    as a throughput ledger for eyeballing, never asserted.
+    The leaf count and the anomaly union are exact, machine-independent
+    gates; the per-leaf checker cost is printed for eyeballing, never
+    asserted.
     """
-    kwargs = dict(
-        max_depth=30, max_states=60_000, first_violation_only=False
+    r = explore_write_read_race(
+        "fastclaim", max_depth=30, max_states=60_000, first_violation_only=False
     )
-    inc = explore_write_read_race("fastclaim", **kwargs)
-    bat = explore_write_read_race("fastclaim", incremental=False, **kwargs)
-
-    def key(r):
-        return dict(
-            states_visited=r.states_visited,
-            states_deduped=r.states_deduped,
-            schedules_completed=r.schedules_completed,
-            checks=r.checks,
-            anomalies=sorted(
-                {str(a) for _, anomalies in r.violations for a in anomalies}
-            ),
-        )
-
-    ok = key(inc) == key(bat)
-    ok &= inc.incremental and not bat.incremental
-    ok &= inc.checks == EXPECT_CHECKS
-    for label, r in (("incremental", inc), ("batch", bat)):
-        per = r.checker_seconds / r.checks * 1e6 if r.checks else 0.0
-        print(
-            f"{'ok  ' if ok else 'FAIL'} checker {label}: "
-            f"{r.checks} leaves, {r.checker_seconds * 1e3:.1f}ms checker "
-            f"({per:.0f}us/leaf)"
-        )
-    if inc.checks != EXPECT_CHECKS:
-        print(f"     expected checks={EXPECT_CHECKS}, got {inc.checks}")
+    union = sorted({str(a) for _, anomalies in r.violations for a in anomalies})
+    ok = r.checks == EXPECT_CHECKS and union == EXPECT_ANOMALIES
+    per = r.checker_seconds / r.checks * 1e6 if r.checks else 0.0
+    print(
+        f"{'ok  ' if ok else 'FAIL'} checker: {r.checks} leaves, "
+        f"{r.checker_seconds * 1e3:.1f}ms checker ({per:.0f}us/leaf)"
+    )
+    if r.checks != EXPECT_CHECKS:
+        print(f"     expected checks={EXPECT_CHECKS}, got {r.checks}")
+    if union != EXPECT_ANOMALIES:
+        print(f"     expected anomalies {EXPECT_ANOMALIES}, got {union}")
     return ok
 
 
-#: exact leaf count of the checker smoke scenario (machine-independent)
+#: exact leaf count and anomaly union of the checker smoke scenario
+#: (machine-independent)
 EXPECT_CHECKS = 5_395
+EXPECT_ANOMALIES = [
+    "CausalAnomaly(reader='Tr', obj='X0', read_value='X0:init', "
+    "read_writer='Tin0', fresher_writer='Tw', fresher_value='X0:new')",
+    "CausalAnomaly(reader='Tr', obj='X1', read_value='X1:init', "
+    "read_writer='Tin1', fresher_writer='Tw', fresher_value='X1:new')",
+]
 
 
 def main() -> int:

@@ -1,7 +1,7 @@
 """Helpers shared by the gated pytest-benchmark scripts.
 
-``bench_explore``, ``bench_parallel`` and ``bench_checker`` each assert
-an acceptance gate and write one ``benchmarks/results/BENCH_*.json``,
+``bench_explore`` and ``bench_parallel`` each assert an acceptance
+gate and write one ``benchmarks/results/BENCH_*.json``,
 stamped with the same ``env`` block as the paper ledger.
 """
 

@@ -196,7 +196,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         max_states=args.max_states,
         checker=args.checker,
         por=args.por,
-        checker_oracle=args.checker_oracle,
         **_proto_params(args),
     )
     print(result.describe())
@@ -296,11 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--no-por", dest="por", action="store_false")
     e.add_argument("--checker", choices=("causal", "read-atomic", "sessions"),
                    default="causal")
-    e.add_argument("--checker-oracle", action="store_true",
-                   help="cross-check every incremental verdict against the "
-                        "batch scan (slow; debugging aid); needs "
-                        "--checker causal, the one checker with an "
-                        "incremental verdict")
     e.add_argument("--max-depth", type=int, default=40)
     e.add_argument("--max-states", type=int, default=50_000)
     e.add_argument("--sync-hops", type=int, default=None)

@@ -36,8 +36,6 @@ def explore(
     checker: str = "causal",
     por: bool = False,
     workers: int = 1,
-    incremental: bool = True,
-    checker_oracle: bool = False,
 ) -> ExplorationResult:
     """Exhaustively explore every schedule of ``script`` on ``system``.
 
@@ -58,12 +56,7 @@ def explore(
     fans an exhaustive (``first_violation_only=False``) DFS of a
     POR-safe protocol out over a shared fingerprint claim set, with
     ``max_states`` as one pool-wide budget; any other ``workers > 1``
-    request is answered serially (``result.auto_serial``).  The search
-    checks ``"causal"`` with the incremental delta checker by
-    default (``incremental=False`` forces the batch scan;
-    ``checker_oracle=True`` cross-checks every leaf against it, and is
-    refused where there is no incremental verdict); the other levels
-    always run their batch scan.
+    request is answered serially (``result.auto_serial``).
     """
     sim = system.sim
     for client, txn in script:
@@ -76,8 +69,6 @@ def explore(
         max_depth=max_depth,
         max_states=max_states,
         first_violation_only=first_violation_only,
-        incremental=incremental,
-        checker_oracle=checker_oracle,
     )
 
 
@@ -89,8 +80,6 @@ def explore_write_read_race(
     por: bool = False,
     workers: int = 1,
     first_violation_only: bool = True,
-    incremental: bool = True,
-    checker_oracle: bool = False,
     **params,
 ) -> ExplorationResult:
     """The canonical scenario: the theorem's write racing a fast ROT.
@@ -140,6 +129,4 @@ def explore_write_read_race(
         checker=checker,
         por=por,
         workers=workers,
-        incremental=incremental,
-        checker_oracle=checker_oracle,
     )

@@ -14,7 +14,6 @@ Public surface:
 """
 
 from repro.engine.core import (
-    CheckerSpec,
     ExplorationResult,
     SearchNode,
     SerialSearch,
@@ -24,7 +23,6 @@ from repro.engine.core import (
 from repro.engine.outcome import SearchOutcome
 
 __all__ = [
-    "CheckerSpec",
     "ExplorationResult",
     "SearchNode",
     "SearchOutcome",

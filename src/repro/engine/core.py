@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.engine.outcome import SearchOutcome
 from repro.sim.events import (
@@ -54,8 +54,7 @@ def _wall() -> float:
     """Host wall-clock, for ``checker_seconds`` instrumentation only.
 
     The value never feeds simulated time, verdicts or fingerprints — it
-    measures the real cost of consistency checking so benchmarks can
-    compare the delta checkers against the batch scan.
+    measures the real cost of the leaf checks.
     """
     # repro-lint: disable=RL101 — host-side cost instrumentation; the
     # simulation never observes this value
@@ -110,12 +109,14 @@ class ExplorationResult(SearchOutcome):
     #: fingerprint claim set (cross-worker dedup; worker-local seen-set
     #: dedup stays inside ``states_deduped`` alongside it)
     shared_seen_hits: int = 0
-    #: leaves whose history was given a verdict
-    checks: int = 0
-    #: wall-clock spent in checker work (delta consumption + verdicts for
-    #: the incremental path; history extraction + scan for the batch path)
+    #: wall-clock spent in leaf checks (history extraction + scan)
     checker_seconds: float = 0.0
-    incremental: bool = False
+
+    @property
+    def checks(self) -> int:
+        """Leaves whose history was given a verdict: every completed
+        schedule is checked."""
+        return self.schedules_completed
 
     @property
     def violation_found(self) -> bool:
@@ -159,39 +160,20 @@ class ExplorationResult(SearchOutcome):
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class CheckerSpec:
-    """A checker resolved to its batch scan and incremental factory.
-
-    ``batch`` is the whole-history anomaly scan (the reference oracle);
-    ``incremental`` constructs a fresh
-    :class:`~repro.consistency.incremental.IncrementalChecker` whose
-    verdicts are bit-identical to ``batch`` on the same records.  The
-    DFS consumes committed-record deltas through the incremental
-    checker by default; ``incremental=None`` means the checker has no
-    delta form and always runs batch (every level but ``"causal"``).
-    """
-
-    name: str
-    batch: Callable
-    incremental: Optional[Callable] = None
-
-
-def resolve_checker(checker: str) -> CheckerSpec:
-    """Map a checker name to its batch scan + incremental factory."""
+def resolve_checker(checker: str) -> Callable:
+    """Map a checker name to its whole-history anomaly scan."""
     if checker == "causal":
         from repro.consistency.causal import find_causal_anomalies
-        from repro.consistency.incremental import IncrementalCausalChecker
 
-        return CheckerSpec("causal", find_causal_anomalies, IncrementalCausalChecker)
+        return find_causal_anomalies
     if checker == "read-atomic":
         from repro.consistency.atomicity import find_fractured_reads
 
-        return CheckerSpec("read-atomic", find_fractured_reads)
+        return find_fractured_reads
     if checker == "sessions":
         from repro.consistency.sessions import check_sessions
 
-        return CheckerSpec("sessions", check_sessions)
+        return check_sessions
     raise ValueError(f"unknown checker {checker!r}")
 
 
@@ -221,14 +203,12 @@ class SerialSearch:
         pids: Sequence[ProcessId],
         clients: Sequence[ProcessId],
         result: ExplorationResult,
-        checker: "CheckerSpec | Callable",
+        checker: Callable,
         max_depth: int,
         max_states: int,
         first_violation_only: bool,
         por: bool,
         trail_prefix: Tuple[str, ...] = (),
-        incremental: bool = False,
-        oracle: bool = False,
         canonical_keys: bool = False,
         seen=None,
         budget=None,
@@ -237,8 +217,7 @@ class SerialSearch:
         self.pids = tuple(pids)
         self.clients = tuple(clients)
         self.result = result
-        if not isinstance(checker, CheckerSpec):  # bare batch callable
-            checker = CheckerSpec(getattr(checker, "__name__", "?"), checker)
+        #: the whole-history scan run at every quiescent leaf
         self.checker = checker
         self.max_depth = max_depth
         self.max_states = max_states
@@ -272,65 +251,6 @@ class SerialSearch:
         # POR every sleep set is empty and this degenerates to a set.
         self._seen: dict = {}
         self._trail: List[Event] = []
-        # Incremental checking: the checker's checkpoint/rollback runs in
-        # lockstep with the DFS's apply/restore.  The checker is primed
-        # here from the sim's *current* configuration — for a parallel
-        # subtree root that one advance rebuilds the whole prefix state,
-        # after which the subtree is pure delta work.
-        self.incremental = bool(incremental and checker.incremental is not None)
-        self.oracle = oracle
-        self._checker = None
-        self._consumed: Dict[str, int] = {}
-        self._client_set = frozenset(self.clients)
-        if self.incremental:
-            from repro.txn.history import committed_deltas
-
-            t0 = _wall()
-            self._checker = checker.incremental()
-            self._consumed, fresh = committed_deltas(sim, self.clients, {})
-            if fresh:
-                self._checker.advance(fresh)
-            result.checker_seconds += _wall() - t0
-
-    # -- incremental checker lockstep --------------------------------------
-
-    def _delta_collect(self, pid: ProcessId) -> Optional[tuple]:
-        """After a client step: collect newly-committed records.
-
-        Commits only happen inside ``Simulation.step`` of a client (a
-        delivery just parks the message in the income buffer), so the
-        DFS loops call this for client-step edges only, and only ``pid``
-        can have committed.  Returns ``(rollback token, fresh records)``
-        for :meth:`_delta_rollback`, or None when the step did not
-        commit.
-
-        Collecting does **not** consume: the fresh records ride into the
-        recursive call and are consumed only once the child survives its
-        dedup/budget checks (or is a checked leaf), so subtrees that die
-        unexplored never pay checker work.  A consumed delta is shared
-        by the whole surviving subtree — every leaf verdict in it is
-        then just :meth:`IncrementalChecker.anomalies` on maintained
-        state.
-        """
-        from repro.txn.history import committed_deltas
-
-        consumed = self._consumed
-        if len(self.sim.processes[pid].completed) == consumed.get(pid, 0):
-            return None
-        token = (self._checker.checkpoint(), consumed)
-        self._consumed, fresh = committed_deltas(
-            self.sim, self.clients, consumed
-        )
-        return (token, fresh)
-
-    def _delta_consume(self, fresh: tuple) -> None:
-        t0 = _wall()
-        self._checker.advance(fresh)
-        self.result.checker_seconds += _wall() - t0
-
-    def _delta_rollback(self, token: tuple) -> None:
-        self._checker.rollback(token[0])
-        self._consumed = token[1]
 
     def _fingerprint(self) -> bytes:
         """The seen-set key for the current configuration.
@@ -414,23 +334,9 @@ class SerialSearch:
 
         r = self.result
         r.schedules_completed += 1
-        r.checks += 1
         t0 = _wall()
-        if self.incremental:
-            anomalies = self._checker.anomalies()
-        else:
-            hist = build_history(self.sim, clients=self.clients)
-            anomalies = self.checker.batch(hist)
+        anomalies = self.checker(build_history(self.sim, clients=self.clients))
         r.checker_seconds += _wall() - t0
-        if self.oracle and self.incremental:
-            hist = build_history(self.sim, clients=self.clients)
-            expect = self.checker.batch(hist)
-            if anomalies != expect:
-                raise AssertionError(
-                    f"incremental {self.checker.name} verdict diverged "
-                    f"from the batch oracle:\n  incremental: {anomalies!r}"
-                    f"\n  batch:       {expect!r}"
-                )
         if anomalies:
             labels = list(self.trail_prefix) + [e.label for e in self._trail]
             r.violations.append((labels, anomalies))
@@ -451,9 +357,8 @@ class SerialSearch:
     def run(self, depth: int = 0, sleep: FrozenSet[Event] = _EMPTY) -> None:
         """Depth-first from the sim's current configuration, backtracking
         through an undo journal that ends with the call, even on a raise."""
-        self.result.incremental = self.incremental
         try:
-            self._dfs(depth, sleep, ())
+            self._dfs(depth, sleep)
         finally:
             self.sim.drop_journal()
 
@@ -469,16 +374,12 @@ class SerialSearch:
         self.run()
         return self._frontier
 
-    def _dfs(
-        self, depth: int, sleep: FrozenSet[Event], fresh: Sequence
-    ) -> None:
+    def _dfs(self, depth: int, sleep: FrozenSet[Event]) -> None:
         r = self.result
         if not any_enabled(self.sim, self.pids):
             if not self._count_state():
                 return
             if clients_done(self.sim, self.clients):
-                if fresh:
-                    self._delta_consume(fresh)
                 self._check_leaf()
             return  # stuck without finishing: not a legal maximal run
         # digest first: the fingerprint finds (or pickles and interns)
@@ -508,11 +409,6 @@ class SerialSearch:
         if depth >= self.max_depth:
             r.truncated += 1
             return
-        if fresh:
-            # the node survived its dedup and budget checks: consume the
-            # records committed on the entering edge; the whole subtree
-            # shares the result
-            self._delta_consume(fresh)
         events = enabled_events(self.sim, self.pids)
         explorable = (
             [e for e in events if e not in sleep] if self.por else events
@@ -536,19 +432,7 @@ class SerialSearch:
                 continue
             e.apply(self.sim)
             self._trail.append(e)
-            # collect in lockstep with apply; rollback in lockstep with
-            # restore — backtracking reuses the parent's checker state
-            # instead of recomputing it.  None on non-commit edges.
-            ck = (
-                self._delta_collect(e.pid)
-                if self.incremental
-                and e.__class__ is Step
-                and e.pid in self._client_set
-                else None
-            )
-            self._dfs(depth + 1, child_sleep, ck[1] if ck else ())
-            if ck is not None:
-                self._delta_rollback(ck[0])
+            self._dfs(depth + 1, child_sleep)
             self._trail.pop()
             self.sim.restore(mark)
             prior.append(e)
@@ -568,8 +452,6 @@ def run(
     max_depth: int = 40,
     max_states: int = 50_000,
     first_violation_only: bool = True,
-    incremental: bool = True,
-    checker_oracle: bool = False,
 ) -> ExplorationResult:
     """Explore every schedule of ``system``'s current configuration.
 
@@ -587,25 +469,12 @@ def run(
     pool ``max_states`` is a *global* budget — total ``states_visited``
     never exceeds it regardless of ``workers``.
 
-    ``incremental=True`` (the default) uses the delta checker where the
-    checker has one; ``False`` forces the batch scan.
-    ``checker_oracle=True`` additionally runs the batch scan at every
-    leaf and raises if the verdicts are not bit-identical; a run with no
-    incremental verdict to cross-check refuses it with
-    :class:`ValueError`.
+    Every quiescent leaf's history is checked with ``checker``'s
+    whole-history scan (see :func:`resolve_checker`).
     """
-    spec = resolve_checker(checker)
+    check = resolve_checker(checker)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    use_inc = incremental and spec.incremental is not None
-    if checker_oracle and not use_inc:
-        if spec.incremental is None:
-            why = f"checker {checker!r} has no incremental form"
-        else:
-            why = "incremental=False runs the batch scan"
-        raise ValueError(
-            f"checker_oracle needs an incremental verdict to cross-check: {why}"
-        )
     result = ExplorationResult(
         protocol=system.info.name,
         por=por,
@@ -622,27 +491,23 @@ def run(
 
         return run_parallel(
             system,
-            checker=checker,
+            checker=check,
             por=por,
             workers=workers,
             max_depth=max_depth,
             max_states=max_states,
             result=result,
-            incremental=use_inc,
-            oracle=checker_oracle,
         )
     search = SerialSearch(
         sim,
         pids,
         system.clients,
         result,
-        spec,
+        check,
         max_depth,
         max_states,
         first_violation_only,
         por,
-        incremental=use_inc,
-        oracle=checker_oracle,
     )
     search.run()
     result.auto_serial = workers > 1

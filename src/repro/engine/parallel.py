@@ -65,8 +65,9 @@ import pickle
 import queue as queue_mod
 import traceback
 from dataclasses import replace
+from typing import Callable
 
-from repro.engine.core import ExplorationResult, SerialSearch, resolve_checker
+from repro.engine.core import ExplorationResult, SerialSearch
 from repro.engine.seenset import SharedSeenSet
 from repro.sim.executor import Simulation
 
@@ -144,7 +145,6 @@ def _worker_main(
     """One worker: pull roots until a sentinel, post one result."""
     sim = Simulation([])
     sim.snapshot_mode = boot["snapshot_mode"]
-    spec = resolve_checker(boot["checker"])
     total = ExplorationResult(protocol=boot["protocol"])
     agg = {
         "worker": worker_id,
@@ -161,23 +161,17 @@ def _worker_main(
             ordinal, snapshot, depth, trail_prefix = pickle.loads(task)
             sim.restore(snapshot)
             result = ExplorationResult(protocol=boot["protocol"])
-            # the subtree root's checker state is rebuilt here from the
-            # shipped snapshot (SerialSearch primes the incremental
-            # checker from the sim's current configuration); the
-            # subtree is then pure deltas
             search = SerialSearch(
                 sim,
                 boot["pids"],
                 boot["clients"],
                 result,
-                spec,
+                boot["checker"],
                 boot["max_depth"],
                 boot["max_states"],
                 first_violation_only=False,
                 por=False,
                 trail_prefix=trail_prefix,
-                incremental=boot["incremental"],
-                oracle=boot["oracle"],
                 canonical_keys=True,
                 seen=seen,
                 budget=budget,
@@ -201,26 +195,25 @@ def _worker_main(
 def run_parallel(
     system,
     *,
-    checker: str,
+    checker: Callable,
     por: bool,
     workers: int,
     max_depth: int,
     max_states: int,
     result: ExplorationResult,
-    incremental: bool = False,
-    oracle: bool = False,
 ) -> ExplorationResult:
     """Exhaustive DFS of ``system`` with a pool of ``workers``.
 
     The caller (:func:`repro.engine.core.run`) has established that the
     canonical fingerprint is a bisimulation for this protocol; ``por``
     is the caller's own setting and only steers the serial answer of
-    the too-few-roots fallback.
+    the too-few-roots fallback.  ``checker`` is the whole-history scan
+    run at every quiescent leaf (a module-level function, so a spawned
+    worker unpickles it by name).
     """
     sim = system.sim
     pids = tuple(system.clients) + tuple(system.service_pids)
     clients = tuple(system.clients)
-    spec = resolve_checker(checker)
     root_snap = sim.snapshot()
     target = max(workers * ROOTS_PER_WORKER, workers + 1)
 
@@ -236,13 +229,11 @@ def run_parallel(
             pids,
             clients,
             partial,
-            spec,
+            checker,
             max_depth,
             max_states,
             first_violation_only=False,
             por=por and serial,
-            incremental=incremental,
-            oracle=oracle,
             canonical_keys=not serial,
         )
 
@@ -280,8 +271,6 @@ def run_parallel(
         "max_depth": max_depth,
         "max_states": max_states,
         "protocol": result.protocol,
-        "incremental": incremental,
-        "oracle": oracle,
         # explicit, not inherited: under a spawn start method the
         # class-level mode would reset to the default, and a
         # deepcopy-oracle run would silently explore its subtrees on
@@ -378,7 +367,6 @@ def _add_counts(total: ExplorationResult, part: ExplorationResult) -> None:
     total.states_deduped += part.states_deduped
     total.schedules_completed += part.schedules_completed
     total.truncated += part.truncated
-    total.checks += part.checks
     total.checker_seconds += part.checker_seconds
 
 
@@ -390,10 +378,8 @@ def _finalize(
     result.states_deduped = partial.states_deduped
     result.schedules_completed = partial.schedules_completed
     result.truncated = partial.truncated
-    result.checks = partial.checks
     result.checker_seconds = partial.checker_seconds
     result.violations = partial.violations
     result.exhausted = search.exhausted
     result.steps = result.states_visited
-    result.incremental = search.incremental
     result.counters = replace(sim.counters)

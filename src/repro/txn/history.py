@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.txn.types import BOTTOM, ObjectId, Transaction, TxnRecord, Value
 
@@ -42,12 +42,12 @@ class CausalOrder:
     * :meth:`add_node` / :meth:`add_edge` / :meth:`extend` — append
       path: grow the closed order in place.  ``add_edge`` returns the
       *closure delta* (the pairs newly related by the edge), which is
-      what lets the incremental checkers re-examine only the reads and
-      writes an edge could have affected.
+      what lets :mod:`repro.consistency.incremental` re-examine only the
+      reads and writes an edge could have affected.
 
     Mutations are recorded on an undo trail: :meth:`checkpoint` returns
-    a token and :meth:`rollback` restores the order to that token, in
-    lockstep with the exploration engine's fork/restore discipline.
+    a token and :meth:`rollback` restores the order to that token.  The
+    exploration engine checks leaves with the batch path only.
     """
 
     def __init__(self, nodes: Iterable[str] = ()):
@@ -70,26 +70,36 @@ class CausalOrder:
             ia, ib = order._idx.get(a), order._idx.get(b)
             if ia is not None and ib is not None and ia != ib:
                 succ[ia].add(ib)
-        # transitive closure by reverse-postorder DFS with memoization;
-        # cycles (which would indicate a corrupted history) are rejected.
+        # transitive closure by reverse-postorder DFS with memoization,
+        # on an explicit stack (a causal chain is as deep as the history
+        # is long); cycles (which would indicate a corrupted history)
+        # are rejected.
         color = [0] * len(order.nodes)  # 0 white, 1 grey, 2 black
         reach = order._reach
-
-        def dfs(u: int) -> None:
-            color[u] = 1
-            acc = reach[u]
-            for v in succ.get(u, ()):  # noqa: B023
-                if color[v] == 1:
-                    raise ValueError("cycle in causal order (corrupted history)")
-                if color[v] == 0:
-                    dfs(v)
-                acc |= (1 << v) | reach[v]
-            reach[u] = acc
-            color[u] = 2
-
-        for u in range(len(order.nodes)):
-            if color[u] == 0:
-                dfs(u)
+        for root in range(len(order.nodes)):
+            if color[root]:
+                continue
+            color[root] = 1
+            stack = [(root, iter(succ.get(root, ())))]
+            while stack:
+                u, pending = stack[-1]
+                for v in pending:
+                    if color[v] == 1:
+                        raise ValueError(
+                            "cycle in causal order (corrupted history)"
+                        )
+                    if color[v] == 0:
+                        color[v] = 1
+                        stack.append((v, iter(succ.get(v, ()))))
+                        break
+                else:
+                    # every successor is closed: u's row is their union
+                    stack.pop()
+                    acc = reach[u]
+                    for v in succ.get(u, ()):
+                        acc |= (1 << v) | reach[v]
+                    reach[u] = acc
+                    color[u] = 2
         return order
 
     # -- append path --------------------------------------------------------
@@ -143,7 +153,7 @@ class CausalOrder:
             delta.extend(self.add_edge(a, b))
         return delta
 
-    # -- fork/restore lockstep ----------------------------------------------
+    # -- checkpoint/rollback ------------------------------------------------
 
     def checkpoint(self) -> int:
         return len(self._trail)
@@ -406,11 +416,12 @@ def build_history(sim, clients: Optional[Iterable[str]] = None) -> History:
     """Extract the history from a simulation's client processes."""
     from repro.txn.client import ClientBase  # local import avoids a cycle
 
+    wanted = None if clients is None else set(clients)
     hist = History()
     for pid, proc in sim.processes.items():
         if not isinstance(proc, ClientBase):
             continue
-        if clients is not None and pid not in set(clients):
+        if wanted is not None and pid not in wanted:
             continue
         hist.records.extend(proc.completed)
         if proc.current is not None:
@@ -419,27 +430,3 @@ def build_history(sim, clients: Optional[Iterable[str]] = None) -> History:
     hist.records.sort(key=lambda r: (r.invoked_at, r.txid))
     return hist
 
-
-def committed_deltas(
-    sim, clients: Iterable[str], consumed: Mapping[str, int]
-) -> Tuple[Dict[str, int], List[TxnRecord]]:
-    """The committed-record delta since ``consumed``.
-
-    ``consumed`` maps client pid → how many of its committed records the
-    caller has already seen; the return value is the updated map plus
-    the new records, in the given client order (at most one client gains
-    records per simulation event, so the cross-client order is
-    immaterial to the checkers).  This is what lets the exploration
-    engine feed its incremental checkers without re-extracting the full
-    history at every node (see :func:`build_history`).
-    """
-    updated: Dict[str, int] = dict(consumed)
-    fresh: List[TxnRecord] = []
-    for pid in clients:
-        proc = sim.processes[pid]
-        done = proc.completed
-        k = updated.get(pid, 0)
-        if len(done) > k:
-            fresh.extend(done[k:])
-            updated[pid] = len(done)
-    return updated, fresh

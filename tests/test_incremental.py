@@ -1,8 +1,7 @@
 """The incremental causal checker against its batch oracle.
 
-Three layers of evidence that :mod:`repro.consistency.incremental` is a
-faithful replacement for re-running the batch scan at every
-exploration leaf:
+Two layers of evidence that :mod:`repro.consistency.incremental` gives
+the batch scan's verdict on every prefix of a history:
 
 * **CausalOrder units** — the append path (``add_node``/``add_edge``)
   agrees with batch ``from_edges`` closure, reports exact closure
@@ -12,22 +11,16 @@ exploration leaf:
   every intermediate verdict of the incremental checker is
   *bit-identical* (same anomalies, same order) to the batch scan on the
   records consumed so far; corrupt histories raise the same way.
-* **Engine equivalence** — ``explore`` with the delta checker returns
-  the same result as with the batch scan, including the first-violation
-  schedule trace, across POR and parallel workers; the engine's
-  ``checker_oracle`` cross-check stays silent, and is refused where
-  there is no incremental verdict to cross-check.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency import IncrementalCausalChecker, find_causal_anomalies
-from repro.core.explore import explore_write_read_race
 from repro.txn.history import CausalOrder, History
 from repro.txn.types import BOTTOM
 
-from helpers import rec, result_key
+from helpers import rec
 
 CHECKERS = [(IncrementalCausalChecker, find_causal_anomalies)]
 
@@ -192,65 +185,3 @@ class TestIncrementalMatchesBatch:
             i += 1
         assert incremental_verdict(checker) == batch_verdict(batch, consumed)
 
-
-# ---------------------------------------------------------------------------
-# engine equivalence: delta checkers vs batch scan end to end
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "protocol,por,workers",
-    [
-        ("fastclaim", False, 1),
-        ("fastclaim", True, 1),
-        ("fastclaim", True, 2),
-        ("cops_snow", True, 1),
-        ("cops_snow", True, 2),
-    ],
-)
-def test_explore_identical_with_and_without_delta_checkers(
-    protocol, por, workers
-):
-    """Counts, verdicts and the first-violation trace are bit-identical."""
-    inc = explore_write_read_race(
-        protocol, por=por, workers=workers, max_depth=30
-    )
-    bat = explore_write_read_race(
-        protocol, por=por, workers=workers, max_depth=30, incremental=False
-    )
-    assert inc.incremental and not bat.incremental
-    assert result_key(inc) == result_key(bat)
-    assert inc.checks == bat.checks
-
-
-@pytest.mark.parametrize("checker", ["causal"])
-def test_engine_oracle_stays_silent(checker):
-    """checker_oracle re-runs the batch scan at every leaf and raises on
-    any divergence — a silent pass is leaf-by-leaf bit-identity."""
-    r = explore_write_read_race(
-        "fastclaim",
-        por=True,
-        checker=checker,
-        max_depth=30,
-        first_violation_only=False,
-        checker_oracle=True,
-    )
-    assert r.checks > 0 and r.incremental
-
-
-@pytest.mark.parametrize(
-    "kw,reason",
-    [
-        (dict(checker="read-atomic"), "checker 'read-atomic' has no incremental"),
-        (dict(checker="sessions"), "checker 'sessions' has no incremental"),
-        (dict(incremental=False), "incremental=False runs the batch scan"),
-    ],
-    ids=["read-atomic", "sessions", "batch"],
-)
-def test_checker_oracle_refused_without_incremental_verdict(kw, reason):
-    """With nothing incremental to compare, the oracle is refused rather
-    than returning an unchecked result as if it had checked."""
-    with pytest.raises(ValueError, match=reason):
-        explore_write_read_race(
-            "fastclaim", max_depth=30, checker_oracle=True, **kw
-        )

@@ -11,6 +11,7 @@
 import dataclasses
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consistency import check_causal_exact, find_causal_anomalies
@@ -164,6 +165,54 @@ class TestSearchVsBruteForce:
         got = find_legal_serialization(records, []).found
         want = brute_force_serializable(records)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the batch causal closure against naive reachability
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dags(draw, min_edges=0):
+    """Nodes and an edge list acyclic under a drawn topological order
+    (repeated edges included)."""
+    n = draw(st.integers(2, 9))
+    topo = draw(st.permutations([f"t{i}" for i in range(n)]))
+    forward = [(topo[i], topo[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(forward), min_size=min_edges, max_size=20))
+    return [f"t{i}" for i in range(n)], edges
+
+
+def reachability(nodes, edges):
+    succ = {x: {b for a, b in edges if a == x} for x in nodes}
+    out = set()
+    for x in nodes:
+        todo, seen = list(succ[x]), set()
+        while todo:
+            y = todo.pop()
+            if y not in seen:
+                seen.add(y)
+                todo.extend(succ[y])
+        out |= {(x, y) for y in seen}
+    return out
+
+
+class TestCausalClosure:
+    @given(dags())
+    @settings(max_examples=200, deadline=None)
+    def test_closure_is_reachability(self, dag):
+        nodes, edges = dag
+        assert set(CausalOrder.from_edges(nodes, edges).edges()) == reachability(
+            nodes, edges
+        )
+
+    @given(dags(min_edges=1), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_back_edge_raises(self, dag, data):
+        nodes, edges = dag
+        a, b = data.draw(st.sampled_from(sorted(reachability(nodes, edges))))
+        with pytest.raises(ValueError, match="cycle"):
+            CausalOrder.from_edges(nodes, edges + [(b, a)])
 
 
 # ---------------------------------------------------------------------------

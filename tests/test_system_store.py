@@ -145,6 +145,13 @@ class TestStoreFacade:
         assert report.level == "read-atomic"
         assert report.ok
 
+    def test_a_long_session_is_checked(self):
+        """1 100 writes by one client form a causal chain as long."""
+        s = Store("cops", objects=("X0", "X1"), clients=("c0",))
+        for i in range(1_100):
+            s.write("c0", {"X0": f"v{i}"})
+        assert s.check_consistency().ok
+
 
 class TestWitnessTypes:
     def test_mixed_detection(self):

@@ -180,6 +180,12 @@ class TestCausalOrderClass:
         o = CausalOrder.from_edges(["a"], [("a", "zzz")])
         assert not o.lt("a", "zzz")
 
+    def test_long_chain_closes(self):
+        """The closure walks a causal chain without recursing per link."""
+        nodes = [f"t{i}" for i in range(5000)]
+        o = CausalOrder.from_edges(nodes, list(zip(nodes, nodes[1:])))
+        assert o.lt("t0", "t4999") and not o.lt("t4999", "t0")
+
 
 class MiniClient(ClientBase):
     """Client that completes every txn immediately (no server contact)."""
