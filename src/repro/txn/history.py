@@ -46,8 +46,7 @@ class CausalOrder:
       reads and writes an edge could have affected.
 
     Mutations are recorded on an undo trail: :meth:`checkpoint` returns
-    a token and :meth:`rollback` restores the order to that token.  The
-    exploration engine checks leaves with the batch path only.
+    a token and :meth:`rollback` restores the order to that token.
     """
 
     def __init__(self, nodes: Iterable[str] = ()):

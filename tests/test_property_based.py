@@ -4,6 +4,7 @@
   schedules;
 * the serialization-search engine agrees with brute-force permutation
   search on small random histories;
+* the batch causal closure equals naive reachability and rejects cycles;
 * the witness-based causal checker is sound w.r.t. the exact checker;
 * protocol runs under random adversaries stay consistent.
 """
