@@ -11,12 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocols import build_system, get_protocol
+from repro.protocols.cops_geo import build_geo_system
 from repro.protocols.registry import REGISTRY
 from repro.sim.events import Deliver, Step, enabled_events
 from repro.sim.executor import SNAPSHOT_MODES, Simulation, use_snapshot_mode
 from repro.sim.messages import Message
 from repro.sim.process import Process
-from repro.sim.scheduler import RoundRobinScheduler, run_until_quiescent
+from repro.sim.scheduler import (
+    RandomScheduler,
+    RoundRobinScheduler,
+    run_until_quiescent,
+)
+from repro.sim.snapshot import dumps_canonical
 from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 from repro.txn.types import read_only_txn
 from repro.workloads import WorkloadSpec, run_workload
@@ -60,6 +66,87 @@ def test_seeded_run_yields_the_recorded_trace(protocol, mix, scheduler):
         digest.update(b"\n")
     got = (len(system.sim.trace), system.sim.event_count, digest.hexdigest())
     assert got == GOLDEN[protocol, mix, scheduler]
+
+
+#: (messages sent, blake2b-128 over the states and the wire bytes) of a
+#: seeded run of every registered protocol and of geo-replicated COPS.
+#: ``GOLDEN`` hashes only ``repr(event)`` -- pids and message ids -- so it
+#: cannot see a payload or a process state change; this table can.
+PAYLOAD_GOLDEN = {
+    ("calvin", "read_heavy"): (243, "aff2f54de5faf378c17a120095f00b54"),
+    ("calvin", "write_heavy"): (220, "41a976700f8e9a068767338c0b0e9ba0"),
+    ("contrarian", "read_heavy"): (330, "279e0fbb504cbefca92ed02553e4aace"),
+    ("contrarian", "write_heavy"): (228, "983ec2c3219236d83de0258d8753b04e"),
+    ("cops", "read_heavy"): (206, "254e2ff59180e2f8abf6ab914e9c4674"),
+    ("cops", "write_heavy"): (132, "317722b18f1da2defe4c510288015984"),
+    ("cops_rw", "read_heavy"): (212, "1c84edfc984ae4429ce87b3cfba43959"),
+    ("cops_rw", "write_heavy"): (160, "842a1196b424e0260ee62094687aacfe"),
+    ("cops_snow", "read_heavy"): (212, "8506c02fbd3dd801e73dc3556d7dd69c"),
+    ("cops_snow", "write_heavy"): (180, "6d62d48ec70520a8b4814fab91bd66db"),
+    ("cure", "read_heavy"): (446, "5121958f22b4f19a3f991e141fa459db"),
+    ("cure", "write_heavy"): (398, "d5ad7e9b218ebdb0fd583762773ca233"),
+    ("eiger", "read_heavy"): (222, "9d51c67e9d2990d1b5d59e8e75a71aa6"),
+    ("eiger", "write_heavy"): (298, "47d3a5ca326760de1b5cc3d2b2402107"),
+    ("fastclaim", "read_heavy"): (212, "fb7723df37a42a5560c3b5ed012eeb76"),
+    ("fastclaim", "write_heavy"): (186, "adf08b8284cd9afe2088c11da57b3e57"),
+    ("gentlerain", "read_heavy"): (371, "9af328eb774a83217ea7ec2a4dc849bf"),
+    ("gentlerain", "write_heavy"): (228, "d9d234a8b05f3ab8dd105427d040b20a"),
+    ("handshake", "read_heavy"): (217, "0b78bbf2c012d429dd20e008aca5836f"),
+    ("handshake", "write_heavy"): (235, "36b7b613f636f3d261e78f6fc34c02ab"),
+    ("occult", "read_heavy"): (220, "268861d17637fcddc485c839575acd1d"),
+    ("occult", "write_heavy"): (240, "49dd616dec1544d5152c43ab94f17f21"),
+    ("orbe", "read_heavy"): (418, "c2e696a070167d69616912d8b64e4819"),
+    ("orbe", "write_heavy"): (220, "58295a06af647d1267d09567615c38f9"),
+    ("ramp", "read_heavy"): (222, "feb69bcdc5010d42e6956b7a722fb573"),
+    ("ramp", "write_heavy"): (298, "ba9055f9027a26b89c0e607defaeb112"),
+    ("ramp_small", "read_heavy"): (424, "a24e171c8ed714d5aff3166d9c6c7ccf"),
+    ("ramp_small", "write_heavy"): (320, "5619c296d0109ac79aa9fd677d436b85"),
+    ("spanner", "read_heavy"): (213, "5d4be5a7af8df0cdccf15277c488067a"),
+    ("spanner", "write_heavy"): (198, "f7f85fead67eec61a29b0c877bf39c7a"),
+    ("swiftcloud", "read_heavy"): (243, "ab7848505aae09a4462af34c4f4bfd81"),
+    ("swiftcloud", "write_heavy"): (389, "2edcf56391c5223439c3299dc8926f4d"),
+    ("wren", "read_heavy"): (355, "deccb852528d203464d4997fe465bced"),
+    ("wren", "write_heavy"): (412, "3c1d555ff6c9bd02a00cf42efe25099f"),
+    ("cops_geo", "read_heavy"): (216, "43f376c9075adc8e3f3177f7887b7362"),
+    ("cops_geo", "write_heavy"): (352, "04373ea23d1c7658eb1eea200b258663"),
+}
+
+
+class _SamplingScheduler(RandomScheduler):
+    """The workload's default scheduler, hashing the state every 10th tick."""
+
+    def __init__(self, seed, digest):
+        super().__init__(seed)
+        self.digest = digest
+        self.ticks = 0
+
+    def tick(self, sim, pids=None):
+        self.ticks += 1
+        if self.ticks % 10 == 0:
+            self.digest.update(sim.fingerprint())
+        return super().tick(sim, pids)
+
+
+@pytest.mark.parametrize("protocol,mix", sorted(PAYLOAD_GOLDEN))
+def test_seeded_run_sends_the_recorded_bytes(protocol, mix):
+    objects = ("X0", "X1", "X2", "X3")
+    if protocol == "cops_geo":
+        system = build_geo_system(objects=objects)
+    else:
+        system = build_system(protocol, objects=objects, n_servers=2)
+    spec = WorkloadSpec(n_txns=60, read_size=(2, 3), seed=4100, **MIXES[mix])
+    digest = hashlib.blake2b(digest_size=16)
+    run_workload(system, spec, scheduler=_SamplingScheduler(spec.seed, digest))
+    sent = [
+        msg.payload
+        for event in system.sim.trace
+        if isinstance(event, StepEvent)
+        for msg in event.sent
+    ]
+    for payload in sent:
+        digest.update(dumps_canonical(payload))
+    digest.update(system.sim.fingerprint())
+    assert (len(sent), digest.hexdigest()) == PAYLOAD_GOLDEN[protocol, mix]
 
 
 # ---------------------------------------------------------------------------
