@@ -13,8 +13,8 @@ proportional to the *delta*:
   reads are re-checked only against the new writers, and the causal
   order grows by a closure *delta* (:meth:`CausalOrder.add_edge`) whose
   newly-related pairs are the only pairs re-examined.
-* :meth:`IncrementalChecker.checkpoint` / :meth:`rollback` run in
-  lockstep with the engine's fork/restore: backtracking reuses the
+* :meth:`IncrementalChecker.checkpoint` / :meth:`rollback` are built to
+  run in lockstep with a DFS's fork/restore: backtracking reuses the
   parent's checker state instead of recomputing it.  All state mutation
   goes through an undo trail, so a rollback costs O(delta) too.
 * :meth:`IncrementalCausalChecker.anomalies` returns the verdict for the
@@ -30,12 +30,12 @@ transaction at a time); records of different clients may interleave
 arbitrarily, including a reader arriving before the writer it read from
 (the read stays *pending* and is resolved when the writer commits).
 
-The other checker levels (read atomicity, the session guarantees) have
-no delta form: the engine runs their batch scans at every leaf.  The
-batch scan remains the reference oracle: the engine can run both and
-assert equality (``checker_oracle``), and the hypothesis suite does so
-on random histories under arbitrary append/checkpoint/rollback
-sequences.  See ``docs/model.md``, "Checker cost and incrementality".
+The exploration engine does not run this checker: it decides every
+quiescent leaf, at every checker level, with the batch scan.  The batch
+scan is also this module's reference oracle: the hypothesis suite
+asserts equality on random histories under arbitrary
+append/checkpoint/rollback sequences.  See ``docs/model.md``, "Checker
+cost".
 """
 
 from __future__ import annotations

@@ -18,14 +18,14 @@ values smuggled outside declared value fields.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.sim.executor import Simulation
 from repro.sim.messages import Message, Payload, ProcessId
 from repro.sim.process import Process, StepContext
 from repro.sim.scheduler import RoundRobinScheduler, Scheduler, SchedulerStalled
-from repro.txn.client import ClientBase
+from repro.txn.client import ActiveTxn, ClientBase
 from repro.txn.types import BOTTOM, ObjectId, Transaction, TxnRecord, Value
 
 # --------------------------------------------------------------------------
@@ -259,6 +259,32 @@ class ServerBase(Process):
     def on_tick(self, ctx: StepContext) -> None:
         """End-of-step hook: gossip, retry deferred replies, advance clocks."""
         return None
+
+
+class TxnClient(ClientBase):
+    """Client that routes work by transaction shape and reply type.
+
+    A read-only transaction starts in :meth:`begin_read`, any other in
+    :meth:`begin_write`; replies to the current transaction go to
+    :meth:`handle_read_reply` / :meth:`handle_write_reply`, and replies
+    to an earlier one are dropped.
+    """
+
+    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
+        if active.txn.is_read_only:
+            self.begin_read(ctx, active)
+        else:
+            self.begin_write(ctx, active)
+
+    def handle_message(self, ctx: StepContext, msg: Message) -> None:
+        active = self.current
+        p = msg.payload
+        if active is None or getattr(p, "txid", None) != active.txn.txid:
+            return
+        if isinstance(p, ReadReply):
+            self.handle_read_reply(ctx, active, msg, p)
+        elif isinstance(p, WriteReply):
+            self.handle_write_reply(ctx, active, msg, p)
 
 
 # --------------------------------------------------------------------------

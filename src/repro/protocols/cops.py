@@ -16,26 +16,25 @@ communicated at most twice (V ≤ 2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.sim.messages import Message, ProcessId
+from repro.sim.messages import Message
 from repro.sim.process import StepContext
 from repro.protocols.base import (
     INITIAL_TS,
-    ReadReply,
-    ReadRequest,
-    ServerBase,
     Timestamp,
+    TxnClient,
     ValueEntry,
     Version,
     WriteReply,
     WriteRequest,
 )
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.protocols.twophase import ExactReadClient, ExactReadServer
+from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
-class CopsServer(ServerBase):
+class CopsServer(ExactReadServer):
     """Versioned store; assigns ``(lamport, pid)`` timestamps to puts."""
 
     def __init__(self, pid, objects, peers, placement):
@@ -57,21 +56,40 @@ class CopsServer(ServerBase):
         )
         self.queue_send(ctx, msg.src, WriteReply(txid=req.txid, kind="ack", meta={"ts": ts}))
 
-    def handle_read(self, ctx: StepContext, msg: Message, req: ReadRequest) -> None:
-        wanted: Mapping[ObjectId, Timestamp] = req.meta.get("versions", {})
-        entries: List[ValueEntry] = []
-        for obj in req.keys:
-            if obj in wanted:
-                version = self.find_version(obj, wanted[obj])
-                if version is None:  # pragma: no cover - dependency always local
-                    version = self.latest(obj)
-            else:
-                version = self.latest(obj)
-            entries.append(version.entry(deps=version.deps))
-        self.queue_send(ctx, msg.src, ReadReply(txid=req.txid, values=tuple(entries)))
+
+class CopsPutClient(TxnClient):
+    """The COPS put: one write, carrying the client's dependencies."""
+
+    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
+        obj, val = active.txn.writes[0]
+        active.awaiting = {self.primary(obj)}
+        ctx.send(
+            self.primary(obj),
+            WriteRequest(
+                txid=active.txn.txid,
+                kind="write",
+                items=(ValueEntry(obj, val),),
+                meta={"deps": tuple(self.deps.items())},
+            ),
+        )
+
+    def handle_write_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: WriteReply
+    ) -> None:
+        self.note_put(active.txn.writes[0][0], reply.meta["ts"])
+        active.awaiting.discard(msg.src)
+        if not active.awaiting:
+            self.finish(ctx)
+
+    def note_put(self, obj: ObjectId, ts: Timestamp) -> None:
+        # COPS-GT needs the *full* dependency set on every stored version
+        # (one-level dep checks at read time are only sound if dependency
+        # lists are transitively complete), so the client accumulates
+        # rather than replaces.
+        self.deps[obj] = ts
 
 
-class CopsClient(ClientBase):
+class CopsClient(CopsPutClient, ExactReadClient):
     """Nearest-dependency tracking plus the two-round get_trans."""
 
     def __init__(self, pid, servers, placement):
@@ -91,101 +109,6 @@ class CopsClient(ClientBase):
                 "COPS transactions are read-only or single writes"
             )
 
-    # -- write path ---------------------------------------------------------
-
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
-        txn = active.txn
-        if txn.writes:
-            obj, val = txn.writes[0]
-            active.state["phase"] = "write"
-            active.awaiting = {self.primary(obj)}
-            ctx.send(
-                self.primary(obj),
-                WriteRequest(
-                    txid=txn.txid,
-                    kind="write",
-                    items=(ValueEntry(obj, val),),
-                    meta={"deps": tuple(self.deps.items())},
-                ),
-            )
-        else:
-            self._round1(ctx, active)
-
-    # -- read path -----------------------------------------------------------
-
-    def _round1(self, ctx: StepContext, active: ActiveTxn) -> None:
-        groups = self.partition_objects(active.txn.read_set)
-        active.state["phase"] = "round1"
-        active.state["entries"] = {}
-        active.awaiting = set(groups)
-        active.round += 1
-        for server, keys in groups.items():
-            ctx.send(server, ReadRequest(txid=active.txn.txid, keys=keys))
-
-    def _check_and_maybe_round2(self, ctx: StepContext, active: ActiveTxn) -> None:
-        entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-        # causal-cut check: the version returned for each object must be at
-        # least as new as any dependency on that object declared by the
-        # other returned versions.
-        needed: Dict[ObjectId, Timestamp] = {}
-        for entry in entries.values():
-            for dep_obj, dep_ts in entry.meta.get("deps", ()):
-                if dep_obj in entries and dep_ts > entries[dep_obj].ts:
-                    if dep_obj not in needed or dep_ts > needed[dep_obj]:
-                        needed[dep_obj] = dep_ts
-        if not needed:
-            self._complete_read(ctx, active)
-            return
-        groups: Dict[ProcessId, List[ObjectId]] = {}
-        for obj in needed:
-            groups.setdefault(self.primary(obj), []).append(obj)
-        active.state["phase"] = "round2"
-        active.awaiting = set(groups)
-        active.round += 1
-        for server, keys in groups.items():
-            ctx.send(
-                server,
-                ReadRequest(
-                    txid=active.txn.txid,
-                    keys=tuple(keys),
-                    meta={"versions": {k: needed[k] for k in keys}},
-                ),
-            )
-
-    def _complete_read(self, ctx: StepContext, active: ActiveTxn) -> None:
-        entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-        for obj, entry in entries.items():
-            active.reads[obj] = entry.value
-            if entry.ts != INITIAL_TS:
-                if obj not in self.deps or entry.ts > self.deps[obj]:
-                    self.deps[obj] = entry.ts
-        self.finish(ctx)
-
-    # -- replies ----------------------------------------------------------------
-
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, WriteReply):
-            # COPS-GT needs the *full* dependency set on every stored
-            # version (one-level dep checks at read time are only sound if
-            # dependency lists are transitively complete), so the client
-            # accumulates rather than replaces.
-            obj = active.txn.writes[0][0]
-            self.deps[obj] = p.meta["ts"]
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                self.finish(ctx)
-        elif isinstance(p, ReadReply):
-            entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-            for entry in p.values:
-                entries[entry.obj] = entry
-            active.awaiting.discard(msg.src)
-            if active.awaiting:
-                return
-            if active.state["phase"] == "round1":
-                self._check_and_maybe_round2(ctx, active)
-            else:
-                self._complete_read(ctx, active)
+    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
+        active.state["phase"] = "write"
+        super().begin_write(ctx, active)

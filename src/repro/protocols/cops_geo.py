@@ -36,9 +36,6 @@ from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
     INITIAL_TS,
-    ReadReply,
-    ReadRequest,
-    ServerBase,
     ServerMsg,
     Timestamp,
     ValueEntry,
@@ -46,7 +43,9 @@ from repro.protocols.base import (
     WriteReply,
     WriteRequest,
 )
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.protocols.cops import CopsPutClient
+from repro.protocols.twophase import ExactReadClient, ExactReadServer
+from repro.txn.client import UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
@@ -67,7 +66,7 @@ class PendingReplica:
         self.waiting = waiting
 
 
-class CopsGeoServer(ServerBase):
+class CopsGeoServer(ExactReadServer):
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.dc = pid_dc(pid)
@@ -218,23 +217,9 @@ class CopsGeoServer(ServerBase):
 
     # -- reads (COPS-GT, home datacenter only) -----------------------------------
 
-    def handle_read(self, ctx: StepContext, msg: Message, req: ReadRequest) -> None:
-        wanted: Mapping[ObjectId, Timestamp] = req.meta.get("versions", {})
-        entries: List[ValueEntry] = []
-        for obj in req.keys:
-            if obj in wanted:
-                version = self.find_version(obj, tuple(wanted[obj]))
-                if version is None or not version.visible:
-                    # the precise dependency has not replicated here yet;
-                    # COPS-GT blocks this (rare) fetch until it lands
-                    self._defer_exact_fetch(ctx, msg.src, req, obj, wanted[obj])
-                    return
-            else:
-                version = self.latest(obj)
-            entries.append(version.entry(deps=version.deps))
-        self.queue_send(ctx, msg.src, ReadReply(txid=req.txid, values=tuple(entries)))
-
-    def _defer_exact_fetch(self, ctx, client, req, obj, ts) -> None:
+    def missing_version(self, client, req, obj, ts) -> None:
+        # the precise dependency has not replicated here yet; COPS-GT
+        # blocks this (rare) fetch until it lands
         self.blocked_reads.append((client, req))
 
     def wants_step(self) -> bool:
@@ -246,27 +231,17 @@ class CopsGeoServer(ServerBase):
             return
         still = []
         for client, req in blocked:
-            wanted = req.meta.get("versions", {})
             ready = all(
-                self._dep_visible(obj, tuple(ts)) for obj, ts in wanted.items()
+                self._dep_visible(obj, ts) for obj, ts in req.meta["versions"].items()
             )
             if ready and not ctx.sent_to(client):
-                entries = []
-                for obj in req.keys:
-                    if obj in wanted:
-                        version = self.find_version(obj, tuple(wanted[obj]))
-                    else:
-                        version = self.latest(obj)
-                    entries.append(version.entry(deps=version.deps))
-                self.queue_send(
-                    ctx, client, ReadReply(txid=req.txid, values=tuple(entries))
-                )
+                self.serve_read(ctx, client, req)
             else:
                 still.append((client, req))
         self.blocked_reads = still
 
 
-class CopsGeoClient(ClientBase):
+class CopsGeoClient(CopsPutClient, ExactReadClient):
     """COPS-GT client pinned to its home datacenter."""
 
     def __init__(self, pid, servers, placement, n_dcs: int = 2, home_dc: Optional[int] = None):
@@ -291,95 +266,6 @@ class CopsGeoClient(ClientBase):
             raise UnsupportedTransaction("COPS supports only single-object writes")
         if txn.read_set and txn.writes:
             raise UnsupportedTransaction("COPS transactions are read-only or writes")
-
-    # write path -------------------------------------------------------------------
-
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
-        txn = active.txn
-        if txn.writes:
-            obj, val = txn.writes[0]
-            active.awaiting = {self.primary(obj)}
-            ctx.send(
-                self.primary(obj),
-                WriteRequest(
-                    txid=txn.txid,
-                    kind="write",
-                    items=(ValueEntry(obj, val),),
-                    meta={"deps": tuple(self.deps.items())},
-                ),
-            )
-        else:
-            self._round1(ctx, active)
-
-    # read path (two-round COPS-GT) ---------------------------------------------
-
-    def _round1(self, ctx: StepContext, active: ActiveTxn) -> None:
-        groups = self.partition_objects(active.txn.read_set)
-        active.state["phase"] = "round1"
-        active.state["entries"] = {}
-        active.awaiting = set(groups)
-        active.round += 1
-        for server, keys in groups.items():
-            ctx.send(server, ReadRequest(txid=active.txn.txid, keys=keys))
-
-    def _check(self, ctx: StepContext, active: ActiveTxn) -> None:
-        entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-        needed: Dict[ObjectId, Timestamp] = {}
-        for entry in entries.values():
-            for dep_obj, dep_ts in entry.meta.get("deps", ()):
-                if dep_obj in entries and tuple(dep_ts) > tuple(entries[dep_obj].ts):
-                    if dep_obj not in needed or tuple(dep_ts) > tuple(needed[dep_obj]):
-                        needed[dep_obj] = tuple(dep_ts)
-        if not needed:
-            self._complete(ctx, active)
-            return
-        groups: Dict[ProcessId, List[ObjectId]] = {}
-        for obj in needed:
-            groups.setdefault(self.primary(obj), []).append(obj)
-        active.state["phase"] = "round2"
-        active.awaiting = set(groups)
-        active.round += 1
-        for server, keys in groups.items():
-            ctx.send(
-                server,
-                ReadRequest(
-                    txid=active.txn.txid,
-                    keys=tuple(keys),
-                    meta={"versions": {k: needed[k] for k in keys}},
-                ),
-            )
-
-    def _complete(self, ctx: StepContext, active: ActiveTxn) -> None:
-        entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-        for obj, entry in entries.items():
-            active.reads[obj] = entry.value
-            if entry.ts != INITIAL_TS:
-                if obj not in self.deps or tuple(entry.ts) > tuple(self.deps[obj]):
-                    self.deps[obj] = tuple(entry.ts)
-        self.finish(ctx)
-
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, WriteReply):
-            obj = active.txn.writes[0][0]
-            self.deps[obj] = tuple(p.meta["ts"])
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                self.finish(ctx)
-        elif isinstance(p, ReadReply):
-            entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-            for entry in p.values:
-                entries[entry.obj] = entry
-            active.awaiting.discard(msg.src)
-            if active.awaiting:
-                return
-            if active.state["phase"] == "round1":
-                self._check(ctx, active)
-            else:
-                self._complete(ctx, active)
 
 
 def geo_placement(

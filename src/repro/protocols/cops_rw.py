@@ -15,7 +15,7 @@ quantifies exactly that growth.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
@@ -25,12 +25,13 @@ from repro.protocols.base import (
     ReadRequest,
     ServerBase,
     Timestamp,
+    TxnClient,
     ValueEntry,
     Version,
     WriteReply,
     WriteRequest,
 )
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
@@ -79,7 +80,7 @@ class CopsRwServer(ServerBase):
         )
 
 
-class CopsRwClient(ClientBase):
+class CopsRwClient(TxnClient):
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)
         self.lamport = 0
@@ -101,17 +102,17 @@ class CopsRwClient(ClientBase):
             self.causal_store[entry.obj] = entry
         self.lamport = max(self.lamport, entry.ts[0])
 
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
-        txn = active.txn
-        if txn.is_read_only:
-            groups = self.partition_objects(txn.read_set)
-            active.awaiting = set(groups)
-            active.round += 1
-            for server, keys in groups.items():
-                ctx.send(server, ReadRequest(txid=txn.txid, keys=keys))
-            return
+    def begin_read(self, ctx: StepContext, active: ActiveTxn) -> None:
+        groups = self.partition_objects(active.txn.read_set)
+        active.awaiting = set(groups)
+        active.round += 1
+        for server, keys in groups.items():
+            ctx.send(server, ReadRequest(txid=active.txn.txid, keys=keys))
+
+    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
         # write-only: one client-stamped write per server, carrying the
         # sibling values and the full causal store
+        txn = active.txn
         self.lamport += 1
         ts: Timestamp = (self.lamport, self.pid, txn.txid)
         all_items = tuple(
@@ -137,32 +138,29 @@ class CopsRwClient(ClientBase):
                 ),
             )
 
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, WriteReply):
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                for item in active.state["items"]:
-                    self._note(item)
-                self.finish(ctx)
-        elif isinstance(p, ReadReply):
-            candidates = active.state.setdefault("candidates", {})
-            for entry in p.values:
-                candidates.setdefault(entry.obj, []).append(entry)
-                self._note(entry)
-            for entry in p.aux_values:
-                candidates.setdefault(entry.obj, []).append(entry)
-                self._note(entry)
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                for obj in active.txn.read_set:
-                    pool = list(candidates.get(obj, []))
-                    cached = self.causal_store.get(obj)
-                    if cached is not None:
-                        pool.append(cached)
-                    best = max(pool, key=lambda e: e.ts)
-                    active.reads[obj] = best.value
-                self.finish(ctx)
+    def handle_write_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: WriteReply
+    ) -> None:
+        active.awaiting.discard(msg.src)
+        if not active.awaiting:
+            for item in active.state["items"]:
+                self._note(item)
+            self.finish(ctx)
+
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: ReadReply
+    ) -> None:
+        candidates = active.state.setdefault("candidates", {})
+        for entry in reply.values + reply.aux_values:
+            candidates.setdefault(entry.obj, []).append(entry)
+            self._note(entry)
+        active.awaiting.discard(msg.src)
+        if not active.awaiting:
+            for obj in active.txn.read_set:
+                pool = list(candidates.get(obj, []))
+                cached = self.causal_store.get(obj)
+                if cached is not None:
+                    pool.append(cached)
+                best = max(pool, key=lambda e: e.ts)
+                active.reads[obj] = best.value
+            self.finish(ctx)

@@ -27,7 +27,7 @@ Mechanism (Lu et al., OSDI'16, adapted to the paper's model):
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
@@ -38,12 +38,12 @@ from repro.protocols.base import (
     ServerBase,
     ServerMsg,
     Timestamp,
-    ValueEntry,
     Version,
     WriteReply,
     WriteRequest,
 )
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.protocols.cops import CopsPutClient
+from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
@@ -172,7 +172,7 @@ class CopsSnowServer(ServerBase):
             raise NotImplementedError(f"{self.pid}: server message {sm.kind}")
 
 
-class CopsSnowClient(ClientBase):
+class CopsSnowClient(CopsPutClient):
     """Single-round ROTs; single-object writes with nearest deps."""
 
     def __init__(self, pid, servers, placement):
@@ -190,44 +190,24 @@ class CopsSnowClient(ClientBase):
                 "COPS-SNOW transactions are read-only or single writes"
             )
 
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
-        txn = active.txn
-        if txn.writes:
-            obj, val = txn.writes[0]
-            active.awaiting = {self.primary(obj)}
-            ctx.send(
-                self.primary(obj),
-                WriteRequest(
-                    txid=txn.txid,
-                    kind="write",
-                    items=(ValueEntry(obj, val),),
-                    meta={"deps": tuple(self.deps.items())},
-                ),
-            )
-        else:
-            groups = self.partition_objects(txn.read_set)
-            active.awaiting = set(groups)
-            active.round += 1
-            for server, keys in groups.items():
-                ctx.send(server, ReadRequest(txid=txn.txid, keys=keys))
+    def note_put(self, obj: ObjectId, ts: Timestamp) -> None:
+        self.deps = {obj: ts}
 
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, WriteReply):
-            obj = active.txn.writes[0][0]
-            self.deps = {obj: p.meta["ts"]}
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                self.finish(ctx)
-        elif isinstance(p, ReadReply):
-            for entry in p.values:
-                active.reads[entry.obj] = entry.value
-                if entry.ts != INITIAL_TS:
-                    if entry.obj not in self.deps or entry.ts > self.deps[entry.obj]:
-                        self.deps[entry.obj] = entry.ts
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                self.finish(ctx)
+    def begin_read(self, ctx: StepContext, active: ActiveTxn) -> None:
+        groups = self.partition_objects(active.txn.read_set)
+        active.awaiting = set(groups)
+        active.round += 1
+        for server, keys in groups.items():
+            ctx.send(server, ReadRequest(txid=active.txn.txid, keys=keys))
+
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: ReadReply
+    ) -> None:
+        for entry in reply.values:
+            active.reads[entry.obj] = entry.value
+            if entry.ts != INITIAL_TS:
+                if entry.obj not in self.deps or entry.ts > self.deps[entry.obj]:
+                    self.deps[entry.obj] = entry.ts
+        active.awaiting.discard(msg.src)
+        if not active.awaiting:
+            self.finish(ctx)

@@ -12,12 +12,8 @@ support.
 
 from __future__ import annotations
 
-from repro.protocols.snapshot import (
-    TwoPCClientMixin,
-    TwoPCMixin,
-    VectorSnapshotClient,
-    VectorSnapshotServer,
-)
+from repro.protocols.snapshot import VectorSnapshotClient, VectorSnapshotServer
+from repro.protocols.twophase import TwoPCClientMixin, TwoPCMixin
 
 
 class CureServer(TwoPCMixin, VectorSnapshotServer):

@@ -25,100 +25,49 @@ non-blocking — is the same, and EXPERIMENTS.md records the difference.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Any, Dict, Tuple
 
-from repro.sim.messages import Message, ProcessId
-from repro.sim.process import StepContext
-from repro.protocols.base import (
-    INITIAL_TS,
-    ReadReply,
-    ReadRequest,
-    ServerBase,
-    Timestamp,
-    ValueEntry,
-    Version,
-    WriteReply,
-    WriteRequest,
+from repro.protocols.base import Timestamp, ValueEntry, WriteRequest
+from repro.protocols.twophase import (
+    ExactReadClient,
+    ExactReadServer,
+    TwoPhaseClient,
+    TwoPhaseServer,
 )
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
-class EigerServer(ServerBase):
+class EigerServer(TwoPhaseServer, ExactReadServer):
     def __init__(self, pid, objects, peers, placement):
         super().__init__(pid, objects, peers, placement)
         self.lamport = 0
         #: txid -> (items, deps, sibling placement) awaiting commit
         self.pending: Dict[str, Tuple[Tuple[ValueEntry, ...], tuple, tuple]] = {}
 
-    # -- write path (2PC with commit-time sibling deps) ----------------------
+    def stage(self, req: WriteRequest, ts: int) -> None:
+        self.pending[req.txid] = (
+            req.items,
+            tuple(req.meta.get("deps", ())),
+            tuple(req.meta.get("siblings", ())),
+        )
 
-    def handle_write(self, ctx: StepContext, msg: Message, req: WriteRequest) -> None:
-        if req.kind == "prepare":
-            self.lamport = max(self.lamport, int(req.meta.get("client_ts", 0))) + 1
-            self.pending[req.txid] = (
-                req.items,
-                tuple(req.meta.get("deps", ())),
-                tuple(req.meta.get("siblings", ())),
-            )
-            self.queue_send(ctx, 
-                msg.src,
-                WriteReply(txid=req.txid, kind="prepared", meta={"ts": self.lamport}),
-            )
-        elif req.kind == "commit":
-            commit_t = int(req.meta["commit_ts"])
-            self._apply_commit(req.txid, commit_t)
-            self.queue_send(ctx, 
-                msg.src,
-                WriteReply(txid=req.txid, kind="committed", meta={"commit_ts": commit_t}),
-            )
-        else:  # pragma: no cover - defensive
-            raise NotImplementedError(f"{self.pid}: write kind {req.kind}")
+    def unstage(self, txid: str):
+        return self.pending.pop(txid, None)
 
-    def _apply_commit(self, txid: str, commit_t: int) -> None:
-        if txid not in self.pending:
-            return  # already installed (e.g. via a read-triggered install)
-        items, client_deps, siblings = self.pending.pop(txid)
-        self.lamport = max(self.lamport, commit_t)
+    def version_fields(self, txid: str, commit_ts: int, staged: tuple) -> Dict[str, Any]:
+        # commit-time sibling dependencies: the sibling items of the same
+        # transaction, whose timestamps the commit timestamp determines
+        items, client_deps, siblings = staged
         local_objs = {item.obj for item in items}
-        for item in items:
-            deps: List[Tuple[ObjectId, Timestamp]] = list(client_deps)
-            for sib_obj, sib_server in siblings:
-                if sib_obj not in local_objs:
-                    deps.append((sib_obj, (commit_t, sib_server, txid)))
-            self.install(
-                Version(
-                    obj=item.obj,
-                    value=item.value,
-                    ts=(commit_t, self.pid, txid),
-                    txid=txid,
-                    deps=tuple(deps),
-                )
-            )
-
-    # -- read path ------------------------------------------------------------
-
-    def handle_read(self, ctx: StepContext, msg: Message, req: ReadRequest) -> None:
-        wanted: Mapping[ObjectId, Timestamp] = req.meta.get("versions", {})
-        entries: List[ValueEntry] = []
-        for obj in req.keys:
-            if obj in wanted:
-                ts = wanted[obj]
-                version = self.find_version(obj, ts)
-                if version is None:
-                    # the requested version is still prepared here: the
-                    # request proves its commit timestamp, install now.
-                    self._apply_commit(ts[2], ts[0])
-                    version = self.find_version(obj, ts)
-                if version is None:  # pragma: no cover - protocol invariant
-                    version = self.latest(obj)
-            else:
-                version = self.latest(obj)
-            entries.append(version.entry(deps=version.deps))
-        self.queue_send(ctx, msg.src, ReadReply(txid=req.txid, values=tuple(entries)))
+        deps = list(client_deps)
+        for sib_obj, sib_server in siblings:
+            if sib_obj not in local_objs:
+                deps.append((sib_obj, (commit_ts, sib_server, txid)))
+        return {"deps": tuple(deps)}
 
 
-class EigerClient(ClientBase):
+class EigerClient(TwoPhaseClient, ExactReadClient):
     def __init__(self, pid, servers, placement):
         super().__init__(pid, servers, placement)
         self.deps: Dict[ObjectId, Timestamp] = {}
@@ -131,126 +80,21 @@ class EigerClient(ClientBase):
                 "Eiger transactions are read-only or write-only"
             )
 
-    # -- write path -----------------------------------------------------------
+    def prepare_meta(self, siblings: tuple) -> Dict[str, Any]:
+        return {
+            "client_ts": self.lamport,
+            "deps": tuple(self.deps.items()),
+            "siblings": siblings,
+        }
 
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
-        if active.txn.is_read_only:
-            self._round1(ctx, active)
-            return
-        txn = active.txn
-        groups: Dict[ProcessId, List[ValueEntry]] = {}
-        for obj, val in txn.writes:
-            groups.setdefault(self.primary(obj), []).append(ValueEntry(obj, val))
-        siblings = tuple((obj, self.primary(obj)) for obj in txn.write_set)
-        active.state["phase"] = "prepare"
-        active.state["groups"] = {s: tuple(i) for s, i in groups.items()}
-        active.state["prepare_ts"] = []
-        active.awaiting = set(groups)
-        for server, items in groups.items():
-            ctx.send(
-                server,
-                WriteRequest(
-                    txid=txn.txid,
-                    kind="prepare",
-                    items=tuple(items),
-                    meta={
-                        "client_ts": self.lamport,
-                        "deps": tuple(self.deps.items()),
-                        "siblings": siblings,
-                    },
-                ),
-            )
+    def commit_decided(self, active: ActiveTxn, commit_ts: int) -> None:
+        active.state["commit_ts"] = commit_ts
 
-    # -- read rounds -------------------------------------------------------------
+    def write_committed(self, active: ActiveTxn) -> None:
+        # accumulate (full dependency set — see CopsPutClient.note_put)
+        for obj in active.txn.write_set:
+            self.deps[obj] = (active.state["commit_ts"], self.primary(obj), active.txn.txid)
 
-    def _round1(self, ctx: StepContext, active: ActiveTxn) -> None:
-        groups = self.partition_objects(active.txn.read_set)
-        active.state["phase"] = "round1"
-        active.state["entries"] = {}
-        active.awaiting = set(groups)
-        active.round += 1
-        for server, keys in groups.items():
-            ctx.send(server, ReadRequest(txid=active.txn.txid, keys=keys))
-
-    def _check(self, ctx: StepContext, active: ActiveTxn) -> None:
-        entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-        needed: Dict[ObjectId, Timestamp] = {}
-        for entry in entries.values():
-            for dep_obj, dep_ts in entry.meta.get("deps", ()):
-                if dep_obj in entries and dep_ts > entries[dep_obj].ts:
-                    if dep_obj not in needed or dep_ts > needed[dep_obj]:
-                        needed[dep_obj] = dep_ts
-        if not needed:
-            self._complete(ctx, active)
-            return
-        groups: Dict[ProcessId, List[ObjectId]] = {}
-        for obj in needed:
-            groups.setdefault(self.primary(obj), []).append(obj)
-        active.state["phase"] = "round2"
-        active.awaiting = set(groups)
-        active.round += 1
-        for server, keys in groups.items():
-            ctx.send(
-                server,
-                ReadRequest(
-                    txid=active.txn.txid,
-                    keys=tuple(keys),
-                    meta={"versions": {k: needed[k] for k in keys}},
-                ),
-            )
-
-    def _complete(self, ctx: StepContext, active: ActiveTxn) -> None:
-        entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-        for obj, entry in entries.items():
-            active.reads[obj] = entry.value
-            if entry.ts != INITIAL_TS:
-                self.lamport = max(self.lamport, entry.ts[0])
-                if obj not in self.deps or entry.ts > self.deps[obj]:
-                    self.deps[obj] = entry.ts
-        self.finish(ctx)
-
-    # -- replies ------------------------------------------------------------------
-
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, WriteReply):
-            if p.kind == "prepared":
-                active.state["prepare_ts"].append(int(p.meta["ts"]))
-                active.awaiting.discard(msg.src)
-                if not active.awaiting and active.state["phase"] == "prepare":
-                    commit_t = max(active.state["prepare_ts"])
-                    active.state["phase"] = "commit"
-                    active.state["commit_ts"] = commit_t
-                    active.awaiting = set(active.state["groups"])
-                    for server in active.state["groups"]:
-                        ctx.send(
-                            server,
-                            WriteRequest(
-                                txid=active.txn.txid,
-                                kind="commit",
-                                meta={"commit_ts": commit_t},
-                            ),
-                        )
-            elif p.kind == "committed":
-                commit_t = int(p.meta["commit_ts"])
-                self.lamport = max(self.lamport, commit_t)
-                active.awaiting.discard(msg.src)
-                if not active.awaiting and active.state["phase"] == "commit":
-                    # accumulate (full dependency set — see CopsClient)
-                    for obj in active.txn.write_set:
-                        self.deps[obj] = (commit_t, self.primary(obj), active.txn.txid)
-                    self.finish(ctx)
-        elif isinstance(p, ReadReply):
-            entries: Dict[ObjectId, ValueEntry] = active.state["entries"]
-            for entry in p.values:
-                entries[entry.obj] = entry
-            active.awaiting.discard(msg.src)
-            if active.awaiting:
-                return
-            if active.state["phase"] == "round1":
-                self._check(ctx, active)
-            else:
-                self._complete(ctx, active)
+    def note_read(self, obj: ObjectId, ts: Timestamp) -> None:
+        self.lamport = max(self.lamport, ts[0])
+        super().note_read(obj, ts)

@@ -34,7 +34,7 @@ the rest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
@@ -45,12 +45,13 @@ from repro.protocols.base import (
     ServerBase,
     ServerMsg,
     Timestamp,
+    TxnClient,
     ValueEntry,
     Version,
     WriteReply,
     WriteRequest,
 )
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
@@ -264,7 +265,7 @@ class OccultServer(ServerBase):
         )
 
 
-class OccultClient(ClientBase):
+class OccultClient(TxnClient):
     """Carries the causal timestamp; repairs stale reads by retrying."""
 
     #: retries at the slave before escalating to the master
@@ -297,11 +298,8 @@ class OccultClient(ClientBase):
 
     # -- write path -----------------------------------------------------------------
 
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
+    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
         txn = active.txn
-        if txn.is_read_only:
-            self._read_round(ctx, active, escalate=set())
-            return
         if len(txn.writes) == 1:
             obj, val = txn.writes[0]
             active.state["phase"] = "write"
@@ -339,6 +337,9 @@ class OccultClient(ClientBase):
 
     # -- read path with retry/escalation -----------------------------------------
 
+    def begin_read(self, ctx: StepContext, active: ActiveTxn) -> None:
+        self._read_round(ctx, active, escalate=set())
+
     def _read_round(self, ctx: StepContext, active: ActiveTxn, escalate: Set[ObjectId]) -> None:
         groups: Dict[ProcessId, List[ObjectId]] = {}
         pending = active.state.setdefault("unresolved", set(active.txn.read_set))
@@ -354,16 +355,9 @@ class OccultClient(ClientBase):
     def _stale(self, obj: ObjectId, stamp: int) -> bool:
         return stamp < self.causal_ts.get(self.master(obj), 0)
 
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, WriteReply):
-            self._handle_write_reply(ctx, active, msg, p)
-            return
-        if not isinstance(p, ReadReply):
-            return
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, p: ReadReply
+    ) -> None:
         stamps = p.meta.get("stamps", {})
         retries = active.state.setdefault("retries", {})
         stamps_seen = active.state.setdefault("stamps_seen", {})
@@ -410,7 +404,7 @@ class OccultClient(ClientBase):
         } | set(active.state.get("escalated", set()))
         self._read_round(ctx, active, escalate)
 
-    def _handle_write_reply(self, ctx, active, msg, p) -> None:
+    def handle_write_reply(self, ctx, active, msg, p) -> None:
         if p.kind == "ack":
             self._note_stamp(p.meta["shard"], p.meta["stamp"])
             obj = active.txn.writes[0][0]

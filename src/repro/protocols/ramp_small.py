@@ -20,15 +20,14 @@ a timestamp set as the only metadata.  The write path is RAMP-Fast's.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
-from repro.sim.messages import Message, ProcessId
+from repro.sim.messages import Message
 from repro.sim.process import StepContext
 from repro.protocols.base import (
     INITIAL_TS,
     ReadReply,
     ReadRequest,
-    Timestamp,
     ValueEntry,
 )
 from repro.protocols.ramp import RampClient, RampServer
@@ -59,7 +58,7 @@ class RampSmallServer(RampServer):
             if txid in self.prepared and any(
                 item.obj == obj for item in self.prepared[txid][0]
             ):
-                self._install_txn(txid, commit_t)
+                self.install_prepared(txid, commit_t)
         for v in reversed(self.store[obj]):
             if v.txid in tx_set:
                 return v
@@ -73,7 +72,7 @@ class RampSmallServer(RampServer):
 class RampSmallClient(RampClient):
     """Two fixed rounds: optimistic read, then set-resolved fetch."""
 
-    def _round1(self, ctx: StepContext, active: ActiveTxn) -> None:
+    def begin_read(self, ctx: StepContext, active: ActiveTxn) -> None:
         groups = self.partition_objects(active.txn.read_set)
         active.state["phase"] = "small1"
         active.state["entries"] = {}
@@ -112,28 +111,20 @@ class RampSmallClient(RampClient):
                 ),
             )
 
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if (
-            active is not None
-            and isinstance(p, ReadReply)
-            and getattr(p, "txid", None) == active.txn.txid
-            and active.state.get("phase") in ("small1", "small2")
-        ):
-            if active.state["phase"] == "small1":
-                for entry in p.values:
-                    active.state["entries"][entry.obj] = entry
-                active.awaiting.discard(msg.src)
-                if not active.awaiting:
-                    self._start_fetch(ctx, active)
-                return
-            for entry in p.values:
-                active.reads[entry.obj] = entry.value
-                if entry.ts != INITIAL_TS:
-                    self.lamport = max(self.lamport, entry.ts[0])
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: ReadReply
+    ) -> None:
+        if active.state["phase"] == "small1":
+            for entry in reply.values:
+                active.state["entries"][entry.obj] = entry
             active.awaiting.discard(msg.src)
             if not active.awaiting:
-                self.finish(ctx)
+                self._start_fetch(ctx, active)
             return
-        super().handle_message(ctx, msg)
+        for entry in reply.values:
+            active.reads[entry.obj] = entry.value
+            if entry.ts != INITIAL_TS:
+                self.note_read(entry.obj, entry.ts)
+        active.awaiting.discard(msg.src)
+        if not active.awaiting:
+            self.finish(ctx)

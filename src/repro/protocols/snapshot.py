@@ -19,13 +19,14 @@ They split into two families:
   blocking, the "N = no" of Table 1.
 
 Scalar (GentleRain, Contrarian, Wren) and vector (Orbe, Cure) timestamp
-variants are both provided, as is client-coordinated 2PC for the
-protocols with multi-object write transactions (Wren, Cure).
+variants are both provided; the protocols with multi-object write
+transactions (Wren, Cure) take client-coordinated 2PC from
+:mod:`repro.protocols.twophase`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
@@ -34,13 +35,14 @@ from repro.protocols.base import (
     ReadReply,
     ReadRequest,
     Timestamp,
+    TxnClient,
     ValueEntry,
     Version,
     WriteReply,
     WriteRequest,
 )
 from repro.protocols.stability import StabilizingServer
-from repro.txn.client import ActiveTxn, ClientBase, UnsupportedTransaction
+from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 # ---------------------------------------------------------------------------
@@ -170,85 +172,20 @@ class SimplePutMixin:
         self.queue_send(ctx, msg.src, WriteReply(txid=req.txid, kind="ack", meta={"ts": ts}))
 
 
-class TwoPCMixin:
-    """Client-coordinated two-phase commit for write-only transactions.
-
-    Prepared-but-uncommitted transactions hold the local stable frontier
-    down (``local_stable``), which is what makes handed-out snapshots safe.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        #: txid -> (items, prepare_ts)
-        self.prepared: Dict[str, Tuple[Tuple[ValueEntry, ...], int]] = {}
-        #: txid -> dependency vector staged at prepare time
-        self._dep_vecs: Dict[str, Tuple] = {}
-        #: txid -> sibling shards of the transaction, staged at prepare
-        self._siblings: Dict[str, Tuple] = {}
-
-    def local_stable(self) -> int:
-        base = self.clock
-        if self.prepared:
-            base = min(base, min(t for _, t in self.prepared.values()) - 1)
-        return base
-
-    def handle_write(self, ctx: StepContext, msg: Message, req: WriteRequest) -> None:
-        if req.kind == "prepare":
-            self.observe_clock(int(req.meta.get("client_ts", 0)))
-            prepare_ts = self.clock
-            self.prepared[req.txid] = (req.items, prepare_ts)
-            self._dep_vecs[req.txid] = tuple(req.meta.get("dep_vec", ()))
-            self._siblings[req.txid] = tuple(req.meta.get("siblings", ()))
-            self._dirty = True
-            self.queue_send(ctx, 
-                msg.src,
-                WriteReply(txid=req.txid, kind="prepared", meta={"ts": prepare_ts}),
-            )
-        elif req.kind == "commit":
-            commit_ts = int(req.meta["commit_ts"])
-            items, _ = self.prepared.pop(req.txid)
-            deps = list(self._dep_vecs.pop(req.txid, ()))
-            # atomic visibility under vector snapshots: a snapshot that
-            # includes this shard of the transaction must include every
-            # sibling shard — encode the whole commit vector as deps
-            for sib in self._siblings.pop(req.txid, ()):
-                if sib != self.pid:
-                    deps.append((sib, commit_ts))
-            deps = tuple(deps)
-            self.observe_clock(commit_ts)
-            for item in items:
-                self.install(
-                    Version(
-                        obj=item.obj,
-                        value=item.value,
-                        ts=(commit_ts, self.pid),
-                        txid=req.txid,
-                        deps=deps,
-                    )
-                )
-            self._dirty = True
-            self.queue_send(ctx, 
-                msg.src,
-                WriteReply(
-                    txid=req.txid, kind="committed", meta={"ts": (commit_ts, self.pid)}
-                ),
-            )
-        else:  # pragma: no cover - defensive
-            raise NotImplementedError(f"{self.pid}: write kind {req.kind}")
-
-
 # ---------------------------------------------------------------------------
 # clients
 # ---------------------------------------------------------------------------
 
 
-class SnapshotClient(ClientBase):
+class SnapshotClient(TxnClient):
     """Two-round snapshot ROTs with protocol hooks.
 
     Subclasses set :attr:`push_dependencies` (whether the client folds its
     own dependency time into the snapshot — the blocking family) and
     :attr:`use_write_cache` (read-your-writes patching — the
-    pre-stabilized family), and implement the write path.
+    pre-stabilized family), and supply the write path: single puts
+    (:class:`SimplePutClientMixin`) or 2PC
+    (:class:`repro.protocols.twophase.TwoPCClientMixin`).
     """
 
     push_dependencies = False
@@ -318,43 +255,20 @@ class SnapshotClient(ClientBase):
             self.note_ts(chosen.ts)
             self.note_deps(chosen)
 
-    # -- message dispatch ------------------------------------------------------
-
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, ReadReply):
-            phase = active.state.get("phase")
-            if phase == "snapshot":
-                active.awaiting.discard(msg.src)
-                if not active.awaiting:
-                    self._start_round2(ctx, active, self._choose_snapshot(p.meta["snap"]))
-            elif phase == "read":
-                for entry in p.values:
-                    self._absorb_entry(active, entry)
-                active.awaiting.discard(msg.src)
-                if not active.awaiting:
-                    self.finish(ctx)
-        elif isinstance(p, WriteReply):
-            self.handle_write_reply(ctx, active, msg, p)
-
-    # -- write path hooks -----------------------------------------------------------
-
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
-        if active.txn.is_read_only:
-            self.begin_read(ctx, active)
-        else:
-            self.begin_write(ctx, active)
-
-    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
-        raise NotImplementedError
-
-    def handle_write_reply(
-        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: WriteReply
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: ReadReply
     ) -> None:
-        raise NotImplementedError
+        phase = active.state.get("phase")
+        if phase == "snapshot":
+            active.awaiting.discard(msg.src)
+            if not active.awaiting:
+                self._start_round2(ctx, active, self._choose_snapshot(reply.meta["snap"]))
+        elif phase == "read":
+            for entry in reply.values:
+                self._absorb_entry(active, entry)
+            active.awaiting.discard(msg.src)
+            if not active.awaiting:
+                self.finish(ctx)
 
 
 class VectorSnapshotClient(SnapshotClient):
@@ -431,68 +345,3 @@ class SimplePutClientMixin:
         active.awaiting.discard(msg.src)
         if not active.awaiting:
             self.finish(ctx)
-
-
-class TwoPCClientMixin:
-    """Client-coordinated 2PC write path (write-only transactions)."""
-
-    def validate(self, txn: Transaction) -> None:
-        super().validate(txn)
-        if txn.read_set and txn.writes:
-            raise UnsupportedTransaction(
-                f"{type(self).__name__[:-6]} supports read-only and write-only "
-                "transactions"
-            )
-
-    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
-        groups: Dict[ProcessId, List[ValueEntry]] = {}
-        for obj, val in active.txn.writes:
-            groups.setdefault(self.primary(obj), []).append(ValueEntry(obj, val))
-        active.state["phase"] = "prepare"
-        active.state["groups"] = {s: tuple(items) for s, items in groups.items()}
-        active.state["prepare_ts"] = []
-        active.awaiting = set(groups)
-        participants = tuple(sorted(groups))
-        for server, items in groups.items():
-            ctx.send(
-                server,
-                WriteRequest(
-                    txid=active.txn.txid,
-                    kind="prepare",
-                    items=tuple(items),
-                    meta={
-                        "client_ts": self.client_ts_meta(),
-                        "dep_vec": self.dep_meta(),
-                        "siblings": participants,
-                    },
-                ),
-            )
-
-    def handle_write_reply(self, ctx, active, msg, reply) -> None:
-        if reply.kind == "prepared":
-            active.state["prepare_ts"].append(int(reply.meta["ts"]))
-            active.awaiting.discard(msg.src)
-            if not active.awaiting and active.state["phase"] == "prepare":
-                commit_ts = max(active.state["prepare_ts"])
-                active.state["phase"] = "commit"
-                active.awaiting = set(active.state["groups"])
-                for server in active.state["groups"]:
-                    ctx.send(
-                        server,
-                        WriteRequest(
-                            txid=active.txn.txid,
-                            kind="commit",
-                            meta={"commit_ts": commit_ts},
-                        ),
-                    )
-        elif reply.kind == "committed":
-            ts = reply.meta["ts"]
-            self.note_ts(ts)
-            if self.use_write_cache:
-                for item in active.state["groups"][msg.src]:
-                    self.write_cache[item.obj] = ValueEntry(
-                        item.obj, item.value, ts=(ts[0], msg.src), txid=active.txn.txid
-                    )
-            active.awaiting.discard(msg.src)
-            if not active.awaiting and active.state["phase"] == "commit":
-                self.finish(ctx)

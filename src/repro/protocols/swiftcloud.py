@@ -32,22 +32,11 @@ closing the loophole and restoring the theorem's trichotomy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-from repro.sim.messages import Message, ProcessId
+from repro.sim.messages import Message
 from repro.sim.process import StepContext
-from repro.protocols.base import (
-    INITIAL_TS,
-    ReadReply,
-    ReadRequest,
-    ValueEntry,
-)
-from repro.protocols.snapshot import (
-    ScalarSnapshotServer,
-    SnapshotClient,
-    TwoPCClientMixin,
-    TwoPCMixin,
-)
+from repro.protocols.base import ReadReply, ReadRequest
+from repro.protocols.snapshot import ScalarSnapshotServer, SnapshotClient
+from repro.protocols.twophase import TwoPCClientMixin, TwoPCMixin
 from repro.txn.client import ActiveTxn
 
 

@@ -15,12 +15,8 @@ describes).
 
 from __future__ import annotations
 
-from repro.protocols.snapshot import (
-    ScalarSnapshotServer,
-    SnapshotClient,
-    TwoPCClientMixin,
-    TwoPCMixin,
-)
+from repro.protocols.snapshot import ScalarSnapshotServer, SnapshotClient
+from repro.protocols.twophase import TwoPCClientMixin, TwoPCMixin
 
 
 class WrenServer(TwoPCMixin, ScalarSnapshotServer):
