@@ -322,7 +322,6 @@ class OccultClient(TxnClient):
             groups.setdefault(self.master(obj), []).append(ValueEntry(obj, val))
         active.state["phase"] = "prepare"
         active.state["groups"] = {s: tuple(i) for s, i in groups.items()}
-        active.state["prepare_ts"] = []
         active.awaiting = set(groups)
         for server, items in groups.items():
             ctx.send(

@@ -93,8 +93,8 @@ PAYLOAD_GOLDEN = {
     ("gentlerain", "write_heavy"): (228, "d9d234a8b05f3ab8dd105427d040b20a"),
     ("handshake", "read_heavy"): (217, "0b78bbf2c012d429dd20e008aca5836f"),
     ("handshake", "write_heavy"): (235, "36b7b613f636f3d261e78f6fc34c02ab"),
-    ("occult", "read_heavy"): (220, "268861d17637fcddc485c839575acd1d"),
-    ("occult", "write_heavy"): (240, "49dd616dec1544d5152c43ab94f17f21"),
+    ("occult", "read_heavy"): (220, "2c78be89bf2602500a60e392c5967b90"),
+    ("occult", "write_heavy"): (240, "c92ac83d42530864860cc975849caf32"),
     ("orbe", "read_heavy"): (418, "c2e696a070167d69616912d8b64e4819"),
     ("orbe", "write_heavy"): (220, "58295a06af647d1267d09567615c38f9"),
     ("ramp", "read_heavy"): (222, "feb69bcdc5010d42e6956b7a722fb573"),
