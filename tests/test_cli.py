@@ -1,8 +1,12 @@
 """CLI tests: every subcommand runs and prints what it promises."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from repro.cli import main
+from repro.txn import types
 
 
 class TestCliList:
@@ -151,3 +155,13 @@ class TestCliTrace:
     def test_trace_wtx_protocol(self, capsys):
         assert main(["trace", "wren"]) == 0
         assert "s0" in capsys.readouterr().out
+
+    def test_trace_fastclaim_is_the_recorded_diagram(self, capsys, monkeypatch):
+        """(lines, blake2b-128) of ``python -m repro trace fastclaim`` in a
+        fresh process: the diagram cuts exactly the writes' and the read's
+        events.  Txids count process-wide, so the counter starts afresh."""
+        monkeypatch.setattr(types, "_txid_counter", itertools.count())
+        assert main(["trace", "fastclaim"]) == 0
+        out = capsys.readouterr().out
+        digest = hashlib.blake2b(out.encode(), digest_size=16).hexdigest()
+        assert (out.count("\n"), digest) == (29, "476d11418db8849598f134174520358f")
