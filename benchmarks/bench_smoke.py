@@ -132,9 +132,9 @@ def undo_smoke() -> bool:
         sim = tsys.sim
         sim.invoke(tsys.cw, tsys.tw())
         sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
-        before, events = sim.counters.as_dict(), len(sim.trace)
+        before, events = sim.counters.as_dict(), sim.events_applied
         run(tsys.system, **kwargs)
-        children = len(sim.trace) - events
+        children = sim.events_applied - events
         snapshots = sim.counters.snapshots - before["snapshots"]
         restores = sim.counters.restores - before["restores"]
         good = snapshots == 0 and restores == children > 0

@@ -118,7 +118,9 @@ def measure(protocol, spec, objects=4, n_servers=2, clients=4, scheduler=None):
         protocol, objects=_objects(objects), n_servers=n_servers,
         clients=tuple(f"c{i}" for i in range(clients)),
     )
-    ch = analysis.characterize(system, run_workload(system, spec, scheduler=scheduler))
+    with system.sim.recording() as events:
+        history = run_workload(system, spec, scheduler=scheduler)
+    ch = analysis.characterize(system, history, events)
     assert ch.consistency_ok or protocol in STRAWMEN, ch.row()
     return ch
 
@@ -324,9 +326,10 @@ def chain_lag(chain_len):
 def home_dc_rounds(n_dcs):
     """Rounds of a home-datacenter ROT as the fleet widens."""
     system, run = _geo(2, n_dcs, {"a": 0})
-    run("a", write_only_txn({"X0": "v"}, txid="w"))
-    run("a", read_only_txn(("X0", "X1"), txid="r"))
-    return analysis.characterize(system, system.history(), check=False).max_rounds
+    with system.sim.recording() as events:
+        run("a", write_only_txn({"X0": "v"}, txid="w"))
+        run("a", read_only_txn(("X0", "X1"), txid="r"))
+    return analysis.characterize(system, system.history(), events, check=False).max_rounds
 
 
 GEO = {"chain_lag": chain_lag, "home_dc_rounds": home_dc_rounds}

@@ -19,8 +19,9 @@ def main() -> None:
     meta_rows = []
     for name in sorted(protocol_names()):
         system = build_system(name, objects=("X0", "X1", "X2", "X3"), n_servers=2)
-        hist = run_workload(system, TABLE1_SPEC)
-        ch = characterize(system, hist)
+        with system.sim.recording() as events:
+            hist = run_workload(system, TABLE1_SPEC)
+        ch = characterize(system, hist, events)
         chars.append(ch)
         meta_rows.append(
             [

@@ -26,23 +26,23 @@ def main() -> None:
         seed=42,
     )
 
-    store.write("alice", {"wallet:alice": "100"})
-    store.write("bob", {"wallet:bob": "250"})
-    print("alice and bob funded their wallets")
+    # record the events: the measured properties below are read off them
+    with store.system.sim.recording() as events:
+        store.write("alice", {"wallet:alice": "100"})
+        store.write("bob", {"wallet:bob": "250"})
+        print("alice and bob funded their wallets")
 
-    # bob reads alice's wallet, then writes the ledger: a causal chain
-    seen = store.read("bob", ["wallet:alice"])
-    store.write("bob", {"ledger": f"bob saw alice={seen['wallet:alice']}"})
-    print(f"bob recorded: {seen}")
+        # bob reads alice's wallet, then writes the ledger: a causal chain
+        seen = store.read("bob", ["wallet:alice"])
+        store.write("bob", {"ledger": f"bob saw alice={seen['wallet:alice']}"})
+        print(f"bob recorded: {seen}")
 
-    # the auditor reads everything in ONE round
-    audit = store.read("auditor", ["wallet:alice", "wallet:bob", "ledger"])
-    print(f"auditor sees: {audit}")
+        # the auditor reads everything in ONE round
+        audit = store.read("auditor", ["wallet:alice", "wallet:bob", "ledger"])
+        print(f"auditor sees: {audit}")
 
     # measured properties of the auditor's read
-    stats = analyze_transactions(
-        store.system.sim.trace, store.history(), store.servers
-    )
+    stats = analyze_transactions(events, store.history(), store.servers)
     rot = [s for s in stats.values() if s.read_only][-1]
     print(
         f"auditor's ROT: rounds={rot.rounds}, "
@@ -73,10 +73,11 @@ def main() -> None:
         clients=["alice", "auditor"],
         seed=42,
     )
-    wren.write("alice", {"wallet:alice": "50", "wallet:bob": "300"})
-    wren.settle()
-    print(f"atomic transfer committed: {wren.read('auditor', ['wallet:alice', 'wallet:bob'])}")
-    stats = analyze_transactions(wren.system.sim.trace, wren.history(), wren.servers)
+    with wren.system.sim.recording() as events:
+        wren.write("alice", {"wallet:alice": "50", "wallet:bob": "300"})
+        wren.settle()
+        print(f"atomic transfer committed: {wren.read('auditor', ['wallet:alice', 'wallet:bob'])}")
+    stats = analyze_transactions(events, wren.history(), wren.servers)
     rot = [s for s in stats.values() if s.read_only][-1]
     print(f"auditor's ROT on Wren: rounds={rot.rounds} (not fast — the theorem at work)")
     print(f"causal consistency: {wren.check_consistency(exact=True).describe()}")

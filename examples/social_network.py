@@ -46,16 +46,17 @@ def timeline_scenario(protocol: str) -> dict:
                 system.execute(client, write_only_txn({obj: val}))
             return False
 
-    atomic = w("alice", {"posts:alice": "lunch pics!", "profile:alice": "1 post"})
-    # bob reads alice's post, then replies
-    got = system.execute(bob_read := "bob", read_only_txn(("posts:alice",)))
-    w("bob", {"posts:bob": f"re: {got.reads['posts:alice']}"})
-    # carol reads both timelines
-    rec = system.execute(
-        "carol", read_only_txn(("posts:alice", "posts:bob"), txid="timeline")
-    )
-    system.settle()
-    stats = analyze_transactions(system.sim.trace, system.history(), system.servers)
+    with system.sim.recording() as events:
+        atomic = w("alice", {"posts:alice": "lunch pics!", "profile:alice": "1 post"})
+        # bob reads alice's post, then replies
+        got = system.execute(bob_read := "bob", read_only_txn(("posts:alice",)))
+        w("bob", {"posts:bob": f"re: {got.reads['posts:alice']}"})
+        # carol reads both timelines
+        rec = system.execute(
+            "carol", read_only_txn(("posts:alice", "posts:bob"), txid="timeline")
+        )
+        system.settle()
+    stats = analyze_transactions(events, system.history(), system.servers)
     anomalies = find_causal_anomalies(system.history())
     return {
         "atomic_post": atomic,
@@ -74,8 +75,9 @@ def bulk_run(protocol: str) -> dict:
         n_txns=150, read_ratio=0.95, read_size=(2, 4), write_size=(1, 2),
         zipf_theta=0.9, seed=20,
     )
-    hist = run_workload(system, spec, scheduler=RandomScheduler(99))
-    stats = analyze_transactions(system.sim.trace, hist, system.servers)
+    with system.sim.recording() as events:
+        hist = run_workload(system, spec, scheduler=RandomScheduler(99))
+    stats = analyze_transactions(events, hist, system.servers)
     rots = [s for s in stats.values() if s.read_only]
     level = get_protocol(protocol).consistency
     report = check_history(hist, level=level)

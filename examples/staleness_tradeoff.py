@@ -36,15 +36,16 @@ def main() -> None:
         seed=7,
         sync_every=0,
     )
-    store.write("writer", {"X0": "new0", "X1": "new1"})  # multi-object WTX!
-    store.settle()
-    print("writer committed the multi-object transaction; system quiescent")
+    with store.system.sim.recording() as events:
+        store.write("writer", {"X0": "new0", "X1": "new1"})  # multi-object WTX!
+        store.settle()
+        print("writer committed the multi-object transaction; system quiescent")
 
-    # a veteran client (who has read before) catches up via piggybacking
-    store.read("veteran", ["X0"])
-    print(f"veteran's second read: {store.read('veteran', ['X0', 'X1'])}")
+        # a veteran client (who has read before) catches up via piggybacking
+        store.read("veteran", ["X0"])
+        print(f"veteran's second read: {store.read('veteran', ['X0', 'X1'])}")
 
-    stats = analyze_transactions(store.system.sim.trace, store.history(), store.servers)
+    stats = analyze_transactions(events, store.history(), store.servers)
     rot = [s for s in stats.values() if s.read_only][-1]
     print(
         f"measured: rounds={rot.rounds}, blocked={rot.blocked}, "

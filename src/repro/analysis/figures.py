@@ -63,22 +63,19 @@ def figure2(protocol: str = "fastclaim", **params) -> str:
     # Construction 1: T_w has not made its values visible (here: not even
     # started); the reader must return the initial values.
     sim.restore(c0)
-    mark = sim.trace.mark()
-    sigma = run_sigma_old(
-        sim,
-        tsys.probes[1],
-        tsys.objects,
-        old_servers=[servers[0]],
-        new_servers=list(servers[1:]),
-        txid="Tr_old",
-    )
-    rec_old = finish_with_new(sim, sigma)
+    with sim.recording() as events:
+        sigma = run_sigma_old(
+            sim,
+            tsys.probes[1],
+            tsys.objects,
+            old_servers=[servers[0]],
+            new_servers=list(servers[1:]),
+            txid="Tr_old",
+        )
+        rec_old = finish_with_new(sim, sigma)
     lines.append("Construction 1 (γ_old): C with x_i not visible; p_i answers first")
     lines.extend(
-        "  " + ln
-        for ln in _lane_diagram(
-            sim.trace.events[mark:], (tsys.probes[1],) + tuple(servers)
-        )
+        "  " + ln for ln in _lane_diagram(events, (tsys.probes[1],) + tuple(servers))
     )
     lines.append(f"  ⇒ T_r returns {dict(sorted(rec_old.reads.items()))}  (all initial)")
     lines.append("")
@@ -88,22 +85,19 @@ def figure2(protocol: str = "fastclaim", **params) -> str:
     sim.invoke(tsys.cw, tsys.tw())
     sched = RoundRobinScheduler()
     sched.run(sim, pids=(tsys.cw,) + tuple(servers), max_events=50_000)
-    mark = sim.trace.mark()
-    sigma = run_sigma_old(
-        sim,
-        tsys.probes[2],
-        tsys.objects,
-        old_servers=[servers[1]],
-        new_servers=[servers[0]],
-        txid="Tr_new",
-    )
-    rec_new = finish_with_new(sim, sigma)
+    with sim.recording() as events:
+        sigma = run_sigma_old(
+            sim,
+            tsys.probes[2],
+            tsys.objects,
+            old_servers=[servers[1]],
+            new_servers=[servers[0]],
+            txid="Tr_new",
+        )
+        rec_new = finish_with_new(sim, sigma)
     lines.append("Construction 2 (γ_new): C with x_i visible; p_{1-i} answers first")
     lines.extend(
-        "  " + ln
-        for ln in _lane_diagram(
-            sim.trace.events[mark:], (tsys.probes[2],) + tuple(servers)
-        )
+        "  " + ln for ln in _lane_diagram(events, (tsys.probes[2],) + tuple(servers))
     )
     lines.append(f"  ⇒ T_r returns {dict(sorted(rec_new.reads.items()))}  (all written)")
     return "\n".join(lines)

@@ -1,6 +1,7 @@
 """Measuring the fast-ROT properties (and more) from execution traces.
 
-Everything here is a pure function of the trace and the history — the
+Everything here is a pure function of a recorded trace
+(:meth:`~repro.sim.executor.Simulation.recording`) and the history — the
 properties of Definition 4/5 are *measured*, never declared:
 
 * **rounds** — the number of distinct computation steps in which the
@@ -25,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.sim.messages import Message, Payload
-from repro.sim.trace import DeliverEvent, StepEvent, Trace
+from repro.sim.messages import Payload
+from repro.sim.trace import StepEvent, TraceEvent
 from repro.txn.history import History
 from repro.txn.types import ObjectId, TxnRecord
 
@@ -130,12 +131,12 @@ class TxnStats:
 
 
 def analyze_transactions(
-    trace: Trace,
+    events: Sequence[TraceEvent],
     history: History,
     servers: Sequence[str],
-    start: int = 0,
 ) -> Dict[str, TxnStats]:
-    """Compute :class:`TxnStats` for every completed transaction."""
+    """Compute :class:`TxnStats` for every completed transaction from the
+    recorded ``events`` of the run that produced ``history``."""
     server_set = set(servers)
     stats: Dict[str, TxnStats] = {}
     for rec in history.records:
@@ -153,7 +154,6 @@ def analyze_transactions(
     # depth of each message in its transaction's causal message chain
     depth: Dict[int, int] = {}
 
-    events = trace.events[start:]
     for ev in events:
         if not isinstance(ev, StepEvent):
             continue
@@ -250,7 +250,8 @@ class Characterization:
     avg_rot_latency: float
     avg_value_bytes: float
     avg_metadata_bytes: float
-    #: steps + deliveries of the whole run per committed transaction
+    #: events the simulation applied (steps, deliveries, invocations) per
+    #: committed transaction
     events_per_txn: float
 
     @property
@@ -278,15 +279,15 @@ class Characterization:
 def characterize(
     system: "Any",
     history: History,
+    events: Sequence[TraceEvent],
     check: bool = True,
     exact: Optional[bool] = None,
 ) -> Characterization:
-    """Measure one protocol run into a Table-1-style row."""
+    """Measure one protocol run, recorded as ``events``, into a
+    Table-1-style row."""
     from repro.consistency import check_history
 
-    stats = analyze_transactions(
-        system.sim.trace, history, servers=system.servers
-    )
+    stats = analyze_transactions(events, history, servers=system.servers)
     rots = [s for s in stats.values() if s.read_only]
     if check:
         report = check_history(history, level=system.info.consistency, exact=exact)
@@ -312,5 +313,5 @@ def characterize(
         avg_rot_latency=sum(s.latency_events for s in rots) / n,
         avg_value_bytes=sum(s.value_bytes for s in rots) / n,
         avg_metadata_bytes=sum(s.metadata_bytes for s in rots) / n,
-        events_per_txn=len(system.sim.trace) / max(1, len(history.records)),
+        events_per_txn=system.sim.events_applied / max(1, len(history.records)),
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence
 
-from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent, Trace, TraceEvent
+from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent, TraceEvent
 
 
 def lane_diagram(
@@ -49,14 +49,11 @@ def lane_diagram(
 
 
 def render_spacetime(
-    trace: Trace,
+    events: Sequence[TraceEvent],
     pids: Optional[Sequence[str]] = None,
-    start: int = 0,
-    end: Optional[int] = None,
     width: int = 14,
 ) -> str:
-    """Render a trace slice as a space-time diagram string."""
-    events = trace.events[start:end]
+    """Render recorded events as a space-time diagram string."""
     if pids is None:
         seen: List[str] = []
         for ev in events:

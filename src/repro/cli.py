@@ -99,8 +99,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
         system = build_system(
             name, objects=_objects(args.objects), n_servers=args.servers
         )
-        hist = run_workload(system, spec)
-        chars.append(characterize(system, hist))
+        with system.sim.recording() as events:
+            hist = run_workload(system, spec)
+        chars.append(characterize(system, hist, events))
         print(f"  measured {name} ({len(hist.records)} txns)", file=sys.stderr)
     print(render_table1(chars, include_unimplemented=args.all_rows))
     return 0
@@ -136,8 +137,9 @@ def cmd_workload(args: argparse.Namespace) -> int:
         read_size=(2, 3),
         seed=args.seed,
     )
-    hist = run_workload(system, spec)
-    ch = characterize(system, hist)
+    with system.sim.recording() as events:
+        hist = run_workload(system, spec)
+    ch = characterize(system, hist, events)
     row = ch.row()
     print(
         format_table(
@@ -168,22 +170,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
         seed=args.seed,
         **_proto_params(args),
     )
-    mark = store.system.sim.trace.mark()
     writes = {f"X{i}": f"v{i}@w" for i in range(min(args.objects, 2))}
-    try:
-        store.write("w", writes)
-    except Exception:
-        for obj, val in writes.items():
-            store.write("w", {obj: val})
-    store.settle()
-    store.read("r", list(_objects(args.objects))[:2])
-    print(
-        render_spacetime(
-            store.system.sim.trace,
-            pids=("w", "r") + tuple(store.system.service_pids),
-            start=mark,
-        )
-    )
+    with store.system.sim.recording() as events:
+        try:
+            store.write("w", writes)
+        except Exception:
+            for obj, val in writes.items():
+                store.write("w", {obj: val})
+        store.settle()
+        store.read("r", list(_objects(args.objects))[:2])
+    print(render_spacetime(events, pids=("w", "r") + tuple(store.system.service_pids)))
     return 0
 
 

@@ -204,10 +204,9 @@ def induct(
     for k in range(1, cfg.max_k + 1):
         detector, candidates = roles(k)
         sim.restore(prev)
-        mark = sim.trace.mark()
-        if k == 1:
-            sim.invoke(tsys.cw, tsys.tw())
         fragment = RecordedFragment([])
+        if k == 1:
+            fragment.events.append(sim.invoke(tsys.cw, tsys.tw()))
         sched = RoundRobinScheduler()
         events_run = 0
         ms_desc: Optional[str] = None
@@ -215,19 +214,19 @@ def induct(
         quiescent = False
 
         while events_run < cfg.solo_budget:
-            progressed = sched.tick(sim, pids=solo)
+            # one window per solo event: the probe's events stay out
+            with sim.recording() as applied:
+                progressed = sched.tick(sim, pids=solo)
+            fragment.events.extend(applied)
             if progressed:
                 events_run += 1
-                ms_desc = detector.observe(sim.trace.events[-1])
+                ms_desc = detector.observe(applied[-1])
                 if ms_desc is not None:
                     break
             if not progressed or events_run % cfg.probe_every == 0:
-                fragment.events.extend(sim.trace.events[mark:])
                 reads = probe_read(
                     sim, tsys.probes[0], tsys.objects, tsys.service_pids, restore=True
                 )
-                # the probe's events are not part of the fragment
-                mark = sim.trace.mark()
                 if reads is not None and all(
                     reads.get(o) == v for o, v in tsys.new_values.items()
                 ):
@@ -236,8 +235,6 @@ def induct(
                 if not progressed:
                     quiescent = True
                     break
-
-        fragment.events.extend(sim.trace.events[mark:])
 
         if ms_desc is None and visible_all:
             # claim 1's premise is violated: the values became visible with

@@ -78,8 +78,9 @@ def measure_fast_rot(
     system = build_system(
         protocol, objects=objects, n_servers=n_servers, **params
     )
-    history = run_workload(system, spec)
-    stats = analyze_transactions(system.sim.trace, history, servers=system.servers)
+    with system.sim.recording() as events:
+        history = run_workload(system, spec)
+    stats = analyze_transactions(events, history, servers=system.servers)
     rots = [s for s in stats.values() if s.read_only]
     max_rounds = max((s.rounds for s in rots), default=0)
     max_hops = max((s.hops for s in rots), default=0)

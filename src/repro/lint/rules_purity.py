@@ -5,7 +5,7 @@ fingerprint, :mod:`repro.sim.executor`) is sound only if *all* mutable
 state lives in process attributes and the network, and all communication
 flows through the :class:`~repro.sim.process.StepContext` the executor
 hands to each step.  Messages injected around the StepContext would
-bypass the one-message-per-neighbour rule, the trace and the replay log.
+bypass the one-message-per-neighbour rule and the recorded events.
 (State smuggled through module globals is caught dynamically: the paper
 ledger's exact counts drift on it.)
 
@@ -22,7 +22,7 @@ ledger's exact counts drift on it.)
     with a Payload type, or anything reached through ``msg.payload``).
     Messages are immutable once sent — links "do not modify messages" —
     and payload objects are shared by reference with the network and
-    the trace, so in-place mutation corrupts history.
+    any open recording window, so in-place mutation corrupts history.
 
 ``RL405``
     A raw ``sim.step(...)`` / ``sim.reuse_step(...)`` / ``sim.deliver(...)``

@@ -15,8 +15,8 @@ This package implements the system model of Section 2 of the paper:
   :mod:`~repro.sim.events` moves).
 
 The simulator is deterministic: an execution is a pure function of the
-initial configuration and the sequence of events applied to it.  The
-:class:`~repro.sim.trace.Trace` records that sequence and
+initial configuration and the sequence of events applied to it.  A
+:meth:`Simulation.recording` window records that sequence and
 :meth:`Simulation.replay` re-applies it, filtered or not, which is what
 makes the paper's indistinguishability splices executable (see
 :mod:`repro.core.splicing`).
@@ -41,7 +41,7 @@ from repro.sim.scheduler import (
     RandomScheduler,
     run_until_quiescent,
 )
-from repro.sim.trace import Trace, StepEvent, DeliverEvent, InvokeEvent
+from repro.sim.trace import TraceEvent, StepEvent, DeliverEvent, InvokeEvent
 from repro.sim.clock import (
     HLCTimestamp,
     TrueTimeOracle,
@@ -66,7 +66,7 @@ __all__ = [
     "RoundRobinScheduler",
     "RandomScheduler",
     "run_until_quiescent",
-    "Trace",
+    "TraceEvent",
     "StepEvent",
     "DeliverEvent",
     "InvokeEvent",

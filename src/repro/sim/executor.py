@@ -7,19 +7,21 @@ buffers, counters — *is* the configuration in the sense of the paper; the
 ``RC(C, α)`` exploration: snapshot a configuration ``C``, run any legal
 fragment ``α``, observe, restore, run a different fragment.
 
-Every applied event is appended to the :class:`~repro.sim.trace.Trace`,
-and every recorded event can apply itself again, so any fragment can be
-re-executed (possibly filtered) from a snapshot with
-:meth:`Simulation.replay` — the mechanism behind the paper's
-indistinguishability splices.  A delivery of a message that does not
-exist raises :class:`ReplayError`.
+Applying an event builds its :mod:`~repro.sim.trace` record and returns
+it (a delivery returns its message); the record is kept only in the
+windows a caller has open (:meth:`Simulation.recording`), so a run
+nobody records keeps none.  Every recorded event can apply itself again,
+so any recorded fragment can be re-executed (possibly filtered) from a
+snapshot with :meth:`Simulation.replay` — the mechanism behind the
+paper's indistinguishability splices.  A delivery of a message that does
+not exist raises :class:`ReplayError`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.network import Network
@@ -32,7 +34,10 @@ from repro.sim.snapshot import (  # noqa: F401  (re-exported: the harness contra
     DeepCopySnapshotter,
     Snapshotter,
 )
-from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent, Trace
+from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent, TraceEvent
+
+
+E = TypeVar("E", bound=TraceEvent)
 
 
 class ReplayError(RuntimeError):
@@ -145,7 +150,10 @@ class Simulation:
                 raise ValueError(f"duplicate pid {p.pid}")
             self.processes[p.pid] = p
         self.network = Network(self.processes.keys())
-        self.trace = Trace()
+        #: every event applied, on any branch: the next event's ``index``;
+        #: unlike ``event_count`` it counts invocations and is never rewound
+        self.events_applied = 0
+        self._windows: Tuple[List[TraceEvent], ...] = ()
         self._msg_counter = 0
         self.event_count = 0
         self.counters = SimCounters()
@@ -217,8 +225,9 @@ class Simulation:
         journal is gone.  Anything else is refused with :class:`TypeError`
         before any live state is touched.
 
-        The trace is observational and is *not* rewound; use
-        :meth:`Trace.mark` to slice branches.
+        An open :meth:`recording` window is not rewound: it keeps the
+        undone events too, so a window that should hold one branch is
+        opened after the restore that starts it.
         """
         if type(config) is tuple:  # a mark: pop the journal back to it
             journal, position, below, msg_counter, event_count = config
@@ -270,6 +279,24 @@ class Simulation:
 
     # -- events -------------------------------------------------------------
 
+    @contextmanager
+    def recording(self) -> Iterator[List[TraceEvent]]:
+        """A window: the list it yields keeps, in order, every event applied
+        while it is open.  Windows nest, and an event reaches every open
+        window, so an outer one also holds an inner one's events."""
+        events: List[TraceEvent] = []
+        self._windows += (events,)
+        try:
+            yield events
+        finally:
+            self._windows = tuple(w for w in self._windows if w is not events)
+
+    def _record(self, event: E) -> E:
+        self.events_applied += 1
+        for window in self._windows:
+            window.append(event)
+        return event
+
     def step(self, pid: ProcessId) -> StepEvent:
         """Apply a computation step of ``pid``: ``on_step`` runs in place,
         or under a :meth:`mark` on a copy (:meth:`Snapshotter.apply`).
@@ -314,11 +341,9 @@ class Simulation:
             self._msg_counter += 1
             self.network.post(msg)
             sent.append(msg)
-        event = StepEvent(
-            index=len(self.trace), pid=pid, received=tuple(inbox), sent=tuple(sent)
-        )
-        self.trace.append(event)
-        return event
+        return self._record(StepEvent(
+            index=self.events_applied, pid=pid, received=tuple(inbox), sent=tuple(sent)
+        ))
 
     def deliver(
         self, src: ProcessId, dst: ProcessId, link_seq: Optional[int] = None
@@ -334,13 +359,13 @@ class Simulation:
         except KeyError as exc:
             raise ReplayError(str(exc)) from exc
         self.event_count += 1
-        self.trace.append(DeliverEvent(index=len(self.trace), message=msg))
+        self._record(DeliverEvent(index=self.events_applied, message=msg))
         return msg
 
     def deliver_msg(self, msg: Message) -> Message:
         return self.deliver(msg.src, msg.dst, msg.link_seq)
 
-    def invoke(self, pid: ProcessId, txn: Any) -> None:
+    def invoke(self, pid: ProcessId, txn: Any) -> InvokeEvent:
         """Hand a transaction invocation to client ``pid``."""
         proc = self.processes[pid]
         on_invoke = getattr(proc, "on_invoke", None)
@@ -353,15 +378,15 @@ class Simulation:
             )
         else:
             on_invoke(txn)
-        self.trace.append(InvokeEvent(index=len(self.trace), pid=pid, txn=txn))
+        return self._record(InvokeEvent(index=self.events_applied, pid=pid, txn=txn))
 
     # -- replay ---------------------------------------------------------------
 
     def replay(self, events: Iterable[Any], strict: bool = True) -> List[Any]:
         """Apply a (possibly filtered) event list, ``e.apply(self)`` each.
 
-        ``events`` are recorded trace events (what the splices filter) or
-        the engine's :class:`~repro.sim.events.Step` /
+        ``events`` are a :meth:`recording` window's events (what the
+        splices filter) or the engine's :class:`~repro.sim.events.Step` /
         :class:`~repro.sim.events.Deliver` (what hand-written scripts
         use).  With ``strict`` (the default) a delivery of a message that
         does not exist raises :class:`ReplayError`.  With ``strict=False``

@@ -53,12 +53,13 @@ def _net_capture(net: Network):
     or income buffer, plus the per-link send counters.  The messages
     themselves are immutable once sent (the model's "links do not modify
     messages", enforced by lint rule RL404, whose contract already
-    shares payloads by reference with the trace) — so a snapshot needs
-    no serialization at all: capture the container *shapes* in immutable
-    tuples and hold the message objects by reference.  Restoring
-    (:func:`_net_build`) rebuilds fresh containers around the same
-    messages, which satisfies the Configuration ownership rule the same
-    way ``copy.deepcopy`` does when it returns immutables by identity.
+    shares payloads by reference with any open recording window) — so a
+    snapshot needs no serialization at all: capture the container
+    *shapes* in immutable tuples and hold the message objects by
+    reference.  Restoring (:func:`_net_build`) rebuilds fresh containers
+    around the same messages, which satisfies the Configuration ownership
+    rule the same way ``copy.deepcopy`` does when it returns immutables
+    by identity.
     Every capture builds every tuple afresh from the live containers, so
     no two captures can alias a queue they disagree on.
     """

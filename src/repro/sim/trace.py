@@ -1,31 +1,34 @@
 """Execution traces.
 
-The trace records every event of an execution — computation steps (with
-the messages received and sent), delivery events, and transaction
-invocations — in order.  The metrics in :mod:`repro.analysis.metrics`
-(and through them the fast-ROT measurement in
-:mod:`repro.core.properties`), the induction's necessary-message detector
-and the space-time renderer in :mod:`repro.analysis.spacetime` read its
-``events`` list directly.
+A trace is the sequence of events of an execution — computation steps
+(with the messages received and sent), delivery events, and transaction
+invocations — in order.  The simulator keeps none of them on its own: a
+caller that wants the events of a run opens a window,
+``with sim.recording() as events:``, and the list ``events`` then holds
+every event applied while the window is open.  The metrics in
+:mod:`repro.analysis.metrics` (and through them the fast-ROT measurement
+in :mod:`repro.core.properties`), the induction's necessary-message
+detector and the space-time renderer in :mod:`repro.analysis.spacetime`
+read such a list.
 
-The trace is also the replay log: every recorded event can
+A recorded list is also a replay log: every event can
 :meth:`~TraceEvent.apply` itself again, so a recorded fragment — filtered
 by the proof engine's splices (:mod:`repro.core.splicing`) or not — is
 re-executed from a snapshot with :meth:`Simulation.replay`.  A replayed
 delivery addresses its message structurally by ``(src, dst, link_seq)``,
 never by the global ``msg_id``, which a filtered replay renumbers.
 
-Traces are *observational*: they are not part of the configuration, so
-snapshotting and restoring a :class:`~repro.sim.executor.Simulation` does
-not rewind the trace (the events really happened, on some branch).  Use
-:meth:`Trace.mark` and slice ``trace.events[mark:]`` to cut out the events
-of one branch.
+A window is not part of the configuration: restoring a snapshot or a
+mark does not rewind it (the events really happened, on some branch), so
+a window that should hold one branch is opened after the restore that
+starts it.  Each event's ``index`` counts every event the simulation
+ever applied (:attr:`Simulation.events_applied`), windows or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 from repro.sim.messages import Message, ProcessId
 
@@ -33,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.executor import Simulation
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class TraceEvent:
     index: int
 
@@ -84,23 +87,3 @@ class InvokeEvent(TraceEvent):
 
     def __repr__(self) -> str:
         return f"[{self.index}] invoke {self.pid} {self.txn}"
-
-
-class Trace:
-    """Append-only event log for one simulation object."""
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def mark(self) -> int:
-        """A cursor: ``events[mark:]`` are the events applied since."""
-        return len(self.events)

@@ -9,10 +9,11 @@ from helpers import Echo, Pinger
 class TestLaneDiagram:
     def make_events(self):
         sim = Simulation([Pinger("p", "e", n=1), Echo("e")])
-        sim.step("p")
-        sim.deliver("p", "e")
-        sim.step("e")
-        return sim.trace.events
+        with sim.recording() as events:
+            sim.step("p")
+            sim.deliver("p", "e")
+            sim.step("e")
+        return events
 
     def test_one_line_per_event(self):
         events = self.make_events()

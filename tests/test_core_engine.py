@@ -324,8 +324,9 @@ class TestMeasureFastRot:
         # probe run the report holds iff every ROT does
         report = measure_fast_rot(protocol)
         system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
-        history = run_workload(system, DEFAULT_FAST_SPEC)
-        stats = analyze_transactions(system.sim.trace, history, servers=system.servers)
+        with system.sim.recording() as events:
+            history = run_workload(system, DEFAULT_FAST_SPEC)
+        stats = analyze_transactions(events, history, servers=system.servers)
         rots = [s for s in stats.values() if s.read_only]
         assert report.one_round == all(s.one_round for s in rots)
         assert report.fast == all(s.fast for s in rots)
@@ -417,12 +418,12 @@ class TestIndistinguishability:
         sim = tsys.sim
         c0 = tsys.c0
         # record β: Tw solo to quiescence
-        mark = sim.trace.mark()
-        sim.invoke(tsys.cw, tsys.tw())
-        RoundRobinScheduler().run(
-            sim, pids=(tsys.cw, "s0", "s1"), max_events=10_000
-        )
-        fragment = RecordedFragment(sim.trace.events[mark:])
+        with sim.recording() as events:
+            sim.invoke(tsys.cw, tsys.tw())
+            RoundRobinScheduler().run(
+                sim, pids=(tsys.cw, "s0", "s1"), max_events=10_000
+            )
+        fragment = RecordedFragment(events)
         after_full = self._state(sim, "s1")
         # replay β_new (s0's steps removed) from C0
         sim.restore(c0)

@@ -471,16 +471,17 @@ def explore_from_a_waiting_reader(sleep_on_reply, max_depth):
     Step(server).apply(sim)  # its reply is in transit to the reader
     reply = deliver_to(reader)
     assert sim.processes[reader].current is not None  # the reader waits
-    result, start = ExplorationResult(protocol="fastclaim", por=True), len(sim.trace)
+    result = ExplorationResult(protocol="fastclaim", por=True)
     search = SerialSearch(
         sim, pids, system.clients, result, resolve_checker("causal"),
         max_depth, max_states=60_000, first_violation_only=False, por=True,
     )
-    search.run(sleep=frozenset({reply}) if sleep_on_reply else frozenset())
+    with sim.recording() as events:
+        search.run(sleep=frozenset({reply}) if sleep_on_reply else frozenset())
     taken = sum(  # a fastclaim client's step that moves nothing stutters
         isinstance(e, StepEvent) and e.pid in system.clients
         and not (e.received or e.sent)
-        for e in sim.trace.events[start:]
+        for e in events
     )
     return result, taken, sim.counters.stutters
 

@@ -3,8 +3,10 @@ means, the slotted event records, and ``run_workload``'s bookkeeping."""
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from repro.txn.types import read_only_txn
 from repro.workloads import WorkloadSpec, run_workload
 from repro.workloads.generators import WorkloadStalled
 
-from helpers import Note, Pinger
+from helpers import Echo, Note, Pinger
 
 # ---------------------------------------------------------------------------
 # the schedule is pinned
@@ -40,7 +42,7 @@ MIXES = {
 }
 
 #: (trace length, events applied, blake2b-128 over the ``repr`` of every
-#: trace event), recorded from the commit before the event loop was made
+#: event of a window opened around ``run_workload``), recorded from the commit before the event loop was made
 #: cheap (PR 14).  One protocol per client family: ``ClientBase`` direct,
 #: ``VectorSnapshotClient`` + 2PC, and the RW-capable lock-based client.
 GOLDEN = {
@@ -59,12 +61,13 @@ def test_seeded_run_yields_the_recorded_trace(protocol, mix, scheduler):
     system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
     spec = WorkloadSpec(n_txns=60, read_size=(2, 3), seed=4100, **MIXES[mix])
     sched = RoundRobinScheduler() if scheduler == "round_robin" else None
-    run_workload(system, spec, scheduler=sched)
+    with system.sim.recording() as events:
+        run_workload(system, spec, scheduler=sched)
     digest = hashlib.blake2b(digest_size=16)
-    for event in system.sim.trace:
+    for event in events:
         digest.update(repr(event).encode())
         digest.update(b"\n")
-    got = (len(system.sim.trace), system.sim.event_count, digest.hexdigest())
+    got = (len(events), system.sim.event_count, digest.hexdigest())
     assert got == GOLDEN[protocol, mix, scheduler]
 
 
@@ -136,10 +139,11 @@ def test_seeded_run_sends_the_recorded_bytes(protocol, mix):
         system = build_system(protocol, objects=objects, n_servers=2)
     spec = WorkloadSpec(n_txns=60, read_size=(2, 3), seed=4100, **MIXES[mix])
     digest = hashlib.blake2b(digest_size=16)
-    run_workload(system, spec, scheduler=_SamplingScheduler(spec.seed, digest))
+    with system.sim.recording() as events:
+        run_workload(system, spec, scheduler=_SamplingScheduler(spec.seed, digest))
     sent = [
         msg.payload
-        for event in system.sim.trace
+        for event in events
         if isinstance(event, StepEvent)
         for msg in event.sent
     ]
@@ -147,6 +151,63 @@ def test_seeded_run_sends_the_recorded_bytes(protocol, mix):
         digest.update(dumps_canonical(payload))
     digest.update(system.sim.fingerprint())
     assert (len(sent), digest.hexdigest()) == PAYLOAD_GOLDEN[protocol, mix]
+
+
+# ---------------------------------------------------------------------------
+# events are kept only in the windows a caller opens
+# ---------------------------------------------------------------------------
+
+
+def test_a_run_with_no_window_open_keeps_no_event():
+    """Every step event a forward ``run_workload`` builds dies with the
+    call that returned it."""
+    system = build_system("cops", objects=("X0", "X1", "X2", "X3"), n_servers=2)
+    sim, refs = system.sim, []
+
+    def step(pid, real=system.sim.step):
+        event = real(pid)
+        refs.append(weakref.ref(event))
+        return event
+
+    sim.step = step
+    run_workload(system, WorkloadSpec(n_txns=20, read_size=(2, 3), seed=4100))
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)
+
+
+def test_windows_nest_and_indices_run_on():
+    """An event reaches every open window; ``index`` counts every event
+    the simulation applied, recorded or not."""
+    sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
+    sim.step("p")  # index 0, in no window
+    with sim.recording() as outer:
+        sim.deliver("p", "e")
+        with sim.recording() as inner:
+            sim.step("e")
+        sim.deliver("e", "p")
+    with sim.recording() as later:
+        sim.step("p")
+    assert [e.index for e in outer] == [1, 2, 3]
+    assert len(inner) == 1 and inner[0] is outer[1]
+    assert [e.index for e in later] == [4] and sim.events_applied == 5
+
+
+def test_a_recorded_window_replays_identically():
+    system = build_system("cops", objects=("X0", "X1", "X2", "X3"), n_servers=2)
+    sim = system.sim
+    start = sim.snapshot()
+    with sim.recording() as first:
+        run_workload(system, WorkloadSpec(n_txns=20, read_size=(2, 3), seed=4100))
+    end = sim.fingerprint()
+    sim.restore(start)
+    with sim.recording() as again:
+        sim.replay(first)
+    assert sim.fingerprint() == end
+    # the same events, message ids included; only the indices run on
+    assert [repr(e).split("] ", 1)[1] for e in again] == [
+        repr(e).split("] ", 1)[1] for e in first
+    ]
+    assert [e.index for e in again] == [e.index + len(first) for e in first]
 
 
 # ---------------------------------------------------------------------------

@@ -1086,8 +1086,9 @@ def test_a_stutter_changes_nothing(protocol, picks):
             assert Step(pid) in events
             before = (sim.fingerprint(), sim.fingerprint(canonical=True))
             mark = sim.mark()
-            Step(pid).apply(sim)
-            step = sim.trace.events[-1]
+            with sim.recording() as applied:
+                Step(pid).apply(sim)
+            (step,) = applied
             assert (step.pid, step.received, step.sent) == (pid, (), ())
             assert (sim.fingerprint(), sim.fingerprint(canonical=True)) == before
             sim.restore(mark)

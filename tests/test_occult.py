@@ -55,13 +55,14 @@ class TestBasics:
         rec = do(system, "w", read_only_txn(("X0", "X1"), txid="r"))
         assert rec.reads == {"X0": "a", "X1": "b"}
 
-    def test_stale_slave_triggers_retry(self):
+    def test_stale_slave_triggers_retry(self, record):
         """Freeze replication: the client's read must escalate (extra
         rounds — Occult's R >= 1) and still return its own write."""
         from repro.core.visibility import FrozenScheduler
 
         system = build()
         sim = system.sim
+        events = record(sim)
         do(system, "w", write_only_txn({"X0": "mine"}, txid="t"))
         frozen = {m.msg_id for m in sim.network.pending()}
         client = system.client("w")
@@ -73,7 +74,7 @@ class TestBasics:
         assert rec.reads["X0"] == "mine"
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(sim.trace, system.history(), system.servers)
+        stats = analyze_transactions(events, system.history(), system.servers)
         assert stats["r"].rounds >= 2  # slave retry then master escalation
         assert not stats["r"].blocked  # servers never defer (no cascades)
 
@@ -153,8 +154,9 @@ class TestOccultStress:
             "occult", objects=("X0", "X1", "X2", "X3"), n_servers=3,
             replication=2,
         )
-        hist = run_workload(system, WorkloadSpec(n_txns=80, read_ratio=0.6, seed=7))
-        ch = characterize(system, hist)
+        with system.sim.recording() as events:
+            hist = run_workload(system, WorkloadSpec(n_txns=80, read_ratio=0.6, seed=7))
+        ch = characterize(system, hist, events)
         assert ch.consistency_ok
         assert not ch.any_blocked  # Occult never defers server-side
         assert ch.supports_wtx

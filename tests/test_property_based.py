@@ -88,10 +88,9 @@ class TestSimulatorProperties:
         sim = fresh_net()
         apply_schedule(sim, prefix)
         snap = sim.snapshot()
-        mark = sim.trace.mark()
-        apply_schedule(sim, suffix)
+        with sim.recording() as recorded:
+            apply_schedule(sim, suffix)
         end_state = state_of(sim)
-        recorded = sim.trace.events[mark:]
         sim.restore(snap)
         sim.replay(recorded)
         assert state_of(sim) == end_state

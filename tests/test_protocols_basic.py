@@ -98,7 +98,7 @@ class TestEveryProtocol:
             s.write("c0", {"X0": "a"})
             s.write("c1", {"X1": "b"})
             out = s.read("c2", ["X0", "X1"])
-            return out, len(s.system.sim.trace)
+            return out, s.system.sim.events_applied
 
         assert run(5) == run(5)
 
@@ -206,9 +206,10 @@ class TestSwiftCloudStaleModel:
         from repro.analysis.metrics import analyze_transactions
 
         s = self.make_stale()
-        s.write("c0", {"X0": "a"})
-        s.read("c1", ["X0", "X1"])
-        stats = analyze_transactions(s.system.sim.trace, s.history(), s.servers)
+        with s.system.sim.recording() as events:
+            s.write("c0", {"X0": "a"})
+            s.read("c1", ["X0", "X1"])
+        stats = analyze_transactions(events, s.history(), s.servers)
         rot = [x for x in stats.values() if x.read_only][-1]
         assert rot.rounds == 1 and not rot.blocked
 

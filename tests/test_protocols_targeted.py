@@ -42,13 +42,14 @@ class TestCopsTwoRounds:
         return build_system("cops", objects=("X0", "X1"), n_servers=2,
                             clients=("w", "r"))
 
-    def test_round2_triggered_by_delayed_read(self):
+    def test_round2_triggered_by_delayed_read(self, record):
         """Reproduce the paper's motivating race: the ROT's request to p0
         is delivered before the writes, the one to p1 after — round 1
         returns (old X0, new X1 with dep on new X0), and COPS repairs
         with a second round."""
         system = self.build()
         sim = system.sim
+        events = record(sim)
         writer = system.client("w")
         reader = system.client("r")
 
@@ -77,21 +78,20 @@ class TestCopsTwoRounds:
         # and it really took two rounds
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(sim.trace, system.history(), system.servers)
+        stats = analyze_transactions(events, system.history(), system.servers)
         assert stats["rot"].rounds == 2
         assert stats["rot"].values_per_object["X0"] == 2  # old + refetch
 
     def test_one_round_when_no_race(self):
         system = self.build()
-        do(system, "w", write_only_txn({"X0": "a"}))
-        do(system, "w", write_only_txn({"X1": "b"}))
-        rec = do(system, "r", read_only_txn(("X0", "X1"), txid="rot2"))
+        with system.sim.recording() as events:
+            do(system, "w", write_only_txn({"X0": "a"}))
+            do(system, "w", write_only_txn({"X1": "b"}))
+            rec = do(system, "r", read_only_txn(("X0", "X1"), txid="rot2"))
         assert rec.reads == {"X0": "a", "X1": "b"}
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(
-            system.sim.trace, system.history(), system.servers
-        )
+        stats = analyze_transactions(events, system.history(), system.servers)
         assert stats["rot2"].rounds == 1
 
 
@@ -106,12 +106,13 @@ class TestCopsSnowReadersCheck:
             "cops_snow", objects=("X0", "X1"), n_servers=2, clients=("w", "r")
         )
 
-    def test_old_reader_pinned_to_old_snapshot(self):
+    def test_old_reader_pinned_to_old_snapshot(self, record):
         """The same race as above: COPS-SNOW serves the ROT old values at
         *both* servers — in one round — by hiding the dependent write
         from the ROT that already read the old dependency."""
         system = self.build()
         sim = system.sim
+        events = record(sim)
         reader = system.client("r")
 
         do(system, "w", write_only_txn({"X0": "x0-old"}, txid="pre"))
@@ -138,7 +139,7 @@ class TestCopsSnowReadersCheck:
         assert rec.reads["X1"] != "x1-new"
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(sim.trace, system.history(), system.servers)
+        stats = analyze_transactions(events, system.history(), system.servers)
         assert stats["rot"].rounds == 1
         assert not stats["rot"].blocked
 
@@ -184,15 +185,14 @@ class TestSnapshotFamily:
         system = build_system(
             protocol, objects=("X0", "X1"), n_servers=2, clients=("w", "r")
         )
-        do(system, "w", write_only_txn({"X0": "a"}, txid="w0"))
-        rec = do(system, "w", read_only_txn(("X0", "X1"), txid="rot_w"))
-        assert rec.reads["X0"] == "a"  # read-your-writes
-        rec2 = do(system, "r", read_only_txn(("X0", "X1"), txid="rot_r"))
+        with system.sim.recording() as events:
+            do(system, "w", write_only_txn({"X0": "a"}, txid="w0"))
+            rec = do(system, "w", read_only_txn(("X0", "X1"), txid="rot_w"))
+            assert rec.reads["X0"] == "a"  # read-your-writes
+            rec2 = do(system, "r", read_only_txn(("X0", "X1"), txid="rot_r"))
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(
-            system.sim.trace, system.history(), system.servers
-        )
+        stats = analyze_transactions(events, system.history(), system.servers)
         return stats
 
     @pytest.mark.parametrize("protocol", ["gentlerain", "orbe"])
@@ -268,9 +268,10 @@ class TestSpanner:
         # commit-wait forces the wall clock past commit_ts: many events
         assert sim.event_count - before > 6
 
-    def test_read_blocks_behind_prepared(self):
+    def test_read_blocks_behind_prepared(self, record):
         system = self.build()
         sim = system.sim
+        events = record(sim)
         sim.invoke("w1", write_only_txn({"X0": "a", "X1": "b"}, txid="big"))
         sim.step("w1")
         m = sim.network.pending(dst="s0")[0]
@@ -289,7 +290,7 @@ class TestSpanner:
         assert rec2.reads == {"X0": "a", "X1": "b"}
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(sim.trace, system.history(), system.servers)
+        stats = analyze_transactions(events, system.history(), system.servers)
         assert stats["rot"].rounds == 1  # single round...
         assert stats["rot"].blocked  # ...but blocking
 
@@ -483,11 +484,12 @@ class TestAtomicVisibilityRepair:
 
 
 class TestCopsRw:
-    def test_one_round_causal_via_attachments(self):
+    def test_one_round_causal_via_attachments(self, record):
         system = build_system(
             "cops_rw", objects=("X0", "X1"), n_servers=2, clients=("w", "r")
         )
         sim = system.sim
+        events = record(sim)
         do(system, "w", write_only_txn({"X0": "x0-old"}, txid="pre"))
         sim.invoke("r", read_only_txn(("X0", "X1"), txid="rot"))
         ev = sim.step("r")
@@ -507,7 +509,7 @@ class TestCopsRw:
         assert rec.reads == {"X0": "x0-new", "X1": "x1-new"}
         from repro.analysis.metrics import analyze_transactions
 
-        stats = analyze_transactions(sim.trace, system.history(), system.servers)
+        stats = analyze_transactions(events, system.history(), system.servers)
         assert stats["rot"].rounds == 1
         assert not stats["rot"].blocked
         # ... and the one-value property is duly violated

@@ -71,8 +71,9 @@ def test_measured_row_matches_paper_class(protocol):
     the paper's bound."""
     system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
     spec = WorkloadSpec(n_txns=80, read_ratio=0.6, read_size=(2, 3), seed=7)
-    hist = run_workload(system, spec)
-    ch = characterize(system, hist, check=False)
+    with system.sim.recording() as events:
+        hist = run_workload(system, spec)
+    ch = characterize(system, hist, events, check=False)
     info = get_protocol(protocol)
     paper = info.paper_row
 

@@ -233,13 +233,15 @@ class TestSnapshotRestore:
         ev2 = sim.step("p")
         assert ev2.sent[0].msg_id == first_id
 
-    def test_trace_not_rolled_back(self):
+    def test_window_not_rewound_by_restore(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         snap = sim.snapshot()
-        sim.step("p")
-        n = len(sim.trace)
-        sim.restore(snap)
-        assert len(sim.trace) == n
+        with sim.recording() as events:
+            first = sim.step("p")
+            sim.restore(snap)
+            second = sim.step("p")
+        assert len(events) == 2 and events[0] is first and events[1] is second
+        assert (first.index, second.index) == (0, 1)  # the counter is not rewound
 
 
 class TestReplay:
@@ -270,9 +272,8 @@ class TestReplay:
     def test_recorded_log_replays_identically(self):
         sim = Simulation([Pinger("p", "e", n=2), Echo("e")])
         snap = sim.snapshot()
-        mark = sim.trace.mark()
-        sim.replay(self.script())
-        recorded = sim.trace.events[mark:]
+        with sim.recording() as recorded:
+            sim.replay(self.script())
         state_a = (sim.processes["p"].got, sim.processes["e"].seen)
         sim.restore(snap)
         sim.replay(recorded)
@@ -292,9 +293,10 @@ class TestReplay:
     def test_filtered_replay_structural_addressing(self):
         # removing one sender's steps must not perturb other links' seqs
         sim = Simulation([Pinger("a", "e", n=1), Pinger("b", "e", n=1), Echo("e")])
-        sim.step("a")
-        sim.step("b")
-        kept = [e for e in sim.trace if not (isinstance(e, StepEvent) and e.pid == "a")]
+        with sim.recording() as events:
+            sim.step("a")
+            sim.step("b")
+        kept = [e for e in events if not (isinstance(e, StepEvent) and e.pid == "a")]
         sim2 = Simulation([Pinger("a", "e", n=1), Pinger("b", "e", n=1), Echo("e")])
         sim2.replay(kept + [Deliver("b", "e", 0), Step("e")])
         assert sim2.processes["e"].seen == [1]

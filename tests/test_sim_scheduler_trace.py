@@ -60,8 +60,9 @@ class TestRandomScheduler:
     def test_seeded_determinism(self):
         def run(seed):
             sim = Simulation([Pinger("p", "e", n=4), Echo("e")])
-            RandomScheduler(seed).run(sim, max_events=10_000)
-            return [repr(e) for e in sim.trace]
+            with sim.recording() as events:
+                RandomScheduler(seed).run(sim, max_events=10_000)
+            return [repr(e) for e in events]
 
         assert run(3) == run(3)
 
@@ -83,8 +84,9 @@ class TestRandomScheduler:
 
 
 class TestTraceQueries:
-    def test_mark_and_since(self):
+    def test_window_holds_what_it_saw(self):
         sim = Simulation([Pinger("p", "e", n=1), Echo("e")])
-        mark = sim.trace.mark()
         sim.step("p")
-        assert len(sim.trace.events[mark:]) == 1
+        with sim.recording() as events:
+            sim.deliver("p", "e")
+        assert [type(e).__name__ for e in events] == ["DeliverEvent"]

@@ -78,14 +78,15 @@ class TestHandshake:
             sync_hops=3,
         )
         sim = system.sim
-        do(system, "w", write_only_txn({"X0": "solo"}, txid="t"))
+        with sim.recording() as events:
+            do(system, "w", write_only_txn({"X0": "solo"}, txid="t"))
         # no hs traffic for a single-server write
         from repro.protocols.base import ServerMsg
         from repro.sim.trace import StepEvent
 
         hs = [
             m
-            for ev in sim.trace
+            for ev in events
             if isinstance(ev, StepEvent)
             for m in ev.sent
             if isinstance(m.payload, ServerMsg) and m.payload.kind == "hs"
@@ -99,13 +100,14 @@ class TestHandshake:
             sync_hops=hops,
         )
         sim = system.sim
-        do(system, "w", write_only_txn({"X0": "a", "X1": "b"}, txid="t"))
+        with sim.recording() as events:
+            do(system, "w", write_only_txn({"X0": "a", "X1": "b"}, txid="t"))
         from repro.protocols.base import ServerMsg
         from repro.sim.trace import StepEvent
 
         hs = [
             m
-            for ev in sim.trace
+            for ev in events
             if isinstance(ev, StepEvent)
             for m in ev.sent
             if isinstance(m.payload, ServerMsg) and m.payload.kind == "hs"

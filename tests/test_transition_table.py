@@ -21,6 +21,7 @@ from repro.core.setup import prepare_theorem_system
 from repro.protocols.registry import protocol_names
 from repro.sim.events import Step, enabled_events
 from repro.sim.executor import Simulation
+from repro.sim.trace import StepEvent
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.snapshot import DeepCopySnapshotter, Snapshotter, dumps_canonical
 from repro.txn.types import read_only_txn, write_only_txn
@@ -51,9 +52,8 @@ def no_table(monkeypatch):
     return off
 
 
-def step_view(sim: Simulation):
+def step_view(sim: Simulation, event: StepEvent):
     """What one step must give alike, replayed or executed."""
-    event = sim.trace.events[-1]
     return dict(
         fp=sim.fingerprint(),
         fp_canon=sim.fingerprint(canonical=True),
@@ -93,8 +93,9 @@ def test_a_replayed_step_is_the_executed_one(protocol, moves):
                 for table in (caches._transitions, {}):
                     kept, caches._transitions = caches._transitions, table
                     mark = sim.mark()
-                    e.apply(sim)
-                    views.append(step_view(sim))
+                    with sim.recording() as applied:
+                        e.apply(sim)
+                    views.append(step_view(sim, *applied))
                     sim.restore(mark)
                     caches._transitions = kept
                 assert views[0] == views[1], (protocol, e)

@@ -55,11 +55,12 @@ def is_sentinel(s: str) -> bool:
 def test_no_undeclared_values_to_clients(protocol):
     system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
     spec = WorkloadSpec(n_txns=50, read_ratio=0.6, seed=13)
-    run_workload(system, spec)
+    with system.sim.recording() as events:
+        run_workload(system, spec)
     servers = set(system.service_pids)
     clients = set(system.clients)
     leaks = []
-    for ev in system.sim.trace:
+    for ev in events:
         if not isinstance(ev, StepEvent) or ev.pid not in servers:
             continue
         for m in ev.sent:

@@ -216,8 +216,9 @@ class TestPayloadIntrospection:
 class TestCharacterize:
     def test_rows_have_all_fields(self):
         system = build_system("cops_snow", objects=("X0", "X1"), n_servers=2)
-        hist = run_workload(system, WorkloadSpec(n_txns=30, seed=1))
-        ch = characterize(system, hist)
+        with system.sim.recording() as events:
+            hist = run_workload(system, WorkloadSpec(n_txns=30, seed=1))
+        ch = characterize(system, hist, events)
         row = ch.row()
         assert row["protocol"] == "cops_snow"
         assert row["R"] == 1 and row["N"] == "yes" and row["WTX"] == "no"
@@ -225,8 +226,9 @@ class TestCharacterize:
 
     def test_wren_row(self):
         system = build_system("wren", objects=("X0", "X1"), n_servers=2)
-        hist = run_workload(system, WorkloadSpec(n_txns=30, read_ratio=0.6, seed=1))
-        ch = characterize(system, hist)
+        with system.sim.recording() as events:
+            hist = run_workload(system, WorkloadSpec(n_txns=30, read_ratio=0.6, seed=1))
+        ch = characterize(system, hist, events)
         assert ch.max_rounds == 2 and not ch.any_blocked and ch.supports_wtx
         assert not ch.fast_rots
 
@@ -246,8 +248,9 @@ class TestCharacterize:
 
     def test_latency_positive(self):
         system = build_system("contrarian", objects=("X0", "X1"), n_servers=2)
-        hist = run_workload(system, WorkloadSpec(n_txns=20, seed=1))
-        ch = characterize(system, hist)
+        with system.sim.recording() as events:
+            hist = run_workload(system, WorkloadSpec(n_txns=20, seed=1))
+        ch = characterize(system, hist, events)
         assert ch.avg_rot_latency > 0
 
 
@@ -259,8 +262,9 @@ class TestTables:
 
     def test_render_table1_contains_systems(self):
         system = build_system("cops_snow", objects=("X0", "X1"), n_servers=2)
-        hist = run_workload(system, WorkloadSpec(n_txns=20, seed=1))
-        ch = characterize(system, hist)
+        with system.sim.recording() as events:
+            hist = run_workload(system, WorkloadSpec(n_txns=20, seed=1))
+        ch = characterize(system, hist, events)
         out = render_table1([ch], include_unimplemented=True)
         assert "COPS-SNOW" in out
         assert "RoCoCo-SNOW" in out  # unimplemented row present
