@@ -42,9 +42,10 @@ MIXES = {
 }
 
 #: (trace length, events applied, blake2b-128 over the ``repr`` of every
-#: event of a window opened around ``run_workload``), recorded from the commit before the event loop was made
-#: cheap (PR 14).  One protocol per client family: ``ClientBase`` direct,
-#: ``VectorSnapshotClient`` + 2PC, and the RW-capable lock-based client.
+#: event of a window opened around ``run_workload``), recorded from the
+#: commit before the event loop was made cheap.  One protocol per
+#: client family: ``ClientBase`` direct, ``VectorSnapshotClient`` + 2PC,
+#: and the RW-capable lock-based client.
 GOLDEN = {
     ("cops", "read_heavy", "random"): (655, 595, "5e32bff2d108f0ebd99278c7f477c2e8"),
     ("cops", "write_heavy", "random"): (552, 492, "7ae5419bffc9d5e1c263ab4389729ae7"),
@@ -164,7 +165,7 @@ def test_a_run_with_no_window_open_keeps_no_event():
     system = build_system("cops", objects=("X0", "X1", "X2", "X3"), n_servers=2)
     sim, refs = system.sim, []
 
-    def step(pid, real=system.sim.step):
+    def step(pid, real=sim.step):
         event = real(pid)
         refs.append(weakref.ref(event))
         return event
