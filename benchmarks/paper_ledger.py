@@ -24,7 +24,6 @@ import sys
 from collections import namedtuple
 from dataclasses import asdict
 from functools import partial
-from importlib import metadata, util
 from itertools import count, product
 from pathlib import Path
 
@@ -100,7 +99,6 @@ def env_stamp():
     return {
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "numpy": metadata.version("numpy") if util.find_spec("numpy") else None,
         "git_sha": git.stdout.strip() if git.returncode == 0 else None,
         "pythonhashseed": os.environ.get("PYTHONHASHSEED"),
     }

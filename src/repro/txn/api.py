@@ -16,6 +16,7 @@ history extraction and one-call consistency checking.
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.protocols.base import System, build_system
@@ -59,6 +60,9 @@ class Store:
         self.scheduler: Scheduler = (
             RandomScheduler(seed) if seed is not None else RoundRobinScheduler()
         )
+        # one counter for every prefix: a store's txids depend only on
+        # the calls made to it, not on what else ran in the process
+        self._txids = itertools.count()
 
     # -- convenience accessors ------------------------------------------------
 
@@ -84,12 +88,12 @@ class Store:
 
     def read(self, client: str, objects: Sequence[ObjectId]) -> Dict[ObjectId, Value]:
         """Execute a read-only transaction; returns object → value."""
-        record = self.execute(client, read_only_txn(objects))
+        record = self.execute(client, read_only_txn(objects, txid=self._txid("r")))
         return dict(record.reads)
 
     def write(self, client: str, writes: Mapping[ObjectId, Value]) -> TxnRecord:
         """Execute a write-only transaction."""
-        return self.execute(client, write_only_txn(writes))
+        return self.execute(client, write_only_txn(writes, txid=self._txid("w")))
 
     def read_write(
         self,
@@ -98,7 +102,10 @@ class Store:
         writes: Mapping[ObjectId, Value],
     ) -> TxnRecord:
         """Execute a read-write transaction (if the protocol supports it)."""
-        return self.execute(client, rw_txn(reads, writes))
+        return self.execute(client, rw_txn(reads, writes, txid=self._txid("rw")))
+
+    def _txid(self, prefix: str) -> str:
+        return f"{prefix}{next(self._txids)}"
 
     def settle(self, max_events: int = 50_000) -> None:
         """Drive background work (replication, stabilization) to quiescence."""

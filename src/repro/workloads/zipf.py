@@ -2,12 +2,65 @@
 
 Key-value workloads are heavily skewed in practice (the paper cites the
 Facebook workload studies); a Zipf(θ) sampler over a fixed key universe
-reproduces that shape.  The implementation precomputes the CDF with
-numpy and samples by binary search — O(log n) per draw, deterministic
-under a seeded generator.
+reproduces that shape.  The implementation precomputes the CDF and
+samples it by binary search — O(log n) per draw, deterministic under the
+seed.
+
+The uniform draws are numpy's ``default_rng(seed).random()`` stream, bit
+for bit, computed with the standard library alone: ``SeedSequence`` hashes
+the seed into a 256-bit state and ``PCG64`` (XSL-RR output) draws from it.
+Every seeded workload is therefore the one the numpy sampler generated,
+and numpy is needed only to check that identity (the tests do, when it is
+installed).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
+from itertools import accumulate
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence(seed: int) -> list:
+    """``SeedSequence(seed).generate_state(4, uint64)``."""
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    entropy = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        entropy.append(seed & _M32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        out.append(value ^ value >> 16)
+    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
 
 
 class ZipfGenerator:
@@ -21,20 +74,25 @@ class ZipfGenerator:
             raise ValueError("n must be positive")
         if theta < 0:
             raise ValueError("theta must be >= 0")
-        # numpy is a third of the package's import time and ~12 MB of
-        # RSS: only a process that generates a workload pays for it
-        import numpy as np
-
         self.n = n
         self.theta = theta
-        weights = 1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta)
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
-        self.rng = np.random.default_rng(seed)
+        cdf = list(accumulate(1.0 / float(i) ** theta for i in range(1, n + 1)))
+        self._cdf = [c / cdf[-1] for c in cdf]
+        # PCG64 seeded as numpy seeds it: (state, sequence) from the
+        # SeedSequence words, then step / add the state / step
+        w = _seed_sequence(seed)
+        self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
+        self._state = ((self._inc + (w[0] << 64 | w[1])) * _PCG_MULT + self._inc) & _M128
+
+    def random(self) -> float:
+        """The next uniform double in ``[0, 1)`` (``Generator.random()``)."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _M64
+        return (((x >> rot | x << (64 - rot)) & _M64) >> 11) * 2.0**-53
 
     def sample(self) -> int:
-        u = self.rng.random()
-        return int(self._cdf.searchsorted(u, side="left"))
+        return bisect_left(self._cdf, self.random())
 
     def sample_distinct(self, k: int) -> list:
         """Draw ``k`` distinct indices (k ≤ n)."""
@@ -50,8 +108,6 @@ class ZipfGenerator:
                 out.append(i)
         return out
 
-    def pmf(self):
-        """The probability mass function, as an ndarray (for tests)."""
-        pmf = self._cdf.copy()
-        pmf[1:] -= self._cdf[:-1]
-        return pmf
+    def pmf(self) -> list:
+        """The probability mass function, as a list (for tests)."""
+        return [c - p for p, c in zip([0.0] + self._cdf, self._cdf)]

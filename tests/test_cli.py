@@ -1,12 +1,10 @@
 """CLI tests: every subcommand runs and prints what it promises."""
 
 import hashlib
-import itertools
 
 import pytest
 
 from repro.cli import main
-from repro.txn import types
 
 
 class TestCliList:
@@ -156,12 +154,23 @@ class TestCliTrace:
         assert main(["trace", "wren"]) == 0
         assert "s0" in capsys.readouterr().out
 
-    def test_trace_fastclaim_is_the_recorded_diagram(self, capsys, monkeypatch):
-        """(lines, blake2b-128) of ``python -m repro trace fastclaim`` in a
-        fresh process: the diagram cuts exactly the writes' and the read's
-        events.  Txids count process-wide, so the counter starts afresh."""
-        monkeypatch.setattr(types, "_txid_counter", itertools.count())
+    #: (lines, blake2b-128) of ``python -m repro trace fastclaim`` in a
+    #: fresh process: the diagram cuts exactly the writes' and the read's
+    #: events
+    FASTCLAIM = (29, "476d11418db8849598f134174520358f")
+
+    @staticmethod
+    def _digest(out):
+        return out.count("\n"), hashlib.blake2b(out.encode(), digest_size=16).hexdigest()
+
+    def test_trace_fastclaim_is_the_recorded_diagram(self, capsys):
         assert main(["trace", "fastclaim"]) == 0
-        out = capsys.readouterr().out
-        digest = hashlib.blake2b(out.encode(), digest_size=16).hexdigest()
-        assert (out.count("\n"), digest) == (29, "476d11418db8849598f134174520358f")
+        assert self._digest(capsys.readouterr().out) == self.FASTCLAIM
+
+    def test_trace_does_not_depend_on_an_earlier_trace(self, capsys):
+        """Each store numbers its own txids: a trace run before it in the
+        same process leaves the fastclaim diagram as it is."""
+        assert main(["trace", "wren"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "fastclaim"]) == 0
+        assert self._digest(capsys.readouterr().out) == self.FASTCLAIM

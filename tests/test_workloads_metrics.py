@@ -1,13 +1,16 @@
 """Workload generators, metrics, tables and figures."""
 
 import gc
+import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import numpy as np
 
 from repro.analysis import (
     approx_size,
@@ -49,7 +52,7 @@ class TestZipf:
 
     def test_pmf_sums_to_one(self):
         z = ZipfGenerator(50, 0.99)
-        assert abs(z.pmf().sum() - 1.0) < 1e-9
+        assert abs(sum(z.pmf()) - 1.0) < 1e-9
 
     def test_pmf_monotone_decreasing(self):
         z = ZipfGenerator(30, 0.8)
@@ -59,7 +62,8 @@ class TestZipf:
     def test_theta_zero_uniform(self):
         z = ZipfGenerator(10, 0.0)
         pmf = z.pmf()
-        assert np.allclose(pmf, 0.1)
+        # np.allclose's default tolerances
+        assert all(math.isclose(p, 0.1, rel_tol=1e-05, abs_tol=1e-08) for p in pmf)
 
     def test_skew_concentrates_mass(self):
         hot = ZipfGenerator(100, 1.2, seed=1)
@@ -84,6 +88,55 @@ class TestZipf:
         a = ZipfGenerator(20, 0.9, seed=7)
         b = ZipfGenerator(20, 0.9, seed=7)
         assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
+
+    #: the first three ``random()`` draws of ``sim_mix``'s four seeds
+    #: ``41 * 100 + i`` (numpy's ``default_rng(seed).random()`` stream)
+    PINNED = {
+        4100: (0.128636642645504, 0.893799108298383, 0.5939870091585048),
+        4101: (0.49952765353517803, 0.5944231966235678, 0.12474911362849339),
+        4102: (0.3890812864513403, 0.5492949427563207, 0.32576226874200775),
+        4103: (0.8513762594845549, 0.29612893992289224, 0.284745970828688),
+    }
+
+    def test_pinned_first_draws(self):
+        for seed, draws in self.PINNED.items():
+            z = ZipfGenerator(4, 0.99, seed=seed)
+            assert tuple(z.random() for _ in draws) == draws, seed
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError):
+            ZipfGenerator(4, 0.99, seed=-1)
+
+    def test_stream_is_numpys(self):
+        np = pytest.importorskip("numpy")
+        seeds = [*range(3000), *self.PINNED, 2**32 + 5, 2**64 + 7, 10**30]
+        for seed in seeds:
+            z, rng = ZipfGenerator(4, 0.99, seed=seed), np.random.default_rng(seed)
+            assert [z.random() for _ in range(20)] == [rng.random() for _ in range(20)], seed
+        for n in (1, 2, 3, 4, 5, 10, 50, 100, 1000):
+            for theta in (0, 0.5, 0.8, 0.9, 0.99, 1, 1.2, 2):
+                z, rng = ZipfGenerator(n, theta, seed=n), np.random.default_rng(n)
+                cdf = np.cumsum(1.0 / np.power(np.arange(1, n + 1, dtype=np.float64), theta))
+                cdf /= cdf[-1]
+                assert z.pmf() == np.diff(cdf, prepend=0.0).tolist(), (n, theta)
+                want = [int(cdf.searchsorted(rng.random(), side="left")) for _ in range(500)]
+                assert [z.sample() for _ in range(500)] == want, (n, theta)
+
+    def test_a_workload_run_leaves_numpy_unloaded(self):
+        code = textwrap.dedent("""
+            import sys
+            from repro.protocols import build_system
+            from repro.workloads import WorkloadSpec, run_workload
+            system = build_system("cops", objects=("X0", "X1", "X2"), n_servers=2)
+            assert run_workload(system, WorkloadSpec(n_txns=20, seed=3)).records
+            assert "numpy" not in sys.modules
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
