@@ -6,12 +6,12 @@ reproduces that shape.  The implementation precomputes the CDF and
 samples it by binary search — O(log n) per draw, deterministic under the
 seed.
 
-The uniform draws are numpy's ``default_rng(seed).random()`` stream, bit
+The uniform draws are NumPy's ``default_rng(seed).random()`` stream, bit
 for bit, computed with the standard library alone: ``SeedSequence`` hashes
 the seed into a 256-bit state and ``PCG64`` (XSL-RR output) draws from it.
-Every seeded workload is therefore the one the numpy sampler generated,
-and numpy is needed only to check that identity (the tests do, when it is
-installed).
+Every seeded workload is therefore the one the earlier NumPy-based sampler
+generated, and NumPy is needed only to check that identity (the tests do,
+when it is installed).
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ class ZipfGenerator:
         self.theta = theta
         cdf = list(accumulate(1.0 / float(i) ** theta for i in range(1, n + 1)))
         self._cdf = [c / cdf[-1] for c in cdf]
-        # PCG64 seeded as numpy seeds it: (state, sequence) from the
+        # PCG64 seeded as NumPy seeds it: (state, sequence) from the
         # SeedSequence words, then step / add the state / step
         w = _seed_sequence(seed)
         self._inc = (w[2] << 64 | w[3]) << 1 & _M128 | 1
