@@ -42,12 +42,15 @@ from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.engine.outcome import SearchOutcome
 from repro.sim.events import (
-    Event, Step, any_enabled, enabled_events, independent, step_stutters,
+    Event, EventTable, Step, any_enabled, independent, step_stutters,
 )
 from repro.sim.executor import Configuration, SimCounters, Simulation
 from repro.sim.messages import ProcessId
 
 _EMPTY: FrozenSet[Event] = frozenset()
+
+#: the leaf-verdict memo's bound, the state table's (cleared on overflow)
+_VERDICT_CAP = 4096
 
 
 def _wall() -> float:
@@ -109,8 +112,11 @@ class ExplorationResult(SearchOutcome):
     #: fingerprint claim set (cross-worker dedup; worker-local seen-set
     #: dedup stays inside ``states_deduped`` alongside it)
     shared_seen_hits: int = 0
-    #: wall-clock spent in leaf checks (history extraction + scan)
+    #: wall-clock spent in leaf checks (history key, extraction + scan)
     checker_seconds: float = 0.0
+    #: leaves whose history was scanned: one per distinct leaf history
+    #: of a search (the others take the memoised verdict)
+    checker_runs: int = 0
 
     @property
     def checks(self) -> int:
@@ -136,7 +142,8 @@ class ExplorationResult(SearchOutcome):
         head = (
             f"{self.protocol} [{knobs}]: explored {self.states_visited} states "
             f"({self.states_deduped} deduped), "
-            f"{self.schedules_completed} complete schedules, "
+            f"{self.schedules_completed} complete schedules "
+            f"({self.checker_runs} histories scanned), "
             f"{self.truncated} truncated"
         )
         if not self.violations:
@@ -177,6 +184,34 @@ def resolve_checker(checker: str) -> Callable:
     raise ValueError(f"unknown checker {checker!r}")
 
 
+def _leaf_key(records) -> tuple:
+    """A leaf history's memo key for the stamp-blind checkers (causal,
+    sessions): each record's txid, client, reads and writes, in
+    :func:`~repro.txn.history.build_history`'s order, which is all they
+    read — the order carries each client's program order."""
+    return tuple([(r.txn.txid, r.client, tuple(r.reads.items()), r.txn.writes)
+                  for r in records])
+
+
+def _stamped_leaf_key(records) -> tuple:
+    """:func:`_leaf_key` plus each record's real-time stamps, which the
+    read-atomic checker reads."""
+    return tuple([(r.txn.txid, r.client, tuple(r.reads.items()), r.txn.writes,
+                   r.invoked_at, r.completed_at) for r in records])
+
+
+def _leaf_key_for(checker: Callable) -> Callable:
+    """The leaf-history key that carries what ``checker`` reads: the
+    stamp-blind key for the causal and session scans, the stamped key
+    for every other checker."""
+    from repro.consistency.causal import find_causal_anomalies
+    from repro.consistency.sessions import check_sessions
+
+    if checker is find_causal_anomalies or checker is check_sessions:
+        return _leaf_key
+    return _stamped_leaf_key
+
+
 def clients_done(sim: Simulation, clients: Sequence[ProcessId]) -> bool:
     """Every client idle: no active transaction, nothing pending."""
     from repro.txn.client import ClientBase
@@ -215,10 +250,17 @@ class SerialSearch:
     ):
         self.sim = sim
         self.pids = tuple(pids)
+        #: this search's interned events and delivery filter
+        self._events = EventTable(sim, self.pids)
         self.clients = tuple(clients)
         self.result = result
-        #: the whole-history scan run at every quiescent leaf
+        #: the whole-history scan run at every quiescent leaf history
+        #: not seen before in this search
         self.checker = checker
+        self._leaf_key = _leaf_key_for(checker)
+        #: leaf history key -> its anomalies (bounded like the state
+        #: table: cleared on overflow)
+        self._verdicts: dict = {}
         self.max_depth = max_depth
         self.max_states = max_states
         self.first_violation_only = first_violation_only
@@ -330,16 +372,34 @@ class SerialSearch:
     # -- leaves -----------------------------------------------------------
 
     def _check_leaf(self) -> None:
+        """Judge the quiescent leaf's history.  Definition 1 judges a
+        history, not a schedule, so the scan runs once per distinct
+        history key (:func:`_leaf_key_for`), taken from the clients'
+        records before any :class:`~repro.txn.history.History` is built;
+        a repeat takes the memoised anomalies.  Every violating leaf
+        still reports its own trail and its own list."""
         from repro.txn.history import build_history
 
         r = self.result
         r.schedules_completed += 1
         t0 = _wall()
-        anomalies = self.checker(build_history(self.sim, clients=self.clients))
+        processes = self.sim.processes
+        records = sorted(
+            [rec for c in self.clients for rec in processes[c].completed],
+            key=lambda rec: (rec.invoked_at, rec.txid),
+        )
+        key = self._leaf_key(records)
+        anomalies = self._verdicts.get(key)
+        if anomalies is None:
+            anomalies = self.checker(build_history(self.sim, clients=self.clients))
+            r.checker_runs += 1
+            if len(self._verdicts) >= _VERDICT_CAP:
+                self._verdicts.clear()
+            self._verdicts[key] = anomalies
         r.checker_seconds += _wall() - t0
         if anomalies:
             labels = list(self.trail_prefix) + [e.label for e in self._trail]
-            r.violations.append((labels, anomalies))
+            r.violations.append((labels, list(anomalies)))
             if self.first_violation_only:
                 self.abort = True
 
@@ -376,7 +436,7 @@ class SerialSearch:
 
     def _dfs(self, depth: int, sleep: FrozenSet[Event]) -> None:
         r = self.result
-        if not any_enabled(self.sim, self.pids):
+        if not any_enabled(self.sim, self._events.acting):
             if not self._count_state():
                 return
             if clients_done(self.sim, self.clients):
@@ -409,7 +469,7 @@ class SerialSearch:
         if depth >= self.max_depth:
             r.truncated += 1
             return
-        events = enabled_events(self.sim, self.pids)
+        events = self._events.enabled(self.sim)
         explorable = (
             [e for e in events if e not in sleep] if self.por else events
         )

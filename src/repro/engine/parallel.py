@@ -368,6 +368,7 @@ def _add_counts(total: ExplorationResult, part: ExplorationResult) -> None:
     total.schedules_completed += part.schedules_completed
     total.truncated += part.truncated
     total.checker_seconds += part.checker_seconds
+    total.checker_runs += part.checker_runs
 
 
 def _finalize(
@@ -379,6 +380,7 @@ def _finalize(
     result.schedules_completed = partial.schedules_completed
     result.truncated = partial.truncated
     result.checker_seconds = partial.checker_seconds
+    result.checker_runs = partial.checker_runs
     result.violations = partial.violations
     result.exhausted = search.exhausted
     result.steps = result.states_visited

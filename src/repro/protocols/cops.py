@@ -16,7 +16,7 @@ communicated at most twice (V ≤ 2).
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.sim.messages import Message
 from repro.sim.process import StepContext
@@ -34,6 +34,13 @@ from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
 
+def put_clock(lamport: int, deps: Sequence[Tuple[ObjectId, Timestamp]]) -> int:
+    """A COPS-family server's Lamport clock after a put: past its own
+    clock and past every dependency's tick, so timestamp order refines
+    causality."""
+    return max([lamport] + [ts[0] for _, ts in deps if ts != INITIAL_TS]) + 1
+
+
 class CopsServer(ExactReadServer):
     """Versioned store; assigns ``(lamport, pid)`` timestamps to puts."""
 
@@ -47,9 +54,7 @@ class CopsServer(ExactReadServer):
         deps: Tuple[Tuple[ObjectId, Timestamp], ...] = tuple(
             req.meta.get("deps", ())
         )
-        # advance past every dependency so timestamp order refines causality
-        dep_ticks = [ts[0] for _, ts in deps if ts != INITIAL_TS]
-        self.lamport = max([self.lamport] + dep_ticks) + 1
+        self.lamport = put_clock(self.lamport, deps)
         ts = (self.lamport, self.pid)
         self.install(
             Version(obj=item.obj, value=item.value, ts=ts, txid=req.txid, deps=deps)

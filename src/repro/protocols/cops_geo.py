@@ -35,7 +35,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from repro.sim.messages import Message, ProcessId
 from repro.sim.process import StepContext
 from repro.protocols.base import (
-    INITIAL_TS,
     ServerMsg,
     Timestamp,
     ValueEntry,
@@ -43,7 +42,7 @@ from repro.protocols.base import (
     WriteReply,
     WriteRequest,
 )
-from repro.protocols.cops import CopsPutClient
+from repro.protocols.cops import CopsPutClient, put_clock
 from repro.protocols.twophase import ExactReadClient, ExactReadServer
 from repro.txn.client import UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
@@ -97,8 +96,7 @@ class CopsGeoServer(ExactReadServer):
         assert req.kind == "write" and len(req.items) == 1
         item = req.items[0]
         deps: Tuple[Tuple[ObjectId, Timestamp], ...] = tuple(req.meta.get("deps", ()))
-        dep_ticks = [ts[0] for _, ts in deps if ts != INITIAL_TS]
-        self.lamport = max([self.lamport] + dep_ticks) + 1
+        self.lamport = put_clock(self.lamport, deps)
         ts = (self.lamport, f"dc{self.dc}")
         version = Version(
             obj=item.obj, value=item.value, ts=ts, txid=req.txid, deps=deps

@@ -42,7 +42,7 @@ from repro.protocols.base import (
     WriteReply,
     WriteRequest,
 )
-from repro.protocols.cops import CopsPutClient
+from repro.protocols.cops import CopsPutClient, put_clock
 from repro.txn.client import ActiveTxn, UnsupportedTransaction
 from repro.txn.types import ObjectId, Transaction
 
@@ -94,8 +94,7 @@ class CopsSnowServer(ServerBase):
         assert req.kind == "write" and len(req.items) == 1
         item = req.items[0]
         deps: Tuple[Tuple[ObjectId, Timestamp], ...] = tuple(req.meta.get("deps", ()))
-        dep_ticks = [ts[0] for _, ts in deps if ts != INITIAL_TS]
-        self.lamport = max([self.lamport] + dep_ticks) + 1
+        self.lamport = put_clock(self.lamport, deps)
         version = Version(
             obj=item.obj,
             value=item.value,

@@ -54,7 +54,7 @@ soundness argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.sim.messages import Message, ProcessId
 
@@ -106,13 +106,13 @@ class Step(Event):
 
 def independent(a: Event, b: Event) -> bool:
     """Whether ``a`` and ``b`` commute (see the module docstring)."""
-    if a == b:
-        return False
-    if isinstance(a, Deliver) and isinstance(b, Deliver):
-        return True  # distinct messages; inbox batches are sets
-    if isinstance(a, Deliver) and isinstance(b, Step):
+    if isinstance(a, Deliver):
+        if isinstance(b, Deliver):
+            # distinct messages; inbox batches are sets.  Identity first:
+            # a search's events are interned (EventTable)
+            return a is not b and a != b
         return a.dst != b.pid
-    if isinstance(a, Step) and isinstance(b, Deliver):
+    if isinstance(b, Deliver):
         return a.pid != b.dst
     return a.pid != b.pid  # two steps commute up to msg_id numbering
 
@@ -185,3 +185,35 @@ def enabled_events(
     ]
     events.extend(Step(pid) for pid in steppable_pids(sim, pids))
     return events
+
+
+class EventTable:
+    """One search's enabled events, each made once.
+
+    :meth:`enabled` is ``enabled_events(sim, pids)`` — the same events in
+    the same order — but hands out one object per event for the whole
+    search, so sleep sets and trails compare them by identity first.
+    Whether every process may act (so :func:`deliverable_messages`
+    withholds nothing and needs no filter) is decided once, here: the
+    process set of a simulation is fixed at construction.
+    """
+
+    def __init__(self, sim: "Simulation", pids: Sequence[ProcessId]):
+        self.pids = tuple(pids)
+        #: the delivery filter: None when ``pids`` names every process
+        self.acting = None if set(sim.processes) <= set(self.pids) else self.pids
+        self._delivers: Dict[Tuple[ProcessId, ProcessId, int], Deliver] = {}
+        self._steps = {pid: Step(pid) for pid in self.pids}
+
+    def enabled(self, sim: "Simulation") -> List[Event]:
+        delivers = self._delivers
+        events: List[Event] = []
+        for m in deliverable_messages(sim, self.acting):
+            key = (m.src, m.dst, m.link_seq)
+            e = delivers.get(key)
+            if e is None:
+                e = delivers[key] = Deliver(*key)
+            events.append(e)
+        steps = self._steps
+        events.extend([steps[pid] for pid in steppable_pids(sim, self.pids)])
+        return events

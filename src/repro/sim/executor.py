@@ -309,7 +309,7 @@ class Simulation:
             sends = self._snapshotters["bytes"].apply(
                 self.processes, pid, journal,
                 lambda p: p.on_step(ctx, inbox) or ctx._sends.items(),
-                inbox, self.event_count,
+                inbox, ctx,
             )
         else:
             self.processes[pid].on_step(ctx, inbox)

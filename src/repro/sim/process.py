@@ -25,8 +25,17 @@ class StepContext:
     def __init__(self, pid: ProcessId, neighbors: Iterable[ProcessId], step_index: int):
         self.pid = pid
         self._neighbors = frozenset(neighbors)
-        self.step_index = step_index
+        self._step_index = step_index
+        #: whether the step read :attr:`step_index`; a step that did not
+        #: took the same path at every index (see ``Snapshotter.apply``)
+        self.index_read = False
         self._sends: Dict[ProcessId, Payload] = {}
+
+    @property
+    def step_index(self) -> int:
+        """The global event counter at this step (recorded as read)."""
+        self.index_read = True
+        return self._step_index
 
     def send(self, dst: ProcessId, payload: Payload) -> None:
         """Queue ``payload`` for ``dst``.  At most one send per neighbour."""

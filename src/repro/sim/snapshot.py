@@ -31,7 +31,7 @@ from typing import (
 
 from repro.sim.messages import Message, ProcessId
 from repro.sim.network import Network
-from repro.sim.process import Process
+from repro.sim.process import Process, StepContext
 
 if TYPE_CHECKING:
     from repro.sim.executor import SimCounters
@@ -428,11 +428,15 @@ _PAYLOAD_MEMO_CAP = 1024
 _RING = 256
 
 
-def _step_key(pre: list, inbox: Iterable[Message], index: int) -> tuple:
+def _step_key(pre: list, inbox: Iterable[Message]) -> tuple:
+    """The transition table's key of a step that never read its step
+    index: the pre-state record and the inbox.  A step that read it is
+    filed under ``(key, index)``.  ``msg_id`` stays in the key, because
+    a payload handler may read it."""
     # repro-lint: disable=RL103 — identity-guarded key; the transition
     # table's entry pins the record and the payloads, and messages sort
     # by (src, link_seq), unique in one batch, so no id is ever compared
-    return (id(pre), index, *sorted([(m.src, m.link_seq, m.msg_id, id(m.payload)) for m in inbox]))
+    return (id(pre), *sorted([(m.src, m.link_seq, m.msg_id, id(m.payload)) for m in inbox]))
 
 
 class Snapshotter:
@@ -459,8 +463,9 @@ class Snapshotter:
         # -36...-46 % pass_s on the three exploration workloads
         self._states: Dict[bytes, list] = {}
         self._ring: deque = deque(maxlen=_RING)
-        # (pre-state record id, step index, inbox) -> (pre-state record,
-        # inbox payloads, post-state record, sends); see reuse()
+        # (pre-state record id, inbox), with the step index if the step
+        # read it -> (pre-state record, inbox payloads, post-state
+        # record, sends); see reuse() and apply()
         self._transitions: Dict[tuple, tuple] = {}
         # canonical payload bytes, keyed by payload identity (the entry
         # pins the payload).  Kept: without it por_3s pass_s is +17 %
@@ -578,10 +583,16 @@ class Snapshotter:
     def reuse(self, processes, pid: ProcessId, journal: list,
               inbox: List[Message], index: int) -> Optional[tuple]:
         """The ``(dst, payload)`` sends of a journaled step seen before
-        (same pre-state record, ``inbox`` and step index), its post-state
-        swapped in from the transition table; ``None`` for one not seen."""
+        (same pre-state record and ``inbox``, and the same step index if
+        that step read it), its post-state swapped in from the transition
+        table; ``None`` for one not seen.  The index-free entry is tried
+        first: a step that never read the index took the same path at
+        every index (``on_step`` is deterministic in state, context and
+        inbox)."""
         pre = self._row(pid, processes[pid]).rec
-        hit = self._transitions.get(_step_key(pre, inbox, index))
+        key = _step_key(pre, inbox)
+        table = self._transitions
+        hit = table.get(key) or table.get((key, index))
         if hit is None or hit[0] is not pre:
             return None
         self.counters.steps_reused += 1
@@ -589,22 +600,25 @@ class Snapshotter:
         return hit[3]
 
     def apply(self, processes, pid: ProcessId, journal: list, run: Callable,
-              inbox: List[Message] = (), index: Optional[int] = None) -> tuple:
+              inbox: List[Message] = (), ctx: Optional[StepContext] = None) -> tuple:
         """A journaled event: ``run`` (``on_step`` / ``on_invoke``) runs on
         a copy of ``processes[pid]``, interned as its post-state's object
         and swapped in, and returns the ``(dst, payload)`` sends, interned
-        by pickle.  A step (``index`` given) is recorded for :meth:`reuse`."""
+        by pickle.  A step (its ``ctx`` given) is recorded for
+        :meth:`reuse`: under the pre-state record and inbox if it never
+        read ``ctx.step_index``, and under the step index too if it did."""
         pre = self._row(pid, processes[pid]).rec
         obj = pickle.loads(pre[0])
         sends = tuple([(dst, self._intern_payload(p)) for dst, p in run(obj)])
         post = self._live_rec(obj)
         post[3] = weakref.ref(obj)
-        if index is not None:
+        if ctx is not None:
             if len(self._transitions) >= _STATE_TABLE_CAP:
                 self._transitions.clear()
-            self._transitions[_step_key(pre, inbox, index)] = (
-                pre, [m.payload for m in inbox], post, sends
-            )
+            key = _step_key(pre, inbox)
+            if ctx.index_read:
+                key = (key, ctx.step_index)
+            self._transitions[key] = (pre, [m.payload for m in inbox], post, sends)
         self._swap(processes, pid, journal, pre, post)
         return sends
 

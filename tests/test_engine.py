@@ -641,3 +641,47 @@ def test_independence_diamond_property(protocol):
         sim.restore(here)
         events[rng.randrange(len(events))].apply(sim)
     assert checked > 50  # the walk actually exercised the relation
+
+
+def _forgetful():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_smoke.py"
+    spec = importlib.util.spec_from_file_location("bench_smoke", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Forgetful
+
+
+#: the leaf-memo scopes: every POR-safe protocol's race scope under POR,
+#: and fastclaim's ``dfs_strict`` scope (strict keys, depth 18), each at
+#: a small budget
+MEMO_SCOPES = [(p, dict(por=True, max_depth=26)) for p in sorted(MATRIX)] + [
+    ("fastclaim", dict(por=False, max_depth=18))
+]
+
+
+@pytest.mark.parametrize("checker", ["causal", "read-atomic", "sessions"])
+def test_the_leaf_memo_moves_no_verdict(monkeypatch, checker):
+    """One scan per distinct leaf history gives what a scan of every
+    leaf gives: the same violating trails and anomalies, the same
+    schedules and the same anomaly union, on every scope."""
+    from repro.engine.core import SerialSearch
+
+    kw = dict(checker=checker, max_states=600, first_violation_only=False)
+    memo = [explore_write_read_race(p, **scope, **kw) for p, scope in MEMO_SCOPES]
+    real, forgetful = SerialSearch.__init__, _forgetful()
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self._verdicts = forgetful()
+
+    monkeypatch.setattr(SerialSearch, "__init__", init)
+    scans = [explore_write_read_race(p, **scope, **kw) for p, scope in MEMO_SCOPES]
+    for (protocol, _), m, s in zip(MEMO_SCOPES, memo, scans):
+        assert result_key(m) == result_key(s), protocol
+        assert anomaly_union(m) == anomaly_union(s), protocol
+        assert s.checker_runs == s.schedules_completed, protocol
+        assert m.checker_runs <= m.schedules_completed, protocol
+    assert 0 < sum(m.checker_runs for m in memo) < sum(s.checker_runs for s in scans)

@@ -1,10 +1,10 @@
 """The transition table: a step taken before is replayed, not re-run.
 
 Under a journal, ``Step.apply`` first asks ``Simulation.reuse_step``,
-which replays a transition seen before (same pre-state record, inbox
-and step index) from ``Snapshotter._transitions``, swapping in the
-interned object of its post-state; only a step not seen runs
-``on_step``, on a copy.  These tests hold a replayed step to a freshly
+which replays a transition seen before (same pre-state record and
+inbox, and the same step index if that step read ``ctx.step_index``)
+from ``Snapshotter._transitions``, swapping in the interned object of
+its post-state; only a step not seen runs ``on_step``, on a copy.  These tests hold a replayed step to a freshly
 executed one, event by event and over whole explorations, and check
 that no interned object changed in place is ever handed out.
 """
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.explore import explore, explore_write_read_race
 from repro.core.setup import prepare_theorem_system
 from repro.protocols.registry import protocol_names
-from repro.sim.events import Step, enabled_events
+from repro.sim.events import Deliver, Step, enabled_events
 from repro.sim.executor import Simulation
 from repro.sim.trace import StepEvent
 from repro.sim.scheduler import RoundRobinScheduler
@@ -105,10 +105,12 @@ def test_a_replayed_step_is_the_executed_one(protocol, moves):
     assert not interned_drift(sim)
 
 
-def test_a_forward_step_leaves_interned_objects_alone():
+def test_a_forward_step_leaves_interned_objects_alone(no_table):
     """Journaled steps leave interned objects live in the simulation;
     dropping the journal detaches them, so the forward steps that follow
-    change private objects in place and no record's object drifts."""
+    change private objects in place and no record's object drifts.  The
+    table is off: the journaled steps all run ``on_step``."""
+    no_table()
     sim, pids = race_system("cops")
     sim.mark()
     for _ in range(8):
@@ -119,6 +121,45 @@ def test_a_forward_step_leaves_interned_objects_alone():
     for _ in range(30):
         sched.tick(sim, pids=pids)
         assert not interned_drift(sim)
+
+
+def test_a_step_that_never_read_its_index_is_replayed_at_another():
+    """One pre-state and inbox, two step indices.  The writer's begin
+    step reads ``ctx.step_index`` (its invocation stamp), so it runs
+    ``on_step`` at both and the stamps differ; at its first index again
+    it is replayed.  A server step never reads the index, so the second
+    index replays it."""
+    sim, pids = race_system("cops")
+    cw, probe = pids[:2]
+    def reused():
+        return sim.counters.steps_reused
+
+    base = sim.mark()
+    Step(cw).apply(sim)
+    stamp = sim.processes[cw].current.invoked_at
+    sim.restore(base)
+    Step(probe).apply(sim)  # another process's step moves the index on
+    Step(cw).apply(sim)
+    assert reused() == 0
+    assert sim.processes[cw].current.invoked_at == stamp + 1
+    sim.restore(base)
+    Step(cw).apply(sim)
+    assert reused() == 1 and sim.processes[cw].current.invoked_at == stamp
+    put = next(e for e in enabled_events(sim, pids) if e.__class__ is Deliver)
+    put.apply(sim)
+    at = sim.mark()
+    server = put.dst
+
+    def replies():
+        return [(m.dst, m.payload) for m in sim.network.pending() if m.src == server]
+
+    Step(server).apply(sim)
+    executed = replies()
+    sim.restore(at)
+    Step(probe).apply(sim)
+    assert reused() == 1
+    Step(server).apply(sim)
+    assert reused() == 2 and replies() == executed != []
 
 
 def test_an_undo_never_puts_back_an_object_the_caller_holds():
