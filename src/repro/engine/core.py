@@ -196,8 +196,7 @@ def _leaf_key(records) -> tuple:
 def _stamped_leaf_key(records) -> tuple:
     """:func:`_leaf_key` plus each record's real-time stamps, which the
     read-atomic checker reads."""
-    return tuple([(r.txn.txid, r.client, tuple(r.reads.items()), r.txn.writes,
-                   r.invoked_at, r.completed_at) for r in records])
+    return _leaf_key(records), tuple([(r.invoked_at, r.completed_at) for r in records])
 
 
 def _leaf_key_for(checker: Callable) -> Callable:

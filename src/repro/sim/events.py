@@ -180,22 +180,18 @@ def enabled_events(
     steps in the order of ``pids``.  The order is part of the exploration
     baselines — the DFS visits children in exactly this order.
     """
-    events: List[Event] = [
-        Deliver(m.src, m.dst, m.link_seq) for m in deliverable_messages(sim, pids)
-    ]
-    events.extend(Step(pid) for pid in steppable_pids(sim, pids))
-    return events
+    return EventTable(sim, sim.processes if pids is None else pids).enabled(sim)
 
 
 class EventTable:
-    """One search's enabled events, each made once.
+    """The enabled events of one search, each made once.
 
-    :meth:`enabled` is ``enabled_events(sim, pids)`` — the same events in
-    the same order — but hands out one object per event for the whole
-    search, so sleep sets and trails compare them by identity first.
-    Whether every process may act (so :func:`deliverable_messages`
-    withholds nothing and needs no filter) is decided once, here: the
-    process set of a simulation is fixed at construction.
+    :meth:`enabled` gives :func:`enabled_events`' list, but one object
+    per event for the table's whole life, so the engine's sleep sets and
+    trails compare them by identity first.  Whether every process may
+    act (so :func:`deliverable_messages` withholds nothing and needs no
+    filter) is decided once, here: the process set of a simulation is
+    fixed at construction.
     """
 
     def __init__(self, sim: "Simulation", pids: Sequence[ProcessId]):

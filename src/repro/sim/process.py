@@ -22,13 +22,14 @@ class StepContext:
     buffers atomically at the end of the step.
     """
 
+    #: whether the step read :attr:`step_index`; a step that did not
+    #: took the same path at every index (see ``Snapshotter.apply``)
+    index_read = False
+
     def __init__(self, pid: ProcessId, neighbors: Iterable[ProcessId], step_index: int):
         self.pid = pid
         self._neighbors = frozenset(neighbors)
         self._step_index = step_index
-        #: whether the step read :attr:`step_index`; a step that did not
-        #: took the same path at every index (see ``Snapshotter.apply``)
-        self.index_read = False
         self._sends: Dict[ProcessId, Payload] = {}
 
     @property

@@ -128,38 +128,34 @@ def test_a_step_that_never_read_its_index_is_replayed_at_another():
     step reads ``ctx.step_index`` (its invocation stamp), so it runs
     ``on_step`` at both and the stamps differ; at its first index again
     it is replayed.  A server step never reads the index, so the second
-    index replays it."""
+    index replays it, with the same sends."""
     sim, pids = race_system("cops")
     cw, probe = pids[:2]
-    def reused():
-        return sim.counters.steps_reused
-
+    counters = sim.counters
     base = sim.mark()
     Step(cw).apply(sim)
     stamp = sim.processes[cw].current.invoked_at
     sim.restore(base)
     Step(probe).apply(sim)  # another process's step moves the index on
     Step(cw).apply(sim)
-    assert reused() == 0
+    assert counters.steps_reused == 0
     assert sim.processes[cw].current.invoked_at == stamp + 1
     sim.restore(base)
     Step(cw).apply(sim)
-    assert reused() == 1 and sim.processes[cw].current.invoked_at == stamp
+    assert counters.steps_reused == 1
+    assert sim.processes[cw].current.invoked_at == stamp
+
     put = next(e for e in enabled_events(sim, pids) if e.__class__ is Deliver)
     put.apply(sim)
-    at = sim.mark()
-    server = put.dst
-
-    def replies():
-        return [(m.dst, m.payload) for m in sim.network.pending() if m.src == server]
-
+    server, at = put.dst, sim.mark()
     Step(server).apply(sim)
-    executed = replies()
+    executed = [(m.dst, m.payload) for m in sim.network.pending() if m.src == server]
     sim.restore(at)
     Step(probe).apply(sim)
-    assert reused() == 1
     Step(server).apply(sim)
-    assert reused() == 2 and replies() == executed != []
+    assert counters.steps_reused == 2
+    replayed = [(m.dst, m.payload) for m in sim.network.pending() if m.src == server]
+    assert replayed == executed != []
 
 
 def test_an_undo_never_puts_back_an_object_the_caller_holds():
