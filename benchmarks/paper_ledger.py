@@ -35,7 +35,7 @@ from repro.protocols import REGISTRY, build_system, protocol_names  # noqa: E402
 from repro.protocols.cops_geo import build_geo_system  # noqa: E402
 from repro.sim import RandomScheduler, RoundRobinScheduler, adversaries  # noqa: E402
 from repro.txn.types import read_only_txn, write_only_txn  # noqa: E402
-from repro.workloads import TABLE1_SPEC, WorkloadSpec, run_workload  # noqa: E402
+from repro.workloads import DEFAULT_FAST_SPEC, TABLE1_SPEC, WorkloadSpec  # noqa: E402
 
 LEDGER_PATH = REPO / "benchmarks" / "results" / "PAPER_LEDGER.json"
 ZOO = tuple(sorted(protocol_names()))
@@ -112,13 +112,10 @@ def measure(protocol, spec, objects=4, n_servers=2, clients=4, scheduler=None):
     """One seeded workload run, characterized from its trace.  On every
     run of every section the history must verify at the protocol's
     claimed consistency level; only the strawmen may fail it."""
-    system = build_system(
-        protocol, objects=_objects(objects), n_servers=n_servers,
-        clients=tuple(f"c{i}" for i in range(clients)),
+    ch = analysis.measure(
+        protocol, spec, scheduler=scheduler, objects=_objects(objects),
+        n_servers=n_servers, clients=tuple(f"c{i}" for i in range(clients)),
     )
-    with system.sim.recording() as events:
-        history = run_workload(system, spec, scheduler=scheduler)
-    ch = analysis.characterize(system, history, events)
     assert ch.consistency_ok or protocol in STRAWMEN, ch.row()
     return ch
 
@@ -182,7 +179,7 @@ def topology_row(protocol, n_objects, n_servers, replication):
 
 
 def corner_row(protocol):
-    report = core.measure_fast_rot(protocol)
+    report = analysis.measure(protocol, DEFAULT_FAST_SPEC, check=False)
     row = {p: getattr(report, p) for p in ("one_round", "one_value", "nonblocking")}
     row["write_txns"] = REGISTRY[protocol].supports_wtx
     given_up = [prop for prop, kept in row.items() if not kept]

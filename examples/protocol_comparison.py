@@ -8,20 +8,17 @@ quantifies the wire cost (GentleRain's O(1) metadata vs Orbe's vectors
 vs COPS-RW's "prohibitively big amount of data").
 """
 
-from repro.analysis import characterize, render_table1
+from repro.analysis import measure, render_table1
 from repro.analysis.tables import format_table
-from repro.protocols import build_system, protocol_names
-from repro.workloads import TABLE1_SPEC, run_workload
+from repro.protocols import protocol_names
+from repro.workloads import TABLE1_SPEC
 
 
 def main() -> None:
     chars = []
     meta_rows = []
     for name in sorted(protocol_names()):
-        system = build_system(name, objects=("X0", "X1", "X2", "X3"), n_servers=2)
-        with system.sim.recording() as events:
-            hist = run_workload(system, TABLE1_SPEC)
-        ch = characterize(system, hist, events)
+        ch = measure(name, TABLE1_SPEC)
         chars.append(ch)
         meta_rows.append(
             [

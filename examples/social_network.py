@@ -15,14 +15,14 @@ reporting the latency shape the theorem predicts:
 * FastClaim "wins" every metric and silently corrupts causality.
 """
 
-from repro.analysis.metrics import analyze_transactions
+from repro.analysis.metrics import analyze_transactions, measure
 from repro.analysis.tables import format_table
-from repro.consistency import check_history, find_causal_anomalies
-from repro.protocols import build_system, get_protocol
+from repro.consistency import find_causal_anomalies
+from repro.protocols import build_system
 from repro.sim.scheduler import RandomScheduler
 from repro.txn.client import UnsupportedTransaction
 from repro.txn.types import read_only_txn, write_only_txn
-from repro.workloads import WorkloadSpec, run_workload
+from repro.workloads import WorkloadSpec
 
 USERS = ["alice", "bob", "carol"]
 OBJECTS = [f"profile:{u}" for u in USERS] + [f"posts:{u}" for u in USERS]
@@ -38,18 +38,19 @@ def timeline_scenario(protocol: str) -> dict:
 
     def w(client, writes):
         try:
-            system.execute(client, write_only_txn(writes))
+            system.execute(client, write_only_txn(writes, txid=f"{client}:post"))
             return True
         except UnsupportedTransaction:
             # restricted protocols post without the atomic profile bump
             for obj, val in writes.items():
-                system.execute(client, write_only_txn({obj: val}))
+                txn = write_only_txn({obj: val}, txid=f"{client}:{obj}")
+                system.execute(client, txn)
             return False
 
     with system.sim.recording() as events:
         atomic = w("alice", {"posts:alice": "lunch pics!", "profile:alice": "1 post"})
         # bob reads alice's post, then replies
-        got = system.execute(bob_read := "bob", read_only_txn(("posts:alice",)))
+        got = system.execute("bob", read_only_txn(("posts:alice",), txid="bob:read"))
         w("bob", {"posts:bob": f"re: {got.reads['posts:alice']}"})
         # carol reads both timelines
         rec = system.execute(
@@ -67,27 +68,21 @@ def timeline_scenario(protocol: str) -> dict:
 
 
 def bulk_run(protocol: str) -> dict:
-    system = build_system(
-        protocol, objects=OBJECTS, n_servers=3,
-        clients=tuple(USERS) + ("dave", "erin"),
-    )
     spec = WorkloadSpec(
         n_txns=150, read_ratio=0.95, read_size=(2, 4), write_size=(1, 2),
         zipf_theta=0.9, seed=20,
     )
-    with system.sim.recording() as events:
-        hist = run_workload(system, spec, scheduler=RandomScheduler(99))
-    stats = analyze_transactions(events, hist, system.servers)
-    rots = [s for s in stats.values() if s.read_only]
-    level = get_protocol(protocol).consistency
-    report = check_history(hist, level=level)
-    n = max(1, len(rots))
+    ch = measure(
+        protocol, spec, scheduler=RandomScheduler(99), objects=OBJECTS,
+        n_servers=3, clients=tuple(USERS) + ("dave", "erin"),
+    )
+    verdict = "ok" if ch.consistency_ok else "VIOLATED"
     return {
-        "rounds_avg": sum(s.rounds for s in rots) / n,
-        "rounds_max": max(s.rounds for s in rots),
-        "blocked_%": 100.0 * sum(s.blocked for s in rots) / n,
-        "latency_avg": sum(s.latency_events for s in rots) / n,
-        "consistency": f"{level}:{'ok' if report.ok else 'VIOLATED'}",
+        "rounds_avg": ch.avg_rounds,
+        "rounds_max": ch.max_rounds,
+        "blocked_%": 100.0 * ch.blocked_share,
+        "latency_avg": ch.avg_rot_latency,
+        "consistency": f"{ch.consistency_level}:{verdict}",
     }
 
 

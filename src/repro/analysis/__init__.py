@@ -6,6 +6,7 @@ from repro.analysis.metrics import (
     analyze_transactions,
     approx_size,
     characterize,
+    measure,
     payload_references,
     payload_sizes,
 )
@@ -19,6 +20,7 @@ __all__ = [
     "analyze_transactions",
     "approx_size",
     "characterize",
+    "measure",
     "payload_references",
     "payload_sizes",
     "UNIMPLEMENTED_ROWS",

@@ -1,8 +1,12 @@
 """Measuring the fast-ROT properties (and more) from execution traces.
 
-Everything here is a pure function of a recorded trace
-(:meth:`~repro.sim.executor.Simulation.recording`) and the history — the
-properties of Definition 4/5 are *measured*, never declared:
+This module is the one place Definition 4 is decided: per ROT by
+:class:`TxnStats`, per run by :class:`Characterization` (every ROT
+fast, and at least one ROT).  :func:`measure` runs a seeded workload on
+a fresh deployment; everything else is a pure function of a recorded
+trace (:meth:`~repro.sim.executor.Simulation.recording`) and the
+history — the properties of Definition 4/5 are *measured*, never
+declared:
 
 * **rounds** — the number of distinct computation steps in which the
   client sent at least one message on behalf of the transaction (the
@@ -24,12 +28,20 @@ properties of Definition 4/5 are *measured*, never declared:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
+from repro.protocols.base import build_system
 from repro.sim.messages import Payload
+from repro.sim.scheduler import Scheduler
 from repro.sim.trace import StepEvent, TraceEvent
 from repro.txn.history import History
-from repro.txn.types import ObjectId, TxnRecord
+from repro.txn.types import ObjectId
+from repro.workloads.generators import WorkloadSpec, run_workload
+
+if TYPE_CHECKING:
+    from repro.consistency.report import ConsistencyReport
 
 
 # ---------------------------------------------------------------------------
@@ -37,18 +49,21 @@ from repro.txn.types import ObjectId, TxnRecord
 # ---------------------------------------------------------------------------
 
 
-def payload_references(payload: Any, txid: str) -> bool:
-    """Whether a payload pertains to transaction ``txid``."""
-    if getattr(payload, "txid", None) == txid:
-        return True
+def _payload_txids(payload: Any) -> Iterator[Any]:
+    """Every txid a payload names, in order: its own ``txid``, then
+    ``data["txid"]``, then each entry of a Calvin batch."""
+    yield getattr(payload, "txid", None)
     data = getattr(payload, "data", None)
     if isinstance(data, Mapping):
-        if data.get("txid") == txid:
-            return True
+        yield data.get("txid")
         for entry in data.get("entries", ()):  # Calvin batches
-            if isinstance(entry, Mapping) and entry.get("txid") == txid:
-                return True
-    return False
+            if isinstance(entry, Mapping):
+                yield entry.get("txid")
+
+
+def payload_references(payload: Any, txid: str) -> bool:
+    """Whether a payload pertains to transaction ``txid``."""
+    return txid in _payload_txids(payload)
 
 
 def approx_size(obj: Any) -> int:
@@ -111,11 +126,16 @@ class TxnStats:
     def max_values_per_object(self) -> int:
         return max(self.values_per_object.values(), default=0)
 
+    # Definition 4, decided per ROT; a run's verdicts are conjunctions of
+    # these (Characterization)
+
     @property
     def one_round(self) -> bool:
-        """Definition 4's one-roundtrip (:func:`one_roundtrip`); a 0-round
-        ROT, for which the client sent nothing, passes as it does there."""
-        return one_roundtrip(self.rounds, self.hops)
+        """One-roundtrip, read literally as request/reply: one client send
+        phase AND direct server replies (hop depth 2) — indirection through
+        a sequencer is not a one-roundtrip read.  A 0-round ROT, for which
+        the client sent nothing, passes."""
+        return self.rounds <= 1 and self.hops <= 2
 
     @property
     def one_value(self) -> bool:
@@ -205,18 +225,8 @@ def analyze_transactions(
 
 
 def _owning_txid(payload: Any, stats: Mapping[str, TxnStats]) -> Optional[str]:
-    txid = getattr(payload, "txid", None)
-    if txid in stats:
-        return txid
-    data = getattr(payload, "data", None)
-    if isinstance(data, Mapping):
-        t = data.get("txid")
-        if t in stats:
-            return t
-        for entry in data.get("entries", ()):
-            if isinstance(entry, Mapping) and entry.get("txid") in stats:
-                return entry["txid"]
-    return None
+    """The first txid the payload names that is a transaction of ``stats``."""
+    return next((t for t in _payload_txids(payload) if t in stats), None)
 
 
 # ---------------------------------------------------------------------------
@@ -224,55 +234,130 @@ def _owning_txid(payload: Any, stats: Mapping[str, TxnStats]) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 
-def one_roundtrip(max_rounds: int, max_hops: int) -> bool:
-    """Definition 4's one-roundtrip, read literally as request/reply: one
-    client send phase AND direct server replies (hop depth 2) —
-    indirection through a sequencer is not a one-roundtrip read."""
-    return max_rounds <= 1 and max_hops <= 2
-
-
 @dataclass
 class Characterization:
+    """One measured run: its ROTs' statistics and the run's Definition-4
+    verdicts, each ``n_rots > 0 and`` the per-ROT predicate on every ROT."""
+
     protocol: str
-    n_rots: int
-    max_rounds: int
-    max_hops: int
-    max_values_per_object: int
-    any_unrequested_values: bool
-    any_blocked: bool
+    rots: List[TxnStats]
     supports_wtx: bool
     consistency_level: str
-    consistency_ok: bool
-    consistency_conclusive: bool
-    avg_rounds: float
-    blocked_share: float
-    avg_messages: float
-    avg_rot_latency: float
-    avg_value_bytes: float
-    avg_metadata_bytes: float
+    #: the checker's report on the history; ``None`` when it was not checked
+    consistency: Optional["ConsistencyReport"]
+    #: committed transactions
+    n_txns: int
     #: events the simulation applied (steps, deliveries, invocations) per
     #: committed transaction
     events_per_txn: float
 
     @property
-    def fast_rots(self) -> bool:
+    def n_rots(self) -> int:
+        return len(self.rots)
+
+    def _holds(self, predicate: str) -> bool:
+        return self.n_rots > 0 and all(getattr(s, predicate) for s in self.rots)
+
+    @property
+    def one_round(self) -> bool:
+        return self._holds("one_round")
+
+    @property
+    def one_value(self) -> bool:
+        return self._holds("one_value")
+
+    @property
+    def nonblocking(self) -> bool:
+        return self._holds("nonblocking")
+
+    @property
+    def fast(self) -> bool:
+        return self._holds("fast")
+
+    @property
+    def max_rounds(self) -> int:
+        return max((s.rounds for s in self.rots), default=0)
+
+    @property
+    def max_hops(self) -> int:
+        return max((s.hops for s in self.rots), default=0)
+
+    @property
+    def values(self) -> int:
+        """Table 1's V: the most values a ROT got for one object, plus one
+        when some ROT got a value for an object it did not request."""
+        most = max((s.max_values_per_object for s in self.rots), default=0)
+        return most + any(s.unrequested_values for s in self.rots)
+
+    @property
+    def n_blocked(self) -> int:
+        return sum(s.blocked for s in self.rots)
+
+    def _mean(self, stat: str) -> float:
+        return sum(getattr(s, stat) for s in self.rots) / max(1, self.n_rots)
+
+    @property
+    def avg_rounds(self) -> float:
+        return self._mean("rounds")
+
+    @property
+    def blocked_share(self) -> float:
+        return self._mean("blocked")
+
+    @property
+    def avg_messages(self) -> float:
+        return self._mean("n_messages")
+
+    @property
+    def avg_rot_latency(self) -> float:
+        return self._mean("latency_events")
+
+    @property
+    def avg_value_bytes(self) -> float:
+        return self._mean("value_bytes")
+
+    @property
+    def avg_metadata_bytes(self) -> float:
+        return self._mean("metadata_bytes")
+
+    @property
+    def consistency_ok(self) -> Optional[bool]:
+        return None if self.consistency is None else self.consistency.ok
+
+    def failing_properties(self) -> List[str]:
+        out = []
+        if not self.one_round:
+            out.append(
+                f"one-roundtrip (measured up to {self.max_rounds} client "
+                f"rounds, {self.max_hops} message hops)"
+            )
+        if not self.one_value:
+            out.append(f"one-value (measured up to {self.values} values per object)")
+        if not self.nonblocking:
+            out.append(f"non-blocking ({self.n_blocked} deferred replies)")
+        return out
+
+    def describe(self) -> str:
+        if not self.rots:
+            return f"{self.protocol}: no ROT ran, so none was measured fast"
+        if self.fast:
+            return f"{self.protocol}: ROTs measured fast over {self.n_rots} ROTs"
         return (
-            one_roundtrip(self.max_rounds, self.max_hops)
-            and self.max_values_per_object <= 1
-            and not self.any_unrequested_values
-            and not self.any_blocked
+            f"{self.protocol}: ROTs not fast — gives up "
+            + "; ".join(self.failing_properties())
         )
 
     def row(self) -> Dict[str, Any]:
+        ok = self.consistency_ok
         return {
             "protocol": self.protocol,
             "R": self.max_rounds,
-            "V": self.max_values_per_object + (1 if self.any_unrequested_values else 0),
-            "N": "yes" if not self.any_blocked else "no",
+            "V": self.values,
+            "N": "yes" if self.nonblocking else "no",
             "WTX": "yes" if self.supports_wtx else "no",
-            "fast": "yes" if self.fast_rots else "no",
+            "fast": "yes" if self.fast else "no",
             "consistency": self.consistency_level,
-            "verified": "yes" if self.consistency_ok else "VIOLATED",
+            "verified": "unchecked" if ok is None else "yes" if ok else "VIOLATED",
         }
 
 
@@ -284,34 +369,37 @@ def characterize(
     exact: Optional[bool] = None,
 ) -> Characterization:
     """Measure one protocol run, recorded as ``events``, into a
-    Table-1-style row."""
+    Table-1-style row; ``check`` runs the consistency checker on it."""
     from repro.consistency import check_history
 
     stats = analyze_transactions(events, history, servers=system.servers)
-    rots = [s for s in stats.values() if s.read_only]
-    if check:
-        report = check_history(history, level=system.info.consistency, exact=exact)
-        ok, conclusive = report.ok, report.conclusive
-    else:
-        ok, conclusive = True, False
-    n = max(1, len(rots))
     return Characterization(
         protocol=system.info.name,
-        n_rots=len(rots),
-        max_rounds=max((s.rounds for s in rots), default=0),
-        max_hops=max((s.hops for s in rots), default=0),
-        max_values_per_object=max((s.max_values_per_object for s in rots), default=0),
-        any_unrequested_values=any(s.unrequested_values for s in rots),
-        any_blocked=any(s.blocked for s in rots),
+        rots=[s for s in stats.values() if s.read_only],
         supports_wtx=system.info.supports_wtx,
         consistency_level=system.info.consistency,
-        consistency_ok=ok,
-        consistency_conclusive=conclusive,
-        avg_rounds=sum(s.rounds for s in rots) / n,
-        blocked_share=sum(s.blocked for s in rots) / n,
-        avg_messages=sum(s.n_messages for s in rots) / n,
-        avg_rot_latency=sum(s.latency_events for s in rots) / n,
-        avg_value_bytes=sum(s.value_bytes for s in rots) / n,
-        avg_metadata_bytes=sum(s.metadata_bytes for s in rots) / n,
+        consistency=(
+            check_history(history, level=system.info.consistency, exact=exact)
+            if check else None
+        ),
+        n_txns=len(history.records),
         events_per_txn=system.sim.events_applied / max(1, len(history.records)),
     )
+
+
+def measure(
+    protocol: str,
+    spec: WorkloadSpec,
+    *,
+    check: bool = True,
+    scheduler: Optional[Scheduler] = None,
+    objects: Sequence[ObjectId] = ("X0", "X1", "X2", "X3"),
+    **build: Any,
+) -> Characterization:
+    """Deploy ``protocol`` fresh (``objects`` and ``build`` go to
+    :func:`~repro.protocols.base.build_system`), run the workload ``spec``
+    on it and characterize the run."""
+    system = build_system(protocol, objects=objects, **build)
+    with system.sim.recording() as events:
+        history = run_workload(system, spec, scheduler=scheduler)
+    return characterize(system, history, events, check=check)

@@ -87,22 +87,18 @@ def _proto_params(args: argparse.Namespace) -> dict:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    from repro.analysis import characterize, render_table1
-    from repro.protocols import build_system, protocol_names
-    from repro.workloads import TABLE1_SPEC, run_workload
+    from repro.analysis import measure, render_table1
+    from repro.protocols import protocol_names
+    from repro.workloads import TABLE1_SPEC
 
     spec = replace(
         TABLE1_SPEC, n_txns=args.txns, read_ratio=args.read_ratio, seed=args.seed
     )
     chars = []
     for name in sorted(protocol_names()):
-        system = build_system(
-            name, objects=_objects(args.objects), n_servers=args.servers
-        )
-        with system.sim.recording() as events:
-            hist = run_workload(system, spec)
-        chars.append(characterize(system, hist, events))
-        print(f"  measured {name} ({len(hist.records)} txns)", file=sys.stderr)
+        ch = measure(name, spec, objects=_objects(args.objects), n_servers=args.servers)
+        chars.append(ch)
+        print(f"  measured {name} ({ch.n_txns} txns)", file=sys.stderr)
     print(render_table1(chars, include_unimplemented=args.all_rows))
     return 0
 
@@ -119,33 +115,29 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_workload(args: argparse.Namespace) -> int:
-    from repro.analysis import characterize
+    from repro.analysis import measure
     from repro.analysis.tables import format_table
-    from repro.consistency import check_history
-    from repro.protocols import build_system
-    from repro.workloads import WorkloadSpec, run_workload
+    from repro.workloads import WorkloadSpec
 
-    system = build_system(
-        args.protocol,
-        objects=_objects(args.objects),
-        n_servers=args.servers,
-        **_proto_params(args),
-    )
     spec = WorkloadSpec(
         n_txns=args.txns,
         read_ratio=args.read_ratio,
         read_size=(2, 3),
         seed=args.seed,
     )
-    with system.sim.recording() as events:
-        hist = run_workload(system, spec)
-    ch = characterize(system, hist, events)
+    ch = measure(
+        args.protocol,
+        spec,
+        objects=_objects(args.objects),
+        n_servers=args.servers,
+        **_proto_params(args),
+    )
     row = ch.row()
     print(
         format_table(
             list(row.keys()),
             [list(row.values())],
-            title=f"{args.protocol}: {len(hist.records)} transactions",
+            title=f"{args.protocol}: {ch.n_txns} transactions",
         )
     )
     print(
@@ -153,9 +145,8 @@ def cmd_workload(args: argparse.Namespace) -> int:
         f"value/meta bytes per ROT: {ch.avg_value_bytes:.0f}/"
         f"{ch.avg_metadata_bytes:.0f}"
     )
-    report = check_history(hist, level=system.info.consistency)
-    print(report.describe())
-    return 0 if report.ok else 1
+    print(ch.consistency.describe())
+    return 0 if ch.consistency_ok else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

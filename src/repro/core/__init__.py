@@ -5,7 +5,7 @@ two servers) and
 :func:`~repro.core.general.check_impossibility_general` (Theorem 2,
 m servers / partial replication) drive, per protocol:
 
-1. :mod:`~repro.core.properties` — measured fast-ROT verification;
+1. :func:`~repro.analysis.metrics.measure` — measured fast-ROT verification;
 2. :mod:`~repro.core.setup` — the Figure 1 initialization to ``C_0``;
 3. :mod:`~repro.core.induction` — the Lemma 3 / Lemma 6 induction
    (one loop, :func:`~repro.core.induction.induct`, with the theorem's
@@ -29,7 +29,6 @@ from repro.core.induction import (
     build_splice_witness,
     run_induction,
 )
-from repro.core.properties import DEFAULT_FAST_SPEC, FastRotReport, measure_fast_rot
 from repro.core.setup import SetupError, TheoremSystem, prepare_theorem_system
 from repro.core.splicing import RecordedFragment, SpliceError, splice_new
 from repro.core.theorem import check_impossibility
@@ -57,9 +56,6 @@ __all__ = [
     "MsDetector",
     "build_splice_witness",
     "run_induction",
-    "DEFAULT_FAST_SPEC",
-    "FastRotReport",
-    "measure_fast_rot",
     "SetupError",
     "TheoremSystem",
     "prepare_theorem_system",

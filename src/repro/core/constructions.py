@@ -58,10 +58,15 @@ def run_sigma_old(
     new_servers: Sequence[ProcessId],
     txid: Optional[str] = None,
 ) -> SigmaOldResult:
-    """Execute σ_old from the current configuration (no snapshotting)."""
+    """Execute σ_old from the current configuration (no snapshotting).
+
+    The read is ``txid``, or else named after the reader and the number
+    of transactions it has completed."""
     client = sim.processes[reader]
     assert isinstance(client, ClientBase)
-    txn = read_only_txn(objects, txid=txid)
+    txn = read_only_txn(
+        objects, txid=txid or f"{reader}.sigma_old{len(client.completed)}"
+    )
     sim.invoke(reader, txn)
     ev = sim.step(reader)
     requests = {m.dst: m for m in ev.sent}

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Union
 
+from repro.analysis.metrics import Characterization, measure
 from repro.core.induction import InductionConfig, run_induction
-from repro.core.properties import FastRotReport, measure_fast_rot
 from repro.core.setup import SetupError, TheoremSystem, prepare_theorem_system
 from repro.core.witness import (
     NO_MULTI_WRITE,
@@ -32,11 +32,11 @@ from repro.core.witness import (
     TheoremVerdict,
 )
 from repro.txn.client import UnsupportedTransaction
-from repro.workloads.generators import WorkloadSpec
+from repro.workloads.generators import DEFAULT_FAST_SPEC, WorkloadSpec
 
 
 def prepare_or_verdict(
-    protocol: str, fast_report: Optional[FastRotReport] = None, **setup: Any
+    protocol: str, fast_report: Optional[Characterization] = None, **setup: Any
 ) -> Union[TheoremSystem, TheoremVerdict]:
     """Figure 1's ``C_0`` and property W, the preamble of both drivers.
 
@@ -78,9 +78,11 @@ def check_impossibility(
     **params: Any,
 ) -> TheoremVerdict:
     """Run the full Theorem 1 check against one protocol."""
-    fast_report: Optional[FastRotReport] = None
+    fast_report: Optional[Characterization] = None
     if not skip_fast_check:
-        fast_report = measure_fast_rot(protocol, spec=fast_spec, **params)
+        fast_report = measure(
+            protocol, fast_spec or DEFAULT_FAST_SPEC, check=False, **params
+        )
 
     # property W: does the protocol accept T_w at all?
     tsys = prepare_or_verdict(

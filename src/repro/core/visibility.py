@@ -63,7 +63,7 @@ def probe_read(
     client = sim.processes[probe_client]
     assert isinstance(client, ClientBase)
     before = len(client.completed)
-    txn = read_only_txn(objects)
+    txn = read_only_txn(objects, txid=f"{probe_client}.probe{before}")
     sim.invoke(probe_client, txn)
     sched = FrozenScheduler(frozen)
     pids = (probe_client,) + tuple(servers)

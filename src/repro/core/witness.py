@@ -24,9 +24,12 @@ Each verdict corresponds to one arm of the theorem's trade-off:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.txn.types import ObjectId, Value
+
+if TYPE_CHECKING:
+    from repro.analysis.metrics import Characterization
 
 NO_MULTI_WRITE = "NO_MULTI_WRITE"
 NOT_FAST = "NOT_FAST"
@@ -81,8 +84,8 @@ class TheoremVerdict:
     k_reached: int = 0
     witness: Optional[MixedReadWitness] = None
     detail: str = ""
-    #: measured fast-ROT properties (present when the fast check ran)
-    fast_report: Optional[Any] = None
+    #: the measured fast-ROT probe run (present when the fast check ran)
+    fast_report: Optional[Characterization] = None
     #: messages the induction forced, per round
     forced_messages: List[str] = field(default_factory=list)
 

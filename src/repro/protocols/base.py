@@ -1,7 +1,7 @@
 """Shared protocol plumbing: payloads, versions, server base, system builder.
 
 All protocols speak through the typed payloads defined here so that the
-property monitors (:mod:`repro.core.properties`) can judge executions
+property monitors (:mod:`repro.analysis.metrics`) can judge executions
 honestly:
 
 * every written value a server sends to a client **must** travel inside a
@@ -285,6 +285,12 @@ class TxnClient(ClientBase):
             self.handle_read_reply(ctx, active, msg, p)
         elif isinstance(p, WriteReply):
             self.handle_write_reply(ctx, active, msg, p)
+
+    def count_reply(self, ctx: StepContext, active: ActiveTxn, msg: Message) -> None:
+        """One awaited server replied; finish once none is awaited."""
+        active.awaiting.discard(msg.src)
+        if not active.awaiting:
+            self.finish(ctx)
 
 
 # --------------------------------------------------------------------------

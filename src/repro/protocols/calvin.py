@@ -30,12 +30,13 @@ from repro.protocols.base import (
     ReadRequest,
     ServerBase,
     ServerMsg,
+    TxnClient,
     ValueEntry,
     Version,
     WriteReply,
     WriteRequest,
 )
-from repro.txn.client import ActiveTxn, ClientBase
+from repro.txn.client import ActiveTxn
 from repro.txn.types import ObjectId, Transaction
 
 
@@ -150,12 +151,13 @@ class CalvinServer(ServerBase):
         raise TypeError("Calvin writes go through the sequencer")
 
 
-class CalvinClient(ClientBase):
+class CalvinClient(TxnClient):
     def __init__(self, pid, servers, placement, sequencer: ProcessId):
         super().__init__(pid, servers, placement)
         self.sequencer = sequencer
 
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
+    def begin_read(self, ctx: StepContext, active: ActiveTxn) -> None:
+        """Every transaction, whatever its shape, goes to the sequencer whole."""
         txn = active.txn
         involved = {self.primary(o) for o in txn.objects}
         active.awaiting = set(involved)
@@ -170,14 +172,16 @@ class CalvinClient(ClientBase):
             ),
         )
 
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, ReadReply):
-            for entry in p.values:
-                active.reads[entry.obj] = entry.value
-        active.awaiting.discard(msg.src)
-        if not active.awaiting:
-            self.finish(ctx)
+    begin_write = begin_read
+
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: ReadReply
+    ) -> None:
+        for entry in reply.values:
+            active.reads[entry.obj] = entry.value
+        self.count_reply(ctx, active, msg)
+
+    def handle_write_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: WriteReply
+    ) -> None:
+        self.count_reply(ctx, active, msg)

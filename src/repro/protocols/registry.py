@@ -2,9 +2,9 @@
 
 Each entry records the Table 1 row the paper claims for the system, so
 the Table-1 benchmark can print paper-claimed and measured
-characterizations side by side, plus the flags the impossibility engine
-needs (does the protocol claim fast ROTs? does it support multi-object
-write transactions?).
+characterizations side by side (whether the row claims fast ROTs is
+read off it), plus the flag the impossibility engine needs (does it
+support multi-object write transactions?).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class ProtocolInfo:
     server_factory: Callable[..., Process]
     client_factory: Callable[..., ClientBase]
     supports_wtx: bool
-    claims_fast_rot: bool
     consistency: str  # strongest level the implementation targets
     paper_row: PaperRow
     description: str = ""
@@ -57,6 +56,13 @@ class ProtocolInfo:
     client_param_names: Tuple[str, ...] = ()
     #: whether clients need the extra processes' pids (e.g. a sequencer)
     client_needs_extras: bool = False
+
+    @property
+    def claims_fast_rot(self) -> bool:
+        """The paper's row claims fast ROTs (Definition 5): one round, one
+        value per read, non-blocking."""
+        row = self.paper_row
+        return row.rounds == "1" and row.values == "1" and row.nonblocking == "yes"
 
     def make_extras(self, servers, placement, params) -> List[Process]:
         if self.extras_factory is None:
@@ -118,7 +124,6 @@ def _build_registry() -> None:
             server_factory=CopsServer,
             client_factory=CopsClient,
             supports_wtx=False,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("<=2", "<=2", "yes", "no", "Causal Consistency"),
             description="dependency-tracked puts; two-round get_trans",
@@ -131,7 +136,6 @@ def _build_registry() -> None:
             server_factory=CopsSnowServer,
             client_factory=CopsSnowClient,
             supports_wtx=False,
-            claims_fast_rot=True,
             consistency="causal",
             paper_row=PaperRow("1", "1", "yes", "no", "Causal Consistency"),
             description="fast ROTs via readers checks (the N+R+V corner)",
@@ -144,7 +148,6 @@ def _build_registry() -> None:
             server_factory=EigerServer,
             client_factory=EigerClient,
             supports_wtx=True,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("<=3", "<=2", "yes", "yes", "Causal Consistency"),
             description="2PC-CI write txns; multi-round non-blocking reads",
@@ -157,7 +160,6 @@ def _build_registry() -> None:
             server_factory=OrbeServer,
             client_factory=OrbeClient,
             supports_wtx=False,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "no", "no", "Causal Consistency"),
             description="vector snapshots; blocking reads",
@@ -174,7 +176,6 @@ def _build_registry() -> None:
             server_factory=GentleRainServer,
             client_factory=GentleRainClient,
             supports_wtx=False,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "no", "no", "Causal Consistency"),
             description="scalar GST snapshots; blocking reads, O(1) metadata",
@@ -191,7 +192,6 @@ def _build_registry() -> None:
             server_factory=ContrarianServer,
             client_factory=ContrarianClient,
             supports_wtx=False,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "yes", "no", "Causal Consistency"),
             description="pre-stabilized snapshots; non-blocking two-round reads",
@@ -208,7 +208,6 @@ def _build_registry() -> None:
             server_factory=WrenServer,
             client_factory=WrenClient,
             supports_wtx=True,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "yes", "yes", "Causal Consistency"),
             description="the N+V+W corner: stable snapshots + 2PC write txns",
@@ -225,7 +224,6 @@ def _build_registry() -> None:
             server_factory=CureServer,
             client_factory=CureClient,
             supports_wtx=True,
-            claims_fast_rot=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "no", "yes", "Causal Consistency"),
             description="vector snapshots + 2PC write txns; blocking reads",
@@ -242,7 +240,6 @@ def _build_registry() -> None:
             server_factory=RampServer,
             client_factory=RampClient,
             supports_wtx=True,
-            claims_fast_rot=False,
             consistency="read-atomic",
             paper_row=PaperRow("<=2", "<=2", "yes", "yes", "Read Atomicity"),
             description="read-atomic multi-partition transactions",
@@ -258,7 +255,6 @@ def _build_registry() -> None:
             server_factory=OccultServer,
             client_factory=OccultClient,
             supports_wtx=True,
-            claims_fast_rot=False,  # rounds are variable (>= 1)
             consistency="causal",
             paper_row=PaperRow(">=1", ">=1", "yes", "yes", "Per Client Parallel SI"),
             description=(
@@ -275,7 +271,6 @@ def _build_registry() -> None:
             server_factory=RampSmallServer,
             client_factory=RampSmallClient,
             supports_wtx=True,
-            claims_fast_rot=False,
             consistency="read-atomic",
             paper_row=PaperRow("2", "<=2", "yes", "yes", "Read Atomicity"),
             description="two fixed rounds, constant metadata (the RAMP family's "
@@ -290,7 +285,6 @@ def _build_registry() -> None:
             client_factory=SpannerClient,
             supports_wtx=True,
             supports_rw=True,
-            claims_fast_rot=False,
             consistency="strict-serializable",
             paper_row=PaperRow("1", "1", "no", "yes", "Strict Serializability"),
             description="the R+V+W corner: TrueTime reads, locking 2PC writes",
@@ -309,7 +303,6 @@ def _build_registry() -> None:
             client_factory=CalvinClient,
             supports_wtx=True,
             supports_rw=True,
-            claims_fast_rot=False,
             consistency="strict-serializable",
             paper_row=PaperRow("2", "1", "no", "yes", "Strict Serializability"),
             description="deterministic sequencing",
@@ -326,7 +319,6 @@ def _build_registry() -> None:
             server_factory=CopsRwServer,
             client_factory=CopsRwClient,
             supports_wtx=True,
-            claims_fast_rot=False,  # one round and non-blocking, but multi-value
             consistency="causal",
             paper_row=PaperRow("1", "many", "yes", "yes", "Causal Consistency"),
             description="ships sibling and dependency values with every read",
@@ -342,7 +334,6 @@ def _build_registry() -> None:
             server_factory=SwiftCloudServer,
             client_factory=SwiftCloudClient,
             supports_wtx=True,
-            claims_fast_rot=True,
             consistency="causal",
             paper_row=PaperRow("1", "1", "yes", "yes", "Causal Consistency"),
             description=(
@@ -363,7 +354,6 @@ def _build_registry() -> None:
             server_factory=HandshakeServer,
             client_factory=HandshakeClient,
             supports_wtx=True,
-            claims_fast_rot=True,
             consistency="causal",  # the *claim*; Theorem 1 refutes it
             paper_row=PaperRow("1", "1", "yes", "yes", "(impossible)"),
             description=(
@@ -381,7 +371,6 @@ def _build_registry() -> None:
             client_factory=FastClaimClient,
             supports_wtx=True,
             supports_rw=True,
-            claims_fast_rot=True,
             consistency="causal",  # the *claim*; Theorem 1 refutes it
             paper_row=PaperRow("1", "1", "yes", "yes", "(impossible)"),
             description="claims all four properties; the theorem's target",

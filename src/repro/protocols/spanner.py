@@ -39,8 +39,9 @@ from repro.protocols.base import (
     WriteReply,
     WriteRequest,
     ServerMsg,
+    TxnClient,
 )
-from repro.txn.client import ActiveTxn, ClientBase
+from repro.txn.client import ActiveTxn
 from repro.txn.types import ObjectId, Transaction
 
 
@@ -333,25 +334,26 @@ class SpannerServer(ServerBase):
         self.deferred_reads = still
 
 
-class SpannerClient(ClientBase):
+class SpannerClient(TxnClient):
     def __init__(self, pid, servers, placement, epsilon: int = 4):
         super().__init__(pid, servers, placement)
         self.oracle = TrueTimeOracle(epsilon)
 
-    def begin(self, ctx: StepContext, active: ActiveTxn) -> None:
+    def begin_read(self, ctx: StepContext, active: ActiveTxn) -> None:
         txn = active.txn
-        if txn.is_read_only:
-            read_ts = self.oracle.now(self.pid, ctx.step_index).latest
-            groups = self.partition_objects(txn.read_set)
-            active.state["phase"] = "read"
-            active.awaiting = set(groups)
-            active.round += 1
-            for server, keys in groups.items():
-                ctx.send(
-                    server,
-                    ReadRequest(txid=txn.txid, keys=keys, meta={"at": read_ts}),
-                )
-            return
+        read_ts = self.oracle.now(self.pid, ctx.step_index).latest
+        groups = self.partition_objects(txn.read_set)
+        active.state["phase"] = "read"
+        active.awaiting = set(groups)
+        active.round += 1
+        for server, keys in groups.items():
+            ctx.send(
+                server,
+                ReadRequest(txid=txn.txid, keys=keys, meta={"at": read_ts}),
+            )
+
+    def begin_write(self, ctx: StepContext, active: ActiveTxn) -> None:
+        txn = active.txn
         coordinator = self.primary((txn.write_set or txn.read_set)[0])
         active.state["phase"] = "2pc"
         active.awaiting = {coordinator}
@@ -365,18 +367,14 @@ class SpannerClient(ClientBase):
             ),
         )
 
-    def handle_message(self, ctx: StepContext, msg: Message) -> None:
-        active = self.current
-        p = msg.payload
-        if active is None or getattr(p, "txid", None) != active.txn.txid:
-            return
-        if isinstance(p, ReadReply):
-            for entry in p.values:
-                active.reads[entry.obj] = entry.value
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                self.finish(ctx)
-        elif isinstance(p, WriteReply):
-            active.awaiting.discard(msg.src)
-            if not active.awaiting:
-                self.finish(ctx)
+    def handle_read_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: ReadReply
+    ) -> None:
+        for entry in reply.values:
+            active.reads[entry.obj] = entry.value
+        self.count_reply(ctx, active, msg)
+
+    def handle_write_reply(
+        self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: WriteReply
+    ) -> None:
+        self.count_reply(ctx, active, msg)

@@ -29,7 +29,7 @@ class Payload:
     """Base class for typed message payloads.
 
     Protocols subclass this; the property monitors in
-    :mod:`repro.core.properties` introspect payload types (for instance,
+    :mod:`repro.analysis.metrics` introspect payload types (for instance,
     read replies must expose the written values they carry) so that the
     one-value property is judged honestly rather than declared.
     """

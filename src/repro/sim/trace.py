@@ -6,10 +6,9 @@ invocations — in order.  The simulator keeps none of them on its own: a
 caller that wants the events of a run opens a window,
 ``with sim.recording() as events:``, and the list ``events`` then holds
 every event applied while the window is open.  The metrics in
-:mod:`repro.analysis.metrics` (and through them the fast-ROT measurement
-in :mod:`repro.core.properties`), the induction's necessary-message
-detector and the space-time renderer in :mod:`repro.analysis.spacetime`
-read such a list.
+:mod:`repro.analysis.metrics` (the fast-ROT measurement among them), the
+induction's necessary-message detector and the space-time renderer in
+:mod:`repro.analysis.spacetime` read such a list.
 
 A recorded list is also a replay log: every event can
 :meth:`~TraceEvent.apply` itself again, so a recorded fragment — filtered

@@ -8,7 +8,6 @@ write-only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
 
@@ -39,13 +38,6 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
-
-_txid_counter = itertools.count()
-
-
-def fresh_txid(prefix: str = "t") -> str:
-    return f"{prefix}{next(_txid_counter)}"
-
 
 @dataclass(frozen=True)
 class Transaction:
@@ -90,22 +82,18 @@ class Transaction:
         return f"{self.txid}=({', '.join(parts)})"
 
 
-def read_only_txn(objects: Sequence[ObjectId], txid: Optional[str] = None) -> Transaction:
-    return Transaction(txid or fresh_txid("r"), read_set=tuple(objects))
+def read_only_txn(objects: Sequence[ObjectId], txid: str) -> Transaction:
+    return Transaction(txid, read_set=tuple(objects))
 
 
-def write_only_txn(writes: Mapping[ObjectId, Value], txid: Optional[str] = None) -> Transaction:
-    return Transaction(txid or fresh_txid("w"), writes=tuple(writes.items()))
+def write_only_txn(writes: Mapping[ObjectId, Value], txid: str) -> Transaction:
+    return Transaction(txid, writes=tuple(writes.items()))
 
 
 def rw_txn(
-    reads: Sequence[ObjectId],
-    writes: Mapping[ObjectId, Value],
-    txid: Optional[str] = None,
+    reads: Sequence[ObjectId], writes: Mapping[ObjectId, Value], txid: str
 ) -> Transaction:
-    return Transaction(
-        txid or fresh_txid("rw"), read_set=tuple(reads), writes=tuple(writes.items())
-    )
+    return Transaction(txid, read_set=tuple(reads), writes=tuple(writes.items()))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from repro.workloads.generators import (
     WRITE_HEAVY,
     BALANCED,
     TABLE1_SPEC,
+    DEFAULT_FAST_SPEC,
 )
 
 __all__ = [
@@ -28,4 +29,5 @@ __all__ = [
     "WRITE_HEAVY",
     "BALANCED",
     "TABLE1_SPEC",
+    "DEFAULT_FAST_SPEC",
 ]

@@ -56,6 +56,13 @@ WRITE_HEAVY = WorkloadSpec(read_ratio=0.1)
 #: ``examples/protocol_comparison.py`` all measure this one workload
 TABLE1_SPEC = WorkloadSpec(n_txns=120, read_ratio=0.7, read_size=(2, 3), seed=11)
 
+#: the Theorem 1 driver's fast-ROT probe, on the same deployment: enough
+#: concurrent writes to exercise second rounds, blocking waits and
+#: readers checks
+DEFAULT_FAST_SPEC = WorkloadSpec(
+    n_txns=60, read_ratio=0.6, read_size=(2, 3), write_size=(1, 2), seed=7
+)
+
 
 class WorkloadGenerator:
     """Expands a spec into concrete transactions."""

@@ -50,7 +50,7 @@ class TestTopology:
     def test_no_wtx(self):
         system = build()
         with pytest.raises(UnsupportedTransaction):
-            do(system, "a", write_only_txn({"X0": "1", "X1": "2"}))
+            do(system, "a", write_only_txn({"X0": "1", "X1": "2"}, txid="w1"))
 
 
 class TestReplication:

@@ -3,7 +3,7 @@ constructions, splicing, the induction, and the theorem drivers."""
 
 import pytest
 
-from repro.analysis.metrics import analyze_transactions
+from repro.analysis.metrics import analyze_transactions, measure
 from repro.core import (
     CAUSAL_VIOLATION,
     NO_MULTI_WRITE,
@@ -15,7 +15,6 @@ from repro.core import (
     SpliceError,
     check_impossibility,
     check_impossibility_general,
-    measure_fast_rot,
     prepare_theorem_system,
     probe_read,
     run_induction,
@@ -26,14 +25,13 @@ from repro.core import (
     values_visible,
 )
 from repro.core.constructions import ConstructionError
-from repro.core.properties import DEFAULT_FAST_SPEC
 from repro.core.splicing import RecordedFragment
 from repro.protocols.base import build_system
 from repro.sim.messages import Message
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.trace import DeliverEvent, InvokeEvent, StepEvent
 from repro.txn.types import BOTTOM, read_only_txn, write_only_txn
-from repro.workloads.generators import run_workload
+from repro.workloads.generators import DEFAULT_FAST_SPEC, run_workload
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +299,11 @@ class TestTheoremDriver:
         assert "CAUSAL_VIOLATION" in text and "mix" in text
 
 
+def measure_fast_rot(protocol):
+    """The theorem driver's fast-ROT probe run."""
+    return measure(protocol, DEFAULT_FAST_SPEC, check=False)
+
+
 class TestMeasureFastRot:
     def test_cops_snow_fast(self):
         r = measure_fast_rot("cops_snow")
@@ -320,14 +323,15 @@ class TestMeasureFastRot:
 
     @pytest.mark.parametrize("protocol", ["calvin", "cops_snow", "wren", "eiger"])
     def test_per_rot_fast_agrees(self, protocol):
-        # TxnStats applies the report's predicates to one ROT: on the same
-        # probe run the report holds iff every ROT does
+        # the run's verdicts are TxnStats' per-ROT predicates over every
+        # ROT of the probe run, here analyzed afresh from its own trace
         report = measure_fast_rot(protocol)
         system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
         with system.sim.recording() as events:
             history = run_workload(system, DEFAULT_FAST_SPEC)
         stats = analyze_transactions(events, history, servers=system.servers)
         rots = [s for s in stats.values() if s.read_only]
+        assert rots and report.n_rots == len(rots)
         assert report.one_round == all(s.one_round for s in rots)
         assert report.fast == all(s.fast for s in rots)
         if protocol == "calvin":

@@ -10,10 +10,10 @@ counts a value for an unrequested object as one more.
 
 import pytest
 
-from repro.analysis import characterize
-from repro.core import DEFAULT_FAST_SPEC, check_impossibility, measure_fast_rot
-from repro.protocols import build_system, protocol_names
-from repro.workloads import run_workload
+from repro.analysis import measure
+from repro.core import check_impossibility
+from repro.protocols import protocol_names
+from repro.workloads import DEFAULT_FAST_SPEC, WorkloadSpec
 
 GOLDEN = {
     'calvin': (1, 3, 1, 'no', 'no', 2, 35,
@@ -71,15 +71,12 @@ GOLDEN = {
 
 
 def definition4_row(protocol):
-    report = measure_fast_rot(protocol)
-    system = build_system(protocol, objects=("X0", "X1", "X2", "X3"), n_servers=2)
-    with system.sim.recording() as events:
-        history = run_workload(system, DEFAULT_FAST_SPEC)
-    row = characterize(system, history, events, check=False).row()
+    record = measure(protocol, DEFAULT_FAST_SPEC, check=False)
+    row = record.row()
     verdict = check_impossibility(protocol, max_k=2)
     return (
-        row["R"], report.max_hops, row["V"], row["N"], row["fast"],
-        report.n_blocked, report.n_rots, report.describe(),
+        row["R"], record.max_hops, row["V"], row["N"], row["fast"],
+        record.n_blocked, record.n_rots, record.describe(),
         verdict.outcome, verdict.detail,
     )
 
@@ -91,3 +88,16 @@ def test_golden_covers_the_zoo():
 @pytest.mark.parametrize("protocol", sorted(GOLDEN))
 def test_definition4_row(protocol):
     assert definition4_row(protocol) == GOLDEN[protocol]
+
+
+def test_a_run_without_rots_is_not_fast():
+    record = measure("wren", WorkloadSpec(n_txns=30, read_ratio=0.0, seed=3), check=False)
+    assert record.n_rots == 0
+    assert not record.fast and record.row()["fast"] == "no"
+    assert "no ROT" in record.describe()
+
+
+def test_an_unchecked_run_is_not_verified():
+    record = measure("cops_snow", WorkloadSpec(n_txns=20, seed=1), check=False)
+    assert record.consistency is None and record.consistency_ok is None
+    assert record.row()["verified"] == "unchecked"

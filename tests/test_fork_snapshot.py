@@ -820,7 +820,7 @@ class TestCanonizeContainers:
         fps = []
         for objs in (("X0",), ("X0", "X1")):
             tsys = prepare_theorem_system("cops")
-            tsys.sim.invoke(tsys.probes[0], read_only_txn(objs))
+            tsys.sim.invoke(tsys.probes[0], read_only_txn(objs, txid="r1"))
             fps.append(
                 (tsys.sim.fingerprint(), tsys.sim.fingerprint(canonical=True))
             )

@@ -85,8 +85,8 @@ class TestCopsTwoRounds:
     def test_one_round_when_no_race(self):
         system = self.build()
         with system.sim.recording() as events:
-            do(system, "w", write_only_txn({"X0": "a"}))
-            do(system, "w", write_only_txn({"X1": "b"}))
+            do(system, "w", write_only_txn({"X0": "a"}, txid="w1"))
+            do(system, "w", write_only_txn({"X1": "b"}, txid="w2"))
             rec = do(system, "r", read_only_txn(("X0", "X1"), txid="rot2"))
         assert rec.reads == {"X0": "a", "X1": "b"}
         from repro.analysis.metrics import analyze_transactions
@@ -296,9 +296,9 @@ class TestSpanner:
 
     def test_conflicting_writes_serialized_by_locks(self):
         system = self.build()
-        do(system, "w1", write_only_txn({"X0": "a1", "X1": "b1"}))
-        do(system, "w2", write_only_txn({"X0": "a2", "X1": "b2"}))
-        rec = do(system, "r", read_only_txn(("X0", "X1")))
+        do(system, "w1", write_only_txn({"X0": "a1", "X1": "b1"}, txid="w3"))
+        do(system, "w2", write_only_txn({"X0": "a2", "X1": "b2"}, txid="w4"))
+        rec = do(system, "r", read_only_txn(("X0", "X1"), txid="r5"))
         assert rec.reads in (
             {"X0": "a1", "X1": "b1"},
             {"X0": "a2", "X1": "b2"},
@@ -308,21 +308,21 @@ class TestSpanner:
         from repro.consistency import check_strict_serializable
 
         system = self.build()
-        do(system, "w1", write_only_txn({"X0": "a1", "X1": "b1"}))
-        do(system, "r", read_only_txn(("X0", "X1")))
-        do(system, "w2", write_only_txn({"X1": "b2"}))
-        do(system, "r", read_only_txn(("X0", "X1")))
+        do(system, "w1", write_only_txn({"X0": "a1", "X1": "b1"}, txid="w3"))
+        do(system, "r", read_only_txn(("X0", "X1"), txid="r4"))
+        do(system, "w2", write_only_txn({"X1": "b2"}, txid="w5"))
+        do(system, "r", read_only_txn(("X0", "X1"), txid="r6"))
         res = check_strict_serializable(system.history())
         assert res.serializable
 
     def test_rw_transaction(self):
         system = self.build()
-        do(system, "w1", write_only_txn({"X0": "10"}))
+        do(system, "w1", write_only_txn({"X0": "10"}, txid="w3"))
         from repro.txn.types import rw_txn
 
-        rec = do(system, "w2", rw_txn(["X0"], {"X1": "derived"}))
+        rec = do(system, "w2", rw_txn(["X0"], {"X1": "derived"}, txid="rw4"))
         assert rec.reads["X0"] == "10"
-        rec2 = do(system, "r", read_only_txn(("X0", "X1")))
+        rec2 = do(system, "r", read_only_txn(("X0", "X1"), txid="r5"))
         assert rec2.reads["X1"] == "derived"
 
     def test_no_deadlock_on_crossed_transactions(self):
@@ -352,9 +352,9 @@ class TestCalvin:
 
     def test_all_servers_apply_same_order(self):
         system = self.build()
-        do(system, "a", write_only_txn({"X0": "a1", "X1": "a2"}))
-        do(system, "b", write_only_txn({"X0": "b1", "X1": "b2"}))
-        rec = do(system, "r", read_only_txn(("X0", "X1")))
+        do(system, "a", write_only_txn({"X0": "a1", "X1": "a2"}, txid="w1"))
+        do(system, "b", write_only_txn({"X0": "b1", "X1": "b2"}, txid="w2"))
+        rec = do(system, "r", read_only_txn(("X0", "X1"), txid="r3"))
         assert rec.reads in (
             {"X0": "a1", "X1": "a2"},
             {"X0": "b1", "X1": "b2"},
@@ -389,10 +389,10 @@ class TestCalvin:
         from repro.consistency import check_strict_serializable
 
         system = self.build()
-        do(system, "a", write_only_txn({"X0": "1", "X1": "1"}))
-        do(system, "r", read_only_txn(("X0", "X1")))
-        do(system, "b", write_only_txn({"X0": "2"}))
-        do(system, "r", read_only_txn(("X0", "X1")))
+        do(system, "a", write_only_txn({"X0": "1", "X1": "1"}, txid="w1"))
+        do(system, "r", read_only_txn(("X0", "X1"), txid="r2"))
+        do(system, "b", write_only_txn({"X0": "2"}, txid="w3"))
+        do(system, "r", read_only_txn(("X0", "X1"), txid="r4"))
         assert check_strict_serializable(system.history()).serializable
 
 
@@ -471,10 +471,10 @@ class TestAtomicVisibilityRepair:
             "ramp", objects=("X0", "X1", "X2"), n_servers=2,
             clients=("w", "r1", "r2"),
         )
-        do(system, "w", write_only_txn({"X0": "a", "X1": "b"}))
-        do(system, "r1", read_only_txn(("X0", "X1")))
-        do(system, "w", write_only_txn({"X1": "b2", "X2": "c2"}))
-        do(system, "r2", read_only_txn(("X1", "X2")))
+        do(system, "w", write_only_txn({"X0": "a", "X1": "b"}, txid="w1"))
+        do(system, "r1", read_only_txn(("X0", "X1"), txid="r3"))
+        do(system, "w", write_only_txn({"X1": "b2", "X2": "c2"}, txid="w4"))
+        do(system, "r2", read_only_txn(("X1", "X2"), txid="r5"))
         assert check_read_atomic(system.history())
 
 

@@ -80,15 +80,15 @@ def test_measured_row_matches_paper_class(protocol):
     bound = {"1": 1, "2": 2, "<=2": 2, "<=3": 3, ">=1": 99, "many": 99}
     assert ch.max_rounds <= bound[paper.rounds], ch.row()
     if paper.values != "many":
-        assert ch.max_values_per_object <= bound[paper.values], ch.row()
+        assert ch.values <= bound[paper.values], ch.row()
     if paper.nonblocking == "yes":
-        assert not ch.any_blocked, ch.row()
+        assert ch.n_blocked == 0, ch.row()
     assert ch.supports_wtx == (paper.wtx == "yes")
     # COPS-SNOW must measure fast; protocols whose paper row forbids a
     # fast measurement (fixed 2 rounds, blocking, or multi-value) must
     # not.  Best-effort rows ("<=2") may measure 1 round on a lucky
     # workload — COPS does here; the targeted tests force its round 2.
-    measured_fast = ch.fast_rots
+    measured_fast = ch.fast
     if protocol == "cops_snow":
         assert measured_fast, ch.row()
     if paper.rounds == "2" or paper.nonblocking == "no" or paper.values == "many":

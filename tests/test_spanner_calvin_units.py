@@ -69,8 +69,8 @@ class TestSpannerEndToEnd:
             "spanner", objects=("X0", "X1"), n_servers=2, clients=("a", "b")
         )
         sched = RoundRobinScheduler()
-        system.execute("a", write_only_txn({"X0": "1", "X1": "1"}), scheduler=sched)
-        rec = system.execute("b", read_only_txn(("X0", "X1")), scheduler=sched)
+        system.execute("a", write_only_txn({"X0": "1", "X1": "1"}, txid="w1"), scheduler=sched)
+        rec = system.execute("b", read_only_txn(("X0", "X1"), txid="r2"), scheduler=sched)
         assert rec.reads == {"X0": "1", "X1": "1"}
 
     def test_epsilon_zero_still_correct(self):
@@ -79,8 +79,8 @@ class TestSpannerEndToEnd:
             epsilon=0,
         )
         sched = RoundRobinScheduler()
-        system.execute("a", write_only_txn({"X0": "1", "X1": "2"}), scheduler=sched)
-        rec = system.execute("b", read_only_txn(("X0", "X1")), scheduler=sched)
+        system.execute("a", write_only_txn({"X0": "1", "X1": "2"}, txid="w1"), scheduler=sched)
+        rec = system.execute("b", read_only_txn(("X0", "X1"), txid="r2"), scheduler=sched)
         assert rec.reads == {"X0": "1", "X1": "2"}
 
     def test_larger_epsilon_costs_more_commit_wait(self):
@@ -92,7 +92,7 @@ class TestSpannerEndToEnd:
             before = system.sim.event_count
             system.execute(
                 "a",
-                write_only_txn({"X0": "1", "X1": "2"}),
+                write_only_txn({"X0": "1", "X1": "2"}, txid="w1"),
                 scheduler=RoundRobinScheduler(),
             )
             return system.sim.event_count - before
@@ -148,8 +148,8 @@ class TestCalvinSequencer:
             "calvin", objects=("X0", "X1"), n_servers=2, clients=("a", "b")
         )
         sched = RoundRobinScheduler()
-        system.execute("a", write_only_txn({"X0": "10"}), scheduler=sched)
-        rec = system.execute("b", rw_txn(["X0"], {"X1": "copy"}), scheduler=sched)
+        system.execute("a", write_only_txn({"X0": "10"}, txid="w1"), scheduler=sched)
+        rec = system.execute("b", rw_txn(["X0"], {"X1": "copy"}, txid="rw2"), scheduler=sched)
         assert rec.reads["X0"] == "10"
-        rec2 = system.execute("a", read_only_txn(("X1",)), scheduler=sched)
+        rec2 = system.execute("a", read_only_txn(("X1",), txid="r3"), scheduler=sched)
         assert rec2.reads["X1"] == "copy"

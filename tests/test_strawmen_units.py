@@ -67,7 +67,7 @@ class TestHandshake:
             sync_hops=0,
         )
         do(system, "w", write_only_txn({"X0": "a", "X1": "b"}, txid="t"))
-        assert do(system, "r", read_only_txn(("X0", "X1"))).reads == {
+        assert do(system, "r", read_only_txn(("X0", "X1"), txid="r1")).reads == {
             "X0": "a",
             "X1": "b",
         }
@@ -123,7 +123,7 @@ class TestHandshake:
             sync_hops=1,
         )
         do(system, "w", write_only_txn({"X0": "a", "X1": "b", "X2": "c"}, txid="t"))
-        rec = do(system, "r", read_only_txn(("X0", "X1", "X2")))
+        rec = do(system, "r", read_only_txn(("X0", "X1", "X2"), txid="r1"))
         assert rec.reads == {"X0": "a", "X1": "b", "X2": "c"}
 
     def test_pending_versions_invisible_midway(self):

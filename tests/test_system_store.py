@@ -83,7 +83,7 @@ class TestBuildSystem:
         system = build_system("fastclaim", objects=("A",), n_servers=2)
         with pytest.raises(TransactionIncomplete):
             system.execute(
-                "c0", write_only_txn({"A": "x"}), max_events=1
+                "c0", write_only_txn({"A": "x"}, txid="w1"), max_events=1
             )
 
 

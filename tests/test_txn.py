@@ -21,18 +21,18 @@ from helpers import history_of, rec
 
 class TestTransaction:
     def test_read_only(self):
-        t = read_only_txn(["X", "Y"])
+        t = read_only_txn(["X", "Y"], txid="r1")
         assert t.is_read_only and not t.is_write_only
         assert t.objects == {"X", "Y"}
 
     def test_write_only(self):
-        t = write_only_txn({"X": 1, "Y": 2})
+        t = write_only_txn({"X": 1, "Y": 2}, txid="w1")
         assert t.is_write_only and not t.is_read_only
         assert t.write_map == {"X": 1, "Y": 2}
         assert set(t.write_set) == {"X", "Y"}
 
     def test_rw(self):
-        t = rw_txn(["A"], {"B": 9})
+        t = rw_txn(["A"], {"B": 9}, txid="rw1")
         assert not t.is_read_only and not t.is_write_only
 
     def test_empty_rejected(self):
@@ -47,9 +47,14 @@ class TestTransaction:
         with pytest.raises(ValueError):
             Transaction("t", writes=(("X", 1), ("X", 2)))
 
-    def test_fresh_txids_unique(self):
-        ids = {read_only_txn(["X"]).txid for _ in range(100)}
-        assert len(ids) == 100
+    def test_txid_is_required(self):
+        # no module-level counter names a transaction: its caller does
+        with pytest.raises(TypeError):
+            read_only_txn(["X"])
+        with pytest.raises(TypeError):
+            write_only_txn({"X": 1})
+        with pytest.raises(TypeError):
+            rw_txn(["A"], {"B": 9})
 
     def test_repr(self):
         t = rw_txn(["A"], {"B": 9}, txid="t1")
@@ -219,7 +224,7 @@ class TestClientRuntime:
     def test_unknown_object_rejected_at_invoke(self):
         sim, client = self.make()
         with pytest.raises(KeyError):
-            sim.invoke("c", write_only_txn({"Z": 1}))
+            sim.invoke("c", write_only_txn({"Z": 1}, txid="w1"))
 
     def test_finish_requires_all_reads(self):
         class Broken(MiniClient):
@@ -228,14 +233,14 @@ class TestClientRuntime:
 
         client = Broken("c", ["s0"], {"X": ("s0",)})
         sim = Simulation([client])
-        sim.invoke("c", read_only_txn(["X"]))
+        sim.invoke("c", read_only_txn(["X"], txid="r1"))
         with pytest.raises(RuntimeError, match="without"):
             sim.step("c")
 
     def test_wants_step(self):
         sim, client = self.make()
         assert not client.wants_step()
-        sim.invoke("c", write_only_txn({"X": 1}))
+        sim.invoke("c", write_only_txn({"X": 1}, txid="w1"))
         assert client.wants_step()
         sim.step("c")
         assert not client.wants_step()

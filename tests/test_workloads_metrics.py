@@ -23,7 +23,7 @@ from repro.analysis import (
     figure1,
     figure3,
 )
-from repro.analysis.metrics import Characterization
+from repro.analysis.metrics import Characterization, TxnStats
 from repro.consistency import check_history
 from repro.protocols import build_system
 from repro.protocols.base import ReadReply, ReadRequest, ValueEntry
@@ -275,29 +275,33 @@ class TestCharacterize:
         row = ch.row()
         assert row["protocol"] == "cops_snow"
         assert row["R"] == 1 and row["N"] == "yes" and row["WTX"] == "no"
-        assert ch.fast_rots
+        assert ch.fast
 
     def test_wren_row(self):
         system = build_system("wren", objects=("X0", "X1"), n_servers=2)
         with system.sim.recording() as events:
             hist = run_workload(system, WorkloadSpec(n_txns=30, read_ratio=0.6, seed=1))
         ch = characterize(system, hist, events)
-        assert ch.max_rounds == 2 and not ch.any_blocked and ch.supports_wtx
-        assert not ch.fast_rots
+        assert ch.max_rounds == 2 and ch.n_blocked == 0 and ch.supports_wtx
+        assert not ch.fast
 
     def test_three_hop_reads_are_not_fast(self):
         # one client round whose replies come through a sequencer (3
-        # hops) is not Definition 4's one-roundtrip read, in Table 1 as
-        # in FastRotReport
-        ch = Characterization(
-            protocol="relayed", n_rots=5, max_rounds=1, max_hops=3,
-            max_values_per_object=1, any_unrequested_values=False,
-            any_blocked=False, supports_wtx=True, consistency_level="causal",
-            consistency_ok=True, consistency_conclusive=True, avg_rounds=1.0,
-            blocked_share=0.0, avg_messages=3.0, avg_rot_latency=3.0,
-            avg_value_bytes=1.0, avg_metadata_bytes=1.0, events_per_txn=4.0,
+        # hops) is not Definition 4's one-roundtrip read, for the ROT as
+        # for the run
+        rot = TxnStats(
+            txid="t", client="c", read_only=True, rounds=1, hops=3,
+            values_per_object={"X": 1},
         )
-        assert not ch.fast_rots and ch.row()["fast"] == "no"
+        assert not rot.one_round and not rot.fast
+        assert rot.one_value and rot.nonblocking
+        ch = Characterization(
+            protocol="relayed", rots=[rot] * 5, supports_wtx=True,
+            consistency_level="causal", consistency=None, n_txns=5,
+            events_per_txn=4.0,
+        )
+        assert not ch.one_round and not ch.fast and ch.row()["fast"] == "no"
+        assert ch.row()["N"] == "yes" and ch.row()["V"] == 1
 
     def test_latency_positive(self):
         system = build_system("contrarian", objects=("X0", "X1"), n_servers=2)
