@@ -82,9 +82,7 @@ class CopsPutClient(TxnClient):
         self, ctx: StepContext, active: ActiveTxn, msg: Message, reply: WriteReply
     ) -> None:
         self.note_put(active.txn.writes[0][0], reply.meta["ts"])
-        active.awaiting.discard(msg.src)
-        if not active.awaiting:
-            self.finish(ctx)
+        self.count_reply(ctx, active, msg)
 
     def note_put(self, obj: ObjectId, ts: Timestamp) -> None:
         # COPS-GT needs the *full* dependency set on every stored version

@@ -207,6 +207,4 @@ class CopsSnowClient(CopsPutClient):
             if entry.ts != INITIAL_TS:
                 if entry.obj not in self.deps or entry.ts > self.deps[entry.obj]:
                     self.deps[entry.obj] = entry.ts
-        active.awaiting.discard(msg.src)
-        if not active.awaiting:
-            self.finish(ctx)
+        self.count_reply(ctx, active, msg)

@@ -125,6 +125,4 @@ class RampSmallClient(RampClient):
             active.reads[entry.obj] = entry.value
             if entry.ts != INITIAL_TS:
                 self.note_read(entry.obj, entry.ts)
-        active.awaiting.discard(msg.src)
-        if not active.awaiting:
-            self.finish(ctx)
+        self.count_reply(ctx, active, msg)
