@@ -153,7 +153,7 @@ def table1_shape(rows):
 def depth_row(hops):
     """Lemma 3 against Handshake-K: the round at which the splice lands."""
     tsys = core.prepare_theorem_system("handshake", sync_hops=hops)
-    verdict = core.run_induction(tsys, core.InductionConfig(max_k=2 * hops + 2))
+    verdict = core.run_induction(tsys, max_k=2 * hops + 2)
     assert verdict.outcome == core.CAUSAL_VIOLATION
     # the troublesome execution grows linearly with coordination depth
     assert verdict.k_reached == 2 * hops

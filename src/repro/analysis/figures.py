@@ -20,7 +20,7 @@ prints it so the reproduction artifacts are regenerable on demand.
 from __future__ import annotations
 
 from repro.core.constructions import finish_with_new, run_sigma_old
-from repro.core.induction import InductionConfig, run_induction
+from repro.core.induction import run_induction
 from repro.core.setup import prepare_theorem_system
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.analysis.spacetime import lane_diagram as _lane_diagram
@@ -106,7 +106,7 @@ def figure2(protocol: str = "fastclaim", **params) -> str:
 def figure3(protocol: str = "fastclaim", max_k: int = 6, **params) -> str:
     """Execution β, the splice β_new, and the contradictory γ (Figure 3)."""
     tsys = prepare_theorem_system(protocol, **params)
-    verdict = run_induction(tsys, InductionConfig(max_k=max_k))
+    verdict = run_induction(tsys, max_k=max_k)
     lines = [
         f"Figure 3 — β, β_new and the contradictory execution γ ({protocol})",
         "",

@@ -366,7 +366,6 @@ def characterize(
     history: History,
     events: Sequence[TraceEvent],
     check: bool = True,
-    exact: Optional[bool] = None,
 ) -> Characterization:
     """Measure one protocol run, recorded as ``events``, into a
     Table-1-style row; ``check`` runs the consistency checker on it."""
@@ -379,8 +378,7 @@ def characterize(
         supports_wtx=system.info.supports_wtx,
         consistency_level=system.info.consistency,
         consistency=(
-            check_history(history, level=system.info.consistency, exact=exact)
-            if check else None
+            check_history(history, level=system.info.consistency) if check else None
         ),
         n_txns=len(history.records),
         events_per_txn=system.sim.events_applied / max(1, len(history.records)),

@@ -75,15 +75,16 @@ def cmd_theorem(args: argparse.Namespace) -> int:
     return 0 if verdict.consistent_with_theorem else 1
 
 
+#: the protocol parameters every protocol-building subcommand takes
+PROTO_PARAMS = ("sync_hops", "epsilon", "sync_every")
+
+
 def _proto_params(args: argparse.Namespace) -> dict:
-    params = {}
-    if getattr(args, "sync_hops", None) is not None:
-        params["sync_hops"] = args.sync_hops
-    if getattr(args, "epsilon", None) is not None:
-        params["epsilon"] = args.epsilon
-    if getattr(args, "sync_every", None) is not None:
-        params["sync_every"] = args.sync_every
-    return params
+    return {
+        name: getattr(args, name)
+        for name in PROTO_PARAMS
+        if getattr(args, name) is not None
+    }
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -219,19 +220,19 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    proto = argparse.ArgumentParser(add_help=False)
+    for name in PROTO_PARAMS:
+        proto.add_argument("--" + name.replace("_", "-"), type=int, default=None)
 
     sub.add_parser("list", help="list the protocol zoo").set_defaults(fn=cmd_list)
 
-    t = sub.add_parser("theorem", help="run the impossibility check")
+    t = sub.add_parser("theorem", parents=[proto], help="run the impossibility check")
     t.add_argument("protocol")
     t.add_argument("--max-k", type=int, default=6)
     t.add_argument("--general", action="store_true", help="Theorem 2 engine")
     t.add_argument("--servers", type=int, default=3)
     t.add_argument("--objects", type=int, default=3)
     t.add_argument("--replication", type=int, default=1)
-    t.add_argument("--sync-hops", type=int, default=None)
-    t.add_argument("--epsilon", type=int, default=None)
-    t.add_argument("--sync-every", type=int, default=None)
     t.set_defaults(fn=cmd_theorem)
 
     tb = sub.add_parser("table1", help="regenerate Table 1")
@@ -250,30 +251,29 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--max-k", type=int, default=6)
     f.set_defaults(fn=cmd_figure)
 
-    w = sub.add_parser("workload", help="run a workload and characterize")
+    w = sub.add_parser(
+        "workload", parents=[proto], help="run a workload and characterize"
+    )
     w.add_argument("protocol")
     w.add_argument("--txns", type=int, default=100)
     w.add_argument("--read-ratio", type=float, default=0.7)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--servers", type=int, default=2)
     w.add_argument("--objects", type=int, default=4)
-    w.add_argument("--sync-hops", type=int, default=None)
-    w.add_argument("--epsilon", type=int, default=None)
-    w.add_argument("--sync-every", type=int, default=None)
     w.set_defaults(fn=cmd_workload)
 
-    tr = sub.add_parser("trace", help="space-time diagram of a small scenario")
+    tr = sub.add_parser(
+        "trace", parents=[proto], help="space-time diagram of a small scenario"
+    )
     tr.add_argument("protocol")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--servers", type=int, default=2)
     tr.add_argument("--objects", type=int, default=2)
-    tr.add_argument("--sync-hops", type=int, default=None)
-    tr.add_argument("--epsilon", type=int, default=None)
-    tr.add_argument("--sync-every", type=int, default=None)
     tr.set_defaults(fn=cmd_trace)
 
     e = sub.add_parser(
         "explore",
+        parents=[proto],
         help="exhaustively explore the write/read-race schedule space",
     )
     e.add_argument("protocol")
@@ -284,19 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
                    default="causal")
     e.add_argument("--max-depth", type=int, default=40)
     e.add_argument("--max-states", type=int, default=50_000)
-    e.add_argument("--sync-hops", type=int, default=None)
-    e.add_argument("--epsilon", type=int, default=None)
-    e.add_argument("--sync-every", type=int, default=None)
     e.set_defaults(fn=cmd_explore)
 
-    c = sub.add_parser("check", help="quick consistency spot-check")
+    c = sub.add_parser("check", parents=[proto], help="quick consistency spot-check")
     c.add_argument("protocol")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--servers", type=int, default=2)
     c.add_argument("--objects", type=int, default=2)
-    c.add_argument("--sync-hops", type=int, default=None)
-    c.add_argument("--epsilon", type=int, default=None)
-    c.add_argument("--sync-every", type=int, default=None)
     c.set_defaults(fn=cmd_check)
 
     return parser

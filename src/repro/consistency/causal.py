@@ -34,6 +34,11 @@ from repro.consistency.search import SearchResult, find_legal_serialization
 from repro.txn.history import History
 from repro.txn.types import BOTTOM, ObjectId, Value
 
+#: histories up to this many transactions get the exact search by default
+EXACT_THRESHOLD = 14
+#: step budget of each client's serialization search
+CAUSAL_MAX_STEPS = 200_000
+
 
 @dataclass(frozen=True)
 class CausalAnomaly:
@@ -111,9 +116,7 @@ def find_causal_anomalies(history: History) -> List[CausalAnomaly]:
     return anomalies
 
 
-def check_causal_exact(
-    history: History, max_steps: int = 200_000
-) -> CausalCheckResult:
+def check_causal_exact(history: History) -> CausalCheckResult:
     """Decide Definition 1 by search (complete for small histories)."""
     history.check_unique_values()
     try:
@@ -132,11 +135,11 @@ def check_causal_exact(
             history.records,
             edges,
             legality_clients={client},
-            max_steps=max_steps,
+            max_steps=CAUSAL_MAX_STEPS,
         )
         per_client[client] = result
         if not result.found:
-            if result.exhausted_budget:
+            if result.exhausted:
                 conclusive = False
                 continue
             return CausalCheckResult(
@@ -153,17 +156,12 @@ def check_causal_exact(
     )
 
 
-def check_causal(
-    history: History,
-    exact: Optional[bool] = None,
-    exact_threshold: int = 14,
-    max_steps: int = 200_000,
-) -> CausalCheckResult:
+def check_causal(history: History, exact: Optional[bool] = None) -> CausalCheckResult:
     """Combined checker: witness scan always; exact search when feasible.
 
     The witness scan is sound, so any anomaly makes the verdict
     *inconsistent, conclusive* regardless of size.  For histories up to
-    ``exact_threshold`` transactions (or with ``exact=True``) the search
+    :data:`EXACT_THRESHOLD` transactions (or with ``exact=True``) the search
     decides the clean case too; otherwise a clean scan is reported as
     consistent-but-not-proof (``conclusive=False``).
     """
@@ -175,9 +173,9 @@ def check_causal(
             anomalies=anomalies,
             detail=anomalies[0].describe(),
         )
-    use_exact = exact if exact is not None else len(history.records) <= exact_threshold
+    use_exact = exact if exact is not None else len(history.records) <= EXACT_THRESHOLD
     if use_exact:
-        return check_causal_exact(history, max_steps=max_steps)
+        return check_causal_exact(history)
     return CausalCheckResult(
         consistent=True,
         conclusive=False,

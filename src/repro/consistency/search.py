@@ -29,18 +29,11 @@ from repro.txn.types import BOTTOM, ObjectId, TxnRecord, Value
 
 @dataclass
 class SearchResult(SearchOutcome):
-    """Serialization-search outcome, in the engine's budget vocabulary.
-
-    ``steps`` and ``exhausted`` come from :class:`SearchOutcome`;
-    ``exhausted_budget`` stays as a read alias for existing callers.
-    """
+    """Serialization-search outcome, in the engine's budget vocabulary
+    (``steps`` and ``exhausted`` come from :class:`SearchOutcome`)."""
 
     found: bool = False
     order: Optional[List[str]] = None  # txids, when found
-
-    @property
-    def exhausted_budget(self) -> bool:
-        return self.exhausted
 
     @property
     def conclusive(self) -> bool:

@@ -15,6 +15,9 @@ from typing import List, Optional
 from repro.consistency.search import SearchResult, find_legal_serialization
 from repro.txn.history import History
 
+#: step budget of the global serialization search
+SERIAL_MAX_STEPS = 400_000
+
 
 @dataclass
 class SerializabilityResult:
@@ -24,19 +27,17 @@ class SerializabilityResult:
     detail: str = ""
 
 
-def check_serializable(
-    history: History, strict: bool = False, max_steps: int = 400_000
-) -> SerializabilityResult:
+def check_serializable(history: History, strict: bool = False) -> SerializabilityResult:
     history.check_unique_values()
     edges = history.realtime_edges() if strict else []
     result = find_legal_serialization(
-        history.records, edges, legality_clients=None, max_steps=max_steps
+        history.records, edges, legality_clients=None, max_steps=SERIAL_MAX_STEPS
     )
     if result.found:
         return SerializabilityResult(
             serializable=True, conclusive=True, order=result.order
         )
-    if result.exhausted_budget:
+    if result.exhausted:
         return SerializabilityResult(
             serializable=False,
             conclusive=False,
@@ -50,7 +51,5 @@ def check_serializable(
     )
 
 
-def check_strict_serializable(
-    history: History, max_steps: int = 400_000
-) -> SerializabilityResult:
-    return check_serializable(history, strict=True, max_steps=max_steps)
+def check_strict_serializable(history: History) -> SerializabilityResult:
+    return check_serializable(history, strict=True)

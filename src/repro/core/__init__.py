@@ -24,7 +24,6 @@ from repro.core.constructions import (
 )
 from repro.core.general import check_impossibility_general, run_general_induction
 from repro.core.induction import (
-    InductionConfig,
     MsDetector,
     build_splice_witness,
     run_induction,
@@ -52,7 +51,6 @@ __all__ = [
     "run_sigma_old",
     "check_impossibility_general",
     "run_general_induction",
-    "InductionConfig",
     "MsDetector",
     "build_splice_witness",
     "run_induction",

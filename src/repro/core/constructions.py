@@ -29,6 +29,9 @@ from repro.sim.trace import StepEvent
 from repro.txn.client import ClientBase
 from repro.txn.types import ObjectId, TxnRecord, Value, read_only_txn
 
+#: steps the reader may take to complete ``T_r`` once every response is in
+MAX_CLIENT_STEPS = 8
+
 
 class ConstructionError(RuntimeError):
     """The protocol deviated from fast-ROT behaviour mid-construction.
@@ -96,11 +99,7 @@ def run_sigma_old(
     )
 
 
-def finish_with_new(
-    sim: Simulation,
-    sigma: SigmaOldResult,
-    max_client_steps: int = 8,
-) -> TxnRecord:
+def finish_with_new(sim: Simulation, sigma: SigmaOldResult) -> TxnRecord:
     """Deliver the withheld requests to the new server(s), collect all
     responses, and let the reader complete ``T_r``."""
     reader = sigma.reader
@@ -115,7 +114,7 @@ def finish_with_new(
     client = sim.processes[reader]
     assert isinstance(client, ClientBase)
     before = len(client.completed)
-    for _ in range(max_client_steps):
+    for _ in range(MAX_CLIENT_STEPS):
         for msg in sim.network.pending(dst=reader):
             sim.deliver_msg(msg)
         sim.step(reader)
@@ -125,5 +124,5 @@ def finish_with_new(
             break
     raise ConstructionError(
         f"{reader} did not complete its fast ROT after receiving all "
-        f"responses (needed more than {max_client_steps} steps)"
+        f"responses (needed more than {MAX_CLIENT_STEPS} steps)"
     )

@@ -86,8 +86,9 @@ def explore_write_read_race(
 
     Builds the Figure-1 style configuration (initial values written and
     read by the writer client), then explores every interleaving of a
-    multi-object write transaction with one read-only transaction.
-    Protocols without write transactions use two single writes instead
+    multi-object write transaction with one read-only transaction
+    (:meth:`~repro.core.setup.TheoremSystem.race_script`).  Protocols
+    without write transactions use one single write per object instead
     (a causal chain through the writing client).
 
     ``por=True`` requires the protocol's registry row to declare
@@ -99,7 +100,6 @@ def explore_write_read_race(
     """
     from repro.core.setup import prepare_theorem_system
     from repro.protocols import get_protocol
-    from repro.txn.types import read_only_txn, write_only_txn
 
     info = get_protocol(protocol)
     if por and not info.por_safe:
@@ -108,21 +108,9 @@ def explore_write_read_race(
             "run with por=False"
         )
     tsys = prepare_theorem_system(protocol, n_probes=2, **params)
-    system = tsys.system
-    if info.supports_wtx:
-        script = [
-            (tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw")),
-            (tsys.probes[0], read_only_txn(tsys.objects, txid="Tr")),
-        ]
-    else:
-        script = [
-            (tsys.cw, write_only_txn({"X0": tsys.new_values["X0"]}, txid="Tw0")),
-            (tsys.cw, write_only_txn({"X1": tsys.new_values["X1"]}, txid="Tw1")),
-            (tsys.probes[0], read_only_txn(tsys.objects, txid="Tr")),
-        ]
     return explore(
-        system,
-        script,
+        tsys.system,
+        tsys.race_script(),
         max_depth=max_depth,
         max_states=max_states,
         first_violation_only=first_violation_only,

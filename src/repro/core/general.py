@@ -15,22 +15,20 @@ object order, as the splice candidates.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.core.induction import InductionConfig, MsDetector, induct
+from repro.core.induction import MsDetector, induct
 from repro.core.setup import TheoremSystem
 from repro.core.theorem import prepare_or_verdict
 from repro.core.witness import TheoremVerdict
 
 
-def run_general_induction(
-    tsys: TheoremSystem, config: Optional[InductionConfig] = None
-) -> TheoremVerdict:
+def run_general_induction(tsys: TheoremSystem, max_k: int = 8) -> TheoremVerdict:
     """The Lemma 6 induction for m servers / partial replication."""
     servers = set(tsys.servers)
     primaries = [tsys.primary(obj) for obj in tsys.objects]
     return induct(
-        tsys, lambda k: (MsDetector(tsys.cw, servers, servers), primaries), config
+        tsys, lambda k: (MsDetector(tsys.cw, servers, servers), primaries), max_k
     )
 
 
@@ -57,4 +55,4 @@ def check_impossibility_general(
     )
     if isinstance(tsys, TheoremVerdict):
         return tsys
-    return run_general_induction(tsys, InductionConfig(max_k=max_k))
+    return run_general_induction(tsys, max_k=max_k)

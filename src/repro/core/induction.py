@@ -172,11 +172,10 @@ def build_splice_witness(
     return witness
 
 
-@dataclass
-class InductionConfig:
-    max_k: int = 8
-    solo_budget: int = 30_000
-    probe_every: int = 25
+#: events ``T_w`` may run solo in one round before the round is inconclusive
+SOLO_BUDGET = 30_000
+#: solo events between two visibility probes
+PROBE_EVERY = 25
 
 
 #: ``roles(k) -> (detector, candidates)``: round ``k``'s necessary-message
@@ -184,15 +183,12 @@ class InductionConfig:
 Roles = Callable[[int], Tuple[MsDetector, Sequence[str]]]
 
 
-def induct(
-    tsys: TheoremSystem, roles: Roles, config: Optional[InductionConfig] = None
-) -> TheoremVerdict:
+def induct(tsys: TheoremSystem, roles: Roles, max_k: int = 8) -> TheoremVerdict:
     """Run the induction rounds against ``tsys`` (see module docstring).
 
     γ tries the round's candidates; δ first tries the primaries of the
     objects already visible at ``C_k``, then the candidates.
     """
-    cfg = config or InductionConfig()
     sim = tsys.sim
     if tsys.c0 is None:
         raise ValueError("theorem system not prepared (no C0)")
@@ -201,7 +197,7 @@ def induct(
     prev = tsys.c0
     forced: List[str] = []
 
-    for k in range(1, cfg.max_k + 1):
+    for k in range(1, max_k + 1):
         detector, candidates = roles(k)
         sim.restore(prev)
         fragment = RecordedFragment([])
@@ -213,7 +209,7 @@ def induct(
         visible_all = False
         quiescent = False
 
-        while events_run < cfg.solo_budget:
+        while events_run < SOLO_BUDGET:
             # one window per solo event: the probe's events stay out
             with sim.recording() as applied:
                 progressed = sched.tick(sim, pids=solo)
@@ -223,10 +219,8 @@ def induct(
                 ms_desc = detector.observe(applied[-1])
                 if ms_desc is not None:
                     break
-            if not progressed or events_run % cfg.probe_every == 0:
-                reads = probe_read(
-                    sim, tsys.probes[0], tsys.objects, tsys.service_pids, restore=True
-                )
+            if not progressed or events_run % PROBE_EVERY == 0:
+                reads = probe_read(sim, tsys.probes[0], tsys.objects, tsys.service_pids)
                 if reads is not None and all(
                     reads.get(o) == v for o, v in tsys.new_values.items()
                 ):
@@ -267,8 +261,7 @@ def induct(
         forced.append(f"k={k}: {ms_desc}")
         c_k = sim.snapshot()
         reads = probe_read(
-            sim, tsys.probes[0], tsys.objects, tsys.service_pids,
-            restore=True, snap=c_k,
+            sim, tsys.probes[0], tsys.objects, tsys.service_pids, snap=c_k
         )
         visible_objs = [
             o
@@ -288,9 +281,9 @@ def induct(
     return TheoremVerdict(
         protocol=protocol,
         outcome=UNBOUNDED_VISIBILITY,
-        k_reached=cfg.max_k,
+        k_reached=max_k,
         detail=(
-            f"every round up to k={cfg.max_k} forced another necessary "
+            f"every round up to k={max_k} forced another necessary "
             "message while T_w's values stayed invisible — the troublesome "
             "execution of Lemma 3, materialized"
         ),
@@ -298,9 +291,7 @@ def induct(
     )
 
 
-def run_induction(
-    tsys: TheoremSystem, config: Optional[InductionConfig] = None
-) -> TheoremVerdict:
+def run_induction(tsys: TheoremSystem, max_k: int = 8) -> TheoremVerdict:
     """Run the Lemma 3 induction against ``tsys`` (two-server form).
 
     Round ``k`` watches ``p_{k%2} → p_{(k-1)%2}`` and tries
@@ -317,7 +308,7 @@ def run_induction(
         p_old, p_new = servers[k % 2], servers[(k - 1) % 2]
         return MsDetector(tsys.cw, {p_old}, {p_new}), [p_new, p_old]
 
-    return induct(tsys, roles, config)
+    return induct(tsys, roles, max_k)
 
 
 def try_splice_candidates(

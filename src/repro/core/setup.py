@@ -25,7 +25,7 @@ from repro.protocols.base import System, build_system
 from repro.sim.executor import Configuration
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.txn.client import UnsupportedTransaction
-from repro.txn.types import ObjectId, Transaction, Value, write_only_txn
+from repro.txn.types import ObjectId, Transaction, Value, read_only_txn, write_only_txn
 
 
 class SetupError(RuntimeError):
@@ -64,6 +64,21 @@ class TheoremSystem:
     def tw(self) -> Transaction:
         """The write-only multi-object transaction of the proof."""
         return write_only_txn(self.new_values, txid="Tw")
+
+    def race_script(self) -> List[Tuple[str, Transaction]]:
+        """The write/read race: ``c_w`` writes every object — as ``T_w``,
+        or one single-object write ``Tw<i>`` per object where the
+        protocol has no multi-object write transactions — and the first
+        probe reads every object as ``T_r``."""
+        if self.system.info.supports_wtx:
+            script = [(self.cw, self.tw())]
+        else:
+            script = [
+                (self.cw, write_only_txn({obj: self.new_values[obj]}, txid=f"Tw{i}"))
+                for i, obj in enumerate(self.objects)
+            ]
+        script.append((self.probes[0], read_only_txn(self.objects, txid="Tr")))
+        return script
 
     def primary(self, obj: ObjectId) -> str:
         return self.system.config.placement[obj][0]
@@ -119,8 +134,6 @@ def prepare_theorem_system(
         )
 
     # T_in_r by cw: reads all objects, must return the initial values
-    from repro.txn.types import read_only_txn
-
     rec = system.execute(
         "cw", read_only_txn(objects, txid="Tinr"), scheduler=sched, max_events=max_events
     )

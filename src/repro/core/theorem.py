@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence, Union
 
 from repro.analysis.metrics import Characterization, measure
-from repro.core.induction import InductionConfig, run_induction
+from repro.core.induction import run_induction
 from repro.core.setup import SetupError, TheoremSystem, prepare_theorem_system
 from repro.core.witness import (
     NO_MULTI_WRITE,
@@ -32,7 +32,7 @@ from repro.core.witness import (
     TheoremVerdict,
 )
 from repro.txn.client import UnsupportedTransaction
-from repro.workloads.generators import DEFAULT_FAST_SPEC, WorkloadSpec
+from repro.workloads.generators import DEFAULT_FAST_SPEC
 
 
 def prepare_or_verdict(
@@ -73,16 +73,13 @@ def check_impossibility(
     max_k: int = 8,
     objects: Sequence[str] = ("X0", "X1"),
     n_servers: int = 2,
-    fast_spec: Optional[WorkloadSpec] = None,
     skip_fast_check: bool = False,
     **params: Any,
 ) -> TheoremVerdict:
     """Run the full Theorem 1 check against one protocol."""
     fast_report: Optional[Characterization] = None
     if not skip_fast_check:
-        fast_report = measure(
-            protocol, fast_spec or DEFAULT_FAST_SPEC, check=False, **params
-        )
+        fast_report = measure(protocol, DEFAULT_FAST_SPEC, check=False, **params)
 
     # property W: does the protocol accept T_w at all?
     tsys = prepare_or_verdict(
@@ -104,7 +101,7 @@ def check_impossibility(
         )
 
     # the protocol claims everything: run the induction
-    verdict = run_induction(tsys, InductionConfig(max_k=max_k))
+    verdict = run_induction(tsys, max_k=max_k)
     verdict.fast_report = fast_report
     return verdict
 

@@ -46,18 +46,17 @@ def probe_read(
     objects: Sequence[ObjectId],
     servers: Sequence[ProcessId],
     max_events: int = 20_000,
-    restore: bool = True,
     snap: Optional[Configuration] = None,
 ) -> Optional[Dict[ObjectId, Value]]:
     """Run a fresh ROT from the current configuration under the frozen
     adversary; return its reads, or ``None`` if it cannot complete.
 
-    The configuration is restored afterwards unless ``restore=False``.
-    A caller that already holds a snapshot of the *current* configuration
-    may pass it as ``snap`` to skip the probe's own snapshot (the fast
-    fork pattern: one snapshot, many branches).
+    The configuration is restored afterwards.  A caller that already
+    holds a snapshot of the *current* configuration may pass it as
+    ``snap`` to skip the probe's own snapshot (the fast fork pattern: one
+    snapshot, many branches).
     """
-    if snap is None and restore:
+    if snap is None:
         snap = sim.snapshot()
     frozen = {m.msg_id for m in sim.network.pending()}
     client = sim.processes[probe_client]
@@ -79,8 +78,7 @@ def probe_read(
     except SchedulerStalled:
         result = None
     finally:
-        if restore:
-            sim.restore(snap)
+        sim.restore(snap)
     return result
 
 
@@ -89,12 +87,9 @@ def values_visible(
     probe_client: ProcessId,
     expected: Dict[ObjectId, Value],
     servers: Sequence[ProcessId],
-    max_events: int = 20_000,
 ) -> bool:
     """Whether all of ``expected`` are returned by the frozen-adversary probe."""
-    reads = probe_read(
-        sim, probe_client, tuple(expected), servers, max_events=max_events
-    )
+    reads = probe_read(sim, probe_client, tuple(expected), servers)
     if reads is None:
         return False
     return all(reads.get(obj) == val for obj, val in expected.items())

@@ -2,9 +2,9 @@
 
 Each entry records the Table 1 row the paper claims for the system, so
 the Table-1 benchmark can print paper-claimed and measured
-characterizations side by side (whether the row claims fast ROTs is
-read off it), plus the flag the impossibility engine needs (does it
-support multi-object write transactions?).
+characterizations side by side.  Whether the system supports
+multi-object write transactions (the flag the impossibility engine
+needs) and whether its row claims fast ROTs are read off that row.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class ProtocolInfo:
     title: str
     server_factory: Callable[..., Process]
     client_factory: Callable[..., ClientBase]
-    supports_wtx: bool
     consistency: str  # strongest level the implementation targets
     paper_row: PaperRow
     description: str = ""
@@ -54,8 +53,18 @@ class ProtocolInfo:
     extras_factory: Optional[Callable[..., List[Process]]] = None
     server_param_names: Tuple[str, ...] = ()
     client_param_names: Tuple[str, ...] = ()
-    #: whether clients need the extra processes' pids (e.g. a sequencer)
-    client_needs_extras: bool = False
+
+    @property
+    def supports_wtx(self) -> bool:
+        """The paper's row gives the system multi-object write
+        transactions (Table 1's W column); the clients' ``validate``
+        accepts them exactly then."""
+        return self.paper_row.wtx == "yes"
+
+    @property
+    def client_needs_extras(self) -> bool:
+        """Clients take the first extra process's pid (e.g. a sequencer)."""
+        return self.extras_factory is not None
 
     @property
     def claims_fast_rot(self) -> bool:
@@ -123,7 +132,6 @@ def _build_registry() -> None:
             title="COPS",
             server_factory=CopsServer,
             client_factory=CopsClient,
-            supports_wtx=False,
             consistency="causal",
             paper_row=PaperRow("<=2", "<=2", "yes", "no", "Causal Consistency"),
             description="dependency-tracked puts; two-round get_trans",
@@ -135,7 +143,6 @@ def _build_registry() -> None:
             title="COPS-SNOW",
             server_factory=CopsSnowServer,
             client_factory=CopsSnowClient,
-            supports_wtx=False,
             consistency="causal",
             paper_row=PaperRow("1", "1", "yes", "no", "Causal Consistency"),
             description="fast ROTs via readers checks (the N+R+V corner)",
@@ -147,7 +154,6 @@ def _build_registry() -> None:
             title="Eiger",
             server_factory=EigerServer,
             client_factory=EigerClient,
-            supports_wtx=True,
             consistency="causal",
             paper_row=PaperRow("<=3", "<=2", "yes", "yes", "Causal Consistency"),
             description="2PC-CI write txns; multi-round non-blocking reads",
@@ -159,7 +165,6 @@ def _build_registry() -> None:
             title="Orbe",
             server_factory=OrbeServer,
             client_factory=OrbeClient,
-            supports_wtx=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "no", "no", "Causal Consistency"),
             description="vector snapshots; blocking reads",
@@ -175,7 +180,6 @@ def _build_registry() -> None:
             title="GentleRain",
             server_factory=GentleRainServer,
             client_factory=GentleRainClient,
-            supports_wtx=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "no", "no", "Causal Consistency"),
             description="scalar GST snapshots; blocking reads, O(1) metadata",
@@ -191,7 +195,6 @@ def _build_registry() -> None:
             title="Contrarian",
             server_factory=ContrarianServer,
             client_factory=ContrarianClient,
-            supports_wtx=False,
             consistency="causal",
             paper_row=PaperRow("2", "1", "yes", "no", "Causal Consistency"),
             description="pre-stabilized snapshots; non-blocking two-round reads",
@@ -207,7 +210,6 @@ def _build_registry() -> None:
             title="Wren",
             server_factory=WrenServer,
             client_factory=WrenClient,
-            supports_wtx=True,
             consistency="causal",
             paper_row=PaperRow("2", "1", "yes", "yes", "Causal Consistency"),
             description="the N+V+W corner: stable snapshots + 2PC write txns",
@@ -223,7 +225,6 @@ def _build_registry() -> None:
             title="Cure",
             server_factory=CureServer,
             client_factory=CureClient,
-            supports_wtx=True,
             consistency="causal",
             paper_row=PaperRow("2", "1", "no", "yes", "Causal Consistency"),
             description="vector snapshots + 2PC write txns; blocking reads",
@@ -239,7 +240,6 @@ def _build_registry() -> None:
             title="RAMP",
             server_factory=RampServer,
             client_factory=RampClient,
-            supports_wtx=True,
             consistency="read-atomic",
             paper_row=PaperRow("<=2", "<=2", "yes", "yes", "Read Atomicity"),
             description="read-atomic multi-partition transactions",
@@ -254,7 +254,6 @@ def _build_registry() -> None:
             title="Occult",
             server_factory=OccultServer,
             client_factory=OccultClient,
-            supports_wtx=True,
             consistency="causal",
             paper_row=PaperRow(">=1", ">=1", "yes", "yes", "Per Client Parallel SI"),
             description=(
@@ -270,7 +269,6 @@ def _build_registry() -> None:
             title="RAMP-Small",
             server_factory=RampSmallServer,
             client_factory=RampSmallClient,
-            supports_wtx=True,
             consistency="read-atomic",
             paper_row=PaperRow("2", "<=2", "yes", "yes", "Read Atomicity"),
             description="two fixed rounds, constant metadata (the RAMP family's "
@@ -283,7 +281,6 @@ def _build_registry() -> None:
             title="Spanner",
             server_factory=SpannerServer,
             client_factory=SpannerClient,
-            supports_wtx=True,
             supports_rw=True,
             consistency="strict-serializable",
             paper_row=PaperRow("1", "1", "no", "yes", "Strict Serializability"),
@@ -301,7 +298,6 @@ def _build_registry() -> None:
             title="Calvin",
             server_factory=CalvinServer,
             client_factory=CalvinClient,
-            supports_wtx=True,
             supports_rw=True,
             consistency="strict-serializable",
             paper_row=PaperRow("2", "1", "no", "yes", "Strict Serializability"),
@@ -309,7 +305,6 @@ def _build_registry() -> None:
             extras_factory=lambda servers, placement, params: [
                 CalvinSequencer("seq0", servers, placement)
             ],
-            client_needs_extras=True,
         )
     )
     _register(
@@ -318,7 +313,6 @@ def _build_registry() -> None:
             title="COPS-RW (paper §3.4 N+R+W sketch)",
             server_factory=CopsRwServer,
             client_factory=CopsRwClient,
-            supports_wtx=True,
             consistency="causal",
             paper_row=PaperRow("1", "many", "yes", "yes", "Causal Consistency"),
             description="ships sibling and dependency values with every read",
@@ -333,7 +327,6 @@ def _build_registry() -> None:
             title="SwiftCloud† (different system model)",
             server_factory=SwiftCloudServer,
             client_factory=SwiftCloudClient,
-            supports_wtx=True,
             consistency="causal",
             paper_row=PaperRow("1", "1", "yes", "yes", "Causal Consistency"),
             description=(
@@ -353,7 +346,6 @@ def _build_registry() -> None:
             title="Handshake-K (tunable strawman)",
             server_factory=HandshakeServer,
             client_factory=HandshakeClient,
-            supports_wtx=True,
             consistency="causal",  # the *claim*; Theorem 1 refutes it
             paper_row=PaperRow("1", "1", "yes", "yes", "(impossible)"),
             description=(
@@ -369,7 +361,6 @@ def _build_registry() -> None:
             title="FastClaim (impossible strawman)",
             server_factory=FastClaimServer,
             client_factory=FastClaimClient,
-            supports_wtx=True,
             supports_rw=True,
             consistency="causal",  # the *claim*; Theorem 1 refutes it
             paper_row=PaperRow("1", "1", "yes", "yes", "(impossible)"),

@@ -42,11 +42,7 @@ from repro.sim.scheduler import (
     run_until_quiescent,
 )
 from repro.sim.trace import TraceEvent, StepEvent, DeliverEvent, InvokeEvent
-from repro.sim.clock import (
-    HLCTimestamp,
-    TrueTimeOracle,
-    TTInterval,
-)
+from repro.sim.clock import TrueTimeOracle, TTInterval
 
 __all__ = [
     "Message",
@@ -70,7 +66,6 @@ __all__ = [
     "StepEvent",
     "DeliverEvent",
     "InvokeEvent",
-    "HLCTimestamp",
     "TrueTimeOracle",
     "TTInterval",
 ]

@@ -1,10 +1,8 @@
 """Simulated-physical clocks.
 
-* :class:`TrueTimeOracle` — Spanner's bounded-uncertainty clock,
-  simulated over the executor's event counter (the substitution for the
-  GPS/atomic-clock infrastructure; documented in DESIGN.md);
-* :class:`HLCTimestamp` — an ordered hybrid-logical-clock timestamp
-  value, ``(physical, logical, node)``.
+:class:`TrueTimeOracle` is Spanner's bounded-uncertainty clock,
+simulated over the executor's event counter (the substitution for the
+GPS/atomic-clock infrastructure; documented in DESIGN.md).
 
 The other protocols of Table 1 keep their logical timestamps (Lamport
 scalars, dependency vectors, stable-time cutoffs) as plain integers and
@@ -14,15 +12,6 @@ dicts in their own state; none needs a clock object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True, order=True)
-class HLCTimestamp:
-    """Hybrid logical clock timestamp: (physical, logical, node)."""
-
-    physical: int
-    logical: int
-    node: str = ""
 
 
 @dataclass(frozen=True)

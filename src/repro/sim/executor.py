@@ -408,11 +408,8 @@ class Simulation:
     def pids(self) -> Tuple[ProcessId, ...]:
         return tuple(self.processes)
 
-    def quiescent(self, pids: Optional[Iterable[ProcessId]] = None) -> bool:
-        """No in-transit or undelivered messages; no (selected) process busy."""
-        if not self.network.idle():
-            return False
-        group = self.processes.values() if pids is None else (
-            self.processes[p] for p in pids
+    def quiescent(self) -> bool:
+        """No in-transit or undelivered messages; no process busy."""
+        return self.network.idle() and not any(
+            p.wants_step() for p in self.processes.values()
         )
-        return not any(p.wants_step() for p in group)

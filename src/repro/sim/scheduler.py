@@ -125,10 +125,8 @@ class RandomScheduler(Scheduler):
 
 def run_until_quiescent(
     sim: Simulation,
-    scheduler: Optional[Scheduler] = None,
     pids: Optional[Sequence[ProcessId]] = None,
     max_events: int = 100_000,
 ) -> int:
-    """Drive ``sim`` with a fair scheduler until (restricted) quiescence."""
-    sched = scheduler if scheduler is not None else RoundRobinScheduler()
-    return sched.run(sim, pids=pids, max_events=max_events)
+    """Drive ``sim`` round-robin until (restricted) quiescence."""
+    return RoundRobinScheduler().run(sim, pids=pids, max_events=max_events)

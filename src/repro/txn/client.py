@@ -166,17 +166,13 @@ class ClientBase(Process):
 
     # -- completion ---------------------------------------------------------------
 
-    def finish(
-        self,
-        ctx: StepContext,
-        reads: Optional[Mapping[ObjectId, Value]] = None,
-        meta: Optional[Mapping[str, Any]] = None,
-    ) -> TxnRecord:
-        """Complete the current transaction and record it."""
+    def finish(self, ctx: StepContext) -> TxnRecord:
+        """Complete the current transaction with the reads it gathered and
+        record it."""
         if self.current is None:
             raise RuntimeError(f"{self.pid}: finish() with no active transaction")
         active = self.current
-        observed = dict(reads if reads is not None else active.reads)
+        observed = dict(active.reads)
         missing = set(active.txn.read_set) - set(observed)
         if missing:
             raise RuntimeError(
@@ -189,7 +185,6 @@ class ClientBase(Process):
             reads=observed,
             invoked_at=active.invoked_at,
             completed_at=ctx.step_index,
-            meta=dict(meta or {}),
         )
         self.completed.append(record)
         self.current = None

@@ -7,11 +7,11 @@ simplifying assumption, and a checker precondition);
 :func:`run_workload` drives a system through the workload and returns
 its history.
 
-Protocols without multi-object write transactions are handed
-single-object writes when ``respect_capabilities`` is set (the default
-for the comparison benchmarks — every system executes the same logical
+:func:`run_workload` hands a protocol without multi-object write
+transactions single-object writes (and one without read-write
+transactions no read-write ones): every system executes the same logical
 update load, shaped to what it supports, which is exactly the
-functionality trade-off the paper is about).
+functionality trade-off the paper is about.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ def run_workload(
     spec: WorkloadSpec,
     scheduler: Optional[Scheduler] = None,
     max_events: int = 2_000_000,
-    respect_capabilities: bool = True,
 ) -> History:
     """Drive ``system`` through a generated workload; return its history.
 
@@ -165,8 +164,8 @@ def run_workload(
         spec,
         system.config.objects,
         system.clients,
-        supports_wtx=(info.supports_wtx if respect_capabilities else True),
-        supports_rw=(info.supports_rw if respect_capabilities else True),
+        supports_wtx=info.supports_wtx,
+        supports_rw=info.supports_rw,
     )
     queues: Dict[str, Deque[Transaction]] = {c: deque() for c in system.clients}
     for client, txn in gen.schedule():

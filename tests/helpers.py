@@ -99,16 +99,10 @@ def race_system(protocol: str):
     """The write/read-race scenario of ``explore_write_read_race``: its
     simulation, and the writer, the probe and the servers."""
     from repro.core.setup import prepare_theorem_system
-    from repro.protocols import get_protocol
-    from repro.txn.types import read_only_txn, write_only_txn
 
     params = {"sync_every": 1} if protocol == "swiftcloud" else {}
     tsys = prepare_theorem_system(protocol, n_probes=2, **params)
     sim = tsys.sim
-    if get_protocol(protocol).supports_wtx:
-        sim.invoke(tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw"))
-    else:
-        for i, (obj, val) in enumerate(sorted(tsys.new_values.items())):
-            sim.invoke(tsys.cw, write_only_txn({obj: val}, txid=f"Tw{i}"))
-    sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+    for client, txn in tsys.race_script():
+        sim.invoke(client, txn)
     return sim, (tsys.cw, tsys.probes[0]) + tuple(tsys.servers)

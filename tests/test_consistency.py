@@ -85,7 +85,7 @@ class TestSearchEngine:
         records = [rec(f"w{i}", f"c{i}", writes={f"X{i}": i}) for i in range(12)]
         records.append(rec("r", "c", reads={"X0": 999}))
         res = find_legal_serialization(records, [], max_steps=5)
-        assert not res.found and res.exhausted_budget
+        assert not res.found and res.exhausted
         # the step that overflows the budget is counted, then the search stops
         assert res.steps == 6 and res.order is None
 

@@ -10,7 +10,6 @@ from repro.core import (
     NOT_FAST,
     UNBOUNDED_VISIBILITY,
     FrozenScheduler,
-    InductionConfig,
     MixedReadWitness,
     SpliceError,
     check_impossibility,
@@ -211,7 +210,7 @@ class TestSplicing:
 
         monkeypatch.setattr(induction, "splice_new", spy)
         tsys = prepare_theorem_system(protocol, **params)
-        verdict = run_induction(tsys, InductionConfig(max_k=max_k))
+        verdict = run_induction(tsys, max_k=max_k)
         assert verdict.outcome == CAUSAL_VIOLATION
         assert (verdict.witness.construction, verdict.k_reached) == (construction, k)
         fragment, cw, servers = seen[0]
@@ -230,7 +229,7 @@ class TestSplicing:
 class TestInduction:
     def test_fastclaim_violation_at_k1(self):
         tsys = prepare_theorem_system("fastclaim")
-        verdict = run_induction(tsys, InductionConfig(max_k=4))
+        verdict = run_induction(tsys, max_k=4)
         assert verdict.outcome == CAUSAL_VIOLATION
         assert verdict.k_reached == 1
         w = verdict.witness
@@ -240,20 +239,20 @@ class TestInduction:
     @pytest.mark.parametrize("hops", [1, 2])
     def test_handshake_depth_scales(self, hops):
         tsys = prepare_theorem_system("handshake", sync_hops=hops)
-        verdict = run_induction(tsys, InductionConfig(max_k=2 * hops + 2))
+        verdict = run_induction(tsys, max_k=2 * hops + 2)
         assert verdict.outcome == CAUSAL_VIOLATION
         assert verdict.k_reached == 2 * hops
         assert len(verdict.forced_messages) == 2 * hops
 
     def test_handshake_unbounded_with_small_budget(self):
         tsys = prepare_theorem_system("handshake", sync_hops=8)
-        verdict = run_induction(tsys, InductionConfig(max_k=3))
+        verdict = run_induction(tsys, max_k=3)
         assert verdict.outcome == UNBOUNDED_VISIBILITY
         assert len(verdict.forced_messages) == 3
 
     def test_forced_messages_alternate_servers(self):
         tsys = prepare_theorem_system("handshake", sync_hops=3)
-        verdict = run_induction(tsys, InductionConfig(max_k=10))
+        verdict = run_induction(tsys, max_k=10)
         senders = [f.split("explicit: ")[1].split(" ->")[0] for f in verdict.forced_messages]
         assert senders == ["s1", "s0", "s1", "s0", "s1", "s0"]
 

@@ -57,6 +57,28 @@ class TestExploreBasics:
         assert "no causal violation" in res.describe()
 
 
+class TestRaceScript:
+    @pytest.mark.parametrize("objects", [("A", "B"), ("X0", "X1", "X2")])
+    def test_no_write_txns_writes_every_object_once(self, objects, monkeypatch):
+        """cops has no multi-object write transactions: the race writes
+        each object in a single write of its own, whatever the objects
+        are called and however many there are, then reads them all."""
+        import repro.core.explore as explore_mod
+
+        scripts = []
+
+        def capture(system, script, **knobs):
+            scripts.append(script)
+            return ExplorationResult(protocol="cops")
+
+        monkeypatch.setattr(explore_mod, "explore", capture)
+        explore_write_read_race("cops", objects=objects, n_servers=len(objects))
+        (script,) = scripts
+        assert [(c, t.txid, t.write_map, t.read_set) for c, t in script] == [
+            ("cw", f"Tw{i}", {obj: f"{obj}:new"}, ()) for i, obj in enumerate(objects)
+        ] + [("cr0", "Tr", {}, objects)]
+
+
 @pytest.mark.slow
 class TestExploreFindsTheAnomaly:
     def test_fastclaim_violating_schedule_found(self):

@@ -841,18 +841,28 @@ class TestCanonizeContainers:
         case the per-call set-element memo of ``_canonize`` used to hit.
         The digest was recorded from the commit before the memo went;
         the only bytes that moved since are the module path the two
-        sentinel classes are pickled under (same length, so it maps back)."""
+        sentinel classes are pickled under (same length, so it maps back).
+        The entries' stamp class was ``repro.sim.clock.HLCTimestamp``
+        then; a canonical dump holds only an object's class *name*, so
+        the local stand-in carries that name."""
         import hashlib
         from collections import deque
+        from dataclasses import dataclass
 
-        from repro.sim.clock import HLCTimestamp
+        @dataclass(frozen=True, order=True)
+        class Stamp:
+            physical: int
+            logical: int
+            node: str = ""
 
-        entry = ("s0", HLCTimestamp(3, 1))
-        other = ("s1", HLCTimestamp(7, 0))
+        Stamp.__module__, Stamp.__qualname__ = "repro.sim.clock", "HLCTimestamp"
+
+        entry = ("s0", Stamp(3, 1))
+        other = ("s1", Stamp(7, 0))
         state = {
             "seen": {entry, other},
             "acked": frozenset({entry}),
-            "deps": [{entry, ("s2", HLCTimestamp(1, 0))}, {other, entry}],
+            "deps": [{entry, ("s2", Stamp(1, 0))}, {other, entry}],
             "queue": deque([frozenset({entry, other})]),
         }
         dump = dumps_canonical(state)
@@ -1196,7 +1206,7 @@ class TestJournalLifetime:
         assert sim.network._journal is None
 
     def test_forward_runs_and_the_induction_never_journal(self, monkeypatch):
-        from repro.core.induction import InductionConfig, run_induction
+        from repro.core.induction import run_induction
         from repro.protocols import build_system
         from repro.workloads import WorkloadSpec, run_workload
 
@@ -1207,6 +1217,6 @@ class TestJournalLifetime:
         system = build_system("cops", objects=("X0", "X1"), n_servers=2)
         run_workload(system, WorkloadSpec(n_txns=20, read_ratio=0.5, seed=3))
         tsys = prepare_theorem_system("fastclaim")
-        run_induction(tsys, InductionConfig(max_k=4))
+        run_induction(tsys, max_k=4)
         for sim in (system.sim, tsys.sim):
             assert sim.network._journal is None

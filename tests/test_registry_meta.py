@@ -4,7 +4,7 @@ The registry rows are the paper's Table 1 transcribed into code; the
 paper ledger (claimed vs measured) and the impossibility engine consume
 them.  A malformed row would silently disable those cross-checks, so
 the rows themselves are tested: shape, internal consistency, and the
-derived fast-ROT flag.
+flags derived from them (W and fast ROTs).
 """
 
 import re
@@ -41,13 +41,24 @@ def test_paper_row_well_formed(name):
     assert row.consistency.strip(), f"{name}: empty consistency cell"
 
 
+#: the rows of Table 1 without multi-object write transactions
+NO_WTX = ("contrarian", "cops", "cops_snow", "gentlerain", "orbe")
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_wtx_claim_matches_capability(name):
-    """The Table-1 WTX cell and the capability flag must agree."""
+    """The capability flag is the Table-1 W cell.
+
+    ``supports_wtx`` is read off the row, so the rows without W are
+    exactly the pinned ones; ``test_protocols_basic``'s
+    ``TestWriteTransactions`` and ``TestRestrictedProtocols`` check the
+    flag against each client's ``validate``.
+    """
     info = REGISTRY[name]
-    assert (info.paper_row.wtx == "yes") == info.supports_wtx, (
-        f"{name}: paper_row.wtx={info.paper_row.wtx!r} but "
-        f"supports_wtx={info.supports_wtx}"
+    row_wtx = info.paper_row.wtx == "yes"
+    assert info.supports_wtx == row_wtx == (name not in NO_WTX), (
+        f"{name}: supports_wtx={info.supports_wtx} but "
+        f"paper_row.wtx={info.paper_row.wtx!r}"
     )
 
 

@@ -1,16 +1,10 @@
-"""Clock tests: the HLC timestamp order and TrueTime — including a
-property-based law with hypothesis."""
+"""TrueTime clock tests — including a property-based law with hypothesis."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.clock import HLCTimestamp, TrueTimeOracle, TTInterval
-
-
-class TestHLC:
-    def test_ordering_includes_node(self):
-        assert HLCTimestamp(1, 0, "a") < HLCTimestamp(1, 0, "b")
+from repro.sim.clock import TrueTimeOracle, TTInterval
 
 
 class TestTrueTime:
