@@ -121,7 +121,6 @@ def undo_smoke() -> bool:
     """
     from repro.core.setup import prepare_theorem_system
     from repro.engine import run
-    from repro.txn.types import read_only_txn
 
     ok = True
     for label, kwargs in (
@@ -130,8 +129,8 @@ def undo_smoke() -> bool:
     ):
         tsys = prepare_theorem_system("fastclaim", n_probes=2)
         sim = tsys.sim
-        sim.invoke(tsys.cw, tsys.tw())
-        sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+        for client, txn in tsys.race_script():
+            sim.invoke(client, txn)
         before, events = sim.counters.as_dict(), sim.events_applied
         run(tsys.system, **kwargs)
         children = sim.events_applied - events
@@ -268,15 +267,14 @@ def reuse_smoke() -> bool:
     """
     from repro.core.setup import prepare_theorem_system
     from repro.engine import run
-    from repro.txn.types import read_only_txn
 
     def explore_once(kwargs, table):
         tsys = prepare_theorem_system("fastclaim", n_probes=2)
         sim = tsys.sim
         if not table:
             sim._snapshotters["bytes"]._transitions = Forgetful()
-        sim.invoke(tsys.cw, tsys.tw())
-        sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+        for client, txn in tsys.race_script():
+            sim.invoke(client, txn)
         return run(tsys.system, **kwargs), interned_drift(sim)
 
     ok = True

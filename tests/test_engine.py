@@ -322,18 +322,10 @@ def race_explored(protocol, n=2, **kw):
     (the scenario's setup excluded)."""
     from repro.core.explore import explore
     from repro.core.setup import prepare_theorem_system
-    from repro.txn.types import read_only_txn, write_only_txn
 
     objects = tuple(f"X{i}" for i in range(n))
     tsys = prepare_theorem_system(protocol, objects=objects, n_servers=n, n_probes=2)
-    if REGISTRY[protocol].supports_wtx:
-        script = [(tsys.cw, tsys.tw())]
-    else:
-        script = [
-            (tsys.cw, write_only_txn({o: tsys.new_values[o]}, txid=f"Tw{i}"))
-            for i, o in enumerate(objects)
-        ]
-    script.append((tsys.probes[0], read_only_txn(objects, txid="Tr")))
+    script = tsys.race_script()
     before = tsys.sim.counters.as_dict()
     r = explore(tsys.system, script, first_violation_only=False, **kw)
     after = r.counters.as_dict()
@@ -602,16 +594,11 @@ def test_independence_diamond_property(protocol):
 
     from repro.core.setup import prepare_theorem_system
     from repro.sim.events import enabled_events, independent
-    from repro.txn.types import read_only_txn, write_only_txn
 
     tsys = prepare_theorem_system(protocol, n_probes=2)
     sim = tsys.system.sim
-    if REGISTRY[protocol].supports_wtx:
-        sim.invoke(tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw"))
-    else:
-        for i, (obj, val) in enumerate(sorted(tsys.new_values.items())):
-            sim.invoke(tsys.cw, write_only_txn({obj: val}, txid=f"Tw{i}"))
-    sim.invoke(tsys.probes[0], read_only_txn(tsys.objects, txid="Tr"))
+    for client, txn in tsys.race_script():
+        sim.invoke(client, txn)
     pids = (tsys.cw, tsys.probes[0]) + tuple(tsys.servers)
 
     rng = random.Random(7)

@@ -1187,7 +1187,6 @@ class TestJournalLifetime:
     def test_a_search_that_raises_leaves_no_journal(self, monkeypatch):
         from repro.core.explore import explore
         from repro.engine.core import SerialSearch
-        from repro.txn.types import read_only_txn
 
         tsys = prepare_theorem_system("fastclaim", n_probes=2)
         sim = tsys.sim
@@ -1197,12 +1196,8 @@ class TestJournalLifetime:
             raise RuntimeError("injected leaf failure")
 
         monkeypatch.setattr(SerialSearch, "_check_leaf", leaf_fails)
-        script = [
-            (tsys.cw, write_only_txn(dict(tsys.new_values), txid="Tw")),
-            (tsys.probes[0], read_only_txn(tsys.objects, txid="Tr")),
-        ]
         with pytest.raises(RuntimeError, match="injected leaf failure"):
-            explore(tsys.system, script, max_depth=30)
+            explore(tsys.system, tsys.race_script(), max_depth=30)
         assert sim.network._journal is None
 
     def test_forward_runs_and_the_induction_never_journal(self, monkeypatch):

@@ -24,7 +24,7 @@ from repro.sim.executor import Simulation
 from repro.sim.trace import StepEvent
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.snapshot import DeepCopySnapshotter, Snapshotter, dumps_canonical
-from repro.txn.types import read_only_txn, write_only_txn
+from repro.txn.types import read_only_txn
 
 from helpers import race_system, result_key
 
@@ -251,12 +251,7 @@ def cops3():
     tsys = prepare_theorem_system(
         "cops", objects=("X0", "X1", "X2"), n_servers=3, n_probes=2
     )
-    script = [  # COPS writes one object per transaction
-        (tsys.cw, write_only_txn({obj: val}, txid=f"Tw{i}"))
-        for i, (obj, val) in enumerate(sorted(tsys.new_values.items()))
-    ]
-    script.append((tsys.probes[0], read_only_txn(tsys.objects, txid="Tr")))
-    return tsys.system, script
+    return tsys.system, tsys.race_script()  # COPS: one write per object
 
 
 #: (protocol, keying, scope): fastclaim and cops, strict and POR, under
